@@ -126,23 +126,36 @@ def resolve_model(spec) -> tuple[str, object]:
         return "inline-action-algebroid", _build_inline_action(spec["action_algebroid"])
     if isinstance(spec, dict) and "metric" in spec:
         metric = geometry.metric_by_name(spec["metric"])
-        return f"riemannian:{spec['metric']}", models.build_riemannian_cartan(metric)
+        lo, hi = metric.chart.sample_box()
+        name = f"riemannian:{spec['metric']}"
+        return name, models.riemannian_model(name, metric, (lo + hi) / 2, with_model=False)
     raise ScenarioError("model must be a catalog name, an action_algebroid "
                         "block, or a metric block")
 
 
-def _chart_of_model(model):
-    if isinstance(model, models.CircleCounterexample):
-        return model.cover.chart
-    if isinstance(model, models.FlatTorus):
-        return model.cover.chart
-    if isinstance(model, models.RiemannianModel):
-        return model.rc.chart
-    if isinstance(model, algebroid.ActionAlgebroid):
-        return model.chart
-    if isinstance(model, models.RiemannianCartanChart):
-        return model.chart
-    raise ScenarioError(f"no algebroid chart for model of type {type(model).__name__}")
+# The model kinds each op accepts.  Charted models expose the algebroid
+# chart their checks run on as ``model.chart``; cocycle reads no model.
+_CHARTED = (models.GluedModel, models.RiemannianModel, algebroid.ActionAlgebroid)
+_MODEL_KINDS = {
+    **dict.fromkeys(("is_cartan", "is_flat", "geodesic_escape", "completeness",
+                     "invariant_metric"), _CHARTED),
+    **dict.fromkeys(("monodromy", "compactness_probe", "reconstruct",
+                     "equivariance_diagram"), (models.GluedModel,)),
+    **dict.fromkeys(("scalar_form_fit", "classify"), (models.RiemannianModel,)),
+    **dict.fromkeys(("dual_pair", "local_lie_group", "obstruction_form"),
+                    (models.LocalLieGroupModel,)),
+    "cocycle": (object,),
+}
+
+
+def _require_model_kind(op: str, params: dict, model) -> None:
+    kinds = _MODEL_KINDS[op]
+    if op == "invariant_metric" and params.get("metric", "model") == "model":
+        kinds = (models.RiemannianModel,)
+    if not isinstance(model, kinds):
+        wanted = " or ".join(k.__name__ for k in kinds)
+        raise ScenarioError(f"check {op!r} needs a {wanted} model, "
+                            f"not a {type(model).__name__}")
 
 
 # -- check registry -------------------------------------------------------------
@@ -160,8 +173,7 @@ def _verdict_against_expect(passed: bool, expect: str) -> bool:
 
 
 def check_is_cartan(model, params, ctx):
-    chart = _chart_of_model(model)
-    rep = cartan.is_cartan(chart, samples=params.get("samples", 50),
+    rep = cartan.is_cartan(model.chart, samples=params.get("samples", 50),
                            tol=params.get("tol", 1e-7) * ctx["tol_scale"],
                            seed=ctx["seed"])
     verdict = _verdict_against_expect(rep.verdict, _expect(params))
@@ -170,8 +182,7 @@ def check_is_cartan(model, params, ctx):
 
 
 def check_is_flat(model, params, ctx):
-    chart = _chart_of_model(model)
-    rep = cartan.is_flat(chart, samples=params.get("samples", 50),
+    rep = cartan.is_flat(model.chart, samples=params.get("samples", 50),
                          tol=params.get("tol", 1e-7) * ctx["tol_scale"],
                          seed=ctx["seed"])
     verdict = _verdict_against_expect(rep.verdict, _expect(params))
@@ -180,19 +191,11 @@ def check_is_flat(model, params, ctx):
 
 
 def check_monodromy(model, params, ctx):
-    if isinstance(model, models.CircleCounterexample):
-        loop_list = [model.generator_loop]
-        glued = model.glued
-    elif isinstance(model, models.FlatTorus):
-        loop_list = list(model.loops)
-        glued = model.glued
-    else:
-        raise ScenarioError("monodromy check requires a glued catalog model")
     eigs = []
     worst = 0.0
     auto_res = 0.0
-    for loop in loop_list:
-        M = transport.monodromy(glued, loop)
+    for loop in model.loops:
+        M = transport.monodromy(model.glued, loop)
         eigs.extend(sorted(np.abs(np.linalg.eigvals(M.matrix)).tolist()))
         auto_res = max(auto_res, algebra.is_automorphism(M.source, M).residual)
     expect_eigs = params.get("expect_eigenvalues")
@@ -209,8 +212,7 @@ def check_monodromy(model, params, ctx):
 
 
 def check_geodesic_escape(model, params, ctx):
-    chart = _chart_of_model(model)
-    res = transport.geodesic(chart, np.asarray(params["point"], dtype=float),
+    res = transport.geodesic(model.chart, np.asarray(params["point"], dtype=float),
                              np.asarray(params["fiber"], dtype=float),
                              span=tuple(params.get("span", (0.0, 1.0))))
     t_star = params.get("expect_t_star")
@@ -226,10 +228,9 @@ def check_geodesic_escape(model, params, ctx):
 
 
 def check_completeness(model, params, ctx):
-    chart = _chart_of_model(model)
     seeds = [(np.asarray(s["point"], dtype=float), np.asarray(s["fiber"], dtype=float))
              for s in params["seeds"]]
-    verdicts = transport.completeness_probe(chart, seeds,
+    verdicts = transport.completeness_probe(model.chart, seeds,
                                             horizon=params.get("horizon", 100.0))
     expect = params.get("expect", "no-blowup-within-horizon")
     ok = all(v.verdict == expect for v in verdicts)
@@ -239,9 +240,7 @@ def check_completeness(model, params, ctx):
 
 
 def check_scalar_form_fit(model, params, ctx):
-    if not isinstance(model, (models.RiemannianModel, models.RiemannianCartanChart)):
-        raise ScenarioError("scalar_form_fit requires a riemannian model")
-    rc = model.rc if isinstance(model, models.RiemannianModel) else model
+    rc = model.rc
     rng = np.random.default_rng(ctx["seed"])
     pts = rc.metric.chart.sample_points(rng, params.get("points", 20))
     fits = [geometry.scalar_form_fit(rc.lc, rc.metric, m) for m in pts]
@@ -258,8 +257,6 @@ def check_scalar_form_fit(model, params, ctx):
 
 
 def check_classify(model, params, ctx):
-    if not isinstance(model, models.RiemannianModel):
-        raise ScenarioError("classify requires a riemannian catalog model")
     cls = models.classify_constant_curvature(model.rc, model.m0,
                                              tol=params.get("tol", 1e-6) * ctx["tol_scale"])
     verdict = cls.tag == params.get("expect_tag", cls.tag)
@@ -269,11 +266,9 @@ def check_classify(model, params, ctx):
 
 
 def check_invariant_metric(model, params, ctx):
-    chart = _chart_of_model(model)
+    chart = model.chart
     name = params.get("metric", "model")
     if name == "model":
-        if not isinstance(model, models.RiemannianModel):
-            raise ScenarioError("metric: model requires a riemannian model")
         sigma = model.metric
     else:
         base = chart.base
@@ -289,13 +284,7 @@ def check_invariant_metric(model, params, ctx):
 
 
 def check_compactness_probe(model, params, ctx):
-    if isinstance(model, models.CircleCounterexample):
-        M = transport.monodromy(model.glued, model.generator_loop)
-        maps = [M]
-    elif isinstance(model, models.FlatTorus):
-        maps = [transport.monodromy(model.glued, lp) for lp in model.loops]
-    else:
-        raise ScenarioError("compactness probe requires a glued catalog model")
+    maps = [transport.monodromy(model.glued, lp) for lp in model.loops]
     rep = transport.monodromy_compactness_probe(maps)
     expect = params.get("expect", "consistent-with-compact-closure")
     witness = list(rep.witness_word) if rep.witness_word else None
@@ -307,34 +296,20 @@ def check_compactness_probe(model, params, ctx):
 
 
 def check_reconstruct(model, params, ctx):
-    if isinstance(model, models.CircleCounterexample):
-        glued, homog, spec = model.glued, model.homog, model.atlas_spec
-        loop_twists = [(model.generator_loop, model.deck.twist.matrix)]
-    elif isinstance(model, models.FlatTorus):
-        glued, homog, spec = model.glued, model.homog, model.atlas_spec
-        loop_twists = list(zip(model.loops, (d.twist.matrix for d in model.decks)))
-    else:
-        raise ScenarioError("reconstruct requires a glued catalog model")
-
-    def mono_residual():
-        worst = 0.0
-        for loop, twist in loop_twists:
-            M = transport.monodromy(glued, loop).matrix
-            scale = max(1.0, float(np.max(np.abs(twist))))
-            worst = max(worst, float(np.max(np.abs(M - twist))) / scale)
-        return worst
-
-    atlas = development.reconstruct_atlas(glued, homog, spec,
-                                          monodromy_check=mono_residual)
+    atlas = development.reconstruct_atlas(model.glued, model.homog, model.atlas_spec)
+    # each loop's transport must equal its deck twist
+    mono = 0.0
+    for loop, deck in zip(model.loops, model.decks):
+        M = transport.monodromy(model.glued, loop).matrix
+        twist = deck.twist.matrix
+        scale = max(1.0, float(np.max(np.abs(twist))))
+        mono = max(mono, float(np.max(np.abs(M - twist))) / scale)
     worst = max((t.residual for t in atlas.transitions), default=0.0)
-    verdict = atlas.passed
-    if atlas.monodromy_residual is not None:
-        verdict = verdict and atlas.monodromy_residual <= \
-            params.get("monodromy_rtol", 1e-6) * ctx["tol_scale"]
+    verdict = atlas.passed and mono <= params.get("monodromy_rtol", 1e-6) * ctx["tol_scale"]
     mult = params.get("expect_multiplier")
     witnesses = {
         "jacobian_min_abs_det": atlas.jacobian_min_abs_det,
-        "monodromy_vs_twist": atlas.monodromy_residual,
+        "monodromy_vs_twist": mono,
         "transitions": [
             {"from": t.i, "to": t.j, "residual": t.residual,
              "multiplier": t.affine_matrix.tolist(),
@@ -351,23 +326,14 @@ def check_reconstruct(model, params, ctx):
 def check_equivariance_diagram(model, params, ctx):
     rng = np.random.default_rng(ctx["seed"])
     tol = params.get("tol", 1e-5) * ctx["tol_scale"]
-    if isinstance(model, models.CircleCounterexample):
-        A, H, E = model.cover, model.homog, model.deck
-        pts = rng.uniform(-0.5, 1.5, (params.get("samples", 6), 1))
-        m0 = np.zeros(1)
-    elif isinstance(model, models.FlatTorus):
-        A, H, E = model.cover, model.homog, model.decks[0]
-        pts = rng.uniform(-0.5, 0.5, (params.get("samples", 6), 2))
-        m0 = np.zeros(2)
-    else:
-        raise ScenarioError("equivariance diagram requires a glued catalog model")
-    rep = development.equivariance_diagram_check(A, H, E, m0, pts, tol=tol)
+    box = model.sample_box
+    pts = rng.uniform(box.lower, box.upper, (params.get("samples", 6), box.dim))
+    rep = development.equivariance_diagram_check(model.cover, model.homog, model.decks[0],
+                                                 model.atlas_spec.m0, pts, tol=tol)
     return CheckResult("equivariance_diagram", rep.verdict, rep.max_residual, {})
 
 
 def check_dual_pair(model, params, ctx):
-    if not isinstance(model, models.LocalLieGroupModel):
-        raise ScenarioError("dual_pair requires a local-Lie-group catalog model")
     rep = models.check_dual_pair(model.pair, tol=params.get("tol", 1e-8) * ctx["tol_scale"],
                                  seed=ctx["seed"])
     verdict = _verdict_against_expect(rep.verdict, _expect(params))
@@ -444,7 +410,7 @@ def run_scenario(doc: dict, seed: int | None = None, tol_scale: float = 1.0) -> 
         raise ScenarioError("tolerance scale must be positive")
     model_name, model = resolve_model(doc.get("model"))
     ctx = {"seed": seed, "tol_scale": tol_scale}
-    results = []
+    checks = []
     for item in doc.get("checks", []) or []:
         if "op" not in item:
             raise ScenarioError("each check needs an 'op' field")
@@ -456,6 +422,10 @@ def run_scenario(doc: dict, seed: int | None = None, tol_scale: float = 1.0) -> 
             if (key == "tol" or key.endswith("_tol") or key == "rtol") and \
                     isinstance(val, (int, float)) and val <= 0:
                 raise ScenarioError(f"tolerance {key} of check {op!r} must be positive")
+        _require_model_kind(op, params, model)
+        checks.append((op, params))
+    results = []
+    for op, params in checks:
         t0 = time.perf_counter()
         res = CHECKS[op](model, params, ctx)
         res.wall_clock = time.perf_counter() - t0

@@ -487,7 +487,6 @@ class AtlasReport:
     chart_samples: list[np.ndarray]       # developed coordinates per patch
     jacobian_min_abs_det: float
     transitions: list[TransitionRecord]
-    monodromy_residual: float | None = None
     notes: str = ""
 
     @property
@@ -507,16 +506,13 @@ def _coset_coords(H: HomogeneousModel, c: Coset) -> np.ndarray:
 
 
 def reconstruct_atlas(glued, H: HomogeneousModel, spec: CoverSpec,
-                      samples_per_patch: int = 6,
-                      monodromy_check: Callable | None = None) -> AtlasReport:
+                      samples_per_patch: int = 6) -> AtlasReport:
     """Build numeric charts by developing patch lifts and verify that the
     overlap transitions are the induced affine maps of their deck data.
 
     ``glued`` is the algebroid being reconstructed; its rank must match
-    the model algebra, every deck twist must be an automorphism of the
-    fiber bracket read off its charts, and a monodromy check callback
-    (returning a residual) cross-checks twists against transported loops
-    when supplied.
+    the model algebra and every deck twist must be an automorphism of the
+    fiber bracket read off its charts.
     """
     from .cartan import fiber_bracket_at
     closure = geometric_closure_probe(H)
@@ -567,11 +563,8 @@ def reconstruct_atlas(glued, H: HomogeneousModel, spec: CoverSpec,
         Amat, b, fit = _fit_affine(X, Y)
         transitions.append(TransitionRecord(ov.i, ov.j, res, ov.deck.twist.matrix,
                                             Amat, b, fit))
-    mono_res = None
-    if monodromy_check is not None:
-        mono_res = monodromy_check()
     note = f"closure probe: {closure.verdict} ({closure.reason})"
-    return AtlasReport(chart_samples, float(min_det), transitions, mono_res, note)
+    return AtlasReport(chart_samples, float(min_det), transitions, note)
 
 
 def _fit_affine(X: np.ndarray, Y: np.ndarray):

@@ -551,24 +551,34 @@ def so3_r3_model() -> ActionAlgebroid:
 
 
 @dataclass(frozen=True)
-class CircleCounterexample:
-    """Compact base, flat Cartan, incomplete: the codimension-zero example
-    with scaling monodromy."""
+class GluedModel:
+    """A glued atlas over a quotient of its universal cover.
+
+    ``loops[k]`` generates the fundamental group and ``decks[k]`` is the
+    deck transformation it closes up under; ``sample_box`` is the box of
+    the cover that equivariance checks draw base points from.
+    """
 
     cover: ActionAlgebroid
     glued: GluedAlgebroid
-    generator_loop: BasePath
-    deck: EquivariantMap
+    loops: tuple[BasePath, ...]
+    decks: tuple[EquivariantMap, ...]
     homog: HomogeneousModel
     atlas_spec: CoverSpec
-    mu: float
+    sample_box: Chart
+
+    @property
+    def chart(self) -> AlgebroidChart:
+        return self.cover.chart
 
 
 def scaling_action(xi, th):
     return np.array([xi[0] * dual.exp(-th[0])], dtype=object)
 
 
-def counterexample_s1() -> CircleCounterexample:
+def counterexample_s1() -> GluedModel:
+    """Compact base, flat Cartan, incomplete: the codimension-zero example
+    with scaling monodromy."""
     g0 = abelian(1)
     cover = make_action_algebroid(g0, scaling_action, Chart((-np.inf,), (np.inf,)))
     mu = math.exp(2 * math.pi)
@@ -604,20 +614,11 @@ def counterexample_s1() -> CircleCounterexample:
                         EquivariantMap.identity(g0)),
             OverlapSpec(0, 1, Chart((-0.45,), (0.45,)), deck),
         ))
-    return CircleCounterexample(cover, glued, loop, deck, homog, spec, mu)
+    return GluedModel(cover, glued, (loop,), (deck,), homog, spec,
+                      Chart((-0.5,), (1.5,)))
 
 
-@dataclass(frozen=True)
-class FlatTorus:
-    cover: ActionAlgebroid
-    glued: GluedAlgebroid
-    loops: tuple[BasePath, BasePath]
-    decks: tuple[EquivariantMap, EquivariantMap]
-    homog: HomogeneousModel
-    atlas_spec: CoverSpec
-
-
-def flat_torus() -> FlatTorus:
+def flat_torus() -> GluedModel:
     g0 = abelian(2)
     cover = translations_model(2)
     half = 0.36
@@ -667,7 +668,8 @@ def flat_torus() -> FlatTorus:
         OverlapSpec(2, 0, Chart((-0.3, 0.67), (0.3, 0.8)), deck_y),
     )
     spec = CoverSpec(cover, np.zeros(2), patches, spec_overlaps)
-    return FlatTorus(cover, glued, (loop_x, loop_y), (deck_x, deck_y), homog, spec)
+    return GluedModel(cover, glued, (loop_x, loop_y), (deck_x, deck_y), homog, spec,
+                      Chart((-0.5, -0.5), (0.5, 0.5)))
 
 
 @dataclass(frozen=True)
@@ -678,9 +680,13 @@ class RiemannianModel:
     m0: np.ndarray
     homog: HomogeneousModel | None
 
+    @property
+    def chart(self) -> AlgebroidChart:
+        return self.rc.chart
 
-def _riemannian_model(name: str, metric: SmoothField, m0,
-                      with_model: bool = True) -> RiemannianModel:
+
+def riemannian_model(name: str, metric: SmoothField, m0,
+                     with_model: bool = True) -> RiemannianModel:
     rc = build_riemannian_cartan(metric)
     m0 = np.asarray(m0, dtype=float)
     homog = None
@@ -696,20 +702,20 @@ def _riemannian_model(name: str, metric: SmoothField, m0,
 
 
 def sphere2() -> RiemannianModel:
-    return _riemannian_model("sphere2", sphere_metric(2), [math.pi / 2, 0.0])
+    return riemannian_model("sphere2", sphere_metric(2), [math.pi / 2, 0.0])
 
 
 def hyperbolic2() -> RiemannianModel:
-    return _riemannian_model("hyperbolic2", hyperbolic_metric(2), [0.0, 1.0])
+    return riemannian_model("hyperbolic2", hyperbolic_metric(2), [0.0, 1.0])
 
 
 def euclidean2() -> RiemannianModel:
-    return _riemannian_model("euclidean2", euclidean_metric(2), [0.0, 0.0])
+    return riemannian_model("euclidean2", euclidean_metric(2), [0.0, 0.0])
 
 
 def ellipsoid2() -> RiemannianModel:
-    return _riemannian_model("ellipsoid", ellipsoid_metric(), [1.1, 0.2],
-                             with_model=False)
+    return riemannian_model("ellipsoid", ellipsoid_metric(), [1.1, 0.2],
+                            with_model=False)
 
 
 @dataclass(frozen=True)

@@ -20,7 +20,7 @@ def _report(num, passed, detail):
 
 
 def test_criterion_01_counterexample_monodromy(circle):
-    M = transport.monodromy(circle.glued, circle.generator_loop)
+    M = transport.monodromy(circle.glued, circle.loops[0])
     rel = abs(M.matrix[0, 0] - E2PI) / E2PI
     _report(1, rel <= 1e-6,
             f"generator loop monodromy {M.matrix[0, 0]:.10f} vs e^(2 pi), "
@@ -89,7 +89,7 @@ def test_criterion_04_fiber_bracket(circle, torus, sphere, hyperbolic, euclid,
 
 def test_criterion_05_monodromy_automorphism_law(circle, torus):
     worst_auto = 0.0
-    loop = circle.generator_loop
+    loop = circle.loops[0]
     mats = {}
     for name, glued, lp in (("circle", circle.glued, loop),
                             ("circle2", circle.glued, loop.then(loop)),
@@ -173,7 +173,7 @@ def test_criterion_07_development(circle, torus, sphere, rng):
     # equivariance diagrams
     cx_pts = rng.uniform(-0.5, 1.5, (6, 1))
     rep_cx = development.equivariance_diagram_check(
-        circle.cover, circle.homog, circle.deck, [0.0], cx_pts, tol=1e-5)
+        circle.cover, circle.homog, circle.decks[0], [0.0], cx_pts, tol=1e-5)
     to_pts = rng.uniform(-0.4, 0.4, (6, 2))
     rep_to = development.equivariance_diagram_check(
         torus.cover, torus.homog, torus.decks[0], [0.0, 0.0], to_pts, tol=1e-5)
@@ -181,8 +181,8 @@ def test_criterion_07_development(circle, torus, sphere, rng):
     comp_res = 0.0
     H = circle.homog
     q1 = development.develop_to(circle.cover, H, [0.0], [2 * math.pi])
-    aff1 = development.induced_affine_map(circle.deck, H, q1)
-    deck2 = circle.deck.compose(circle.deck)
+    aff1 = development.induced_affine_map(circle.decks[0], H, q1)
+    deck2 = circle.decks[0].compose(circle.decks[0])
     q2 = development.develop_to(circle.cover, H, [0.0], [4 * math.pi])
     aff2 = development.induced_affine_map(deck2, H, q2)
     for x in (-0.2, 0.6):
@@ -256,7 +256,7 @@ def test_criterion_10_sufficient_condition_checkers(circle, sphere, hyperbolic,
     eu1 = SmoothField.constant(circle.cover.chart.base, np.eye(1))
     bad = transport.invariant_metric_check(circle.cover.chart, eu1,
                                            samples=rng.uniform(-1, 1, (5, 1)))
-    M = transport.monodromy(circle.glued, circle.generator_loop)
+    M = transport.monodromy(circle.glued, circle.loops[0])
     probe = transport.monodromy_compactness_probe([M])
     ok = (worst <= 1e-7 and not bad.verdict
           and probe.verdict == "unbounded" and probe.witness_word is not None

@@ -29,7 +29,7 @@ def test_equivariant_twist_identity(circle):
 
 
 def test_equivariant_twist_deck_map(circle, rng):
-    rep = check_equivariant_twist(circle.cover, circle.deck,
+    rep = check_equivariant_twist(circle.cover, circle.decks[0],
                                   samples=rng.uniform(-1, 1, (8, 1)))
     assert rep.verdict
 
@@ -104,7 +104,7 @@ def test_development_jacobian_counterexample(circle):
 
 def test_integrated_twist_matches_exp_conjugation(circle):
     H = circle.homog
-    mu = circle.deck.twist
+    mu = circle.decks[0].twist
     g = algebra.exp_matrix(H.realization, [0.3])
     out = integrated_twist(H, mu, g)
     want = algebra.exp_matrix(H.realization, mu([0.3]))
@@ -132,7 +132,7 @@ def test_induced_affine_map_counterexample_formula(circle):
     # x -> e^{2 pi} x + (e^{2 pi} - 1) on the developed line
     H = circle.homog
     q = develop_to(circle.cover, H, [0.0], [2 * math.pi])
-    aff = induced_affine_map(circle.deck, H, q)
+    aff = induced_affine_map(circle.decks[0], H, q)
     for x in (0.0, -0.3, 2.0):
         c = develop_to(circle.cover, H, [0.0], [math.log(1 + x)])
         img = aff(c)
@@ -144,7 +144,7 @@ def test_induced_affine_map_composition_law(circle):
     # map of the composition equals composition of the maps
     H = circle.homog
     A = circle.cover
-    deck = circle.deck
+    deck = circle.decks[0]
     deck2 = deck.compose(deck)
     q1 = develop_to(A, H, [0.0], value(np.asarray(deck.base_map([0.0]), dtype=object)))
     aff1 = induced_affine_map(deck, H, q1)
@@ -160,13 +160,13 @@ def test_induced_affine_map_group_equivariance(circle):
     # phi(g . x) = mu_hat(g) . phi(x) for g near the identity
     H = circle.homog
     q = develop_to(circle.cover, H, [0.0], [2 * math.pi])
-    aff = induced_affine_map(circle.deck, H, q)
+    aff = induced_affine_map(circle.decks[0], H, q)
     for s in (0.07, -0.11):
         g = algebra.exp_matrix(H.realization, [s])
         x = develop_to(circle.cover, H, [0.0], [0.4])
         lhs = aff(development.Coset(g @ x.g, H))
         rhs = development.Coset(
-            integrated_twist(H, circle.deck.twist, g) @ aff(x).g, H)
+            integrated_twist(H, circle.decks[0].twist, g) @ aff(x).g, H)
         assert coset_residual(lhs, rhs) < 1e-8
 
 
@@ -183,7 +183,7 @@ def test_lemma_b_guard_rejects_inconsistent_inputs(sphere):
 
 
 def test_lemma_diagram_counterexample_matrix_level(circle):
-    res = check_lemma_diagram(circle.cover, circle.homog, circle.deck,
+    res = check_lemma_diagram(circle.cover, circle.homog, circle.decks[0],
                               line_path([0.0], [1.1]))
     assert res < 1e-6
 
@@ -196,7 +196,7 @@ def test_lemma_diagram_torus(torus):
 
 def test_equivariance_diagram_counterexample(circle, rng):
     pts = rng.uniform(-0.5, 1.5, (10, 1))
-    rep = equivariance_diagram_check(circle.cover, circle.homog, circle.deck,
+    rep = equivariance_diagram_check(circle.cover, circle.homog, circle.decks[0],
                                      [0.0], pts)
     assert rep.verdict and rep.max_residual < 1e-5
 

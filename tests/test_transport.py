@@ -24,7 +24,7 @@ def test_transport_flat_chart_preserves_fiber(translations2):
 
 
 def test_transport_is_linear(circle, rng):
-    loop = circle.generator_loop
+    loop = circle.loops[0]
     M = transport_matrix(circle.glued, loop)
     for _ in range(3):
         x = rng.uniform(-1, 1, 1)
@@ -59,7 +59,7 @@ def test_transport_small_square_loop_sphere(sphere):
 
 
 def test_circle_monodromy_value(circle):
-    M = monodromy(circle.glued, circle.generator_loop)
+    M = monodromy(circle.glued, circle.loops[0])
     assert abs(M.matrix[0, 0] - E2PI) / E2PI < 1e-6
 
 
@@ -70,7 +70,7 @@ def test_monodromy_requires_closed_loop(circle):
 
 
 def test_monodromy_multiplicative_and_inverse(circle):
-    loop = circle.generator_loop
+    loop = circle.loops[0]
     M1 = monodromy(circle.glued, loop).matrix
     M2 = monodromy(circle.glued, loop.then(loop)).matrix
     assert np.max(np.abs(M2 - M1 @ M1)) / np.max(np.abs(M2)) < 1e-7
@@ -79,7 +79,7 @@ def test_monodromy_multiplicative_and_inverse(circle):
 
 
 def test_monodromy_is_automorphism(circle, torus):
-    for glued, loops in ((circle.glued, [circle.generator_loop]),
+    for glued, loops in ((circle.glued, [circle.loops[0]]),
                          (torus.glued, list(torus.loops))):
         for loop in loops:
             M = monodromy(glued, loop)
@@ -257,7 +257,7 @@ def test_invariant_metric_pass_and_fail(sphere, translations2, circle, rng):
 
 
 def test_compactness_probe_cases(circle):
-    M = monodromy(circle.glued, circle.generator_loop)
+    M = monodromy(circle.glued, circle.loops[0])
     rep = monodromy_compactness_probe([M])
     assert rep.verdict == "unbounded"
     assert rep.witness_word is not None and len(rep.witness_word) == 1
