@@ -7,13 +7,15 @@ times) and structured JSON (schema 1, byte-deterministic for a fixed
 seed; timing is text-only so that structured reports stay reproducible).
 
 Exit codes: 0 scenario passed, 1 at least one check failed, 2 usage or
-parse error.
+parse error, a count or tolerance out of range, or a check whose op does
+not apply to the scenario's model.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 import time
 from dataclasses import dataclass, field
@@ -177,8 +179,9 @@ def check_is_cartan(model, params, ctx):
                            tol=params.get("tol", 1e-7) * ctx["tol_scale"],
                            seed=ctx["seed"])
     verdict = _verdict_against_expect(rep.verdict, _expect(params))
+    components = len(rep.per_point) * math.comb(model.chart.rank, 2) * model.chart.base.dim
     return CheckResult("is_cartan", verdict, rep.max_residual,
-                       {"samples": len(rep.per_point)})
+                       {"samples": len(rep.per_point), "components_evaluated": components})
 
 
 def check_is_flat(model, params, ctx):
@@ -186,8 +189,9 @@ def check_is_flat(model, params, ctx):
                          tol=params.get("tol", 1e-7) * ctx["tol_scale"],
                          seed=ctx["seed"])
     verdict = _verdict_against_expect(rep.verdict, _expect(params))
+    components = len(rep.per_point) * math.comb(model.chart.base.dim, 2) * model.chart.rank
     return CheckResult("is_flat", verdict, rep.max_residual,
-                       {"samples": len(rep.per_point)})
+                       {"samples": len(rep.per_point), "components_evaluated": components})
 
 
 def check_monodromy(model, params, ctx):
@@ -422,6 +426,12 @@ def run_scenario(doc: dict, seed: int | None = None, tol_scale: float = 1.0) -> 
             if (key == "tol" or key.endswith("_tol") or key == "rtol") and \
                     isinstance(val, (int, float)) and val <= 0:
                 raise ScenarioError(f"tolerance {key} of check {op!r} must be positive")
+            if key in ("samples", "points") and \
+                    (isinstance(val, bool) or not isinstance(val, int) or val <= 0):
+                raise ScenarioError(f"{key} of check {op!r} must be a positive integer")
+            if key == "horizon" and (isinstance(val, bool) or not isinstance(val, (int, float))
+                                     or not 0 < val < math.inf):
+                raise ScenarioError(f"horizon of check {op!r} must be a positive finite number")
         _require_model_kind(op, params, model)
         checks.append((op, params))
     results = []

@@ -56,9 +56,86 @@ def test_inline_metric_model():
     doc = {"name": "inline-metric", "model": {"metric": "hyperbolic(2)"},
            "checks": [{"op": "is_flat", "samples": 5},
                       {"op": "scalar_form_fit", "points": 5,
-                       "expect_abs_s": 1.0}]}
+                       "expect_abs_s": 1.0},
+                      {"op": "classify", "expect_tag": "hyperbolic"},
+                      {"op": "invariant_metric", "metric": "model", "samples": 5}]}
     report = run_scenario(doc)
-    assert report.verdict
+    assert report.verdict, export_report(report, "text")
+    assert [c.name for c in report.checks][2:] == ["classify", "invariant_metric"]
+
+
+INLINE_ACTION = {"action_algebroid": {
+    "algebra": {"structure_constants": [[[0.0]]]},
+    "action": {"family": "translation"},
+    "chart": {"lower": [-2.0], "upper": [2.0]},
+}}
+
+CHARTED_OPS = ("is_cartan", "is_flat", "geodesic_escape", "completeness")
+GLUED_OPS = ("monodromy", "compactness_probe", "reconstruct", "equivariance_diagram")
+RIEMANNIAN_OPS = ("scalar_form_fit", "classify", "invariant_metric")
+LOCAL_LIE_GROUP_OPS = ("dual_pair", "local_lie_group", "obstruction_form")
+# model -> ops it accepts; invariant_metric runs with its default metric: model
+ACCEPTED_OPS = {
+    "counterexample_s1": CHARTED_OPS + GLUED_OPS,
+    "flat_torus": CHARTED_OPS + GLUED_OPS,
+    "sphere2": CHARTED_OPS + RIEMANNIAN_OPS,
+    "hyperbolic2": CHARTED_OPS + RIEMANNIAN_OPS,
+    "inline-metric": CHARTED_OPS + RIEMANNIAN_OPS,
+    "inline-action": CHARTED_OPS,
+    "affine_line_group": LOCAL_LIE_GROUP_OPS,
+    "heisenberg": LOCAL_LIE_GROUP_OPS,
+}
+MODEL_SPECS = {"inline-metric": {"metric": "sphere(2)"}, "inline-action": INLINE_ACTION}
+MISMATCHES = [(model, op) for model, ok in ACCEPTED_OPS.items() for op in cli.CHECKS
+              if op not in ok and op != "cocycle"]
+
+
+@pytest.mark.parametrize("model,op", MISMATCHES)
+def test_op_model_mismatch_is_scenario_error(model, op, tmp_path, capsys):
+    doc = {"name": "mismatch", "model": MODEL_SPECS.get(model, model),
+           "checks": [{"op": op}]}
+    with pytest.raises(ScenarioError, match=op):
+        run_scenario(doc)
+    path = tmp_path / "mismatch.yaml"
+    path.write_text(yaml.safe_dump(doc))
+    assert cli.main(["run", str(path)]) == 2
+    assert "Traceback" not in capsys.readouterr().err
+
+
+def test_invariant_metric_by_name_runs_on_any_charted_model():
+    doc = {"name": "named-metric", "model": "flat_torus",
+           "checks": [{"op": "invariant_metric", "metric": "euclidean(2)", "samples": 2}]}
+    assert run_scenario(doc).verdict
+
+
+@pytest.mark.parametrize("key,val", [("samples", -3), ("samples", 0), ("samples", 2.5),
+                                     ("samples", True), ("points", 0),
+                                     ("horizon", 0), ("horizon", -1.0),
+                                     ("horizon", float("inf"))])
+def test_bad_counts_are_scenario_errors(key, val, tmp_path, capsys):
+    op = {"points": "scalar_form_fit", "horizon": "completeness"}.get(key, "is_flat")
+    doc = {"name": "bad-count", "model": "hyperbolic2",
+           "checks": [{"op": "is_flat", "samples": 1}, {"op": op, key: val}]}
+    with pytest.raises(ScenarioError, match=key):
+        run_scenario(doc)
+    path = tmp_path / "bad.yaml"
+    path.write_text(yaml.safe_dump(doc))
+    assert cli.main(["run", str(path)]) == 2
+    assert capsys.readouterr().out == ""
+
+
+def test_tensor_checks_count_components():
+    doc = {"name": "components", "model": "counterexample_s1",
+           "checks": [{"op": "is_cartan", "samples": 3}, {"op": "is_flat", "samples": 3}]}
+    cartan_w, flat_w = (c.witnesses for c in run_scenario(doc).checks)
+    # rank 1 has no fiber pairs and a 1-D base no tangent pairs
+    assert cartan_w == {"samples": 3, "components_evaluated": 0}
+    assert flat_w == {"samples": 3, "components_evaluated": 0}
+    doc = {"name": "components", "model": {"metric": "euclidean(2)"},
+           "checks": [{"op": "is_cartan", "samples": 1}, {"op": "is_flat", "samples": 2}]}
+    cartan_w, flat_w = (c.witnesses for c in run_scenario(doc).checks)
+    assert cartan_w["components_evaluated"] == 1 * 3 * 2   # C(3,2) fiber pairs x 2 directions
+    assert flat_w["components_evaluated"] == 2 * 1 * 3     # C(2,2) tangent pairs x rank 3
 
 
 def test_structured_report_roundtrip():
