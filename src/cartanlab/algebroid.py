@@ -8,6 +8,9 @@ The bracket is never stored; it is always derived:
 
     [X, Y] = nabla_{#X} Y - nabla_{#Y} X + T(X, Y)
 
+``AlgebroidChart.jet`` evaluates the three fields and their first
+derivatives once at a point; pointwise tensor checks read that jet.
+
 Action algebroids carry gamma = 0 and T equal to the fiberwise algebra
 bracket.  Glued algebroids add transition data on overlaps.
 """
@@ -38,6 +41,31 @@ def _as_field(chart, shape, obj, name=""):
 
 
 @dataclass(frozen=True)
+class Jet:
+    """Float values and first derivatives of a chart's fields at a point.
+
+    Each ``d_*`` array is the field's shape plus a last axis indexing the
+    coordinate direction of differentiation.
+    """
+
+    anchor: np.ndarray     # (n, r)
+    d_anchor: np.ndarray   # (n, r, n)
+    gamma: np.ndarray      # (n, r, r)
+    d_gamma: np.ndarray    # (n, r, r, n)
+    torsion: np.ndarray    # (r, r, r)
+    d_torsion: np.ndarray  # (r, r, r, n)
+
+    def gamma_on_anchor(self) -> np.ndarray:
+        """P[:, a, b] = Gamma(#e_a)e_b, so [e_a, e_b] = P - P^T + T."""
+        return np.einsum("ia,icb->cab", self.anchor, self.gamma)
+
+    def frame_bracket(self) -> np.ndarray:
+        """[e_a, e_b] of constant frame sections, at axis positions (:, a, b)."""
+        P = self.gamma_on_anchor()
+        return P - np.swapaxes(P, 1, 2) + self.torsion
+
+
+@dataclass(frozen=True)
 class AlgebroidChart:
     base: Chart
     rank: int
@@ -57,6 +85,15 @@ class AlgebroidChart:
 
         object.__setattr__(self, "torsion",
                            SmoothField(self.base, (r, r, r), anti, name="torsion"))
+
+    def jet(self, m) -> Jet:
+        """Anchor, gamma and torsion with their first derivatives at m."""
+        m = as_point(m)
+        parts = []
+        for f in (self.anchor, self.gamma, self.torsion):
+            parts.append(value(np.asarray(f(m), dtype=object)))
+            parts.append(value(dual.jacobian(lambda p, _f=f: np.asarray(_f(p), dtype=object), m)))
+        return Jet(*parts)
 
     # -- section calculus -----------------------------------------------------
 
@@ -199,21 +236,14 @@ def resolve_action_sign(A: ActionAlgebroid, tol: float = 1e-8) -> ResidualReport
 def check_anchor_homomorphism(C: AlgebroidChart, tol: float = 1e-8,
                               sign: int = 1, samples: np.ndarray | None = None) -> ResidualReport:
     """Residual of #[X, Y] = sign * [#X, #Y] on constant-frame sections."""
-    r = C.rank
-    eye = np.eye(r)
     if samples is None:
         samples = C.base.halton_points(7)
     res = 0.0
     for m in samples:
-        am = np.asarray(C.anchor(as_point(m)), dtype=object)
-        for i in range(r):
-            for j in range(i + 1, r):
-                br = C.bracket(eye[i], eye[j])(as_point(m))
-                lhs = value(np.asarray(am @ br, dtype=object))
-                Vi = C.anchor_of(eye[i])
-                Vj = C.anchor_of(eye[j])
-                rhs = value(np.asarray(lie_bracket_vf(Vi, Vj, m), dtype=object))
-                res = max(res, float(np.max(np.abs(lhs - sign * rhs))))
+        J = C.jet(m)
+        lhs = np.einsum("ic,cab->iab", J.anchor, J.frame_bracket())
+        L = np.einsum("ibk,ka->iab", J.d_anchor, J.anchor)     # (D #e_b) #e_a
+        res = max(res, float(np.max(np.abs(lhs - sign * (L - np.swapaxes(L, 1, 2))))))
     return ResidualReport("anchor_homomorphism", res, tol, sign=sign)
 
 
@@ -287,6 +317,29 @@ def _map_box(f, box: Chart) -> Chart:
     return Chart(tuple(corners.min(axis=0)), tuple(corners.max(axis=0)))
 
 
+def intertwining_residuals(Ci: AlgebroidChart, Cj: AlgebroidChart, phi, mu,
+                           m) -> tuple[float, float, float]:
+    """Anchor, connection and torsion residuals at m of the bundle map that
+    sends the base of ``Ci`` by ``phi`` and its fibers by the matrix field
+    ``mu`` into ``Cj``: the max |.| of
+
+        a_j mu - Dphi a_i,
+        mu Gamma_i(v) - d_v mu - Gamma_j(Dphi v) mu   (v over the axes),
+        mu T_i(x, y) - T_j(mu x, mu y).
+    """
+    m = as_point(m)
+    pm = as_point(phi(m))
+    dphi, dmu = (value(dual.jacobian(lambda p, _f=f: np.asarray(_f(p), dtype=object), m))
+                 for f in (phi, mu))
+    M = value(np.asarray(mu(m), dtype=object))
+    ai, gi, ti = (value(np.asarray(f(m), dtype=object)) for f in (Ci.anchor, Ci.gamma, Ci.torsion))
+    aj, gj, tj = (value(np.asarray(f(pm), dtype=object)) for f in (Cj.anchor, Cj.gamma, Cj.torsion))
+    anchor = aj @ M - dphi @ ai
+    conn = np.einsum("cd,kde->cek", M, gi) - dmu - np.einsum("ik,icd,de->cek", dphi, gj, M)
+    torsion = np.einsum("cd,dab->cab", M, ti) - np.einsum("cde,da,eb->cab", tj, M, M)
+    return tuple(float(np.max(np.abs(t), initial=0.0)) for t in (anchor, conn, torsion))
+
+
 def check_overlap_compatibility(G: GluedAlgebroid, tol: float = 1e-7,
                                 points: int = 17) -> ResidualReport:
     """Anchor / connection / torsion intertwining residuals on a fixed
@@ -301,31 +354,9 @@ def check_overlap_compatibility(G: GluedAlgebroid, tol: float = 1e-7,
             m = as_point(m)
             if not ov.region_i.contains(m) or not Ci.base.contains(m):
                 continue
-            pm = ov.base_map(m)
-            if not Cj.base.contains(pm):
+            if not Cj.base.contains(ov.base_map(m)):
                 continue
-            mu = np.asarray(ov.fiber_map(m), dtype=object)
-            dphi = dual.jacobian(lambda p: np.asarray(ov.base_map(p), dtype=object), m)
-            ai = np.asarray(Ci.anchor(m), dtype=object)
-            aj = np.asarray(Cj.anchor(pm), dtype=object)
-            res = max(res, float(np.max(np.abs(value(aj @ mu) - value(dphi @ ai)))))
-            # connection: mu Gamma_i(v) - d_v mu - Gamma_j(Dphi v) mu = 0
-            gi = np.asarray(Ci.gamma(m), dtype=object)
-            gj = np.asarray(Cj.gamma(pm), dtype=object)
-            dmu = dual.jacobian(lambda p: np.asarray(ov.fiber_map(p), dtype=object), m)
-            for k in range(Ci.base.dim):
-                v = np.eye(Ci.base.dim)[k]
-                lhs = value(mu @ np.einsum("iab,i->ab", gi, v.astype(object)))
-                dv = value(dmu[:, :, k])
-                w = value(dphi @ v.astype(object))
-                rhs = value(np.einsum("iab,i->ab", gj, w.astype(object)) @ value(mu))
-                res = max(res, float(np.max(np.abs(lhs - dv - rhs))))
-            ti = value(np.asarray(Ci.torsion(m), dtype=object))
-            tj = value(np.asarray(Cj.torsion(pm), dtype=object))
-            muv = value(mu)
-            lhs = np.einsum("cd,dab->cab", muv, ti)
-            rhs = np.einsum("cde,da,eb->cab", tj, muv, muv)
-            res = max(res, float(np.max(np.abs(lhs - rhs))))
+            res = max(res, *intertwining_residuals(Ci, Cj, ov.base_map, ov.fiber_map, m))
         details[f"overlap_{ov.i}_{ov.j}"] = res
         worst = max(worst, res)
     return ResidualReport("overlap_compatibility", worst, tol, details=details)

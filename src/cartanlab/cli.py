@@ -7,8 +7,8 @@ times) and structured JSON (schema 1, byte-deterministic for a fixed
 seed; timing is text-only so that structured reports stay reproducible).
 
 Exit codes: 0 scenario passed, 1 at least one check failed, 2 usage or
-parse error, a count or tolerance out of range, or a check whose op does
-not apply to the scenario's model.
+parse error, a count or tolerance out of range, a missing required check
+parameter, or a check whose op does not apply to the scenario's model.
 """
 
 from __future__ import annotations
@@ -150,6 +150,12 @@ _MODEL_KINDS = {
 }
 
 
+# Parameters a check cannot run without, and the keys of each list item.
+_REQUIRED = {"geodesic_escape": ("point", "fiber"), "completeness": ("seeds",),
+             "cocycle": ("entries",)}
+_ITEM_FIELDS = {"seeds": ("point", "fiber"), "entries": ("i", "j", "A", "b", "M")}
+
+
 def _require_model_kind(op: str, params: dict, model) -> None:
     kinds = _MODEL_KINDS[op]
     if op == "invariant_metric" and params.get("metric", "model") == "model":
@@ -198,8 +204,7 @@ def check_monodromy(model, params, ctx):
     eigs = []
     worst = 0.0
     auto_res = 0.0
-    for loop in model.loops:
-        M = transport.monodromy(model.glued, loop)
+    for M in model.monodromies:
         eigs.extend(sorted(np.abs(np.linalg.eigvals(M.matrix)).tolist()))
         auto_res = max(auto_res, algebra.is_automorphism(M.source, M).residual)
     expect_eigs = params.get("expect_eigenvalues")
@@ -288,8 +293,7 @@ def check_invariant_metric(model, params, ctx):
 
 
 def check_compactness_probe(model, params, ctx):
-    maps = [transport.monodromy(model.glued, lp) for lp in model.loops]
-    rep = transport.monodromy_compactness_probe(maps)
+    rep = transport.monodromy_compactness_probe(model.monodromies)
     expect = params.get("expect", "consistent-with-compact-closure")
     witness = list(rep.witness_word) if rep.witness_word else None
     verdict = rep.verdict == expect
@@ -303,8 +307,8 @@ def check_reconstruct(model, params, ctx):
     atlas = development.reconstruct_atlas(model.glued, model.homog, model.atlas_spec)
     # each loop's transport must equal its deck twist
     mono = 0.0
-    for loop, deck in zip(model.loops, model.decks):
-        M = transport.monodromy(model.glued, loop).matrix
+    for mono_map, deck in zip(model.monodromies, model.decks):
+        M = mono_map.matrix
         twist = deck.twist.matrix
         scale = max(1.0, float(np.max(np.abs(twist))))
         mono = max(mono, float(np.max(np.abs(M - twist))) / scale)
@@ -422,10 +426,22 @@ def run_scenario(doc: dict, seed: int | None = None, tol_scale: float = 1.0) -> 
         if op not in CHECKS:
             raise ScenarioError(f"unknown check op {op!r}; known: {sorted(CHECKS)}")
         params = {k: v for k, v in item.items() if k != "op"}
+        for key in _REQUIRED.get(op, ()):
+            if key not in params:
+                raise ScenarioError(f"check {op!r} needs {key!r}")
+            fields = _ITEM_FIELDS.get(key, ())
+            if fields and not (isinstance(params[key], list) and all(
+                    isinstance(it, dict) and all(f in it for f in fields)
+                    for it in params[key])):
+                raise ScenarioError(f"{key} of check {op!r} must be a list of mappings "
+                                    f"with {', '.join(fields)}")
         for key, val in params.items():
-            if (key == "tol" or key.endswith("_tol") or key == "rtol") and \
-                    isinstance(val, (int, float)) and val <= 0:
-                raise ScenarioError(f"tolerance {key} of check {op!r} must be positive")
+            if key == "tol" or key.endswith("_tol") or key == "rtol":
+                if isinstance(val, bool) or not isinstance(val, (int, float)):
+                    raise ScenarioError(f"tolerance {key} of check {op!r} must be a number, "
+                                        f"not {val!r}")
+                if not val > 0:
+                    raise ScenarioError(f"tolerance {key} of check {op!r} must be positive")
             if key in ("samples", "points") and \
                     (isinstance(val, bool) or not isinstance(val, int) or val <= 0):
                 raise ScenarioError(f"{key} of check {op!r} must be a positive integer")

@@ -219,18 +219,8 @@ def curvature_tm(conn: TMConnection, m, U, V, W, check_interior: bool = True):
     m = as_point(m)
     if check_interior:
         conn.chart.require_interior(m)
-    U = np.asarray(U, dtype=object)
-    V = np.asarray(V, dtype=object)
-    W = np.asarray(W, dtype=object)
-    G = np.asarray(conn.christoffel(m), dtype=object)
-    dG = dual.jacobian(lambda p: np.asarray(conn.christoffel(p), dtype=object), m)  # (k, i, j, d)
-    # R(U,V)W^k = U^i V^j (d_i G^k_{jb} - d_j G^k_{ib}
-    #             + G^k_{im} G^m_{jb} - G^k_{jm} G^m_{ib}) W^b
-    term = (np.einsum("kjbi,i,j,b->k", dG, U, V, W)
-            - np.einsum("kibj,i,j,b->k", dG, U, V, W))
-    quad = (np.einsum("kim,mjb,i,j,b->k", G, G, U, V, W)
-            - np.einsum("kjm,mib,i,j,b->k", G, G, U, V, W))
-    return term + quad
+    return np.einsum("lkij,i,j,k->l", curvature_tensor_obj(conn, m),
+                     *(np.asarray(X, dtype=object) for X in (U, V, W)))
 
 
 def curvature_tensor(conn: TMConnection, m) -> np.ndarray:
@@ -241,21 +231,20 @@ def curvature_tensor(conn: TMConnection, m) -> np.ndarray:
 def curvature_tensor_obj(conn: TMConnection, m, check_interior: bool = False) -> np.ndarray:
     """Curvature tensor preserving dual layers of the evaluation point.
 
-    Interior checking is off by default: this is evaluation plumbing for
-    derived fields, which integrators probe right up to chart edges.
+    R[l, k, i, j] = d_i G^l_{jk} - d_j G^l_{ik} + G^l_{im} G^m_{jk}
+    - G^l_{jm} G^m_{ik}, from one evaluation of the Christoffel symbols
+    and their Jacobian.  Interior checking is off by default: this is
+    evaluation plumbing for derived fields, which integrators probe right
+    up to chart edges.
     """
     m = as_point(m)
-    n = conn.chart.dim
-    eye = np.eye(n)
-    out = np.zeros((n, n, n, n), dtype=object)
-    for i in range(n):
-        for j in range(i + 1, n):
-            for k in range(n):
-                r = np.asarray(curvature_tm(conn, m, eye[i], eye[j], eye[k],
-                                            check_interior=check_interior), dtype=object)
-                out[:, k, i, j] = r
-                out[:, k, j, i] = -r
-    return out
+    if check_interior:
+        conn.chart.require_interior(m)
+    G = np.asarray(conn.christoffel(m), dtype=object)
+    dG = dual.jacobian(lambda p: np.asarray(conn.christoffel(p), dtype=object), m)  # (l, j, k, i)
+    D = np.einsum("ljki->lkij", dG)
+    Q = np.einsum("lim,mjk->lkij", G, G)
+    return (D - np.swapaxes(D, 2, 3)) + (Q - np.swapaxes(Q, 2, 3))
 
 
 @dataclass(frozen=True)

@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable
 
 import numpy as np
@@ -33,15 +34,15 @@ from .algebra import (AlgebraMap, LieAlgebra, Subalgebra, abelian,
                       adjoint_realization, so3, translation_realization)
 from .algebroid import (ActionAlgebroid, AlgebroidChart, GluedAlgebroid,
                         Overlap, make_action_algebroid)
-from .cartan import TensorReport, curvature_conn, fiber_bracket_at
+from .cartan import TensorReport, curvature_conn_tensor, fiber_bracket_at
 from .development import (CoverSpec, EquivariantMap, HomogeneousModel,
                           OverlapSpec)
 from .geometry import (Chart, SmoothField, TMConnection, as_point,
-                       curvature_tensor_obj, curvature_tm, ellipsoid_metric,
+                       curvature_tensor, curvature_tensor_obj, ellipsoid_metric,
                        euclidean_metric, flat_connection, frame_connection,
                        hyperbolic_metric, levi_civita, lie_bracket_vf,
                        scalar_form_fit, sphere_metric)
-from .transport import BasePath, PathSegment
+from .transport import BasePath, PathSegment, monodromy
 
 
 # -- skew bookkeeping ---------------------------------------------------------
@@ -99,13 +100,24 @@ def build_riemannian_cartan(metric: SmoothField) -> RiemannianCartanChart:
     def split(x):
         return np.asarray(x[:n], dtype=object), np.asarray(x[n:], dtype=object)
 
-    def gamma_fn(m):
-        m = as_point(m)
+    def pieces(m):
+        """Pointwise data that gamma and torsion are both built from."""
         F = np.asarray(frame(m), dtype=object)
         Finv = dual.inv(F)
         dF = dual.jacobian(lambda p: np.asarray(frame(as_point(p)), dtype=object), m)
         Gam = np.asarray(lc.christoffel(m), dtype=object)      # (k, i, j)
         Rt = curvature_tensor_obj(lc, m)                       # (l, b, i, j)
+
+        def conn_endo(i, W):
+            # LC derivative of the endo field F W Finv along a coordinate dir
+            dPhi = dF[:, :, i] @ W @ Finv - F @ W @ (Finv @ dF[:, :, i] @ Finv)
+            Gi = Gam[:, i, :]
+            Phi = F @ W @ Finv
+            return dPhi + Gi @ Phi - Phi @ Gi
+
+        return F, Finv, dF, Gam, Rt, conn_endo
+
+    def gamma_of(F, Finv, dF, Gam, Rt, conn_endo):
         eye = np.eye(r)
         out = np.zeros((n, r, r), dtype=object)
         for a in range(r):
@@ -113,18 +125,16 @@ def build_riemannian_cartan(metric: SmoothField) -> RiemannianCartanChart:
             W = skew_matrix(w, n)
             V = F @ v
             Phi = F @ W @ Finv
-            dPhi = [dF[:, :, i] @ W @ Finv
-                    - F @ W @ (Finv @ dF[:, :, i] @ Finv) for i in range(n)]
             for i in range(n):
-                Gi = Gam[:, i, :]
-                tm_part = dF[:, :, i] @ v + Gi @ V + Phi[:, i]
+                tm_part = dF[:, :, i] @ v + Gam[:, i, :] @ V + Phi[:, i]
                 R_iV = np.einsum("lbj,j->lb", Rt[:, :, i, :], V)
-                h_part = dPhi[i] + Gi @ Phi - Phi @ Gi + R_iV
-                vc = Finv @ tm_part
-                S = Finv @ h_part @ F
-                out[i, :n, a] = vc
-                out[i, n:, a] = skew_coords(S, n)
+                h_part = conn_endo(i, W) + R_iV
+                out[i, :n, a] = Finv @ tm_part
+                out[i, n:, a] = skew_coords(Finv @ h_part @ F, n)
         return out
+
+    def gamma_fn(m):
+        return gamma_of(*pieces(as_point(m)))
 
     gamma_field = SmoothField(base, (n, r, r), gamma_fn, name="tm+h connection")
 
@@ -137,23 +147,10 @@ def build_riemannian_cartan(metric: SmoothField) -> RiemannianCartanChart:
     anchor_field = SmoothField(base, (n, r), anchor_fn, name="tm+h anchor")
 
     def torsion_fn(m):
-        m = as_point(m)
-        F = np.asarray(frame(m), dtype=object)
-        Finv = dual.inv(F)
-        dF = dual.jacobian(lambda p: np.asarray(frame(as_point(p)), dtype=object), m)
-        Gam = np.asarray(lc.christoffel(m), dtype=object)
-        Rt = curvature_tensor_obj(lc, m)
-        gam = gamma_fn(m)
+        p = pieces(as_point(m))
+        F, Finv, dF, Gam, Rt, conn_endo = p
+        gam = gamma_of(*p)
         eye = np.eye(r)
-
-        def conn_endo(direction, W):
-            # LC derivative of the endo field F W Finv along a coordinate dir
-            i = direction
-            dPhi = dF[:, :, i] @ W @ Finv - F @ W @ (Finv @ dF[:, :, i] @ Finv)
-            Gi = Gam[:, i, :]
-            Phi = F @ W @ Finv
-            return dPhi + Gi @ Phi - Phi @ Gi
-
         out = np.zeros((r, r, r), dtype=object)
         for a in range(r):
             va, wa = split(eye[a].astype(object))
@@ -267,7 +264,7 @@ def curvature_formula_check(R: RiemannianCartanChart, samples=None,
     if samples is None:
         samples = base.sample_points(np.random.default_rng(seed), 4)
     n, r = R.n, R.rank
-    eyen, eyer = np.eye(n), np.eye(r)
+    eyer = np.eye(r)
     res = 0.0
     for m in samples:
         m = as_point(m)
@@ -276,11 +273,11 @@ def curvature_formula_check(R: RiemannianCartanChart, samples=None,
         Gam = np.asarray(R.lc.christoffel(m), dtype=object)
         Rt = curvature_tensor_obj(R.lc, m)
         dRt = dual.jacobian(lambda p: curvature_tensor_obj(R.lc, as_point(p)), m)
+        curv = curvature_conn_tensor(R.chart.jet(m))
         for i in range(n):
             for j in range(i + 1, n):
                 for a in range(r):
-                    lhs = value(np.asarray(
-                        curvature_conn(R.chart, eyen[i], eyen[j], eyer[a], m), dtype=object))
+                    lhs = curv[:, a, i, j]
                     v, w = eyer[a][:n].astype(object), eyer[a][n:].astype(object)
                     V = F @ v
                     Phi = F @ skew_matrix(w, n) @ Finv
@@ -432,16 +429,10 @@ def check_dual_pair(P: DualPair, tol: float = 1e-8, samples=None,
 
 
 def _tm_flatness(conn: TMConnection, samples) -> float:
-    n = conn.chart.dim
-    eye = np.eye(n)
     res = 0.0
     for m in samples:
-        for i in range(n):
-            for j in range(i + 1, n):
-                for k in range(n):
-                    c = value(np.asarray(curvature_tm(conn, m, eye[i], eye[j], eye[k]),
-                                         dtype=object))
-                    res = max(res, float(np.max(np.abs(c))))
+        conn.chart.require_interior(m)
+        res = max(res, float(np.max(np.abs(curvature_tensor(conn, m)))))
     return res
 
 
@@ -570,6 +561,11 @@ class GluedModel:
     @property
     def chart(self) -> AlgebroidChart:
         return self.cover.chart
+
+    @cached_property
+    def monodromies(self) -> tuple[AlgebraMap, ...]:
+        """Transport around each loop, computed on first use."""
+        return tuple(monodromy(self.glued, loop) for loop in self.loops)
 
 
 def scaling_action(xi, th):

@@ -1,7 +1,11 @@
+import functools
+
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
-from cartanlab import algebra, algebroid, geometry
+from cartanlab import algebra, algebroid, dual, geometry, models
 from cartanlab.cartan import (cocurvature, curvature_conn, check_morphism,
                               fiber_bracket_at, is_cartan, is_flat,
                               nabla_bar_g, nabla_bar_tm, torsion_bar)
@@ -235,3 +239,99 @@ def test_check_morphism_non_automorphism_fails(so3_action):
                          samples=np.random.default_rng(0).uniform(-1, 1, (3, 3)))
     assert not rep.verdict
     assert rep.details["torsion"] > 0.5
+
+
+# -- the jet formulas against the closure definitions ------------------------
+
+def cocurvature_by_definition(C, x, y, v, m):
+    """c(x, y)v built from the section calculus on constant extensions."""
+    m = as_point(m)
+    X, Y, Vf = C.section(x), C.section(y), C.vector(v)
+    nVX = lambda p: C.conn(Vf, X, as_point(p))
+    nVY = lambda p: C.conn(Vf, Y, as_point(p))
+    barXV = lambda p: (np.asarray(C.anchor(as_point(p)), dtype=object) @ nVX(p)
+                       + geometry.lie_bracket_vf(C.anchor_of(X), Vf, as_point(p)))
+    barYV = lambda p: (np.asarray(C.anchor(as_point(p)), dtype=object) @ nVY(p)
+                       + geometry.lie_bracket_vf(C.anchor_of(Y), Vf, as_point(p)))
+    return V(C.conn(Vf, C.bracket(X, Y), m) - C.bracket(nVX, Y)(m) - C.bracket(X, nVY)(m)
+             + C.conn(barXV, Y, m) - C.conn(barYV, X, m))
+
+
+def curvature_by_definition(C, u, v, x, m):
+    """R(u, v)x = (d_u Gamma(v) - d_v Gamma(u) + [Gamma(u), Gamma(v)]) x."""
+    m = as_point(m)
+    g = V(C.gamma(m))
+    dg = V(dual.jacobian(lambda p: np.asarray(C.gamma(as_point(p)), dtype=object), m))
+    gu, gv = np.einsum("iab,i->ab", g, u), np.einsum("iab,i->ab", g, v)
+    curl = np.einsum("jabi,i,j->ab", dg, u, v) - np.einsum("iabj,i,j->ab", dg, u, v)
+    return (curl + gu @ gv - gv @ gu) @ x
+
+
+def _poly(rng, shape, n):
+    """Random quadratic polynomial field of the given output shape."""
+    c0, c1 = rng.uniform(-1, 1, shape), rng.uniform(-1, 1, shape + (n,))
+    c2 = rng.uniform(-0.5, 0.5, shape + (n, n))
+
+    def fn(m):
+        m = as_point(m)
+        return c0 + np.einsum("...i,i->...", c1, m) + np.einsum("...ij,i,j->...", c2, m, m)
+    return fn
+
+
+def random_polynomial_chart(seed, n, r):
+    rng = np.random.default_rng(seed)
+    base = Chart((-1.0,) * n, (1.0,) * n)
+    return algebroid.AlgebroidChart(base=base, rank=r, anchor=_poly(rng, (n, r), n),
+                                    gamma=_poly(rng, (n, r, r), n),
+                                    torsion=_poly(rng, (r, r, r), n))
+
+
+def perturbed_translation_chart():
+    C = models.translations_model(2).chart
+
+    def gam(m):
+        m = as_point(m)
+        g = np.zeros((2, 2, 2), dtype=object)
+        g[0, 0, 0] = 0.1 * m[1]
+        g[1, 0, 1] = 0.3 * m[0] * m[1]
+        return g
+    return algebroid.AlgebroidChart(base=Chart((-1.0,) * 2, (1.0,) * 2), rank=2,
+                                    anchor=C.anchor, gamma=gam, torsion=C.torsion)
+
+
+@functools.cache
+def named_chart(name):
+    return {"sphere2": lambda: models.sphere2().rc.chart,
+            "ellipsoid": lambda: models.ellipsoid2().rc.chart,
+            "perturbed_translations": perturbed_translation_chart}[name]()
+
+
+_JET_SETTINGS = settings(max_examples=12, deadline=None,
+                         suppress_health_check=[HealthCheck.too_slow])
+
+
+def _compare_with_definitions(C, seed):
+    """Jet and closure results on generic arguments; returns c(x, y)v."""
+    rng = np.random.default_rng(seed)
+    m = C.base.sample_points(rng, 1)[0]
+    x, y = rng.uniform(-1, 1, (2, C.rank))
+    v, w = rng.uniform(-1, 1, (2, C.base.dim))
+    coc = V(cocurvature(C, x, y, v, m))
+    assert np.max(np.abs(coc - cocurvature_by_definition(C, x, y, v, m))) <= 1e-10
+    curv = V(curvature_conn(C, v, w, x, m))
+    assert np.max(np.abs(curv - curvature_by_definition(C, v, w, x, m))) <= 1e-10
+    return coc
+
+
+@_JET_SETTINGS
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 3), r=st.integers(2, 3))
+def test_jet_formulas_match_definitions_on_polynomial_charts(seed, n, r):
+    coc = _compare_with_definitions(random_polynomial_chart(seed, n, r), seed)
+    assert np.max(np.abs(coc)) > 1e-6     # the cocurvature is not zero here
+
+
+@_JET_SETTINGS
+@given(name=st.sampled_from(["sphere2", "ellipsoid", "perturbed_translations"]),
+       seed=st.integers(0, 2**32 - 1))
+def test_jet_formulas_match_definitions_on_model_charts(name, seed):
+    _compare_with_definitions(named_chart(name), seed)

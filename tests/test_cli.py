@@ -108,20 +108,62 @@ def test_invariant_metric_by_name_runs_on_any_charted_model():
     assert run_scenario(doc).verdict
 
 
+MISSING = object()
+SEED = {"point": [0.0, 1.0], "fiber": [1.0, 0.0, 0.0]}
+# the model and the check each bad input goes into; the check is valid
+# without it, and a valid first check shows that nothing runs before the error
+BAD_INPUT_TARGETS = {
+    "samples": ("hyperbolic2", {"op": "is_flat"}),
+    "points": ("hyperbolic2", {"op": "scalar_form_fit"}),
+    "horizon": ("hyperbolic2", {"op": "completeness", "seeds": [SEED]}),
+    "point": ("hyperbolic2", {"op": "geodesic_escape", "point": SEED["point"],
+                              "fiber": SEED["fiber"]}),
+    "seeds": ("hyperbolic2", {"op": "completeness", "seeds": [SEED]}),
+    "entries": ("hyperbolic2", {"op": "cocycle", "entries": [
+        {"i": 0, "j": 0, "A": [[1.0]], "b": [0.0], "M": [[1.0]]}]}),
+    "tol": ("affine_line_group", {"op": "dual_pair"}),
+}
+FIRST_CHECK = {"hyperbolic2": {"op": "is_flat", "samples": 1},
+               "affine_line_group": {"op": "dual_pair"}}
+
+
 @pytest.mark.parametrize("key,val", [("samples", -3), ("samples", 0), ("samples", 2.5),
                                      ("samples", True), ("points", 0),
                                      ("horizon", 0), ("horizon", -1.0),
-                                     ("horizon", float("inf"))])
+                                     ("horizon", float("inf")),
+                                     pytest.param("point", MISSING, id="point-missing"),
+                                     pytest.param("seeds", [{"point": [0.0, 1.0]}],
+                                                  id="seeds-without-fiber"),
+                                     pytest.param("seeds", MISSING, id="seeds-missing"),
+                                     pytest.param("entries", MISSING, id="entries-missing"),
+                                     pytest.param("entries", [{"i": 0, "j": 0, "A": [[1.0]],
+                                                               "b": [0.0]}],
+                                                  id="entries-without-M"),
+                                     pytest.param("tol", "small", id="tol-small"),
+                                     pytest.param("tol", True, id="tol-bool")])
 def test_bad_counts_are_scenario_errors(key, val, tmp_path, capsys):
-    op = {"points": "scalar_form_fit", "horizon": "completeness"}.get(key, "is_flat")
-    doc = {"name": "bad-count", "model": "hyperbolic2",
-           "checks": [{"op": "is_flat", "samples": 1}, {"op": op, key: val}]}
+    model, check = BAD_INPUT_TARGETS[key]
+    check = {k: v for k, v in check.items() if k != key}
+    if val is not MISSING:
+        check[key] = val
+    doc = {"name": "bad-count", "model": model, "checks": [FIRST_CHECK[model], check]}
     with pytest.raises(ScenarioError, match=key):
         run_scenario(doc)
     path = tmp_path / "bad.yaml"
     path.write_text(yaml.safe_dump(doc))
     assert cli.main(["run", str(path)]) == 2
     assert capsys.readouterr().out == ""
+
+
+def test_glued_model_transports_each_loop_once(monkeypatch):
+    from cartanlab import models, transport
+    calls = []
+    monkeypatch.setattr(models, "monodromy",
+                        lambda G, loop: calls.append(loop) or transport.monodromy(G, loop))
+    doc = {"name": "loops", "model": "counterexample_s1",
+           "checks": [{"op": "monodromy"}, {"op": "compactness_probe", "expect": "unbounded"}]}
+    assert run_scenario(doc).verdict
+    assert len(calls) == 1
 
 
 def test_tensor_checks_count_components():
