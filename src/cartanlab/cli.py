@@ -166,6 +166,28 @@ def _require_model_kind(op: str, params: dict, model) -> None:
                             f"not a {type(model).__name__}")
 
 
+def _require_point_shapes(op: str, params: dict, model) -> None:
+    """Each geodesic seed's point has the model's base dimension and its
+    fiber vector the model's rank."""
+    if op == "geodesic_escape":
+        seeds, where = [params], f"check {op!r}"
+    elif op == "completeness":
+        seeds, where = params["seeds"], f"the seeds of check {op!r}"
+    else:
+        return
+    dims = {"point": (model.chart.base.dim, "base dimension"),
+            "fiber": (model.chart.rank, "rank")}
+    for seed in seeds:
+        for key, (n, what) in dims.items():
+            try:
+                shape = np.shape(np.asarray(seed[key], dtype=float))
+            except (TypeError, ValueError):
+                shape = None
+            if shape != (n,):
+                raise ScenarioError(f"{key} in {where} must be a list of {n} numbers "
+                                    f"(the model's {what}), not {seed[key]!r}")
+
+
 # -- check registry -------------------------------------------------------------
 
 def _expect(params, default="pass"):
@@ -449,6 +471,7 @@ def run_scenario(doc: dict, seed: int | None = None, tol_scale: float = 1.0) -> 
                                      or not 0 < val < math.inf):
                 raise ScenarioError(f"horizon of check {op!r} must be a positive finite number")
         _require_model_kind(op, params, model)
+        _require_point_shapes(op, params, model)
         checks.append((op, params))
     results = []
     for op, params in checks:

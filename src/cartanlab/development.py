@@ -8,6 +8,9 @@ inverse and integrated as a right-logarithmic matrix ODE
     dg/dt = (sum_i xi_i(t) G_i) g,    g(0) = I.
 
 The endpoint coset g(1) H0 is the developed image of the path's end.
+A check's developments are integrated as one stacked solve: the B paths
+of a batch share one adaptive RK45 step sequence, with tolerances scaled
+by 1/sqrt(B) so that each endpoint still meets its own tolerance.
 Equivariant base maps with an algebra twist induce affine maps of the
 coset space, and the reconstruction of a locally homogeneous atlas
 composes developments with patch lifts and verifies the transitions.
@@ -170,20 +173,32 @@ def bracket_orientation(chart, tol: float = 1e-6) -> int:
     return _ORIENTATION_CACHE[key][1]
 
 
-def _lift_fiber(chart, m, v, rank_tol: float = 1e-8):
-    """Minimum-norm anchor lift of a tangent vector; errors when the
-    anchor is rank-deficient there (transitivity violated)."""
-    a = value(np.asarray(chart.anchor(as_point(m)), dtype=object))
-    xi, *_ = np.linalg.lstsq(a, v, rcond=None)
-    gap = np.max(np.abs(a @ xi - v))
-    if gap > rank_tol * (1.0 + np.max(np.abs(v))):
-        raise DevelopmentError(f"anchor not surjective along path (gap {gap:.3e})")
+def _lift_fibers(a, v, rank_tol: float = 1e-8):
+    """Minimum-norm anchor lifts of a stack of tangent vectors; errors when
+    an anchor is rank-deficient there (transitivity violated)."""
+    xi = np.einsum("bij,bj->bi", np.linalg.pinv(a), v)
+    gap = np.max(np.abs(np.einsum("bij,bj->bi", a, xi) - v), axis=1)
+    bad = gap > rank_tol * (1.0 + np.max(np.abs(v), axis=1))
+    if np.any(bad):
+        raise DevelopmentError(
+            f"anchor not surjective along path (gap {np.max(gap[bad]):.3e})")
     return xi
 
 
-def develop_point(A, H: HomogeneousModel, path: BasePath,
-                  rtol: float = 1e-12, atol: float = 1e-13) -> Coset:
-    """Integrate the anchor-lifted path in the model group.
+# scipy raises any rtol below this floor to it
+_RTOL_FLOOR = 100 * np.finfo(float).eps
+
+
+def develop_paths(A, H: HomogeneousModel, paths, rtol: float = 1e-12,
+                  atol: float = 1e-13) -> list[Coset]:
+    """Develop a batch of paths in one stacked solve.
+
+    The paths must share their segment count and segment time spans.  All
+    B states are integrated together with tolerances rtol/sqrt(B) and
+    atol/sqrt(B): a step passes when the RMS of the scaled errors over the
+    whole state is at most 1, which implies each path's own RMS test at
+    rtol/atol.  Batches whose scaled rtol would fall below scipy's floor
+    are split.
 
     The lift is re-expressed in the parallel frame transported from the
     path start (for an action algebroid the frame stays the identity), so
@@ -192,36 +207,66 @@ def develop_point(A, H: HomogeneousModel, path: BasePath,
     their lifts negated: left-action generator fields anti-commute, and
     the left-coset formulas downstream assume that picture.
     """
+    paths = list(paths)
+    if not paths:
+        return []
+    limit = max(1, int((rtol / _RTOL_FLOOR) ** 2 * (1 - 1e-9)))
+    if len(paths) > limit:
+        return [c for k in range(0, len(paths), limit)
+                for c in develop_paths(A, H, paths[k:k + limit], rtol, atol)]
+    spans = [(s.t0, s.t1) for s in paths[0].segments]
+    if any([(s.t0, s.t1) for s in p.segments] != spans for p in paths):
+        raise DevelopmentError("paths in one batch must share their segment time spans")
     chart = _chart_of(A)
     d = H.realization.matrix_dim
     r = chart.rank
+    B = len(paths)
     sign = -float(bracket_orientation(chart))
     gens = np.stack(H.realization.generators)
-    state = np.concatenate([np.eye(r).reshape(-1), np.eye(d).reshape(-1)])
-    for seg in path.segments:
-        def rhs(t, y, _seg=seg):
-            m = _seg.point(t)
-            v = value(np.asarray(_seg.velocity(t), dtype=object))
-            P = y[:r * r].reshape(r, r)
-            G = y[r * r:].reshape(d, d)
-            g = value(np.asarray(chart.gamma(as_point(m)), dtype=object))
-            gv = np.einsum("iab,i->ab", g, v)
-            dP = -gv @ P
-            X = _lift_fiber(chart, m, v)
-            xi = sign * np.linalg.solve(P, X)
-            Xi = np.tensordot(xi, gens, axes=([0], [0]))
-            return np.concatenate([dP.reshape(-1), (Xi @ G).reshape(-1)])
 
-        out = integrate(rhs, (seg.t0, seg.t1), state, rtol=rtol, atol=atol)
+    def field(f, m):
+        return value(np.asarray(f(as_point(m)), dtype=object))
+
+    state = np.tile(np.concatenate([np.eye(r).reshape(-1), np.eye(d).reshape(-1)]), B)
+    for k, span in enumerate(spans):
+        segs = [p.segments[k] for p in paths]
+
+        def rhs(t, y):
+            y = y.reshape(B, -1)
+            P = y[:, :r * r].reshape(B, r, r)
+            G = y[:, r * r:].reshape(B, d, d)
+            ms = [s.point(t) for s in segs]
+            v = np.stack([value(np.asarray(s.velocity(t), dtype=object)) for s in segs])
+            gv = np.einsum("biac,bi->bac", np.stack([field(chart.gamma, m) for m in ms]), v)
+            X = _lift_fibers(np.stack([field(chart.anchor, m) for m in ms]), v)
+            xi = sign * np.linalg.solve(P, X[..., None])[..., 0]
+            Xi = np.einsum("bi,iac->bac", xi, gens)
+            return np.concatenate([(-gv @ P).reshape(B, -1),
+                                   (Xi @ G).reshape(B, -1)], axis=1).reshape(-1)
+
+        out = integrate(rhs, span, state, rtol=rtol / np.sqrt(B), atol=atol / np.sqrt(B))
         if out.status != "completed":
             raise DevelopmentError(f"development ODE failed: {out.status}")
         state = out.states[-1]
-    return Coset(state[r * r:].reshape(d, d), H)
+    return [Coset(g, H) for g in state.reshape(B, -1)[:, r * r:].reshape(B, d, d)]
+
+
+def develop_point(A, H: HomogeneousModel, path: BasePath,
+                  rtol: float = 1e-12, atol: float = 1e-13) -> Coset:
+    """Integrate the anchor-lifted path in the model group."""
+    return develop_paths(A, H, [path], rtol=rtol, atol=atol)[0]
 
 
 def develop_to(A, H: HomogeneousModel, m0, m, rtol: float = 1e-12) -> Coset:
     """Development along the straight segment m0 -> m."""
     return develop_point(A, H, line_path(np.asarray(m0, float), np.asarray(m, float)),
+                         rtol=rtol)
+
+
+def _develop_from(A, H: HomogeneousModel, m0, points, rtol: float = 1e-12) -> list[Coset]:
+    """Developments along the straight segments m0 -> m, one batch for all m."""
+    m0 = np.asarray(m0, float)
+    return develop_paths(A, H, [line_path(m0, np.asarray(m, float)) for m in points],
                          rtol=rtol)
 
 
@@ -246,25 +291,21 @@ def development_jacobian(A, H: HomogeneousModel, m0, m,
     Local coordinates around D(m): h0-orthogonal log components of
     D(m)^-1 D(m + dx).
     """
-    base = develop_to(A, H, m0, m, rtol=rtol)
+    m = np.asarray(m, dtype=float)
+    n = len(m)
+    steps = h * np.eye(n)
+    base, *moved = _develop_from(A, H, m0, [m, *(m + steps), *(m - steps)], rtol=rtol)
     P = H.h0_projector()
     keep = np.nonzero(np.linalg.norm(P, axis=1) > 1e-12)[0]
-    n = len(np.asarray(m))
 
-    def coords(p):
-        c = develop_to(A, H, m0, p, rtol=rtol)
+    def coords(c):
         z = np.linalg.solve(base.g, c.g)
         lr = log_matrix(H.realization, z)
         if not lr.in_region:
             raise DevelopmentError("development stepped outside log region")
         return (P @ lr.coords)[keep]
 
-    m = np.asarray(m, dtype=float)
-    cols = []
-    for k in range(n):
-        dp = np.zeros(n)
-        dp[k] = h
-        cols.append((coords(m + dp) - coords(m - dp)) / (2 * h))
+    cols = [(coords(moved[k]) - coords(moved[n + k])) / (2 * h) for k in range(n)]
     J = np.stack(cols, axis=1)
     if J.shape[0] != n:
         # transitive case: coset dimension equals base dimension
@@ -336,28 +377,28 @@ def check_lemma_diagram(A: ActionAlgebroid, H: HomogeneousModel, E: EquivariantM
                         path: BasePath) -> float:
     """Matrix residual of: develop the phi-image path = apply the
     integrated twist to the developed path."""
-    g = develop_point(A, H, path)
     segs = []
     for s in path.segments:
         segs.append(type(s)(s.chart, lambda t, _s=s: E.base_map(_s.curve(t)), s.t0, s.t1))
-    g_img = develop_point(A, H, BasePath(tuple(segs)))
+    g, g_img = develop_paths(A, H, [path, BasePath(tuple(segs))])
     lhs = g_img.g
     rhs = integrated_twist(H, E.twist, g.g)
     return float(np.max(np.abs(lhs - rhs)))
+
+
+def _image(E: EquivariantMap, m) -> np.ndarray:
+    return value(np.asarray(E.base_map(as_point(np.asarray(m, dtype=float))), dtype=object))
 
 
 def equivariance_diagram_check(A: ActionAlgebroid, H: HomogeneousModel,
                                E: EquivariantMap, m0, sample_points,
                                tol: float = 1e-5) -> TensorReport:
     """Coset residual of D(phi(m)) against the induced map of D(m)."""
-    q = develop_to(A, H, m0, value(np.asarray(E.base_map(as_point(np.asarray(m0, float))), dtype=object)))
+    ms = [np.asarray(m, dtype=float) for m in sample_points]
+    ends = [_image(E, m0)] + [_image(E, m) for m in ms] + ms
+    q, *devs = _develop_from(A, H, m0, ends)
     aff = induced_affine_map(E, H, q)
-    per = []
-    for m in sample_points:
-        m = np.asarray(m, dtype=float)
-        lhs = develop_to(A, H, m0, value(np.asarray(E.base_map(as_point(m)), dtype=object)))
-        rhs = aff(develop_to(A, H, m0, m))
-        per.append(coset_residual(lhs, rhs))
+    per = [coset_residual(lhs, aff(c)) for lhs, c in zip(devs[:len(ms)], devs[len(ms):])]
     mx = max(per) if per else 0.0
     return TensorReport("equivariance_diagram", mx, tol, tuple(per))
 
@@ -537,29 +578,26 @@ def reconstruct_atlas(glued, H: HomogeneousModel, spec: CoverSpec,
     m0 = np.asarray(spec.m0, dtype=float)
     chart_samples = []
     min_det = np.inf
-    for patch in spec.patches:
-        pts = patch.halton_points(samples_per_patch, shrink=0.1)
-        coords = np.stack([_coset_coords(H, develop_to(A, H, m0, p)) for p in pts])
-        chart_samples.append(coords)
+    patch_pts = [patch.halton_points(samples_per_patch, shrink=0.1) for patch in spec.patches]
+    devs = iter(_develop_from(A, H, m0, [p for pts in patch_pts for p in pts]))
+    for pts in patch_pts:
+        chart_samples.append(np.stack([_coset_coords(H, next(devs)) for _ in pts]))
         J = development_jacobian(A, H, m0, pts[0])
         min_det = min(min_det, abs(float(np.linalg.det(J))))
+    # each overlap develops its q = D(deck(m0)), its samples p and their images
+    region_pts = [ov.region.halton_points(samples_per_patch, shrink=0.1)
+                  for ov in spec.overlaps]
+    devs = iter(_develop_from(A, H, m0, [
+        e for ov, pts in zip(spec.overlaps, region_pts)
+        for e in [_image(ov.deck, m0), *pts, *(_image(ov.deck, p) for p in pts)]]))
     transitions = []
-    for ov in spec.overlaps:
-        pts = ov.region.halton_points(samples_per_patch, shrink=0.1)
-        q = develop_to(A, H, m0, value(np.asarray(ov.deck.base_map(as_point(m0)), dtype=object)))
-        aff = induced_affine_map(ov.deck, H, q)
-        res = 0.0
-        lhs_pts = []
-        rhs_pts = []
-        for p in pts:
-            psi_i = develop_to(A, H, m0, p)
-            pj = value(np.asarray(ov.deck.base_map(as_point(p)), dtype=object))
-            psi_j = develop_to(A, H, m0, pj)
-            res = max(res, coset_residual(psi_j, aff(psi_i)))
-            lhs_pts.append(_coset_coords(H, psi_i))
-            rhs_pts.append(_coset_coords(H, psi_j))
-        X = np.stack(lhs_pts)
-        Y = np.stack(rhs_pts)
+    for ov, pts in zip(spec.overlaps, region_pts):
+        aff = induced_affine_map(ov.deck, H, next(devs))
+        psi_i = [next(devs) for _ in pts]
+        psi_j = [next(devs) for _ in pts]
+        res = max((coset_residual(pj, aff(pi)) for pi, pj in zip(psi_i, psi_j)), default=0.0)
+        X = np.stack([_coset_coords(H, c) for c in psi_i])
+        Y = np.stack([_coset_coords(H, c) for c in psi_j])
         Amat, b, fit = _fit_affine(X, Y)
         transitions.append(TransitionRecord(ov.i, ov.j, res, ov.deck.twist.matrix,
                                             Amat, b, fit))

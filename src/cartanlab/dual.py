@@ -184,14 +184,9 @@ def value(x):
     """Strip every dual layer, returning plain floats or float arrays."""
     if isinstance(x, Dual):
         return value(x.val)
-    if isinstance(x, np.ndarray) and x.dtype == object:
-        out = np.empty(x.shape)
-        flat, oflat = x.reshape(-1), out.reshape(-1)
-        for i in range(flat.size):
-            oflat[i] = value(flat[i])
-        return out
     if isinstance(x, np.ndarray):
-        return x
+        # Dual.__float__ strips every layer, one C loop over the elements
+        return x.astype(float) if x.dtype == object else x
     return float(x)
 
 

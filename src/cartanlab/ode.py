@@ -24,6 +24,8 @@ class IvpOutcome:
     status: str                 # "completed" | "event:<name>" | "step_collapse"
     t_end: float
     event_name: str | None = None
+    nfev: int = 0               # right-hand-side evaluations
+    steps: int = 0              # accepted steps
 
 
 def _overflow_safe(rhs):
@@ -66,6 +68,7 @@ def integrate(rhs, t_span, y0, events=None, rtol=DEFAULT_RTOL, atol=DEFAULT_ATOL
                     events=evs or None, dense_output=False)
     times = sol.t
     states = sol.y.T
+    work = {"nfev": sol.nfev, "steps": len(sol.t) - 1}
     if sol.status == 1:
         for k, te in enumerate(sol.t_events):
             if len(te):
@@ -73,10 +76,11 @@ def integrate(rhs, t_span, y0, events=None, rtol=DEFAULT_RTOL, atol=DEFAULT_ATOL
                 yev = sol.y_events[k][0]
                 times = np.append(times, tev)
                 states = np.vstack([states, yev])
-                return IvpOutcome(times, states, f"event:{names[k]}", tev, names[k])
+                return IvpOutcome(times, states, f"event:{names[k]}", tev, names[k],
+                                  **work)
     if sol.status == -1:
-        return IvpOutcome(times, states, "step_collapse", float(sol.t[-1]))
-    return IvpOutcome(times, states, "completed", t1)
+        return IvpOutcome(times, states, "step_collapse", float(sol.t[-1]), **work)
+    return IvpOutcome(times, states, "completed", t1, **work)
 
 
 def rk4(rhs, t0: float, t1: float, y0, steps: int):

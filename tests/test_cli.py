@@ -121,9 +121,11 @@ BAD_INPUT_TARGETS = {
     "seeds": ("hyperbolic2", {"op": "completeness", "seeds": [SEED]}),
     "entries": ("hyperbolic2", {"op": "cocycle", "entries": [
         {"i": 0, "j": 0, "A": [[1.0]], "b": [0.0], "M": [[1.0]]}]}),
+    "fiber": ("counterexample_s1", {"op": "geodesic_escape", "point": [0.0], "fiber": [1.0]}),
     "tol": ("affine_line_group", {"op": "dual_pair"}),
 }
 FIRST_CHECK = {"hyperbolic2": {"op": "is_flat", "samples": 1},
+               "counterexample_s1": {"op": "is_flat", "samples": 1},
                "affine_line_group": {"op": "dual_pair"}}
 
 
@@ -139,6 +141,17 @@ FIRST_CHECK = {"hyperbolic2": {"op": "is_flat", "samples": 1},
                                      pytest.param("entries", [{"i": 0, "j": 0, "A": [[1.0]],
                                                                "b": [0.0]}],
                                                   id="entries-without-M"),
+                                     pytest.param("point", [0.0, 1.0, 2.0],
+                                                  id="point-too-long"),
+                                     pytest.param("point", [[0.0, 1.0]], id="point-nested"),
+                                     pytest.param("point", ["a", 1.0], id="point-not-numbers"),
+                                     pytest.param("fiber", [1.0, 0.0], id="fiber-too-long"),
+                                     pytest.param("seeds", [{"point": [0.0],
+                                                             "fiber": SEED["fiber"]}],
+                                                  id="seeds-short-point"),
+                                     pytest.param("seeds", [SEED, {"point": [0.0, 1.0],
+                                                                   "fiber": [1.0]}],
+                                                  id="seeds-short-fiber"),
                                      pytest.param("tol", "small", id="tol-small"),
                                      pytest.param("tol", True, id="tol-bool")])
 def test_bad_counts_are_scenario_errors(key, val, tmp_path, capsys):
@@ -153,6 +166,17 @@ def test_bad_counts_are_scenario_errors(key, val, tmp_path, capsys):
     path.write_text(yaml.safe_dump(doc))
     assert cli.main(["run", str(path)]) == 2
     assert capsys.readouterr().out == ""
+
+
+def test_point_outside_the_circle_base_is_scenario_error(tmp_path, capsys):
+    # a 2-D point on the 1-D circle used to reach numpy as a matmul error
+    doc = {"name": "bad-point", "model": "counterexample_s1",
+           "checks": [{"op": "geodesic_escape", "point": [0.0, 1.0], "fiber": [1.0]}]}
+    path = tmp_path / "bad.yaml"
+    path.write_text(yaml.safe_dump(doc))
+    assert cli.main(["run", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "Traceback" not in captured.err
 
 
 def test_glued_model_transports_each_loop_once(monkeypatch):

@@ -1,15 +1,16 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from cartanlab import algebra, development
+from cartanlab import algebra, development, ode
 from cartanlab.algebra import AlgebraMap, MatrixRealization, Subalgebra
 from cartanlab.development import (DevelopmentError, EquivariantMap,
                                    HomogeneousModel, check_equivariant_twist,
                                    check_lemma_diagram, coset_residual,
-                                   develop_point, develop_to,
+                                   develop_paths, develop_point, develop_to,
                                    development_jacobian,
                                    equivariance_diagram_check, fit_twist,
                                    geometric_closure_probe,
@@ -71,6 +72,93 @@ def test_develop_rejects_rank_deficient_anchor(so3_action):
                          Subalgebra(so3_action.algebra, ()))
     with pytest.raises(DevelopmentError):
         develop_point(so3_action, H, line_path([1.0, 0.0, 0.0], [2.0, 0.0, 0.0]))
+
+
+def _assert_batch_matches_single_paths(A, H, paths):
+    batch = develop_paths(A, H, paths)
+    assert len(batch) == len(paths)
+    for path, got in zip(paths, batch):
+        want = develop_point(A, H, path).g
+        assert np.max(np.abs(got.g - want)) <= 1e-10 * max(1.0, np.max(np.abs(want)))
+
+
+def test_develop_paths_matches_single_paths_torus(torus, rng):
+    ends = rng.uniform(-0.9, 0.9, (6, 2))
+    _assert_batch_matches_single_paths(torus.cover, torus.homog,
+                                       [line_path([0.0, 0.0], e) for e in ends])
+
+
+def test_develop_paths_matches_single_paths_circle(circle):
+    # far ends grow like e^theta, so the batch mixes very different scales
+    thetas = [-0.5, 0.3, 1.7, math.pi, 2 * math.pi, 2 * math.pi + 1.5]
+    _assert_batch_matches_single_paths(circle.cover, circle.homog,
+                                       [line_path([0.0], [t]) for t in thetas])
+
+
+def test_develop_paths_matches_single_paths_sphere(sphere):
+    # the TM+h chart has Gamma != 0, so the parallel frame P is nontrivial
+    m0 = sphere.m0
+    offsets = [[0.25, 0.2], [-0.2, 0.1], [0.1, -0.3]]
+    paths = [polyline_path([m0, m0 + [0.0, o[1]], m0 + o]) for o in offsets]
+    _assert_batch_matches_single_paths(sphere.rc.chart, sphere.homog, paths)
+
+
+def test_develop_paths_rejects_a_non_liftable_path_in_the_batch(so3_action):
+    H = HomogeneousModel(so3_action.algebra, algebra.so3_realization(),
+                         Subalgebra(so3_action.algebra, ()))
+    tangential = line_path([1.0, 0.0, 0.0], [1.0, 0.3, 0.0])
+    radial = line_path([1.0, 0.0, 0.0], [2.0, 0.0, 0.0])
+    with pytest.raises(DevelopmentError, match="surjective"):
+        develop_paths(so3_action, H, [tangential, radial, tangential])
+
+
+def test_develop_paths_requires_shared_time_spans(circle):
+    with pytest.raises(DevelopmentError):
+        develop_paths(circle.cover, circle.homog,
+                      [line_path([0.0], [1.0]), polyline_path([[0.0], [0.5], [1.0]])])
+
+
+def _record_integrations(monkeypatch):
+    outcomes = []
+
+    def recording(*args, **kwargs):
+        out = ode.integrate(*args, **kwargs)
+        outcomes.append(out)
+        return out
+    monkeypatch.setattr(development, "integrate", recording)
+    return outcomes
+
+
+def test_development_work_is_independent_of_sample_count(circle, rng, monkeypatch):
+    outcomes = _record_integrations(monkeypatch)
+    counts = []
+    for k in (4, 12):
+        outcomes.clear()
+        equivariance_diagram_check(circle.cover, circle.homog, circle.decks[0], [0.0],
+                                   rng.uniform(-0.5, 1.5, (k, 1)))
+        assert all(out.steps > 0 and out.nfev > out.steps for out in outcomes)
+        counts.append(len(outcomes))
+    assert counts[0] == counts[1]
+
+
+def test_develop_paths_splits_batches_at_the_rtol_floor(torus, monkeypatch):
+    # rtol/sqrt(B) must stay at or above scipy's 100 eps: at rtol 1e-13 a
+    # batch holds at most 20 paths, so 25 paths take two solves
+    outcomes = _record_integrations(monkeypatch)
+    paths = [line_path([0.0, 0.0], [0.03 * k, -0.02 * k]) for k in range(25)]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        batch = develop_paths(torus.cover, torus.homog, paths, rtol=1e-13)
+    assert len(outcomes) == 2
+    for k, c in enumerate(batch):
+        assert np.allclose(c.g[:2, 2], [0.03 * k, -0.02 * k], atol=1e-12)
+
+
+def test_reconstruct_torus_batches_its_developments(torus, monkeypatch):
+    outcomes = _record_integrations(monkeypatch)
+    reconstruct_atlas(torus.glued, torus.homog, torus.atlas_spec)
+    # one batch of patch samples, one Jacobian batch per patch, one of overlaps
+    assert len(outcomes) <= 2 + len(torus.atlas_spec.patches)
 
 
 def test_path_independence_counterexample(circle):

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import array_shapes
 
 from cartanlab import dual
 from cartanlab.dual import Dual, value
@@ -65,6 +66,32 @@ def test_product_rule_holds(a, da, b, db):
     z = x * y
     assert z.val == a * b
     assert abs(z.eps - (a * db + b * da)) < 1e-9 * (1 + abs(a * db) + abs(b * da))
+
+
+def _value_by_recursion(x):
+    if isinstance(x, Dual):
+        return _value_by_recursion(x.val)
+    if isinstance(x, np.ndarray) and x.dtype == object:
+        flat = [_value_by_recursion(e) for e in x.reshape(-1)]
+        return np.array(flat, dtype=float).reshape(x.shape)
+    return float(x)
+
+
+_nested_duals = st.recursive(st.floats(allow_nan=False) | st.integers(-10 ** 6, 10 ** 6),
+                             lambda inner: st.builds(Dual, inner, inner), max_leaves=6)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data(), array_shapes(min_dims=0, max_dims=3, max_side=3))
+def test_value_matches_recursive_definition_on_object_arrays(data, shape):
+    elems = data.draw(st.lists(_nested_duals, min_size=math.prod(shape),
+                               max_size=math.prod(shape)))
+    x = np.empty(shape, dtype=object)
+    x.reshape(-1)[:] = elems
+    got = value(x)
+    want = _value_by_recursion(x)
+    assert got.dtype == np.float64 and got.shape == shape
+    assert got.tobytes() == want.tobytes()
 
 
 def test_solve_matches_numpy_on_floats(rng):
