@@ -169,12 +169,11 @@ def make_action_algebroid(g0: LieAlgebra, action: Callable, base: Chart) -> Acti
 
     def anchor_fn(m):
         m = as_point(m)
-        cols = [np.asarray(action(eye[i], m), dtype=object) for i in range(r)]
         out = np.empty((n, r), dtype=object)
-        for i, c in enumerate(cols):
-            if not np.all(np.isfinite(value(c))):
-                raise AlgebroidError("action produced non-finite values")
-            out[:, i] = c
+        for i in range(r):
+            out[:, i] = np.asarray(action(eye[i], m), dtype=object)
+        if not np.all(np.isfinite(value(out))):
+            raise AlgebroidError("action produced non-finite values")
         return out
 
     tors = np.einsum("abc->cab", g0.structure_constants)

@@ -189,6 +189,55 @@ def _lift_fibers(a, v, rank_tol: float = 1e-8):
 _RTOL_FLOOR = 100 * np.finfo(float).eps
 
 
+def _develop_frames(A, H: HomogeneousModel, paths, rtol: float = 1e-12,
+                    atol: float = 1e-13) -> tuple[np.ndarray, np.ndarray]:
+    """Group elements (B, d, d) and parallel frames (B, r, r) at the ends
+    of a batch of paths; see ``develop_paths``."""
+    chart = _chart_of(A)
+    d = H.realization.matrix_dim
+    r = chart.rank
+    B = len(paths)
+    if B == 0:
+        return np.zeros((0, d, d)), np.zeros((0, r, r))
+    limit = max(1, int((rtol / _RTOL_FLOOR) ** 2 * (1 - 1e-9)))
+    if B > limit:
+        parts = [_develop_frames(A, H, paths[k:k + limit], rtol, atol)
+                 for k in range(0, B, limit)]
+        return tuple(np.concatenate(p) for p in zip(*parts))
+    spans = [(s.t0, s.t1) for s in paths[0].segments]
+    if any([(s.t0, s.t1) for s in p.segments] != spans for p in paths):
+        raise DevelopmentError("paths in one batch must share their segment time spans")
+    sign = -float(bracket_orientation(chart))
+    gens = np.stack(H.realization.generators)
+
+    def field(f, m):
+        return value(np.asarray(f(as_point(m)), dtype=object))
+
+    state = np.tile(np.concatenate([np.eye(r).reshape(-1), np.eye(d).reshape(-1)]), B)
+    for k, span in enumerate(spans):
+        segs = [p.segments[k] for p in paths]
+
+        def rhs(t, y):
+            y = y.reshape(B, -1)
+            P = y[:, :r * r].reshape(B, r, r)
+            G = y[:, r * r:].reshape(B, d, d)
+            ms, vs = zip(*(s.point_velocity(t) for s in segs))
+            v = np.stack(vs)
+            gv = np.einsum("biac,bi->bac", np.stack([field(chart.gamma, m) for m in ms]), v)
+            X = _lift_fibers(np.stack([field(chart.anchor, m) for m in ms]), v)
+            xi = sign * np.linalg.solve(P, X[..., None])[..., 0]
+            Xi = np.einsum("bi,iac->bac", xi, gens)
+            return np.concatenate([(-gv @ P).reshape(B, -1),
+                                   (Xi @ G).reshape(B, -1)], axis=1).reshape(-1)
+
+        out = integrate(rhs, span, state, rtol=rtol / np.sqrt(B), atol=atol / np.sqrt(B))
+        if out.status != "completed":
+            raise DevelopmentError(f"development ODE failed: {out.status}")
+        state = out.states[-1]
+    state = state.reshape(B, -1)
+    return state[:, r * r:].reshape(B, d, d), state[:, :r * r].reshape(B, r, r)
+
+
 def develop_paths(A, H: HomogeneousModel, paths, rtol: float = 1e-12,
                   atol: float = 1e-13) -> list[Coset]:
     """Develop a batch of paths in one stacked solve.
@@ -207,48 +256,7 @@ def develop_paths(A, H: HomogeneousModel, paths, rtol: float = 1e-12,
     their lifts negated: left-action generator fields anti-commute, and
     the left-coset formulas downstream assume that picture.
     """
-    paths = list(paths)
-    if not paths:
-        return []
-    limit = max(1, int((rtol / _RTOL_FLOOR) ** 2 * (1 - 1e-9)))
-    if len(paths) > limit:
-        return [c for k in range(0, len(paths), limit)
-                for c in develop_paths(A, H, paths[k:k + limit], rtol, atol)]
-    spans = [(s.t0, s.t1) for s in paths[0].segments]
-    if any([(s.t0, s.t1) for s in p.segments] != spans for p in paths):
-        raise DevelopmentError("paths in one batch must share their segment time spans")
-    chart = _chart_of(A)
-    d = H.realization.matrix_dim
-    r = chart.rank
-    B = len(paths)
-    sign = -float(bracket_orientation(chart))
-    gens = np.stack(H.realization.generators)
-
-    def field(f, m):
-        return value(np.asarray(f(as_point(m)), dtype=object))
-
-    state = np.tile(np.concatenate([np.eye(r).reshape(-1), np.eye(d).reshape(-1)]), B)
-    for k, span in enumerate(spans):
-        segs = [p.segments[k] for p in paths]
-
-        def rhs(t, y):
-            y = y.reshape(B, -1)
-            P = y[:, :r * r].reshape(B, r, r)
-            G = y[:, r * r:].reshape(B, d, d)
-            ms = [s.point(t) for s in segs]
-            v = np.stack([value(np.asarray(s.velocity(t), dtype=object)) for s in segs])
-            gv = np.einsum("biac,bi->bac", np.stack([field(chart.gamma, m) for m in ms]), v)
-            X = _lift_fibers(np.stack([field(chart.anchor, m) for m in ms]), v)
-            xi = sign * np.linalg.solve(P, X[..., None])[..., 0]
-            Xi = np.einsum("bi,iac->bac", xi, gens)
-            return np.concatenate([(-gv @ P).reshape(B, -1),
-                                   (Xi @ G).reshape(B, -1)], axis=1).reshape(-1)
-
-        out = integrate(rhs, span, state, rtol=rtol / np.sqrt(B), atol=atol / np.sqrt(B))
-        if out.status != "completed":
-            raise DevelopmentError(f"development ODE failed: {out.status}")
-        state = out.states[-1]
-    return [Coset(g, H) for g in state.reshape(B, -1)[:, r * r:].reshape(B, d, d)]
+    return [Coset(g, H) for g in _develop_frames(A, H, list(paths), rtol, atol)[0]]
 
 
 def develop_point(A, H: HomogeneousModel, path: BasePath,
@@ -285,28 +293,36 @@ def path_independence_check(A, H: HomogeneousModel,
 
 
 def development_jacobian(A, H: HomogeneousModel, m0, m,
-                         h: float = 1e-5, rtol: float = 1e-10) -> np.ndarray:
-    """Finite-difference Jacobian of the developed coset coordinates.
+                         rtol: float = 1e-10) -> np.ndarray:
+    """Jacobian at m of the developed coset coordinates.
 
     Local coordinates around D(m): h0-orthogonal log components of
-    D(m)^-1 D(m + dx).
+    D(m)^-1 D(m + dx).  Extending the path by dx multiplies D(m) on the
+    left by I + Xi(dx), with Xi(dx) = sign sum_i (P(m)^-1 lift_m(dx))_i G_i
+    (P the parallel frame at the path end, G_i the generators), so column
+    k is the h0-complement coordinates of Ad(D(m)^-1) Xi(e_k).  This is
+    exact when development is path-independent modulo H0 (flat), which
+    the action-algebroid covers of ``reconstruct_atlas`` satisfy.
     """
     m = np.asarray(m, dtype=float)
+    g, frame = _develop_frames(A, H, [line_path(m0, m)], rtol=rtol)
+    return _frame_jacobian(A, H, m, g[0], frame[0])
+
+
+def _frame_jacobian(A, H: HomogeneousModel, m, g: np.ndarray,
+                    frame: np.ndarray) -> np.ndarray:
+    """``development_jacobian`` at m from the developed element g and the
+    parallel frame there."""
+    chart = _chart_of(A)
     n = len(m)
-    steps = h * np.eye(n)
-    base, *moved = _develop_from(A, H, m0, [m, *(m + steps), *(m - steps)], rtol=rtol)
-    P = H.h0_projector()
-    keep = np.nonzero(np.linalg.norm(P, axis=1) > 1e-12)[0]
-
-    def coords(c):
-        z = np.linalg.solve(base.g, c.g)
-        lr = log_matrix(H.realization, z)
-        if not lr.in_region:
-            raise DevelopmentError("development stepped outside log region")
-        return (P @ lr.coords)[keep]
-
-    cols = [(coords(moved[k]) - coords(moved[n + k])) / (2 * h) for k in range(n)]
-    J = np.stack(cols, axis=1)
+    a = value(np.asarray(chart.anchor(as_point(m)), dtype=object))
+    lifts = _lift_fibers(np.broadcast_to(a, (n, *a.shape)), np.eye(n))
+    xi = -bracket_orientation(chart) * np.linalg.solve(frame, lifts.T)
+    gens = np.stack(H.realization.generators)
+    ad = np.linalg.solve(g, np.einsum("ik,iac->kac", xi, gens) @ g)
+    coords, *_ = np.linalg.lstsq(gens.reshape(len(gens), -1).T,
+                                 ad.reshape(n, -1).T, rcond=None)
+    J = _complement_coords(H, coords)
     if J.shape[0] != n:
         # transitive case: coset dimension equals base dimension
         raise DevelopmentError("coset coordinate count does not match base dimension")
@@ -537,13 +553,18 @@ class AtlasReport:
         return ok
 
 
+def _complement_coords(H: HomogeneousModel, coords: np.ndarray) -> np.ndarray:
+    """Algebra coordinates projected off span(h0), one row per kept axis."""
+    P = H.h0_projector()
+    keep = np.nonzero(np.linalg.norm(P, axis=1) > 1e-12)[0]
+    return (P @ coords)[keep]
+
+
 def _coset_coords(H: HomogeneousModel, c: Coset) -> np.ndarray:
     lr = log_matrix(H.realization, c.g)
     if not lr.in_region:
         raise DevelopmentError("coset representative outside log region")
-    P = H.h0_projector()
-    keep = np.nonzero(np.linalg.norm(P, axis=1) > 1e-12)[0]
-    return (P @ lr.coords)[keep]
+    return _complement_coords(H, lr.coords)
 
 
 def reconstruct_atlas(glued, H: HomogeneousModel, spec: CoverSpec,
@@ -579,11 +600,15 @@ def reconstruct_atlas(glued, H: HomogeneousModel, spec: CoverSpec,
     chart_samples = []
     min_det = np.inf
     patch_pts = [patch.halton_points(samples_per_patch, shrink=0.1) for patch in spec.patches]
-    devs = iter(_develop_from(A, H, m0, [p for pts in patch_pts for p in pts]))
+    gs, frames = _develop_frames(A, H, [line_path(m0, p) for pts in patch_pts for p in pts])
+    start = 0
     for pts in patch_pts:
-        chart_samples.append(np.stack([_coset_coords(H, next(devs)) for _ in pts]))
-        J = development_jacobian(A, H, m0, pts[0])
+        chart_samples.append(np.stack([_coset_coords(H, Coset(g, H))
+                                       for g in gs[start:start + len(pts)]]))
+        # the Jacobian at each patch's first sample, read off its development
+        J = _frame_jacobian(A, H, pts[0], gs[start], frames[start])
         min_det = min(min_det, abs(float(np.linalg.det(J))))
+        start += len(pts)
     # each overlap develops its q = D(deck(m0)), its samples p and their images
     region_pts = [ov.region.halton_points(samples_per_patch, shrink=0.1)
                   for ov in spec.overlaps]

@@ -1,9 +1,11 @@
 """Integration backends.
 
 Adaptive integration delegates to scipy's Runge-Kutta 4(5) with tight
-tolerances and a capped step; the fixed-step classical RK4 lives here as
-an independent oracle and doubles as the dual-number-capable integrator
-(scipy cannot step through object arrays).
+tolerances.  Its embedded error estimate sets every step; only solves
+with terminal events also cap the step at 1/64 of the span, so that a
+sign change of an event function cannot be stepped over.  The fixed-step
+classical RK4 lives here as an independent oracle and doubles as the
+dual-number-capable integrator (scipy cannot step through object arrays).
 """
 
 from __future__ import annotations
@@ -15,6 +17,8 @@ from scipy.integrate import solve_ivp
 
 DEFAULT_RTOL = 1e-9
 DEFAULT_ATOL = 1e-9
+# steps per span at least, for solves with terminal events
+_EVENT_MIN_STEPS = 64
 
 
 @dataclass
@@ -44,14 +48,16 @@ def _overflow_safe(rhs):
     return f
 
 
-def integrate(rhs, t_span, y0, events=None, rtol=DEFAULT_RTOL, atol=DEFAULT_ATOL,
-              max_step_frac: float = 1.0 / 64.0) -> IvpOutcome:
+def integrate(rhs, t_span, y0, events=None, rtol=DEFAULT_RTOL,
+              atol=DEFAULT_ATOL) -> IvpOutcome:
     """Adaptive RK45 with named terminal events.
 
     ``events`` is a list of (name, fn) with fn(t, y) -> float; integration
-    stops at the first sign change of any fn.  Step-size collapse is
-    reported as its own status (the solver cannot continue but the last
-    reached time brackets the breakdown).
+    stops at the first sign change of any fn, and no step is longer than
+    1/64 of the span.  Without events the error control at rtol/atol alone
+    sets the steps.  Step-size collapse is reported as its own status (the
+    solver cannot continue but the last reached time brackets the
+    breakdown).
     """
     t0, t1 = float(t_span[0]), float(t_span[1])
     span = abs(t1 - t0)
@@ -63,7 +69,7 @@ def integrate(rhs, t_span, y0, events=None, rtol=DEFAULT_RTOL, atol=DEFAULT_ATOL
         names.append(name)
     sol = solve_ivp(_overflow_safe(rhs), (t0, t1), np.asarray(y0, dtype=float),
                     method="RK45", rtol=rtol, atol=atol,
-                    max_step=span * max_step_frac if span > 0 else np.inf,
+                    max_step=span / _EVENT_MIN_STEPS if evs and span > 0 else np.inf,
                     first_step=span * 1e-4 if span > 0 else None,
                     events=evs or None, dense_output=False)
     times = sol.t

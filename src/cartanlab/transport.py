@@ -47,6 +47,11 @@ class PathSegment:
     def point(self, t: float):
         return value(np.asarray(self.curve(t), dtype=object))
 
+    def point_velocity(self, t: float):
+        """Point and velocity as floats from one evaluation of the curve."""
+        c = np.asarray(self.curve(Dual(t, 1.0)), dtype=object)
+        return value(c), value(dual.eps_part(c))
+
 
 @dataclass(frozen=True)
 class BasePath:
@@ -146,8 +151,7 @@ def transport_matrix(G, path: BasePath, sub_tol: float = 1e-6) -> np.ndarray:
         n = C.base.dim
 
         def rhs(t, mflat, _C=C, _seg=seg, _r=r):
-            m = _seg.point(t)
-            v = value(np.asarray(_seg.velocity(t), dtype=object))
+            m, v = _seg.point_velocity(t)
             g = value(np.asarray(_C.gamma(as_point(m)), dtype=object))
             gv = np.einsum("iab,i->ab", g, v)
             return (-gv @ mflat.reshape(_r, _r)).reshape(-1)
@@ -499,32 +503,36 @@ def monodromy_compactness_probe(maps, word_length: int = 6, modulus_tol: float =
 
     Words over the generators and their inverses are scanned up to the
     given length; any eigenvalue modulus away from 1 or unbounded word
-    norm produces an "unbounded" verdict with a witness word.
+    norm produces an "unbounded" verdict with a witness word.  Each word
+    length is one stacked product, eigenvalue and norm computation, read
+    in scan order so the first violating word is the witness.
     """
-    gens = []
+    labels, mats = [], []
     for k, M in enumerate(maps):
         mat = M.matrix if isinstance(M, AlgebraMap) else np.asarray(M, dtype=float)
-        gens.append((k + 1, mat))
-        gens.append((-(k + 1), np.linalg.inv(mat)))
+        labels += [k + 1, -(k + 1)]
+        mats += [mat, np.linalg.inv(mat)]
     max_dev = 0.0
     max_norm = 0.0
-    frontier = [((), np.eye(gens[0][1].shape[0]))] if gens else []
+    if not mats:
+        return CompactnessReport("consistent-with-compact-closure", None, max_dev, max_norm)
+    gens = np.stack(mats)
+    words = [()]
+    frontier = np.eye(gens.shape[1])[None]
     for _ in range(word_length):
-        nxt = []
-        for word, mat in frontier:
-            for label, g in gens:
-                if word and word[-1] == -label:
-                    continue
-                w = word + (label,)
-                m2 = mat @ g
-                dev = float(np.max(np.abs(np.abs(np.linalg.eigvals(m2)) - 1.0)))
-                nrm = float(np.linalg.norm(m2, 2))
-                max_dev = max(max_dev, dev)
-                max_norm = max(max_norm, nrm)
-                if dev > modulus_tol or nrm > norm_bound:
-                    return CompactnessReport("unbounded", w, max_dev, max_norm)
-                nxt.append((w, m2))
-        frontier = nxt
+        pairs = [(f, j) for f, w in enumerate(words) for j, label in enumerate(labels)
+                 if not (w and w[-1] == -label)]
+        fi, gj = np.array(pairs).T
+        frontier = frontier[fi] @ gens[gj]
+        words = [words[f] + (labels[j],) for f, j in pairs]
+        devs = np.max(np.abs(np.abs(np.linalg.eigvals(frontier)) - 1.0), axis=1)
+        norms = np.linalg.norm(frontier, 2, axis=(1, 2))
+        bad = np.nonzero((devs > modulus_tol) | (norms > norm_bound))[0]
+        seen = bad[0] + 1 if len(bad) else len(words)
+        max_dev = max(max_dev, float(np.max(devs[:seen])))
+        max_norm = max(max_norm, float(np.max(norms[:seen])))
+        if len(bad):
+            return CompactnessReport("unbounded", words[bad[0]], max_dev, max_norm)
     return CompactnessReport("consistent-with-compact-closure", None, max_dev, max_norm)
 
 

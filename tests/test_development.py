@@ -157,8 +157,55 @@ def test_develop_paths_splits_batches_at_the_rtol_floor(torus, monkeypatch):
 def test_reconstruct_torus_batches_its_developments(torus, monkeypatch):
     outcomes = _record_integrations(monkeypatch)
     reconstruct_atlas(torus.glued, torus.homog, torus.atlas_spec)
-    # one batch of patch samples, one Jacobian batch per patch, one of overlaps
-    assert len(outcomes) <= 2 + len(torus.atlas_spec.patches)
+    # one batch of patch samples (Jacobians included), one of overlaps
+    assert len(outcomes) == 2
+
+
+def test_circle_batch_matches_closed_form(circle):
+    # D(theta)[0, 1] = e^theta - 1, out past one turn where it is ~2,400
+    thetas = [-0.5, 0.3, 1.7, math.pi, 2 * math.pi, 2 * math.pi + 1.5]
+    batch = develop_paths(circle.cover, circle.homog,
+                          [line_path([0.0], [t]) for t in thetas])
+    for t, c in zip(thetas, batch):
+        want = math.expm1(t)
+        assert abs(c.g[0, 1] - want) <= 1e-10 * abs(want)
+
+
+def _fd_development_jacobian(A, H, m0, m, h=1e-5, rtol=1e-10):
+    """Central differences of the h0-orthogonal log coordinates of
+    D(m)^-1 D(m +- h e_k), all developments in one batch."""
+    m = np.asarray(m, dtype=float)
+    n = len(m)
+    ends = [m, *(m + h * np.eye(n)), *(m - h * np.eye(n))]
+    base, *moved = develop_paths(A, H, [line_path(m0, e) for e in ends], rtol=rtol)
+    P = H.h0_projector()
+    keep = np.linalg.norm(P, axis=1) > 1e-12
+
+    def coords(c):
+        lr = algebra.log_matrix(H.realization, np.linalg.solve(base.g, c.g))
+        return (P @ lr.coords)[keep]
+
+    return np.stack([(coords(moved[k]) - coords(moved[n + k])) / (2 * h)
+                     for k in range(n)], axis=1)
+
+
+def test_development_jacobian_matches_finite_differences(circle, torus, sphere):
+    # sphere2's TM+h chart has a nontrivial parallel frame and isotropy
+    assert sphere.homog.h0.dim == 1
+    cases = [(circle.cover, circle.homog, [0.0], [0.8]),
+             (circle.cover, circle.homog, [0.0], [-0.4]),
+             (torus.cover, torus.homog, [0.0, 0.0], [0.3, -0.2]),
+             (sphere.rc.chart, sphere.homog, sphere.m0, sphere.m0 + [0.15, -0.1]),
+             (sphere.rc.chart, sphere.homog, sphere.m0, sphere.m0 + [-0.12, 0.2])]
+    for A, H, m0, m in cases:
+        J = development_jacobian(A, H, m0, m)
+        assert J.shape == (len(m), len(m))
+        assert np.max(np.abs(J - _fd_development_jacobian(A, H, m0, m))) < 1e-8
+
+
+def test_development_jacobian_circle_closed_form(circle):
+    J = development_jacobian(circle.cover, circle.homog, [0.0], [0.8])
+    assert abs(J[0, 0] - math.exp(0.8)) < 1e-10
 
 
 def test_path_independence_counterexample(circle):

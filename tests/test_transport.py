@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from cartanlab import algebra, geometry
+from cartanlab.algebroid import AlgebroidChart
 from cartanlab.dual import value
 from cartanlab.geometry import Chart, SmoothField, as_point
 from cartanlab.transport import (BasePath, PathSegment, TransportError,
@@ -15,6 +16,35 @@ from cartanlab.transport import (BasePath, PathSegment, TransportError,
                                  transport_matrix)
 
 E2PI = math.exp(2 * math.pi)
+
+
+def test_point_velocity_matches_point_and_velocity(circle):
+    poly = polyline_path([[0.0, 0.0], [0.3, 0.1], [-0.2, 0.5]])
+    paths = [line_path([0.1, -0.2], [0.7, 0.45]), poly, poly.reverse(), circle.loops[0]]
+    for path in paths:
+        for s in path.segments:
+            for t in (s.t0, 1.0 / 3.0, 0.7, s.t1):
+                m, v = s.point_velocity(t)
+                assert m.dtype == v.dtype == float
+                assert np.array_equal(m, s.point(t))
+                assert np.array_equal(v, value(np.asarray(s.velocity(t), dtype=object)))
+
+
+def test_transport_along_a_sphere_latitude_rotates_the_frame():
+    # on the round sphere a latitude at colatitude theta0 turns an
+    # orthonormal frame by dphi * cos(theta0) relative to (d_theta, d_phi / sin)
+    metric = geometry.sphere_metric(2)
+    lc = geometry.levi_civita(metric)
+    chart = AlgebroidChart(
+        metric.chart, 2, anchor=lambda m: np.eye(2, dtype=object),
+        gamma=lambda m: np.einsum("kij->ikj", np.asarray(lc.christoffel(m), dtype=object)),
+        torsion=lambda m: np.zeros((2, 2, 2), dtype=object))
+    theta0, phi0, dphi = 1.0, -1.2, 2.5
+    M = transport_matrix(chart, line_path([theta0, phi0], [theta0, phi0 + dphi]))
+    S = np.diag([1.0, math.sin(theta0)])
+    a = dphi * math.cos(theta0)
+    rot = np.array([[math.cos(a), math.sin(a)], [-math.sin(a), math.cos(a)]])
+    assert np.max(np.abs(S @ M @ np.linalg.inv(S) - rot)) < 1e-7
 
 
 def test_transport_flat_chart_preserves_fiber(translations2):
@@ -267,6 +297,51 @@ def test_compactness_probe_cases(circle):
     rot = np.array([[math.cos(th), -math.sin(th)], [math.sin(th), math.cos(th)]])
     rep3 = monodromy_compactness_probe([rot])
     assert rep3.passed
+
+
+def _compactness_probe_by_word(maps, word_length=6, modulus_tol=1e-9, norm_bound=1e3):
+    """One word at a time, in the probe's scan order (the reference)."""
+    gens = []
+    for k, M in enumerate(maps):
+        gens += [(k + 1, M), (-(k + 1), np.linalg.inv(M))]
+    max_dev = max_norm = 0.0
+    frontier = [((), np.eye(len(maps[0])))]
+    for _ in range(word_length):
+        nxt = []
+        for word, mat in frontier:
+            for label, g in gens:
+                if word and word[-1] == -label:
+                    continue
+                m2 = mat @ g
+                dev = float(np.max(np.abs(np.abs(np.linalg.eigvals(m2)) - 1.0)))
+                nrm = float(np.linalg.norm(m2, 2))
+                max_dev, max_norm = max(max_dev, dev), max(max_norm, nrm)
+                if dev > modulus_tol or nrm > norm_bound:
+                    return "unbounded", word + (label,), max_dev, max_norm
+                nxt.append((word + (label,), m2))
+        frontier = nxt
+    return "consistent-with-compact-closure", None, max_dev, max_norm
+
+
+def test_compactness_probe_matches_word_by_word_scan(rng):
+    th = math.sqrt(2.0)
+    rot = np.array([[math.cos(th), -math.sin(th)], [math.sin(th), math.cos(th)]])
+    q, _ = np.linalg.qr(rng.normal(size=(3, 3)))
+    unipotent = [np.array([[1.0, c], [0.0, 1.0]]) for c in (1.0, 2.0)]
+    cases = [([np.eye(2), np.eye(2)], 1e3), ([rot, rot.T @ rot], 1e3), ([q, q @ q], 1e3),
+             # both fail first at length 3, where words after the witness
+             # deviate, or grow, more than the witness
+             ([np.diag([1.0, 1.0 + 3.5e-10]), np.diag([1.0, 1.0 + 3.9e-10])], 1e3),
+             (unipotent, 4.5),
+             ([np.array([[1.0, 300.0], [0.0, 1.0]]), rot], 1e3),
+             ([np.array([[math.exp(2 * math.pi)]])], 1e3), ([rng.normal(size=(3, 3))], 1e3)]
+    for maps, bound in cases:
+        rep = monodromy_compactness_probe(maps, norm_bound=bound)
+        verdict, word, dev, nrm = _compactness_probe_by_word(maps, norm_bound=bound)
+        assert (rep.verdict, rep.witness_word) == (verdict, word)
+        # the deviation is |lambda| - 1, so its roundoff scales with |lambda|
+        assert abs(rep.max_modulus_deviation - dev) <= 1e-12 * (1.0 + dev)
+        assert abs(rep.max_word_norm - nrm) <= 1e-12 * nrm
 
 
 def test_escape_bound_constant_field():
