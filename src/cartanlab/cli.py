@@ -107,7 +107,13 @@ def _build_inline_action(block: dict):
     if fam == "translation":
         action = lambda xi, m: np.asarray(xi, dtype=object)
     elif fam == "linear":
-        gens = [np.asarray(g, dtype=float) for g in block["action"]["generators"]]
+        rank, n = alg.dim, chart.dim
+        gens = block["action"].get("generators")
+        if _numeric_shape(gens) != (rank, n, n):
+            raise ScenarioError(f"linear action needs 'generators': a list of {rank} numeric "
+                                f"{n}x{n} matrices (the algebra's rank, the chart's "
+                                f"dimension), not {gens!r}")
+        gens = [np.asarray(g, dtype=float) for g in gens]
         def action(xi, m, _g=gens):
             mat = sum(x * g.astype(object) for x, g in zip(xi, _g))
             return mat @ np.asarray(m, dtype=object)
@@ -166,6 +172,14 @@ def _require_model_kind(op: str, params: dict, model) -> None:
                             f"not a {type(model).__name__}")
 
 
+def _numeric_shape(x) -> tuple | None:
+    """Shape of x as a float array; None when x is not numeric or is ragged."""
+    try:
+        return np.shape(np.asarray(x, dtype=float))
+    except (TypeError, ValueError):
+        return None
+
+
 def _require_point_shapes(op: str, params: dict, model) -> None:
     """Each geodesic seed's point has the model's base dimension and its
     fiber vector the model's rank."""
@@ -179,13 +193,28 @@ def _require_point_shapes(op: str, params: dict, model) -> None:
             "fiber": (model.chart.rank, "rank")}
     for seed in seeds:
         for key, (n, what) in dims.items():
-            try:
-                shape = np.shape(np.asarray(seed[key], dtype=float))
-            except (TypeError, ValueError):
-                shape = None
-            if shape != (n,):
+            if _numeric_shape(seed[key]) != (n,):
                 raise ScenarioError(f"{key} in {where} must be a list of {n} numbers "
                                     f"(the model's {what}), not {seed[key]!r}")
+
+
+def _require_cocycle_shapes(op: str, params: dict) -> None:
+    """Each cocycle entry has integer chart indices, square A and M, and b
+    of A's size."""
+    if op != "cocycle":
+        return
+    for entry in params["entries"]:
+        A, b, M = (_numeric_shape(entry[k]) for k in ("A", "b", "M"))
+        indices = all(isinstance(entry[k], int) and not isinstance(entry[k], bool)
+                      for k in ("i", "j"))
+        if not (indices and _is_square(A) and b == A[:1] and _is_square(M)):
+            raise ScenarioError(f"in the entries of check {op!r}, i and j must be integers, "
+                                f"A a numeric square matrix, b a numeric vector of A's size "
+                                f"and M a numeric square matrix, not {entry!r}")
+
+
+def _is_square(shape) -> bool:
+    return shape is not None and len(shape) == 2 and shape[0] == shape[1]
 
 
 # -- check registry -------------------------------------------------------------
@@ -237,7 +266,7 @@ def check_monodromy(model, params, ctx):
         want = np.sort(np.asarray(expect_eigs, dtype=float))
         worst = float(np.max(np.abs(got - want) / np.maximum(1.0, np.abs(want))))
         verdict = worst <= rtol
-    verdict = verdict and auto_res <= params.get("automorphism_tol", 1e-6)
+    verdict = verdict and auto_res <= params.get("automorphism_tol", 1e-6) * ctx["tol_scale"]
     return CheckResult("monodromy", verdict, worst,
                        {"eigenvalues": eigs, "automorphism_residual": auto_res})
 
@@ -390,10 +419,8 @@ def check_obstruction_form(model, params, ctx):
         dw = max(dw, ob.dw_residual)
         wmax = max(wmax, float(np.max(np.abs(ob.w))))
     verdict = dw <= params.get("dw_tol", 1e-7) * ctx["tol_scale"]
-    if params.get("expect_zero", False):
-        verdict = verdict and wmax <= params.get("zero_tol", 1e-9) * ctx["tol_scale"]
-    else:
-        verdict = verdict and wmax > params.get("zero_tol", 1e-9)
+    is_zero = wmax <= params.get("zero_tol", 1e-9) * ctx["tol_scale"]
+    verdict = verdict and is_zero == bool(params.get("expect_zero", False))
     return CheckResult("obstruction_form", verdict, dw,
                        {"max_abs_w": wmax, "dw_residual": dw})
 
@@ -472,6 +499,7 @@ def run_scenario(doc: dict, seed: int | None = None, tol_scale: float = 1.0) -> 
                 raise ScenarioError(f"horizon of check {op!r} must be a positive finite number")
         _require_model_kind(op, params, model)
         _require_point_shapes(op, params, model)
+        _require_cocycle_shapes(op, params)
         checks.append((op, params))
     results = []
     for op, params in checks:

@@ -432,9 +432,7 @@ def fit_twist(chart, base_map: Callable, m0, samples, frame_steps: int = 64,
     m0 = np.asarray(m0, dtype=float)
 
     def frame_at(m):
-        cols = [value(np.asarray(_transport_line_dual(chart, m0, m, np.eye(r)[a], frame_steps),
-                                 dtype=object)) for a in range(r)]
-        return np.stack(cols, axis=1)
+        return value(_transport_line_dual(chart, m0, m, np.eye(r), frame_steps))
 
     rows_lhs = []
     rows_rhs = []

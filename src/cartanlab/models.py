@@ -5,7 +5,10 @@ Riemannian metric, where h is the bundle of metric-skew endomorphisms:
 
     nabla_U (V + phi) = (LC_U V + phi(U)) + (LC_U phi + R(U, V))
 
-in an adapted trivialization built from a metric-orthonormal frame.  The
+in an adapted trivialization built from a metric-orthonormal frame F.
+The chart is built by index contraction in frame coordinates: gamma and
+the torsion are contractions of the connection and curvature matrices in
+that frame with the skew basis E[c] = e_p e_q^T - e_q e_p^T.  The
 torsion of the associated connection is always computed from this
 definition, never copied from a closed form; the classification then
 compares the extracted fiber bracket against the constant-curvature
@@ -51,21 +54,24 @@ def skew_pairs(n: int) -> list[tuple[int, int]]:
     return [(p, q) for p in range(n) for q in range(p + 1, n)]
 
 
+def skew_basis(n: int) -> np.ndarray:
+    """E[c] = e_p e_q^T - e_q e_p^T over lexicographic pairs (p, q)."""
+    P, Q = np.triu_indices(n, 1)
+    E = np.zeros((len(P), n, n))
+    E[np.arange(len(P)), P, Q] = 1.0
+    E[np.arange(len(P)), Q, P] = -1.0
+    return E
+
+
 def skew_matrix(w, n: int):
     """Sum of w_pq (e_p e_q^T - e_q e_p^T) over lexicographic pairs."""
-    out = np.zeros((n, n), dtype=object)
-    for c, (p, q) in enumerate(skew_pairs(n)):
-        out[p, q] = out[p, q] + w[c]
-        out[q, p] = out[q, p] - w[c]
-    return out
+    return np.einsum("c,cpq->pq", np.asarray(w, dtype=object), skew_basis(n))
 
 
 def skew_coords(S, n: int):
-    pairs = skew_pairs(n)
-    out = np.empty(len(pairs), dtype=object)
-    for c, (p, q) in enumerate(pairs):
-        out[c] = 0.5 * (S[p, q] - S[q, p])
-    return out
+    """Coordinates of the skew part of S on that basis, over S's last two axes."""
+    P, Q = np.triu_indices(n, 1)
+    return 0.5 * (S[..., P, Q] - S[..., Q, P])
 
 
 # -- the Riemannian chart connection on TM + h --------------------------------
@@ -84,59 +90,47 @@ class RiemannianCartanChart:
 
 
 def build_riemannian_cartan(metric: SmoothField) -> RiemannianCartanChart:
-    """Assemble the adapted chart for the canonical connection on TM + h."""
+    """Assemble the adapted chart for the canonical connection on TM + h.
+
+    Fiber basis: the frame vectors F e_k, then the endomorphisms
+    F E[c] F^-1.  In frame coordinates the LC connection is
+    omega_i = F^-1 (d_i F + Gamma_i F) and the curvature
+    rho(U, V) = F^-1 R(U, V) F, and every field is an index contraction
+    of these with the skew basis E.
+    """
     base = metric.chart
     n = base.dim
-    pairs = skew_pairs(n)
-    nh = len(pairs)
+    E = skew_basis(n)
+    nh = len(E)
     r = n + nh
     lc = levi_civita(metric)
+    # [E[c], E[d]] in skew coordinates, (e, c, d)
+    EE = np.moveaxis(skew_coords(E[:, None] @ E[None] - E[None] @ E[:, None], n), 2, 0)
 
     def frame(m):
         sig = np.asarray(metric(as_point(m)), dtype=object)
         L = dual.cholesky(sig)
         return dual.inv(L).T.copy()
 
-    def split(x):
-        return np.asarray(x[:n], dtype=object), np.asarray(x[n:], dtype=object)
-
-    def pieces(m):
-        """Pointwise data that gamma and torsion are both built from."""
+    def gamma_parts(m):
+        """gamma with the frame data the torsion is also built from."""
         F = np.asarray(frame(m), dtype=object)
         Finv = dual.inv(F)
         dF = dual.jacobian(lambda p: np.asarray(frame(as_point(p)), dtype=object), m)
         Gam = np.asarray(lc.christoffel(m), dtype=object)      # (k, i, j)
         Rt = curvature_tensor_obj(lc, m)                       # (l, b, i, j)
+        om = Finv @ (np.moveaxis(dF, 2, 0) + np.moveaxis(Gam, 1, 0) @ F)   # (i, a, k)
+        rho_i = Finv @ np.einsum("lbij,jk->iklb", Rt, F) @ F   # rho(d_i, F e_k)
+        om_E = om[:, None] @ E - E @ om[:, None]               # [omega_i, E[c]]
+        gam = np.empty((n, r, r), dtype=object)
+        gam[:, :n, :n] = om
+        gam[:, n:, :n] = np.swapaxes(skew_coords(rho_i, n), 1, 2)
+        gam[:, :n, n:] = np.einsum("cpq,qi->ipc", E, Finv)     # E[c] F^-1 e_i
+        gam[:, n:, n:] = np.swapaxes(skew_coords(om_E, n), 1, 2)
+        return gam, F, Finv, dF, rho_i, om_E
 
-        def conn_endo(i, W):
-            # LC derivative of the endo field F W Finv along a coordinate dir
-            dPhi = dF[:, :, i] @ W @ Finv - F @ W @ (Finv @ dF[:, :, i] @ Finv)
-            Gi = Gam[:, i, :]
-            Phi = F @ W @ Finv
-            return dPhi + Gi @ Phi - Phi @ Gi
-
-        return F, Finv, dF, Gam, Rt, conn_endo
-
-    def gamma_of(F, Finv, dF, Gam, Rt, conn_endo):
-        eye = np.eye(r)
-        out = np.zeros((n, r, r), dtype=object)
-        for a in range(r):
-            v, w = split(eye[a].astype(object))
-            W = skew_matrix(w, n)
-            V = F @ v
-            Phi = F @ W @ Finv
-            for i in range(n):
-                tm_part = dF[:, :, i] @ v + Gam[:, i, :] @ V + Phi[:, i]
-                R_iV = np.einsum("lbj,j->lb", Rt[:, :, i, :], V)
-                h_part = conn_endo(i, W) + R_iV
-                out[i, :n, a] = Finv @ tm_part
-                out[i, n:, a] = skew_coords(Finv @ h_part @ F, n)
-        return out
-
-    def gamma_fn(m):
-        return gamma_of(*pieces(as_point(m)))
-
-    gamma_field = SmoothField(base, (n, r, r), gamma_fn, name="tm+h connection")
+    gamma_field = SmoothField(base, (n, r, r), lambda m: gamma_parts(as_point(m))[0],
+                              name="tm+h connection")
 
     def anchor_fn(m):
         F = np.asarray(frame(as_point(m)), dtype=object)
@@ -147,39 +141,23 @@ def build_riemannian_cartan(metric: SmoothField) -> RiemannianCartanChart:
     anchor_field = SmoothField(base, (n, r), anchor_fn, name="tm+h anchor")
 
     def torsion_fn(m):
-        p = pieces(as_point(m))
-        F, Finv, dF, Gam, Rt, conn_endo = p
-        gam = gamma_of(*p)
-        eye = np.eye(r)
+        """Gamma(#e_b) e_a - Gamma(#e_a) e_b + [e_a, e_b] on adapted sections."""
+        gam, F, Finv, dF, rho_i, om_E = gamma_parts(as_point(m))
+        gF = np.einsum("ik,iab->akb", F, gam)                  # Gamma(F e_k), (a, k, b)
         out = np.zeros((r, r, r), dtype=object)
-        for a in range(r):
-            va, wa = split(eye[a].astype(object))
-            Wa = skew_matrix(wa, n)
-            Va = F @ va
-            Pa = F @ Wa @ Finv
-            for b in range(a + 1, r):
-                vb, wb = split(eye[b].astype(object))
-                Wb = skew_matrix(wb, n)
-                Vb = F @ vb
-                Pb = F @ Wb @ Finv
-                # Jacobi-Lie bracket of the frame fields F va, F vb
-                dVa = np.einsum("kci,c->ki", dF, va)
-                dVb = np.einsum("kci,c->ki", dF, vb)
-                jl = dVb @ Va - dVa @ Vb
-                # LC derivatives of the endo fields along Va, Vb
-                lc_a_on_b = sum(Va[i] * conn_endo(i, Wb) for i in range(n))
-                lc_b_on_a = sum(Vb[i] * conn_endo(i, Wa) for i in range(n))
-                R_ab = np.einsum("lbij,i,j->lb", Rt, Va, Vb)
-                br_h = Pa @ Pb - Pb @ Pa + lc_a_on_b - lc_b_on_a + R_ab
-                # definitional torsion: nabla_{#Y} X - nabla_{#X} Y + [X, Y]
-                nYX = np.einsum("icd,i,d->c", gam, Vb, eye[a].astype(object))
-                nXY = np.einsum("icd,i,d->c", gam, Va, eye[b].astype(object))
-                br_coords = np.concatenate([
-                    np.asarray(Finv @ jl, dtype=object),
-                    skew_coords(Finv @ br_h @ F, n)])
-                t_ab = nYX - nXY + br_coords
-                out[:, a, b] = t_ab
-                out[:, b, a] = -t_ab
+        out[:, :, :n] += np.swapaxes(gF, 1, 2)                 # #e_b = F e_b, or 0
+        out[:, :n, :] -= gF
+        # the section bracket: Jacobi-Lie bracket of frame vectors, the
+        # curvature rho(F e_k, F e_l), the LC derivatives [omega(F e_k), E[d]]
+        # of the skew sections and the commutators [E[c], E[d]]
+        DF = dF @ F                                            # d_{F e_k} F e_l at (:, l, k)
+        out[:n, :n, :n] += np.einsum("am,mkl->akl", Finv, np.swapaxes(DF, 1, 2) - DF)
+        rho_kl = np.einsum("ik,ilab->klab", F, rho_i)
+        out[n:, :n, :n] += np.moveaxis(skew_coords(rho_kl, n), 2, 0)
+        lc_kd = np.moveaxis(skew_coords(np.einsum("ik,icab->kcab", F, om_E), n), 2, 0)
+        out[n:, :n, n:] += lc_kd
+        out[n:, n:, :n] -= np.swapaxes(lc_kd, 1, 2)
+        out[n:, n:, n:] += EE
         return out
 
     torsion_field = SmoothField(base, (r, r, r), torsion_fn, name="tm+h torsion")
@@ -193,17 +171,14 @@ def skewness_residual(R: RiemannianCartanChart, samples=None, seed: int = 42) ->
     base = R.metric.chart
     if samples is None:
         samples = base.sample_points(np.random.default_rng(seed), 10)
+    E = skew_basis(R.n)
     res = 0.0
-    n = R.n
     for m in samples:
         m = as_point(m)
         F = value(np.asarray(R.frame(m), dtype=object))
         sig = value(np.asarray(R.metric(m), dtype=object))
-        for c, (p, q) in enumerate(skew_pairs(n)):
-            w = np.zeros(len(skew_pairs(n)))
-            w[c] = 1.0
-            phi = F @ value(np.asarray(skew_matrix(w.astype(object), n), dtype=object)) @ np.linalg.inv(F)
-            res = max(res, float(np.max(np.abs(phi.T @ sig + sig @ phi))))
+        phi = F @ E @ np.linalg.inv(F)
+        res = max(res, float(np.max(np.abs(np.swapaxes(phi, 1, 2) @ sig + sig @ phi))))
     return res
 
 

@@ -228,8 +228,9 @@ class ParallelFrame:
 def _transport_line_dual(C: AlgebroidChart, m0, m, x0, steps: int):
     """Fixed-step RK4 transport along the straight segment m0 -> m.
 
-    The endpoint may carry dual coordinates, so sections built from this
-    are differentiable like any other field.
+    ``x0`` is a fiber vector or an r x k matrix whose columns are
+    transported together.  The endpoint may carry dual coordinates, so
+    sections built from this are differentiable like any other field.
     """
     m0 = np.asarray(m0, dtype=float)
     m = as_point(m)
@@ -251,21 +252,17 @@ def parallel_frame(C: AlgebroidChart, m0, region: Chart | None = None,
     staircase transports disagree (flatness violation)."""
     m0 = np.asarray(m0, dtype=float)
     region = region or C.base
-    r = C.rank
-    eye = np.eye(r)
+    eye = np.eye(C.rank)
     worst = 0.0
     pts = region.halton_points(probes, shrink=0.15)
     for m in pts:
         mid = np.array(m, dtype=float).copy()
         mid[0] = m0[0]
-        for a in range(r):
-            direct = value(np.asarray(
-                _transport_line_dual(C, m0, m, eye[a], steps), dtype=object))
-            via = value(np.asarray(_transport_line_dual(
-                C, mid, m, value(np.asarray(
-                    _transport_line_dual(C, m0, mid, eye[a], steps), dtype=object)),
-                steps), dtype=object))
-            worst = max(worst, float(np.max(np.abs(direct - via))))
+        # the columns of each transported identity are the transported basis
+        direct = value(_transport_line_dual(C, m0, m, eye, steps))
+        via = value(_transport_line_dual(
+            C, mid, m, value(_transport_line_dual(C, m0, mid, eye, steps)), steps))
+        worst = max(worst, float(np.max(np.abs(direct - via))))
     if worst > dependence_tol:
         raise TransportError(
             f"path-dependent transport (residual {worst:.3e}); region is not flat")
@@ -319,26 +316,23 @@ def _geodesic_rhs(C: AlgebroidChart):
 def geodesic(C: AlgebroidChart, m0, X0, span=(0.0, 1.0),
              blowup_norm: float = BLOWUP_NORM) -> GeodesicResult:
     """Integrate dm/dt = a(m) X, nabla_{dm/dt} X = 0 from (m0, X0)."""
-    m0 = np.asarray(m0, dtype=float)
-    X0 = np.asarray(X0, dtype=float)
-    C.base.require_interior(m0)
-    n = C.base.dim
-    out = integrate(_geodesic_rhs(C), span, np.concatenate([m0, X0]),
-                    events=_geodesic_events(C, blowup_norm))
-    status = {"completed": "completed", "step_collapse": "blowup",
-              "event:blowup": "blowup", "event:escaped_chart": "escaped_chart"}[out.status]
-    base = out.states[:, :n]
-    fiber = out.states[:, n:]
-    vel = np.stack([value(np.asarray(C.anchor(as_point(m)), dtype=object)) @ x
-                    for m, x in zip(base, fiber)])
-    return GeodesicResult(GPath(out.times, base, fiber, vel), status, out.t_end)
+    C.base.require_interior(np.asarray(m0, dtype=float))
+    return _geodesic_run(GluedAlgebroid((C,), ()), 0, m0, X0, span, blowup_norm,
+                         max_switches=0, exit_status="escaped_chart")
 
 
 def geodesic_glued(G, chart: int, m0, X0, span=(0.0, 1.0),
                    blowup_norm: float = BLOWUP_NORM,
                    max_switches: int = 500) -> GeodesicResult:
     """Geodesic integration across chart switches of a glued algebroid."""
-    G = _as_glued(G)
+    return _geodesic_run(_as_glued(G), chart, m0, X0, span, blowup_norm,
+                         max_switches, exit_status="escaped_atlas")
+
+
+def _geodesic_run(G: GluedAlgebroid, chart: int, m0, X0, span, blowup_norm: float,
+                  max_switches: int, exit_status: str) -> GeodesicResult:
+    """The integration loop behind both public geodesic functions, which
+    must not call each other: each is traced as one geodesic."""
     t = float(span[0])
     t_final = float(span[1])
     m = np.asarray(m0, dtype=float)
@@ -366,7 +360,7 @@ def geodesic_glued(G, chart: int, m0, X0, span=(0.0, 1.0),
         # chart exit: look for a continuation chart
         nxt = _find_switch(G, chart, m)
         if nxt is None:
-            status = "escaped_atlas"
+            status = exit_status
             break
         chart, m, x = nxt[0], nxt[1], nxt[2] @ x
         switches += 1

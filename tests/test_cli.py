@@ -1,11 +1,14 @@
+import copy
 import json
 import math
 from pathlib import Path
+from types import SimpleNamespace
 
+import numpy as np
 import pytest
 import yaml
 
-from cartanlab import cli
+from cartanlab import algebra, cli
 from cartanlab.cli import (ScenarioError, bundled_scenarios,
                            export_report, list_examples,
                            report_from_structured, run_scenario)
@@ -69,6 +72,11 @@ INLINE_ACTION = {"action_algebroid": {
     "action": {"family": "translation"},
     "chart": {"lower": [-2.0], "upper": [2.0]},
 }}
+LINEAR_ACTION = {"action_algebroid": {
+    "algebra": {"structure_constants": [[[0.0]]]},
+    "action": {"family": "linear", "generators": [[[0.0, 1.0], [-1.0, 0.0]]]},
+    "chart": {"lower": [-2.0, -2.0], "upper": [2.0, 2.0]},
+}}
 
 CHARTED_OPS = ("is_cartan", "is_flat", "geodesic_escape", "completeness")
 GLUED_OPS = ("monodromy", "compactness_probe", "reconstruct", "equivariance_diagram")
@@ -85,7 +93,8 @@ ACCEPTED_OPS = {
     "affine_line_group": LOCAL_LIE_GROUP_OPS,
     "heisenberg": LOCAL_LIE_GROUP_OPS,
 }
-MODEL_SPECS = {"inline-metric": {"metric": "sphere(2)"}, "inline-action": INLINE_ACTION}
+MODEL_SPECS = {"inline-metric": {"metric": "sphere(2)"}, "inline-action": INLINE_ACTION,
+               "inline-linear": LINEAR_ACTION}
 MISMATCHES = [(model, op) for model, ok in ACCEPTED_OPS.items() for op in cli.CHECKS
               if op not in ok and op != "cocycle"]
 
@@ -110,8 +119,10 @@ def test_invariant_metric_by_name_runs_on_any_charted_model():
 
 MISSING = object()
 SEED = {"point": [0.0, 1.0], "fiber": [1.0, 0.0, 0.0]}
+ENTRY = {"i": 0, "j": 0, "A": [[1.0]], "b": [0.0], "M": [[1.0]]}
 # the model and the check each bad input goes into; the check is valid
-# without it, and a valid first check shows that nothing runs before the error
+# without it, and a valid first check shows that nothing runs before the error.
+# A key of the model's action block goes into the model.
 BAD_INPUT_TARGETS = {
     "samples": ("hyperbolic2", {"op": "is_flat"}),
     "points": ("hyperbolic2", {"op": "scalar_form_fit"}),
@@ -119,14 +130,15 @@ BAD_INPUT_TARGETS = {
     "point": ("hyperbolic2", {"op": "geodesic_escape", "point": SEED["point"],
                               "fiber": SEED["fiber"]}),
     "seeds": ("hyperbolic2", {"op": "completeness", "seeds": [SEED]}),
-    "entries": ("hyperbolic2", {"op": "cocycle", "entries": [
-        {"i": 0, "j": 0, "A": [[1.0]], "b": [0.0], "M": [[1.0]]}]}),
+    "entries": ("hyperbolic2", {"op": "cocycle", "entries": [ENTRY]}),
+    "generators": ("inline-linear", {"op": "is_flat", "samples": 1}),
     "fiber": ("counterexample_s1", {"op": "geodesic_escape", "point": [0.0], "fiber": [1.0]}),
     "tol": ("affine_line_group", {"op": "dual_pair"}),
 }
 FIRST_CHECK = {"hyperbolic2": {"op": "is_flat", "samples": 1},
                "counterexample_s1": {"op": "is_flat", "samples": 1},
-               "affine_line_group": {"op": "dual_pair"}}
+               "affine_line_group": {"op": "dual_pair"},
+               "inline-linear": {"op": "is_cartan", "samples": 1}}
 
 
 @pytest.mark.parametrize("key,val", [("samples", -3), ("samples", 0), ("samples", 2.5),
@@ -153,13 +165,28 @@ FIRST_CHECK = {"hyperbolic2": {"op": "is_flat", "samples": 1},
                                                                    "fiber": [1.0]}],
                                                   id="seeds-short-fiber"),
                                      pytest.param("tol", "small", id="tol-small"),
-                                     pytest.param("tol", True, id="tol-bool")])
+                                     pytest.param("tol", True, id="tol-bool"),
+                                     pytest.param("generators", MISSING,
+                                                  id="generators-missing"),
+                                     pytest.param("generators", [[[1.0]]],
+                                                  id="generators-wrong-size"),
+                                     pytest.param("entries", [{**ENTRY, "A": "x"}],
+                                                  id="entries-A-not-numbers"),
+                                     pytest.param("entries", [{**ENTRY, "b": [0.0, 1.0]}],
+                                                  id="entries-b-wrong-size"),
+                                     pytest.param("entries", [{**ENTRY, "M": [[1.0, 0.0]]}],
+                                                  id="entries-M-not-square"),
+                                     pytest.param("entries", [{**ENTRY, "i": "x"}],
+                                                  id="entries-i-not-integer")])
 def test_bad_counts_are_scenario_errors(key, val, tmp_path, capsys):
     model, check = BAD_INPUT_TARGETS[key]
-    check = {k: v for k, v in check.items() if k != key}
+    spec = copy.deepcopy(MODEL_SPECS.get(model, model))
+    check = dict(check)
+    holder = spec["action_algebroid"]["action"] if key == "generators" else check
+    holder.pop(key, None)
     if val is not MISSING:
-        check[key] = val
-    doc = {"name": "bad-count", "model": model, "checks": [FIRST_CHECK[model], check]}
+        holder[key] = val
+    doc = {"name": "bad-count", "model": spec, "checks": [FIRST_CHECK[model], check]}
     with pytest.raises(ScenarioError, match=key):
         run_scenario(doc)
     path = tmp_path / "bad.yaml"
@@ -235,6 +262,22 @@ def test_tol_scale_loosens_checks():
            "checks": [{"op": "dual_pair", "tol": 1e-30}]}
     assert not run_scenario(doc).verdict
     assert run_scenario(doc, tol_scale=1e20).verdict
+
+
+def test_tol_scale_scales_every_threshold():
+    # affine_line_group's trace form is far from zero (|w| ~ 1); scaled past
+    # that, zero_tol calls it zero, and expect_zero false and true stay complements
+    for expect_zero in (False, True):
+        doc = {"name": "scaled", "model": "affine_line_group",
+               "checks": [{"op": "obstruction_form", "expect_zero": expect_zero}]}
+        assert run_scenario(doc).verdict is not expect_zero
+        assert run_scenario(doc, tol_scale=1e12).verdict is expect_zero
+    # a monodromy 1e-3 off an automorphism of so(3)
+    so3 = algebra.so3()
+    model = SimpleNamespace(monodromies=(algebra.AlgebraMap(so3, so3, 1.001 * np.eye(3)),))
+    params = {"automorphism_tol": 1e-6}
+    assert not cli.check_monodromy(model, params, {"tol_scale": 1.0}).verdict
+    assert cli.check_monodromy(model, params, {"tol_scale": 1e4}).verdict
 
 
 def test_expect_fail_inverts_verdict():

@@ -3,15 +3,141 @@ import math
 import numpy as np
 import pytest
 
-from cartanlab import algebra, cartan, geometry, models, transport
+from cartanlab import algebra, cartan, dual, geometry, models, transport
+from cartanlab.algebroid import AlgebroidChart
 from cartanlab.dual import value
-from cartanlab.geometry import as_point, scalar_form_fit
+from cartanlab.geometry import (SmoothField, as_point, curvature_tensor_obj,
+                                levi_civita, scalar_form_fit)
 from cartanlab.models import (DualPair, build_riemannian_cartan,
                               check_dual_pair, classify_constant_curvature,
                               curvature_formula_check, local_lie_group_check,
                               model_structure_constants, obstruction_form,
                               bracket_component_check, restricted_bracket,
-                              skewness_residual)
+                              skew_coords, skew_matrix, skewness_residual)
+
+
+def _skew_matrix_loop(w, n):
+    out = np.zeros((n, n), dtype=object)
+    for c, (p, q) in enumerate(models.skew_pairs(n)):
+        out[p, q] = out[p, q] + w[c]
+        out[q, p] = out[q, p] - w[c]
+    return out
+
+
+def _skew_coords_loop(S, n):
+    pairs = models.skew_pairs(n)
+    out = np.empty(len(pairs), dtype=object)
+    for c, (p, q) in enumerate(pairs):
+        out[c] = 0.5 * (S[p, q] - S[q, p])
+    return out
+
+
+def _loop_riemannian_chart(metric):
+    """The TM+h chart built one basis vector and one basis pair at a time,
+    straight from the definitions: the reference for the contracted build."""
+    base = metric.chart
+    n = base.dim
+    r = n + len(models.skew_pairs(n))
+    lc = levi_civita(metric)
+
+    def frame(m):
+        sig = np.asarray(metric(as_point(m)), dtype=object)
+        return dual.inv(dual.cholesky(sig)).T.copy()
+
+    def split(x):
+        return np.asarray(x[:n], dtype=object), np.asarray(x[n:], dtype=object)
+
+    def pieces(m):
+        F = np.asarray(frame(m), dtype=object)
+        Finv = dual.inv(F)
+        dF = dual.jacobian(lambda p: np.asarray(frame(as_point(p)), dtype=object), m)
+        Gam = np.asarray(lc.christoffel(m), dtype=object)
+        Rt = curvature_tensor_obj(lc, m)
+
+        def conn_endo(i, W):
+            # LC derivative of the endo field F W Finv along a coordinate dir
+            dPhi = dF[:, :, i] @ W @ Finv - F @ W @ (Finv @ dF[:, :, i] @ Finv)
+            Gi = Gam[:, i, :]
+            Phi = F @ W @ Finv
+            return dPhi + Gi @ Phi - Phi @ Gi
+
+        return F, Finv, dF, Gam, Rt, conn_endo
+
+    def gamma_of(F, Finv, dF, Gam, Rt, conn_endo):
+        eye = np.eye(r)
+        out = np.zeros((n, r, r), dtype=object)
+        for a in range(r):
+            v, w = split(eye[a].astype(object))
+            W = _skew_matrix_loop(w, n)
+            V = F @ v
+            Phi = F @ W @ Finv
+            for i in range(n):
+                tm_part = dF[:, :, i] @ v + Gam[:, i, :] @ V + Phi[:, i]
+                R_iV = np.einsum("lbj,j->lb", Rt[:, :, i, :], V)
+                out[i, :n, a] = Finv @ tm_part
+                out[i, n:, a] = _skew_coords_loop(Finv @ (conn_endo(i, W) + R_iV) @ F, n)
+        return out
+
+    def anchor_fn(m):
+        out = np.zeros((n, r), dtype=object)
+        out[:, :n] = np.asarray(frame(as_point(m)), dtype=object)
+        return out
+
+    def torsion_fn(m):
+        p = pieces(as_point(m))
+        F, Finv, dF, Gam, Rt, conn_endo = p
+        gam = gamma_of(*p)
+        eye = np.eye(r)
+        out = np.zeros((r, r, r), dtype=object)
+        for a in range(r):
+            va, wa = split(eye[a].astype(object))
+            Wa = _skew_matrix_loop(wa, n)
+            Va, Pa = F @ va, F @ Wa @ Finv
+            for b in range(a + 1, r):
+                vb, wb = split(eye[b].astype(object))
+                Wb = _skew_matrix_loop(wb, n)
+                Vb, Pb = F @ vb, F @ Wb @ Finv
+                jl = (np.einsum("kci,c->ki", dF, vb) @ Va
+                      - np.einsum("kci,c->ki", dF, va) @ Vb)
+                lc_a_on_b = sum(Va[i] * conn_endo(i, Wb) for i in range(n))
+                lc_b_on_a = sum(Vb[i] * conn_endo(i, Wa) for i in range(n))
+                R_ab = np.einsum("lbij,i,j->lb", Rt, Va, Vb)
+                br_h = Pa @ Pb - Pb @ Pa + lc_a_on_b - lc_b_on_a + R_ab
+                nYX = np.einsum("icd,i,d->c", gam, Vb, eye[a].astype(object))
+                nXY = np.einsum("icd,i,d->c", gam, Va, eye[b].astype(object))
+                br = np.concatenate([np.asarray(Finv @ jl, dtype=object),
+                                     _skew_coords_loop(Finv @ br_h @ F, n)])
+                out[:, a, b] = nYX - nXY + br
+                out[:, b, a] = -out[:, a, b]
+        return out
+
+    return AlgebroidChart(
+        base=base, rank=r, anchor=SmoothField(base, (n, r), anchor_fn),
+        gamma=SmoothField(base, (n, r, r), lambda m: gamma_of(*pieces(as_point(m)))),
+        torsion=SmoothField(base, (r, r, r), torsion_fn))
+
+
+def test_skew_helpers_match_loops(rng):
+    for n in (2, 3, 4):
+        nh = n * (n - 1) // 2
+        w = rng.normal(size=nh)
+        S = rng.normal(size=(n, n))
+        assert np.array_equal(value(skew_matrix(w, n)),
+                              value(_skew_matrix_loop(w.astype(object), n)))
+        assert np.array_equal(value(np.asarray(skew_coords(S, n), dtype=object)),
+                              value(_skew_coords_loop(S, n)))
+
+
+@pytest.mark.parametrize("name", ["sphere(2)", "hyperbolic(2)", "ellipsoid",
+                                  "sphere(3)", "hyperbolic(3)"])
+def test_contracted_chart_matches_loop_reference(name):
+    metric = geometry.metric_by_name(name) if "(" in name else geometry.ellipsoid_metric()
+    got = build_riemannian_cartan(metric).chart
+    want = _loop_riemannian_chart(metric)
+    for m in metric.chart.halton_points(3):
+        a, b = got.jet(m), want.jet(m)
+        for field in ("anchor", "d_anchor", "gamma", "d_gamma", "torsion", "d_torsion"):
+            assert np.max(np.abs(getattr(a, field) - getattr(b, field))) < 1e-12, field
 
 
 def test_euclidean_chart_block_structure(euclid):

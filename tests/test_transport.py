@@ -8,7 +8,7 @@ from cartanlab.algebroid import AlgebroidChart
 from cartanlab.dual import value
 from cartanlab.geometry import Chart, SmoothField, as_point
 from cartanlab.transport import (BasePath, PathSegment, TransportError,
-                                 completeness_probe, escape_bound, geodesic,
+                                 _transport_line_dual, completeness_probe, escape_bound, geodesic,
                                  geodesic_glued, invariant_metric_check,
                                  isotropy_subalgebra, line_path, monodromy,
                                  monodromy_compactness_probe, parallel_frame,
@@ -164,6 +164,16 @@ def test_parallel_frame_sphere_brackets_match_extraction(sphere):
     # at the anchor point the frame is the standard fiber basis
     at0 = value(np.asarray(secs[1](as_point(m0)), dtype=object))
     assert np.allclose(at0, np.eye(3)[1], atol=1e-12)
+
+
+def test_line_transport_of_identity_stacks_column_transports(sphere):
+    # parallel frames transport the identity in one pass; its columns must
+    # be the transports of the basis vectors, bit for bit
+    C = sphere.rc.chart
+    m = sphere.m0 + [0.2, -0.15]
+    whole = value(_transport_line_dual(C, sphere.m0, m, np.eye(3), 48))
+    cols = [value(_transport_line_dual(C, sphere.m0, m, e, 48)) for e in np.eye(3)]
+    assert np.array_equal(whole, np.stack(cols, axis=1))
 
 
 def test_geodesic_translations_straight_line(translations2):
