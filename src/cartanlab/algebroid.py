@@ -9,7 +9,8 @@ The bracket is never stored; it is always derived:
     [X, Y] = nabla_{#X} Y - nabla_{#Y} X + T(X, Y)
 
 ``AlgebroidChart.jet`` evaluates the three fields and their first
-derivatives once at a point; pointwise tensor checks read that jet.
+derivatives at most once at a point, each when a pointwise tensor check
+first reads it.
 
 Action algebroids carry gamma = 0 and T equal to the fiberwise algebra
 bracket.  Glued algebroids add transition data on overlaps.
@@ -18,6 +19,7 @@ bracket.  Glued algebroids add transition data on overlaps.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Callable
 
 import numpy as np
@@ -40,20 +42,28 @@ def _as_field(chart, shape, obj, name=""):
     return SmoothField.constant(chart, obj, name=name)
 
 
-@dataclass(frozen=True)
 class Jet:
-    """Float values and first derivatives of a chart's fields at a point.
-
-    Each ``d_*`` array is the field's shape plus a last axis indexing the
-    coordinate direction of differentiation.
+    """Float values and first derivatives of a chart's fields at a point,
+    each evaluated when first read.  Each ``d_*`` array is the field's shape
+    plus a last axis indexing the coordinate direction of differentiation.
     """
 
-    anchor: np.ndarray     # (n, r)
-    d_anchor: np.ndarray   # (n, r, n)
-    gamma: np.ndarray      # (n, r, r)
-    d_gamma: np.ndarray    # (n, r, r, n)
-    torsion: np.ndarray    # (r, r, r)
-    d_torsion: np.ndarray  # (r, r, r, n)
+    def __init__(self, chart: AlgebroidChart, m):
+        self._chart, self._m = chart, m
+
+    def _value(self, name: str) -> np.ndarray:
+        return value(np.asarray(getattr(self._chart, name)(self._m), dtype=object))
+
+    def _derivative(self, name: str) -> np.ndarray:
+        f = getattr(self._chart, name)
+        return value(dual.jacobian(lambda p: np.asarray(f(p), dtype=object), self._m))
+
+    anchor = cached_property(lambda self: self._value("anchor"))              # (n, r)
+    d_anchor = cached_property(lambda self: self._derivative("anchor"))       # (n, r, n)
+    gamma = cached_property(lambda self: self._value("gamma"))                # (n, r, r)
+    d_gamma = cached_property(lambda self: self._derivative("gamma"))         # (n, r, r, n)
+    torsion = cached_property(lambda self: self._value("torsion"))            # (r, r, r)
+    d_torsion = cached_property(lambda self: self._derivative("torsion"))     # (r, r, r, n)
 
     def gamma_on_anchor(self) -> np.ndarray:
         """P[:, a, b] = Gamma(#e_a)e_b, so [e_a, e_b] = P - P^T + T."""
@@ -88,12 +98,7 @@ class AlgebroidChart:
 
     def jet(self, m) -> Jet:
         """Anchor, gamma and torsion with their first derivatives at m."""
-        m = as_point(m)
-        parts = []
-        for f in (self.anchor, self.gamma, self.torsion):
-            parts.append(value(np.asarray(f(m), dtype=object)))
-            parts.append(value(dual.jacobian(lambda p, _f=f: np.asarray(_f(p), dtype=object), m)))
-        return Jet(*parts)
+        return Jet(self, as_point(m))
 
     # -- section calculus -----------------------------------------------------
 

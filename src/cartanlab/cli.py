@@ -7,8 +7,9 @@ times) and structured JSON (schema 1, byte-deterministic for a fixed
 seed; timing is text-only so that structured reports stay reproducible).
 
 Exit codes: 0 scenario passed, 1 at least one check failed, 2 usage or
-parse error, a count or tolerance out of range, a missing required check
-parameter, or a check whose op does not apply to the scenario's model.
+parse error, including any check that does not match its op's declaration
+in ``OPS`` (the model kinds it accepts, and each parameter's default and
+kind).  The parse pass checks every check before the first one runs.
 """
 
 from __future__ import annotations
@@ -110,9 +111,9 @@ def _build_inline_action(block: dict):
         rank, n = alg.dim, chart.dim
         gens = block["action"].get("generators")
         if _numeric_shape(gens) != (rank, n, n):
-            raise ScenarioError(f"linear action needs 'generators': a list of {rank} numeric "
-                                f"{n}x{n} matrices (the algebra's rank, the chart's "
-                                f"dimension), not {gens!r}")
+            raise ValueError(f"linear action needs 'generators': a list of {rank} numeric "
+                             f"{n}x{n} matrices (the algebra's rank, the chart's "
+                             f"dimension), not {gens!r}")
         gens = [np.asarray(g, dtype=float) for g in gens]
         def action(xi, m, _g=gens):
             mat = sum(x * g.astype(object) for x, g in zip(xi, _g))
@@ -120,252 +121,344 @@ def _build_inline_action(block: dict):
     elif fam == "exponential_line":
         action = models.scaling_action
     else:
-        raise ScenarioError(f"unknown action family {fam!r}")
+        raise ValueError(f"unknown action family {fam!r}")
     return algebroid.make_action_algebroid(alg, action, chart)
 
 
 def resolve_model(spec) -> tuple[str, object]:
-    if isinstance(spec, str):
-        try:
+    try:
+        if isinstance(spec, str):
             return spec, models.load_model(spec)
-        except KeyError as e:
-            raise ScenarioError(str(e)) from None
-    if isinstance(spec, dict) and "action_algebroid" in spec:
-        return "inline-action-algebroid", _build_inline_action(spec["action_algebroid"])
-    if isinstance(spec, dict) and "metric" in spec:
-        metric = geometry.metric_by_name(spec["metric"])
-        lo, hi = metric.chart.sample_box()
-        name = f"riemannian:{spec['metric']}"
-        return name, models.riemannian_model(name, metric, (lo + hi) / 2, with_model=False)
+        if isinstance(spec, dict) and "action_algebroid" in spec:
+            return "inline-action-algebroid", _build_inline_action(spec["action_algebroid"])
+        if isinstance(spec, dict) and "metric" in spec:
+            metric = geometry.metric_by_name(spec["metric"])
+            lo, hi = metric.chart.sample_box()
+            name = f"riemannian:{spec['metric']}"
+            return name, models.riemannian_model(name, metric, (lo + hi) / 2, with_model=False)
+    except (KeyError, TypeError, ValueError) as e:  # from building the model
+        raise ScenarioError(f"cannot build model {spec!r} ({type(e).__name__}: {e})") from None
     raise ScenarioError("model must be a catalog name, an action_algebroid "
                         "block, or a metric block")
 
 
-# The model kinds each op accepts.  Charted models expose the algebroid
-# chart their checks run on as ``model.chart``; cocycle reads no model.
+# -- parameter kinds --------------------------------------------------------------
+# A kind takes a parameter's value and the scenario's model.  It returns
+# None when the value has the kind, and otherwise what the value must be.
+
+def _numeric_shape(x) -> tuple | None:
+    """Shape of x as an array of finite numbers; None when x holds anything
+    else (strings, bools, None, nan, inf) or is ragged."""
+    try:
+        leaves = np.asarray(x, dtype=object).ravel()
+        shape = np.shape(np.asarray(x, dtype=float))
+    except (TypeError, ValueError, OverflowError):
+        return None
+    return shape if all(map(_is_real, leaves)) else None
+
+
+def _is_real(x) -> bool:
+    try:
+        return isinstance(x, (int, float)) and not isinstance(x, bool) and math.isfinite(x)
+    except OverflowError:       # an int too large for a float
+        return False
+
+
+def _positive(x, model):
+    return None if _is_real(x) and x > 0 else "a positive finite number"
+
+
+def _tol(x, model):
+    """A positive finite number that the parse pass multiplies by --tol-scale."""
+    return _positive(x, model)
+
+
+def _number(x, model):
+    return None if _is_real(x) else "a finite number"
+
+
+def _count(x, model):
+    return None if type(x) is int and x > 0 else "a positive integer"
+
+
+def _one_of(*choices):
+    return lambda x, model: (None if any(type(x) is type(c) and x == c for c in choices)
+                             else " or ".join(map(repr, choices)))
+
+
+def _numbers(size, what):
+    """A list of size(model) finite numbers."""
+    return lambda x, model: (None if _numeric_shape(x) == (size(model),)
+                             else f"a list of {size(model)} numbers ({what})")
+
+
+_fiber = _numbers(lambda model: model.chart.rank, "the model's rank")
+_span = _numbers(lambda model: 2, "start and end time")
+_eigenvalues = _numbers(lambda model: len(model.loops) * model.chart.rank,
+                        "the model's rank per loop")
+
+
+def _point(x, model):
+    base = model.chart.base
+    if _numeric_shape(x) != (base.dim,) or not base.contains(x):
+        return (f"a list of {base.dim} numbers inside the model's chart, from "
+                f"{np.asarray(base.lower).tolist()} to {np.asarray(base.upper).tolist()}")
+
+
+def _seeds(x, model):
+    if not (isinstance(x, list) and x
+            and all(isinstance(s, dict) and set(s) == {"point", "fiber"} for s in x)):
+        return "a non-empty list of mappings with a point and a fiber"
+    for s in x:
+        for key, kind in (("point", _point), ("fiber", _fiber)):
+            if wrong := kind(s[key], model):
+                return f"seeds whose {key} is {wrong}"
+
+
+def _entries(x, model):
+    ok = isinstance(x, list) and x and all(
+        isinstance(e, dict) and set(e) == {"i", "j", "A", "b", "M"}
+        and type(e["i"]) is int and type(e["j"]) is int for e in x)
+    shapes = {tuple(_numeric_shape(e[k]) for k in "AbM") for e in x} if ok else set()
+    A, b, M = shapes.pop() if len(shapes) == 1 else (None, None, None)
+    if b is None or len(b) != 1 or A != b * 2 or M is None or len(M) != 2 or M != M[:1] * 2:
+        return ("a non-empty list of mappings with integers i and j, a square matrix A, "
+                "a vector b of A's size and a square matrix M, all of one size")
+
+
+def _metric(x, model):
+    if x == "model":
+        return None if isinstance(model, models.RiemannianModel) else (
+            f"a metric name ('model' needs a RiemannianModel model, not a {type(model).__name__})")
+    n = model.chart.base.dim
+    try:
+        if geometry.metric_by_name(x).chart.dim == n:
+            return None
+    except ValueError:      # no such metric
+        pass
+    return f"'model' or a metric name of the base dimension, like sphere({n})"
+
+
+# -- check declarations -------------------------------------------------------------
+
+REQUIRED = object()     # the default of a parameter a check cannot run without
+
+# Charted models expose the algebroid chart their checks run on as
+# ``model.chart``; cocycle reads no model.
 _CHARTED = (models.GluedModel, models.RiemannianModel, algebroid.ActionAlgebroid)
-_MODEL_KINDS = {
-    **dict.fromkeys(("is_cartan", "is_flat", "geodesic_escape", "completeness",
-                     "invariant_metric"), _CHARTED),
-    **dict.fromkeys(("monodromy", "compactness_probe", "reconstruct",
-                     "equivariance_diagram"), (models.GluedModel,)),
-    **dict.fromkeys(("scalar_form_fit", "classify"), (models.RiemannianModel,)),
-    **dict.fromkeys(("dual_pair", "local_lie_group", "obstruction_form"),
-                    (models.LocalLieGroupModel,)),
-    "cocycle": (object,),
+_GLUED = (models.GluedModel,)
+_RIEMANNIAN = (models.RiemannianModel,)
+_LOCAL_LIE_GROUP = (models.LocalLieGroupModel,)
+_PASS_FAIL = ("pass", _one_of("pass", "fail"))
+_TENSOR = {"samples": (50, _count), "tol": (1e-7, _tol), "expect": _PASS_FAIL}
+
+# op -> (the model types it accepts, {parameter: (default, kind)})
+OPS = {
+    "is_cartan": (_CHARTED, _TENSOR),
+    "is_flat": (_CHARTED, _TENSOR),
+    "monodromy": (_GLUED, {"expect_eigenvalues": (None, _eigenvalues), "rtol": (1e-6, _tol),
+                           "automorphism_tol": (1e-6, _tol)}),
+    "geodesic_escape": (_CHARTED, {
+        "point": (REQUIRED, _point), "fiber": (REQUIRED, _fiber), "span": ((0.0, 1.0), _span),
+        "expect_t_star": (None, _number), "tol": (1e-3, _tol),
+        "expect_status": ("completed", _one_of("completed", "escaped_chart", "blowup"))}),
+    "completeness": (_CHARTED, {
+        "seeds": (REQUIRED, _seeds), "horizon": (100.0, _positive),
+        "expect": ("no-blowup-within-horizon",
+                   _one_of("no-blowup-within-horizon", "certified-incomplete"))}),
+    "scalar_form_fit": (_RIEMANNIAN, {"points": (20, _count), "expect_abs_s": (None, _number),
+                                      "tol": (1e-6, _tol), "spread_tol": (1e-6, _tol)}),
+    "classify": (_RIEMANNIAN, {"tol": (1e-6, _tol), "expect_tag": (
+        None, _one_of("euclidean", "spherical", "hyperbolic"))}),
+    "invariant_metric": (_CHARTED, {"metric": ("model", _metric), "samples": (10, _count),
+                                    "tol": (1e-7, _tol), "expect": _PASS_FAIL}),
+    "compactness_probe": (_GLUED, {
+        "expect": ("consistent-with-compact-closure",
+                   _one_of("consistent-with-compact-closure", "unbounded")),
+        "expect_witness_length": (None, _count)}),
+    "reconstruct": (_GLUED, {"monodromy_rtol": (1e-6, _tol),
+                             "expect_multiplier": (None, _positive), "rtol": (1e-6, _tol)}),
+    "equivariance_diagram": (_GLUED, {"samples": (6, _count), "tol": (1e-5, _tol)}),
+    "dual_pair": (_LOCAL_LIE_GROUP, {"tol": (1e-8, _tol), "expect": _PASS_FAIL}),
+    "local_lie_group": (_LOCAL_LIE_GROUP, {"tol": (1e-7, _tol)}),
+    "obstruction_form": (_LOCAL_LIE_GROUP, {
+        "samples": (5, _count), "dw_tol": (1e-7, _tol), "zero_tol": (1e-9, _tol),
+        "expect_zero": (False, _one_of(False, True))}),
+    "cocycle": ((object,), {"entries": (REQUIRED, _entries), "tol": (1e-9, _tol),
+                            "expect": _PASS_FAIL}),
 }
 
 
-# Parameters a check cannot run without, and the keys of each list item.
-_REQUIRED = {"geodesic_escape": ("point", "fiber"), "completeness": ("seeds",),
-             "cocycle": ("entries",)}
-_ITEM_FIELDS = {"seeds": ("point", "fiber"), "entries": ("i", "j", "A", "b", "M")}
+# -- parse pass -----------------------------------------------------------------------
 
-
-def _require_model_kind(op: str, params: dict, model) -> None:
-    kinds = _MODEL_KINDS[op]
-    if op == "invariant_metric" and params.get("metric", "model") == "model":
-        kinds = (models.RiemannianModel,)
+def parse_check(item, model, tol_scale: float) -> tuple[str, dict]:
+    """One check entry as (op, parameters): the op applies to the model,
+    every key is declared, every value has its kind, defaults are filled in
+    and every tolerance is multiplied by tol_scale."""
+    if not isinstance(item, dict) or "op" not in item:
+        raise ScenarioError("each check must be a mapping with an 'op' field")
+    op = item["op"]
+    if not isinstance(op, str) or op not in OPS:
+        raise ScenarioError(f"unknown check op {op!r}; known: {sorted(OPS)}")
+    kinds, declared = OPS[op]
     if not isinstance(model, kinds):
-        wanted = " or ".join(k.__name__ for k in kinds)
-        raise ScenarioError(f"check {op!r} needs a {wanted} model, "
-                            f"not a {type(model).__name__}")
+        raise ScenarioError(f"check {op!r} needs a {' or '.join(k.__name__ for k in kinds)} "
+                            f"model, not a {type(model).__name__}")
+    if extra := [key for key in item if key != "op" and key not in declared]:
+        raise ScenarioError(f"check {op!r} takes no parameter {extra[0]!r}; "
+                            f"it takes {', '.join(declared)}")
+    params = {}
+    for key, (default, kind) in declared.items():
+        val = item.get(key, default)
+        if val is REQUIRED:
+            raise ScenarioError(f"check {op!r} needs {key!r}")
+        if wrong := (key in item or val is not None) and kind(val, model):
+            raise ScenarioError(f"{key} of check {op!r} must be {wrong}, not {val!r}")
+        if kind is _tol:
+            val *= tol_scale
+            if wrong := _tol(val, model):
+                raise ScenarioError(f"{key} of check {op!r} times --tol-scale must be "
+                                    f"{wrong}, not {val!r}")
+        params[key] = val
+    return op, params
 
 
-def _numeric_shape(x) -> tuple | None:
-    """Shape of x as a float array; None when x is not numeric or is ragged."""
-    try:
-        return np.shape(np.asarray(x, dtype=float))
-    except (TypeError, ValueError):
-        return None
-
-
-def _require_point_shapes(op: str, params: dict, model) -> None:
-    """Each geodesic seed's point has the model's base dimension and its
-    fiber vector the model's rank."""
-    if op == "geodesic_escape":
-        seeds, where = [params], f"check {op!r}"
-    elif op == "completeness":
-        seeds, where = params["seeds"], f"the seeds of check {op!r}"
-    else:
-        return
-    dims = {"point": (model.chart.base.dim, "base dimension"),
-            "fiber": (model.chart.rank, "rank")}
-    for seed in seeds:
-        for key, (n, what) in dims.items():
-            if _numeric_shape(seed[key]) != (n,):
-                raise ScenarioError(f"{key} in {where} must be a list of {n} numbers "
-                                    f"(the model's {what}), not {seed[key]!r}")
-
-
-def _require_cocycle_shapes(op: str, params: dict) -> None:
-    """Each cocycle entry has integer chart indices, square A and M, and b
-    of A's size."""
-    if op != "cocycle":
-        return
-    for entry in params["entries"]:
-        A, b, M = (_numeric_shape(entry[k]) for k in ("A", "b", "M"))
-        indices = all(isinstance(entry[k], int) and not isinstance(entry[k], bool)
-                      for k in ("i", "j"))
-        if not (indices and _is_square(A) and b == A[:1] and _is_square(M)):
-            raise ScenarioError(f"in the entries of check {op!r}, i and j must be integers, "
-                                f"A a numeric square matrix, b a numeric vector of A's size "
-                                f"and M a numeric square matrix, not {entry!r}")
-
-
-def _is_square(shape) -> bool:
-    return shape is not None and len(shape) == 2 and shape[0] == shape[1]
+def parse_scenario(doc, seed: int | None, tol_scale: float) -> tuple[str, int, object, list]:
+    """The parse pass: the scenario's name, seed, model and parsed checks,
+    or a ScenarioError before any check runs."""
+    if not isinstance(doc, dict) or "name" not in doc:
+        raise ScenarioError("scenario must be a mapping with a 'name' field")
+    if extra := [key for key in doc if key not in ("name", "model", "seed", "checks")]:
+        raise ScenarioError(f"a scenario takes no key {extra[0]!r}; it takes name, model, "
+                            f"seed and checks")
+    seed = doc.get("seed", 42) if seed is None else seed
+    if isinstance(seed, bool) or not isinstance(seed, int) or seed < 0:
+        raise ScenarioError(f"seed must be a non-negative integer, not {seed!r}")
+    if not (_is_real(tol_scale) and tol_scale > 0):
+        raise ScenarioError(f"--tol-scale must be a positive finite number, not {tol_scale!r}")
+    checks = [] if doc.get("checks") is None else doc["checks"]
+    if not isinstance(checks, list):
+        raise ScenarioError("checks must be a list")
+    model = resolve_model(doc.get("model"))[1]
+    return doc["name"], seed, model, [parse_check(item, model, tol_scale) for item in checks]
 
 
 # -- check registry -------------------------------------------------------------
+# Each check reads the parameters as parse_check checked, filled and scaled them.
 
-def _expect(params, default="pass"):
-    return params.get("expect", default)
-
-
-def _verdict_against_expect(passed: bool, expect: str) -> bool:
-    if expect == "pass":
-        return passed
-    if expect == "fail":
-        return not passed
-    raise ScenarioError(f"expect must be pass or fail, got {expect!r}")
+def _as_expected(passed: bool, params) -> bool:
+    return passed == (params["expect"] == "pass")
 
 
-def check_is_cartan(model, params, ctx):
-    rep = cartan.is_cartan(model.chart, samples=params.get("samples", 50),
-                           tol=params.get("tol", 1e-7) * ctx["tol_scale"],
-                           seed=ctx["seed"])
-    verdict = _verdict_against_expect(rep.verdict, _expect(params))
-    components = len(rep.per_point) * math.comb(model.chart.rank, 2) * model.chart.base.dim
-    return CheckResult("is_cartan", verdict, rep.max_residual,
-                       {"samples": len(rep.per_point), "components_evaluated": components})
+def check_is_cartan(model, params, seed):
+    C = model.chart
+    rep = cartan.is_cartan(C, samples=params["samples"], tol=params["tol"], seed=seed)
+    return CheckResult("is_cartan", _as_expected(rep.verdict, params), rep.max_residual,
+                       {"samples": len(rep.per_point), "components_evaluated":
+                        len(rep.per_point) * math.comb(C.rank, 2) * C.base.dim})
 
 
-def check_is_flat(model, params, ctx):
-    rep = cartan.is_flat(model.chart, samples=params.get("samples", 50),
-                         tol=params.get("tol", 1e-7) * ctx["tol_scale"],
-                         seed=ctx["seed"])
-    verdict = _verdict_against_expect(rep.verdict, _expect(params))
-    components = len(rep.per_point) * math.comb(model.chart.base.dim, 2) * model.chart.rank
-    return CheckResult("is_flat", verdict, rep.max_residual,
-                       {"samples": len(rep.per_point), "components_evaluated": components})
+def check_is_flat(model, params, seed):
+    C = model.chart
+    rep = cartan.is_flat(C, samples=params["samples"], tol=params["tol"], seed=seed)
+    return CheckResult("is_flat", _as_expected(rep.verdict, params), rep.max_residual,
+                       {"samples": len(rep.per_point), "components_evaluated":
+                        len(rep.per_point) * math.comb(C.base.dim, 2) * C.rank})
 
 
-def check_monodromy(model, params, ctx):
-    eigs = []
-    worst = 0.0
-    auto_res = 0.0
+def check_monodromy(model, params, seed):
+    eigs, worst, auto_res = [], 0.0, 0.0
     for M in model.monodromies:
         eigs.extend(sorted(np.abs(np.linalg.eigvals(M.matrix)).tolist()))
         auto_res = max(auto_res, algebra.is_automorphism(M.source, M).residual)
-    expect_eigs = params.get("expect_eigenvalues")
-    rtol = params.get("rtol", 1e-6) * ctx["tol_scale"]
-    verdict = True
-    if expect_eigs is not None:
+    if params["expect_eigenvalues"] is not None:
         got = np.sort(np.asarray(eigs))
-        want = np.sort(np.asarray(expect_eigs, dtype=float))
+        want = np.sort(np.asarray(params["expect_eigenvalues"], dtype=float))
         worst = float(np.max(np.abs(got - want) / np.maximum(1.0, np.abs(want))))
-        verdict = worst <= rtol
-    verdict = verdict and auto_res <= params.get("automorphism_tol", 1e-6) * ctx["tol_scale"]
+    verdict = worst <= params["rtol"] and auto_res <= params["automorphism_tol"]
     return CheckResult("monodromy", verdict, worst,
                        {"eigenvalues": eigs, "automorphism_residual": auto_res})
 
 
-def check_geodesic_escape(model, params, ctx):
-    res = transport.geodesic(model.chart, np.asarray(params["point"], dtype=float),
-                             np.asarray(params["fiber"], dtype=float),
-                             span=tuple(params.get("span", (0.0, 1.0))))
-    t_star = params.get("expect_t_star")
-    tol = params.get("tol", 1e-3) * ctx["tol_scale"]
+def check_geodesic_escape(model, params, seed):
+    res = transport.geodesic(model.chart, params["point"], params["fiber"],
+                             span=tuple(params["span"]))
+    t_star = params["expect_t_star"]
     if t_star is not None:
         worst = abs(res.t_end - t_star)
-        verdict = res.certified_incomplete and worst <= tol
+        verdict = res.certified_incomplete and worst <= params["tol"]
     else:
         worst = 0.0
-        verdict = res.status == params.get("expect_status", "completed")
+        verdict = res.status == params["expect_status"]
     return CheckResult("geodesic_escape", verdict, worst,
                        {"status": res.status, "t_end": res.t_end})
 
 
-def check_completeness(model, params, ctx):
-    seeds = [(np.asarray(s["point"], dtype=float), np.asarray(s["fiber"], dtype=float))
-             for s in params["seeds"]]
-    verdicts = transport.completeness_probe(model.chart, seeds,
-                                            horizon=params.get("horizon", 100.0))
-    expect = params.get("expect", "no-blowup-within-horizon")
-    ok = all(v.verdict == expect for v in verdicts)
+def check_completeness(model, params, seed):
+    seeds = [(s["point"], s["fiber"]) for s in params["seeds"]]
+    verdicts = transport.completeness_probe(model.chart, seeds, horizon=params["horizon"])
+    ok = all(v.verdict == params["expect"] for v in verdicts)
     return CheckResult("completeness", ok, 0.0,
                        {"verdicts": [v.verdict for v in verdicts],
                         "t_star": [v.t_star for v in verdicts]})
 
 
-def check_scalar_form_fit(model, params, ctx):
+def check_scalar_form_fit(model, params, seed):
     rc = model.rc
-    rng = np.random.default_rng(ctx["seed"])
-    pts = rc.metric.chart.sample_points(rng, params.get("points", 20))
+    rng = np.random.default_rng(seed)
+    pts = rc.metric.chart.sample_points(rng, params["points"])
     fits = [geometry.scalar_form_fit(rc.lc, rc.metric, m) for m in pts]
     svals = [f.s for f in fits]
     spread = max(svals) - min(svals)
     resid = max(f.residual for f in fits)
-    verdict = True
-    if "expect_abs_s" in params:
-        verdict = abs(abs(np.mean(svals)) - params["expect_abs_s"]) <= \
-            params.get("tol", 1e-6) * ctx["tol_scale"]
-    verdict = verdict and spread <= params.get("spread_tol", 1e-6) * ctx["tol_scale"]
+    verdict = spread <= params["spread_tol"]
+    if params["expect_abs_s"] is not None:
+        verdict = abs(abs(np.mean(svals)) - params["expect_abs_s"]) <= params["tol"] and verdict
     return CheckResult("scalar_form_fit", verdict, max(spread, resid),
                        {"s_mean": float(np.mean(svals)), "spread": spread})
 
 
-def check_classify(model, params, ctx):
-    cls = models.classify_constant_curvature(model.rc, model.m0,
-                                             tol=params.get("tol", 1e-6) * ctx["tol_scale"])
-    verdict = cls.tag == params.get("expect_tag", cls.tag)
-    return CheckResult("classify", verdict, cls.structure_residual,
+def check_classify(model, params, seed):
+    cls = models.classify_constant_curvature(model.rc, model.m0, tol=params["tol"])
+    return CheckResult("classify", params["expect_tag"] in (None, cls.tag),
+                       cls.structure_residual,
                        {"tag": cls.tag, "s": cls.s, "model_algebra": cls.model_algebra,
                         "torsion_form": cls.torsion_form})
 
 
-def check_invariant_metric(model, params, ctx):
-    chart = model.chart
-    name = params.get("metric", "model")
+def check_invariant_metric(model, params, seed):
+    chart, name = model.chart, params["metric"]
     if name == "model":
         sigma = model.metric
     else:
-        base = chart.base
         metric = geometry.metric_by_name(name)
-        sigma = geometry.SmoothField(base, metric.shape,
-                                     metric.fn, name=metric.name)
-    rng = np.random.default_rng(ctx["seed"])
-    rep = transport.invariant_metric_check(
-        chart, sigma, tol=params.get("tol", 1e-7) * ctx["tol_scale"],
-        samples=chart.base.sample_points(rng, params.get("samples", 10)))
-    verdict = _verdict_against_expect(rep.verdict, _expect(params))
-    return CheckResult("invariant_metric", verdict, rep.max_residual, {})
+        sigma = geometry.SmoothField(chart.base, metric.shape, metric.fn, name=metric.name)
+    pts = chart.base.sample_points(np.random.default_rng(seed), params["samples"])
+    rep = transport.invariant_metric_check(chart, sigma, tol=params["tol"], samples=pts)
+    return CheckResult("invariant_metric", _as_expected(rep.verdict, params),
+                       rep.max_residual, {})
 
 
-def check_compactness_probe(model, params, ctx):
+def check_compactness_probe(model, params, seed):
     rep = transport.monodromy_compactness_probe(model.monodromies)
-    expect = params.get("expect", "consistent-with-compact-closure")
     witness = list(rep.witness_word) if rep.witness_word else None
-    verdict = rep.verdict == expect
-    if verdict and expect == "unbounded" and "expect_witness_length" in params:
-        verdict = witness is not None and len(witness) == params["expect_witness_length"]
+    verdict = rep.verdict == params["expect"]
+    length = params["expect_witness_length"]
+    if verdict and rep.verdict == "unbounded" and length is not None:
+        verdict = witness is not None and len(witness) == length
     return CheckResult("compactness_probe", verdict, rep.max_modulus_deviation,
                        {"verdict": rep.verdict, "witness_word": witness})
 
 
-def check_reconstruct(model, params, ctx):
+def check_reconstruct(model, params, seed):
     atlas = development.reconstruct_atlas(model.glued, model.homog, model.atlas_spec)
     # each loop's transport must equal its deck twist
-    mono = 0.0
-    for mono_map, deck in zip(model.monodromies, model.decks):
-        M = mono_map.matrix
-        twist = deck.twist.matrix
-        scale = max(1.0, float(np.max(np.abs(twist))))
-        mono = max(mono, float(np.max(np.abs(M - twist))) / scale)
+    mono = max((float(np.max(np.abs(M.matrix - d.twist.matrix)))
+                / max(1.0, float(np.max(np.abs(d.twist.matrix))))
+                for M, d in zip(model.monodromies, model.decks)), default=0.0)
     worst = max((t.residual for t in atlas.transitions), default=0.0)
-    verdict = atlas.passed and mono <= params.get("monodromy_rtol", 1e-6) * ctx["tol_scale"]
-    mult = params.get("expect_multiplier")
+    verdict = atlas.passed and mono <= params["monodromy_rtol"]
+    mult = params["expect_multiplier"]
     witnesses = {
         "jacobian_min_abs_det": atlas.jacobian_min_abs_det,
         "monodromy_vs_twist": mono,
@@ -377,136 +470,66 @@ def check_reconstruct(model, params, ctx):
     if mult is not None:
         fitted = max(float(np.max(np.abs(t.affine_matrix))) for t in atlas.transitions)
         rel = abs(fitted - mult) / abs(mult)
-        verdict = verdict and rel <= params.get("rtol", 1e-6) * ctx["tol_scale"]
+        verdict = verdict and rel <= params["rtol"]
         witnesses["fitted_multiplier"] = fitted
     return CheckResult("reconstruct", verdict, worst, witnesses)
 
 
-def check_equivariance_diagram(model, params, ctx):
-    rng = np.random.default_rng(ctx["seed"])
-    tol = params.get("tol", 1e-5) * ctx["tol_scale"]
+def check_equivariance_diagram(model, params, seed):
+    rng = np.random.default_rng(seed)
     box = model.sample_box
-    pts = rng.uniform(box.lower, box.upper, (params.get("samples", 6), box.dim))
+    pts = rng.uniform(box.lower, box.upper, (params["samples"], box.dim))
     rep = development.equivariance_diagram_check(model.cover, model.homog, model.decks[0],
-                                                 model.atlas_spec.m0, pts, tol=tol)
+                                                 model.atlas_spec.m0, pts, tol=params["tol"])
     return CheckResult("equivariance_diagram", rep.verdict, rep.max_residual, {})
 
 
-def check_dual_pair(model, params, ctx):
-    rep = models.check_dual_pair(model.pair, tol=params.get("tol", 1e-8) * ctx["tol_scale"],
-                                 seed=ctx["seed"])
-    verdict = _verdict_against_expect(rep.verdict, _expect(params))
-    return CheckResult("dual_pair", verdict, rep.max_residual, {})
+def check_dual_pair(model, params, seed):
+    rep = models.check_dual_pair(model.pair, tol=params["tol"], seed=seed)
+    return CheckResult("dual_pair", _as_expected(rep.verdict, params), rep.max_residual, {})
 
 
-def check_local_lie_group(model, params, ctx):
-    rep = models.local_lie_group_check(model.pair,
-                                       tol=params.get("tol", 1e-7) * ctx["tol_scale"],
-                                       seed=ctx["seed"])
+def check_local_lie_group(model, params, seed):
+    rep = models.local_lie_group_check(model.pair, tol=params["tol"], seed=seed)
     return CheckResult("local_lie_group", rep.passed,
                        max(rep.flat_residual, rep.flat_bar_residual,
                            rep.parallel_torsion_residual),
                        {"jacobi_residual": rep.jacobi_residual})
 
 
-def check_obstruction_form(model, params, ctx):
-    rng = np.random.default_rng(ctx["seed"])
-    pts = model.pair.chart.sample_points(rng, params.get("samples", 5))
-    dw = 0.0
-    wmax = 0.0
+def check_obstruction_form(model, params, seed):
+    rng = np.random.default_rng(seed)
+    pts = model.pair.chart.sample_points(rng, params["samples"])
+    dw, wmax = 0.0, 0.0
     for m in pts:
         ob = models.obstruction_form(model.pair, m)
         dw = max(dw, ob.dw_residual)
         wmax = max(wmax, float(np.max(np.abs(ob.w))))
-    verdict = dw <= params.get("dw_tol", 1e-7) * ctx["tol_scale"]
-    is_zero = wmax <= params.get("zero_tol", 1e-9) * ctx["tol_scale"]
-    verdict = verdict and is_zero == bool(params.get("expect_zero", False))
+    is_zero = wmax <= params["zero_tol"]
+    verdict = dw <= params["dw_tol"] and is_zero == params["expect_zero"]
     return CheckResult("obstruction_form", verdict, dw,
                        {"max_abs_w": wmax, "dw_residual": dw})
 
 
-def check_cocycle(model, params, ctx):
-    entries = {}
-    for e in params["entries"]:
-        key = (int(e["i"]), int(e["j"]))
-        entries[key] = algebroid.AffineCocycleEntry(
-            np.asarray(e["A"], dtype=float), np.asarray(e["b"], dtype=float),
-            np.asarray(e["M"], dtype=float))
-    rep = algebroid.check_cocycle(entries, tol=params.get("tol", 1e-9) * ctx["tol_scale"])
-    verdict = _verdict_against_expect(rep.passed, _expect(params))
-    return CheckResult("cocycle", verdict,
+def check_cocycle(model, params, seed):
+    entries = {(e["i"], e["j"]): algebroid.AffineCocycleEntry(
+        *(np.asarray(e[k], dtype=float) for k in "AbM")) for e in params["entries"]}
+    rep = algebroid.check_cocycle(entries, tol=params["tol"])
+    return CheckResult("cocycle", _as_expected(rep.passed, params),
                        max(rep.identity_residual, rep.composition_residual),
                        {"failures": list(rep.failures)})
 
 
-CHECKS = {
-    "is_cartan": check_is_cartan,
-    "is_flat": check_is_flat,
-    "monodromy": check_monodromy,
-    "geodesic_escape": check_geodesic_escape,
-    "completeness": check_completeness,
-    "scalar_form_fit": check_scalar_form_fit,
-    "classify": check_classify,
-    "invariant_metric": check_invariant_metric,
-    "compactness_probe": check_compactness_probe,
-    "reconstruct": check_reconstruct,
-    "equivariance_diagram": check_equivariance_diagram,
-    "dual_pair": check_dual_pair,
-    "local_lie_group": check_local_lie_group,
-    "obstruction_form": check_obstruction_form,
-    "cocycle": check_cocycle,
-}
+CHECKS = {op: globals()[f"check_{op}"] for op in OPS}
 
 
 def run_scenario(doc: dict, seed: int | None = None, tol_scale: float = 1.0) -> Report:
-    if not isinstance(doc, dict) or "name" not in doc:
-        raise ScenarioError("scenario must be a mapping with a 'name' field")
-    name = doc["name"]
-    seed = int(doc.get("seed", 42) if seed is None else seed)
-    if tol_scale <= 0:
-        raise ScenarioError("tolerance scale must be positive")
-    model_name, model = resolve_model(doc.get("model"))
-    ctx = {"seed": seed, "tol_scale": tol_scale}
-    checks = []
-    for item in doc.get("checks", []) or []:
-        if "op" not in item:
-            raise ScenarioError("each check needs an 'op' field")
-        op = item["op"]
-        if op not in CHECKS:
-            raise ScenarioError(f"unknown check op {op!r}; known: {sorted(CHECKS)}")
-        params = {k: v for k, v in item.items() if k != "op"}
-        for key in _REQUIRED.get(op, ()):
-            if key not in params:
-                raise ScenarioError(f"check {op!r} needs {key!r}")
-            fields = _ITEM_FIELDS.get(key, ())
-            if fields and not (isinstance(params[key], list) and all(
-                    isinstance(it, dict) and all(f in it for f in fields)
-                    for it in params[key])):
-                raise ScenarioError(f"{key} of check {op!r} must be a list of mappings "
-                                    f"with {', '.join(fields)}")
-        for key, val in params.items():
-            if key == "tol" or key.endswith("_tol") or key == "rtol":
-                if isinstance(val, bool) or not isinstance(val, (int, float)):
-                    raise ScenarioError(f"tolerance {key} of check {op!r} must be a number, "
-                                        f"not {val!r}")
-                if not val > 0:
-                    raise ScenarioError(f"tolerance {key} of check {op!r} must be positive")
-            if key in ("samples", "points") and \
-                    (isinstance(val, bool) or not isinstance(val, int) or val <= 0):
-                raise ScenarioError(f"{key} of check {op!r} must be a positive integer")
-            if key == "horizon" and (isinstance(val, bool) or not isinstance(val, (int, float))
-                                     or not 0 < val < math.inf):
-                raise ScenarioError(f"horizon of check {op!r} must be a positive finite number")
-        _require_model_kind(op, params, model)
-        _require_point_shapes(op, params, model)
-        _require_cocycle_shapes(op, params)
-        checks.append((op, params))
+    name, seed, model, checks = parse_scenario(doc, seed, tol_scale)
     results = []
     for op, params in checks:
         t0 = time.perf_counter()
-        res = CHECKS[op](model, params, ctx)
-        res.wall_clock = time.perf_counter() - t0
-        results.append(res)
+        results.append(CHECKS[op](model, params, seed))
+        results[-1].wall_clock = time.perf_counter() - t0
     return Report(name, seed, results)
 
 
@@ -524,22 +547,16 @@ def load_scenario_file(path: str) -> dict:
 
 
 def bundled_scenarios() -> dict[str, str]:
-    out = {}
     pkg = resources.files("cartanlab") / "scenarios"
-    for entry in sorted(pkg.iterdir(), key=lambda p: p.name):
-        if entry.name.endswith(".yaml"):
-            out[entry.name[:-5]] = str(entry)
-    return out
+    return {entry.name[:-5]: str(entry) for entry in sorted(pkg.iterdir(), key=lambda p: p.name)
+            if entry.name.endswith(".yaml")}
 
 
 def list_examples() -> str:
-    lines = ["catalog models:"]
-    for name in sorted(models.CATALOG):
-        lines.append(f"  {name}")
-    lines.append("bundled scenarios:")
-    for name, path in bundled_scenarios().items():
-        lines.append(f"  {name}  ({path})")
-    lines.append('metric families: euclidean(n), sphere(n), hyperbolic(n)')
+    lines = ["catalog models:", *(f"  {name}" for name in sorted(models.CATALOG)),
+             "bundled scenarios:",
+             *(f"  {name}  ({path})" for name, path in bundled_scenarios().items()),
+             "metric families: euclidean(n), sphere(n), hyperbolic(n)"]
     return "\n".join(lines) + "\n"
 
 
@@ -591,8 +608,7 @@ def main(argv=None) -> int:
     except ScenarioError as e:
         sys.stderr.write(f"error: {e}\n")
         return 2
-    out_text = export_report(report, args.format)
-    sys.stdout.write(out_text)
+    sys.stdout.write(export_report(report, args.format))
     if args.out:
         Path(args.out).write_text(report.to_json())
     return 0 if report.verdict else 1

@@ -359,11 +359,14 @@ METRIC_CATALOG = {
 
 def metric_by_name(name: str) -> SmoothField:
     """Resolve names like ``euclidean(2)`` or ``sphere(2)``."""
+    if not isinstance(name, str):
+        raise GeometryError(f"a metric name is a string, not {name!r}")
     name = name.strip()
     if "(" in name and name.endswith(")"):
         base, arg = name[:-1].split("(", 1)
-        if base not in METRIC_CATALOG:
-            raise GeometryError(f"unknown metric family {base!r}")
+        if base not in METRIC_CATALOG or not arg.isdecimal() or int(arg) < 1:
+            raise GeometryError(f"no metric {name!r}: the families are "
+                                f"{', '.join(METRIC_CATALOG)}, each of a positive dimension")
         return METRIC_CATALOG[base](int(arg))
     if name == "ellipsoid":
         return ellipsoid_metric()

@@ -98,14 +98,13 @@ class GPath:
     times: np.ndarray
     base: np.ndarray       # (T, n)
     fiber: np.ndarray      # (T, r)
-    velocity: np.ndarray   # (T, n)
+    charts: tuple          # (T,) the chart whose coordinates each row is in
 
-    def anchor_residual(self, C: AlgebroidChart) -> float:
-        res = 0.0
-        for t, m, x, v in zip(self.times, self.base, self.fiber, self.velocity):
-            a = value(np.asarray(C.anchor(as_point(m)), dtype=object))
-            res = max(res, float(np.max(np.abs(a @ x - v))))
-        return res
+    @property
+    def velocity(self) -> np.ndarray:
+        """(T, n) base velocity a(m)X of each row, in its chart's coordinates."""
+        return np.array([value(np.asarray(C.anchor(as_point(m)), dtype=object)) @ x
+                         for C, m, x in zip(self.charts, self.base, self.fiber)])
 
     def to_table(self) -> list[list[float]]:
         """Rows (t, m..., X...) for CSV-style export."""
@@ -337,7 +336,7 @@ def _geodesic_run(G: GluedAlgebroid, chart: int, m0, X0, span, blowup_norm: floa
     t_final = float(span[1])
     m = np.asarray(m0, dtype=float)
     x = np.asarray(X0, dtype=float)
-    times, bases, fibers, vels = [], [], [], []
+    times, bases, fibers, charts = [], [], [], []
     switches = 0
     status = "completed"
     while True:
@@ -348,8 +347,7 @@ def _geodesic_run(G: GluedAlgebroid, chart: int, m0, X0, span, blowup_norm: floa
         times.extend(out.times.tolist())
         bases.extend(out.states[:, :n].tolist())
         fibers.extend(out.states[:, n:].tolist())
-        vels.extend([(value(np.asarray(C.anchor(as_point(mm)), dtype=object)) @ xx).tolist()
-                     for mm, xx in zip(out.states[:, :n], out.states[:, n:])])
+        charts.extend([C] * len(out.times))
         t = out.t_end
         m, x = out.states[-1, :n], out.states[-1, n:]
         if out.status == "completed":
@@ -370,7 +368,7 @@ def _geodesic_run(G: GluedAlgebroid, chart: int, m0, X0, span, blowup_norm: floa
         if switches > max_switches:
             status = "blowup"
             break
-    gp = GPath(np.asarray(times), np.asarray(bases), np.asarray(fibers), np.asarray(vels))
+    gp = GPath(np.asarray(times), np.asarray(bases), np.asarray(fibers), tuple(charts))
     return GeodesicResult(gp, status, t, chart, switches)
 
 

@@ -263,3 +263,31 @@ def test_infinitesimalize_rejects_bad_cocycle():
 def test_bundled_glued_models_intertwine(circle, torus):
     assert check_overlap_compatibility(circle.glued, tol=1e-7).passed
     assert check_overlap_compatibility(torus.glued, tol=1e-7).passed
+
+
+def test_jets_evaluate_only_the_fields_a_check_reads(so3_action):
+    from cartanlab import cartan, geometry, transport
+    C0 = so3_action.chart
+    calls = []
+    C = algebroid.AlgebroidChart(C0.base, C0.rank, C0.anchor, C0.gamma,
+                                 lambda m: calls.append(m) or C0.torsion(m))
+    pts = C.base.halton_points(2)
+    cartan.is_flat(C, samples=pts)
+    transport.invariant_metric_check(C, geometry.SmoothField.constant(C.base, np.eye(3)),
+                                     samples=pts)
+    assert calls == []
+    cartan.is_cartan(C, samples=pts)
+    assert calls
+
+
+def test_jet_arrays_read_in_any_order_match(sphere):
+    C = sphere.rc.chart
+    fields = ("anchor", "d_anchor", "gamma", "d_gamma", "torsion", "d_torsion")
+    for m in C.base.halton_points(2):
+        J = C.jet(m)
+        whole = [getattr(J, f) for f in fields]
+        assert all(getattr(J, f) is a for f, a in zip(fields, whole))
+        for order in (fields[::-1], fields[2::2] + fields[1::2] + fields[:1]):
+            J = C.jet(m)
+            got = {f: getattr(J, f) for f in order}
+            assert all(np.array_equal(got[f], a) for f, a in zip(fields, whole))

@@ -2,13 +2,14 @@ import copy
 import json
 import math
 from pathlib import Path
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
 import yaml
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from cartanlab import algebra, cli
+from cartanlab import algebra, cli, models
 from cartanlab.cli import (ScenarioError, bundled_scenarios,
                            export_report, list_examples,
                            report_from_structured, run_scenario)
@@ -206,6 +207,181 @@ def test_point_outside_the_circle_base_is_scenario_error(tmp_path, capsys):
     assert captured.out == "" and "Traceback" not in captured.err
 
 
+def _exits_2_before_any_check(doc, words, monkeypatch, tmp_path, capsys, flags=()):
+    """cli.main rejects doc with exit 2, an error line naming every one of
+    words, an empty stdout and no traceback, before any check runs."""
+    calls = []
+    for op, fn in list(cli.CHECKS.items()):
+        monkeypatch.setitem(cli.CHECKS, op,
+                            lambda *a, _op=op, _fn=fn: calls.append(_op) or _fn(*a))
+    path = tmp_path / "bad.yaml"
+    path.write_text(yaml.safe_dump(doc))
+    assert cli.main(["run", str(path), *flags]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and calls == [] and "Traceback" not in err
+    assert err.startswith("error:") and all(w in err for w in words), err
+
+
+# each bad check follows this valid one, which runs on every model
+VALID_FIRST = {"op": "cocycle", "entries": [ENTRY]}
+CIRCLE_GEODESIC = {"op": "geodesic_escape", "point": [0.0], "fiber": [1.0]}
+
+
+@pytest.mark.parametrize("model,check,key", [
+    pytest.param("flat_torus", {"op": "reconstruct", "monodromy_rtol": "x"},
+                 "monodromy_rtol", id="a-rtol-string"),
+    pytest.param("sphere2", {"op": "invariant_metric", "metric": "nonsense"}, "metric",
+                 id="b-unknown-metric"),
+    pytest.param("flat_torus", {"op": "invariant_metric", "metric": "euclidean(3)"}, "metric",
+                 id="c-metric-of-another-dimension"),
+    pytest.param("counterexample_s1", {**CIRCLE_GEODESIC, "expect_t_star": "soon"},
+                 "expect_t_star", id="d-t-star-string"),
+    pytest.param("counterexample_s1", {**CIRCLE_GEODESIC, "span": [0.0]}, "span",
+                 id="e-span-of-one-number"),
+    pytest.param("flat_torus", {"op": "completeness", "expect": "sometimes",
+                                "seeds": [{"point": [0.1, 0.2], "fiber": [1.0, 0.5]}]},
+                 "expect", id="f-unknown-expect"),
+    pytest.param("sphere2", {"op": "is_flat", "sample": 3}, "sample", id="g-misspelled-key"),
+    pytest.param({"metric": "ellipsoid"}, {"op": "is_flat", "tol": math.inf}, "tol",
+                 id="h-infinite-tol"),
+    pytest.param("sphere2", {"op": "is_cartan", "expect": "maybe"}, "expect",
+                 id="i-expect-maybe"),
+    pytest.param("counterexample_s1", {"op": "invariant_metric", "metric": "sphere(-1)"},
+                 "metric", id="metric-of-negative-dimension"),
+    pytest.param("sphere2", {"op": "geodesic_escape", "point": [0.0, 1.0],
+                             "fiber": [1.0, 0.0, 0.0]}, "point", id="point-off-the-chart"),
+])
+def test_malformed_check_exits_2_before_any_check(model, check, key, monkeypatch, tmp_path,
+                                                  capsys):
+    doc = {"name": "malformed", "model": model, "checks": [VALID_FIRST, check]}
+    _exits_2_before_any_check(doc, (check["op"], key), monkeypatch, tmp_path, capsys)
+
+
+def _without(key):
+    block = copy.deepcopy(INLINE_ACTION["action_algebroid"])
+    del block[key]
+    return {"action_algebroid": block}
+
+
+@pytest.mark.parametrize("spec,words", [
+    pytest.param(_without("algebra"), ("action_algebroid", "algebra"), id="no-algebra"),
+    pytest.param(_without("chart"), ("action_algebroid", "chart"), id="j-no-chart"),
+    pytest.param(_without("action"), ("action_algebroid", "action"), id="no-action"),
+    pytest.param({"metric": "sphere(x)"}, ("metric", "sphere(x)"), id="k-sphere-of-x"),
+    pytest.param({"metric": "torus(2)"}, ("metric", "torus(2)"), id="unknown-metric-family"),
+    pytest.param({"metric": "flat"}, ("metric", "flat"), id="unknown-metric-name"),
+    pytest.param({"metric": 5}, ("metric", "5"), id="metric-not-a-string"),
+    pytest.param({"metric": "sphere(0)"}, ("metric", "sphere(0)"), id="metric-of-dimension-0"),
+    pytest.param({"action_algebroid": {**INLINE_ACTION["action_algebroid"],
+                                       "chart": {"lower": [2.0], "upper": [-2.0]}}},
+                 ("action_algebroid", "lower < upper"), id="lower-above-upper"),
+    pytest.param({"action_algebroid": {**INLINE_ACTION["action_algebroid"], "algebra": {
+        "structure_constants": [[[0, 0, 0], [0, 0, 1], [-1, 0, 0]],
+                                [[0, 0, -1], [0, 0, 0], [1, 0, 0]],
+                                [[1, 0, 0], [-1, 0, 0], [0, 0, 0]]]}}},
+                 ("action_algebroid", "Jacobi"), id="not-a-lie-algebra"),
+])
+def test_bad_model_blocks_are_scenario_errors(spec, words, monkeypatch, tmp_path, capsys):
+    doc = {"name": "bad-model", "model": spec, "checks": [VALID_FIRST]}
+    with pytest.raises(ScenarioError):
+        run_scenario(doc)
+    _exits_2_before_any_check(doc, words, monkeypatch, tmp_path, capsys)
+
+
+@pytest.mark.parametrize("bad", [math.inf, math.nan])
+def test_tolerances_and_their_scale_must_be_finite(bad, monkeypatch, tmp_path, capsys):
+    # the ellipsoid is not flat; only a tolerance that is no finite number certifies it
+    doc = {"name": "ellipsoid", "model": {"metric": "ellipsoid"},
+           "checks": [{"op": "is_flat", "samples": 2}]}
+    path = tmp_path / "ellipsoid.yaml"
+    path.write_text(yaml.safe_dump(doc))
+    assert cli.main(["run", str(path)]) == 1
+    capsys.readouterr()
+    _exits_2_before_any_check(doc, ("--tol-scale",), monkeypatch, tmp_path, capsys,
+                              flags=("--tol-scale", str(bad)))
+    for op, key in (("is_flat", "tol"), ("monodromy", "rtol"),
+                    ("obstruction_form", "dw_tol")):
+        model = {"is_flat": {"metric": "ellipsoid"}, "monodromy": "flat_torus",
+                 "obstruction_form": "affine_line_group"}[op]
+        doc = {"name": "bad-tol", "model": model, "checks": [{"op": op, key: bad}]}
+        _exits_2_before_any_check(doc, (op, key), monkeypatch, tmp_path, capsys)
+
+
+def test_a_tolerance_scaled_past_the_floats_is_rejected():
+    doc = {"name": "overflow", "model": "affine_line_group",
+           "checks": [{"op": "dual_pair", "tol": 1e300}]}
+    assert run_scenario(doc, tol_scale=1e8).verdict
+    with pytest.raises(ScenarioError, match="times --tol-scale"):
+        run_scenario(doc, tol_scale=1e10)
+
+
+# -- the parse pass, op by op and parameter by parameter -------------------------
+
+PARSE_MODELS = {name: models.load_model(name)
+                for name in ("sphere2", "flat_torus", "affine_line_group")}
+SPHERE_SEED = {"point": [1.0, 0.5], "fiber": [1.0, 0.0, 0.0]}
+REQUIRED_PARAMS = {"geodesic_escape": SPHERE_SEED, "completeness": {"seeds": [SPHERE_SEED]},
+                   "cocycle": {"entries": [ENTRY]}}
+DECLARED = [(op, key) for op, (_, params) in cli.OPS.items() for key in params]
+
+
+def _model_name(op):
+    return next(name for name, model in PARSE_MODELS.items()
+                if isinstance(model, cli.OPS[op][0]))
+
+
+# a value of the wrong kind for each kind; one-of kinds get "maybe"
+WRONG_KIND = {cli._tol: math.inf, cli._positive: 0, cli._number: "soon", cli._count: 2.5,
+              cli._point: [9.0, 9.0], cli._fiber: [1.0], cli._span: [0.0],
+              cli._eigenvalues: [1.0], cli._seeds: [], cli._entries: [{**ENTRY, "i": 0.5}],
+              cli._metric: "nonsense"}
+
+
+@pytest.mark.parametrize("op,key", DECLARED)
+def test_each_parameter_rejects_a_value_of_the_wrong_kind(op, key, monkeypatch, tmp_path,
+                                                          capsys):
+    kind = cli.OPS[op][1][key][1]
+    check = {"op": op, **REQUIRED_PARAMS.get(op, {}), key: WRONG_KIND.get(kind, "maybe")}
+    doc = {"name": "wrong-kind", "model": _model_name(op), "checks": [VALID_FIRST, check]}
+    _exits_2_before_any_check(doc, (op, key), monkeypatch, tmp_path, capsys)
+
+
+def test_each_op_runs_with_only_its_required_parameters():
+    for op in cli.OPS:
+        model = PARSE_MODELS[_model_name(op)]
+        assert cli.parse_check({"op": op, **REQUIRED_PARAMS.get(op, {})}, model, 1.0)[0] == op
+
+
+ANY_VALUE = st.one_of(
+    st.none(), st.booleans(), st.text(max_size=8), st.floats(), st.integers(-10**30, 10**30),
+    st.lists(st.one_of(st.floats(), st.integers(-3, 3), st.text(max_size=2)), max_size=4),
+    st.lists(st.lists(st.floats(-2.0, 2.0), max_size=3), max_size=3),
+    st.dictionaries(st.text(max_size=3), st.integers(), max_size=2),
+    st.sampled_from(["model", "pass", "unbounded", "sphere(2)", "sphere(x)", "euclidean(2)",
+                     [0.0, 1.0], [1.0, 0.5], [[1.0]], [SPHERE_SEED], [ENTRY], ENTRY]))
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.sampled_from(DECLARED), ANY_VALUE, st.sampled_from([1.0, 1e-3, 1e300]))
+def test_parse_pass_returns_declared_kinds_or_scenario_error(op_key, val, tol_scale):
+    op, key = op_key
+    model = PARSE_MODELS[_model_name(op)]
+    item = {"op": op, **REQUIRED_PARAMS.get(op, {}), key: val}
+    try:
+        got, params = cli.parse_check(item, model, tol_scale)
+    except ScenarioError:
+        return
+    assert got == op and set(params) == set(cli.OPS[op][1])
+    for k, (default, kind) in cli.OPS[op][1].items():
+        given_val = item.get(k, default)
+        if kind is cli._tol:
+            assert params[k] == given_val * tol_scale
+        else:
+            assert params[k] is given_val
+        if params[k] is not None:
+            assert kind(params[k], model) is None
+
+
 def test_glued_model_transports_each_loop_once(monkeypatch):
     from cartanlab import models, transport
     calls = []
@@ -274,10 +450,12 @@ def test_tol_scale_scales_every_threshold():
         assert run_scenario(doc, tol_scale=1e12).verdict is expect_zero
     # a monodromy 1e-3 off an automorphism of so(3)
     so3 = algebra.so3()
-    model = SimpleNamespace(monodromies=(algebra.AlgebraMap(so3, so3, 1.001 * np.eye(3)),))
-    params = {"automorphism_tol": 1e-6}
-    assert not cli.check_monodromy(model, params, {"tol_scale": 1.0}).verdict
-    assert cli.check_monodromy(model, params, {"tol_scale": 1e4}).verdict
+    model = models.load_model("flat_torus")
+    vars(model)["monodromies"] = (algebra.AlgebraMap(so3, so3, 1.001 * np.eye(3)),)
+    item = {"op": "monodromy", "automorphism_tol": 1e-6}
+    for tol_scale, verdict in ((1.0, False), (1e4, True)):
+        op, params = cli.parse_check(item, model, tol_scale)
+        assert cli.CHECKS[op](model, params, 42).verdict is verdict
 
 
 def test_expect_fail_inverts_verdict():
@@ -356,3 +534,12 @@ def test_bundled_scenarios_pass(scenario):
     doc = yaml.safe_load(Path(bundled_scenarios()[scenario]).read_text())
     report = run_scenario(doc)
     assert report.verdict, export_report(report, "text")
+
+
+def test_readme_op_table_lists_each_ops_parameters():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    rows = {line.split("|")[1].strip(" `"): line.split("|")[3]
+            for line in readme.splitlines() if line.startswith("| `")}
+    for op, (_, params) in cli.OPS.items():
+        named = [part.split("`")[1] for part in rows[op].split(";")]
+        assert named == list(params), op

@@ -182,7 +182,11 @@ def test_geodesic_translations_straight_line(translations2):
     assert np.allclose(res.path.base[-1], [1.4, -0.6], atol=1e-9)
     drift = np.max(np.abs(res.path.fiber - [0.7, -0.3]))
     assert drift < 1e-8
-    assert res.path.anchor_residual(translations2.chart) < 1e-8
+    # closed form m(t) = m0 + t X0 at every output time
+    line = np.outer(res.path.times, [0.7, -0.3])
+    assert np.max(np.abs(res.path.base - line)) < 1e-9
+    # the anchor is the identity, so the base velocity a(m)X is X
+    assert np.array_equal(res.path.velocity, res.path.fiber)
 
 
 def test_geodesic_counterexample_escape_closed_form(circle):
