@@ -91,9 +91,25 @@ class Report:
         return "\n".join(lines) + "\n"
 
 
-def report_from_structured(doc: dict) -> Report:
+def report_from_structured(doc) -> Report:
+    """The Report a schema-1 document holds, or a ScenarioError that says
+    what the document lacks."""
+    if not isinstance(doc, dict):
+        raise ScenarioError(f"a report must be a JSON object, not {type(doc).__name__}")
     if doc.get("schema") != SCHEMA_VERSION:
         raise ScenarioError(f"unsupported report schema {doc.get('schema')!r}")
+    if not (isinstance(doc.get("scenario"), str) and type(doc.get("seed")) is int
+            and isinstance(doc.get("checks"), list)):
+        raise ScenarioError("a schema-1 report needs a 'scenario' string, a 'seed' integer "
+                            "and a 'checks' list")
+    for k, c in enumerate(doc["checks"]):
+        if not (isinstance(c, dict) and isinstance(c.get("name"), str)
+                and c.get("verdict") in ("pass", "fail")
+                and type(c.get("max_residual")) in (int, float)
+                and isinstance(c.get("witnesses", {}), dict)):
+            raise ScenarioError(f"check {k} of the report must be an object with a 'name' "
+                                f"string, a 'verdict' of 'pass' or 'fail', a numeric "
+                                f"'max_residual' and a 'witnesses' object, not {c!r}")
     checks = [CheckResult(c["name"], c["verdict"] == "pass", c["max_residual"],
                           c.get("witnesses", {})) for c in doc["checks"]]
     return Report(doc["scenario"], doc["seed"], checks)
@@ -125,7 +141,17 @@ def _build_inline_action(block: dict):
     return algebroid.make_action_algebroid(alg, action, chart)
 
 
+_MODEL_BLOCKS = ("action_algebroid", "metric")
+
+
 def resolve_model(spec) -> tuple[str, object]:
+    if isinstance(spec, dict):
+        if extra := [key for key in spec if key not in _MODEL_BLOCKS]:
+            raise ScenarioError(f"a model block takes no key {extra[0]!r}; it takes one of "
+                                f"{' and '.join(_MODEL_BLOCKS)}")
+        if len(spec) > 1:
+            raise ScenarioError(f"a model block takes one of {' and '.join(_MODEL_BLOCKS)}, "
+                                f"not both")
     try:
         if isinstance(spec, str):
             return spec, models.load_model(spec)
@@ -391,7 +417,8 @@ def check_geodesic_escape(model, params, seed):
         worst = 0.0
         verdict = res.status == params["expect_status"]
     return CheckResult("geodesic_escape", verdict, worst,
-                       {"status": res.status, "t_end": res.t_end})
+                       {"status": res.status, "t_end": res.t_end, "steps": res.steps,
+                        "rhs_calls": res.nfev})
 
 
 def check_completeness(model, params, seed):
@@ -597,7 +624,7 @@ def main(argv=None) -> int:
             doc = json.loads(Path(args.report).read_text())
             report = report_from_structured(doc)
             sys.stdout.write(export_report(report, args.format))
-        except (OSError, json.JSONDecodeError, ScenarioError, KeyError) as e:
+        except (OSError, json.JSONDecodeError, ScenarioError) as e:
             sys.stderr.write(f"error: {e}\n")
             return 2
         return 0

@@ -9,7 +9,7 @@ inverse and integrated as a right-logarithmic matrix ODE
 
 The endpoint coset g(1) H0 is the developed image of the path's end.
 A check's developments are integrated as one stacked solve: the B paths
-of a batch share one adaptive RK45 step sequence, with tolerances scaled
+of a batch share one adaptive DOP853 step sequence, with tolerances scaled
 by 1/sqrt(B) so that each endpoint still meets its own tolerance.
 Equivariant base maps with an algebra twist induce affine maps of the
 coset space, and the reconstruction of a locally homogeneous atlas
@@ -243,11 +243,13 @@ def develop_paths(A, H: HomogeneousModel, paths, rtol: float = 1e-12,
     """Develop a batch of paths in one stacked solve.
 
     The paths must share their segment count and segment time spans.  All
-    B states are integrated together with tolerances rtol/sqrt(B) and
-    atol/sqrt(B): a step passes when the RMS of the scaled errors over the
-    whole state is at most 1, which implies each path's own RMS test at
-    rtol/atol.  Batches whose scaled rtol would fall below scipy's floor
-    are split.
+    B states are integrated together by DOP853 with tolerances
+    rtol/sqrt(B) and atol/sqrt(B), so that the RMS of each of its two
+    embedded error estimates over the whole state bounds that path's own
+    RMS at rtol/atol.  (DOP853 accepts a step on a blend of the two,
+    err5^2 / sqrt(err5^2 + 0.01 err3^2), for which the bound per path
+    holds only approximately.)  Batches whose scaled rtol would fall below
+    scipy's floor are split.
 
     The lift is re-expressed in the parallel frame transported from the
     path start (for an action algebroid the frame stays the identity), so

@@ -277,6 +277,8 @@ class GeodesicResult:
     t_end: float
     chart: int = 0
     switches: int = 0
+    steps: int = 0     # accepted ODE steps, summed over the solves
+    nfev: int = 0      # right-hand-side evaluations, summed over the solves
 
     @property
     def certified_incomplete(self) -> bool:
@@ -337,7 +339,7 @@ def _geodesic_run(G: GluedAlgebroid, chart: int, m0, X0, span, blowup_norm: floa
     m = np.asarray(m0, dtype=float)
     x = np.asarray(X0, dtype=float)
     times, bases, fibers, charts = [], [], [], []
-    switches = 0
+    switches = steps = nfev = 0
     status = "completed"
     while True:
         C = G.charts[chart]
@@ -348,6 +350,7 @@ def _geodesic_run(G: GluedAlgebroid, chart: int, m0, X0, span, blowup_norm: floa
         bases.extend(out.states[:, :n].tolist())
         fibers.extend(out.states[:, n:].tolist())
         charts.extend([C] * len(out.times))
+        steps, nfev = steps + out.steps, nfev + out.nfev
         t = out.t_end
         m, x = out.states[-1, :n], out.states[-1, n:]
         if out.status == "completed":
@@ -369,7 +372,7 @@ def _geodesic_run(G: GluedAlgebroid, chart: int, m0, X0, span, blowup_norm: floa
             status = "blowup"
             break
     gp = GPath(np.asarray(times), np.asarray(bases), np.asarray(fibers), tuple(charts))
-    return GeodesicResult(gp, status, t, chart, switches)
+    return GeodesicResult(gp, status, t, chart, switches, steps, nfev)
 
 
 def _find_switch(G: GluedAlgebroid, chart: int, m):

@@ -280,6 +280,10 @@ def _without(key):
                                 [[0, 0, -1], [0, 0, 0], [1, 0, 0]],
                                 [[1, 0, 0], [-1, 0, 0], [0, 0, 0]]]}}},
                  ("action_algebroid", "Jacobi"), id="not-a-lie-algebra"),
+    pytest.param({"metric": "sphere(2)", "samples": 3}, ("model block", "samples"),
+                 id="stray-key-in-metric-block"),
+    pytest.param({**INLINE_ACTION, "metric": "sphere(2)"},
+                 ("model block", "action_algebroid", "metric"), id="action-and-metric"),
 ])
 def test_bad_model_blocks_are_scenario_errors(spec, words, monkeypatch, tmp_path, capsys):
     doc = {"name": "bad-model", "model": spec, "checks": [VALID_FIRST]}
@@ -508,6 +512,26 @@ def test_cli_run_writes_and_exports_report(tmp_path, capsys):
     assert cli.main(["export", str(out), "--format", "text"]) == 0
     text = capsys.readouterr().out
     assert "dual_pair" in text and "verdict: pass" in text
+
+
+def test_geodesic_escape_reports_its_ode_work():
+    doc = {"name": "sphere-geodesic", "model": "sphere2",
+           "checks": [{"op": "geodesic_escape", "point": [1.0, 0.5],
+                       "fiber": [0.6, 0.8, 0.3]}]}
+    w = run_scenario(doc).checks[0].witnesses
+    assert w["status"] == "completed"
+    # error control, not a cap of 1/64 of the span, sizes the steps
+    assert 0 < w["steps"] < 64 and w["rhs_calls"] >= 6 * w["steps"]
+
+
+@pytest.mark.parametrize("doc", [[], {"schema": 1, "checks": [1]}, {"schema": 1, "checks": [{}]}],
+                         ids=["list", "check-not-an-object", "empty-check"])
+def test_export_of_json_that_is_no_report_exits_2(doc, tmp_path, capsys):
+    path = tmp_path / "report.json"
+    path.write_text(json.dumps(doc))
+    assert cli.main(["export", str(path)]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("error:") and "Traceback" not in err
 
 
 def test_cli_seed_override(tmp_path, capsys):
