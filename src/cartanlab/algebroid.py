@@ -167,7 +167,11 @@ class ActionAlgebroid:
 
 def make_action_algebroid(g0: LieAlgebra, action: Callable, base: Chart) -> ActionAlgebroid:
     """Build the chart with gamma = 0, T = fiberwise bracket, anchor from
-    the action's basis fields."""
+    the action's basis fields.
+
+    An action that carries a float batch form ``action.batch(xi, ms)``
+    (points (B, n) to tangent vectors (B, n)) gives the anchor a
+    closed-form batch (``SmoothField.values``)."""
     r = g0.dim
     n = base.dim
     eye = np.eye(r)
@@ -181,11 +185,22 @@ def make_action_algebroid(g0: LieAlgebra, action: Callable, base: Chart) -> Acti
             raise AlgebroidError("action produced non-finite values")
         return out
 
+    def anchor_batch(ms):
+        out = np.empty((len(ms), n, r))
+        # like Python floats in anchor_fn, overflow to inf and fail below
+        with np.errstate(over="ignore", invalid="ignore"):
+            for i in range(r):
+                out[:, :, i] = action.batch(eye[i], ms)
+        if not np.all(np.isfinite(out)):
+            raise AlgebroidError("action produced non-finite values")
+        return out
+
     tors = np.einsum("abc->cab", g0.structure_constants)
     chart = AlgebroidChart(
         base=base,
         rank=r,
-        anchor=SmoothField(base, (n, r), anchor_fn, name="action anchor"),
+        anchor=SmoothField(base, (n, r), anchor_fn, name="action anchor",
+                           batch=anchor_batch if hasattr(action, "batch") else None),
         gamma=SmoothField.constant(base, np.zeros((n, r, r)), name="canonical flat"),
         torsion=SmoothField.constant(base, tors, name="fiber bracket"),
     )

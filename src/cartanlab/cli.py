@@ -34,6 +34,10 @@ class ScenarioError(ValueError):
     pass
 
 
+class CheckError(RuntimeError):
+    """A check that parsed raised an exception while it ran."""
+
+
 @dataclass
 class CheckResult:
     name: str
@@ -122,7 +126,7 @@ def _build_inline_action(block: dict):
     chart = geometry.Chart(tuple(block["chart"]["lower"]), tuple(block["chart"]["upper"]))
     fam = block["action"]["family"]
     if fam == "translation":
-        action = lambda xi, m: np.asarray(xi, dtype=object)
+        action = models.translation_action
     elif fam == "linear":
         rank, n = alg.dim, chart.dim
         gens = block["action"].get("generators")
@@ -134,6 +138,10 @@ def _build_inline_action(block: dict):
         def action(xi, m, _g=gens):
             mat = sum(x * g.astype(object) for x, g in zip(xi, _g))
             return mat @ np.asarray(m, dtype=object)
+
+        def batch(xi, ms, _g=np.stack(gens)):
+            return (np.tensordot(xi, _g, 1)[None] * ms[:, None, :]).sum(axis=2)
+        action.batch = batch
     elif fam == "exponential_line":
         action = models.scaling_action
     else:
@@ -551,11 +559,17 @@ CHECKS = {op: globals()[f"check_{op}"] for op in OPS}
 
 
 def run_scenario(doc: dict, seed: int | None = None, tol_scale: float = 1.0) -> Report:
+    """Parse every check, then run them in order.  An exception inside a
+    check stops the run as a ``CheckError`` naming the check."""
     name, seed, model, checks = parse_scenario(doc, seed, tol_scale)
     results = []
-    for op, params in checks:
+    for k, (op, params) in enumerate(checks, 1):
         t0 = time.perf_counter()
-        results.append(CHECKS[op](model, params, seed))
+        try:
+            results.append(CHECKS[op](model, params, seed))
+        except Exception as e:
+            raise CheckError(f"check {k} ({op}) could not run: "
+                             f"{type(e).__name__}: {e}") from e
         results[-1].wall_clock = time.perf_counter() - t0
     return Report(name, seed, results)
 
@@ -635,6 +649,9 @@ def main(argv=None) -> int:
     except ScenarioError as e:
         sys.stderr.write(f"error: {e}\n")
         return 2
+    except CheckError as e:
+        sys.stderr.write(f"error: {e}\n")
+        return 3
     sys.stdout.write(export_report(report, args.format))
     if args.out:
         Path(args.out).write_text(report.to_json())

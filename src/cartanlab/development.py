@@ -10,7 +10,8 @@ inverse and integrated as a right-logarithmic matrix ODE
 The endpoint coset g(1) H0 is the developed image of the path's end.
 A check's developments are integrated as one stacked solve: the B paths
 of a batch share one adaptive DOP853 step sequence, with tolerances scaled
-by 1/sqrt(B) so that each endpoint still meets its own tolerance.
+by 1/sqrt(B) so that each endpoint still meets its own tolerance, and each
+right-hand side evaluates fields and paths once for the whole batch.
 Equivariant base maps with an algebra twist induce affine maps of the
 coset space, and the reconstruction of a locally homogeneous atlas
 composes developments with patch lifts and verifies the transitions.
@@ -33,7 +34,7 @@ from .algebroid import ActionAlgebroid
 from .cartan import TensorReport
 from .geometry import Chart, as_point
 from .ode import integrate
-from .transport import BasePath, line_path
+from .transport import BasePath, line_path, segment_batch
 
 
 class DevelopmentError(RuntimeError):
@@ -192,7 +193,9 @@ _RTOL_FLOOR = 100 * np.finfo(float).eps
 def _develop_frames(A, H: HomogeneousModel, paths, rtol: float = 1e-12,
                     atol: float = 1e-13) -> tuple[np.ndarray, np.ndarray]:
     """Group elements (B, d, d) and parallel frames (B, r, r) at the ends
-    of a batch of paths; see ``develop_paths``."""
+    of a batch of paths; see ``develop_paths``.  Each right-hand side reads
+    the B points and velocities from one ``segment_batch`` call and the
+    anchors and gammas from one ``SmoothField.values`` call each."""
     chart = _chart_of(A)
     d = H.realization.matrix_dim
     r = chart.rank
@@ -209,22 +212,17 @@ def _develop_frames(A, H: HomogeneousModel, paths, rtol: float = 1e-12,
         raise DevelopmentError("paths in one batch must share their segment time spans")
     sign = -float(bracket_orientation(chart))
     gens = np.stack(H.realization.generators)
-
-    def field(f, m):
-        return value(np.asarray(f(as_point(m)), dtype=object))
-
     state = np.tile(np.concatenate([np.eye(r).reshape(-1), np.eye(d).reshape(-1)]), B)
     for k, span in enumerate(spans):
-        segs = [p.segments[k] for p in paths]
+        curve = segment_batch([p.segments[k] for p in paths])
 
         def rhs(t, y):
             y = y.reshape(B, -1)
             P = y[:, :r * r].reshape(B, r, r)
             G = y[:, r * r:].reshape(B, d, d)
-            ms, vs = zip(*(s.point_velocity(t) for s in segs))
-            v = np.stack(vs)
-            gv = np.einsum("biac,bi->bac", np.stack([field(chart.gamma, m) for m in ms]), v)
-            X = _lift_fibers(np.stack([field(chart.anchor, m) for m in ms]), v)
+            ms, v = curve(t)
+            gv = np.einsum("biac,bi->bac", chart.gamma.values(ms), v)
+            X = _lift_fibers(chart.anchor.values(ms), v)
             xi = sign * np.linalg.solve(P, X[..., None])[..., 0]
             Xi = np.einsum("bi,iac->bac", xi, gens)
             return np.concatenate([(-gv @ P).reshape(B, -1),
@@ -250,6 +248,11 @@ def develop_paths(A, H: HomogeneousModel, paths, rtol: float = 1e-12,
     err5^2 / sqrt(err5^2 + 0.01 err3^2), for which the bound per path
     holds only approximately.)  Batches whose scaled rtol would fall below
     scipy's floor are split.
+
+    Each right-hand side evaluates the path points and velocities, the
+    anchor and gamma once for the whole batch: in closed form for line
+    segments and for fields that have a batch form (constant fields,
+    translation, linear and scaling action anchors), else point by point.
 
     The lift is re-expressed in the parallel frame transported from the
     path start (for an action algebroid the frame stays the identity), so
@@ -317,7 +320,7 @@ def _frame_jacobian(A, H: HomogeneousModel, m, g: np.ndarray,
     parallel frame there."""
     chart = _chart_of(A)
     n = len(m)
-    a = value(np.asarray(chart.anchor(as_point(m)), dtype=object))
+    a = chart.anchor.values([m])[0]
     lifts = _lift_fibers(np.broadcast_to(a, (n, *a.shape)), np.eye(n))
     xi = -bracket_orientation(chart) * np.linalg.solve(frame, lifts.T)
     gens = np.stack(H.realization.generators)

@@ -116,21 +116,34 @@ class SmoothField:
     """Point-to-value assignment on a chart, dual-number evaluable.
 
     ``shape`` is the output shape: () scalar, (n,) tangent vector, (r,)
-    fiber vector, (n, n) bilinear form, and so on.
+    fiber vector, (n, n) bilinear form, and so on.  ``batch``, when a
+    constructor knows the field in closed form, maps float points (B, n)
+    to float values (B, *shape) in one call.
     """
 
     chart: Chart
     shape: tuple[int, ...]
     fn: Callable
     name: str = ""
+    batch: Callable | None = None
 
     def __call__(self, m):
         return self.fn(m)
 
+    def values(self, ms) -> np.ndarray:
+        """Float values (B, *shape) at float points (B, n): the closed-form
+        batch when the field has one, else one call per point."""
+        ms = np.asarray(ms, dtype=float)
+        if self.batch is not None:
+            return self.batch(ms)
+        vals = [value(np.asarray(self(as_point(m)), dtype=object)) for m in ms]
+        return np.array(vals, dtype=float).reshape(len(ms), *self.shape)
+
     @staticmethod
     def constant(chart: Chart, val, name: str = "") -> "SmoothField":
         arr = np.asarray(val, dtype=float)
-        return SmoothField(chart, arr.shape, lambda m, _a=arr: _a.copy(), name=name)
+        return SmoothField(chart, arr.shape, lambda m, _a=arr: _a.copy(), name=name,
+                           batch=lambda ms, _a=arr: np.repeat(_a[None], len(ms), axis=0))
 
 
 def as_point(m) -> np.ndarray:

@@ -491,9 +491,17 @@ def obstruction_form(P: DualPair, m, dw_tol: float = 1e-7) -> ObstructionForm:
 
 # -- catalog ------------------------------------------------------------------
 
+def translation_action(xi, m):
+    """R^n acting on R^n by translations: the field of xi is xi."""
+    return np.asarray(xi, dtype=object)
+
+
+translation_action.batch = lambda xi, ms: np.broadcast_to(xi, ms.shape)
+
+
 def translations_model(n: int) -> ActionAlgebroid:
     base = Chart((-np.inf,) * n, (np.inf,) * n)
-    return make_action_algebroid(abelian(n), lambda xi, m: np.asarray(xi, dtype=object), base)
+    return make_action_algebroid(abelian(n), translation_action, base)
 
 
 def so3_r3_model() -> ActionAlgebroid:
@@ -547,6 +555,15 @@ def scaling_action(xi, th):
     return np.array([xi[0] * dual.exp(-th[0])], dtype=object)
 
 
+def _scaling_batch(xi, ths):
+    # overflow raises, as math.exp does in the per-point form
+    with np.errstate(over="raise"):
+        return xi[0] * np.exp(-ths)
+
+
+scaling_action.batch = _scaling_batch
+
+
 def counterexample_s1() -> GluedModel:
     """Compact base, flat Cartan, incomplete: the codimension-zero example
     with scaling monodromy."""
@@ -595,8 +612,7 @@ def flat_torus() -> GluedModel:
     half = 0.36
     centers = [np.array(c) for c in ((0.0, 0.0), (0.5, 0.0), (0.0, 0.5), (0.5, 0.5))]
     boxes = [Chart(tuple(c - half), tuple(c + half)) for c in centers]
-    pieces = tuple(make_action_algebroid(
-        g0, lambda xi, m: np.asarray(xi, dtype=object), b).chart for b in boxes)
+    pieces = tuple(make_action_algebroid(g0, translation_action, b).chart for b in boxes)
     overlaps = []
     for i in range(4):
         for j in range(4):

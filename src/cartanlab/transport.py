@@ -11,7 +11,7 @@ ever reports the absence of blow-up within a horizon.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
@@ -40,6 +40,8 @@ class PathSegment:
     curve: Callable  # dual-safe map t -> point
     t0: float = 0.0
     t1: float = 1.0
+    # endpoints (a, b) when the curve is a + t (b - a) on [0, 1]
+    line: tuple[np.ndarray, np.ndarray] | None = field(default=None, compare=False)
 
     def velocity(self, t: float):
         return dual.eps_part(np.asarray(self.curve(Dual(t, 1.0)), dtype=object))
@@ -51,6 +53,21 @@ class PathSegment:
         """Point and velocity as floats from one evaluation of the curve."""
         c = np.asarray(self.curve(Dual(t, 1.0)), dtype=object)
         return value(c), value(dual.eps_part(c))
+
+
+def segment_batch(segs) -> Callable:
+    """t -> float points and velocities (B, n) of segments that share one
+    time span.  A batch of line segments reads them off its endpoints,
+    stacked once; any other batch calls each ``point_velocity``."""
+    if all(s.line is not None for s in segs):
+        a = np.stack([s.line[0] for s in segs])
+        v = np.stack([s.line[1] - s.line[0] for s in segs])
+        return lambda t: (a + t * v, v)
+
+    def each(t):
+        ms, vs = zip(*(s.point_velocity(t) for s in segs))
+        return np.stack(ms), np.stack(vs)
+    return each
 
 
 @dataclass(frozen=True)
@@ -81,7 +98,7 @@ class BasePath:
 def line_path(a, b, chart: int = 0) -> BasePath:
     a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float)
-    return BasePath((PathSegment(chart, lambda t: a + t * (b - a)),))
+    return BasePath((PathSegment(chart, lambda t: a + t * (b - a), line=(a, b)),))
 
 
 def polyline_path(points, chart: int = 0) -> BasePath:

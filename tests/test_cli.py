@@ -207,6 +207,23 @@ def test_point_outside_the_circle_base_is_scenario_error(tmp_path, capsys):
     assert captured.out == "" and "Traceback" not in captured.err
 
 
+def test_an_exception_inside_a_check_exits_3_without_a_traceback(tmp_path, capsys):
+    # parses, but classify needs constant curvature and the ellipsoid has none
+    path = tmp_path / "ellipsoid.yaml"
+    path.write_text("name: ellipsoid-classify\n"
+                    "model: {metric: ellipsoid}\n"
+                    "checks:\n"
+                    "  - op: classify\n")
+    assert cli.main(["run", str(path)]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: check 1 (classify) could not run: ValueError: ")
+    assert "Traceback" not in captured.err
+    with pytest.raises(cli.CheckError) as info:
+        run_scenario(yaml.safe_load(path.read_text()))
+    assert isinstance(info.value.__cause__, ValueError)
+
+
 def _exits_2_before_any_check(doc, words, monkeypatch, tmp_path, capsys, flags=()):
     """cli.main rejects doc with exit 2, an error line naming every one of
     words, an empty stdout and no traceback, before any check runs."""

@@ -18,7 +18,7 @@ from cartanlab.development import (DevelopmentError, EquivariantMap,
                                    path_independence_check, reconstruct_atlas)
 from cartanlab.dual import value
 from cartanlab.geometry import as_point
-from cartanlab.transport import line_path, polyline_path
+from cartanlab.transport import BasePath, PathSegment, line_path, polyline_path
 
 E2PI = math.exp(2 * math.pi)
 
@@ -101,6 +101,19 @@ def test_develop_paths_matches_single_paths_sphere(sphere):
     offsets = [[0.25, 0.2], [-0.2, 0.1], [0.1, -0.3]]
     paths = [polyline_path([m0, m0 + [0.0, o[1]], m0 + o]) for o in offsets]
     _assert_batch_matches_single_paths(sphere.rc.chart, sphere.homog, paths)
+
+
+def test_a_batch_mixing_line_and_other_segments_matches_single_paths(circle, torus):
+    # alone, a line path develops from its stacked endpoints; in this batch
+    # every segment is evaluated through point_velocity
+    arc = BasePath((PathSegment(0, lambda t: np.array([2.0 * t * t - 0.5 * t])),))
+    _assert_batch_matches_single_paths(
+        circle.cover, circle.homog,
+        [line_path([0.0], [1.7]), arc, line_path([2.0], [0.0]).reverse(),
+         line_path([0.3], [-0.4])])
+    bend = BasePath((PathSegment(0, lambda t: np.array([0.4 * t, 0.3 * t * t])),))
+    _assert_batch_matches_single_paths(
+        torus.cover, torus.homog, [line_path([0.0, 0.0], [0.5, -0.2]), bend])
 
 
 def test_develop_paths_rejects_a_non_liftable_path_in_the_batch(so3_action):
