@@ -10,7 +10,8 @@ The bracket is never stored; it is always derived:
 
 ``AlgebroidChart.jet`` evaluates the three fields and their first
 derivatives at most once at a point, each when a pointwise tensor check
-first reads it.
+first reads it: from the field's closed form (``SmoothField.jet``) where
+it has one, else by Dual evaluation.
 
 Action algebroids carry gamma = 0 and T equal to the fiberwise algebra
 bracket.  Glued algebroids add transition data on overlaps.
@@ -50,11 +51,27 @@ class Jet:
 
     def __init__(self, chart: AlgebroidChart, m):
         self._chart, self._m = chart, m
+        self._closed = {}
+
+    def _closed_form(self, name: str):
+        """(value, derivative) from the field's closed-form jet, or None."""
+        f = getattr(self._chart, name)
+        if f.jet is None:
+            return None
+        if name not in self._closed:
+            self._closed[name] = f.jet(value(self._m))
+        return self._closed[name]
 
     def _value(self, name: str) -> np.ndarray:
+        closed = self._closed_form(name)
+        if closed is not None:
+            return closed[0]
         return value(np.asarray(getattr(self._chart, name)(self._m), dtype=object))
 
     def _derivative(self, name: str) -> np.ndarray:
+        closed = self._closed_form(name)
+        if closed is not None:
+            return closed[1]
         f = getattr(self._chart, name)
         return value(dual.jacobian(lambda p: np.asarray(f(p), dtype=object), self._m))
 
@@ -89,12 +106,18 @@ class AlgebroidChart:
         object.__setattr__(self, "gamma", _as_field(self.base, (n, r, r), self.gamma, "gamma"))
         raw = _as_field(self.base, (r, r, r), self.torsion, "torsion")
 
-        def anti(m, _raw=raw):
-            t = np.asarray(_raw(m), dtype=object)
+        def anti(t):
             return 0.5 * (t - np.swapaxes(t, 1, 2))
 
-        object.__setattr__(self, "torsion",
-                           SmoothField(self.base, (r, r, r), anti, name="torsion"))
+        jet = None
+        if raw.jet is not None:
+            def jet(m, _raw=raw):
+                t, dt = _raw.jet(m)
+                return anti(t), anti(dt)
+
+        object.__setattr__(self, "torsion", SmoothField(
+            self.base, (r, r, r), lambda m, _raw=raw: anti(np.asarray(_raw(m), dtype=object)),
+            name="torsion", jet=jet))
 
     def jet(self, m) -> Jet:
         """Anchor, gamma and torsion with their first derivatives at m."""

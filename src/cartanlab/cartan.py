@@ -32,6 +32,12 @@ from .algebroid import AlgebroidChart, Jet, intertwining_residuals
 from .geometry import as_point, lie_bracket_vf
 
 
+def worst(residuals) -> float:
+    """The largest residual, NaN if any is NaN (``max`` would keep whichever
+    came first), so a residual that is not a number fails its check."""
+    return float(np.max(residuals, initial=0.0))
+
+
 @dataclass(frozen=True)
 class TensorReport:
     op: str
@@ -157,7 +163,7 @@ def _max_over_samples(op, C, tensor, samples, tol, seed) -> TensorReport:
     for m in pts:
         C.base.require_interior(m)
     per = [float(np.max(np.abs(tensor(C.jet(m))), initial=0.0)) for m in pts]
-    return TensorReport(op, max(per, default=0.0), tol, tuple(per), tuple(map(tuple, pts)))
+    return TensorReport(op, worst(per), tol, tuple(per), tuple(map(tuple, pts)))
 
 
 def is_cartan(C: AlgebroidChart, samples=None, tol: float = 1e-7, seed: int = 42) -> TensorReport:

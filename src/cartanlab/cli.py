@@ -226,7 +226,15 @@ def _numbers(size, what):
                              else f"a list of {size(model)} numbers ({what})")
 
 
-_fiber = _numbers(lambda model: model.chart.rank, "the model's rank")
+def _fiber(x, model):
+    """A list of rank numbers below the geodesic blow-up norm: from a start
+    at the norm the blow-up event could never fire."""
+    rank = model.chart.rank
+    if _numeric_shape(x) != (rank,) or not np.max(np.abs(x)) < transport.BLOWUP_NORM:
+        return (f"a list of {rank} numbers (the model's rank), each of absolute value "
+                f"below the blow-up norm {transport.BLOWUP_NORM:g}")
+
+
 _span = _numbers(lambda model: 2, "start and end time")
 _eigenvalues = _numbers(lambda model: len(model.loops) * model.chart.rank,
                         "the model's rank per loop")
@@ -380,14 +388,17 @@ def parse_scenario(doc, seed: int | None, tol_scale: float) -> tuple[str, int, o
 # -- check registry -------------------------------------------------------------
 # Each check reads the parameters as parse_check checked, filled and scaled them.
 
-def _as_expected(passed: bool, params) -> bool:
-    return passed == (params["expect"] == "pass")
+def _as_expected(passed: bool, params, residual: float) -> bool:
+    """The verdict read against ``expect``; a residual that is not a finite
+    number fails the check either way."""
+    return math.isfinite(residual) and passed == (params["expect"] == "pass")
 
 
 def check_is_cartan(model, params, seed):
     C = model.chart
     rep = cartan.is_cartan(C, samples=params["samples"], tol=params["tol"], seed=seed)
-    return CheckResult("is_cartan", _as_expected(rep.verdict, params), rep.max_residual,
+    return CheckResult("is_cartan", _as_expected(rep.verdict, params, rep.max_residual),
+                       rep.max_residual,
                        {"samples": len(rep.per_point), "components_evaluated":
                         len(rep.per_point) * math.comb(C.rank, 2) * C.base.dim})
 
@@ -395,7 +406,8 @@ def check_is_cartan(model, params, seed):
 def check_is_flat(model, params, seed):
     C = model.chart
     rep = cartan.is_flat(C, samples=params["samples"], tol=params["tol"], seed=seed)
-    return CheckResult("is_flat", _as_expected(rep.verdict, params), rep.max_residual,
+    return CheckResult("is_flat", _as_expected(rep.verdict, params, rep.max_residual),
+                       rep.max_residual,
                        {"samples": len(rep.per_point), "components_evaluated":
                         len(rep.per_point) * math.comb(C.base.dim, 2) * C.rank})
 
@@ -444,12 +456,13 @@ def check_scalar_form_fit(model, params, seed):
     pts = rc.metric.chart.sample_points(rng, params["points"])
     fits = [geometry.scalar_form_fit(rc.lc, rc.metric, m) for m in pts]
     svals = [f.s for f in fits]
-    spread = max(svals) - min(svals)
-    resid = max(f.residual for f in fits)
+    # numpy's max and min keep a NaN, so a NaN fit fails the comparisons below
+    spread = float(np.max(svals) - np.min(svals))
+    residual = cartan.worst([spread] + [f.residual for f in fits])
     verdict = spread <= params["spread_tol"]
     if params["expect_abs_s"] is not None:
         verdict = abs(abs(np.mean(svals)) - params["expect_abs_s"]) <= params["tol"] and verdict
-    return CheckResult("scalar_form_fit", verdict, max(spread, resid),
+    return CheckResult("scalar_form_fit", verdict, residual,
                        {"s_mean": float(np.mean(svals)), "spread": spread})
 
 
@@ -470,8 +483,8 @@ def check_invariant_metric(model, params, seed):
         sigma = geometry.SmoothField(chart.base, metric.shape, metric.fn, name=metric.name)
     pts = chart.base.sample_points(np.random.default_rng(seed), params["samples"])
     rep = transport.invariant_metric_check(chart, sigma, tol=params["tol"], samples=pts)
-    return CheckResult("invariant_metric", _as_expected(rep.verdict, params),
-                       rep.max_residual, {})
+    return CheckResult("invariant_metric", _as_expected(rep.verdict, params, rep.max_residual),
+                       rep.max_residual, {"samples": len(rep.per_point)})
 
 
 def check_compactness_probe(model, params, seed):
@@ -521,7 +534,8 @@ def check_equivariance_diagram(model, params, seed):
 
 def check_dual_pair(model, params, seed):
     rep = models.check_dual_pair(model.pair, tol=params["tol"], seed=seed)
-    return CheckResult("dual_pair", _as_expected(rep.verdict, params), rep.max_residual, {})
+    return CheckResult("dual_pair", _as_expected(rep.verdict, params, rep.max_residual),
+                       rep.max_residual, {})
 
 
 def check_local_lie_group(model, params, seed):
@@ -550,8 +564,8 @@ def check_cocycle(model, params, seed):
     entries = {(e["i"], e["j"]): algebroid.AffineCocycleEntry(
         *(np.asarray(e[k], dtype=float) for k in "AbM")) for e in params["entries"]}
     rep = algebroid.check_cocycle(entries, tol=params["tol"])
-    return CheckResult("cocycle", _as_expected(rep.passed, params),
-                       max(rep.identity_residual, rep.composition_residual),
+    residual = cartan.worst([rep.identity_residual, rep.composition_residual])
+    return CheckResult("cocycle", _as_expected(rep.passed, params, residual), residual,
                        {"failures": list(rep.failures)})
 
 

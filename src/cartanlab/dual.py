@@ -7,14 +7,22 @@ ordinary Python callables written with ``+ - * /``, ``**`` and the
 ``exp/log/sin/cos/sqrt/tan`` methods (numpy ufuncs dispatch to these on
 object arrays), so any such callable is differentiable here without
 modification.
+
+Array-valued formulas differentiate without per-scalar Duals through
+``Taylor`` jets: a field's jet is taken once at a point with nested Duals
+(``taylor``), and ``contract``, ``inv`` and ``cholesky`` carry it through
+whole-array numpy contractions by the product rule (Griewank & Walther,
+*Evaluating Derivatives*, 2nd ed., SIAM 2008, on propagating Taylor
+coefficients).
 """
 
 from __future__ import annotations
 
 import math
+from functools import lru_cache
+from itertools import combinations_with_replacement, product
 
 import numpy as np
-
 
 
 class Dual:
@@ -289,6 +297,13 @@ def solve(a, b):
 
 
 def inv(a):
+    """Inverse of a matrix of Duals or floats, or of a ``Taylor`` jet of one
+    (float leaves go to LAPACK)."""
+    if isinstance(a, Taylor):
+        ai = inv(a.v)
+        return Taylor(ai, -contract("ij,zjk,kl->zil", ai, a.d, ai))
+    if np.asarray(a).dtype != object:
+        return np.linalg.inv(a)
     n = np.asarray(a).shape[0]
     eye = np.zeros((n, n))
     np.fill_diagonal(eye, 1.0)
@@ -296,8 +311,17 @@ def inv(a):
 
 
 def cholesky(a):
-    """Lower-triangular Cholesky factor of an SPD matrix of Duals."""
-    a = np.asarray(a, dtype=object)
+    """Lower-triangular Cholesky factor L (a = L L^T) of an SPD matrix of
+    Duals or floats, or of a ``Taylor`` jet of one, whose derivative is
+    dL = L Phi(L^-1 da L^-T) with Phi the lower triangle, diagonal halved."""
+    if isinstance(a, Taylor):
+        L = cholesky(a.v)
+        Li = inv(L)
+        X = contract("ij,zjk,lk->zil", Li, a.d, Li)
+        return Taylor(L, contract("ij,zjk->zik", L, X * _half_lower(leaf(L).shape[-1])))
+    a = np.asarray(a)
+    if a.dtype != object:
+        return np.linalg.cholesky(a)
     n = a.shape[0]
     L = np.zeros((n, n), dtype=object)
     for i in range(n):
@@ -312,3 +336,150 @@ def cholesky(a):
             else:
                 L[i, j] = s / L[j, j]
     return L
+
+
+# -- Taylor jets of arrays -----------------------------------------------------
+
+class Taylor:
+    """Truncated Taylor jet of an array-valued function at a point.
+
+    ``v`` is the jet of the value and ``d`` the jet of its first derivatives,
+    both one order lower, with the coordinate direction on a new leading axis
+    of ``d``; a jet of order 0 is a plain array (floats, or objects carrying
+    the Dual layers of the point).  So ``v.d`` and ``d.v`` are both first
+    derivatives and ``d.d[i, j]`` is d_i d_j.  Every operation acts on the
+    trailing axes, which makes a leading axis of ``d`` invisible to it.
+    """
+
+    __slots__ = ("v", "d")
+    __array_ufunc__ = None      # ndarray (op) Taylor defers to Taylor
+
+    def __init__(self, v, d):
+        self.v = v
+        self.d = d
+
+    def __add__(self, other):
+        if isinstance(other, Taylor):
+            return Taylor(self.v + other.v, self.d + other.d)
+        return Taylor(self.v + other, self.d)
+
+    __radd__ = __add__
+
+    def __neg__(self):
+        return Taylor(-self.v, -self.d)
+
+    def __sub__(self, other):
+        return self + (-other)
+
+    def __rsub__(self, other):
+        return (-self) + other
+
+    def __mul__(self, other):
+        """Elementwise product; a plain operand is a constant."""
+        if isinstance(other, Taylor):
+            return Taylor(self.v * other.v, self.d * other.v + self.v * other.d)
+        return Taylor(self.v * other, self.d * other)
+
+    __rmul__ = __mul__
+
+
+def leaf(x):
+    """The order-0 part of a jet: its value array."""
+    while isinstance(x, Taylor):
+        x = x.v
+    return x
+
+
+def linear(f, x):
+    """Apply ``f``, linear and acting on trailing axes only, to a jet."""
+    if isinstance(x, Taylor):
+        return Taylor(linear(f, x.v), linear(f, x.d))
+    return f(x)
+
+
+def swap(x):
+    """Transpose of the last two axes."""
+    return linear(lambda a: np.swapaxes(a, -1, -2), x)
+
+
+@lru_cache(maxsize=None)
+def _derivative_spec(spec: str, k: int) -> str:
+    """``spec`` with a fresh leading index on operand k and on the output."""
+    ins, out = spec.split("->")
+    z = next(c for c in "zyxwvutsrqponmlkjihgfedcbaZYXWVUTSRQPONMLKJIHGFEDCBA"
+             if c not in spec)
+    ins = [z + s if j == k else s for j, s in enumerate(ins.split(","))]
+    return ",".join(ins) + "->" + z + out
+
+
+def contract(spec: str, *ops):
+    """``np.einsum`` with explicit subscripts over jets and constants: the
+    derivative is the sum over jet operands of the contraction with that
+    operand replaced by its derivative."""
+    jets = [k for k, o in enumerate(ops) if isinstance(o, Taylor)]
+    if not jets:
+        return np.einsum(spec, *ops)
+    vals = [o.v if isinstance(o, Taylor) else o for o in ops]
+    d = None
+    for k in jets:
+        term = contract(_derivative_spec(spec, k), *vals[:k], ops[k].d, *vals[k + 1:])
+        d = term if d is None else d + term
+    return Taylor(contract(spec, *vals), d)
+
+
+@lru_cache(maxsize=None)
+def _half_lower(n: int) -> np.ndarray:
+    return np.tril(np.ones((n, n)), -1) + 0.5 * np.eye(n)
+
+
+def _components(x, layers: int) -> list:
+    """The 2**layers parts of a scalar under its outer Dual layers; bit b of
+    the index is set where the part is differentiated along layer b
+    (layer 0 innermost)."""
+    if layers == 0:
+        return [x]
+    if isinstance(x, Dual):
+        return _components(x.val, layers - 1) + _components(x.eps, layers - 1)
+    return _components(x, layers - 1) + [0.0] * 2 ** (layers - 1)
+
+
+def taylor(f, m, order: int):
+    """Jet of the given order of an array-valued ``f`` at ``m``.
+
+    ``f`` is evaluated once per nondecreasing multi-index of ``order``
+    directions, at m lifted by ``order`` nested Dual layers, and each
+    evaluation yields every derivative along a sub-multi-index.  At a float
+    point (a float array, or an object array of floats) the leaves are float
+    arrays; at a Dual point they are object arrays keeping its layers.
+    """
+    m = np.asarray(m, dtype=object)
+    floats = not any(isinstance(x, Dual) for x in m)
+    if order == 0:
+        out = np.asarray(f(m), dtype=object)
+        return out.astype(float) if floats else out
+    n = len(m)
+    eye = np.eye(n)
+    parts = {}
+    shape = None
+    for dirs in combinations_with_replacement(range(n), order):
+        p = m
+        for i in dirs:
+            p = lift(p, eye[i])
+        out = np.asarray(f(p), dtype=object)
+        shape = out.shape
+        comps = np.array([_components(x, order) for x in out.reshape(-1)], dtype=object)
+        for mask in range(2 ** order):
+            idx = tuple(dirs[b] for b in range(order) if mask >> b & 1)
+            parts.setdefault(idx, comps[:, mask])
+    derivs = []
+    for j in range(order + 1):
+        D = np.empty((n,) * j + (len(parts[()]),), dtype=object)
+        for t in product(range(n), repeat=j):
+            D[t] = parts[tuple(sorted(t))]
+        D = D.reshape((n,) * j + shape)
+        derivs.append(D.astype(float) if floats else D)
+
+    def jet(k, j):
+        return derivs[j] if k == 0 else Taylor(jet(k - 1, j), jet(k - 1, j + 1))
+
+    return jet(order, 0)

@@ -118,7 +118,9 @@ class SmoothField:
     ``shape`` is the output shape: () scalar, (n,) tangent vector, (r,)
     fiber vector, (n, n) bilinear form, and so on.  ``batch``, when a
     constructor knows the field in closed form, maps float points (B, n)
-    to float values (B, *shape) in one call.
+    to float values (B, *shape) in one call.  ``jet``, when it knows the
+    first derivative in closed form, maps a float point (n,) to the float
+    value and derivative (*shape, n), the last axis the direction.
     """
 
     chart: Chart
@@ -126,6 +128,7 @@ class SmoothField:
     fn: Callable
     name: str = ""
     batch: Callable | None = None
+    jet: Callable | None = None
 
     def __call__(self, m):
         return self.fn(m)
@@ -208,23 +211,35 @@ def frame_connection(chart: Chart, frame: Callable) -> TMConnection:
     return TMConnection(chart, christoffel)
 
 
+def christoffel_from_jet(G):
+    """Gamma[k, i, j] = g^kl (d_i g_jl + d_j g_il - d_l g_ij) / 2 from a metric
+    jet of order >= 1 (``dual.taylor``), as a jet one order lower."""
+    dg = G.d                                   # dg[i, j, l] = d_i g_jl
+    lower = 0.5 * (dual.contract("ijl->lij", dg) + dual.contract("jil->lij", dg) - dg)
+    return dual.contract("kl,lij->kij", dual.inv(G.v), lower)
+
+
+def curvature_from_christoffel(Gam):
+    """R[l, k, i, j] = d_i G^l_jk - d_j G^l_ik + G^l_im G^m_jk - G^l_jm G^m_ik
+    from a jet of the Christoffel symbols of order >= 1, one order lower."""
+    A = dual.contract("iljk->lkij", Gam.d) + dual.contract("lim,mjk->lkij", Gam.v, Gam.v)
+    return A - dual.swap(A)
+
+
+def metric_jet(metric: SmoothField, m, order: int):
+    """The metric's jet at m (``dual.taylor``), refused where the metric is
+    not positive definite."""
+    G = dual.taylor(metric, as_point(m), order)
+    if np.min(np.linalg.eigvalsh(value(dual.leaf(G)))) <= 0:
+        raise GeometryError("metric not positive definite at sample point")
+    return G
+
+
 def levi_civita(metric: SmoothField) -> TMConnection:
-    """Torsion-free metric connection from the Koszul formula."""
-    chart = metric.chart
-
-    def christoffel(m):
-        m = as_point(m)
-        g = np.asarray(metric(m), dtype=object)
-        if np.min(np.linalg.eigvalsh(value(g))) <= 0:
-            raise GeometryError("metric not positive definite at sample point")
-        dg = dual.jacobian(lambda p: np.asarray(metric(p), dtype=object), m)  # (i, j, l)
-        ginv = dual.inv(g)
-        # Gamma_{l i j} = (d_i g_{jl} + d_j g_{il} - d_l g_{ij}) / 2
-        lower = 0.5 * (np.einsum("jli->lij", dg) + np.einsum("ilj->lij", dg)
-                       - np.einsum("ijl->lij", dg))
-        return np.einsum("kl,lij->kij", ginv, lower)
-
-    return TMConnection(chart, christoffel)
+    """Torsion-free metric connection from the Koszul formula, contracted
+    from the metric's 1-jet."""
+    return TMConnection(metric.chart,
+                        lambda m: christoffel_from_jet(metric_jet(metric, m, 1)))
 
 
 def curvature_tm(conn: TMConnection, m, U, V, W, check_interior: bool = True):

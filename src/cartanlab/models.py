@@ -26,8 +26,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
-from typing import Callable
+from functools import cached_property, lru_cache
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -41,9 +41,10 @@ from .cartan import TensorReport, curvature_conn_tensor, fiber_bracket_at
 from .development import (CoverSpec, EquivariantMap, HomogeneousModel,
                           OverlapSpec)
 from .geometry import (Chart, SmoothField, TMConnection, as_point,
+                       christoffel_from_jet, curvature_from_christoffel,
                        curvature_tensor, curvature_tensor_obj, ellipsoid_metric,
                        euclidean_metric, flat_connection, frame_connection,
-                       hyperbolic_metric, levi_civita, lie_bracket_vf,
+                       hyperbolic_metric, levi_civita, lie_bracket_vf, metric_jet,
                        scalar_form_fit, sphere_metric)
 from .transport import BasePath, PathSegment, monodromy
 
@@ -89,6 +90,23 @@ class RiemannianCartanChart:
         return self.chart.rank
 
 
+def _scatter(a, r: int, slots) -> np.ndarray:
+    """``a`` placed at ``slots`` of its trailing axes, each widened to r."""
+    out = np.zeros(a.shape[:-len(slots)] + (r,) * len(slots), dtype=a.dtype)
+    out[(Ellipsis, *slots)] = a
+    return out
+
+
+class _FrameParts(NamedTuple):
+    """What the TM+h fields are contracted from, as jets of one order."""
+    F: object          # orthonormal frame, vectors in columns
+    dF: object         # dF[i] = d_i F
+    Finv: object
+    rho: object        # rho(d_i, F e_k) at (i, k, a, b)
+    lc_h: object       # LC derivative along d_i of skew section c, (i, e, c)
+    gamma: object
+
+
 def build_riemannian_cartan(metric: SmoothField) -> RiemannianCartanChart:
     """Assemble the adapted chart for the canonical connection on TM + h.
 
@@ -97,72 +115,81 @@ def build_riemannian_cartan(metric: SmoothField) -> RiemannianCartanChart:
     omega_i = F^-1 (d_i F + Gamma_i F) and the curvature
     rho(U, V) = F^-1 R(U, V) F, and every field is an index contraction
     of these with the skew basis E.
+
+    Only the metric is differentiated: its jet at a point is taken once
+    with nested Duals (``dual.taylor``), and the frame, Christoffel
+    symbols, curvature and the three fields are contractions of that jet
+    (``dual.contract``).  The same formula runs on float leaves at a float
+    point and on Dual leaves at a Dual point; on a jet one order higher it
+    yields the first derivatives too, which the fields offer
+    ``AlgebroidChart.jet`` as their closed form (``SmoothField.jet``).
     """
     base = metric.chart
     n = base.dim
     E = skew_basis(n)
-    nh = len(E)
-    r = n + nh
+    r = n + len(E)
+    TM, H, ALL = slice(0, n), slice(n, r), slice(0, r)
     lc = levi_civita(metric)
-    # [E[c], E[d]] in skew coordinates, (e, c, d)
-    EE = np.moveaxis(skew_coords(E[:, None] @ E[None] - E[None] @ E[:, None], n), 2, 0)
+    # [E[c], E[d]] in skew coordinates, at (e, c, d) of the skew block
+    EE = _scatter(0.5 * np.einsum("epq,cdpq->ecd", E, E[:, None] @ E[None] - E[None] @ E[:, None]),
+                  r, (H, H, H))
+
+    def place(x, *slots):
+        return dual.linear(lambda a: _scatter(a, r, slots), x)
+
+    def parts(G) -> _FrameParts:
+        """Frame data and gamma, two orders below the metric jet G."""
+        L = dual.cholesky(G.v)
+        F1 = dual.swap(dual.inv(L))                                   # F = L^-T
+        F, dF, Finv = F1.v, F1.d, dual.swap(L.v)                      # dF[i] = d_i F
+        Gam1 = christoffel_from_jet(G)
+        Rt = curvature_from_christoffel(Gam1)                         # (l, b, i, j)
+        om = (dual.contract("aj,ijb->iab", Finv, dF)
+              + dual.contract("aj,jim,mb->iab", Finv, Gam1.v, F))     # omega_i, (i, a, k)
+        rho = dual.contract("al,lmij,jk,mb->ikab", Finv, Rt, F, F)    # rho(d_i, F e_k)
+        om_E = (dual.contract("iap,cpb->icab", om, E)
+                - dual.contract("cap,ipb->icab", E, om))              # [omega_i, E[c]]
+        lc_h = 0.5 * dual.contract("epq,icpq->iec", E, om_E)          # in skew coordinates
+        gamma = (place(om, TM, TM) + place(0.5 * dual.contract("epq,ikpq->iek", E, rho), H, TM)
+                 + place(dual.contract("cpq,qi->ipc", E, Finv), TM, H)   # E[c] F^-1 e_i
+                 + place(lc_h, H, H))
+        return _FrameParts(F, dF, Finv, rho, lc_h, gamma)
+
+    def torsion_of(p: _FrameParts):
+        """Gamma(#e_b) e_a - Gamma(#e_a) e_b + [e_a, e_b] on adapted sections."""
+        P = place(dual.contract("ik,iab->akb", p.F, p.gamma), ALL, TM, ALL)   # Gamma(#e_k) e_b
+        # the section bracket: Jacobi-Lie bracket of frame vectors, the
+        # curvature rho(F e_k, F e_l), the LC derivatives of the skew
+        # sections along frame vectors and the commutators [E[c], E[d]]
+        jl = dual.contract("ik,iml->mkl", p.F, p.dF)                  # d_{F e_k} F e_l
+        lc_kd = dual.contract("ik,iec->ekc", p.F, p.lc_h)
+        bracket = (place(dual.contract("am,mkl->akl", p.Finv, jl - dual.swap(jl)), TM, TM, TM)
+                   + place(0.5 * dual.contract("epq,ik,ilpq->ekl", E, p.F, p.rho), H, TM, TM)
+                   + place(lc_kd, H, TM, H) - place(dual.swap(lc_kd), H, H, TM) + EE)
+        return dual.swap(P) - P + bracket
 
     def frame(m):
-        sig = np.asarray(metric(as_point(m)), dtype=object)
-        L = dual.cholesky(sig)
-        return dual.inv(L).T.copy()
+        return dual.swap(dual.inv(dual.cholesky(metric_jet(metric, m, 0))))
 
-    def gamma_parts(m):
-        """gamma with the frame data the torsion is also built from."""
-        F = np.asarray(frame(m), dtype=object)
-        Finv = dual.inv(F)
-        dF = dual.jacobian(lambda p: np.asarray(frame(as_point(p)), dtype=object), m)
-        Gam = np.asarray(lc.christoffel(m), dtype=object)      # (k, i, j)
-        Rt = curvature_tensor_obj(lc, m)                       # (l, b, i, j)
-        om = Finv @ (np.moveaxis(dF, 2, 0) + np.moveaxis(Gam, 1, 0) @ F)   # (i, a, k)
-        rho_i = Finv @ np.einsum("lbij,jk->iklb", Rt, F) @ F   # rho(d_i, F e_k)
-        om_E = om[:, None] @ E - E @ om[:, None]               # [omega_i, E[c]]
-        gam = np.empty((n, r, r), dtype=object)
-        gam[:, :n, :n] = om
-        gam[:, n:, :n] = np.swapaxes(skew_coords(rho_i, n), 1, 2)
-        gam[:, :n, n:] = np.einsum("cpq,qi->ipc", E, Finv)     # E[c] F^-1 e_i
-        gam[:, n:, n:] = np.swapaxes(skew_coords(om_E, n), 1, 2)
-        return gam, F, Finv, dF, rho_i, om_E
+    @lru_cache(maxsize=1)
+    def jet_parts(m):
+        # one metric jet serves the closed-form jets of all three fields at m
+        return parts(metric_jet(metric, m, 3))
 
-    gamma_field = SmoothField(base, (n, r, r), lambda m: gamma_parts(as_point(m))[0],
-                              name="tm+h connection")
+    def field(name, shape, value_fn, of):
+        def jet(m):
+            # copies, so no caller can write into the shared parts
+            x = of(jet_parts(tuple(m)))
+            return x.v.copy(), np.moveaxis(x.d, 0, -1).copy()
+        return SmoothField(base, shape, value_fn, name=f"tm+h {name}", jet=jet)
 
-    def anchor_fn(m):
-        F = np.asarray(frame(as_point(m)), dtype=object)
-        out = np.zeros((n, r), dtype=object)
-        out[:, :n] = F
-        return out
-
-    anchor_field = SmoothField(base, (n, r), anchor_fn, name="tm+h anchor")
-
-    def torsion_fn(m):
-        """Gamma(#e_b) e_a - Gamma(#e_a) e_b + [e_a, e_b] on adapted sections."""
-        gam, F, Finv, dF, rho_i, om_E = gamma_parts(as_point(m))
-        gF = np.einsum("ik,iab->akb", F, gam)                  # Gamma(F e_k), (a, k, b)
-        out = np.zeros((r, r, r), dtype=object)
-        out[:, :, :n] += np.swapaxes(gF, 1, 2)                 # #e_b = F e_b, or 0
-        out[:, :n, :] -= gF
-        # the section bracket: Jacobi-Lie bracket of frame vectors, the
-        # curvature rho(F e_k, F e_l), the LC derivatives [omega(F e_k), E[d]]
-        # of the skew sections and the commutators [E[c], E[d]]
-        DF = dF @ F                                            # d_{F e_k} F e_l at (:, l, k)
-        out[:n, :n, :n] += np.einsum("am,mkl->akl", Finv, np.swapaxes(DF, 1, 2) - DF)
-        rho_kl = np.einsum("ik,ilab->klab", F, rho_i)
-        out[n:, :n, :n] += np.moveaxis(skew_coords(rho_kl, n), 2, 0)
-        lc_kd = np.moveaxis(skew_coords(np.einsum("ik,icab->kcab", F, om_E), n), 2, 0)
-        out[n:, :n, n:] += lc_kd
-        out[n:, n:, :n] -= np.swapaxes(lc_kd, 1, 2)
-        out[n:, n:, n:] += EE
-        return out
-
-    torsion_field = SmoothField(base, (r, r, r), torsion_fn, name="tm+h torsion")
-    chart = AlgebroidChart(base=base, rank=r, anchor=anchor_field,
-                           gamma=gamma_field, torsion=torsion_field)
+    chart = AlgebroidChart(
+        base=base, rank=r,
+        anchor=field("anchor", (n, r), lambda m: place(frame(m), TM), lambda p: place(p.F, TM)),
+        gamma=field("connection", (n, r, r), lambda m: parts(metric_jet(metric, m, 2)).gamma,
+                    lambda p: p.gamma),
+        torsion=field("torsion", (r, r, r), lambda m: torsion_of(parts(metric_jet(metric, m, 2))),
+                      torsion_of))
     return RiemannianCartanChart(metric, lc, chart, n, frame)
 
 

@@ -20,7 +20,7 @@ from . import dual
 from .dual import Dual, value
 from .algebra import AlgebraMap, Subalgebra
 from .algebroid import AlgebroidChart, GluedAlgebroid
-from .cartan import TensorReport, bar_tm_tensor, fiber_bracket_at
+from .cartan import TensorReport, bar_tm_tensor, fiber_bracket_at, worst
 from .geometry import Chart, as_point
 from .ode import integrate, rk4
 
@@ -308,8 +308,8 @@ def _geodesic_events(C: AlgebroidChart, blowup_norm: float):
     def exit_fn(t, y, _C=C, _n=n):
         return _C.base.boundary_distance(y[:_n]) - EXIT_MARGIN
 
-    def blow_fn(t, y):
-        return blowup_norm - float(np.max(np.abs(y)))
+    def blow_fn(t, y, _n=n):
+        return blowup_norm - float(np.max(np.abs(y[_n:])))
 
     events = [("blowup", blow_fn)]
     if any(np.isfinite(C.base.lower)) or any(np.isfinite(C.base.upper)):
@@ -355,6 +355,9 @@ def _geodesic_run(G: GluedAlgebroid, chart: int, m0, X0, span, blowup_norm: floa
     t_final = float(span[1])
     m = np.asarray(m0, dtype=float)
     x = np.asarray(X0, dtype=float)
+    if not np.max(np.abs(x)) < blowup_norm:
+        raise ValueError(f"start fiber {x.tolist()} is not below the blow-up norm "
+                         f"{blowup_norm:g}, so its blow-up event could never fire")
     times, bases, fibers, charts = [], [], [], []
     switches = steps = nfev = 0
     status = "completed"
@@ -483,18 +486,20 @@ def invariant_metric_check(C: AlgebroidChart, sigma, tol: float = 1e-7,
     directions: #x . sigma(V,W) - sigma(bar_x V, W) - sigma(V, bar_x W)."""
     if samples is None:
         samples = C.base.sample_points(np.random.default_rng(seed), 10)
-    res = 0.0
+    per = []
     for m in samples:
         m = as_point(m)
         sig = value(np.asarray(sigma(m), dtype=object))
         J = C.jet(m)
         bar = bar_tm_tensor(J)     # bar[:, a, k] = nabla_bar_{e_a} e_k
+        res = []
         for a in range(C.rank):
             dsig = dual.directional(lambda p: np.asarray(sigma(as_point(p)), dtype=object),
                                     m, J.anchor[:, a])
-            ra = value(np.asarray(dsig, dtype=object)) - sig @ bar[:, a] - bar[:, a].T @ sig
-            res = max(res, float(np.max(np.abs(ra))))
-    return TensorReport("invariant_metric_check", res, tol)
+            res.append(value(np.asarray(dsig, dtype=object)) - sig @ bar[:, a] - bar[:, a].T @ sig)
+        per.append(float(np.max(np.abs(res), initial=0.0)))
+    return TensorReport("invariant_metric_check", worst(per), tol, tuple(per),
+                        tuple(map(tuple, np.asarray(samples, dtype=float))))
 
 
 @dataclass(frozen=True)

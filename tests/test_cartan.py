@@ -335,3 +335,26 @@ def test_jet_formulas_match_definitions_on_polynomial_charts(seed, n, r):
        seed=st.integers(0, 2**32 - 1))
 def test_jet_formulas_match_definitions_on_model_charts(name, seed):
     _compare_with_definitions(named_chart(name), seed)
+
+
+def _chart_with_nan_gamma_at(point):
+    """Rank-2 chart on the unit square whose gamma is NaN at one point."""
+    base = Chart((-1.0, -1.0), (1.0, 1.0))
+
+    def gam(m):
+        out = np.zeros((2, 2, 2), dtype=object)
+        if np.array_equal(value(np.asarray(m, dtype=object)), point):
+            out[0, 0, 1] = float("nan")
+        return out
+
+    return algebroid.AlgebroidChart(base=base, rank=2, anchor=np.eye(2), gamma=gam,
+                                     torsion=np.zeros((2, 2, 2)))
+
+
+def test_a_nan_residual_at_the_second_sample_fails_the_check():
+    pts = np.array([[0.1, 0.2], [0.3, -0.4], [-0.5, 0.6]])
+    C = _chart_with_nan_gamma_at(pts[1])
+    rep = is_flat(C, samples=pts)
+    assert np.isfinite(rep.per_point[0]) and np.isnan(rep.per_point[1])
+    assert np.isnan(rep.max_residual)
+    assert not rep.verdict

@@ -9,7 +9,7 @@ import yaml
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cartanlab import algebra, cli, models
+from cartanlab import algebra, cartan, cli, geometry, models
 from cartanlab.cli import (ScenarioError, bundled_scenarios,
                            export_report, list_examples,
                            report_from_structured, run_scenario)
@@ -115,7 +115,31 @@ def test_op_model_mismatch_is_scenario_error(model, op, tmp_path, capsys):
 def test_invariant_metric_by_name_runs_on_any_charted_model():
     doc = {"name": "named-metric", "model": "flat_torus",
            "checks": [{"op": "invariant_metric", "metric": "euclidean(2)", "samples": 2}]}
-    assert run_scenario(doc).verdict
+    report = run_scenario(doc)
+    assert report.verdict
+    assert report.checks[0].witnesses == {"samples": 2}
+
+
+def test_a_nan_scalar_fit_at_the_second_point_fails(monkeypatch):
+    fit = geometry.scalar_form_fit
+    calls = []
+
+    def nan_second(*args):
+        calls.append(args)
+        return geometry.ScalarFormFit(math.nan, math.nan) if len(calls) == 2 else fit(*args)
+
+    monkeypatch.setattr(geometry, "scalar_form_fit", nan_second)
+    params = {"points": 3, "expect_abs_s": None, "tol": 1e-6, "spread_tol": 1e-6}
+    result = cli.check_scalar_form_fit(models.sphere2(), params, 7)
+    assert len(calls) == 3
+    assert not result.verdict and math.isnan(result.max_residual)
+
+
+def test_a_nan_residual_fails_a_check_that_expects_fail(monkeypatch):
+    nan_report = cartan.TensorReport("is_flat", math.nan, 1e-7, (0.0, math.nan))
+    monkeypatch.setattr(cartan, "is_flat", lambda *a, **k: nan_report)
+    params = {"samples": 2, "tol": 1e-7, "expect": "fail"}
+    assert not cli.check_is_flat(models.sphere2(), params, 7).verdict
 
 
 MISSING = object()
@@ -267,6 +291,11 @@ CIRCLE_GEODESIC = {"op": "geodesic_escape", "point": [0.0], "fiber": [1.0]}
                  "metric", id="metric-of-negative-dimension"),
     pytest.param("sphere2", {"op": "geodesic_escape", "point": [0.0, 1.0],
                              "fiber": [1.0, 0.0, 0.0]}, "point", id="point-off-the-chart"),
+    pytest.param("sphere2", {"op": "geodesic_escape", "point": [1.0, 1.0],
+                             "fiber": [2.0e6, 0.0, 0.0]}, "1e+06", id="fiber-at-the-blowup-norm"),
+    pytest.param("flat_torus", {"op": "completeness",
+                                "seeds": [{"point": [0.0, 0.0], "fiber": [2.0e6, 0.0]}]},
+                 "1e+06", id="seed-fiber-at-the-blowup-norm"),
 ])
 def test_malformed_check_exits_2_before_any_check(model, check, key, monkeypatch, tmp_path,
                                                   capsys):
@@ -516,6 +545,19 @@ def test_cli_exit_codes(tmp_path, capsys):
 
     assert cli.main(["list-examples"]) == 0
     capsys.readouterr()
+
+
+def test_a_complete_line_past_the_blowup_norm_is_not_certified_incomplete(tmp_path, capsys):
+    # the torus line reaches base coordinate 1e6 at t = 1e6; only its fiber
+    # may trigger the blow-up event
+    doc = {"name": "long-line", "model": "flat_torus",
+           "checks": [{"op": "completeness", "horizon": 2.0e6,
+                       "seeds": [{"point": [0.0, 0.0], "fiber": [1.0, 0.0]}]}]}
+    path = tmp_path / "line.yaml"
+    path.write_text(yaml.safe_dump(doc))
+    assert cli.main(["run", str(path), "--format", "json"]) == 0
+    check = json.loads(capsys.readouterr().out)["checks"][0]
+    assert check["witnesses"]["verdicts"] == ["no-blowup-within-horizon"]
 
 
 def test_cli_run_writes_and_exports_report(tmp_path, capsys):

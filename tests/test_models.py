@@ -2,12 +2,14 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from cartanlab import algebra, cartan, dual, geometry, models, transport
 from cartanlab.algebroid import AlgebroidChart
 from cartanlab.dual import value
-from cartanlab.geometry import (SmoothField, as_point, curvature_tensor_obj,
-                                levi_civita, scalar_form_fit)
+from cartanlab.geometry import (SmoothField, TMConnection, as_point, curvature_tensor_obj,
+                                scalar_form_fit)
 from cartanlab.models import (DualPair, build_riemannian_cartan,
                               check_dual_pair, classify_constant_curvature,
                               curvature_formula_check, local_lie_group_check,
@@ -32,13 +34,85 @@ def _skew_coords_loop(S, n):
     return out
 
 
+def _koszul_connection(metric):
+    """Levi-Civita connection with the metric differentiated by Duals inside
+    the Koszul formula: the references below do not use the jet formulas."""
+    def christoffel(m):
+        m = as_point(m)
+        g = np.asarray(metric(m), dtype=object)
+        dg = dual.jacobian(lambda p: np.asarray(metric(p), dtype=object), m)  # (i, j, l)
+        lower = 0.5 * (np.einsum("jli->lij", dg) + np.einsum("ilj->lij", dg)
+                       - np.einsum("ijl->lij", dg))
+        return np.einsum("kl,lij->kij", dual.inv(g), lower)
+    return TMConnection(metric.chart, christoffel)
+
+
+def _dual_riemannian_chart(metric):
+    """The TM+h chart contracted in frame coordinates, with the frame's
+    derivative, the Christoffel symbols and the curvature each taken by
+    nested Duals (``dual.jacobian``): the reference for the jet build, at
+    float and at Dual points."""
+    base = metric.chart
+    n = base.dim
+    E = models.skew_basis(n)
+    r = n + len(E)
+    lc = _koszul_connection(metric)
+    EE = np.moveaxis(skew_coords(E[:, None] @ E[None] - E[None] @ E[:, None], n), 2, 0)
+
+    def frame(m):
+        sig = np.asarray(metric(as_point(m)), dtype=object)
+        return dual.inv(dual.cholesky(sig)).T.copy()
+
+    def gamma_parts(m):
+        F = np.asarray(frame(m), dtype=object)
+        Finv = dual.inv(F)
+        dF = dual.jacobian(lambda p: np.asarray(frame(as_point(p)), dtype=object), m)
+        Gam = np.asarray(lc.christoffel(m), dtype=object)
+        Rt = curvature_tensor_obj(lc, m)
+        om = Finv @ (np.moveaxis(dF, 2, 0) + np.moveaxis(Gam, 1, 0) @ F)
+        rho_i = Finv @ np.einsum("lbij,jk->iklb", Rt, F) @ F
+        om_E = om[:, None] @ E - E @ om[:, None]
+        gam = np.empty((n, r, r), dtype=object)
+        gam[:, :n, :n] = om
+        gam[:, n:, :n] = np.swapaxes(skew_coords(rho_i, n), 1, 2)
+        gam[:, :n, n:] = np.einsum("cpq,qi->ipc", E, Finv)
+        gam[:, n:, n:] = np.swapaxes(skew_coords(om_E, n), 1, 2)
+        return gam, F, Finv, dF, rho_i, om_E
+
+    def anchor_fn(m):
+        out = np.zeros((n, r), dtype=object)
+        out[:, :n] = np.asarray(frame(as_point(m)), dtype=object)
+        return out
+
+    def torsion_fn(m):
+        gam, F, Finv, dF, rho_i, om_E = gamma_parts(as_point(m))
+        gF = np.einsum("ik,iab->akb", F, gam)
+        out = np.zeros((r, r, r), dtype=object)
+        out[:, :, :n] += np.swapaxes(gF, 1, 2)
+        out[:, :n, :] -= gF
+        DF = dF @ F
+        out[:n, :n, :n] += np.einsum("am,mkl->akl", Finv, np.swapaxes(DF, 1, 2) - DF)
+        rho_kl = np.einsum("ik,ilab->klab", F, rho_i)
+        out[n:, :n, :n] += np.moveaxis(skew_coords(rho_kl, n), 2, 0)
+        lc_kd = np.moveaxis(skew_coords(np.einsum("ik,icab->kcab", F, om_E), n), 2, 0)
+        out[n:, :n, n:] += lc_kd
+        out[n:, n:, :n] -= np.swapaxes(lc_kd, 1, 2)
+        out[n:, n:, n:] += EE
+        return out
+
+    return AlgebroidChart(
+        base=base, rank=r, anchor=SmoothField(base, (n, r), anchor_fn),
+        gamma=SmoothField(base, (n, r, r), lambda m: gamma_parts(as_point(m))[0]),
+        torsion=SmoothField(base, (r, r, r), torsion_fn))
+
+
 def _loop_riemannian_chart(metric):
     """The TM+h chart built one basis vector and one basis pair at a time,
     straight from the definitions: the reference for the contracted build."""
     base = metric.chart
     n = base.dim
     r = n + len(models.skew_pairs(n))
-    lc = levi_civita(metric)
+    lc = _koszul_connection(metric)
 
     def frame(m):
         sig = np.asarray(metric(as_point(m)), dtype=object)
@@ -136,8 +210,88 @@ def test_contracted_chart_matches_loop_reference(name):
     want = _loop_riemannian_chart(metric)
     for m in metric.chart.halton_points(3):
         a, b = got.jet(m), want.jet(m)
-        for field in ("anchor", "d_anchor", "gamma", "d_gamma", "torsion", "d_torsion"):
+        for field in JET_FIELDS:
             assert np.max(np.abs(getattr(a, field) - getattr(b, field))) < 1e-12, field
+
+
+JET_FIELDS = ("anchor", "d_anchor", "gamma", "d_gamma", "torsion", "d_torsion")
+
+
+def _interior_points(chart):
+    lo, hi = chart.sample_box()
+    pad = 0.05 * (hi - lo)
+    return st.tuples(*(st.floats(a, b) for a, b in zip(lo + pad, hi - pad))).map(np.array)
+
+
+@pytest.mark.parametrize("name,examples", [("sphere(1)", 10), ("sphere(2)", 10),
+                                           ("hyperbolic(2)", 10), ("ellipsoid", 10),
+                                           ("sphere(3)", 4), ("hyperbolic(3)", 4),
+                                           ("sphere(4)", 2)])
+def test_jet_build_matches_dual_build(name, examples):
+    metric = geometry.metric_by_name(name)
+    got = build_riemannian_cartan(metric).chart
+    want = _dual_riemannian_chart(metric)
+
+    @settings(max_examples=examples, deadline=None, derandomize=True,
+              suppress_health_check=[HealthCheck.too_slow])
+    @given(_interior_points(metric.chart))
+    def check(m):
+        a, b = got.jet(m), want.jet(m)
+        # roundoff grows with the frame: at the sphere(4) corner where the
+        # three polar angles are 0.29, |F| reaches 43 and both builds carry
+        # ~5e-12 in d_torsion, whose exact value is 0
+        tol = 1e-12 * max(1.0, np.max(np.abs(b.anchor)))
+        for field in JET_FIELDS:
+            assert np.max(np.abs(getattr(a, field) - getattr(b, field)), initial=0.0) < tol, field
+
+    check()
+
+
+@pytest.mark.parametrize("name", ["sphere(2)", "ellipsoid", "hyperbolic(3)"])
+def test_gamma_at_a_dual_point_matches_dual_build(name, rng):
+    metric = geometry.metric_by_name(name)
+    got = build_riemannian_cartan(metric).chart
+    want = _dual_riemannian_chart(metric)
+    m = metric.chart.sample_points(rng, 1)[0]
+    p = dual.lift(as_point(m), rng.uniform(-1, 1, len(m)))
+    for field in ("anchor", "gamma", "torsion"):
+        a = np.asarray(getattr(got, field)(p), dtype=object)
+        b = np.asarray(getattr(want, field)(p), dtype=object)
+        assert np.max(np.abs(value(a) - value(b))) < 1e-12, field
+        assert np.max(np.abs(value(dual.eps_part(a)) - value(dual.eps_part(b)))) < 1e-12, field
+
+
+def _counted(metric):
+    calls = []
+
+    def fn(m):
+        calls.append(m)
+        return metric.fn(m)
+
+    return SmoothField(metric.chart, metric.shape, fn, name=metric.name), calls
+
+
+def test_metric_evaluations_per_jet_and_per_gamma_value():
+    metric, calls = _counted(geometry.sphere_metric(2))
+    chart = build_riemannian_cartan(metric).chart
+    m = np.array([1.1, 0.4])
+    J = chart.jet(m)
+    for field in JET_FIELDS:
+        getattr(J, field)
+    assert len(calls) <= 10          # one 3-jet: four nested-Dual evaluations
+    calls.clear()
+    g = chart.gamma(as_point(m))
+    assert g.dtype == float
+    assert len(calls) <= 4           # one 2-jet: three nested-Dual evaluations
+
+
+def test_is_flat_reads_only_gamma_from_one_metric_jet_per_point():
+    metric, calls = _counted(geometry.sphere_metric(2))
+    chart = build_riemannian_cartan(metric).chart
+    J = chart.jet(np.array([1.1, 0.4]))
+    cartan.curvature_conn_tensor(J)
+    assert set(J.__dict__) - {"_chart", "_m", "_closed"} == {"gamma", "d_gamma"}
+    assert len(calls) == 4
 
 
 def test_euclidean_chart_block_structure(euclid):

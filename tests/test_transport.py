@@ -189,6 +189,23 @@ def test_geodesic_translations_straight_line(translations2):
     assert np.array_equal(res.path.velocity, res.path.fiber)
 
 
+def test_blowup_event_reads_only_the_fiber(translations2):
+    # the base coordinate passes the blow-up norm at t = 1e6, but the
+    # straight line is complete and its fiber stays (1, 0)
+    res = geodesic(translations2.chart, [0.0, 0.0], [1.0, 0.0], span=(0.0, 2.0e6))
+    assert res.status == "completed"
+    assert res.path.base[-1] == pytest.approx([2.0e6, 0.0])
+    verdicts = completeness_probe(translations2, [([0.0, 0.0], [1.0, 0.0])], horizon=2.0e6)
+    assert verdicts[0].verdict == "no-blowup-within-horizon"
+
+
+def test_a_start_fiber_at_the_blowup_norm_is_refused(translations2, circle):
+    with pytest.raises(ValueError, match="blow-up norm 1e\\+06"):
+        geodesic(translations2.chart, [0.0, 0.0], [2.0e6, 0.0])
+    with pytest.raises(ValueError, match="blow-up norm"):
+        completeness_probe(circle.glued, [(0, [0.5], [1.0e6])], horizon=1.0)
+
+
 def test_geodesic_counterexample_escape_closed_form(circle):
     res = geodesic(circle.cover.chart, [0.0], [1.0], span=(0.0, -2.0))
     assert res.certified_incomplete
@@ -404,3 +421,18 @@ def test_gpath_csv_table(circle, tmp_path):
     lines = out.read_text().strip().splitlines()
     assert lines[0] == "t,m0,X0"
     assert len(lines) == len(rows) + 1
+
+
+def test_invariant_metric_reports_a_nan_at_the_second_sample(translations2):
+    pts = np.array([[0.1, 0.2], [0.3, -0.4], [-0.5, 0.6]])
+
+    def sigma(m):
+        g = np.eye(2).astype(object)
+        if np.array_equal(value(np.asarray(m, dtype=object)), pts[1]):
+            g[0, 0] = float("nan")
+        return g
+
+    rep = invariant_metric_check(translations2.chart, SmoothField(translations2.chart.base,
+                                                                  (2, 2), sigma), samples=pts)
+    assert len(rep.per_point) == 3 and np.isnan(rep.per_point[1])
+    assert np.isnan(rep.max_residual) and not rep.verdict
