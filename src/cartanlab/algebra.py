@@ -3,15 +3,17 @@
 Structure constants are stored dense with layout ``c[i, j, k]`` meaning
 ``[e_i, e_j] = sum_k c[i, j, k] e_k``.  Dimensions are capped at 32; every
 construction checks antisymmetry exactly and the Jacobi identity to a
-configurable tolerance.
+configurable tolerance.  The matrix exponential and principal square
+root are numpy-only: Pade scaling and squaring, and the scaled
+product-form Denman-Beavers iteration.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 MAX_DIM = 32
 DEFAULT_TOL = 1e-9
@@ -136,9 +138,102 @@ def adjoint_realization(A: LieAlgebra, tol: float = 1e-8) -> MatrixRealization:
     return MatrixRealization(A, tuple(gens), tol=tol)
 
 
+# Higham (2005), Table 2.3: the largest 1-norm at which the degree-m Pade
+# approximant to exp meets unit roundoff, and the approximants' coefficients
+_PADE_THETA = {3: 1.495585217958292e-2, 5: 2.539398330063230e-1,
+               7: 9.504178996162932e-1, 9: 2.097847961257068e0,
+               13: 5.371920351148152e0}
+_PADE_COEFFS = {
+    3: (120., 60., 12., 1.),
+    5: (30240., 15120., 3360., 420., 30., 1.),
+    7: (17297280., 8648640., 1995840., 277200., 25200., 1512., 56., 1.),
+    9: (17643225600., 8821612800., 2075673600., 302702400., 30270240.,
+        2162160., 110880., 3960., 90., 1.),
+    13: (64764752532480000., 32382376266240000., 7771770303897600.,
+         1187353796428800., 129060195264000., 10559470521600.,
+         670442572800., 33522128640., 1323241920., 40840800., 960960.,
+         16380., 182., 1.),
+}
+
+
+def expm(a) -> np.ndarray:
+    """Matrix exponential by Pade scaling and squaring (Higham, "The
+    scaling and squaring method for the matrix exponential revisited",
+    SIAM J. Matrix Anal. Appl. 26, 2005, Algorithm 2.3): the lowest degree
+    m in {3, 5, 7, 9} whose threshold holds the 1-norm, else degree 13
+    after halving the matrix s times and squaring the result s times."""
+    a = np.asarray(a, dtype=float)
+    norm = np.abs(a).sum(axis=0).max()
+    if not math.isfinite(norm):
+        raise AlgebraError("matrix exponential of non-finite entries")
+    m = next((m for m, theta in _PADE_THETA.items() if norm <= theta), 13)
+    s = max(0, math.ceil(math.log2(norm / _PADE_THETA[13]))) if m == 13 else 0
+    a = a / 2.0 ** s
+    b = _PADE_COEFFS[m]
+    eye = np.eye(len(a))
+    a2 = a @ a
+    if m < 13:
+        even = [eye, a2]                      # a^0, a^2, ..., a^(m-1)
+        for _ in range(2, (m + 1) // 2):
+            even.append(even[-1] @ a2)
+        u = a @ sum(b[2 * k + 1] * p for k, p in enumerate(even))
+        v = sum(b[2 * k] * p for k, p in enumerate(even))
+    else:
+        a4 = a2 @ a2
+        a6 = a4 @ a2
+        u = a @ (a6 @ (b[13] * a6 + b[11] * a4 + b[9] * a2)
+                 + b[7] * a6 + b[5] * a4 + b[3] * a2 + b[1] * eye)
+        v = (a6 @ (b[12] * a6 + b[10] * a4 + b[8] * a2)
+             + b[6] * a6 + b[4] * a4 + b[2] * a2 + b[0] * eye)
+    r = np.linalg.solve(v - u, v + u)
+    for _ in range(s):
+        r = r @ r
+    return r
+
+
+# the square-root iteration scales while |M - I|_F is above the first bound
+# and stops once it is below the second
+_SQRT_SCALE_GAP, _SQRT_DONE_GAP, _SQRT_MAX_ITER = 1e-2, 1e-8, 60
+
+
+def sqrtm(a) -> np.ndarray:
+    """Principal square root of a real matrix with no eigenvalue on the
+    closed negative real axis, by the product form of the Denman-Beavers
+    iteration with determinantal scaling (Higham, *Functions of
+    Matrices*, 2008, section 6.3):
+
+        X <- X (I + M^-1) / 2,   M <- I / 2 + (M + M^-1) / 4,   X = M = A,
+
+    preceded by X <- mu X and M <- mu^2 M with mu = |det M|^(-1/2n) while
+    M is far from I.  Throughout, A^(1/2) = X M^(-1/2); once E = M - I is
+    below 1e-8 the iteration ends with X (I - E/2), whose error is of
+    order |E|^2.  No eigendecomposition is needed, so defective inputs
+    converge too: a unipotent matrix in one step."""
+    a = np.asarray(a, dtype=float)
+    n = len(a)
+    eye = np.eye(n)
+    x, m = a, a
+    e = (a - eye).ravel()
+    for _ in range(_SQRT_MAX_ITER):
+        try:
+            minv = np.linalg.inv(m)
+        except np.linalg.LinAlgError:
+            break       # only with an eigenvalue on the negative real axis
+        if e @ e > _SQRT_SCALE_GAP ** 2:
+            mu2 = abs(np.linalg.det(m)) ** (-1.0 / n)
+            x, m, minv = math.sqrt(mu2) * x, mu2 * m, minv / mu2
+        x = 0.5 * (x + x @ minv)
+        m = 0.5 * eye + 0.25 * (m + minv)
+        e = (m - eye).ravel()
+        if e @ e <= _SQRT_DONE_GAP ** 2:
+            return x - 0.5 * (x @ e.reshape(n, n))
+    raise AlgebraError("square root iteration did not converge "
+                       "(an eigenvalue on the negative real axis?)")
+
+
 def exp_matrix(R: MatrixRealization, xi, t: float = 1.0) -> np.ndarray:
     """exp(t * sum_i xi_i G_i), scaling-and-squaring to machine precision."""
-    m = scipy.linalg.expm(float(t) * R.element(xi))
+    m = expm(float(t) * R.element(xi))
     if not np.all(np.isfinite(m)):
         raise AlgebraError("matrix exponential produced non-finite entries")
     return m
@@ -171,7 +266,7 @@ def principal_log(g: np.ndarray, series_tol: float = 1e-16) -> np.ndarray:
     k = 0
     a = g.copy()
     while np.linalg.norm(a - eye) > 0.25 and k < 40:
-        a = scipy.linalg.sqrtm(a).real
+        a = sqrtm(a)
         k += 1
     x = a - eye
     term = x.copy()

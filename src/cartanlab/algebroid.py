@@ -245,6 +245,12 @@ class ResidualReport:
         return self.max_residual <= self.tol
 
 
+def worst(residuals) -> float:
+    """The largest residual, NaN if any is NaN (``max`` would keep whichever
+    came first), so a residual that is not a number fails its check."""
+    return float(np.max(residuals, initial=0.0))
+
+
 def check_action_homomorphism(A: ActionAlgebroid, tol: float = 1e-8,
                               sign: int = 1, samples: np.ndarray | None = None) -> ResidualReport:
     """Residual of ([e_i, e_j])^dagger = sign * [e_i^dagger, e_j^dagger]."""
@@ -253,7 +259,7 @@ def check_action_homomorphism(A: ActionAlgebroid, tol: float = 1e-8,
     eye = np.eye(r)
     if samples is None:
         samples = A.chart.base.halton_points(7)
-    res = 0.0
+    res = []
     for m in samples:
         for i in range(r):
             for j in range(i + 1, r):
@@ -261,8 +267,9 @@ def check_action_homomorphism(A: ActionAlgebroid, tol: float = 1e-8,
                 Vi = lambda p, _i=i: np.asarray(A.action(eye[_i], p), dtype=object)
                 Vj = lambda p, _j=j: np.asarray(A.action(eye[_j], p), dtype=object)
                 rhs = lie_bracket_vf(Vi, Vj, m)
-                res = max(res, float(np.max(np.abs(value(lhs) - sign * value(np.asarray(rhs, dtype=object))))))
-    return ResidualReport("action_homomorphism", res, tol, sign=sign)
+                rhs = value(np.asarray(rhs, dtype=object))
+                res.append(np.max(np.abs(value(lhs) - sign * rhs)))
+    return ResidualReport("action_homomorphism", worst(res), tol, sign=sign)
 
 
 def resolve_action_sign(A: ActionAlgebroid, tol: float = 1e-8) -> ResidualReport:
@@ -280,13 +287,13 @@ def check_anchor_homomorphism(C: AlgebroidChart, tol: float = 1e-8,
     """Residual of #[X, Y] = sign * [#X, #Y] on constant-frame sections."""
     if samples is None:
         samples = C.base.halton_points(7)
-    res = 0.0
+    res = []
     for m in samples:
         J = C.jet(m)
         lhs = np.einsum("ic,cab->iab", J.anchor, J.frame_bracket())
         L = np.einsum("ibk,ka->iab", J.d_anchor, J.anchor)     # (D #e_b) #e_a
-        res = max(res, float(np.max(np.abs(lhs - sign * (L - np.swapaxes(L, 1, 2))))))
-    return ResidualReport("anchor_homomorphism", res, tol, sign=sign)
+        res.append(np.max(np.abs(lhs - sign * (L - np.swapaxes(L, 1, 2)))))
+    return ResidualReport("anchor_homomorphism", worst(res), tol, sign=sign)
 
 
 # -- glued algebroids ---------------------------------------------------------
@@ -386,22 +393,21 @@ def check_overlap_compatibility(G: GluedAlgebroid, tol: float = 1e-7,
                                 points: int = 17) -> ResidualReport:
     """Anchor / connection / torsion intertwining residuals on a fixed
     low-discrepancy sample per overlap."""
-    worst = 0.0
     details = {}
     for ov in G.overlaps:
         Ci, Cj = G.charts[ov.i], G.charts[ov.j]
         pts = ov.region_i.halton_points(points, shrink=0.05)
-        res = 0.0
+        res = []
         for m in pts:
             m = as_point(m)
             if not ov.region_i.contains(m) or not Ci.base.contains(m):
                 continue
             if not Cj.base.contains(ov.base_map(m)):
                 continue
-            res = max(res, *intertwining_residuals(Ci, Cj, ov.base_map, ov.fiber_map, m))
-        details[f"overlap_{ov.i}_{ov.j}"] = res
-        worst = max(worst, res)
-    return ResidualReport("overlap_compatibility", worst, tol, details=details)
+            res.extend(intertwining_residuals(Ci, Cj, ov.base_map, ov.fiber_map, m))
+        details[f"overlap_{ov.i}_{ov.j}"] = worst(res)
+    return ResidualReport("overlap_compatibility", worst(list(details.values())), tol,
+                          details=details)
 
 
 # -- cocycles and infinitesimalization ---------------------------------------

@@ -28,14 +28,8 @@ import numpy as np
 
 from .dual import value
 from .algebra import LieAlgebra
-from .algebroid import AlgebroidChart, Jet, intertwining_residuals
+from .algebroid import AlgebroidChart, Jet, intertwining_residuals, worst
 from .geometry import as_point, lie_bracket_vf
-
-
-def worst(residuals) -> float:
-    """The largest residual, NaN if any is NaN (``max`` would keep whichever
-    came first), so a residual that is not a number fails its check."""
-    return float(np.max(residuals, initial=0.0))
 
 
 @dataclass(frozen=True)

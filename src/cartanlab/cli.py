@@ -413,10 +413,11 @@ def check_is_flat(model, params, seed):
 
 
 def check_monodromy(model, params, seed):
-    eigs, worst, auto_res = [], 0.0, 0.0
+    eigs, worst = [], 0.0
     for M in model.monodromies:
         eigs.extend(sorted(np.abs(np.linalg.eigvals(M.matrix)).tolist()))
-        auto_res = max(auto_res, algebra.is_automorphism(M.source, M).residual)
+    auto_res = cartan.worst([algebra.is_automorphism(M.source, M).residual
+                             for M in model.monodromies])
     if params["expect_eigenvalues"] is not None:
         got = np.sort(np.asarray(eigs))
         want = np.sort(np.asarray(params["expect_eigenvalues"], dtype=float))
@@ -540,22 +541,19 @@ def check_dual_pair(model, params, seed):
 
 def check_local_lie_group(model, params, seed):
     rep = models.local_lie_group_check(model.pair, tol=params["tol"], seed=seed)
-    return CheckResult("local_lie_group", rep.passed,
-                       max(rep.flat_residual, rep.flat_bar_residual,
-                           rep.parallel_torsion_residual),
+    return CheckResult("local_lie_group", rep.passed, rep.max_residual,
                        {"jacobi_residual": rep.jacobi_residual})
 
 
 def check_obstruction_form(model, params, seed):
     rng = np.random.default_rng(seed)
     pts = model.pair.chart.sample_points(rng, params["samples"])
-    dw, wmax = 0.0, 0.0
-    for m in pts:
-        ob = models.obstruction_form(model.pair, m)
-        dw = max(dw, ob.dw_residual)
-        wmax = max(wmax, float(np.max(np.abs(ob.w))))
+    forms = [models.obstruction_form(model.pair, m) for m in pts]
+    dw = cartan.worst([ob.dw_residual for ob in forms])
+    wmax = cartan.worst([np.max(np.abs(ob.w)) for ob in forms])
     is_zero = wmax <= params["zero_tol"]
-    verdict = dw <= params["dw_tol"] and is_zero == params["expect_zero"]
+    # a form that is not a number is neither zero nor a valid nonzero form
+    verdict = dw <= params["dw_tol"] and math.isfinite(wmax) and is_zero == params["expect_zero"]
     return CheckResult("obstruction_form", verdict, dw,
                        {"max_abs_w": wmax, "dw_residual": dw})
 

@@ -24,16 +24,15 @@ from fractions import Fraction
 from typing import Callable
 
 import numpy as np
-import scipy.linalg
 
 from . import dual
 from .dual import value
-from .algebra import (AlgebraMap, LieAlgebra, MatrixRealization, Subalgebra,
-                      exp_matrix, log_matrix)
+from .algebra import (AlgebraError, AlgebraMap, LieAlgebra, MatrixRealization,
+                      Subalgebra, exp_matrix, log_matrix, sqrtm)
 from .algebroid import ActionAlgebroid
 from .cartan import TensorReport
 from .geometry import Chart, as_point
-from .ode import integrate
+from .ode import RTOL_FLOOR, integrate
 from .transport import BasePath, line_path, segment_batch
 
 
@@ -176,18 +175,22 @@ def bracket_orientation(chart, tol: float = 1e-6) -> int:
 
 def _lift_fibers(a, v, rank_tol: float = 1e-8):
     """Minimum-norm anchor lifts of a stack of tangent vectors; errors when
-    an anchor is rank-deficient there (transitivity violated)."""
-    xi = np.einsum("bij,bj->bi", np.linalg.pinv(a), v)
+    an anchor is rank-deficient there (transitivity violated).  Square
+    anchors are solved, others pseudo-inverted; either way the lift must
+    reproduce v."""
+    try:
+        if a.shape[-2] == a.shape[-1]:
+            xi = np.linalg.solve(a, v[..., None])[..., 0]
+        else:
+            xi = np.einsum("bij,bj->bi", np.linalg.pinv(a), v)
+    except np.linalg.LinAlgError:
+        raise DevelopmentError("anchor not surjective along path (singular anchor)") from None
     gap = np.max(np.abs(np.einsum("bij,bj->bi", a, xi) - v), axis=1)
     bad = gap > rank_tol * (1.0 + np.max(np.abs(v), axis=1))
     if np.any(bad):
         raise DevelopmentError(
             f"anchor not surjective along path (gap {np.max(gap[bad]):.3e})")
     return xi
-
-
-# scipy raises any rtol below this floor to it
-_RTOL_FLOOR = 100 * np.finfo(float).eps
 
 
 def _develop_frames(A, H: HomogeneousModel, paths, rtol: float = 1e-12,
@@ -202,7 +205,7 @@ def _develop_frames(A, H: HomogeneousModel, paths, rtol: float = 1e-12,
     B = len(paths)
     if B == 0:
         return np.zeros((0, d, d)), np.zeros((0, r, r))
-    limit = max(1, int((rtol / _RTOL_FLOOR) ** 2 * (1 - 1e-9)))
+    limit = max(1, int((rtol / RTOL_FLOOR) ** 2 * (1 - 1e-9)))
     if B > limit:
         parts = [_develop_frames(A, H, paths[k:k + limit], rtol, atol)
                  for k in range(0, B, limit)]
@@ -247,7 +250,7 @@ def develop_paths(A, H: HomogeneousModel, paths, rtol: float = 1e-12,
     RMS at rtol/atol.  (DOP853 accepts a step on a blend of the two,
     err5^2 / sqrt(err5^2 + 0.01 err3^2), for which the bound per path
     holds only approximately.)  Batches whose scaled rtol would fall below
-    scipy's floor are split.
+    the driver's rtol floor (``ode.RTOL_FLOOR``, 100 eps) are split.
 
     Each right-hand side evaluates the path points and velocities, the
     anchor and gamma once for the whole batch: in closed form for line
@@ -348,7 +351,10 @@ def integrated_twist(H: HomogeneousModel, mu: AlgebraMap, g: np.ndarray,
         return exp_matrix(H.realization, mu(lr.coords))
     if depth >= 12:
         raise DevelopmentError("could not split group element into log range")
-    root = scipy.linalg.sqrtm(np.asarray(g, dtype=float)).real
+    try:
+        root = sqrtm(g)
+    except AlgebraError as e:
+        raise DevelopmentError(f"could not split group element into log range: {e}") from None
     half = integrated_twist(H, mu, root, depth + 1, span_tol)
     return half @ half
 

@@ -37,7 +37,7 @@ from .algebra import (AlgebraMap, LieAlgebra, Subalgebra, abelian,
                       adjoint_realization, so3, translation_realization)
 from .algebroid import (ActionAlgebroid, AlgebroidChart, GluedAlgebroid,
                         Overlap, make_action_algebroid)
-from .cartan import TensorReport, curvature_conn_tensor, fiber_bracket_at
+from .cartan import TensorReport, curvature_conn_tensor, fiber_bracket_at, worst
 from .development import (CoverSpec, EquivariantMap, HomogeneousModel,
                           OverlapSpec)
 from .geometry import (Chart, SmoothField, TMConnection, as_point,
@@ -408,16 +408,12 @@ def check_dual_pair(P: DualPair, tol: float = 1e-8, samples=None,
     if samples is None:
         samples = P.chart.sample_points(rng, 5)
     n = P.chart.dim
-    eye = np.eye(n)
-    res = 0.0
+    res = []
     for m in samples:
         m = as_point(m)
         Gb = value(np.asarray(P.nabla_bar.christoffel(m), dtype=object))
         Ga = value(np.asarray(P.nabla.christoffel(m), dtype=object))
-        for i in range(n):
-            for j in range(n):
-                d = Gb[:, i, j] - Ga[:, j, i]
-                res = max(res, float(np.max(np.abs(d))))
+        res.append(np.max(np.abs(Gb - np.swapaxes(Ga, 1, 2)), initial=0.0))
     fields = [_poly_field(rng, n) for _ in range(n_random)]
     for k in range(0, len(fields) - 1, 2):
         X, Y = fields[k], fields[k + 1]
@@ -426,16 +422,16 @@ def check_dual_pair(P: DualPair, tol: float = 1e-8, samples=None,
         lhs = value(np.asarray(P.nabla_bar.covariant_vec(X, Y, m), dtype=object))
         mid = value(np.asarray(P.nabla.covariant_vec(Y, X, m), dtype=object))
         br = value(np.asarray(lie_bracket_vf(X, Y, m), dtype=object))
-        res = max(res, float(np.max(np.abs(lhs - mid - br))))
-    return TensorReport("check_dual_pair", res, tol)
+        res.append(np.max(np.abs(lhs - mid - br)))
+    return TensorReport("check_dual_pair", worst(res), tol)
 
 
 def _tm_flatness(conn: TMConnection, samples) -> float:
-    res = 0.0
+    res = []
     for m in samples:
         conn.chart.require_interior(m)
-        res = max(res, float(np.max(np.abs(curvature_tensor(conn, m)))))
-    return res
+        res.append(np.max(np.abs(curvature_tensor(conn, m))))
+    return worst(res)
 
 
 def torsion_field(P: DualPair, m):
@@ -454,9 +450,12 @@ class LocalLieGroupReport:
 
     @property
     def passed(self) -> bool:
-        return max(self.flat_residual, self.flat_bar_residual,
-                   self.parallel_torsion_residual) <= self.tol and \
-            self.jacobi_residual <= 1e-6
+        return self.max_residual <= self.tol and self.jacobi_residual <= 1e-6
+
+    @property
+    def max_residual(self) -> float:
+        return worst([self.flat_residual, self.flat_bar_residual,
+                      self.parallel_torsion_residual])
 
 
 def local_lie_group_check(P: DualPair, tol: float = 1e-7, samples=None,
@@ -469,7 +468,7 @@ def local_lie_group_check(P: DualPair, tol: float = 1e-7, samples=None,
     n = P.chart.dim
     flat_a = _tm_flatness(P.nabla, samples)
     flat_b = _tm_flatness(P.nabla_bar, samples)
-    par = 0.0
+    par = []
     for m in samples:
         m = as_point(m)
         T = torsion_field(P, m)
@@ -480,13 +479,13 @@ def local_lie_group_check(P: DualPair, tol: float = 1e-7, samples=None,
             corr = (np.einsum("km,mij->kij", Gb[:, axis, :], T)
                     - np.einsum("mi,kmj->kij", Gb[:, axis, :], T)
                     - np.einsum("mj,kim->kij", Gb[:, axis, :], T))
-            par = max(par, float(np.max(np.abs(value(grad + corr)))))
+            par.append(np.max(np.abs(value(grad + corr))))
     m0 = np.asarray(m0 if m0 is not None else samples[0], dtype=float)
     T0 = value(torsion_field(P, m0))
     c = np.einsum("kij->ijk", T0)
     from .algebra import jacobi_residual
     jres = jacobi_residual(0.5 * (c - np.swapaxes(c, 0, 1)))
-    return LocalLieGroupReport(flat_a, flat_b, par, float(jres), tol)
+    return LocalLieGroupReport(flat_a, flat_b, worst(par), float(jres), tol)
 
 
 def restricted_bracket(P: DualPair, m0) -> LieAlgebra:

@@ -49,3 +49,22 @@ def translations2():
 @pytest.fixture()
 def rng():
     return np.random.default_rng(42)
+
+
+@pytest.fixture()
+def nan_after_first_point():
+    """Wrap a field-like fn(..., m) so that it returns NaNs at every point
+    but the first it is evaluated at: a check that reduces residuals over
+    samples must then fail, whichever sample comes first."""
+    from cartanlab.dual import value
+
+    def wrap(fn):
+        first = []
+
+        def f(*args):
+            out = np.asarray(fn(*args), dtype=object)
+            at = np.asarray(value(np.asarray(args[-1], dtype=object)), dtype=float)
+            first[:] = first or [at]
+            return out if np.array_equal(at, first[0]) else np.full(out.shape, np.nan)
+        return f
+    return wrap

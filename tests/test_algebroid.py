@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -291,3 +292,26 @@ def test_jet_arrays_read_in_any_order_match(sphere):
             J = C.jet(m)
             got = {f: getattr(J, f) for f in order}
             assert all(np.array_equal(got[f], a) for f, a in zip(fields, whole))
+
+
+def test_a_nan_action_at_the_second_sample_fails_the_homomorphism(translations2,
+                                                                  nan_after_first_point):
+    A = algebroid.ActionAlgebroid(translations2.algebra,
+                                  nan_after_first_point(translations2.action),
+                                  translations2.chart)
+    rep = check_action_homomorphism(A, 1e-10, sign=1, samples=[[0.1, 0.2], [0.3, -0.4]])
+    assert not rep.passed and math.isnan(rep.max_residual)
+
+
+def test_a_nan_fiber_map_past_the_first_point_fails_overlap_compatibility(
+        nan_after_first_point):
+    charts = [Chart((-0.3,), (0.8,)), Chart((0.2,), (1.3,))]
+    entries = {(0, 1): AffineCocycleEntry(np.eye(1), np.array([0.0]), np.eye(1)),
+               (1, 0): AffineCocycleEntry(np.eye(1), np.array([-1.0]), np.eye(1))}
+    G = infinitesimalize(algebra.abelian(1), lambda xi, m: np.asarray(xi, dtype=object),
+                         charts, entries)
+    ov = G.overlaps[-1]
+    bad = dataclasses.replace(ov, fiber_map=nan_after_first_point(ov.fiber_map))
+    rep = check_overlap_compatibility(algebroid.GluedAlgebroid(G.charts, G.overlaps[:-1] + (bad,)))
+    assert not rep.passed and math.isnan(rep.max_residual)
+    assert math.isnan(rep.details[f"overlap_{ov.i}_{ov.j}"])

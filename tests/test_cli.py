@@ -1,6 +1,8 @@
 import copy
 import json
 import math
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -626,3 +628,61 @@ def test_readme_op_table_lists_each_ops_parameters():
     for op, (_, params) in cli.OPS.items():
         named = [part.split("`")[1] for part in rows[op].split(";")]
         assert named == list(params), op
+
+
+@pytest.mark.parametrize("field", ["dw_residual", "w"])
+def test_a_nan_obstruction_form_at_the_second_sample_fails(field, monkeypatch):
+    form = models.obstruction_form
+    calls = []
+
+    def nan_second(pair, m):
+        calls.append(m)
+        ob = form(pair, m)
+        if len(calls) != 2:
+            return ob
+        if field == "w":
+            return models.ObstructionForm(np.full_like(ob.w, math.nan), ob.dw_residual)
+        return models.ObstructionForm(ob.w, math.nan)
+
+    monkeypatch.setattr(models, "obstruction_form", nan_second)
+    params = {"samples": 3, "dw_tol": 1e-7, "zero_tol": 1e-9, "expect_zero": False}
+    result = cli.check_obstruction_form(models.affine_line_group(), params, 7)
+    assert len(calls) == 3 and not result.verdict
+
+
+def test_a_nan_automorphism_residual_of_the_second_loop_fails(monkeypatch):
+    is_automorphism = algebra.is_automorphism
+    calls = []
+
+    def nan_second(A, M):
+        calls.append(M)
+        rep = is_automorphism(A, M)
+        return algebra.AutomorphismReport(math.nan, rep.tol) if len(calls) == 2 else rep
+
+    monkeypatch.setattr(algebra, "is_automorphism", nan_second)
+    params = {"expect_eigenvalues": None, "rtol": 1e-6, "automorphism_tol": 1e-6}
+    result = cli.check_monodromy(models.flat_torus(), params, 7)
+    assert len(calls) == 2 and not result.verdict
+    assert math.isnan(result.witnesses["automorphism_residual"])
+
+
+NO_SCIPY_RUN = """
+import contextlib, io, json, sys
+sys.path.insert(0, sys.argv[1])
+from cartanlab import cli
+paths = cli.bundled_scenarios()
+with contextlib.redirect_stdout(io.StringIO()):
+    codes = [cli.main(["run", paths[name], "--format", "json"]) for name in sys.argv[2:]]
+scipy = sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
+print(json.dumps({"codes": codes, "scipy": scipy}))
+"""
+
+
+def test_a_develop_and_a_geodesic_run_leave_scipy_unimported():
+    # scipy is a test-only oracle: flat_torus develops and reconstructs an
+    # atlas, counterexample_s1 also integrates geodesics to their blow-up
+    src = Path(cli.__file__).resolve().parents[1]
+    proc = subprocess.run([sys.executable, "-c", NO_SCIPY_RUN, str(src), "flat_torus",
+                           "counterexample_s1"], capture_output=True, text=True, timeout=600)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout) == {"codes": [0, 0], "scipy": []}

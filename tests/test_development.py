@@ -125,6 +125,19 @@ def test_develop_paths_rejects_a_non_liftable_path_in_the_batch(so3_action):
         develop_paths(so3_action, H, [tangential, radial, tangential])
 
 
+def test_a_radial_path_at_a_generic_point_fails_the_lift_gap(so3_action):
+    # at a generic point the rank-2 so(3) anchor is singular only up to
+    # roundoff, so solve returns a huge lift instead of raising; the gap
+    # test must still reject it
+    H = HomogeneousModel(so3_action.algebra, algebra.so3_realization(),
+                         Subalgebra(so3_action.algebra, ()))
+    m = np.array([0.6, -0.8, 1.1])
+    lift = np.linalg.solve(so3_action.chart.anchor.values([m]), m[None, :, None])
+    assert np.all(np.isfinite(lift))
+    with pytest.raises(DevelopmentError, match="surjective along path \\(gap"):
+        develop_paths(so3_action, H, [line_path(m, 1.3 * m)])
+
+
 def test_develop_paths_requires_shared_time_spans(circle):
     with pytest.raises(DevelopmentError):
         develop_paths(circle.cover, circle.homog,
@@ -155,7 +168,7 @@ def test_development_work_is_independent_of_sample_count(circle, rng, monkeypatc
 
 
 def test_develop_paths_splits_batches_at_the_rtol_floor(torus, monkeypatch):
-    # rtol/sqrt(B) must stay at or above scipy's 100 eps: at rtol 1e-13 a
+    # rtol/sqrt(B) must stay at or above the driver's 100 eps floor: at rtol 1e-13 a
     # batch holds at most 20 paths, so 25 paths take two solves
     outcomes = _record_integrations(monkeypatch)
     paths = [line_path([0.0, 0.0], [0.03 * k, -0.02 * k]) for k in range(25)]

@@ -1,0 +1,126 @@
+"""The numpy-only matrix exponential and square root against scipy.linalg,
+on the group elements cartanlab exponentiates, takes logs of and splits:
+rotations, affine-line elements, Heisenberg unipotents (defective) and
+elements near the boundary of the log region, rho(g - I) -> 1."""
+
+import math
+
+import mpmath
+import numpy as np
+import pytest
+import scipy.linalg
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from cartanlab import algebra
+from cartanlab.algebra import AlgebraError
+
+REL = 1e-12
+
+
+def rel_err(got, want) -> float:
+    return float(np.linalg.norm(got - want) / np.linalg.norm(want))
+
+
+def rotation(axis, angle) -> np.ndarray:
+    n = np.asarray(axis, dtype=float)
+    n = n / np.linalg.norm(n)
+    return scipy.linalg.expm(angle * algebra.so3_realization().element(n))
+
+
+def affine(s, t) -> np.ndarray:
+    return np.array([[math.exp(s), t], [0.0, 1.0]])
+
+
+def heisenberg(a, b, c) -> np.ndarray:
+    return np.array([[1.0, a, c], [0.0, 1.0, b], [0.0, 0.0, 1.0]])
+
+
+coord = st.floats(-3.0, 3.0, allow_nan=False)
+axis = st.tuples(coord, coord, coord).filter(lambda v: np.linalg.norm(v) > 1e-3)
+REALIZATIONS = [algebra.so3_realization(), algebra.adjoint_realization(algebra.heisenberg()),
+                algebra.adjoint_realization(algebra.affine_line()),
+                algebra.translation_realization(2)]
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.sampled_from(REALIZATIONS), st.data(), st.floats(-2.0, 2.0))
+def test_exp_matrix_matches_scipy_expm(R, data, t):
+    xi = data.draw(st.lists(coord, min_size=R.algebra.dim, max_size=R.algebra.dim))
+    want = scipy.linalg.expm(t * R.element(xi))
+    assert rel_err(algebra.exp_matrix(R, xi, t), want) <= REL
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.floats(-4.0, 4.0), st.sampled_from([1e-6, 1e-2, 0.2, 0.5, 2.0]))
+def test_expm_takes_every_pade_degree_and_squares_large_norms(x, scale):
+    # against a 40-digit reference: at scale 2 the spread eigenvalues make
+    # scipy's expm itself err by up to ~1e-12 (x = -4)
+    a = scale * np.array([[x, 1.0, 0.0], [-1.0, 0.3 * x, 2.0], [0.5, 0.0, -x]])
+    with mpmath.workdps(40):
+        want = np.array(mpmath.expm(mpmath.matrix(a.tolist())).tolist(), dtype=float)
+    assert rel_err(algebra.expm(a), want) <= REL
+
+
+@settings(max_examples=50, deadline=None)
+@given(st.floats(-2000.0, 2000.0), st.floats(-2000.0, 2000.0))
+def test_expm_of_long_translations(x, y):
+    # development exponentiates translation elements of 1-norm up to ~2000
+    R = algebra.translation_realization(2)
+    want = np.eye(3) + R.element([x, y])
+    assert rel_err(algebra.exp_matrix(R, [x, y]), want) <= REL
+
+
+# elements that the principal log takes: rho(g - I) < 1, up to its boundary
+log_inputs = st.one_of(
+    st.builds(rotation, axis, st.floats(0.0, math.pi / 3 * (1 - 1e-9))),
+    st.builds(affine, st.floats(-0.69, math.log(2.0) * (1 - 1e-9)), coord),
+    st.builds(heisenberg, coord, coord, coord),
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(log_inputs)
+def test_principal_log_matches_the_log_through_scipy_sqrtm(g):
+    got = algebra.principal_log(g)
+    original = algebra.sqrtm
+    try:
+        algebra.sqrtm = lambda a: scipy.linalg.sqrtm(a).real
+        want = algebra.principal_log(g)
+    finally:
+        algebra.sqrtm = original
+    assert np.linalg.norm(got - want) <= REL * max(np.linalg.norm(want), 1.0)
+    assert rel_err(scipy.linalg.expm(got), g) <= 1e-12
+
+
+# elements that integrated_twist splits: outside the log region, no
+# eigenvalue on the negative real axis
+root_inputs = st.one_of(
+    st.builds(rotation, axis, st.floats(math.pi / 3, 0.97 * math.pi)),
+    st.builds(affine, st.floats(-3.0, 3.0), coord),
+    st.builds(heisenberg, coord, coord, coord),
+    st.builds(lambda g, s: s * g, st.builds(rotation, axis, st.floats(0.0, 2.5)),
+              st.floats(0.05, 20.0)),
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(root_inputs)
+def test_sqrtm_matches_scipy_sqrtm(g):
+    want = scipy.linalg.sqrtm(g).real
+    assert rel_err(algebra.sqrtm(g), want) <= REL
+
+
+def test_sqrtm_of_a_defective_unipotent_is_exact():
+    g = heisenberg(0.7, -0.4, 0.3)
+    root = algebra.sqrtm(g)
+    assert np.array_equal(root @ root, g)
+    assert np.array_equal(algebra.sqrtm(np.eye(3)), np.eye(3))
+
+
+@pytest.mark.parametrize("g", [np.diag([-1.0, 2.0]), np.diag([-1.0, 1.0]),
+                               rotation([0.0, 0.0, 1.0], math.pi)])
+def test_sqrtm_rejects_a_negative_eigenvalue(g):
+    with pytest.raises(AlgebraError, match="did not converge"):
+        algebra.sqrtm(g)
+

@@ -469,3 +469,19 @@ def test_catalog_loads_every_name():
         assert models.load_model(name) is not None
     with pytest.raises(KeyError):
         models.load_model("nonexistent_model")
+
+
+def test_a_nan_christoffel_at_the_second_sample_fails_the_dual_pair(nan_after_first_point):
+    aff = models.affine_line_group()
+    bar = TMConnection(aff.pair.chart, nan_after_first_point(aff.pair.nabla_bar.christoffel))
+    rep = check_dual_pair(DualPair(aff.pair.chart, aff.pair.nabla, bar))
+    assert not rep.verdict and math.isnan(rep.max_residual)
+
+
+def test_a_nan_christoffel_at_the_second_sample_fails_the_local_lie_group(
+        nan_after_first_point):
+    aff = models.affine_line_group()
+    bar = TMConnection(aff.pair.chart, nan_after_first_point(aff.pair.nabla_bar.christoffel))
+    rep = local_lie_group_check(DualPair(aff.pair.chart, aff.pair.nabla, bar))
+    assert math.isnan(rep.flat_bar_residual) and math.isnan(rep.parallel_torsion_residual)
+    assert not rep.passed and math.isnan(rep.max_residual)

@@ -1,8 +1,11 @@
 import math
 
 import numpy as np
+import pytest
+import scipy.integrate
+import scipy.optimize
 
-from cartanlab import ode, transport
+from cartanlab import development, models, ode, transport
 from cartanlab.algebroid import AlgebroidChart
 from cartanlab.geometry import Chart
 
@@ -58,3 +61,115 @@ def test_constant_skew_transport_turns_several_times_exactly():
     M = transport.transport_matrix(chart, transport.line_path([0.0], [L]))
     rot = np.array([[math.cos(L), math.sin(L)], [-math.sin(L), math.cos(L)]])
     assert np.max(np.abs(M - rot)) < 1e-8
+
+
+# -- the in-house driver against scipy's solve_ivp and brentq -----------------
+
+def _scipy_solve_ivp(fun, t_span, y0, method="RK45", rtol=ode.DEFAULT_RTOL,
+                     atol=ode.DEFAULT_ATOL, events=()):
+    """scipy's solve_ivp, configured as ``ode.solve_ivp`` runs: a full-span
+    first step and terminal events on the dense output."""
+    for ev in events:
+        ev.terminal = True
+    span = abs(t_span[1] - t_span[0])
+    r = scipy.integrate.solve_ivp(fun, t_span, np.asarray(y0, dtype=float), method=method,
+                                  rtol=rtol, atol=atol, first_step=span or None,
+                                  events=list(events) or None, dense_output=bool(events))
+    status = {0: "completed", 1: "event", -1: "step_collapse"}[r.status]
+    hit = next(k for k, te in enumerate(r.t_events) if len(te)) if r.status == 1 else None
+    sol = (lambda t: r.sol(t).T) if r.sol is not None else None
+    return ode.Solution(r.t, r.y.T, status, r.nfev, hit, sol)
+
+
+def _scipy_brent(f, a, b, fa, fb):
+    return scipy.optimize.brentq(f, a, b, xtol=4 * ode._EPS, rtol=4 * ode._EPS)
+
+
+def _outcomes(monkeypatch, run, oracle: bool):
+    """The outcome of every adaptive solve that ``run`` makes, with the
+    in-house driver or, for ``oracle``, with scipy's in its place."""
+    outcomes, integrate = [], ode.integrate
+
+    def recording(*args, **kwargs):
+        outcomes.append(integrate(*args, **kwargs))
+        return outcomes[-1]
+    with monkeypatch.context() as mp:
+        for module in (ode, transport, development):
+            mp.setattr(module, "integrate", recording)
+        if oracle:
+            mp.setattr(ode, "solve_ivp", _scipy_solve_ivp)
+            mp.setattr(ode, "_brent", _scipy_brent)
+        run()
+    return outcomes
+
+
+def _linear():
+    Xi = np.array([[0.0, 0.0, 0.7], [0.0, 0.0, -0.4], [0.0, 0.0, 0.0]])
+    ode.integrate(lambda t, y: (Xi @ y.reshape(3, 3)).reshape(-1), (0.0, 1.0),
+                  np.eye(3).reshape(-1), rtol=1e-12, atol=1e-13)
+
+
+def _window():
+    ode.integrate(lambda t, y: np.ones(1), (0.0, 10.0), [0.0],
+                  events=[("window", lambda t, y: (y[0] - 5.0) ** 2 - 0.01)])
+
+
+def _collapse_and_window():
+    never = ("never", lambda t, y: 1.0)
+    ode.integrate(_ends_at_one, (0.0, 2.0), [0.0], events=[never])
+    ode.integrate(_ends_at_one, (0.0, 2.0), [0.0],
+                  events=[never, ("window", lambda t, y: (y[0] - 0.5) ** 2 - 0.02 ** 2)])
+
+
+def _skew_transport():
+    J = np.array([[0.0, -1.0], [1.0, 0.0]])
+    chart = AlgebroidChart(Chart((-np.inf,), (np.inf,)), 2,
+                           anchor=lambda m: np.eye(1, 2, dtype=object),
+                           gamma=lambda m: J[None].astype(object),
+                           torsion=lambda m: np.zeros((2, 2, 2), dtype=object))
+    transport.transport_matrix(chart, transport.line_path([0.0], [10 * math.pi + 1.0]))
+
+
+def _circle_geodesics():
+    chart = models.counterexample_s1().chart
+    transport.geodesic(chart, [0.0], [1.0], span=(0.0, -2.0))      # blows up at t* = -1
+    transport.geodesic(chart, [0.0], [1.0], span=(0.0, 100.0))
+    transport.geodesic(chart, [0.4], [-1.3], span=(0.0, 3.0))
+
+
+def _curved_geodesics():
+    transport.geodesic(models.sphere2().chart, [1.2, 0.3], [0.5, -0.8, 0.3], span=(0.0, 1.0))
+    transport.geodesic(models.hyperbolic2().chart, [0.2, 1.1], [-0.4, 0.6, 0.9],
+                       span=(0.0, -1.0))
+
+
+def _develop():
+    circle = models.counterexample_s1()
+    development.develop_paths(circle.cover, circle.homog,
+                              [transport.line_path([0.0], [x]) for x in (1.0, -0.7, 5.5)])
+    torus = models.flat_torus()
+    development.reconstruct_atlas(torus.glued, torus.homog, torus.atlas_spec)
+
+
+@pytest.mark.parametrize("run", [_linear, _window, _collapse_and_window, _skew_transport,
+                                 _circle_geodesics, _curved_geodesics, _develop])
+def test_driver_matches_scipy_solve_ivp(run, monkeypatch):
+    ours = _outcomes(monkeypatch, run, oracle=False)
+    theirs = _outcomes(monkeypatch, run, oracle=True)
+    assert len(ours) == len(theirs) > 0
+    for a, b in zip(ours, theirs):
+        assert (a.status, a.event_name) == (b.status, b.event_name)
+        assert (a.steps, a.nfev) == (b.steps, b.nfev)
+        assert math.isclose(a.t_end, b.t_end, rel_tol=1e-12, abs_tol=0.0)
+
+
+@pytest.mark.parametrize("f, a, b", [
+    (lambda x: math.cos(x) - x, 0.0, 1.0),
+    (lambda x: x ** 3 - 2 * x - 5, 2.0, 3.0),
+    (lambda x: math.tanh(50 * (x - 0.3)), 1.0, -1.0),
+    (lambda x: math.expm1(x) - 1e-9, -1.0, 3.0),
+])
+def test_brent_matches_brentq(f, a, b):
+    got = ode._brent(f, a, b, f(a), f(b))
+    want = scipy.optimize.brentq(f, a, b, xtol=4 * ode._EPS, rtol=4 * ode._EPS)
+    assert abs(got - want) <= 16 * ode._EPS * max(1.0, abs(want))
