@@ -208,7 +208,8 @@ def sqrtm(a) -> np.ndarray:
     M is far from I.  Throughout, A^(1/2) = X M^(-1/2); once E = M - I is
     below 1e-8 the iteration ends with X (I - E/2), whose error is of
     order |E|^2.  No eigendecomposition is needed, so defective inputs
-    converge too: a unipotent matrix in one step."""
+    converge too: a unipotent g in ceil(log2 n) steps, since each step
+    squares the order of E in N = g - I (one step when N^2 = 0)."""
     a = np.asarray(a, dtype=float)
     n = len(a)
     eye = np.eye(n)

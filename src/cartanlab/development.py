@@ -175,16 +175,29 @@ def bracket_orientation(chart, tol: float = 1e-6) -> int:
 
 def _lift_fibers(a, v, rank_tol: float = 1e-8):
     """Minimum-norm anchor lifts of a stack of tangent vectors; errors when
-    an anchor is rank-deficient there (transitivity violated).  Square
-    anchors are solved, others pseudo-inverted; either way the lift must
-    reproduce v."""
+    v is not in an anchor's range (transitivity violated).
+
+    A batch of square anchors whose determinants all exceed rank_tol times
+    the product of their row norms (Hadamard's bound, so the test ignores
+    row scaling) is solved directly; any other batch is pseudo-inverted,
+    since solving a rank-deficient anchor returns an arbitrary lift of a v
+    in its range."""
+    n = a.shape[-1]
+    if a.shape[-2] != n:
+        solvable = False
+    elif n == 1:
+        solvable = bool(np.all(np.abs(a) > 0))     # for 1x1 the test is a != 0
+    else:
+        det = np.linalg.det(a)
+        rows = np.einsum("bij,bij->bi", a, a).prod(axis=1)
+        solvable = bool(np.all(det * det > rank_tol ** 2 * rows))
     try:
-        if a.shape[-2] == a.shape[-1]:
+        if solvable:
             xi = np.linalg.solve(a, v[..., None])[..., 0]
         else:
             xi = np.einsum("bij,bj->bi", np.linalg.pinv(a), v)
     except np.linalg.LinAlgError:
-        raise DevelopmentError("anchor not surjective along path (singular anchor)") from None
+        raise DevelopmentError("anchor not surjective along path (no lift)") from None
     gap = np.max(np.abs(np.einsum("bij,bj->bi", a, xi) - v), axis=1)
     bad = gap > rank_tol * (1.0 + np.max(np.abs(v), axis=1))
     if np.any(bad):

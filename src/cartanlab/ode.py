@@ -36,6 +36,8 @@ DEFAULT_ATOL = 1e-9
 # event functions are scanned at this many evenly spaced times per span
 _EVENT_SCAN_POINTS = 64
 _EPS = np.finfo(float).eps
+# event roots are solved until the bracket is below _ROOT_XTOL + _ROOT_RTOL |t|
+_ROOT_XTOL, _ROOT_RTOL, _ROOT_MAX_ITER = 4 * _EPS, 4 * _EPS, 100
 # any smaller rtol is raised to this floor
 RTOL_FLOOR = 100 * _EPS
 _SAFETY, _MIN_FACTOR, _MAX_FACTOR = 0.9, 0.2, 10.0
@@ -230,28 +232,27 @@ class Solution:
     sol: DenseOutput | None = None
 
 
-def _brent(f, a: float, b: float, fa: float, fb: float,
-           xtol: float = 4 * _EPS, rtol: float = 4 * _EPS, maxiter: int = 100) -> float:
+def _brent(f, a: float, b: float, fa: float, fb: float) -> float:
     """Root of f between a and b by Brent's method (Brent, *Algorithms for
     Minimization without Derivatives*, 1973, ch. 4), given fa = f(a) and
     fb = f(b) of opposite signs: inverse quadratic interpolation or secant
     steps where they shrink the bracket fast enough, bisection otherwise,
-    until the bracket is below xtol + rtol |x|.  Without a sign change it
-    returns b."""
+    until the bracket is below _ROOT_XTOL + _ROOT_RTOL |x|.  Without a
+    sign change it returns b."""
     if fa == 0:
         return a
     if fb == 0 or (fa < 0) == (fb < 0):
         return b
     xpre, xcur, fpre, fcur = a, b, fa, fb
     xblk = fblk = spre = scur = 0.0
-    for _ in range(maxiter):
+    for _ in range(_ROOT_MAX_ITER):
         if fpre != 0 and fcur != 0 and (fpre < 0) != (fcur < 0):
             xblk, fblk = xpre, fpre
             spre = scur = xcur - xpre
         if abs(fblk) < abs(fcur):
             xpre, xcur, xblk = xcur, xblk, xcur
             fpre, fcur, fblk = fcur, fblk, fcur
-        delta = (xtol + rtol * abs(xcur)) / 2
+        delta = (_ROOT_XTOL + _ROOT_RTOL * abs(xcur)) / 2
         sbis = (xblk - xcur) / 2
         if fcur == 0 or abs(sbis) < delta:
             return xcur

@@ -16,7 +16,7 @@ from cartanlab.development import (DevelopmentError, EquivariantMap,
                                    geometric_closure_probe,
                                    induced_affine_map, integrated_twist,
                                    path_independence_check, reconstruct_atlas)
-from cartanlab.dual import value
+from cartanlab.dual import cos, sin, value
 from cartanlab.geometry import as_point
 from cartanlab.transport import BasePath, PathSegment, line_path, polyline_path
 
@@ -116,6 +116,19 @@ def test_a_batch_mixing_line_and_other_segments_matches_single_paths(circle, tor
         torus.cover, torus.homog, [line_path([0.0, 0.0], [0.5, -0.2]), bend])
 
 
+def _great_circle_arc(u, w):
+    # t -> cos(t) u + sin(t) w on [0, 1]; with u, w orthonormal its velocity
+    # is always orthogonal to the point, so it stays in the so(3) anchor's range
+    u, w = np.asarray(u, dtype=float), np.asarray(w, dtype=float)
+    return BasePath((PathSegment(0, lambda t: [cos(t) * a + sin(t) * b
+                                               for a, b in zip(u, w)]),))
+
+
+def _so3_model(so3_action):
+    return HomogeneousModel(so3_action.algebra, algebra.so3_realization(),
+                            Subalgebra(so3_action.algebra, ()))
+
+
 def test_develop_paths_rejects_a_non_liftable_path_in_the_batch(so3_action):
     H = HomogeneousModel(so3_action.algebra, algebra.so3_realization(),
                          Subalgebra(so3_action.algebra, ()))
@@ -125,17 +138,41 @@ def test_develop_paths_rejects_a_non_liftable_path_in_the_batch(so3_action):
         develop_paths(so3_action, H, [tangential, radial, tangential])
 
 
+def test_a_radial_path_fails_the_lift_of_a_batch_whose_other_paths_lift(so3_action):
+    arc = _great_circle_arc([1.0, 0.0, 0.0], [0.0, 1.0, 0.0])
+    radial = line_path([1.0, 0.0, 0.0], [2.0, 0.0, 0.0])
+    H = _so3_model(so3_action)
+    develop_paths(so3_action, H, [arc, arc])
+    with pytest.raises(DevelopmentError, match="surjective along path \\(gap"):
+        develop_paths(so3_action, H, [arc, radial, arc])
+
+
+def test_rank_deficient_square_anchors_take_the_minimum_norm_lift(so3_action):
+    # the so(3) anchor on R^3 is square of rank 2: exactly singular along the
+    # z = 0 plane, singular up to roundoff at the other points.  The
+    # minimum-norm lift of a great-circle arc is the constant rotation rate
+    # u x w, so the developed element is the rotation by angle 1 about it
+    s = math.sqrt(0.5)
+    frames = [([1.0, 0.0, 0.0], [0.0, 1.0, 0.0]), ([0.0, s, s], [1.0, 0.0, 0.0]),
+              ([0.6, 0.0, 0.8], [0.0, 1.0, 0.0])]
+    cosets = develop_paths(so3_action, _so3_model(so3_action),
+                           [_great_circle_arc(u, w) for u, w in frames])
+    for (u, w), c in zip(frames, cosets):
+        k = np.cross(u, w)
+        K = np.array([[0.0, -k[2], k[1]], [k[2], 0.0, -k[0]], [-k[1], k[0], 0.0]])
+        rotation = np.eye(3) + math.sin(1.0) * K + (1 - math.cos(1.0)) * K @ K
+        assert np.allclose(c.g, rotation, rtol=0, atol=1e-10)
+
+
 def test_a_radial_path_at_a_generic_point_fails_the_lift_gap(so3_action):
     # at a generic point the rank-2 so(3) anchor is singular only up to
-    # roundoff, so solve returns a huge lift instead of raising; the gap
-    # test must still reject it
-    H = HomogeneousModel(so3_action.algebra, algebra.so3_realization(),
-                         Subalgebra(so3_action.algebra, ()))
+    # roundoff, so solve would return a huge lift instead of raising; the
+    # lift must still reject the path
     m = np.array([0.6, -0.8, 1.1])
     lift = np.linalg.solve(so3_action.chart.anchor.values([m]), m[None, :, None])
     assert np.all(np.isfinite(lift))
     with pytest.raises(DevelopmentError, match="surjective along path \\(gap"):
-        develop_paths(so3_action, H, [line_path(m, 1.3 * m)])
+        develop_paths(so3_action, _so3_model(so3_action), [line_path(m, 1.3 * m)])
 
 
 def test_develop_paths_requires_shared_time_spans(circle):

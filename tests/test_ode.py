@@ -82,7 +82,8 @@ def _scipy_solve_ivp(fun, t_span, y0, method="RK45", rtol=ode.DEFAULT_RTOL,
 
 
 def _scipy_brent(f, a, b, fa, fb):
-    return scipy.optimize.brentq(f, a, b, xtol=4 * ode._EPS, rtol=4 * ode._EPS)
+    return scipy.optimize.brentq(f, a, b, xtol=ode._ROOT_XTOL, rtol=ode._ROOT_RTOL,
+                                 maxiter=ode._ROOT_MAX_ITER)
 
 
 def _outcomes(monkeypatch, run, oracle: bool):
@@ -171,5 +172,6 @@ def test_driver_matches_scipy_solve_ivp(run, monkeypatch):
 ])
 def test_brent_matches_brentq(f, a, b):
     got = ode._brent(f, a, b, f(a), f(b))
-    want = scipy.optimize.brentq(f, a, b, xtol=4 * ode._EPS, rtol=4 * ode._EPS)
+    want = scipy.optimize.brentq(f, a, b, xtol=ode._ROOT_XTOL, rtol=ode._ROOT_RTOL,
+                                 maxiter=ode._ROOT_MAX_ITER)
     assert abs(got - want) <= 16 * ode._EPS * max(1.0, abs(want))
