@@ -252,13 +252,31 @@ class LogResult:
 
 
 def principal_log(g: np.ndarray, series_tol: float = 1e-16) -> np.ndarray:
-    """Principal matrix log by inverse scaling-and-squaring.
+    """Principal matrix log.
+
+    Where g - I is strictly upper triangular (a unipotent g, such as a
+    translation or Heisenberg element) it is nilpotent, so the Mercator
+    series ends after n - 1 terms and is summed as it stands.  Any other g
+    goes through inverse scaling-and-squaring (``_log_by_roots``).
+    """
+    g = np.asarray(g, dtype=float)
+    x = g - np.eye(g.shape[0])
+    if not np.any(np.tril(x)):
+        out, term = x.copy(), x
+        for m in range(2, g.shape[0]):
+            term = term @ x
+            out += (-1) ** (m + 1) / m * term
+        return out
+    return _log_by_roots(g, series_tol)
+
+
+def _log_by_roots(g: np.ndarray, series_tol: float) -> np.ndarray:
+    """Principal log by inverse scaling-and-squaring.
 
     Requires spectral radius of g - I below 1; repeated principal square
     roots bring the argument close to the identity before the Mercator
     series is summed.
     """
-    g = np.asarray(g, dtype=float)
     n = g.shape[0]
     eye = np.eye(n)
     rho = np.max(np.abs(np.linalg.eigvals(g - eye)))

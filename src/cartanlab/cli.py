@@ -303,7 +303,8 @@ OPS = {
     "geodesic_escape": (_CHARTED, {
         "point": (REQUIRED, _point), "fiber": (REQUIRED, _fiber), "span": ((0.0, 1.0), _span),
         "expect_t_star": (None, _number), "tol": (1e-3, _tol),
-        "expect_status": ("completed", _one_of("completed", "escaped_chart", "blowup"))}),
+        "expect_status": ("completed", _one_of("completed", "escaped_chart", "blowup",
+                                               "step_collapse"))}),
     "completeness": (_CHARTED, {
         "seeds": (REQUIRED, _seeds), "horizon": (100.0, _positive),
         "expect": ("no-blowup-within-horizon",
@@ -502,10 +503,10 @@ def check_compactness_probe(model, params, seed):
 def check_reconstruct(model, params, seed):
     atlas = development.reconstruct_atlas(model.glued, model.homog, model.atlas_spec)
     # each loop's transport must equal its deck twist
-    mono = max((float(np.max(np.abs(M.matrix - d.twist.matrix)))
-                / max(1.0, float(np.max(np.abs(d.twist.matrix))))
-                for M, d in zip(model.monodromies, model.decks)), default=0.0)
-    worst = max((t.residual for t in atlas.transitions), default=0.0)
+    mono = cartan.worst([np.max(np.abs(M.matrix - d.twist.matrix))
+                         / max(1.0, float(np.max(np.abs(d.twist.matrix))))
+                         for M, d in zip(model.monodromies, model.decks)])
+    worst = cartan.worst([t.residual for t in atlas.transitions])
     verdict = atlas.passed and mono <= params["monodromy_rtol"]
     mult = params["expect_multiplier"]
     witnesses = {

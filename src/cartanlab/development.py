@@ -29,7 +29,7 @@ from . import dual
 from .dual import value
 from .algebra import (AlgebraError, AlgebraMap, LieAlgebra, MatrixRealization,
                       Subalgebra, exp_matrix, log_matrix, sqrtm)
-from .algebroid import ActionAlgebroid
+from .algebroid import ActionAlgebroid, worst
 from .cartan import TensorReport
 from .geometry import Chart, as_point
 from .ode import RTOL_FLOOR, integrate
@@ -121,7 +121,6 @@ def check_equivariant_twist(A: ActionAlgebroid, E: EquivariantMap,
     if samples is None:
         samples = A.chart.base.sample_points(np.random.default_rng(seed), 10)
     eye = np.eye(g0.dim)
-    res = 0.0
     per = []
     for m in samples:
         m = as_point(m)
@@ -129,14 +128,13 @@ def check_equivariant_twist(A: ActionAlgebroid, E: EquivariantMap,
         if not A.chart.base.contains(pm):
             raise DevelopmentError("equivariant map image escapes the chart")
         dphi = dual.jacobian(lambda p: np.asarray(E.base_map(as_point(p)), dtype=object), m)
-        worst = 0.0
+        gaps = []
         for i in range(g0.dim):
             lhs = value(dphi @ np.asarray(A.action(eye[i], m), dtype=object))
             rhs = value(np.asarray(A.action(E.twist(eye[i]), as_point(pm)), dtype=object))
-            worst = max(worst, float(np.max(np.abs(lhs - rhs))))
-        per.append(worst)
-        res = max(res, worst)
-    return TensorReport("check_equivariant_twist", res, tol, tuple(per))
+            gaps.append(np.max(np.abs(lhs - rhs)))
+        per.append(worst(gaps))
+    return TensorReport("check_equivariant_twist", worst(per), tol, tuple(per))
 
 
 # -- development --------------------------------------------------------------
@@ -388,14 +386,14 @@ class AffineCosetMap:
         # self after other: mu (mu'(g) q') q = (mu mu')(g) mu(q') q
         q = integrated_twist(self.model, self.twist, other.q) @ self.q
         return AffineCosetMap(self.model, self.twist.compose(other.twist), q,
-                              max(self.consistency_residual, other.consistency_residual))
+                              worst([self.consistency_residual, other.consistency_residual]))
 
 
 def induced_affine_map(E: EquivariantMap, H: HomogeneousModel, q_coset: Coset,
                        consistency_tol: float = 1e-6) -> AffineCosetMap:
     """Build the induced coset map and verify its subgroup consistency:
     the twist must carry H0 onto q H0 q^-1 (checked on h0 generators)."""
-    res = 0.0
+    per = []
     for b in H.h0.basis_vectors:
         for t in (0.05, -0.08):
             elt = exp_matrix(H.realization, t * b)
@@ -403,11 +401,12 @@ def induced_affine_map(E: EquivariantMap, H: HomogeneousModel, q_coset: Coset,
             back = np.linalg.solve(q_coset.g, im @ q_coset.g)
             lr = log_matrix(H.realization, back)
             if not lr.in_region:
-                res = np.inf
+                per.append(np.inf)
                 continue
             P = H.h0_projector()
-            res = max(res, float(np.linalg.norm(P @ lr.coords) + lr.off_span_residual))
-    if res > consistency_tol:
+            per.append(np.linalg.norm(P @ lr.coords) + lr.off_span_residual)
+    res = worst(per)
+    if not res <= consistency_tol:
         raise DevelopmentError(
             f"twist does not normalize the subgroup through q (residual {res:.3e})")
     return AffineCosetMap(H, E.twist, q_coset.g, res)
@@ -439,8 +438,7 @@ def equivariance_diagram_check(A: ActionAlgebroid, H: HomogeneousModel,
     q, *devs = _develop_from(A, H, m0, ends)
     aff = induced_affine_map(E, H, q)
     per = [coset_residual(lhs, aff(c)) for lhs, c in zip(devs[:len(ms)], devs[len(ms):])]
-    mx = max(per) if per else 0.0
-    return TensorReport("equivariance_diagram", mx, tol, tuple(per))
+    return TensorReport("equivariance_diagram", worst(per), tol, tuple(per))
 
 
 def fit_twist(chart, base_map: Callable, m0, samples, frame_steps: int = 64,

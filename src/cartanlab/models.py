@@ -40,7 +40,7 @@ from .algebroid import (ActionAlgebroid, AlgebroidChart, GluedAlgebroid,
 from .cartan import TensorReport, curvature_conn_tensor, fiber_bracket_at, worst
 from .development import (CoverSpec, EquivariantMap, HomogeneousModel,
                           OverlapSpec)
-from .geometry import (Chart, SmoothField, TMConnection, as_point,
+from .geometry import (Chart, GeometryError, SmoothField, TMConnection, as_point,
                        christoffel_from_jet, curvature_from_christoffel,
                        curvature_tensor, curvature_tensor_obj, ellipsoid_metric,
                        euclidean_metric, flat_connection, frame_connection,
@@ -176,16 +176,27 @@ def build_riemannian_cartan(metric: SmoothField) -> RiemannianCartanChart:
         # one metric jet serves the closed-form jets of all three fields at m
         return parts(metric_jet(metric, m, 3))
 
-    def field(name, shape, value_fn, of):
+    def frames(ms):
+        """The anchor at float points (B, n): the frames F = L^-T, stacked."""
+        try:
+            L = np.linalg.cholesky(metric.values(ms))
+        except np.linalg.LinAlgError:
+            raise GeometryError("metric not positive definite at sample point") from None
+        out = np.zeros((len(ms), n, r))
+        out[:, :, TM] = np.swapaxes(np.linalg.inv(L), -1, -2)
+        return out
+
+    def field(name, shape, value_fn, of, batch=None):
         def jet(m):
             # copies, so no caller can write into the shared parts
             x = of(jet_parts(tuple(m)))
             return x.v.copy(), np.moveaxis(x.d, 0, -1).copy()
-        return SmoothField(base, shape, value_fn, name=f"tm+h {name}", jet=jet)
+        return SmoothField(base, shape, value_fn, name=f"tm+h {name}", batch=batch, jet=jet)
 
     chart = AlgebroidChart(
         base=base, rank=r,
-        anchor=field("anchor", (n, r), lambda m: place(frame(m), TM), lambda p: place(p.F, TM)),
+        anchor=field("anchor", (n, r), lambda m: place(frame(m), TM), lambda p: place(p.F, TM),
+                     frames),
         gamma=field("connection", (n, r, r), lambda m: parts(metric_jet(metric, m, 2)).gamma,
                     lambda p: p.gamma),
         torsion=field("torsion", (r, r, r), lambda m: torsion_of(parts(metric_jet(metric, m, 2))),

@@ -10,18 +10,20 @@ norm, safety factor 0.9, step factors clamped to [0.2, 10], no growth
 right after a rejected step, and rtol raised to at least 100 eps.  It is
 the controller of scipy's ``solve_ivp`` with the same tableaux, so the
 step sequences and work counts are scipy's.  Each solve first tries the
-whole span in one step, so the embedded error estimate alone sizes every
-step; a step that has to shrink below ten float spacings of t is a step
-collapse.
+whole span in one step, or a caller's first step where the span is only
+an upper bound (a geodesic in rescaled time), so the embedded error
+estimate alone sizes every step; a step that has to shrink below ten
+float spacings of t is a step collapse.
 
 ``integrate`` adds named terminal events.  Solves without events use
 DOP853; solves with events use RK45 and its dense output.  Every event
 function is checked at step ends and also scanned on the interpolant at
-64 evenly spaced times per span, so a sign change that opens and closes
-inside one long step is still found; roots are located on the
-interpolant by Brent's method.  The fixed-step classical RK4 lives here
-as an independent oracle and doubles as the dual-number-capable
-integrator (the adaptive driver steps float arrays only).
+64 evenly spaced times over the range actually integrated, so a sign
+change that opens and closes inside one long step is still found; roots
+are located on the interpolant by Brent's method.  The fixed-step
+classical RK4 lives here as an independent oracle and doubles as the
+dual-number-capable integrator (the adaptive driver steps float arrays
+only).
 """
 
 from __future__ import annotations
@@ -33,7 +35,8 @@ import numpy as np
 
 DEFAULT_RTOL = 1e-9
 DEFAULT_ATOL = 1e-9
-# event functions are scanned at this many evenly spaced times per span
+# event functions are scanned at this many evenly spaced times over the
+# integrated range
 _EVENT_SCAN_POINTS = 64
 _EPS = np.finfo(float).eps
 # event roots are solved until the bracket is below _ROOT_XTOL + _ROOT_RTOL |t|
@@ -276,9 +279,10 @@ def _brent(f, a: float, b: float, fa: float, fb: float) -> float:
 
 
 def solve_ivp(fun, t_span, y0, method: str = "RK45", rtol: float = DEFAULT_RTOL,
-              atol: float = DEFAULT_ATOL, events=()) -> Solution:
+              atol: float = DEFAULT_ATOL, events=(), first_step=None) -> Solution:
     """Integrate y' = fun(t, y) from y0 over t_span with ``method``, "RK45"
-    or "DOP853", starting with one step over the whole span.
+    or "DOP853", starting with one step of ``first_step``, or over the
+    whole span when it is None or longer.
 
     ``events`` are functions g(t, y), all terminal: after each accepted
     step those whose sign changes between the step's ends (a zero counts
@@ -301,6 +305,8 @@ def solve_ivp(fun, t_span, y0, method: str = "RK45", rtol: float = DEFAULT_RTOL,
     g = [ev(t0, y) for ev in events]
     K = np.empty((len(pair.C) + 1, y.size))
     t, h_abs = t0, abs(t1 - t0)
+    if first_step is not None:
+        h_abs = min(h_abs, first_step)
     status, hit = "completed", None
     while direction * (t - t1) < 0:
         min_step = 10 * np.abs(np.nextafter(t, direction * np.inf) - t)
@@ -382,16 +388,16 @@ def _overflow_safe(rhs):
     return f
 
 
-def _first_sign_change(sol, fns, t0: float, t1: float, stop: float, closed: bool):
+def _first_sign_change(sol, fns, t0: float, stop: float, closed: bool):
     """(k, t) for the earliest sign change of any event function fns[k] on
     the dense output, or None.  ``solve_ivp`` checks the sign at every
-    step end, so only the steps that hold a scan time t0 + j(t1 - t0)/64
+    step end, so only the steps that hold a scan time t0 + j(stop - t0)/64
     are scanned, at those times and at the step's two ends, up to
-    ``stop`` (included when ``closed``); a change between two scan times
-    is located by Brent's method on the interpolant."""
-    d = t1 - t0
+    ``stop``, the end of the integrated range (included when ``closed``);
+    a change between two scan times is located by Brent's method on the
+    interpolant."""
+    d = stop - t0
     scan = t0 + d * np.arange(1, _EVENT_SCAN_POINTS) / _EVENT_SCAN_POINTS
-    scan = scan[(scan - stop) * d < 0]
     i = np.searchsorted(sol.t * np.sign(d), scan * np.sign(d))   # sol.t[i-1] < scan <= sol.t[i]
     grid = np.concatenate([scan, sol.t[i - 1], sol.t[i], [stop]])
     ahead = (grid - stop) * d
@@ -401,7 +407,10 @@ def _first_sign_change(sol, fns, t0: float, t1: float, stop: float, closed: bool
     ys = sol.sol(grid)
     best = None
     for k, fn in enumerate(fns):
-        g = np.array([fn(t, y) for t, y in zip(grid, ys)])
+        if getattr(fn, "vectorized", False):
+            g = np.asarray(fn(grid, ys), dtype=float)
+        else:
+            g = np.array([fn(t, y) for t, y in zip(grid, ys)])
         hits = np.nonzero((g[:-1] != 0) & (g[:-1] * g[1:] <= 0))[0]
         if len(hits):
             j = hits[0]
@@ -412,21 +421,22 @@ def _first_sign_change(sol, fns, t0: float, t1: float, stop: float, closed: bool
 
 
 def integrate(rhs, t_span, y0, events=None, rtol=DEFAULT_RTOL,
-              atol=DEFAULT_ATOL) -> IvpOutcome:
+              atol=DEFAULT_ATOL, first_step=None) -> IvpOutcome:
     """Adaptive integration with named terminal events.
 
     Error control at rtol/atol sizes every step, starting from one step
-    over the whole span.  Without events the pair is DOP853.  ``events``
-    is a list of (name, fn) with fn(t, y) -> float; integration stops at
+    of ``first_step`` (default: the whole span).  Without events the pair
+    is DOP853.  ``events`` is a list of (name, fn) with fn(t, y) -> float;
+    an fn with ``fn.vectorized = True`` also takes times (T,) and states
+    (T, n) and returns (T,), which the scan uses.  Integration stops at
     the first sign change of any fn, found by RK45's own check at step
-    ends or by a scan of the dense output at no more than 1/64 of the span
-    apart (the scan calls no right-hand side).  Step-size collapse is
-    reported as its own status (the solver cannot continue but the last
-    reached time brackets the breakdown); an event before the collapse
-    wins.
+    ends or by a scan of the dense output at no more than 1/64 of the
+    integrated range apart (the scan calls no right-hand side).
+    Step-size collapse is reported as its own status (the solver cannot
+    continue but the last reached time brackets the breakdown); an event
+    before the collapse wins.
     """
     t0, t1 = float(t_span[0]), float(t_span[1])
-    span = abs(t1 - t0)
     names = [name for name, _ in events or ()]
     fns = [fn for _, fn in events or ()]
     # the 1e150 sentinel of _overflow_safe overflows the error norm, which
@@ -434,11 +444,11 @@ def integrate(rhs, t_span, y0, events=None, rtol=DEFAULT_RTOL,
     with np.errstate(over="ignore"):
         sol = solve_ivp(_overflow_safe(rhs), (t0, t1), y0,
                         method="RK45" if fns else "DOP853", rtol=rtol, atol=atol,
-                        events=fns)
+                        events=fns, first_step=first_step)
         work = {"nfev": sol.nfev, "steps": len(sol.t) - 1}
         hit, t_hit = sol.event, float(sol.t[-1])
-        if fns and span > 0:
-            earlier = _first_sign_change(sol, fns, t0, t1, t_hit, closed=hit is None)
+        if fns and t_hit != t0:
+            earlier = _first_sign_change(sol, fns, t0, t_hit, closed=hit is None)
             if earlier is not None:
                 hit, t_hit = earlier
     if hit is not None:

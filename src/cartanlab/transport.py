@@ -5,12 +5,15 @@ path, applying fiber transition matrices at chart switches of a glued
 algebroid.  Geodesics couple that equation with dm/dt = a(m) X.
 
 Completeness verdicts are one-sided: numerical integration can certify
-incompleteness (norm blow-up or step collapse at a finite time) but only
-ever reports the absence of blow-up within a horizon.
+incompleteness (the fiber norm or the base speed reaching the blow-up
+norm at a finite time, integrated in a rescaled time that stays finite
+there) but only ever reports the absence of blow-up within a horizon.  A
+solve that merely stops (a step collapse) certifies nothing.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -25,6 +28,9 @@ from .geometry import Chart, as_point
 from .ode import integrate, rk4
 
 BLOWUP_NORM = 1e6
+# speed above which geodesics are integrated in rescaled time (see
+# _geodesic_rhs); below it the steps are those of an integration in t
+RESCALE_SPEED = 100.0
 EXIT_MARGIN = 1e-6
 
 
@@ -269,20 +275,20 @@ def parallel_frame(C: AlgebroidChart, m0, region: Chart | None = None,
     m0 = np.asarray(m0, dtype=float)
     region = region or C.base
     eye = np.eye(C.rank)
-    worst = 0.0
-    pts = region.halton_points(probes, shrink=0.15)
-    for m in pts:
+    gaps = []
+    for m in region.halton_points(probes, shrink=0.15):
         mid = np.array(m, dtype=float).copy()
         mid[0] = m0[0]
         # the columns of each transported identity are the transported basis
         direct = value(_transport_line_dual(C, m0, m, eye, steps))
         via = value(_transport_line_dual(
             C, mid, m, value(_transport_line_dual(C, m0, mid, eye, steps)), steps))
-        worst = max(worst, float(np.max(np.abs(direct - via))))
-    if worst > dependence_tol:
+        gaps.append(np.max(np.abs(direct - via)))
+    res = worst(gaps)
+    if not res <= dependence_tol:
         raise TransportError(
-            f"path-dependent transport (residual {worst:.3e}); region is not flat")
-    return ParallelFrame(C, m0, region, steps, worst)
+            f"path-dependent transport (residual {res:.3e}); region is not flat")
+    return ParallelFrame(C, m0, region, steps, res)
 
 
 # -- geodesics ----------------------------------------------------------------
@@ -290,7 +296,8 @@ def parallel_frame(C: AlgebroidChart, m0, region: Chart | None = None,
 @dataclass
 class GeodesicResult:
     path: GPath
-    status: str        # "completed" | "escaped_chart" | "blowup" | "escaped_atlas"
+    # "completed" | "escaped_chart" | "escaped_atlas" | "blowup" | "step_collapse"
+    status: str
     t_end: float
     chart: int = 0
     switches: int = 0
@@ -302,31 +309,57 @@ class GeodesicResult:
         return self.status == "blowup"
 
 
-def _geodesic_events(C: AlgebroidChart, blowup_norm: float):
+def _geodesic_events(C: AlgebroidChart, t1: float, direction: float, blowup_norm: float):
+    """Terminal events on the rescaled state z = (t, m, X): t reaches t1,
+    the larger of the fiber norm and the base speed |a(m) X| (max-norms)
+    reaches ``blowup_norm``, m comes within EXIT_MARGIN of the chart edge.
+    Each takes one state or a stack of them."""
     n = C.base.dim
+    lower, upper = np.asarray(C.base.lower, dtype=float), np.asarray(C.base.upper, dtype=float)
 
-    def exit_fn(t, y, _C=C, _n=n):
-        return _C.base.boundary_distance(y[:_n]) - EXIT_MARGIN
+    def end_fn(s, z):
+        return direction * (t1 - z[..., 0])
 
-    def blow_fn(t, y, _n=n):
-        return blowup_norm - float(np.max(np.abs(y[_n:])))
+    def blow_fn(s, z):
+        zs = np.atleast_2d(z)
+        xs = zs[:, n + 1:]
+        v = np.einsum("bir,br->bi", C.anchor.values(zs[:, 1:n + 1]), xs)
+        g = blowup_norm - np.maximum(abs(xs).max(axis=1), abs(v).max(axis=1))
+        return g if np.ndim(z) == 2 else float(g[0])
 
-    events = [("blowup", blow_fn)]
-    if any(np.isfinite(C.base.lower)) or any(np.isfinite(C.base.upper)):
+    def exit_fn(s, z):
+        m = z[..., 1:n + 1]
+        return np.min(np.minimum(m - lower, upper - m), axis=-1) - EXIT_MARGIN
+
+    events = [("end", end_fn), ("blowup", blow_fn)]
+    if np.any(np.isfinite(lower)) or np.any(np.isfinite(upper)):
         events.append(("escaped_chart", exit_fn))
+    for _, fn in events:
+        fn.vectorized = True
     return events
 
 
-def _geodesic_rhs(C: AlgebroidChart):
-    n, r = C.base.dim, C.rank
+def _geodesic_rhs(C: AlgebroidChart, direction: float):
+    """dz/ds of z = (t, m, X) in the rescaled time s, ds = (1 + |f|/K) |dt|
+    with K = RESCALE_SPEED, where f = (a(m) X, -Gamma(a(m) X) X) is the
+    geodesic field in t.  Below speed K, s runs nearly like t; above it
+    |dz/ds| <= K, so a blow-up at finite t* is an infinite s-span over
+    which t(s) converges to t*.  The scale is taken out before the norm,
+    so a huge but finite f cannot overflow the norm and freeze t; a
+    non-finite f is passed on for the solver's overflow guard."""
+    n = C.base.dim
 
-    def rhs(t, y, _C=C, _n=n, _r=r):
-        m, x = y[:_n], y[_n:]
-        a = value(np.asarray(_C.anchor(as_point(m)), dtype=object))
-        v = a @ x
-        g = value(np.asarray(_C.gamma(as_point(m)), dtype=object))
-        dx = -np.einsum("iab,i,b->a", g, v, x)
-        return np.concatenate([v, dx])
+    def rhs(s, z):
+        m, x = z[1:n + 1], z[n + 1:]
+        v = value(np.asarray(C.anchor(as_point(m)), dtype=object)) @ x
+        g = value(np.asarray(C.gamma(as_point(m)), dtype=object))
+        w = np.concatenate(([1.0], v, -np.einsum("iab,i,b->a", g, v, x)))
+        top = abs(w).max()
+        if not top < np.inf:
+            return w
+        w /= top        # w[0] = 1/top, so 1 + |f|/K = top (w[0] + |w[1:]|/K)
+        f = w[1:]
+        return w * (direction / (w[0] + math.sqrt(f @ f) / RESCALE_SPEED))
 
     return rhs
 
@@ -350,33 +383,59 @@ def geodesic_glued(G, chart: int, m0, X0, span=(0.0, 1.0),
 def _geodesic_run(G: GluedAlgebroid, chart: int, m0, X0, span, blowup_norm: float,
                   max_switches: int, exit_status: str) -> GeodesicResult:
     """The integration loop behind both public geodesic functions, which
-    must not call each other: each is traced as one geodesic."""
+    must not call each other: each is traced as one geodesic.
+
+    Each leg, one chart between switches, is one solve in the rescaled
+    time s of ``_geodesic_rhs`` with terminal events (``_geodesic_events``).
+    Its s-span (1 + blowup_norm/K) |t1 - t| is only an upper bound, so
+    the first step is the s-length the leg would take at its start speed.
+    Blow-up is certified when the fiber norm or the base speed reaches
+    ``blowup_norm``.  A leg that stops short of t1 otherwise, by a
+    collapsed step or by spending its whole s-span (|f| above
+    ``blowup_norm`` on average), reports "step_collapse"."""
     t = float(span[0])
     t_final = float(span[1])
     m = np.asarray(m0, dtype=float)
     x = np.asarray(X0, dtype=float)
-    if not np.max(np.abs(x)) < blowup_norm:
-        raise ValueError(f"start fiber {x.tolist()} is not below the blow-up norm "
-                         f"{blowup_norm:g}, so its blow-up event could never fire")
+    direction = 1.0 if t_final >= t else -1.0
     times, bases, fibers, charts = [], [], [], []
     switches = steps = nfev = 0
-    status = "completed"
     while True:
         C = G.charts[chart]
-        out = integrate(_geodesic_rhs(C), (t, t_final), np.concatenate([m, x]),
-                        events=_geodesic_events(C, blowup_norm))
         n = C.base.dim
-        times.extend(out.times.tolist())
-        bases.extend(out.states[:, :n].tolist())
-        fibers.extend(out.states[:, n:].tolist())
-        charts.extend([C] * len(out.times))
-        steps, nfev = steps + out.steps, nfev + out.nfev
-        t = out.t_end
-        m, x = out.states[-1, :n], out.states[-1, n:]
-        if out.status == "completed":
-            break
-        if out.status in ("step_collapse", "event:blowup"):
+        v = C.anchor.values(m[None])[0] @ x
+        if not max(np.max(np.abs(x)), np.max(np.abs(v))) < blowup_norm:
+            if not times:
+                raise ValueError(f"start fiber {x.tolist()} or its base speed {v.tolist()} is "
+                                 f"not below the blow-up norm {blowup_norm:g}, so its blow-up "
+                                 f"event could never fire")
             status = "blowup"
+            break
+        dt = abs(t_final - t)
+        # a margin past the start speed's s-length, so that a constant
+        # field's first step ends beyond t1 and not a rounding short of it
+        first = (1 + 1e-6) * (1 + np.linalg.norm(v) / RESCALE_SPEED) * dt
+        out = integrate(_geodesic_rhs(C, direction),
+                        (0.0, (1 + blowup_norm / RESCALE_SPEED) * dt),
+                        np.concatenate([[t], m, x]),
+                        events=_geodesic_events(C, t_final, direction, blowup_norm),
+                        first_step=first)
+        z = out.states
+        times.extend(z[:, 0].tolist())
+        bases.extend(z[:, 1:n + 1].tolist())
+        fibers.extend(z[:, n + 1:].tolist())
+        charts.extend([C] * len(z))
+        steps, nfev = steps + out.steps, nfev + out.nfev
+        t, m, x = z[-1, 0], z[-1, 1:n + 1], z[-1, n + 1:]
+        if out.status == "event:end" or dt == 0:
+            status, t = "completed", t_final
+            times[-1] = t
+            break
+        if out.status == "event:blowup":
+            status = "blowup"
+            break
+        if out.status != "event:escaped_chart":
+            status = "step_collapse"
             break
         # chart exit: look for a continuation chart
         nxt = _find_switch(G, chart, m)
@@ -385,14 +444,11 @@ def _geodesic_run(G: GluedAlgebroid, chart: int, m0, X0, span, blowup_norm: floa
             break
         chart, m, x = nxt[0], nxt[1], nxt[2] @ x
         switches += 1
-        if np.max(np.abs(x)) >= blowup_norm:
-            status = "blowup"
-            break
         if switches > max_switches:
             status = "blowup"
             break
     gp = GPath(np.asarray(times), np.asarray(bases), np.asarray(fibers), tuple(charts))
-    return GeodesicResult(gp, status, t, chart, switches, steps, nfev)
+    return GeodesicResult(gp, status, float(t), chart, switches, steps, nfev)
 
 
 def _find_switch(G: GluedAlgebroid, chart: int, m):
@@ -444,6 +500,9 @@ def completeness_probe(obj, seeds, horizon: float = 100.0,
             if res.status == "escaped_atlas":
                 worst = ("no-blowup-within-horizon", None,
                          f"left the atlas at t={res.t_end:.6g}; verdict limited to the atlas")
+            elif res.status == "step_collapse":
+                worst = ("no-blowup-within-horizon", None,
+                         f"integration stopped at t={res.t_end:.6g} (step collapse)")
         verdicts.append(SeedVerdict(tuple(map(tuple, (np.atleast_1d(m0), np.atleast_1d(X0)))),
                                     worst[0], worst[1], worst[2]))
     return verdicts

@@ -12,7 +12,7 @@ from hypothesis.extra.numpy import array_shapes, arrays
 from cartanlab import cli, models, ode
 from cartanlab.algebroid import AlgebroidError
 from cartanlab.dual import value
-from cartanlab.geometry import Chart, SmoothField, as_point
+from cartanlab.geometry import Chart, GeometryError, SmoothField, as_point
 from cartanlab.transport import line_path, polyline_path, segment_batch
 
 FLOATS = st.floats(-1e3, 1e3, allow_nan=False)
@@ -106,9 +106,27 @@ def test_non_finite_linear_action_is_refused_by_both_forms():
 
 def test_fields_without_a_closed_form_loop_over_points(sphere):
     ms = sphere.chart.base.halton_points(5, shrink=0.2)
-    for field in (sphere.chart.anchor, sphere.chart.gamma):
+    for field in (sphere.chart.gamma, sphere.chart.torsion):
         assert field.batch is None
         assert field.values(ms).tobytes() == _per_point(field, ms).tobytes()
+
+
+@pytest.mark.parametrize("name", ["sphere2", "hyperbolic2"])
+def test_tm_h_anchor_batch_is_the_per_point_frame(name):
+    chart = models.load_model(name).chart
+    ms = chart.base.halton_points(9, shrink=0.05)
+    assert chart.anchor.batch is not None
+    assert chart.anchor.values(ms).tobytes() == _per_point(chart.anchor, ms).tobytes()
+
+
+def test_tm_h_anchor_batch_refuses_a_metric_that_is_not_positive_definite():
+    # a negative-definite "metric": both anchor forms refuse it
+    bad = SmoothField(Chart((-1.0,), (1.0,)), (1, 1), lambda m: -np.eye(1, dtype=object))
+    chart = models.build_riemannian_cartan(bad).chart
+    with pytest.raises(GeometryError, match="positive definite"):
+        chart.anchor.values([[0.0]])
+    with pytest.raises(GeometryError, match="positive definite"):
+        chart.anchor(as_point([0.0]))
 
 
 @settings(max_examples=100, deadline=None)

@@ -1,4 +1,5 @@
 import copy
+import dataclasses
 import json
 import math
 import subprocess
@@ -11,7 +12,7 @@ import yaml
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cartanlab import algebra, cartan, cli, geometry, models
+from cartanlab import algebra, cartan, cli, development, geometry, models
 from cartanlab.cli import (ScenarioError, bundled_scenarios,
                            export_report, list_examples,
                            report_from_structured, run_scenario)
@@ -134,6 +135,21 @@ def test_a_nan_scalar_fit_at_the_second_point_fails(monkeypatch):
     params = {"points": 3, "expect_abs_s": None, "tol": 1e-6, "spread_tol": 1e-6}
     result = cli.check_scalar_form_fit(models.sphere2(), params, 7)
     assert len(calls) == 3
+    assert not result.verdict and math.isnan(result.max_residual)
+
+
+def test_a_nan_transition_residual_after_the_first_fails_reconstruct(monkeypatch):
+    reconstruct = development.reconstruct_atlas
+
+    def nan_after_first(*args, **kwargs):
+        atlas = reconstruct(*args, **kwargs)
+        atlas.transitions[1:] = [dataclasses.replace(t, residual=math.nan)
+                                 for t in atlas.transitions[1:]]
+        return atlas
+
+    monkeypatch.setattr(development, "reconstruct_atlas", nan_after_first)
+    params = {"monodromy_rtol": 1e-6, "expect_multiplier": None, "rtol": 1e-6}
+    result = cli.check_reconstruct(models.flat_torus(), params, 7)
     assert not result.verdict and math.isnan(result.max_residual)
 
 

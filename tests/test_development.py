@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import warnings
 
@@ -7,7 +8,8 @@ from scipy.integrate import quad
 
 from cartanlab import algebra, development, ode
 from cartanlab.algebra import AlgebraMap, MatrixRealization, Subalgebra
-from cartanlab.development import (DevelopmentError, EquivariantMap,
+from cartanlab.algebroid import ActionAlgebroid
+from cartanlab.development import (Coset, DevelopmentError, EquivariantMap,
                                    HomogeneousModel, check_equivariant_twist,
                                    check_lemma_diagram, coset_residual,
                                    develop_paths, develop_point, develop_to,
@@ -130,12 +132,16 @@ def _so3_model(so3_action):
 
 
 def test_develop_paths_rejects_a_non_liftable_path_in_the_batch(so3_action):
-    H = HomogeneousModel(so3_action.algebra, algebra.so3_realization(),
-                         Subalgebra(so3_action.algebra, ()))
-    tangential = line_path([1.0, 0.0, 0.0], [1.0, 0.3, 0.0])
+    # the arcs lift on their own, so only the radial path, last in the
+    # batch, can fail it; the sibling test puts it in the middle
+    H = _so3_model(so3_action)
+    arc = _great_circle_arc([1.0, 0.0, 0.0], [0.0, 1.0, 0.0])
+    other = _great_circle_arc([0.0, 0.6, 0.8], [1.0, 0.0, 0.0])
     radial = line_path([1.0, 0.0, 0.0], [2.0, 0.0, 0.0])
+    develop_paths(so3_action, H, [arc])
+    develop_paths(so3_action, H, [other])
     with pytest.raises(DevelopmentError, match="surjective"):
-        develop_paths(so3_action, H, [tangential, radial, tangential])
+        develop_paths(so3_action, H, [arc, other, radial])
 
 
 def test_a_radial_path_fails_the_lift_of_a_batch_whose_other_paths_lift(so3_action):
@@ -506,3 +512,44 @@ def test_reconstruct_refuses_nonclosed(circle):
 def test_reconstruct_refuses_rank_mismatch(circle, torus):
     with pytest.raises(DevelopmentError):
         reconstruct_atlas(torus.glued, circle.homog, circle.atlas_spec)
+
+
+def test_a_nan_action_after_the_first_point_fails_the_equivariant_twist(
+        circle, nan_after_first_point):
+    A = ActionAlgebroid(circle.cover.algebra, nan_after_first_point(circle.cover.action),
+                        circle.cover.chart)
+    rep = check_equivariant_twist(A, EquivariantMap.identity(A.algebra),
+                                  samples=[[0.1], [0.4], [0.7]])
+    assert rep.per_point[0] == 0.0 and math.isnan(rep.per_point[1])
+    assert math.isnan(rep.max_residual) and not rep.verdict
+
+
+def test_a_nan_coset_residual_after_the_first_sample_fails_the_diagram(circle, monkeypatch):
+    real, calls = development.coset_residual, []
+
+    def nan_after_first(a, b):
+        calls.append(a)
+        return real(a, b) if len(calls) == 1 else math.nan
+    monkeypatch.setattr(development, "coset_residual", nan_after_first)
+    rep = equivariance_diagram_check(circle.cover, circle.homog, circle.decks[0], [0.0],
+                                     [[0.2], [0.5], [0.9]])
+    assert len(calls) == 3 and rep.per_point[0] < 1e-5
+    assert math.isnan(rep.max_residual) and not rep.verdict
+
+
+def test_a_nan_residual_after_the_first_generator_refuses_the_induced_map(monkeypatch):
+    aff = algebra.affine_line()
+    gens = (np.array([[1.0, 0.0], [0.0, 0.0]]), np.array([[0.0, 1.0], [0.0, 0.0]]))
+    H = HomogeneousModel(aff, MatrixRealization(aff, gens),
+                         Subalgebra(aff, (np.array([1.0, 0.0]),)))
+    E, q = EquivariantMap.identity(aff), Coset(np.eye(2), H)
+    assert induced_affine_map(E, H, q).consistency_residual < 1e-12
+    real, calls = HomogeneousModel.h0_projector, []
+
+    def nan_after_first(model):
+        calls.append(model)
+        return real(model) * (1.0 if len(calls) == 1 else math.nan)
+    monkeypatch.setattr(HomogeneousModel, "h0_projector", nan_after_first)
+    with pytest.raises(DevelopmentError, match="residual nan"):
+        induced_affine_map(E, H, q)
+    assert len(calls) == 2

@@ -93,6 +93,34 @@ def test_principal_log_matches_the_log_through_scipy_sqrtm(g):
     assert rel_err(scipy.linalg.expm(got), g) <= 1e-12
 
 
+def translation(x, y) -> np.ndarray:
+    return np.eye(3) + algebra.translation_realization(2).element([x, y])
+
+
+unipotent_inputs = st.one_of(
+    st.builds(heisenberg, coord, coord, coord),
+    st.builds(affine, st.just(0.0), st.floats(-1e3, 1e3)),
+    st.builds(translation, st.floats(-2000.0, 2000.0), st.floats(-2000.0, 2000.0)),
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(unipotent_inputs)
+def test_unipotent_log_is_the_terminating_series(g):
+    # g - I is strictly upper triangular: no square root is taken
+    calls = []
+    original = algebra.sqrtm
+    try:
+        algebra.sqrtm = lambda a: calls.append(a) or original(a)
+        got = algebra.principal_log(g)
+    finally:
+        algebra.sqrtm = original
+    assert calls == []
+    scale = max(np.linalg.norm(got), 1.0)
+    assert np.linalg.norm(got - algebra._log_by_roots(g, 1e-16)) <= REL * scale
+    assert np.linalg.norm(got - scipy.linalg.logm(g).real) <= REL * scale
+
+
 # elements that integrated_twist splits: outside the log region, no
 # eigenvalue on the negative real axis
 root_inputs = st.one_of(

@@ -49,6 +49,36 @@ def test_event_before_a_step_collapse_wins():
     assert abs(out.t_end - 0.48) < 1e-9
 
 
+def test_first_step_sets_the_first_trial_step():
+    out = ode.integrate(lambda t, y: np.ones(1), (0.0, 10.0), [0.0], first_step=2.0)
+    assert out.status == "completed" and out.times[1] == 2.0
+    assert ode.integrate(lambda t, y: np.ones(1), (0.0, 10.0), [0.0],
+                         first_step=20.0).steps == 1
+
+
+def _window_event(t, y):
+    return (y[..., 0] - 5.0) ** 2 - 0.01
+
+
+def _vectorized(fn):
+    def each(t, y):
+        return fn(t, y)
+    each.vectorized = True
+    return each
+
+
+@pytest.mark.parametrize("window", [_window_event, _vectorized(_window_event)],
+                         ids=["per-point", "vectorized"])
+def test_event_scan_covers_the_integrated_range_of_a_long_span(window):
+    # the span is only a bound: a stop event ends the solve at t = 10 inside
+    # the one exact first step (0, 20), and the window (4.9, 5.1) lies
+    # between two scan times spread over the whole span, not over (0, 10)
+    out = ode.integrate(lambda t, y: np.ones(1), (0.0, 1e6), [0.0], first_step=20.0,
+                        events=[("stop", lambda t, y: 10.0 - y[0]), ("window", window)])
+    assert out.steps == 1
+    assert out.status == "event:window" and abs(out.t_end - 4.9) < 1e-9
+
+
 def test_constant_skew_transport_turns_several_times_exactly():
     # dX/dt = -L J X along m(t) = tL: the transport is the rotation by -L,
     # five full turns and one radian, which a full-span step must not skip
@@ -66,12 +96,14 @@ def test_constant_skew_transport_turns_several_times_exactly():
 # -- the in-house driver against scipy's solve_ivp and brentq -----------------
 
 def _scipy_solve_ivp(fun, t_span, y0, method="RK45", rtol=ode.DEFAULT_RTOL,
-                     atol=ode.DEFAULT_ATOL, events=()):
+                     atol=ode.DEFAULT_ATOL, events=(), first_step=None):
     """scipy's solve_ivp, configured as ``ode.solve_ivp`` runs: a full-span
-    first step and terminal events on the dense output."""
+    (or the given) first step and terminal events on the dense output."""
     for ev in events:
         ev.terminal = True
     span = abs(t_span[1] - t_span[0])
+    if first_step is not None:
+        span = min(span, first_step)
     r = scipy.integrate.solve_ivp(fun, t_span, np.asarray(y0, dtype=float), method=method,
                                   rtol=rtol, atol=atol, first_step=span or None,
                                   events=list(events) or None, dense_output=bool(events))

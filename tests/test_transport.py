@@ -144,6 +144,15 @@ def test_parallel_frame_detects_curvature(ellipsoid):
                        dependence_tol=1e-8)
 
 
+def test_a_nan_gamma_after_the_first_point_fails_the_parallel_frame(translations2,
+                                                                    nan_after_first_point):
+    C = translations2.chart
+    chart = AlgebroidChart(C.base, 2, anchor=C.anchor,
+                           gamma=nan_after_first_point(C.gamma), torsion=C.torsion)
+    with pytest.raises(TransportError, match="residual nan"):
+        parallel_frame(chart, [0.0, 0.0], Chart((-1.0, -1.0), (1.0, 1.0)))
+
+
 def test_parallel_frame_sphere_brackets_match_extraction(sphere):
     from cartanlab.cartan import fiber_bracket_at
     C = sphere.rc.chart
@@ -219,6 +228,73 @@ def test_geodesic_counterexample_forward_reaches_horizon(circle):
     res = geodesic(circle.cover.chart, [0.0], [1.0], span=(0.0, 100.0))
     assert res.status == "completed"
     assert abs(res.path.base[-1][0] - math.log(101.0)) < 1e-6
+
+
+def test_circle_blowup_is_certified_by_its_speed_in_few_rhs_calls(circle):
+    # criterion 02's escape: in rescaled time the approach to t* = -1 is cheap
+    res = geodesic(circle.cover.chart, [0.0], [1.0], span=(0.0, -2.0))
+    assert res.status == "blowup" and res.certified_incomplete
+    assert res.nfev <= 700
+    # the base speed e^-theta reaches 1e6 where 1 + t = 1e-6
+    assert res.t_end == pytest.approx(-1.0 + 1e-6, abs=1e-8)
+    assert np.max(np.abs(res.path.fiber)) == 1.0
+
+
+def _chart_ending_at(edge):
+    """A flat rank-1 line whose anchor is 1 on (-edge, edge) and undefined
+    beyond: its geodesics keep speed 1 and fiber 1 until the solver stalls."""
+    def anchor(m):
+        if abs(value(m[0])) >= edge:
+            raise ValueError("outside the domain")
+        return np.ones((1, 1), dtype=object)
+    return AlgebroidChart(Chart((-np.inf,), (np.inf,)), 1, anchor=anchor,
+                          gamma=lambda m: np.zeros((1, 1, 1), dtype=object),
+                          torsion=lambda m: np.zeros((1, 1, 1), dtype=object))
+
+
+def test_a_collapse_with_bounded_state_and_speed_is_not_a_blowup():
+    chart = _chart_ending_at(1.0)
+    res = geodesic(chart, [0.0], [1.0], span=(0.0, 2.0))
+    assert res.status == "step_collapse" and not res.certified_incomplete
+    assert res.t_end == pytest.approx(1.0, abs=1e-6)
+    assert np.max(np.abs(res.path.velocity)) == pytest.approx(1.0)
+    verdicts = completeness_probe(chart, [([0.0], [1.0])], horizon=2.0)
+    assert verdicts[0].verdict == "no-blowup-within-horizon" and verdicts[0].t_star is None
+    assert "step collapse" in verdicts[0].note
+
+
+def test_a_leg_that_spends_its_s_span_reports_step_collapse():
+    # the fiber turns at rate 1e3 while fiber and speed stay at most 1: |f|
+    # stays above a blow-up norm of 10, so the s-span, sized for |f| below
+    # it, runs out before t1 without any blow-up
+    J = np.array([[0.0, -1.0], [1.0, 0.0]])
+    chart = AlgebroidChart(Chart((-np.inf,), (np.inf,)), 2,
+                           anchor=lambda m: np.eye(1, 2, dtype=object),
+                           gamma=lambda m: 1e3 * J[None].astype(object),
+                           torsion=lambda m: np.zeros((2, 2, 2), dtype=object))
+    res = geodesic(chart, [0.0], [1.0, 0.0], span=(0.0, 0.01), blowup_norm=10.0)
+    assert res.status == "step_collapse" and not res.certified_incomplete
+    assert 0.0 < res.t_end < 0.01
+    assert np.allclose(np.linalg.norm(res.path.fiber, axis=1), 1.0, atol=1e-8)
+
+
+def test_the_rescaled_field_keeps_t_moving_and_passes_overflow_on():
+    from cartanlab.ode import _overflow_safe
+    from cartanlab.transport import RESCALE_SPEED, _geodesic_rhs
+
+    def chart(scale):
+        return AlgebroidChart(Chart((-np.inf,), (np.inf,)), 1,
+                              anchor=lambda m: np.ones((1, 1), dtype=object),
+                              gamma=lambda m: np.full((1, 1, 1), scale, dtype=object),
+                              torsion=lambda m: np.zeros((1, 1, 1), dtype=object))
+    z = np.array([0.0, 0.0, 1e10])
+    # |f| = 1e300 does not overflow the norm: dt/ds stays positive
+    dz = _geodesic_rhs(chart(-1e280), -1.0)(0.0, z)
+    assert np.all(np.isfinite(dz)) and -1e-290 < dz[0] < 0.0
+    assert np.linalg.norm(dz[1:]) == pytest.approx(RESCALE_SPEED)
+    # a non-finite field still reaches the solver's rejection sentinel
+    out = _overflow_safe(_geodesic_rhs(chart(float("inf")), 1.0))(0.0, z)
+    assert np.all(np.isfinite(out)) and out[2] == -1e150
 
 
 def test_geodesic_so3_circle_period(so3_action):
