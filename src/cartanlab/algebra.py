@@ -17,10 +17,18 @@ import numpy as np
 
 MAX_DIM = 32
 DEFAULT_TOL = 1e-9
+# the Mercator series of a log stops at a term below this
+_SERIES_TOL = 1e-16
 
 
 class AlgebraError(ValueError):
     pass
+
+
+def worst(residuals) -> float:
+    """The largest residual, NaN if any is NaN (``max`` would keep whichever
+    came first), so a residual that is not a number fails its check."""
+    return float(np.max(residuals, initial=0.0))
 
 
 @dataclass(frozen=True)
@@ -41,7 +49,7 @@ class LieAlgebra:
         c = 0.5 * (c - np.swapaxes(c, 0, 1))
         object.__setattr__(self, "structure_constants", c)
         res = jacobi_residual(c)
-        if res > self.tol:
+        if not res <= self.tol:
             raise AlgebraError(f"Jacobi residual {res:.3e} exceeds tolerance {self.tol:.1e}")
 
     @property
@@ -109,7 +117,7 @@ class MatrixRealization:
             if g.shape != (d, d):
                 raise AlgebraError("generators must be square matrices of equal size")
         res = self.closure_residual()
-        if res > self.tol:
+        if not res <= self.tol:
             raise AlgebraError(f"commutator closure residual {res:.3e} > {self.tol:.1e}")
 
     @property
@@ -118,12 +126,10 @@ class MatrixRealization:
 
     def closure_residual(self) -> float:
         c = self.algebra.structure_constants
-        res = 0.0
-        for i, Gi in enumerate(self.generators):
-            for j, Gj in enumerate(self.generators):
-                target = sum(c[i, j, k] * Gk for k, Gk in enumerate(self.generators))
-                res = max(res, float(np.max(np.abs(Gi @ Gj - Gj @ Gi - target))))
-        return res
+        gens = self.generators
+        gaps = [Gi @ Gj - Gj @ Gi - sum(c[i, j, k] * Gk for k, Gk in enumerate(gens))
+                for i, Gi in enumerate(gens) for j, Gj in enumerate(gens)]
+        return worst([np.max(np.abs(gap)) for gap in gaps])
 
     def element(self, xi) -> np.ndarray:
         xi = np.asarray(xi, dtype=float)
@@ -251,7 +257,7 @@ class LogResult:
         return self.in_region and self.coords is not None
 
 
-def principal_log(g: np.ndarray, series_tol: float = 1e-16) -> np.ndarray:
+def principal_log(g: np.ndarray) -> np.ndarray:
     """Principal matrix log.
 
     Where g - I is strictly upper triangular (a unipotent g, such as a
@@ -267,7 +273,7 @@ def principal_log(g: np.ndarray, series_tol: float = 1e-16) -> np.ndarray:
             term = term @ x
             out += (-1) ** (m + 1) / m * term
         return out
-    return _log_by_roots(g, series_tol)
+    return _log_by_roots(g, _SERIES_TOL)
 
 
 def _log_by_roots(g: np.ndarray, series_tol: float) -> np.ndarray:
@@ -301,7 +307,7 @@ def _log_by_roots(g: np.ndarray, series_tol: float) -> np.ndarray:
     return out * (2.0 ** k)
 
 
-def log_matrix(R: MatrixRealization, g: np.ndarray, span_tol: float = 1e-8) -> LogResult:
+def log_matrix(R: MatrixRealization, g: np.ndarray) -> LogResult:
     """Principal log of g projected onto the generator span.
 
     The off-span residual reports how far the log lies from the algebra; a
@@ -330,7 +336,7 @@ class Subalgebra:
         vecs = tuple(np.asarray(v, dtype=float) for v in self.basis_vectors)
         object.__setattr__(self, "basis_vectors", vecs)
         res = self.closure_residual()
-        if res > self.tol:
+        if not res <= self.tol:
             raise AlgebraError(f"subalgebra closure residual {res:.3e} > {self.tol:.1e}")
 
     @property
@@ -347,12 +353,9 @@ class Subalgebra:
             return 0.0
         B = self.matrix()
         proj = B @ np.linalg.pinv(B)
-        res = 0.0
-        for x in self.basis_vectors:
-            for y in self.basis_vectors:
-                b = bracket(self.parent, x, y)
-                res = max(res, float(np.max(np.abs(b - proj @ b))))
-        return res
+        brackets = [bracket(self.parent, x, y)
+                    for x in self.basis_vectors for y in self.basis_vectors]
+        return worst([np.max(np.abs(b - proj @ b)) for b in brackets])
 
 
 @dataclass(frozen=True)
@@ -395,13 +398,10 @@ def is_automorphism(A: LieAlgebra, M: AlgebraMap, tol: float = 1e-8) -> Automorp
         raise AlgebraError("singular matrix cannot be an automorphism")
     n = A.dim
     eye = np.eye(n)
-    res = 0.0
-    for i in range(n):
-        for j in range(i + 1, n):
-            lhs = mat @ bracket(A, eye[i], eye[j])
-            rhs = bracket(A, mat @ eye[i], mat @ eye[j])
-            res = max(res, float(np.max(np.abs(lhs - rhs))))
-    return AutomorphismReport(res, tol)
+    res = [np.max(np.abs(mat @ bracket(A, eye[i], eye[j])
+                         - bracket(A, mat @ eye[i], mat @ eye[j])))
+           for i in range(n) for j in range(i + 1, n)]
+    return AutomorphismReport(worst(res), tol)
 
 
 # -- stock algebras -----------------------------------------------------------

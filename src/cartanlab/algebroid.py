@@ -27,7 +27,7 @@ import numpy as np
 
 from . import dual
 from .dual import value
-from .algebra import LieAlgebra
+from .algebra import LieAlgebra, worst
 from .geometry import Chart, SmoothField, as_point, lie_bracket_vf
 
 
@@ -245,12 +245,6 @@ class ResidualReport:
         return self.max_residual <= self.tol
 
 
-def worst(residuals) -> float:
-    """The largest residual, NaN if any is NaN (``max`` would keep whichever
-    came first), so a residual that is not a number fails its check."""
-    return float(np.max(residuals, initial=0.0))
-
-
 def check_action_homomorphism(A: ActionAlgebroid, tol: float = 1e-8,
                               sign: int = 1, samples: np.ndarray | None = None) -> ResidualReport:
     """Residual of ([e_i, e_j])^dagger = sign * [e_i^dagger, e_j^dagger]."""
@@ -272,13 +266,13 @@ def check_action_homomorphism(A: ActionAlgebroid, tol: float = 1e-8,
     return ResidualReport("action_homomorphism", worst(res), tol, sign=sign)
 
 
-def resolve_action_sign(A: ActionAlgebroid, tol: float = 1e-8) -> ResidualReport:
+def resolve_action_sign(A: ActionAlgebroid) -> ResidualReport:
     """Try both sign conventions; return the report of the passing one
     (or the smaller-residual one if neither passes)."""
-    plus = check_action_homomorphism(A, tol, sign=1)
+    plus = check_action_homomorphism(A, sign=1)
     if plus.passed:
         return plus
-    minus = check_action_homomorphism(A, tol, sign=-1)
+    minus = check_action_homomorphism(A, sign=-1)
     return minus if minus.max_residual < plus.max_residual else plus
 
 
@@ -389,14 +383,13 @@ def intertwining_residuals(Ci: AlgebroidChart, Cj: AlgebroidChart, phi, mu,
     return tuple(float(np.max(np.abs(t), initial=0.0)) for t in (anchor, conn, torsion))
 
 
-def check_overlap_compatibility(G: GluedAlgebroid, tol: float = 1e-7,
-                                points: int = 17) -> ResidualReport:
+def check_overlap_compatibility(G: GluedAlgebroid, tol: float = 1e-7) -> ResidualReport:
     """Anchor / connection / torsion intertwining residuals on a fixed
-    low-discrepancy sample per overlap."""
+    low-discrepancy sample of 17 points per overlap."""
     details = {}
     for ov in G.overlaps:
         Ci, Cj = G.charts[ov.i], G.charts[ov.j]
-        pts = ov.region_i.halton_points(points, shrink=0.05)
+        pts = ov.region_i.halton_points(17, shrink=0.05)
         res = []
         for m in pts:
             m = as_point(m)
@@ -439,7 +432,7 @@ class CocycleReport:
 
     @property
     def passed(self) -> bool:
-        return max(self.identity_residual, self.composition_residual) <= self.tol
+        return worst([self.identity_residual, self.composition_residual]) <= self.tol
 
 
 def check_cocycle(entries: dict, tol: float = 1e-9) -> CocycleReport:
@@ -450,17 +443,17 @@ def check_cocycle(entries: dict, tol: float = 1e-9) -> CocycleReport:
     triple are all present (taken as the witness that the triple overlap
     is nonempty), going i -> j -> k must agree with going i -> k.
     """
-    id_res = 0.0
-    comp_res = 0.0
+    id_res = []
+    comp_res = []
     failures = []
     for (i, j), e in entries.items():
         if i == j:
             n, r = len(e.b), e.M.shape[0]
             ident = AffineCocycleEntry.identity(n, r)
-            d = max(np.max(np.abs(e.A - ident.A)), np.max(np.abs(e.b)),
-                    np.max(np.abs(e.M - ident.M)))
-            id_res = max(id_res, float(d))
-            if d > tol:
+            d = worst([np.max(np.abs(e.A - ident.A)), np.max(np.abs(e.b)),
+                       np.max(np.abs(e.M - ident.M))])
+            id_res.append(d)
+            if not d <= tol:
                 failures.append(f"transition {i}->{i} is not the identity")
     for (i, j), e_ij in entries.items():
         if i == j:
@@ -470,18 +463,18 @@ def check_cocycle(entries: dict, tol: float = 1e-9) -> CocycleReport:
                 continue
             e_ik = entries[(i, k)]
             comp = e_jk.compose(e_ij)
-            d = max(np.max(np.abs(comp.A - e_ik.A)), np.max(np.abs(comp.b - e_ik.b)),
-                    np.max(np.abs(comp.M - e_ik.M)))
-            comp_res = max(comp_res, float(d))
-            if d > tol:
+            d = worst([np.max(np.abs(comp.A - e_ik.A)), np.max(np.abs(comp.b - e_ik.b)),
+                       np.max(np.abs(comp.M - e_ik.M))])
+            comp_res.append(d)
+            if not d <= tol:
                 failures.append(
                     f"transitions {i}->{j}->{k} disagree with {i}->{k} "
                     f"(residual {d:.3e})")
-    return CocycleReport(id_res, comp_res, tol, tuple(failures))
+    return CocycleReport(worst(id_res), worst(comp_res), tol, tuple(failures))
 
 
 def infinitesimalize(g0: LieAlgebra, action: Callable, charts: list[Chart],
-                     cocycle: dict, tol: float = 1e-7) -> GluedAlgebroid:
+                     cocycle: dict) -> GluedAlgebroid:
     """Glue action-algebroid charts along an affine transition cocycle.
 
     Each chart box carries the action algebroid of ``g0`` on model
@@ -503,8 +496,8 @@ def infinitesimalize(g0: LieAlgebra, action: Callable, charts: list[Chart],
             continue
         overlaps.append(Overlap.affine(i, j, e.A, e.b, e.M, region))
     G = GluedAlgebroid(tuple(pieces), tuple(overlaps))
-    compat = check_overlap_compatibility(G, tol=tol)
+    compat = check_overlap_compatibility(G)
     if not compat.passed:
         raise AlgebroidError(
-            f"overlap compatibility residual {compat.max_residual:.3e} > {tol:.1e}")
+            f"overlap compatibility residual {compat.max_residual:.3e} > {compat.tol:.1e}")
     return G

@@ -184,15 +184,16 @@ def fiber_bracket_at(C: AlgebroidChart, m0, jacobi_tol: float = 1e-6) -> LieAlge
 
 
 def check_morphism(C1: AlgebroidChart, C2: AlgebroidChart, Phi, phi,
-                   tol: float = 1e-7, samples=None, seed: int = 42) -> TensorReport:
-    """Morphism conditions for a connection-preserving bundle map.
+                   samples=None) -> TensorReport:
+    """Morphism conditions for a connection-preserving bundle map, to
+    tolerance 1e-7 (by default at 7 points drawn with seed 42).
 
     Phi(m) is the fiber matrix (rank2 x rank1), phi the base map.  Checks
     anchor intertwining and torsion intertwining; connection preservation
     is the caller's obligation and is spot-checked by the pointwise
     intertwining of the connection coefficient matrices.
     """
-    pts = _sample_set(C1, samples if samples is not None else 7, seed)
+    pts = _sample_set(C1, samples if samples is not None else 7)
     phi_mat = Phi if callable(Phi) else (lambda m, _P=np.asarray(Phi, dtype=float): _P)
     res = np.zeros(3)
     for m in pts:
@@ -200,6 +201,6 @@ def check_morphism(C1: AlgebroidChart, C2: AlgebroidChart, Phi, phi,
             raise ValueError("base map image escapes target chart")
         res = np.maximum(res, intertwining_residuals(C1, C2, phi, phi_mat, m))
     res_anchor, res_conn, res_torsion = map(float, res)
-    return TensorReport("check_morphism", max(res_anchor, res_torsion, res_conn), tol,
+    return TensorReport("check_morphism", worst(res), 1e-7,
                         details={"anchor": res_anchor, "torsion": res_torsion,
                                  "connection": res_conn})

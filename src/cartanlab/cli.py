@@ -518,7 +518,7 @@ def check_reconstruct(model, params, seed):
              "offset": t.affine_offset.tolist()} for t in atlas.transitions],
     }
     if mult is not None:
-        fitted = max(float(np.max(np.abs(t.affine_matrix))) for t in atlas.transitions)
+        fitted = cartan.worst([np.max(np.abs(t.affine_matrix)) for t in atlas.transitions])
         rel = abs(fitted - mult) / abs(mult)
         verdict = verdict and rel <= params["rtol"]
         witnesses["fitted_multiplier"] = fitted

@@ -36,6 +36,12 @@ from .ode import RTOL_FLOOR, integrate
 from .transport import BasePath, line_path, segment_batch
 
 
+# relative rank test of the anchor lift (see _lift_fibers)
+_RANK_TOL = 1e-8
+# sample points per patch and per overlap of an atlas reconstruction
+_ATLAS_SAMPLES = 6
+
+
 class DevelopmentError(RuntimeError):
     pass
 
@@ -55,7 +61,6 @@ class HomogeneousModel:
     realization: MatrixRealization
     h0: Subalgebra
     closure: str = "unknown"
-    coset_tol: float = 1e-8
 
     def h0_matrix(self) -> np.ndarray:
         return self.h0.matrix()
@@ -114,12 +119,12 @@ class EquivariantMap:
 
 
 def check_equivariant_twist(A: ActionAlgebroid, E: EquivariantMap,
-                            tol: float = 1e-8, samples=None,
-                            seed: int = 42) -> TensorReport:
-    """Residual of the pushforward identity Dphi(m) xi'(m) = (mu xi)'(phi m)."""
+                            samples=None) -> TensorReport:
+    """Residual of the pushforward identity Dphi(m) xi'(m) = (mu xi)'(phi m),
+    to tolerance 1e-8 (by default at 10 points drawn with seed 42)."""
     g0 = A.algebra
     if samples is None:
-        samples = A.chart.base.sample_points(np.random.default_rng(seed), 10)
+        samples = A.chart.base.sample_points(np.random.default_rng(42), 10)
     eye = np.eye(g0.dim)
     per = []
     for m in samples:
@@ -134,7 +139,7 @@ def check_equivariant_twist(A: ActionAlgebroid, E: EquivariantMap,
             rhs = value(np.asarray(A.action(E.twist(eye[i]), as_point(pm)), dtype=object))
             gaps.append(np.max(np.abs(lhs - rhs)))
         per.append(worst(gaps))
-    return TensorReport("check_equivariant_twist", worst(per), tol, tuple(per))
+    return TensorReport("check_equivariant_twist", worst(per), 1e-8, tuple(per))
 
 
 # -- development --------------------------------------------------------------
@@ -148,8 +153,9 @@ def _chart_of(A):
 _ORIENTATION_CACHE: dict[int, tuple[object, int]] = {}
 
 
-def bracket_orientation(chart, tol: float = 1e-6) -> int:
-    """Resolved sign of #[X,Y] = sign [#X, #Y] for the chart.
+def bracket_orientation(chart) -> int:
+    """Resolved sign of #[X,Y] = sign [#X, #Y] for the chart, to tolerance
+    1e-6 at three points.
 
     Charts built from coordinate vector-field brackets come out +1; action
     algebroids over matrix-commutator structure constants come out -1.
@@ -159,11 +165,11 @@ def bracket_orientation(chart, tol: float = 1e-6) -> int:
     key = id(chart)
     if key not in _ORIENTATION_CACHE:
         pts = chart.base.halton_points(3, shrink=0.2)
-        minus = check_anchor_homomorphism(chart, tol=tol, sign=-1, samples=pts)
+        minus = check_anchor_homomorphism(chart, tol=1e-6, sign=-1, samples=pts)
         if minus.passed:
             _ORIENTATION_CACHE[key] = (chart, -1)
         else:
-            plus = check_anchor_homomorphism(chart, tol=tol, sign=1, samples=pts)
+            plus = check_anchor_homomorphism(chart, tol=1e-6, sign=1, samples=pts)
             if not plus.passed:
                 raise DevelopmentError(
                     "anchor homomorphism fails with either sign; not a Lie algebroid chart")
@@ -171,11 +177,11 @@ def bracket_orientation(chart, tol: float = 1e-6) -> int:
     return _ORIENTATION_CACHE[key][1]
 
 
-def _lift_fibers(a, v, rank_tol: float = 1e-8):
+def _lift_fibers(a, v):
     """Minimum-norm anchor lifts of a stack of tangent vectors; errors when
     v is not in an anchor's range (transitivity violated).
 
-    A batch of square anchors whose determinants all exceed rank_tol times
+    A batch of square anchors whose determinants all exceed _RANK_TOL times
     the product of their row norms (Hadamard's bound, so the test ignores
     row scaling) is solved directly; any other batch is pseudo-inverted,
     since solving a rank-deficient anchor returns an arbitrary lift of a v
@@ -188,7 +194,7 @@ def _lift_fibers(a, v, rank_tol: float = 1e-8):
     else:
         det = np.linalg.det(a)
         rows = np.einsum("bij,bij->bi", a, a).prod(axis=1)
-        solvable = bool(np.all(det * det > rank_tol ** 2 * rows))
+        solvable = bool(np.all(det * det > _RANK_TOL ** 2 * rows))
     try:
         if solvable:
             xi = np.linalg.solve(a, v[..., None])[..., 0]
@@ -197,15 +203,15 @@ def _lift_fibers(a, v, rank_tol: float = 1e-8):
     except np.linalg.LinAlgError:
         raise DevelopmentError("anchor not surjective along path (no lift)") from None
     gap = np.max(np.abs(np.einsum("bij,bj->bi", a, xi) - v), axis=1)
-    bad = gap > rank_tol * (1.0 + np.max(np.abs(v), axis=1))
+    bad = gap > _RANK_TOL * (1.0 + np.max(np.abs(v), axis=1))
     if np.any(bad):
         raise DevelopmentError(
             f"anchor not surjective along path (gap {np.max(gap[bad]):.3e})")
     return xi
 
 
-def _develop_frames(A, H: HomogeneousModel, paths, rtol: float = 1e-12,
-                    atol: float = 1e-13) -> tuple[np.ndarray, np.ndarray]:
+def _develop_frames(A, H: HomogeneousModel, paths,
+                    rtol: float = 1e-12) -> tuple[np.ndarray, np.ndarray]:
     """Group elements (B, d, d) and parallel frames (B, r, r) at the ends
     of a batch of paths; see ``develop_paths``.  Each right-hand side reads
     the B points and velocities from one ``segment_batch`` call and the
@@ -218,7 +224,7 @@ def _develop_frames(A, H: HomogeneousModel, paths, rtol: float = 1e-12,
         return np.zeros((0, d, d)), np.zeros((0, r, r))
     limit = max(1, int((rtol / RTOL_FLOOR) ** 2 * (1 - 1e-9)))
     if B > limit:
-        parts = [_develop_frames(A, H, paths[k:k + limit], rtol, atol)
+        parts = [_develop_frames(A, H, paths[k:k + limit], rtol)
                  for k in range(0, B, limit)]
         return tuple(np.concatenate(p) for p in zip(*parts))
     spans = [(s.t0, s.t1) for s in paths[0].segments]
@@ -242,7 +248,7 @@ def _develop_frames(A, H: HomogeneousModel, paths, rtol: float = 1e-12,
             return np.concatenate([(-gv @ P).reshape(B, -1),
                                    (Xi @ G).reshape(B, -1)], axis=1).reshape(-1)
 
-        out = integrate(rhs, span, state, rtol=rtol / np.sqrt(B), atol=atol / np.sqrt(B))
+        out = integrate(rhs, span, state, rtol=rtol / np.sqrt(B), atol=1e-13 / np.sqrt(B))
         if out.status != "completed":
             raise DevelopmentError(f"development ODE failed: {out.status}")
         state = out.states[-1]
@@ -250,16 +256,15 @@ def _develop_frames(A, H: HomogeneousModel, paths, rtol: float = 1e-12,
     return state[:, r * r:].reshape(B, d, d), state[:, :r * r].reshape(B, r, r)
 
 
-def develop_paths(A, H: HomogeneousModel, paths, rtol: float = 1e-12,
-                  atol: float = 1e-13) -> list[Coset]:
+def develop_paths(A, H: HomogeneousModel, paths, rtol: float = 1e-12) -> list[Coset]:
     """Develop a batch of paths in one stacked solve.
 
     The paths must share their segment count and segment time spans.  All
     B states are integrated together by DOP853 with tolerances
-    rtol/sqrt(B) and atol/sqrt(B), so that the RMS of each of its two
-    embedded error estimates over the whole state bounds that path's own
-    RMS at rtol/atol.  (DOP853 accepts a step on a blend of the two,
-    err5^2 / sqrt(err5^2 + 0.01 err3^2), for which the bound per path
+    rtol/sqrt(B) and atol/sqrt(B), atol = 1e-13, so that the RMS of each
+    of its two embedded error estimates over the whole state bounds that
+    path's own RMS at rtol/atol.  (DOP853 accepts a step on a blend of the
+    two, err5^2 / sqrt(err5^2 + 0.01 err3^2), for which the bound per path
     holds only approximately.)  Batches whose scaled rtol would fall below
     the driver's rtol floor (``ode.RTOL_FLOOR``, 100 eps) are split.
 
@@ -275,26 +280,24 @@ def develop_paths(A, H: HomogeneousModel, paths, rtol: float = 1e-12,
     their lifts negated: left-action generator fields anti-commute, and
     the left-coset formulas downstream assume that picture.
     """
-    return [Coset(g, H) for g in _develop_frames(A, H, list(paths), rtol, atol)[0]]
+    return [Coset(g, H) for g in _develop_frames(A, H, list(paths), rtol)[0]]
 
 
 def develop_point(A, H: HomogeneousModel, path: BasePath,
-                  rtol: float = 1e-12, atol: float = 1e-13) -> Coset:
+                  rtol: float = 1e-12) -> Coset:
     """Integrate the anchor-lifted path in the model group."""
-    return develop_paths(A, H, [path], rtol=rtol, atol=atol)[0]
+    return develop_paths(A, H, [path], rtol=rtol)[0]
 
 
-def develop_to(A, H: HomogeneousModel, m0, m, rtol: float = 1e-12) -> Coset:
+def develop_to(A, H: HomogeneousModel, m0, m) -> Coset:
     """Development along the straight segment m0 -> m."""
-    return develop_point(A, H, line_path(np.asarray(m0, float), np.asarray(m, float)),
-                         rtol=rtol)
+    return develop_point(A, H, line_path(np.asarray(m0, float), np.asarray(m, float)))
 
 
-def _develop_from(A, H: HomogeneousModel, m0, points, rtol: float = 1e-12) -> list[Coset]:
+def _develop_from(A, H: HomogeneousModel, m0, points) -> list[Coset]:
     """Developments along the straight segments m0 -> m, one batch for all m."""
     m0 = np.asarray(m0, float)
-    return develop_paths(A, H, [line_path(m0, np.asarray(m, float)) for m in points],
-                         rtol=rtol)
+    return develop_paths(A, H, [line_path(m0, np.asarray(m, float)) for m in points])
 
 
 def path_independence_check(A, H: HomogeneousModel,
@@ -389,10 +392,11 @@ class AffineCosetMap:
                               worst([self.consistency_residual, other.consistency_residual]))
 
 
-def induced_affine_map(E: EquivariantMap, H: HomogeneousModel, q_coset: Coset,
-                       consistency_tol: float = 1e-6) -> AffineCosetMap:
+def induced_affine_map(E: EquivariantMap, H: HomogeneousModel,
+                       q_coset: Coset) -> AffineCosetMap:
     """Build the induced coset map and verify its subgroup consistency:
-    the twist must carry H0 onto q H0 q^-1 (checked on h0 generators)."""
+    the twist must carry H0 onto q H0 q^-1 (checked on h0 generators, to
+    tolerance 1e-6)."""
     per = []
     for b in H.h0.basis_vectors:
         for t in (0.05, -0.08):
@@ -406,7 +410,7 @@ def induced_affine_map(E: EquivariantMap, H: HomogeneousModel, q_coset: Coset,
             P = H.h0_projector()
             per.append(np.linalg.norm(P @ lr.coords) + lr.off_span_residual)
     res = worst(per)
-    if not res <= consistency_tol:
+    if not res <= 1e-6:
         raise DevelopmentError(
             f"twist does not normalize the subgroup through q (residual {res:.3e})")
     return AffineCosetMap(H, E.twist, q_coset.g, res)
@@ -441,12 +445,12 @@ def equivariance_diagram_check(A: ActionAlgebroid, H: HomogeneousModel,
     return TensorReport("equivariance_diagram", worst(per), tol, tuple(per))
 
 
-def fit_twist(chart, base_map: Callable, m0, samples, frame_steps: int = 64,
-              verify_tol: float = 1e-6) -> AlgebraMap:
+def fit_twist(chart, base_map: Callable, m0, samples) -> AlgebraMap:
     """Least-squares twist of a base map on the parallel-section fields.
 
     Solves Dphi(m) a(m) P(m) = a(phi m) P(phi m) mu over the samples,
-    where P is the parallel frame from m0, then verifies the fit.
+    where P is the parallel frame from m0 (64 RK4 steps), then verifies
+    the fit to 1e-6.
     """
     from .cartan import fiber_bracket_at
     from .transport import _transport_line_dual
@@ -454,7 +458,7 @@ def fit_twist(chart, base_map: Callable, m0, samples, frame_steps: int = 64,
     m0 = np.asarray(m0, dtype=float)
 
     def frame_at(m):
-        return value(_transport_line_dual(chart, m0, m, np.eye(r), frame_steps))
+        return value(_transport_line_dual(chart, m0, m, np.eye(r), 64))
 
     rows_lhs = []
     rows_rhs = []
@@ -472,7 +476,7 @@ def fit_twist(chart, base_map: Callable, m0, samples, frame_steps: int = 64,
     R = np.vstack(rows_rhs)
     mu, *_ = np.linalg.lstsq(R, L, rcond=None)
     resid = float(np.max(np.abs(R @ mu - L)))
-    if resid > verify_tol:
+    if resid > 1e-6:
         raise DevelopmentError(f"no algebra twist fits the base map (residual {resid:.3e})")
     g0 = fiber_bracket_at(chart, m0)
     return AlgebraMap(g0, g0, mu)
@@ -487,15 +491,15 @@ class ClosureReport:
     witness: tuple | None = None
 
 
-def geometric_closure_probe(H: HomogeneousModel, precision: float = 1e-10,
-                            denominator_bound: int = 10 ** 6) -> ClosureReport:
+def geometric_closure_probe(H: HomogeneousModel) -> ClosureReport:
     """Decide closure of the connected subgroup integrating h0.
 
     Order of attack: honor an explicit assertion; the trivial subalgebra
     is closed; a single generator with an antisymmetric realization spans
     a torus one-parameter subgroup, where rationally dependent rotation
     frequencies give a circle (closed) and an irrational frequency ratio
-    is a dense-winding witness.  Everything else is honestly undecided.
+    (no fraction with denominator up to 10^6 within 1e-10) is a
+    dense-winding witness.  Everything else is honestly undecided.
     """
     if H.closure == "asserted-closed":
         return ClosureReport("closed", "asserted by the model")
@@ -513,11 +517,11 @@ def geometric_closure_probe(H: HomogeneousModel, precision: float = 1e-10,
             base = freqs[0]
             for w in freqs[1:]:
                 ratio = w / base
-                frac = Fraction(ratio).limit_denominator(denominator_bound)
+                frac = Fraction(ratio).limit_denominator(10 ** 6)
                 err = abs(ratio - float(frac))
                 # every real admits approximations with err ~ 1/q^2, so a
                 # genuine rational must beat that scale decisively
-                if err > precision or err * frac.denominator ** 2 > 1e-2:
+                if err > 1e-10 or err * frac.denominator ** 2 > 1e-2:
                     return ClosureReport(
                         "nonclosed-witness",
                         "irrational frequency ratio winds densely in a torus",
@@ -587,8 +591,7 @@ def _coset_coords(H: HomogeneousModel, c: Coset) -> np.ndarray:
     return _complement_coords(H, lr.coords)
 
 
-def reconstruct_atlas(glued, H: HomogeneousModel, spec: CoverSpec,
-                      samples_per_patch: int = 6) -> AtlasReport:
+def reconstruct_atlas(glued, H: HomogeneousModel, spec: CoverSpec) -> AtlasReport:
     """Build numeric charts by developing patch lifts and verify that the
     overlap transitions are the induced affine maps of their deck data.
 
@@ -618,8 +621,8 @@ def reconstruct_atlas(glued, H: HomogeneousModel, spec: CoverSpec,
     A = spec.cover
     m0 = np.asarray(spec.m0, dtype=float)
     chart_samples = []
-    min_det = np.inf
-    patch_pts = [patch.halton_points(samples_per_patch, shrink=0.1) for patch in spec.patches]
+    dets = []
+    patch_pts = [patch.halton_points(_ATLAS_SAMPLES, shrink=0.1) for patch in spec.patches]
     gs, frames = _develop_frames(A, H, [line_path(m0, p) for pts in patch_pts for p in pts])
     start = 0
     for pts in patch_pts:
@@ -627,10 +630,10 @@ def reconstruct_atlas(glued, H: HomogeneousModel, spec: CoverSpec,
                                        for g in gs[start:start + len(pts)]]))
         # the Jacobian at each patch's first sample, read off its development
         J = _frame_jacobian(A, H, pts[0], gs[start], frames[start])
-        min_det = min(min_det, abs(float(np.linalg.det(J))))
+        dets.append(abs(np.linalg.det(J)))
         start += len(pts)
     # each overlap develops its q = D(deck(m0)), its samples p and their images
-    region_pts = [ov.region.halton_points(samples_per_patch, shrink=0.1)
+    region_pts = [ov.region.halton_points(_ATLAS_SAMPLES, shrink=0.1)
                   for ov in spec.overlaps]
     devs = iter(_develop_from(A, H, m0, [
         e for ov, pts in zip(spec.overlaps, region_pts)
@@ -640,14 +643,15 @@ def reconstruct_atlas(glued, H: HomogeneousModel, spec: CoverSpec,
         aff = induced_affine_map(ov.deck, H, next(devs))
         psi_i = [next(devs) for _ in pts]
         psi_j = [next(devs) for _ in pts]
-        res = max((coset_residual(pj, aff(pi)) for pi, pj in zip(psi_i, psi_j)), default=0.0)
+        res = worst([coset_residual(pj, aff(pi)) for pi, pj in zip(psi_i, psi_j)])
         X = np.stack([_coset_coords(H, c) for c in psi_i])
         Y = np.stack([_coset_coords(H, c) for c in psi_j])
         Amat, b, fit = _fit_affine(X, Y)
         transitions.append(TransitionRecord(ov.i, ov.j, res, ov.deck.twist.matrix,
                                             Amat, b, fit))
     note = f"closure probe: {closure.verdict} ({closure.reason})"
-    return AtlasReport(chart_samples, float(min_det), transitions, note)
+    # numpy's min keeps a NaN, so a NaN determinant fails ``passed``
+    return AtlasReport(chart_samples, float(np.min(dets, initial=np.inf)), transitions, note)
 
 
 def _fit_affine(X: np.ndarray, Y: np.ndarray):

@@ -4,7 +4,7 @@ All field differentiation in this package goes through this module.  A
 ``Dual`` carries a value and one epsilon slot; nesting duals inside duals
 yields exact second (and higher) directional derivatives.  Fields are
 ordinary Python callables written with ``+ - * /``, ``**`` and the
-``exp/log/sin/cos/sqrt/tan`` methods (numpy ufuncs dispatch to these on
+``exp/log/sin/cos/sqrt`` methods (numpy ufuncs dispatch to these on
 object arrays), so any such callable is differentiable here without
 modification.
 
@@ -98,15 +98,10 @@ class Dual:
         return Dual(other * inv, -other * inv * inv * self.eps)
 
     def __pow__(self, p):
-        if isinstance(p, Dual):
-            # a**b = exp(b log a); rarely needed but kept for completeness
-            return (p * self.log()).exp()
+        """A constant power; a Dual exponent is not supported."""
         if p == 0:
             return Dual(self.val ** 0, self.eps * 0.0)
         return Dual(self.val ** p, p * self.val ** (p - 1) * self.eps)
-
-    def __rpow__(self, base):
-        return (self * math.log(base)).exp()
 
     def __abs__(self):
         s = 1.0 if value(self) >= 0 else -1.0
@@ -149,19 +144,6 @@ class Dual:
     def cos(self):
         return Dual(_cos(self.val), -_sin(self.val) * self.eps)
 
-    def tan(self):
-        c = _cos(self.val)
-        return Dual(_tan(self.val), self.eps / (c * c))
-
-    def arctan(self):
-        return Dual(_arctan(self.val), self.eps / (1.0 + self.val * self.val))
-
-    def sinh(self):
-        return Dual(_sinh(self.val), _cosh(self.val) * self.eps)
-
-    def cosh(self):
-        return Dual(_cosh(self.val), _sinh(self.val) * self.eps)
-
     def conjugate(self):
         return self
 
@@ -177,15 +159,10 @@ _log = _unary("log", math.log)
 _sqrt = _unary("sqrt", math.sqrt)
 _sin = _unary("sin", math.sin)
 _cos = _unary("cos", math.cos)
-_tan = _unary("tan", math.tan)
-_arctan = _unary("arctan", math.atan)
-_sinh = _unary("sinh", math.sinh)
-_cosh = _unary("cosh", math.cosh)
 
 # public names for writing dual-safe field formulas
 exp, log, sqrt = _exp, _log, _sqrt
-sin, cos, tan, arctan = _sin, _cos, _tan, _arctan
-sinh, cosh = _sinh, _cosh
+sin, cos = _sin, _cos
 
 
 def value(x):

@@ -23,6 +23,8 @@ from . import dual
 from .dual import value
 
 INTERIOR_MARGIN = 1e-9
+# infinite chart axes are sampled on [-SAMPLE_CLIP, SAMPLE_CLIP]
+SAMPLE_CLIP = 2.0
 
 
 class GeometryError(ValueError):
@@ -55,8 +57,8 @@ class Chart:
         return all(lo + margin <= x <= hi - margin
                    for x, lo, hi in zip(m, self.lower, self.upper))
 
-    def require_interior(self, m, margin: float = INTERIOR_MARGIN):
-        if not self.contains(m, margin):
+    def require_interior(self, m):
+        if not self.contains(m):
             raise GeometryError(f"point {value(np.asarray(m, dtype=object))} outside chart interior")
 
     def boundary_distance(self, m) -> float:
@@ -69,21 +71,21 @@ class Chart:
                 d = min(d, hi - x)
         return float(d)
 
-    def sample_box(self, clip: float = 2.0) -> tuple[np.ndarray, np.ndarray]:
+    def sample_box(self) -> tuple[np.ndarray, np.ndarray]:
         """Bounded box used for sampling; infinite axes are clipped."""
-        lo = np.array([max(a, -clip) for a in self.lower])
-        hi = np.array([min(b, clip) for b in self.upper])
+        lo = np.array([max(a, -SAMPLE_CLIP) for a in self.lower])
+        hi = np.array([min(b, SAMPLE_CLIP) for b in self.upper])
         return lo, hi
 
-    def sample_points(self, rng: np.random.Generator, count: int,
-                      shrink: float = 0.05, clip: float = 2.0) -> np.ndarray:
-        lo, hi = self.sample_box(clip)
-        pad = shrink * (hi - lo)
+    def sample_points(self, rng: np.random.Generator, count: int) -> np.ndarray:
+        """Uniform samples in the (clipped) box, 5% of its width off each side."""
+        lo, hi = self.sample_box()
+        pad = 0.05 * (hi - lo)
         return rng.uniform(lo + pad, hi - pad, size=(count, self.dim))
 
-    def halton_points(self, count: int, shrink: float = 0.02, clip: float = 2.0) -> np.ndarray:
+    def halton_points(self, count: int, shrink: float = 0.02) -> np.ndarray:
         """Deterministic low-discrepancy samples in the (clipped) box."""
-        lo, hi = self.sample_box(clip)
+        lo, hi = self.sample_box()
         pad = shrink * (hi - lo)
         pts = _halton(count, self.dim)
         return (lo + pad) + pts * ((hi - pad) - (lo + pad))
@@ -154,10 +156,6 @@ def as_point(m) -> np.ndarray:
     if m.dtype != object:
         m = m.astype(float).astype(object)
     return m
-
-
-def vector_field(chart: Chart, fn, name: str = "") -> SmoothField:
-    return SmoothField(chart, (chart.dim,), fn, name=name)
 
 
 def lie_bracket_vf(V, W, m):
@@ -242,11 +240,10 @@ def levi_civita(metric: SmoothField) -> TMConnection:
                         lambda m: christoffel_from_jet(metric_jet(metric, m, 1)))
 
 
-def curvature_tm(conn: TMConnection, m, U, V, W, check_interior: bool = True):
+def curvature_tm(conn: TMConnection, m, U, V, W):
     """R(U, V)W at m for constant-coefficient U, V, W."""
     m = as_point(m)
-    if check_interior:
-        conn.chart.require_interior(m)
+    conn.chart.require_interior(m)
     return np.einsum("lkij,i,j,k->l", curvature_tensor_obj(conn, m),
                      *(np.asarray(X, dtype=object) for X in (U, V, W)))
 
@@ -256,18 +253,16 @@ def curvature_tensor(conn: TMConnection, m) -> np.ndarray:
     return value(curvature_tensor_obj(conn, m))
 
 
-def curvature_tensor_obj(conn: TMConnection, m, check_interior: bool = False) -> np.ndarray:
+def curvature_tensor_obj(conn: TMConnection, m) -> np.ndarray:
     """Curvature tensor preserving dual layers of the evaluation point.
 
     R[l, k, i, j] = d_i G^l_{jk} - d_j G^l_{ik} + G^l_{im} G^m_{jk}
     - G^l_{jm} G^m_{ik}, from one evaluation of the Christoffel symbols
-    and their Jacobian.  Interior checking is off by default: this is
+    and their Jacobian.  It does not check the chart interior: this is
     evaluation plumbing for derived fields, which integrators probe right
     up to chart edges.
     """
     m = as_point(m)
-    if check_interior:
-        conn.chart.require_interior(m)
     G = np.asarray(conn.christoffel(m), dtype=object)
     dG = dual.jacobian(lambda p: np.asarray(conn.christoffel(p), dtype=object), m)  # (l, j, k, i)
     D = np.einsum("ljki->lkij", dG)
@@ -299,8 +294,10 @@ def scalar_form_fit(conn: TMConnection, metric: SmoothField, m) -> ScalarFormFit
 
 # -- finite-difference oracles ------------------------------------------------
 
-def fd_jacobian(f, m, h: float = 1e-5) -> np.ndarray:
-    """Central-difference Jacobian; cross-check only, never load-bearing."""
+def fd_jacobian(f, m) -> np.ndarray:
+    """Central-difference Jacobian with step 1e-5; cross-check only, never
+    load-bearing."""
+    h = 1e-5
     m = np.asarray(m, dtype=float)
     n = len(m)
     cols = []
@@ -361,9 +358,10 @@ def hyperbolic_metric(n: int = 2) -> SmoothField:
     return SmoothField(chart, (n, n), fn, name=f"hyperbolic({n})")
 
 
-def ellipsoid_metric(c: float = 1.3) -> SmoothField:
-    """Induced metric on an ellipsoid with axes (1, 1, c); non-constant
-    curvature when c != 1."""
+def ellipsoid_metric() -> SmoothField:
+    """Induced metric on an ellipsoid with axes (1, 1, c), c = 1.3;
+    non-constant curvature."""
+    c = 1.3
     chart = Chart((0.3, -3.0), (np.pi - 0.3, 3.0))
 
     def fn(m):

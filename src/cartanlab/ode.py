@@ -393,9 +393,9 @@ def _first_sign_change(sol, fns, t0: float, stop: float, closed: bool):
     the dense output, or None.  ``solve_ivp`` checks the sign at every
     step end, so only the steps that hold a scan time t0 + j(stop - t0)/64
     are scanned, at those times and at the step's two ends, up to
-    ``stop``, the end of the integrated range (included when ``closed``);
-    a change between two scan times is located by Brent's method on the
-    interpolant."""
+    ``stop``, the end of the integrated range (included when ``closed``):
+    one call of each fn on the stack of grid states.  A change between two
+    grid times is located by Brent's method on the interpolant."""
     d = stop - t0
     scan = t0 + d * np.arange(1, _EVENT_SCAN_POINTS) / _EVENT_SCAN_POINTS
     i = np.searchsorted(sol.t * np.sign(d), scan * np.sign(d))   # sol.t[i-1] < scan <= sol.t[i]
@@ -407,10 +407,7 @@ def _first_sign_change(sol, fns, t0: float, stop: float, closed: bool):
     ys = sol.sol(grid)
     best = None
     for k, fn in enumerate(fns):
-        if getattr(fn, "vectorized", False):
-            g = np.asarray(fn(grid, ys), dtype=float)
-        else:
-            g = np.array([fn(t, y) for t, y in zip(grid, ys)])
+        g = np.asarray(fn(grid, ys), dtype=float)
         hits = np.nonzero((g[:-1] != 0) & (g[:-1] * g[1:] <= 0))[0]
         if len(hits):
             j = hits[0]
@@ -426,12 +423,12 @@ def integrate(rhs, t_span, y0, events=None, rtol=DEFAULT_RTOL,
 
     Error control at rtol/atol sizes every step, starting from one step
     of ``first_step`` (default: the whole span).  Without events the pair
-    is DOP853.  ``events`` is a list of (name, fn) with fn(t, y) -> float;
-    an fn with ``fn.vectorized = True`` also takes times (T,) and states
-    (T, n) and returns (T,), which the scan uses.  Integration stops at
-    the first sign change of any fn, found by RK45's own check at step
-    ends or by a scan of the dense output at no more than 1/64 of the
-    integrated range apart (the scan calls no right-hand side).
+    is DOP853.  ``events`` is a list of (name, fn): fn(t, y) takes one
+    time and state and returns a float, or times (T,) and a stack of
+    states (T, n) and returns (T,).  Integration stops at the first sign
+    change of any fn, found by RK45's own check at step ends or by a scan
+    of the dense output at no more than 1/64 of the integrated range apart
+    (the scan calls no right-hand side).
     Step-size collapse is reported as its own status (the solver cannot
     continue but the last reached time brackets the breakdown); an event
     before the collapse wins.

@@ -32,6 +32,13 @@ BLOWUP_NORM = 1e6
 # _geodesic_rhs); below it the steps are those of an integration in t
 RESCALE_SPEED = 100.0
 EXIT_MARGIN = 1e-6
+# chart switches after which a glued geodesic stops ("switch_limit")
+MAX_SWITCHES = 500
+# largest gap between consecutive path segments, and between a loop's ends
+CONTINUITY_TOL = 1e-6
+# anchor singular values below CUTOFF times the largest span the isotropy;
+# a retained/discarded ratio below ISOTROPY_GAP flags an ill-conditioned split
+ISOTROPY_CUTOFF, ISOTROPY_GAP = 1e-8, 1e3
 
 
 class TransportError(RuntimeError):
@@ -101,16 +108,17 @@ class BasePath:
         return BasePath(self.segments + other.segments)
 
 
-def line_path(a, b, chart: int = 0) -> BasePath:
+def line_path(a, b) -> BasePath:
+    """The segment a -> b in chart 0."""
     a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float)
-    return BasePath((PathSegment(chart, lambda t: a + t * (b - a), line=(a, b)),))
+    return BasePath((PathSegment(0, lambda t: a + t * (b - a), line=(a, b)),))
 
 
-def polyline_path(points, chart: int = 0) -> BasePath:
+def polyline_path(points) -> BasePath:
     segs = []
     for a, b in zip(points[:-1], points[1:]):
-        segs.extend(line_path(a, b, chart).segments)
+        segs.extend(line_path(a, b).segments)
     return BasePath(tuple(segs))
 
 
@@ -158,7 +166,7 @@ def _as_glued(G) -> GluedAlgebroid:
     raise TypeError(f"expected a chart or glued algebroid, got {type(G)!r}")
 
 
-def transport_matrix(G, path: BasePath, sub_tol: float = 1e-6) -> np.ndarray:
+def transport_matrix(G, path: BasePath) -> np.ndarray:
     """Fundamental transport matrix along the path, transitions included."""
     G = _as_glued(G)
     r = G.rank
@@ -169,7 +177,7 @@ def transport_matrix(G, path: BasePath, sub_tol: float = 1e-6) -> np.ndarray:
         C = G.charts[seg.chart]
         if prev_chart is not None:
             M = _apply_switch(G, prev_chart, seg.chart, prev_end,
-                              seg.point(seg.t0), sub_tol) @ M
+                              seg.point(seg.t0)) @ M
         n = C.base.dim
 
         def rhs(t, mflat, _C=C, _seg=seg, _r=r):
@@ -189,9 +197,9 @@ def transport_matrix(G, path: BasePath, sub_tol: float = 1e-6) -> np.ndarray:
     return M
 
 
-def _apply_switch(G: GluedAlgebroid, i: int, j: int, m_end, m_next, tol) -> np.ndarray:
+def _apply_switch(G: GluedAlgebroid, i: int, j: int, m_end, m_next) -> np.ndarray:
     if i == j:
-        if np.max(np.abs(m_end - m_next)) > tol:
+        if np.max(np.abs(m_end - m_next)) > CONTINUITY_TOL:
             raise TransportError("path segments are discontinuous")
         return np.eye(G.rank)
     candidates = G.overlaps_between(i, j)
@@ -199,7 +207,7 @@ def _apply_switch(G: GluedAlgebroid, i: int, j: int, m_end, m_next, tol) -> np.n
         raise TransportError(f"no overlap between charts {i} and {j}")
     for ov in candidates:
         image = value(np.asarray(ov.base_map(as_point(m_end)), dtype=object))
-        if np.max(np.abs(image - m_next)) <= tol:
+        if np.max(np.abs(image - m_next)) <= CONTINUITY_TOL:
             return value(np.asarray(ov.fiber_map(as_point(m_end)), dtype=object))
     raise TransportError("chart switch does not match any overlap base map")
 
@@ -208,13 +216,13 @@ def parallel_transport(G, path: BasePath, X0) -> np.ndarray:
     return transport_matrix(G, path) @ np.asarray(X0, dtype=float)
 
 
-def monodromy(G, loop: BasePath, tol: float = 1e-6) -> AlgebraMap:
+def monodromy(G, loop: BasePath) -> AlgebraMap:
     """Parallel transport around a closed loop as an algebra map on the
     fiber bracket at the base point."""
     G = _as_glued(G)
     c0, m0 = loop.start
     c1, m1 = loop.end
-    if c0 != c1 or np.max(np.abs(np.asarray(m0) - np.asarray(m1))) > tol:
+    if c0 != c1 or np.max(np.abs(np.asarray(m0) - np.asarray(m1))) > CONTINUITY_TOL:
         raise TransportError("monodromy requires a loop closed in its start chart")
     M = transport_matrix(G, loop)
     A0 = fiber_bracket_at(G.charts[c0], m0)
@@ -268,15 +276,15 @@ def _transport_line_dual(C: AlgebroidChart, m0, m, x0, steps: int):
 
 
 def parallel_frame(C: AlgebroidChart, m0, region: Chart | None = None,
-                   steps: int = 96, dependence_tol: float = 1e-6,
-                   probes: int = 3) -> ParallelFrame:
+                   steps: int = 96, dependence_tol: float = 1e-6) -> ParallelFrame:
     """Frame of parallel sections; fails loudly when straight-line and
-    staircase transports disagree (flatness violation)."""
+    staircase transports disagree (flatness violation) at any of three
+    probe points."""
     m0 = np.asarray(m0, dtype=float)
     region = region or C.base
     eye = np.eye(C.rank)
     gaps = []
-    for m in region.halton_points(probes, shrink=0.15):
+    for m in region.halton_points(3, shrink=0.15):
         mid = np.array(m, dtype=float).copy()
         mid[0] = m0[0]
         # the columns of each transported identity are the transported basis
@@ -297,6 +305,7 @@ def parallel_frame(C: AlgebroidChart, m0, region: Chart | None = None,
 class GeodesicResult:
     path: GPath
     # "completed" | "escaped_chart" | "escaped_atlas" | "blowup" | "step_collapse"
+    # | "switch_limit"
     status: str
     t_end: float
     chart: int = 0
@@ -334,8 +343,6 @@ def _geodesic_events(C: AlgebroidChart, t1: float, direction: float, blowup_norm
     events = [("end", end_fn), ("blowup", blow_fn)]
     if np.any(np.isfinite(lower)) or np.any(np.isfinite(upper)):
         events.append(("escaped_chart", exit_fn))
-    for _, fn in events:
-        fn.vectorized = True
     return events
 
 
@@ -372,12 +379,11 @@ def geodesic(C: AlgebroidChart, m0, X0, span=(0.0, 1.0),
                          max_switches=0, exit_status="escaped_chart")
 
 
-def geodesic_glued(G, chart: int, m0, X0, span=(0.0, 1.0),
-                   blowup_norm: float = BLOWUP_NORM,
-                   max_switches: int = 500) -> GeodesicResult:
-    """Geodesic integration across chart switches of a glued algebroid."""
-    return _geodesic_run(_as_glued(G), chart, m0, X0, span, blowup_norm,
-                         max_switches, exit_status="escaped_atlas")
+def geodesic_glued(G, chart: int, m0, X0, span=(0.0, 1.0)) -> GeodesicResult:
+    """Geodesic integration across chart switches of a glued algebroid,
+    stopped with status "switch_limit" after MAX_SWITCHES switches."""
+    return _geodesic_run(_as_glued(G), chart, m0, X0, span, BLOWUP_NORM,
+                         MAX_SWITCHES, exit_status="escaped_atlas")
 
 
 def _geodesic_run(G: GluedAlgebroid, chart: int, m0, X0, span, blowup_norm: float,
@@ -392,7 +398,9 @@ def _geodesic_run(G: GluedAlgebroid, chart: int, m0, X0, span, blowup_norm: floa
     Blow-up is certified when the fiber norm or the base speed reaches
     ``blowup_norm``.  A leg that stops short of t1 otherwise, by a
     collapsed step or by spending its whole s-span (|f| above
-    ``blowup_norm`` on average), reports "step_collapse"."""
+    ``blowup_norm`` on average), reports "step_collapse"; a run past
+    ``max_switches`` chart switches reports "switch_limit".  Neither
+    certifies anything."""
     t = float(span[0])
     t_final = float(span[1])
     m = np.asarray(m0, dtype=float)
@@ -445,7 +453,7 @@ def _geodesic_run(G: GluedAlgebroid, chart: int, m0, X0, span, blowup_norm: floa
         chart, m, x = nxt[0], nxt[1], nxt[2] @ x
         switches += 1
         if switches > max_switches:
-            status = "blowup"
+            status = "switch_limit"
             break
     gp = GPath(np.asarray(times), np.asarray(bases), np.asarray(fibers), tuple(charts))
     return GeodesicResult(gp, status, float(t), chart, switches, steps, nfev)
@@ -477,8 +485,7 @@ class SeedVerdict:
     note: str = ""
 
 
-def completeness_probe(obj, seeds, horizon: float = 100.0,
-                       blowup_norm: float = BLOWUP_NORM) -> list[SeedVerdict]:
+def completeness_probe(obj, seeds, horizon: float = 100.0) -> list[SeedVerdict]:
     """One-sided completeness verdicts; never claims completeness.
 
     Seeds are (m0, X0) for a single chart or (chart, m0, X0) for a glued
@@ -493,16 +500,16 @@ def completeness_probe(obj, seeds, horizon: float = 100.0,
             chart, (m0, X0) = 0, seed
         worst: tuple[str, float | None, str] = ("no-blowup-within-horizon", None, "")
         for sign in (+1.0, -1.0):
-            res = geodesic_glued(G, chart, m0, X0, (0.0, sign * horizon), blowup_norm)
+            res = geodesic_glued(G, chart, m0, X0, (0.0, sign * horizon))
             if res.status == "blowup":
                 worst = ("certified-incomplete", res.t_end, "")
                 break
             if res.status == "escaped_atlas":
                 worst = ("no-blowup-within-horizon", None,
                          f"left the atlas at t={res.t_end:.6g}; verdict limited to the atlas")
-            elif res.status == "step_collapse":
-                worst = ("no-blowup-within-horizon", None,
-                         f"integration stopped at t={res.t_end:.6g} (step collapse)")
+            elif res.status in ("step_collapse", "switch_limit"):
+                worst = ("no-blowup-within-horizon", None, f"integration stopped at "
+                         f"t={res.t_end:.6g} ({res.status.replace('_', ' ')})")
         verdicts.append(SeedVerdict(tuple(map(tuple, (np.atleast_1d(m0), np.atleast_1d(X0)))),
                                     worst[0], worst[1], worst[2]))
     return verdicts
@@ -517,21 +524,20 @@ class IsotropyResult:
     well_conditioned: bool
 
 
-def isotropy_subalgebra(C: AlgebroidChart, m0, cutoff: float = 1e-8,
-                        gap: float = 1e3) -> IsotropyResult:
+def isotropy_subalgebra(C: AlgebroidChart, m0) -> IsotropyResult:
     """Kernel of the anchor at m0 inside the fiber bracket algebra."""
     m0 = as_point(m0)
     a = value(np.asarray(C.anchor(m0), dtype=object))
     u, s, vt = np.linalg.svd(a)
     scale = s[0] if len(s) and s[0] > 0 else 1.0
-    keep = s > cutoff * scale
+    keep = s > ISOTROPY_CUTOFF * scale
     killed = [vt[k] for k in range(C.rank) if k >= len(s) or not keep[k]]
     # rank-gap diagnostic between smallest retained and largest discarded
     retained = s[keep] if np.any(keep) else np.array([])
     discarded = s[~keep] if np.any(~keep) else np.array([])
     ok = True
     if len(retained) and len(discarded) and discarded.max() > 0:
-        ok = retained.min() / discarded.max() >= gap
+        ok = retained.min() / discarded.max() >= ISOTROPY_GAP
     parent = fiber_bracket_at(C, m0)
     sub = Subalgebra(parent, tuple(np.asarray(v, dtype=float) for v in killed))
     return IsotropyResult(sub, s, ok)
@@ -540,11 +546,12 @@ def isotropy_subalgebra(C: AlgebroidChart, m0, cutoff: float = 1e-8,
 # -- sufficient-condition checkers --------------------------------------------
 
 def invariant_metric_check(C: AlgebroidChart, sigma, tol: float = 1e-7,
-                           samples=None, seed: int = 42) -> TensorReport:
+                           samples=None) -> TensorReport:
     """Residual of the induced derivative of the metric along fiber
-    directions: #x . sigma(V,W) - sigma(bar_x V, W) - sigma(V, bar_x W)."""
+    directions: #x . sigma(V,W) - sigma(bar_x V, W) - sigma(V, bar_x W),
+    by default at 10 points drawn with seed 42."""
     if samples is None:
-        samples = C.base.sample_points(np.random.default_rng(seed), 10)
+        samples = C.base.sample_points(np.random.default_rng(42), 10)
     per = []
     for m in samples:
         m = as_point(m)
@@ -573,13 +580,13 @@ class CompactnessReport:
         return self.verdict == "consistent-with-compact-closure"
 
 
-def monodromy_compactness_probe(maps, word_length: int = 6, modulus_tol: float = 1e-9,
-                                norm_bound: float = 1e3) -> CompactnessReport:
+def monodromy_compactness_probe(maps, norm_bound: float = 1e3) -> CompactnessReport:
     """Heuristic compact-closure probe on monodromy generators.
 
-    Words over the generators and their inverses are scanned up to the
-    given length; any eigenvalue modulus away from 1 or unbounded word
-    norm produces an "unbounded" verdict with a witness word.  Each word
+    Words over the generators and their inverses are scanned up to length
+    6; any eigenvalue modulus more than 1e-9 away from 1 or word norm
+    above ``norm_bound`` produces an "unbounded" verdict with a witness
+    word.  Each word
     length is one stacked product, eigenvalue and norm computation, read
     in scan order so the first violating word is the witness.
     """
@@ -595,7 +602,7 @@ def monodromy_compactness_probe(maps, word_length: int = 6, modulus_tol: float =
     gens = np.stack(mats)
     words = [()]
     frontier = np.eye(gens.shape[1])[None]
-    for _ in range(word_length):
+    for _ in range(6):
         pairs = [(f, j) for f, w in enumerate(words) for j, label in enumerate(labels)
                  if not (w and w[-1] == -label)]
         fi, gj = np.array(pairs).T
@@ -603,7 +610,7 @@ def monodromy_compactness_probe(maps, word_length: int = 6, modulus_tol: float =
         words = [words[f] + (labels[j],) for f, j in pairs]
         devs = np.max(np.abs(np.abs(np.linalg.eigvals(frontier)) - 1.0), axis=1)
         norms = np.linalg.norm(frontier, 2, axis=(1, 2))
-        bad = np.nonzero((devs > modulus_tol) | (norms > norm_bound))[0]
+        bad = np.nonzero((devs > 1e-9) | (norms > norm_bound))[0]
         seen = bad[0] + 1 if len(bad) else len(words)
         max_dev = max(max_dev, float(np.max(devs[:seen])))
         max_norm = max(max_norm, float(np.max(norms[:seen])))
@@ -621,17 +628,16 @@ class EscapeBound:
                  "is conservative for metrics dominating the box metric")
 
 
-def escape_bound(V, sigma, chart: Chart, m, r: float,
-                 grid: int = 33, verify_seeds: int = 3) -> EscapeBound:
+def escape_bound(V, sigma, chart: Chart, m, r: float) -> EscapeBound:
     """Uniform flow-time lower bound T = r / sup_{B_2r} |V|.
 
-    The supremum is sampled on a grid over the box ball of radius 2r and
-    integral curves from the inner ball are integrated for |t| <= T as a
-    cross-check.
+    The supremum is sampled on a grid of 33 points per axis over the box
+    ball of radius 2r, and integral curves from three points of the inner
+    ball are integrated for |t| <= T as a cross-check.
     """
     m = np.asarray(m, dtype=float)
     n = len(m)
-    axes = [np.linspace(mi - 2 * r, mi + 2 * r, grid) for mi in m]
+    axes = [np.linspace(mi - 2 * r, mi + 2 * r, 33) for mi in m]
     sup = 0.0
     mesh = np.meshgrid(*axes, indexing="ij")
     pts = np.stack([ax.reshape(-1) for ax in mesh], axis=1)
@@ -646,7 +652,7 @@ def escape_bound(V, sigma, chart: Chart, m, r: float,
     T = r / sup
     ok = True
     rng = np.random.default_rng(7)
-    for _ in range(verify_seeds):
+    for _ in range(3):
         p0 = m + rng.uniform(-r, r, size=n)
         for sign in (1.0, -1.0):
             out = integrate(lambda t, y: value(np.asarray(V(as_point(y)), dtype=object)),

@@ -197,3 +197,44 @@ def test_adjoint_realization_heisenberg_not_faithful_but_closed():
     A = algebra.heisenberg()
     R = algebra.adjoint_realization(A)
     assert R.closure_residual() < 1e-12
+
+
+# -- a NaN residual is kept, wherever it falls ---------------------------------
+
+# numpy warns of the NaN it is given; the check must still fail
+@pytest.mark.filterwarnings("ignore:invalid value encountered in det:RuntimeWarning")
+def test_a_nan_map_entry_fails_the_automorphism_check():
+    A = algebra.so3()
+    M = np.eye(3)
+    M[2, 2] = math.nan
+    rep = is_automorphism(A, AlgebraMap(A, A, M))
+    assert math.isnan(rep.residual) and not rep.passed
+
+
+def test_a_nan_generator_entry_fails_the_realization_closure():
+    gens = [hat(e) for e in np.eye(3)]
+    gens[2][0, 1] = math.nan
+    with pytest.raises(AlgebraError, match="residual nan"):
+        MatrixRealization(algebra.so3(), tuple(gens))
+
+
+def test_a_nan_bracket_after_the_first_fails_the_subalgebra_closure(monkeypatch):
+    A = algebra.affine_line()
+    basis = (np.array([1.0, 0.0]), np.array([0.0, 1.0]))
+    assert Subalgebra(A, basis).closure_residual() == 0.0
+    real, calls = algebra.bracket, []
+
+    def nan_after_first(*args):
+        calls.append(args)
+        return real(*args) * (1.0 if len(calls) == 1 else math.nan)
+    monkeypatch.setattr(algebra, "bracket", nan_after_first)
+    with pytest.raises(AlgebraError, match="residual nan"):
+        Subalgebra(A, basis)
+    assert len(calls) == 4
+
+
+def test_nan_structure_constants_fail_the_jacobi_check():
+    c = algebra.so3().structure_constants.copy()
+    c[2, 0, 1] = math.nan
+    with pytest.raises(AlgebraError, match="residual nan"):
+        LieAlgebra(c)

@@ -315,3 +315,19 @@ def test_a_nan_fiber_map_past_the_first_point_fails_overlap_compatibility(
     rep = check_overlap_compatibility(algebroid.GluedAlgebroid(G.charts, G.overlaps[:-1] + (bad,)))
     assert not rep.passed and math.isnan(rep.max_residual)
     assert math.isnan(rep.details[f"overlap_{ov.i}_{ov.j}"])
+
+
+def test_a_nan_offset_in_the_second_identity_entry_fails_the_cocycle():
+    ident = AffineCocycleEntry(np.eye(2), np.zeros(2), np.eye(2))
+    bad = AffineCocycleEntry(np.eye(2), np.array([0.0, math.nan]), np.eye(2))
+    rep = check_cocycle({(0, 0): ident, (1, 1): bad})
+    assert math.isnan(rep.identity_residual) and not rep.passed
+    assert rep.failures == ("transition 1->1 is not the identity",)
+
+
+def test_a_nan_composition_after_the_first_fails_the_cocycle():
+    def shift(x):
+        return AffineCocycleEntry(np.eye(1), np.array([x]), np.eye(1))
+    rep = check_cocycle({(0, 1): shift(1.0), (1, 2): shift(2.0), (0, 2): shift(3.0),
+                         (2, 3): shift(math.nan), (1, 3): shift(2.0)})
+    assert math.isnan(rep.composition_residual) and not rep.passed

@@ -1,11 +1,12 @@
 import functools
+import math
 
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from cartanlab import algebra, algebroid, dual, geometry, models
+from cartanlab import algebra, algebroid, cartan, dual, geometry, models
 from cartanlab.cartan import (cocurvature, curvature_conn, check_morphism,
                               fiber_bracket_at, is_cartan, is_flat,
                               nabla_bar_g, nabla_bar_tm, torsion_bar)
@@ -358,3 +359,17 @@ def test_a_nan_residual_at_the_second_sample_fails_the_check():
     assert np.isfinite(rep.per_point[0]) and np.isnan(rep.per_point[1])
     assert np.isnan(rep.max_residual)
     assert not rep.verdict
+
+
+def test_a_nan_connection_residual_at_the_second_sample_fails_the_morphism(
+        so3_action, monkeypatch):
+    real, calls = cartan.intertwining_residuals, []
+
+    def nan_after_first(*args):
+        calls.append(args)
+        anchor, conn, torsion = real(*args)
+        return anchor, conn if len(calls) == 1 else math.nan, torsion
+    monkeypatch.setattr(cartan, "intertwining_residuals", nan_after_first)
+    rep = check_morphism(so3_action.chart, so3_action.chart, np.eye(3), lambda m: m, samples=3)
+    assert len(calls) == 3 and math.isnan(rep.details["connection"])
+    assert math.isnan(rep.max_residual) and not rep.verdict

@@ -153,6 +153,21 @@ def test_a_nan_transition_residual_after_the_first_fails_reconstruct(monkeypatch
     assert not result.verdict and math.isnan(result.max_residual)
 
 
+def test_a_nan_multiplier_after_the_first_transition_fails_reconstruct(monkeypatch):
+    reconstruct = development.reconstruct_atlas
+
+    def nan_after_first(*args, **kwargs):
+        atlas = reconstruct(*args, **kwargs)
+        for t in atlas.transitions[1:]:
+            t.affine_matrix = np.full_like(t.affine_matrix, math.nan)
+        return atlas
+
+    monkeypatch.setattr(development, "reconstruct_atlas", nan_after_first)
+    params = {"monodromy_rtol": 1e-6, "expect_multiplier": 1.0, "rtol": 1e-6}
+    result = cli.check_reconstruct(models.flat_torus(), params, 7)
+    assert not result.verdict and math.isnan(result.witnesses["fitted_multiplier"])
+
+
 def test_a_nan_residual_fails_a_check_that_expects_fail(monkeypatch):
     nan_report = cartan.TensorReport("is_flat", math.nan, 1e-7, (0.0, math.nan))
     monkeypatch.setattr(cartan, "is_flat", lambda *a, **k: nan_report)

@@ -553,3 +553,17 @@ def test_a_nan_residual_after_the_first_generator_refuses_the_induced_map(monkey
     with pytest.raises(DevelopmentError, match="residual nan"):
         induced_affine_map(E, H, q)
     assert len(calls) == 2
+
+
+# numpy warns of the NaN it is given; the check must still fail
+@pytest.mark.filterwarnings("ignore:invalid value encountered in det:RuntimeWarning")
+def test_a_nan_jacobian_after_the_first_patch_fails_reconstruct(torus, monkeypatch):
+    real, calls = development._frame_jacobian, []
+
+    def nan_after_first(*args):
+        calls.append(args)
+        return real(*args) * (1.0 if len(calls) == 1 else math.nan)
+    monkeypatch.setattr(development, "_frame_jacobian", nan_after_first)
+    atlas = reconstruct_atlas(torus.glued, torus.homog, torus.atlas_spec)
+    assert len(calls) == 4
+    assert math.isnan(atlas.jacobian_min_abs_det) and not atlas.passed

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -485,3 +486,14 @@ def test_a_nan_christoffel_at_the_second_sample_fails_the_local_lie_group(
     rep = local_lie_group_check(DualPair(aff.pair.chart, aff.pair.nabla, bar))
     assert math.isnan(rep.flat_bar_residual) and math.isnan(rep.parallel_torsion_residual)
     assert not rep.passed and math.isnan(rep.max_residual)
+
+
+def test_a_nan_frame_at_the_second_sample_fails_the_skewness_and_component_checks(
+        sphere, nan_after_first_point):
+    def nan_frame():
+        return dataclasses.replace(sphere.rc, frame=nan_after_first_point(sphere.rc.frame))
+    pts = sphere.metric.chart.halton_points(3)
+    assert math.isnan(skewness_residual(nan_frame(), samples=pts))
+    for check in (bracket_component_check, curvature_formula_check):
+        rep = check(nan_frame(), samples=pts)
+        assert math.isnan(rep.max_residual) and not rep.verdict

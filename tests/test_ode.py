@@ -25,7 +25,7 @@ def test_event_window_inside_one_full_span_step_is_found():
     # (y - 5)^2 - 0.01 is negative only for t in (4.9, 5.1), far inside the
     # full-span first step, which RK45 accepts since y' = 1 is exact
     out = ode.integrate(lambda t, y: np.ones(1), (0.0, 10.0), [0.0],
-                        events=[("window", lambda t, y: (y[0] - 5.0) ** 2 - 0.01)])
+                        events=[("window", lambda t, y: (y[..., 0] - 5.0) ** 2 - 0.01)])
     assert out.status == "event:window" and out.event_name == "window"
     assert abs(out.t_end - 4.9) < 1e-9
     assert out.times[-1] == out.t_end and abs(out.states[-1][0] - 4.9) < 1e-9
@@ -39,12 +39,12 @@ def _ends_at_one(t, y):
 
 
 def test_event_before_a_step_collapse_wins():
-    never = ("never", lambda t, y: 1.0)
+    never = ("never", lambda t, y: np.ones_like(t))
     assert ode.integrate(_ends_at_one, (0.0, 2.0), [0.0], events=[never]).status == \
         "step_collapse"
     # negative only for y in (0.48, 0.52), between two accepted step ends
     out = ode.integrate(_ends_at_one, (0.0, 2.0), [0.0],
-                        events=[never, ("window", lambda t, y: (y[0] - 0.5) ** 2 - 0.02 ** 2)])
+                        events=[never, ("window", lambda t, y: (y[..., 0] - 0.5) ** 2 - 0.02 ** 2)])
     assert out.status == "event:window"
     assert abs(out.t_end - 0.48) < 1e-9
 
@@ -56,25 +56,13 @@ def test_first_step_sets_the_first_trial_step():
                          first_step=20.0).steps == 1
 
 
-def _window_event(t, y):
-    return (y[..., 0] - 5.0) ** 2 - 0.01
-
-
-def _vectorized(fn):
-    def each(t, y):
-        return fn(t, y)
-    each.vectorized = True
-    return each
-
-
-@pytest.mark.parametrize("window", [_window_event, _vectorized(_window_event)],
-                         ids=["per-point", "vectorized"])
-def test_event_scan_covers_the_integrated_range_of_a_long_span(window):
+def test_event_scan_covers_the_integrated_range_of_a_long_span():
     # the span is only a bound: a stop event ends the solve at t = 10 inside
     # the one exact first step (0, 20), and the window (4.9, 5.1) lies
     # between two scan times spread over the whole span, not over (0, 10)
     out = ode.integrate(lambda t, y: np.ones(1), (0.0, 1e6), [0.0], first_step=20.0,
-                        events=[("stop", lambda t, y: 10.0 - y[0]), ("window", window)])
+                        events=[("stop", lambda t, y: 10.0 - y[..., 0]),
+                                ("window", lambda t, y: (y[..., 0] - 5.0) ** 2 - 0.01)])
     assert out.steps == 1
     assert out.status == "event:window" and abs(out.t_end - 4.9) < 1e-9
 
@@ -144,14 +132,14 @@ def _linear():
 
 def _window():
     ode.integrate(lambda t, y: np.ones(1), (0.0, 10.0), [0.0],
-                  events=[("window", lambda t, y: (y[0] - 5.0) ** 2 - 0.01)])
+                  events=[("window", lambda t, y: (y[..., 0] - 5.0) ** 2 - 0.01)])
 
 
 def _collapse_and_window():
-    never = ("never", lambda t, y: 1.0)
+    never = ("never", lambda t, y: np.ones_like(t))
     ode.integrate(_ends_at_one, (0.0, 2.0), [0.0], events=[never])
     ode.integrate(_ends_at_one, (0.0, 2.0), [0.0],
-                  events=[never, ("window", lambda t, y: (y[0] - 0.5) ** 2 - 0.02 ** 2)])
+                  events=[never, ("window", lambda t, y: (y[..., 0] - 0.5) ** 2 - 0.02 ** 2)])
 
 
 def _skew_transport():

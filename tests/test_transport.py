@@ -7,7 +7,7 @@ from cartanlab import algebra, geometry
 from cartanlab.algebroid import AlgebroidChart
 from cartanlab.dual import value
 from cartanlab.geometry import Chart, SmoothField, as_point
-from cartanlab.transport import (BasePath, PathSegment, TransportError,
+from cartanlab.transport import (MAX_SWITCHES, BasePath, PathSegment, TransportError,
                                  _transport_line_dual, completeness_probe, escape_bound, geodesic,
                                  geodesic_glued, invariant_metric_check,
                                  isotropy_subalgebra, line_path, monodromy,
@@ -355,6 +355,17 @@ def test_completeness_probe_sphere_orbits(so3_action):
     verdicts = completeness_probe(so3_action.chart,
                                   [([1.0, 0.0, 0.0], [0.0, 0.0, 1.0])], horizon=50.0)
     assert verdicts[0].verdict == "no-blowup-within-horizon"
+
+
+def test_a_glued_geodesic_past_the_switch_cap_certifies_nothing(torus):
+    # the complete flat torus: a geodesic winds through chart after chart
+    # until the switch cap stops it, which is no blow-up
+    res = geodesic_glued(torus.glued, 0, [0.0, 0.0], [1.0, 0.3], span=(0.0, 400.0))
+    assert res.status == "switch_limit" and not res.certified_incomplete
+    assert res.switches == MAX_SWITCHES + 1 and res.t_end < 400.0
+    v = completeness_probe(torus.glued, [(0, [0, 0], [1, 0.3])], horizon=400)[0]
+    assert v.verdict == "no-blowup-within-horizon" and v.t_star is None
+    assert "switch limit" in v.note
 
 
 def test_isotropy_translations_trivial(translations2):
