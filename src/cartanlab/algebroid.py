@@ -8,10 +8,10 @@ The bracket is never stored; it is always derived:
 
     [X, Y] = nabla_{#X} Y - nabla_{#Y} X + T(X, Y)
 
-``AlgebroidChart.jet`` evaluates the three fields and their first
-derivatives at most once at a point, each when a pointwise tensor check
-first reads it: from the field's closed form (``SmoothField.jet``) where
-it has one, else by Dual evaluation.
+``AlgebroidChart.jet`` reads each of the three fields' value and first
+derivative at most once at a point, when a pointwise tensor check first
+reads that field, through ``SmoothField.first_jet``: the field's closed
+form where it has one, else its 1-jet from ``dual.taylor``.
 
 Action algebroids carry gamma = 0 and T equal to the fiberwise algebra
 bracket.  Glued algebroids add transition data on overlaps.
@@ -28,58 +28,37 @@ import numpy as np
 from . import dual
 from .dual import value
 from .algebra import LieAlgebra, worst
-from .geometry import Chart, SmoothField, as_point, lie_bracket_vf
+from .geometry import Chart, SmoothField, as_field, as_point, lie_bracket_vf
 
 
 class AlgebroidError(ValueError):
     pass
 
 
-def _as_field(chart, shape, obj, name=""):
-    if isinstance(obj, SmoothField):
-        return obj
-    if callable(obj):
-        return SmoothField(chart, shape, obj, name=name)
-    return SmoothField.constant(chart, obj, name=name)
-
-
 class Jet:
     """Float values and first derivatives of a chart's fields at a point,
-    each evaluated when first read.  Each ``d_*`` array is the field's shape
-    plus a last axis indexing the coordinate direction of differentiation.
+    each field read once, through ``SmoothField.first_jet``, when first
+    needed.  Each ``d_*`` array is the field's shape plus a last axis
+    indexing the coordinate direction of differentiation.
     """
 
     def __init__(self, chart: AlgebroidChart, m):
         self._chart, self._m = chart, m
         self._closed = {}
 
-    def _closed_form(self, name: str):
-        """(value, derivative) from the field's closed-form jet, or None."""
-        f = getattr(self._chart, name)
-        if f.jet is None:
-            return None
+    def _jet(self, name: str) -> dual.Taylor:
         if name not in self._closed:
-            self._closed[name] = f.jet(value(self._m))
+            self._closed[name] = getattr(self._chart, name).first_jet(self._m)
         return self._closed[name]
 
-    def _value(self, name: str) -> np.ndarray:
-        closed = self._closed_form(name)
-        if closed is not None:
-            return closed[0]
-        return value(np.asarray(getattr(self._chart, name)(self._m), dtype=object))
-
     def _derivative(self, name: str) -> np.ndarray:
-        closed = self._closed_form(name)
-        if closed is not None:
-            return closed[1]
-        f = getattr(self._chart, name)
-        return value(dual.jacobian(lambda p: np.asarray(f(p), dtype=object), self._m))
+        return np.moveaxis(self._jet(name).d, 0, -1)
 
-    anchor = cached_property(lambda self: self._value("anchor"))              # (n, r)
+    anchor = cached_property(lambda self: self._jet("anchor").v)              # (n, r)
     d_anchor = cached_property(lambda self: self._derivative("anchor"))       # (n, r, n)
-    gamma = cached_property(lambda self: self._value("gamma"))                # (n, r, r)
+    gamma = cached_property(lambda self: self._jet("gamma").v)                # (n, r, r)
     d_gamma = cached_property(lambda self: self._derivative("gamma"))         # (n, r, r, n)
-    torsion = cached_property(lambda self: self._value("torsion"))            # (r, r, r)
+    torsion = cached_property(lambda self: self._jet("torsion").v)            # (r, r, r)
     d_torsion = cached_property(lambda self: self._derivative("torsion"))     # (r, r, r, n)
 
     def gamma_on_anchor(self) -> np.ndarray:
@@ -102,22 +81,17 @@ class AlgebroidChart:
 
     def __post_init__(self):
         n, r = self.base.dim, self.rank
-        object.__setattr__(self, "anchor", _as_field(self.base, (n, r), self.anchor, "anchor"))
-        object.__setattr__(self, "gamma", _as_field(self.base, (n, r, r), self.gamma, "gamma"))
-        raw = _as_field(self.base, (r, r, r), self.torsion, "torsion")
+        object.__setattr__(self, "anchor", as_field(self.base, (n, r), self.anchor, "anchor"))
+        object.__setattr__(self, "gamma", as_field(self.base, (n, r, r), self.gamma, "gamma"))
+        raw = as_field(self.base, (r, r, r), self.torsion, "torsion")
 
         def anti(t):
-            return 0.5 * (t - np.swapaxes(t, 1, 2))
-
-        jet = None
-        if raw.jet is not None:
-            def jet(m, _raw=raw):
-                t, dt = _raw.jet(m)
-                return anti(t), anti(dt)
+            """Antisymmetric part in the last two axes, of an array or a jet."""
+            return 0.5 * (t - dual.swap(t))
 
         object.__setattr__(self, "torsion", SmoothField(
-            self.base, (r, r, r), lambda m, _raw=raw: anti(np.asarray(_raw(m), dtype=object)),
-            name="torsion", jet=jet))
+            self.base, (r, r, r), lambda m: anti(np.asarray(raw(m), dtype=object)),
+            name="torsion", jet=lambda m: anti(raw.first_jet(m))))
 
     def jet(self, m) -> Jet:
         """Anchor, gamma and torsion with their first derivatives at m."""

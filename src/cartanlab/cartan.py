@@ -14,10 +14,11 @@ connection is certified Cartan through the vanishing of its cocurvature
 and flat through the vanishing of its ordinary curvature.  Both are
 tensorial, so the checks evaluate them on constant frames, where each
 reduces to a contraction of the point's 1-jet (``AlgebroidChart.jet``:
-anchor, gamma and torsion with their first derivatives).  The section
-calculus above stays closure-based and takes arbitrary sections; the test
-suite builds the cocurvature from it by definition and uses that as the
-oracle for the jet formulas.
+anchor, gamma and torsion with their first derivatives, each read through
+``SmoothField.first_jet``).  The section calculus above stays
+closure-based and takes arbitrary sections; the test suite builds the
+cocurvature from it by definition and uses that as the oracle for the jet
+formulas.
 """
 
 from __future__ import annotations

@@ -169,7 +169,7 @@ def resolve_model(spec) -> tuple[str, object]:
             metric = geometry.metric_by_name(spec["metric"])
             lo, hi = metric.chart.sample_box()
             name = f"riemannian:{spec['metric']}"
-            return name, models.riemannian_model(name, metric, (lo + hi) / 2, with_model=False)
+            return name, models.riemannian_model(name, metric, (lo + hi) / 2)
     except (KeyError, TypeError, ValueError) as e:  # from building the model
         raise ScenarioError(f"cannot build model {spec!r} ({type(e).__name__}: {e})") from None
     raise ScenarioError("model must be a catalog name, an action_algebroid "

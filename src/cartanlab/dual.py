@@ -8,12 +8,14 @@ ordinary Python callables written with ``+ - * /``, ``**`` and the
 object arrays), so any such callable is differentiable here without
 modification.
 
-Array-valued formulas differentiate without per-scalar Duals through
-``Taylor`` jets: a field's jet is taken once at a point with nested Duals
-(``taylor``), and ``contract``, ``inv`` and ``cholesky`` carry it through
+One routine differentiates: ``taylor`` takes a field's jet of any order
+at a point, with nested Duals, and ``jacobian`` is its order-1 view.
+Array-valued formulas then differentiate without per-scalar Duals:
+``contract``, ``inv`` and ``cholesky`` carry a ``Taylor`` jet through
 whole-array numpy contractions by the product rule (Griewank & Walther,
 *Evaluating Derivatives*, 2nd ed., SIAM 2008, on propagating Taylor
-coefficients).
+coefficients).  ``directional`` and ``second_directional`` lift a point
+along given directions and stay as references for these.
 """
 
 from __future__ import annotations
@@ -209,25 +211,12 @@ def directional(f, m, v):
 
 
 def jacobian(f, m):
-    """Stack of directional derivatives along coordinate axes.
+    """First derivatives of ``f`` at ``m`` along the coordinate axes: the
+    order-1 ``taylor`` jet's derivative, with the direction moved last.
 
-    For ``f`` with output shape ``s`` returns shape ``s + (n,)``; the last
-    axis indexes the differentiation direction.
+    For ``f`` with output shape ``s`` returns shape ``s + (n,)``.
     """
-    n = len(m)
-    cols = []
-    for k in range(n):
-        v = [0.0] * n
-        v[k] = 1.0
-        cols.append(directional(f, m, v))
-    cols = [np.asarray(c, dtype=object) if not np.isscalar(c) and not isinstance(c, Dual) else c
-            for c in cols]
-    if isinstance(cols[0], np.ndarray):
-        return np.stack(cols, axis=-1)
-    out = np.empty(n, dtype=object)
-    for k in range(n):
-        out[k] = cols[k]
-    return out
+    return np.moveaxis(taylor(f, m, 1).d, 0, -1)
 
 
 def second_directional(f, m, v, w):

@@ -1,8 +1,10 @@
 """Coordinate charts, differentiable fields, metrics and TM curvature.
 
 Everything lives on open boxes.  Fields are plain callables evaluated
-through dual numbers, so first and second derivatives are exact; central
-finite differences are available separately as a cross-check oracle.
+through dual numbers, so first and second derivatives are exact; a field's
+value and first derivative at a point come from ``SmoothField.first_jet``.
+Central finite differences are available separately as a cross-check
+oracle.
 
 Curvature convention used throughout:
 
@@ -121,8 +123,8 @@ class SmoothField:
     fiber vector, (n, n) bilinear form, and so on.  ``batch``, when a
     constructor knows the field in closed form, maps float points (B, n)
     to float values (B, *shape) in one call.  ``jet``, when it knows the
-    first derivative in closed form, maps a float point (n,) to the float
-    value and derivative (*shape, n), the last axis the direction.
+    first derivative in closed form, maps a float point (n,) to the
+    field's order-1 ``dual.Taylor`` jet there (see ``first_jet``).
     """
 
     chart: Chart
@@ -134,6 +136,15 @@ class SmoothField:
 
     def __call__(self, m):
         return self.fn(m)
+
+    def first_jet(self, m) -> dual.Taylor:
+        """Float value ``v`` (*shape) and first derivative ``d`` (n, *shape),
+        ``d[i]`` the derivative along d_i, at the point m: the constructor's
+        closed form ``jet`` where it has one, else ``dual.taylor``."""
+        m = value(np.asarray(m, dtype=object))
+        if self.jet is not None:
+            return self.jet(m)
+        return dual.taylor(self, m, 1)
 
     def values(self, ms) -> np.ndarray:
         """Float values (B, *shape) at float points (B, n): the closed-form
@@ -147,8 +158,19 @@ class SmoothField:
     @staticmethod
     def constant(chart: Chart, val, name: str = "") -> "SmoothField":
         arr = np.asarray(val, dtype=float)
+        zero = np.zeros((chart.dim,) + arr.shape)
         return SmoothField(chart, arr.shape, lambda m, _a=arr: _a.copy(), name=name,
-                           batch=lambda ms, _a=arr: np.repeat(_a[None], len(ms), axis=0))
+                           batch=lambda ms, _a=arr: np.repeat(_a[None], len(ms), axis=0),
+                           jet=lambda m, _a=arr: dual.Taylor(_a.copy(), zero.copy()))
+
+
+def as_field(chart: Chart, shape, obj, name: str) -> SmoothField:
+    """``obj`` as a field: a field as is, a callable wrapped, else a constant."""
+    if isinstance(obj, SmoothField):
+        return obj
+    if callable(obj):
+        return SmoothField(chart, shape, obj, name=name)
+    return SmoothField.constant(chart, obj, name=name)
 
 
 def as_point(m) -> np.ndarray:
@@ -172,12 +194,19 @@ def lie_bracket_vf(V, W, m):
 class TMConnection:
     """Linear connection on the tangent bundle of a chart.
 
-    ``christoffel(m)`` returns shape (n, n, n) with layout [k, i, j] for
-    Gamma^k_{ij}: (nabla_U V)^k = U^i d_i V^k + Gamma^k_{ij} U^i V^j.
+    ``christoffel`` is a field of shape (n, n, n) with layout [k, i, j] for
+    Gamma^k_{ij}: (nabla_U V)^k = U^i d_i V^k + Gamma^k_{ij} U^i V^j.  A
+    plain callable is wrapped as a field, whose first derivatives then come
+    from ``dual.taylor``; the constructors below give closed-form jets.
     """
 
     chart: Chart
-    christoffel: Callable
+    christoffel: SmoothField
+
+    def __post_init__(self):
+        n = self.chart.dim
+        object.__setattr__(self, "christoffel",
+                           as_field(self.chart, (n, n, n), self.christoffel, "christoffel"))
 
     def covariant_vec(self, V, W, m):
         """nabla_V W at m for vector-field callables V, W."""
@@ -191,22 +220,22 @@ class TMConnection:
 
 def flat_connection(chart: Chart) -> TMConnection:
     n = chart.dim
-    zeros = np.zeros((n, n, n))
-    return TMConnection(chart, lambda m: zeros)
+    return TMConnection(chart, np.zeros((n, n, n)))
 
 
 def frame_connection(chart: Chart, frame: Callable) -> TMConnection:
     """Connection whose parallel fields are the columns of ``frame(m)``.
 
-    Gamma^k_{ij} = -(d_i E)^k_a (E^{-1})^a_j so that nabla E_a = 0.
+    Gamma^k_{ij} = -(d_i E)^k_a (E^{-1})^a_j so that nabla E_a = 0,
+    contracted from the frame's 1-jet for a value and from its 2-jet for
+    the closed-form jet.
     """
-    def christoffel(m):
-        m = as_point(m)
-        E = np.asarray(frame(m), dtype=object)
-        dE = dual.jacobian(lambda p: np.asarray(frame(p), dtype=object), m)  # (n, n, n)=(k, a, i)
-        Einv = dual.inv(E)
-        return -np.einsum("kai,aj->kij", dE, Einv)
-    return TMConnection(chart, christoffel)
+    def christoffel(E):
+        return -dual.contract("ika,aj->kij", E.d, dual.inv(E.v))
+
+    return TMConnection(chart, SmoothField(
+        chart, (chart.dim,) * 3, lambda m: christoffel(dual.taylor(frame, m, 1)),
+        name="frame connection", jet=lambda m: christoffel(dual.taylor(frame, m, 2))))
 
 
 def christoffel_from_jet(G):
@@ -234,23 +263,26 @@ def metric_jet(metric: SmoothField, m, order: int):
 
 
 def levi_civita(metric: SmoothField) -> TMConnection:
-    """Torsion-free metric connection from the Koszul formula, contracted
-    from the metric's 1-jet."""
-    return TMConnection(metric.chart,
-                        lambda m: christoffel_from_jet(metric_jet(metric, m, 1)))
+    """Torsion-free metric connection from the Koszul formula: the
+    Christoffel symbols are contracted from the metric's 1-jet, and their
+    closed-form jet from its 2-jet."""
+    return TMConnection(metric.chart, SmoothField(
+        metric.chart, (metric.chart.dim,) * 3,
+        lambda m: christoffel_from_jet(metric_jet(metric, m, 1)), name="levi-civita",
+        jet=lambda m: christoffel_from_jet(metric_jet(metric, m, 2))))
 
 
 def curvature_tm(conn: TMConnection, m, U, V, W):
-    """R(U, V)W at m for constant-coefficient U, V, W."""
-    m = as_point(m)
+    """R(U, V)W at m for constant-coefficient U, V, W, as floats."""
     conn.chart.require_interior(m)
-    return np.einsum("lkij,i,j,k->l", curvature_tensor_obj(conn, m),
-                     *(np.asarray(X, dtype=object) for X in (U, V, W)))
+    return np.einsum("lkij,i,j,k->l", curvature_tensor(conn, m),
+                     *(np.asarray(X, dtype=float) for X in (U, V, W)))
 
 
 def curvature_tensor(conn: TMConnection, m) -> np.ndarray:
-    """Full R[l, k, i, j] = (R(e_i, e_j) e_k)^l at m, as floats."""
-    return value(curvature_tensor_obj(conn, m))
+    """Full R[l, k, i, j] = (R(e_i, e_j) e_k)^l at m, as floats, from the
+    Christoffel symbols' 1-jet."""
+    return curvature_from_christoffel(conn.christoffel.first_jet(m))
 
 
 def curvature_tensor_obj(conn: TMConnection, m) -> np.ndarray:
@@ -258,9 +290,11 @@ def curvature_tensor_obj(conn: TMConnection, m) -> np.ndarray:
 
     R[l, k, i, j] = d_i G^l_{jk} - d_j G^l_{ik} + G^l_{im} G^m_{jk}
     - G^l_{jm} G^m_{ik}, from one evaluation of the Christoffel symbols
-    and their Jacobian.  It does not check the chart interior: this is
-    evaluation plumbing for derived fields, which integrators probe right
-    up to chart edges.
+    and their Jacobian (``dual.jacobian``), so it can be differentiated
+    again (``models.curvature_formula_check``); it is also the nested-Dual
+    reference for ``curvature_tensor``.  It does not check the chart
+    interior: this is evaluation plumbing for derived fields, which
+    integrators probe right up to chart edges.
     """
     m = as_point(m)
     G = np.asarray(conn.christoffel(m), dtype=object)

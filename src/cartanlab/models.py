@@ -121,8 +121,8 @@ def build_riemannian_cartan(metric: SmoothField) -> RiemannianCartanChart:
     symbols, curvature and the three fields are contractions of that jet
     (``dual.contract``).  The same formula runs on float leaves at a float
     point and on Dual leaves at a Dual point; on a jet one order higher it
-    yields the first derivatives too, which the fields offer
-    ``AlgebroidChart.jet`` as their closed form (``SmoothField.jet``).
+    yields the first derivatives too, which the fields offer as their
+    closed-form jet (``SmoothField.jet``, read by ``first_jet``).
     """
     base = metric.chart
     n = base.dim
@@ -190,7 +190,7 @@ def build_riemannian_cartan(metric: SmoothField) -> RiemannianCartanChart:
         def jet(m):
             # copies, so no caller can write into the shared parts
             x = of(jet_parts(tuple(m)))
-            return x.v.copy(), np.moveaxis(x.d, 0, -1).copy()
+            return dual.Taylor(x.v.copy(), x.d.copy())
         return SmoothField(base, shape, value_fn, name=f"tm+h {name}", batch=batch, jet=jet)
 
     chart = AlgebroidChart(
@@ -377,7 +377,7 @@ def classify_constant_curvature(R: RiemannianCartanChart, m0,
     extracted = fiber_bracket_at(R.chart, m0).structure_constants
     model = model_structure_constants(s, R.n)
     resid = float(np.max(np.abs(extracted - model)))
-    if resid > tol or fit.residual > tol:
+    if not (resid <= tol and fit.residual <= tol):
         raise ValueError(f"extracted bracket misfits the model "
                          f"(residual {max(resid, fit.residual):.3e})")
     if abs(s) <= 1e-8:
@@ -450,6 +450,13 @@ def torsion_field(P: DualPair, m):
     return G - np.einsum("kij->kji", G)
 
 
+def _torsion_jet(P: DualPair, m):
+    """The second connection's Christoffel symbols at m, as floats, and its
+    torsion's order-1 jet, both from the Christoffel symbols' 1-jet."""
+    G = P.nabla_bar.christoffel.first_jet(m)
+    return G.v, G - dual.swap(G)
+
+
 @dataclass(frozen=True)
 class LocalLieGroupReport:
     flat_residual: float
@@ -474,21 +481,15 @@ def local_lie_group_check(P: DualPair, tol: float = 1e-7,
     second, and the Jacobi identity of the restricted bracket, at 5 random
     points."""
     samples = P.chart.sample_points(np.random.default_rng(seed), 5)
-    n = P.chart.dim
     flat_a = _tm_flatness(P.nabla, samples)
     flat_b = _tm_flatness(P.nabla_bar, samples)
     par = []
     for m in samples:
-        m = as_point(m)
-        T = torsion_field(P, m)
-        dT = dual.jacobian(lambda p: torsion_field(P, p), m)   # (k,i,j,l)
-        Gb = np.asarray(P.nabla_bar.christoffel(m), dtype=object)
-        for axis in range(n):
-            grad = dT[:, :, :, axis]
-            corr = (np.einsum("km,mij->kij", Gb[:, axis, :], T)
-                    - np.einsum("mi,kmj->kij", Gb[:, axis, :], T)
-                    - np.einsum("mj,kim->kij", Gb[:, axis, :], T))
-            par.append(np.max(np.abs(value(grad + corr))))
+        G, T = _torsion_jet(P, m)
+        # (bar_nabla_l T)^k_ij from the jets, l on the leading axis
+        cov = (T.d + np.einsum("klm,mij->lkij", G, T.v) - np.einsum("mli,kmj->lkij", G, T.v)
+               - np.einsum("mlj,kim->lkij", G, T.v))
+        par.append(np.max(np.abs(cov)))
     m0 = np.asarray(m0 if m0 is not None else samples[0], dtype=float)
     T0 = value(torsion_field(P, m0))
     c = np.einsum("kij->ijk", T0)
@@ -511,17 +512,8 @@ class ObstructionForm:
 def obstruction_form(P: DualPair, m) -> ObstructionForm:
     """Trace one-form w(U) = trace T(U, .) and its exterior-derivative
     residual (closedness)."""
-    m = as_point(m)
-
-    def w_fn(p):
-        T = torsion_field(P, p)
-        return np.einsum("kik->i", T)
-
-    w = value(np.asarray(w_fn(m), dtype=object))
-    dw = dual.jacobian(w_fn, m)   # (i, j) = d_j w_i
-    dwv = value(dw)
-    curl = dwv.T - dwv
-    return ObstructionForm(w, float(np.max(np.abs(curl))))
+    w = dual.contract("kik->i", _torsion_jet(P, m)[1])    # w.d[j, i] = d_j w_i
+    return ObstructionForm(w.v, float(np.max(np.abs(w.d - w.d.T))))
 
 
 # -- catalog ------------------------------------------------------------------
@@ -700,27 +692,27 @@ class RiemannianModel:
     metric: SmoothField
     rc: RiemannianCartanChart
     m0: np.ndarray
-    homog: HomogeneousModel | None
 
     @property
     def chart(self) -> AlgebroidChart:
         return self.rc.chart
 
+    @cached_property
+    def homog(self) -> HomogeneousModel:
+        """The homogeneous model of the fiber bracket at m0, with the skew
+        block as isotropy, built on first use; raises ``AlgebraError`` where
+        that bracket fails the Jacobi identity or the skew block does not
+        close."""
+        algebra = fiber_bracket_at(self.rc.chart, self.m0)
+        n, r = self.rc.n, self.rc.rank
+        return HomogeneousModel(algebra, adjoint_realization(algebra, tol=1e-6),
+                                Subalgebra(algebra, tuple(np.eye(r)[n:]), tol=1e-6),
+                                closure="asserted-closed")
 
-def riemannian_model(name: str, metric: SmoothField, m0,
-                     with_model: bool = True) -> RiemannianModel:
-    rc = build_riemannian_cartan(metric)
-    m0 = np.asarray(m0, dtype=float)
-    homog = None
-    if with_model:
-        algebra = fiber_bracket_at(rc.chart, m0)
-        realization = adjoint_realization(algebra, tol=1e-6)
-        n = rc.n
-        h_basis = tuple(np.eye(rc.rank)[n + k] for k in range(rc.rank - n))
-        homog = HomogeneousModel(algebra, realization,
-                                 Subalgebra(algebra, h_basis, tol=1e-6),
-                                 closure="asserted-closed")
-    return RiemannianModel(name, metric, rc, m0, homog)
+
+def riemannian_model(name: str, metric: SmoothField, m0) -> RiemannianModel:
+    return RiemannianModel(name, metric, build_riemannian_cartan(metric),
+                           np.asarray(m0, dtype=float))
 
 
 def sphere2() -> RiemannianModel:
@@ -736,8 +728,7 @@ def euclidean2() -> RiemannianModel:
 
 
 def ellipsoid2() -> RiemannianModel:
-    return riemannian_model("ellipsoid", ellipsoid_metric(), [1.1, 0.2],
-                            with_model=False)
+    return riemannian_model("ellipsoid", ellipsoid_metric(), [1.1, 0.2])
 
 
 @dataclass(frozen=True)

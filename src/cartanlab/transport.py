@@ -24,7 +24,7 @@ from .dual import Dual, value
 from .algebra import AlgebraMap, Subalgebra
 from .algebroid import AlgebroidChart, GluedAlgebroid
 from .cartan import TensorReport, bar_tm_tensor, fiber_bracket_at, worst
-from .geometry import Chart, as_point
+from .geometry import Chart, SmoothField, as_point
 from .ode import integrate, rk4
 
 BLOWUP_NORM = 1e6
@@ -545,24 +545,21 @@ def isotropy_subalgebra(C: AlgebroidChart, m0) -> IsotropyResult:
 
 # -- sufficient-condition checkers --------------------------------------------
 
-def invariant_metric_check(C: AlgebroidChart, sigma, tol: float = 1e-7,
+def invariant_metric_check(C: AlgebroidChart, sigma: SmoothField, tol: float = 1e-7,
                            samples=None) -> TensorReport:
     """Residual of the induced derivative of the metric along fiber
     directions: #x . sigma(V,W) - sigma(bar_x V, W) - sigma(V, bar_x W),
-    by default at 10 points drawn with seed 42."""
+    from the metric's 1-jet (``SmoothField.first_jet``), by default at 10
+    points drawn with seed 42."""
     if samples is None:
         samples = C.base.sample_points(np.random.default_rng(42), 10)
     per = []
     for m in samples:
-        m = as_point(m)
-        sig = value(np.asarray(sigma(m), dtype=object))
+        S = sigma.first_jet(m)
         J = C.jet(m)
         bar = bar_tm_tensor(J)     # bar[:, a, k] = nabla_bar_{e_a} e_k
-        res = []
-        for a in range(C.rank):
-            dsig = dual.directional(lambda p: np.asarray(sigma(as_point(p)), dtype=object),
-                                    m, J.anchor[:, a])
-            res.append(value(np.asarray(dsig, dtype=object)) - sig @ bar[:, a] - bar[:, a].T @ sig)
+        res = (np.einsum("ipq,ia->apq", S.d, J.anchor) - np.einsum("pi,iaq->apq", S.v, bar)
+               - np.einsum("iap,iq->apq", bar, S.v))
         per.append(float(np.max(np.abs(res), initial=0.0)))
     return TensorReport("invariant_metric_check", worst(per), tol, tuple(per),
                         tuple(map(tuple, np.asarray(samples, dtype=float))))
@@ -638,7 +635,7 @@ def escape_bound(V, sigma, chart: Chart, m, r: float) -> EscapeBound:
     m = np.asarray(m, dtype=float)
     n = len(m)
     axes = [np.linspace(mi - 2 * r, mi + 2 * r, 33) for mi in m]
-    sup = 0.0
+    speeds = []
     mesh = np.meshgrid(*axes, indexing="ij")
     pts = np.stack([ax.reshape(-1) for ax in mesh], axis=1)
     for p in pts:
@@ -646,10 +643,13 @@ def escape_bound(V, sigma, chart: Chart, m, r: float) -> EscapeBound:
             continue
         v = value(np.asarray(V(as_point(p)), dtype=object))
         g = value(np.asarray(sigma(as_point(p)), dtype=object))
-        sup = max(sup, float(np.sqrt(v @ g @ v)))
+        speeds.append(float(np.sqrt(v @ g @ v)))
+    sup = worst(speeds)
     if sup == 0.0:
         return EscapeBound(np.inf, 0.0, True)
     T = r / sup
+    if math.isnan(sup):     # a speed that is not a number bounds nothing
+        return EscapeBound(T, sup, False)
     ok = True
     rng = np.random.default_rng(7)
     for _ in range(3):

@@ -49,6 +49,20 @@ def test_polynomial_jacobian_matches_sympy():
     assert np.max(np.abs(got - expected)) < 1e-12
 
 
+def test_jacobian_at_a_dual_point_matches_directionals():
+    def f(m):
+        return np.array([[m[0] ** 3 * m[1], dual.sin(m[0] * m[2])],
+                         [dual.exp(m[1]) / m[2], 2.0]], dtype=object)
+
+    m = dual.lift(np.array([0.8, -1.1, 0.6], dtype=object), [0.3, -0.5, 1.2])
+    J = dual.jacobian(f, m)
+    assert J.shape == (2, 2, 3)
+    for k in range(3):
+        want = np.asarray(dual.directional(f, m, np.eye(3)[k]), dtype=object)
+        for part in (value, lambda x: value(dual.eps_part(x))):
+            assert np.array_equal(part(J[..., k]), part(want))
+
+
 def test_directional_second_derivative():
     def f(m):
         return m[0] ** 2 * m[1]

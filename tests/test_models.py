@@ -380,6 +380,24 @@ def test_classification_rejects_misfit(ellipsoid):
         classify_constant_curvature(ellipsoid.rc, ellipsoid.m0, tol=1e-9)
 
 
+def test_classification_rejects_a_nan_fit_residual(sphere, monkeypatch):
+    fit = scalar_form_fit(sphere.rc.lc, sphere.metric, sphere.m0)
+    monkeypatch.setattr(models, "scalar_form_fit",
+                        lambda *args: geometry.ScalarFormFit(fit.s, math.nan))
+    with pytest.raises(ValueError):
+        classify_constant_curvature(sphere.rc, sphere.m0)
+
+
+def test_riemannian_model_builds_its_homogeneous_model_on_first_use(monkeypatch):
+    def no_bracket(*args):
+        raise algebra.AlgebraError("no fiber bracket")
+    monkeypatch.setattr(models, "fiber_bracket_at", no_bracket)
+    model = models.ellipsoid2()
+    assert model.chart.rank == 3
+    with pytest.raises(algebra.AlgebraError):
+        model.homog
+
+
 def test_model_structure_constants_are_lie_algebras():
     for s in (0.0, 1.0, -1.0, 0.37):
         c = model_structure_constants(s, 2)
@@ -398,6 +416,28 @@ def test_sphere_invariant_metric_enables_completeness_route(sphere, rng):
     seeds = [(sphere.m0, np.array([1.0, 0.0, 0.0]))]
     verdicts = transport.completeness_probe(sphere.rc.chart, seeds, horizon=3.0)
     assert verdicts[0].verdict == "no-blowup-within-horizon"
+
+
+@pytest.mark.parametrize("name", ["sphere(3)", "hyperbolic(2)", "affine_line_group.nabla",
+                                  "affine_line_group.nabla_bar", "heisenberg.nabla",
+                                  "heisenberg.nabla_bar"])
+def test_christoffel_jets_match_nested_dual_references(name):
+    model, _, side = name.partition(".")
+    if side:
+        conn = getattr(models.load_model(model).pair, side)
+        # the same symbols as a plain callable: derivatives by nested Duals
+        ref = TMConnection(conn.chart, conn.christoffel.fn)
+    else:
+        metric = geometry.metric_by_name(model)
+        conn, ref = geometry.levi_civita(metric), _koszul_connection(metric)
+    assert conn.christoffel.jet is not None and ref.christoffel.jet is None
+    for m in conn.chart.halton_points(5):
+        G = conn.christoffel.first_jet(m)
+        want_d = np.moveaxis(value(dual.jacobian(ref.christoffel, as_point(m))), -1, 0)
+        assert np.max(np.abs(G.v - value(ref.christoffel(as_point(m))))) < 1e-12
+        assert np.max(np.abs(G.d - want_d)) < 1e-12
+        R = geometry.curvature_tensor(conn, m)
+        assert np.max(np.abs(R - value(curvature_tensor_obj(ref, m)))) < 1e-12
 
 
 def test_dual_pair_affine_and_failure():

@@ -3,8 +3,9 @@ import math
 import numpy as np
 import pytest
 
-from cartanlab import algebra, geometry
+from cartanlab import algebra, dual, geometry
 from cartanlab.algebroid import AlgebroidChart
+from cartanlab.cartan import bar_tm_tensor
 from cartanlab.dual import value
 from cartanlab.geometry import Chart, SmoothField, as_point
 from cartanlab.transport import (MAX_SWITCHES, BasePath, PathSegment, TransportError,
@@ -390,18 +391,31 @@ def test_isotropy_sphere_h_summand(sphere):
     assert res.subalgebra.closure_residual() < 1e-10
 
 
+def _invariant_metric_by_directions(C, sigma, samples):
+    """Per-point residuals of invariant_metric_check with the metric
+    differentiated along each anchor column by a directional Dual."""
+    per = []
+    for m in samples:
+        m = as_point(m)
+        sig = value(np.asarray(sigma(m), dtype=object))
+        bar = bar_tm_tensor(C.jet(m))
+        anchor = value(np.asarray(C.anchor(m), dtype=object))
+        res = [value(np.asarray(dual.directional(sigma, m, anchor[:, a]), dtype=object))
+               - sig @ bar[:, a] - bar[:, a].T @ sig for a in range(C.rank)]
+        per.append(np.max(np.abs(res)))
+    return np.array(per)
+
+
 def test_invariant_metric_pass_and_fail(sphere, translations2, circle, rng):
-    rep = invariant_metric_check(sphere.rc.chart, sphere.metric,
-                                 samples=sphere.metric.chart.sample_points(rng, 5))
-    assert rep.verdict and rep.max_residual < 1e-7
-    eu = geometry.euclidean_metric(2)
-    rep2 = invariant_metric_check(translations2.chart, eu,
-                                  samples=rng.uniform(-1, 1, (5, 2)))
-    assert rep2.verdict
-    eu1 = SmoothField.constant(circle.cover.chart.base, np.eye(1))
-    rep3 = invariant_metric_check(circle.cover.chart, eu1,
-                                  samples=rng.uniform(-1, 1, (5, 1)))
-    assert not rep3.verdict
+    cases = [(sphere.rc.chart, sphere.metric, sphere.metric.chart.sample_points(rng, 5), True),
+             (translations2.chart, geometry.euclidean_metric(2), rng.uniform(-1, 1, (5, 2)), True),
+             (circle.cover.chart, SmoothField.constant(circle.cover.chart.base, np.eye(1)),
+              rng.uniform(-1, 1, (5, 1)), False)]
+    for C, sigma, pts, passes in cases:
+        rep = invariant_metric_check(C, sigma, samples=pts)
+        assert rep.verdict == passes and (rep.max_residual < 1e-7) == passes
+        want = _invariant_metric_by_directions(C, sigma, pts)
+        assert np.max(np.abs(np.array(rep.per_point) - want)) < 1e-13
 
 
 def test_compactness_probe_cases(circle):
@@ -488,6 +502,13 @@ def test_escape_bound_integration_cross_check(rng):
     sig = SmoothField.constant(chart, np.eye(2))
     eb = escape_bound(V, sig, chart, [1.0, 0.0], 0.4)
     assert eb.T > 0 and eb.verified
+
+
+def test_escape_bound_fails_on_a_nan_speed_after_the_first(nan_after_first_point):
+    chart = Chart((-np.inf,) * 2, (np.inf,) * 2)
+    V = nan_after_first_point(lambda m: np.array([2.0, 0.0], dtype=object))
+    eb = escape_bound(V, SmoothField.constant(chart, np.eye(2)), chart, [0.0, 0.0], 1.0)
+    assert math.isnan(eb.sup_norm) and not eb.verified
 
 
 def test_escape_bound_zero_field():
