@@ -3,9 +3,10 @@
 Structure constants are stored dense with layout ``c[i, j, k]`` meaning
 ``[e_i, e_j] = sum_k c[i, j, k] e_k``.  Dimensions are capped at 32; every
 construction checks antisymmetry exactly and the Jacobi identity to a
-configurable tolerance.  The matrix exponential and principal square
-root are numpy-only: Pade scaling and squaring, and the scaled
-product-form Denman-Beavers iteration.
+configurable tolerance.  The matrix exponential, principal square root
+and principal log are numpy-only: Pade scaling and squaring, the scaled
+product-form Denman-Beavers iteration, and inverse scaling and squaring
+over those square roots.
 """
 
 from __future__ import annotations
@@ -19,6 +20,9 @@ MAX_DIM = 32
 DEFAULT_TOL = 1e-9
 # the Mercator series of a log stops at a term below this
 _SERIES_TOL = 1e-16
+# a log takes square roots of g until |g - I|_F is at most the gap, and
+# refuses g if the cap on roots is reached first
+_ROOT_GAP, _MAX_ROOTS = 0.25, 40
 
 
 class AlgebraError(ValueError):
@@ -252,10 +256,6 @@ class LogResult:
     off_span_residual: float
     in_region: bool
 
-    @property
-    def ok(self) -> bool:
-        return self.in_region and self.coords is not None
-
 
 def principal_log(g: np.ndarray) -> np.ndarray:
     """Principal matrix log.
@@ -268,43 +268,39 @@ def principal_log(g: np.ndarray) -> np.ndarray:
     g = np.asarray(g, dtype=float)
     x = g - np.eye(g.shape[0])
     if not np.any(np.tril(x)):
-        out, term = x.copy(), x
-        for m in range(2, g.shape[0]):
-            term = term @ x
-            out += (-1) ** (m + 1) / m * term
-        return out
+        return _mercator(x, g.shape[0] - 1)
     return _log_by_roots(g, _SERIES_TOL)
 
 
-def _log_by_roots(g: np.ndarray, series_tol: float) -> np.ndarray:
-    """Principal log by inverse scaling-and-squaring.
-
-    Requires spectral radius of g - I below 1; repeated principal square
-    roots bring the argument close to the identity before the Mercator
-    series is summed.
-    """
-    n = g.shape[0]
-    eye = np.eye(n)
-    rho = np.max(np.abs(np.linalg.eigvals(g - eye)))
-    if rho >= 1.0:
-        raise AlgebraError(f"outside log convergence region (spectral radius {rho:.3f} >= 1)")
-    k = 0
-    a = g.copy()
-    while np.linalg.norm(a - eye) > 0.25 and k < 40:
-        a = sqrtm(a)
-        k += 1
-    x = a - eye
-    term = x.copy()
-    out = x.copy()
-    sign = -1.0
-    for m in range(2, 60):
+def _mercator(x: np.ndarray, last: int, tol: float = 0.0) -> np.ndarray:
+    """log(I + x) = x - x^2/2 + x^3/3 - ..., summed to the x^last term or
+    to the first term whose entries all lie below tol."""
+    out, term = x.copy(), x
+    for m in range(2, last + 1):
         term = term @ x
-        incr = sign / m * term
+        incr = (-1) ** (m + 1) / m * term
         out += incr
-        sign = -sign
-        if np.max(np.abs(incr)) < series_tol:
+        if np.max(np.abs(incr)) < tol:
             break
-    return out * (2.0 ** k)
+    return out
+
+
+def _log_by_roots(g: np.ndarray, series_tol: float) -> np.ndarray:
+    """Principal log by inverse scaling and squaring (Higham, *Functions of
+    Matrices*, 2008, section 11.5): k principal square roots bring g within
+    0.25 of I in the Frobenius norm, where the Mercator series of
+    log g^(1/2^k) converges, and log g = 2^k log g^(1/2^k).  Refused only
+    where ``sqrtm`` refuses (an eigenvalue on the closed negative real
+    axis) or where 40 roots leave g farther than 0.25 from I.
+    """
+    eye = np.eye(g.shape[0])
+    k, a = 0, g
+    while np.linalg.norm(a - eye) > _ROOT_GAP:
+        if k == _MAX_ROOTS:
+            raise AlgebraError(f"{_MAX_ROOTS} square roots leave g "
+                               f"{np.linalg.norm(a - eye):.3g} from I")
+        a, k = sqrtm(a), k + 1
+    return _mercator(a - eye, 59, series_tol) * 2.0 ** k
 
 
 def log_matrix(R: MatrixRealization, g: np.ndarray) -> LogResult:

@@ -359,12 +359,19 @@ def intertwining_residuals(Ci: AlgebroidChart, Cj: AlgebroidChart, phi, mu,
 
 def check_overlap_compatibility(G: GluedAlgebroid, tol: float = 1e-7) -> ResidualReport:
     """Anchor / connection / torsion intertwining residuals on a fixed
-    low-discrepancy sample of 17 points per overlap."""
-    details = {}
-    for ov in G.overlaps:
+    low-discrepancy sample of 17 points per overlap.  ``details`` holds
+    each overlap's residual under ``overlap_i_j`` (``overlap_i_j_1`` and
+    so on for further overlaps of charts i and j) and how many of its
+    points were evaluated under that key with ``_points`` appended; a point
+    is skipped where it or its image leaves a chart.  An overlap with none
+    evaluated certifies nothing, so its residual is inf."""
+    details, per = {}, []
+    for k, ov in enumerate(G.overlaps):
         Ci, Cj = G.charts[ov.i], G.charts[ov.j]
+        repeat = sum((o.i, o.j) == (ov.i, ov.j) for o in G.overlaps[:k])
+        key = f"overlap_{ov.i}_{ov.j}" + (f"_{repeat}" if repeat else "")
         pts = ov.region_i.halton_points(17, shrink=0.05)
-        res = []
+        res, evaluated = [], 0
         for m in pts:
             m = as_point(m)
             if not ov.region_i.contains(m) or not Ci.base.contains(m):
@@ -372,9 +379,10 @@ def check_overlap_compatibility(G: GluedAlgebroid, tol: float = 1e-7) -> Residua
             if not Cj.base.contains(ov.base_map(m)):
                 continue
             res.extend(intertwining_residuals(Ci, Cj, ov.base_map, ov.fiber_map, m))
-        details[f"overlap_{ov.i}_{ov.j}"] = worst(res)
-    return ResidualReport("overlap_compatibility", worst(list(details.values())), tol,
-                          details=details)
+            evaluated += 1
+        per.append(worst(res) if evaluated else np.inf)
+        details[key], details[f"{key}_points"] = per[-1], evaluated
+    return ResidualReport("overlap_compatibility", worst(per), tol, details=details)
 
 
 # -- cocycles and infinitesimalization ---------------------------------------

@@ -27,8 +27,8 @@ import numpy as np
 
 from . import dual
 from .dual import value
-from .algebra import (AlgebraError, AlgebraMap, LieAlgebra, MatrixRealization,
-                      Subalgebra, exp_matrix, log_matrix, sqrtm)
+from .algebra import (AlgebraMap, LieAlgebra, MatrixRealization,
+                      Subalgebra, exp_matrix, log_matrix)
 from .algebroid import ActionAlgebroid, worst
 from .cartan import TensorReport
 from .geometry import Chart, as_point
@@ -40,6 +40,8 @@ from .transport import BasePath, line_path, segment_batch
 _RANK_TOL = 1e-8
 # sample points per patch and per overlap of an atlas reconstruction
 _ATLAS_SAMPLES = 6
+# largest off-span residual of a log that integrated_twist accepts, per 1 + |g|
+_SPAN_TOL = 1e-7
 
 
 class DevelopmentError(RuntimeError):
@@ -353,24 +355,16 @@ def _frame_jacobian(A, H: HomogeneousModel, m, g: np.ndarray,
 
 # -- induced affine maps ------------------------------------------------------
 
-def integrated_twist(H: HomogeneousModel, mu: AlgebraMap, g: np.ndarray,
-                     depth: int = 0, span_tol: float = 1e-7) -> np.ndarray:
-    """Group automorphism integrating the algebra twist, evaluated at g.
-
-    Defined through exp and log; elements outside the log region are
-    split by principal square roots.
-    """
+def integrated_twist(H: HomogeneousModel, mu: AlgebraMap, g: np.ndarray) -> np.ndarray:
+    """Group automorphism integrating the algebra twist, evaluated at g:
+    exp(mu(log g)) with the principal log.  Refused where g has no
+    principal log or its log leaves the algebra (off-span residual above
+    1e-7 (1 + |g|))."""
     lr = log_matrix(H.realization, g)
-    if lr.in_region and lr.off_span_residual <= span_tol * (1 + np.linalg.norm(g)):
-        return exp_matrix(H.realization, mu(lr.coords))
-    if depth >= 12:
-        raise DevelopmentError("could not split group element into log range")
-    try:
-        root = sqrtm(g)
-    except AlgebraError as e:
-        raise DevelopmentError(f"could not split group element into log range: {e}") from None
-    half = integrated_twist(H, mu, root, depth + 1, span_tol)
-    return half @ half
+    if not lr.off_span_residual <= _SPAN_TOL * (1 + np.linalg.norm(g)):
+        raise DevelopmentError(f"group element has no principal log in the algebra "
+                               f"(off-span residual {lr.off_span_residual:.3e})")
+    return exp_matrix(H.realization, mu(lr.coords))
 
 
 @dataclass(frozen=True)
@@ -400,15 +394,8 @@ def induced_affine_map(E: EquivariantMap, H: HomogeneousModel,
     per = []
     for b in H.h0.basis_vectors:
         for t in (0.05, -0.08):
-            elt = exp_matrix(H.realization, t * b)
-            im = integrated_twist(H, E.twist, elt)
-            back = np.linalg.solve(q_coset.g, im @ q_coset.g)
-            lr = log_matrix(H.realization, back)
-            if not lr.in_region:
-                per.append(np.inf)
-                continue
-            P = H.h0_projector()
-            per.append(np.linalg.norm(P @ lr.coords) + lr.off_span_residual)
+            im = integrated_twist(H, E.twist, exp_matrix(H.realization, t * b))
+            per.append(coset_residual(q_coset, Coset(im @ q_coset.g, H)))
     res = worst(per)
     if not res <= 1e-6:
         raise DevelopmentError(

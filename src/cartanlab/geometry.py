@@ -25,7 +25,8 @@ from . import dual
 from .dual import value
 
 INTERIOR_MARGIN = 1e-9
-# infinite chart axes are sampled on [-SAMPLE_CLIP, SAMPLE_CLIP]
+# an infinite end of a chart axis is sampled from -SAMPLE_CLIP or SAMPLE_CLIP,
+# or SAMPLE_CLIP past a finite other end that lies beyond
 SAMPLE_CLIP = 2.0
 
 
@@ -74,9 +75,12 @@ class Chart:
         return float(d)
 
     def sample_box(self) -> tuple[np.ndarray, np.ndarray]:
-        """Bounded box used for sampling; infinite axes are clipped."""
-        lo = np.array([max(a, -SAMPLE_CLIP) for a in self.lower])
-        hi = np.array([min(b, SAMPLE_CLIP) for b in self.upper])
+        """Bounded box used for sampling: finite bounds as they are, infinite
+        ends clipped (see ``SAMPLE_CLIP``), so the box lies in the chart."""
+        lo = np.array([a if np.isfinite(a) else min(-SAMPLE_CLIP, b - SAMPLE_CLIP)
+                       for a, b in zip(self.lower, self.upper)])
+        hi = np.array([b if np.isfinite(b) else max(SAMPLE_CLIP, a + SAMPLE_CLIP)
+                       for a, b in zip(self.lower, self.upper)])
         return lo, hi
 
     def sample_points(self, rng: np.random.Generator, count: int) -> np.ndarray:

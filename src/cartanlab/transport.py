@@ -630,9 +630,11 @@ def escape_bound(V, sigma, chart: Chart, m, r: float) -> EscapeBound:
 
     The supremum is sampled on a grid of 33 points per axis over the box
     ball of radius 2r, and integral curves from three points of the inner
-    ball are integrated for |t| <= T as a cross-check.
+    ball are integrated for |t| <= T as a cross-check.  The centre m must
+    lie in the chart interior, so that the grid holds a point of the chart.
     """
     m = np.asarray(m, dtype=float)
+    chart.require_interior(m)
     n = len(m)
     axes = [np.linspace(mi - 2 * r, mi + 2 * r, 33) for mi in m]
     speeds = []

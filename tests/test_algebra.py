@@ -112,7 +112,7 @@ def test_exp_one_parameter_group_property(rng):
 def test_log_identity():
     R = algebra.so3_realization()
     out = log_matrix(R, np.eye(3))
-    assert out.ok and np.allclose(out.coords, 0.0) and out.off_span_residual < 1e-12
+    assert out.in_region and np.allclose(out.coords, 0.0) and out.off_span_residual < 1e-12
 
 
 def test_log_roundtrip_small_elements(rng):
@@ -121,7 +121,7 @@ def test_log_roundtrip_small_elements(rng):
         xi = rng.uniform(-0.5, 0.5, 3)
         xi *= min(1.0, 0.5 / np.linalg.norm(xi))
         out = log_matrix(R, exp_matrix(R, xi, 1.0))
-        assert out.ok
+        assert out.in_region
         assert np.max(np.abs(out.coords - xi)) < 1e-8
 
 

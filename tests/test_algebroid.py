@@ -266,6 +266,25 @@ def test_bundled_glued_models_intertwine(circle, torus):
     assert check_overlap_compatibility(torus.glued, tol=1e-7).passed
 
 
+def test_an_overlap_with_no_evaluated_point_fails():
+    # the region (0.2, 0.8) maps by +100, out of the target chart (0, 1)
+    g0 = algebra.abelian(1)
+    C = make_action_algebroid(g0, lambda xi, m: np.asarray(xi, dtype=object),
+                              Chart((0.0,), (1.0,))).chart
+    ov = algebroid.Overlap.affine(0, 0, np.eye(1), [100.0], 7 * np.eye(1),
+                                  Chart((0.2,), (0.8,)))
+    rep = check_overlap_compatibility(algebroid.GluedAlgebroid((C,), (ov,)))
+    assert not rep.passed and rep.max_residual == np.inf
+    assert rep.details == {"overlap_0_0": np.inf, "overlap_0_0_points": 0}
+
+
+def test_every_overlap_of_the_circle_is_evaluated(circle):
+    # both circle overlaps join charts 0 and 1; each reports its own points
+    rep = check_overlap_compatibility(circle.glued)
+    assert rep.details["overlap_0_1_points"] == 17
+    assert rep.details["overlap_0_1_1_points"] == 17
+
+
 def test_jets_evaluate_only_the_fields_a_check_reads(so3_action):
     from cartanlab import cartan, geometry, transport
     C0 = so3_action.chart

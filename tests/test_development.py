@@ -315,12 +315,35 @@ def test_integrated_twist_matches_exp_conjugation(circle):
     assert np.max(np.abs(out - want)) < 1e-12
 
 
-def test_integrated_twist_splits_large_elements(sphere):
+def test_integrated_twist_of_large_elements(sphere):
+    # a 2.4 rad rotation: its principal log takes square roots first
     H = sphere.homog
     mu = AlgebraMap(H.algebra, H.algebra, np.eye(3))
     g = algebra.exp_matrix(H.realization, [0.0, 2.4, 0.0])
     out = integrated_twist(H, mu, g)
     assert np.max(np.abs(out - g)) < 1e-9
+
+
+def test_integrated_twist_refuses_a_log_off_the_algebra():
+    # the line as rotations at speeds 1 and 2: at t = 2 the second block has
+    # turned 4 rad, whose principal log is 4 - 2 pi, off span(G)
+    J = np.array([[0.0, -1.0], [1.0, 0.0]])
+    G = np.block([[J, np.zeros((2, 2))], [np.zeros((2, 2)), 2 * J]])
+    line = algebra.abelian(1)
+    H = HomogeneousModel(line, MatrixRealization(line, (G,)), Subalgebra(line, ()))
+    mu = AlgebraMap(line, line, np.eye(1))
+    g = algebra.exp_matrix(H.realization, [1.0])
+    assert np.max(np.abs(integrated_twist(H, mu, g) - g)) < 1e-12
+    with pytest.raises(DevelopmentError, match="no principal log in the algebra"):
+        integrated_twist(H, mu, algebra.exp_matrix(H.realization, [2.0]))
+
+
+def test_sphere_coset_residual_beyond_a_third_of_a_turn(sphere):
+    # the coset distance of I and exp(1.2 e2) from H0 = exp(span e3) is the
+    # angle, though rho(g - I) = 2 sin(0.6) > 1
+    H = sphere.homog
+    g = algebra.exp_matrix(H.realization, [0.0, 1.2, 0.0])
+    assert abs(coset_residual(Coset(np.eye(3), H), Coset(g, H)) - 1.2) <= 1e-12
 
 
 def test_induced_affine_map_identity(circle):

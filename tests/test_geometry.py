@@ -21,6 +21,22 @@ def test_chart_validation():
     assert not c.contains([2.0, 1.0])
 
 
+@pytest.mark.parametrize("lower,upper", [
+    ((2.64,), (6.78,)),                         # finite, beyond the clip
+    ((-9.0, 5.0), (-4.0, np.inf)),              # half-infinite beyond it
+    ((-np.inf, -1.0), (-7.0, 1.0)),
+    ((-np.inf, 0.3), (np.inf, np.pi - 0.3)),
+])
+def test_sample_and_halton_points_lie_in_the_chart(lower, upper):
+    c = Chart(lower, upper)
+    lo, hi = c.sample_box()
+    assert np.all(lo < hi)
+    pts = np.vstack([c.sample_points(np.random.default_rng(0), 20), c.halton_points(20)])
+    assert all(c.contains(p) for p in pts)
+    # finite bounds are kept as they are
+    assert all(a == x for a, x in zip(lower + upper, [*lo, *hi]) if np.isfinite(a))
+
+
 def test_lie_bracket_constant_fields_commute():
     V = lambda m: np.array([1.0, 0.0], dtype=object)
     W = lambda m: np.array([0.0, 1.0], dtype=object)

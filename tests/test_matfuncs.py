@@ -1,7 +1,7 @@
-"""The numpy-only matrix exponential and square root against scipy.linalg,
-on the group elements cartanlab exponentiates, takes logs of and splits:
-rotations, affine-line elements, Heisenberg unipotents (defective) and
-elements near the boundary of the log region, rho(g - I) -> 1."""
+"""The numpy-only matrix exponential, square root and principal log against
+scipy.linalg, on the group elements cartanlab exponentiates and takes logs
+of: rotations up to 0.97 pi, affine-line elements, Heisenberg unipotents
+(defective) and scaled rotations."""
 
 import math
 
@@ -71,10 +71,11 @@ def test_expm_of_long_translations(x, y):
     assert rel_err(algebra.exp_matrix(R, [x, y]), want) <= REL
 
 
-# elements that the principal log takes: rho(g - I) < 1, up to its boundary
+# elements that the principal log takes: no eigenvalue on the negative
+# real axis, however far from I (the square roots bring them close)
 log_inputs = st.one_of(
-    st.builds(rotation, axis, st.floats(0.0, math.pi / 3 * (1 - 1e-9))),
-    st.builds(affine, st.floats(-0.69, math.log(2.0) * (1 - 1e-9)), coord),
+    st.builds(rotation, axis, st.floats(0.0, 0.97 * math.pi)),
+    st.builds(affine, st.floats(-3.0, 3.0), coord),
     st.builds(heisenberg, coord, coord, coord),
 )
 
@@ -89,7 +90,13 @@ def test_principal_log_matches_the_log_through_scipy_sqrtm(g):
         want = algebra.principal_log(g)
     finally:
         algebra.sqrtm = original
-    assert np.linalg.norm(got - want) <= REL * max(np.linalg.norm(want), 1.0)
+    # scipy's 1-norm estimator inside logm overflows on subnormal entries
+    # (a rotation axis of (1, 1e-308, 0)); its log is still right
+    with np.errstate(all="ignore"):
+        oracle = scipy.linalg.logm(g).real
+    scale = max(np.linalg.norm(want), 1.0)
+    assert np.linalg.norm(got - want) <= REL * scale
+    assert np.linalg.norm(got - oracle) <= REL * scale
     assert rel_err(scipy.linalg.expm(got), g) <= 1e-12
 
 
@@ -121,8 +128,8 @@ def test_unipotent_log_is_the_terminating_series(g):
     assert np.linalg.norm(got - scipy.linalg.logm(g).real) <= REL * scale
 
 
-# elements that integrated_twist splits: outside the log region, no
-# eigenvalue on the negative real axis
+# elements whose principal log takes square roots: no eigenvalue on the
+# negative real axis
 root_inputs = st.one_of(
     st.builds(rotation, axis, st.floats(math.pi / 3, 0.97 * math.pi)),
     st.builds(affine, st.floats(-3.0, 3.0), coord),

@@ -466,6 +466,16 @@ def test_local_lie_group_affine():
     assert np.max(np.abs(c[0, 1, 0])) < 1e-12
 
 
+def test_local_lie_group_takes_one_christoffel_jet_per_sample():
+    # flatness and torsion parallelism of nabla_bar read the same jet
+    pair = models.affine_line_group().pair
+    Gam, calls = pair.nabla_bar.christoffel, []
+    counted = dataclasses.replace(Gam, jet=lambda m: calls.append(m) or Gam.jet(m))
+    bar = dataclasses.replace(pair.nabla_bar, christoffel=counted)
+    rep = local_lie_group_check(dataclasses.replace(pair, nabla_bar=bar), m0=[1.0, 0.0])
+    assert rep.passed and len(calls) == 5
+
+
 def test_local_lie_group_heisenberg():
     h = models.heisenberg_group()
     rep = local_lie_group_check(h.pair, m0=[0.0, 0.0, 0.0])

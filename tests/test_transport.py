@@ -511,6 +511,16 @@ def test_escape_bound_fails_on_a_nan_speed_after_the_first(nan_after_first_point
     assert math.isnan(eb.sup_norm) and not eb.verified
 
 
+def test_escape_bound_refuses_a_centre_outside_the_chart():
+    # the whole grid around m = 5 lies outside (0, 1): nothing would be sampled
+    chart = Chart((0.0,), (1.0,))
+    V = lambda m: np.array([1.0], dtype=object)
+    with pytest.raises(geometry.GeometryError, match="outside chart interior"):
+        escape_bound(V, SmoothField.constant(chart, np.eye(1)), chart, [5.0], 0.1)
+    eb = escape_bound(V, SmoothField.constant(chart, np.eye(1)), chart, [0.5], 0.1)
+    assert abs(eb.T - 0.1) < 1e-12 and eb.verified
+
+
 def test_escape_bound_zero_field():
     chart = Chart((-np.inf,), (np.inf,))
     V = lambda m: np.array([0.0], dtype=object)
