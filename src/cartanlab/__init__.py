@@ -4,31 +4,24 @@ compatibility, parallel transport and monodromy, geodesic completeness
 probes, development into homogeneous models and atlas reconstruction."""
 
 from .algebra import (AlgebraMap, LieAlgebra, MatrixRealization, Subalgebra,
-                      bracket, check_jacobi, exp_matrix, is_automorphism,
-                      log_matrix)
+                      bracket, exp_matrix, is_automorphism, log_matrix)
 from .algebroid import (ActionAlgebroid, AlgebroidChart, GluedAlgebroid,
                         Overlap, check_anchor_homomorphism, check_cocycle,
-                        check_action_homomorphism, infinitesimalize,
-                        make_action_algebroid, section_bracket)
+                        infinitesimalize, make_action_algebroid)
 from .cartan import (TensorReport, cocurvature, curvature_conn,
-                     fiber_bracket_at, is_cartan, is_flat, nabla_bar_g,
-                     nabla_bar_tm, torsion_bar, check_morphism)
+                     fiber_bracket_at, is_cartan, is_flat)
 from .development import (Coset, CoverSpec, EquivariantMap, HomogeneousModel,
-                          check_equivariant_twist, develop_point, develop_to,
+                          check_equivariant_twist, develop_point,
                           equivariance_diagram_check, geometric_closure_probe,
                           induced_affine_map, path_independence_check,
                           reconstruct_atlas)
-from .geometry import (Chart, SmoothField, TMConnection, curvature_tm,
-                       levi_civita, lie_bracket_vf, metric_by_name,
-                       scalar_form_fit)
+from .geometry import (Chart, SmoothField, TMConnection, levi_civita,
+                       lie_bracket_vf, metric_by_name, scalar_form_fit)
 from .models import (DualPair, RiemannianCartanChart, build_riemannian_cartan,
-                     check_dual_pair, classify_constant_curvature,
-                     curvature_formula_check, load_model,
+                     check_dual_pair, classify_constant_curvature, load_model,
                      local_lie_group_check, obstruction_form)
 from .transport import (BasePath, GeodesicResult, GPath, completeness_probe,
-                        escape_bound, geodesic, invariant_metric_check,
-                        isotropy_subalgebra, line_path, monodromy,
-                        monodromy_compactness_probe, parallel_frame,
-                        parallel_transport, polyline_path)
+                        geodesic, invariant_metric_check, isotropy_subalgebra,
+                        line_path, monodromy, monodromy_compactness_probe)
 
 __version__ = "0.1.0"

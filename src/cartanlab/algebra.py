@@ -86,20 +86,6 @@ def jacobi_residual(c: np.ndarray) -> float:
 
 
 @dataclass(frozen=True)
-class JacobiReport:
-    residual: float
-    tol: float
-
-    @property
-    def passed(self) -> bool:
-        return self.residual <= self.tol
-
-
-def check_jacobi(A: LieAlgebra, tol: float = DEFAULT_TOL) -> JacobiReport:
-    return JacobiReport(jacobi_residual(A.structure_constants), tol)
-
-
-@dataclass(frozen=True)
 class MatrixRealization:
     """Concrete matrices realizing the basis of a Lie algebra.
 
@@ -252,9 +238,8 @@ def exp_matrix(R: MatrixRealization, xi, t: float = 1.0) -> np.ndarray:
 
 @dataclass(frozen=True)
 class LogResult:
-    coords: np.ndarray | None
+    coords: np.ndarray | None     # None where g has no principal log
     off_span_residual: float
-    in_region: bool
 
 
 def principal_log(g: np.ndarray) -> np.ndarray:
@@ -313,11 +298,11 @@ def log_matrix(R: MatrixRealization, g: np.ndarray) -> LogResult:
     try:
         L = principal_log(np.asarray(g, dtype=float))
     except AlgebraError:
-        return LogResult(None, np.inf, in_region=False)
+        return LogResult(None, np.inf)
     basis = np.stack([G.reshape(-1) for G in R.generators], axis=1)
     coords, *_ = np.linalg.lstsq(basis, L.reshape(-1), rcond=None)
     resid = float(np.linalg.norm(L.reshape(-1) - basis @ coords))
-    return LogResult(coords, resid, in_region=True)
+    return LogResult(coords, resid)
 
 
 @dataclass(frozen=True)
@@ -404,38 +389,6 @@ def is_automorphism(A: LieAlgebra, M: AlgebraMap, tol: float = 1e-8) -> Automorp
 
 def abelian(n: int) -> LieAlgebra:
     return LieAlgebra(np.zeros((n, n, n)))
-
-
-def so3() -> LieAlgebra:
-    """[e1,e2]=e3 and cyclic."""
-    c = np.zeros((3, 3, 3))
-    for i, j, k in ((0, 1, 2), (1, 2, 0), (2, 0, 1)):
-        c[i, j, k] = 1.0
-        c[j, i, k] = -1.0
-    return LieAlgebra(c, basis_labels=("e1", "e2", "e3"))
-
-
-def so3_realization() -> MatrixRealization:
-    """Cross-product generators: G_i v = e_i x v."""
-    def hat(v):
-        return np.array([[0.0, -v[2], v[1]], [v[2], 0.0, -v[0]], [-v[1], v[0], 0.0]])
-    return MatrixRealization(so3(), tuple(hat(np.eye(3)[i]) for i in range(3)))
-
-
-def affine_line() -> LieAlgebra:
-    """Scaling and translation of the line: [e1, e2] = e2."""
-    c = np.zeros((2, 2, 2))
-    c[0, 1, 1] = 1.0
-    c[1, 0, 1] = -1.0
-    return LieAlgebra(c, basis_labels=("scale", "shift"))
-
-
-def heisenberg() -> LieAlgebra:
-    """[e1, e2] = e3 with e3 central."""
-    c = np.zeros((3, 3, 3))
-    c[0, 1, 2] = 1.0
-    c[1, 0, 2] = -1.0
-    return LieAlgebra(c)
 
 
 def translation_realization(n: int) -> MatrixRealization:

@@ -28,7 +28,7 @@ import numpy as np
 from . import dual
 from .dual import value
 from .algebra import LieAlgebra, worst
-from .geometry import Chart, SmoothField, as_field, as_point, lie_bracket_vf
+from .geometry import Chart, SmoothField, as_field, as_point
 
 
 class AlgebroidError(ValueError):
@@ -147,12 +147,6 @@ class AlgebroidChart:
         return br
 
 
-def section_bracket(C: AlgebroidChart, X, Y, m):
-    """[X, Y] at m for fiber sections (callables or constant vectors)."""
-    C.base.require_interior(m)
-    return C.bracket(X, Y)(m)
-
-
 @dataclass(frozen=True)
 class ActionAlgebroid:
     """Action algebroid of a Lie algebra acting on a chart."""
@@ -211,43 +205,11 @@ class ResidualReport:
     name: str
     max_residual: float
     tol: float
-    sign: int | None = None
     details: dict = field(default_factory=dict)
 
     @property
     def passed(self) -> bool:
         return self.max_residual <= self.tol
-
-
-def check_action_homomorphism(A: ActionAlgebroid, tol: float = 1e-8,
-                              sign: int = 1, samples: np.ndarray | None = None) -> ResidualReport:
-    """Residual of ([e_i, e_j])^dagger = sign * [e_i^dagger, e_j^dagger]."""
-    g0 = A.algebra
-    r = g0.dim
-    eye = np.eye(r)
-    if samples is None:
-        samples = A.chart.base.halton_points(7)
-    res = []
-    for m in samples:
-        for i in range(r):
-            for j in range(i + 1, r):
-                lhs = np.asarray(A.action(g0.bracket(eye[i], eye[j]), as_point(m)), dtype=object)
-                Vi = lambda p, _i=i: np.asarray(A.action(eye[_i], p), dtype=object)
-                Vj = lambda p, _j=j: np.asarray(A.action(eye[_j], p), dtype=object)
-                rhs = lie_bracket_vf(Vi, Vj, m)
-                rhs = value(np.asarray(rhs, dtype=object))
-                res.append(np.max(np.abs(value(lhs) - sign * rhs)))
-    return ResidualReport("action_homomorphism", worst(res), tol, sign=sign)
-
-
-def resolve_action_sign(A: ActionAlgebroid) -> ResidualReport:
-    """Try both sign conventions; return the report of the passing one
-    (or the smaller-residual one if neither passes)."""
-    plus = check_action_homomorphism(A, sign=1)
-    if plus.passed:
-        return plus
-    minus = check_action_homomorphism(A, sign=-1)
-    return minus if minus.max_residual < plus.max_residual else plus
 
 
 def check_anchor_homomorphism(C: AlgebroidChart, tol: float = 1e-8,
@@ -261,7 +223,7 @@ def check_anchor_homomorphism(C: AlgebroidChart, tol: float = 1e-8,
         lhs = np.einsum("ic,cab->iab", J.anchor, J.frame_bracket())
         L = np.einsum("ibk,ka->iab", J.d_anchor, J.anchor)     # (D #e_b) #e_a
         res.append(np.max(np.abs(lhs - sign * (L - np.swapaxes(L, 1, 2)))))
-    return ResidualReport("anchor_homomorphism", worst(res), tol, sign=sign)
+    return ResidualReport("anchor_homomorphism", worst(res), tol)
 
 
 # -- glued algebroids ---------------------------------------------------------

@@ -15,10 +15,11 @@ and flat through the vanishing of its ordinary curvature.  Both are
 tensorial, so the checks evaluate them on constant frames, where each
 reduces to a contraction of the point's 1-jet (``AlgebroidChart.jet``:
 anchor, gamma and torsion with their first derivatives, each read through
-``SmoothField.first_jet``).  The section calculus above stays
-closure-based and takes arbitrary sections; the test suite builds the
-cocurvature from it by definition and uses that as the oracle for the jet
-formulas.
+``SmoothField.first_jet``).  The section calculus above, on arbitrary
+sections by the closures of ``AlgebroidChart``, lives with the test
+oracles (``tests/oracles.py``: ``nabla_bar_tm``, ``nabla_bar_g``,
+``torsion_bar``); the tests build the cocurvature from it by definition
+and compare the jet formulas against it.
 """
 
 from __future__ import annotations
@@ -29,8 +30,8 @@ import numpy as np
 
 from .dual import value
 from .algebra import LieAlgebra
-from .algebroid import AlgebroidChart, Jet, intertwining_residuals, worst
-from .geometry import as_point, lie_bracket_vf
+from .algebroid import AlgebroidChart, Jet, worst
+from .geometry import as_point
 
 
 @dataclass(frozen=True)
@@ -49,39 +50,6 @@ class TensorReport:
     def __str__(self):
         word = "pass" if self.verdict else "FAIL"
         return f"{self.op}: max residual {self.max_residual:.3e} (tol {self.tol:.1e}) {word}"
-
-
-def nabla_bar_tm(C: AlgebroidChart, X, V, m):
-    """Associated fiber-direction derivative of a tangent field."""
-    m = as_point(m)
-    C.base.require_interior(m)
-    X = C.section(X)
-    V = C.vector(V)
-    first = np.asarray(C.anchor(m), dtype=object) @ C.conn(V, X, m)
-    second = lie_bracket_vf(C.anchor_of(X), V, m)
-    return first + second
-
-
-def nabla_bar_g(C: AlgebroidChart, X, Y, m):
-    """Associated fiber-direction derivative of a fiber section."""
-    m = as_point(m)
-    C.base.require_interior(m)
-    X = C.section(X)
-    Y = C.section(Y)
-    return C.conn(C.anchor_of(Y), X, m) + C.bracket(X, Y)(m)
-
-
-def torsion_bar(C: AlgebroidChart, x, y, m):
-    """Torsion of the associated connection on constant extensions.
-
-    Equals the stored torsion field by construction of the derived
-    bracket; kept as an explicit consistency probe.
-    """
-    m = as_point(m)
-    C.base.require_interior(m)
-    X, Y = C.section(x), C.section(y)
-    return (C.conn(C.anchor_of(Y), X, m) - C.conn(C.anchor_of(X), Y, m)
-            + C.bracket(X, Y)(m))
 
 
 def _swap(t):
@@ -182,26 +150,3 @@ def fiber_bracket_at(C: AlgebroidChart, m0, jacobi_tol: float = 1e-6) -> LieAlge
     t = value(np.asarray(C.torsion(m0), dtype=object))
     c = np.einsum("cab->abc", t)
     return LieAlgebra(c, tol=jacobi_tol)
-
-
-def check_morphism(C1: AlgebroidChart, C2: AlgebroidChart, Phi, phi,
-                   samples=None) -> TensorReport:
-    """Morphism conditions for a connection-preserving bundle map, to
-    tolerance 1e-7 (by default at 7 points drawn with seed 42).
-
-    Phi(m) is the fiber matrix (rank2 x rank1), phi the base map.  Checks
-    anchor intertwining and torsion intertwining; connection preservation
-    is the caller's obligation and is spot-checked by the pointwise
-    intertwining of the connection coefficient matrices.
-    """
-    pts = _sample_set(C1, samples if samples is not None else 7)
-    phi_mat = Phi if callable(Phi) else (lambda m, _P=np.asarray(Phi, dtype=float): _P)
-    res = np.zeros(3)
-    for m in pts:
-        if not C2.base.contains(phi(as_point(m))):
-            raise ValueError("base map image escapes target chart")
-        res = np.maximum(res, intertwining_residuals(C1, C2, phi, phi_mat, m))
-    res_anchor, res_conn, res_torsion = map(float, res)
-    return TensorReport("check_morphism", worst(res), 1e-7,
-                        details={"anchor": res_anchor, "torsion": res_torsion,
-                                 "connection": res_conn})

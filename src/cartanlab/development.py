@@ -91,12 +91,16 @@ class Coset:
 
 
 def coset_residual(c1: Coset, c2: Coset) -> float:
-    """Distance of g1^-1 g2 from H0: norm of the log component orthogonal
-    to span(h0), plus any off-algebra part of the log."""
+    """Residual of g1^-1 g2 against H0: the norm of the component of its
+    principal log orthogonal to span(h0), plus any off-algebra part of
+    that log; inf where g1^-1 g2 has no principal log.  It vanishes where
+    the log lies in h0 and equals the distance along a transvection p, but
+    it is a residual, not a distance: the log of exp(p) h, h in H0, is not
+    p + log h."""
     H = c1.model
     z = np.linalg.solve(c1.g, c2.g)
     lr = log_matrix(H.realization, z)
-    if not lr.in_region:
+    if lr.coords is None:
         return np.inf
     P = H.h0_projector()
     return float(np.linalg.norm(P @ lr.coords) + lr.off_span_residual)
@@ -291,11 +295,6 @@ def develop_point(A, H: HomogeneousModel, path: BasePath,
     return develop_paths(A, H, [path], rtol=rtol)[0]
 
 
-def develop_to(A, H: HomogeneousModel, m0, m) -> Coset:
-    """Development along the straight segment m0 -> m."""
-    return develop_point(A, H, line_path(np.asarray(m0, float), np.asarray(m, float)))
-
-
 def _develop_from(A, H: HomogeneousModel, m0, points) -> list[Coset]:
     """Developments along the straight segments m0 -> m, one batch for all m."""
     m0 = np.asarray(m0, float)
@@ -403,19 +402,6 @@ def induced_affine_map(E: EquivariantMap, H: HomogeneousModel,
     return AffineCosetMap(H, E.twist, q_coset.g, res)
 
 
-def check_lemma_diagram(A: ActionAlgebroid, H: HomogeneousModel, E: EquivariantMap,
-                        path: BasePath) -> float:
-    """Matrix residual of: develop the phi-image path = apply the
-    integrated twist to the developed path."""
-    segs = []
-    for s in path.segments:
-        segs.append(type(s)(s.chart, lambda t, _s=s: E.base_map(_s.curve(t)), s.t0, s.t1))
-    g, g_img = develop_paths(A, H, [path, BasePath(tuple(segs))])
-    lhs = g_img.g
-    rhs = integrated_twist(H, E.twist, g.g)
-    return float(np.max(np.abs(lhs - rhs)))
-
-
 def _image(E: EquivariantMap, m) -> np.ndarray:
     return value(np.asarray(E.base_map(as_point(np.asarray(m, dtype=float))), dtype=object))
 
@@ -430,43 +416,6 @@ def equivariance_diagram_check(A: ActionAlgebroid, H: HomogeneousModel,
     aff = induced_affine_map(E, H, q)
     per = [coset_residual(lhs, aff(c)) for lhs, c in zip(devs[:len(ms)], devs[len(ms):])]
     return TensorReport("equivariance_diagram", worst(per), tol, tuple(per))
-
-
-def fit_twist(chart, base_map: Callable, m0, samples) -> AlgebraMap:
-    """Least-squares twist of a base map on the parallel-section fields.
-
-    Solves Dphi(m) a(m) P(m) = a(phi m) P(phi m) mu over the samples,
-    where P is the parallel frame from m0 (64 RK4 steps), then verifies
-    the fit to 1e-6.
-    """
-    from .cartan import fiber_bracket_at
-    from .transport import _transport_line_dual
-    r = chart.rank
-    m0 = np.asarray(m0, dtype=float)
-
-    def frame_at(m):
-        return value(_transport_line_dual(chart, m0, m, np.eye(r), 64))
-
-    rows_lhs = []
-    rows_rhs = []
-    for m in samples:
-        m = as_point(np.asarray(m, dtype=float))
-        pm = value(np.asarray(base_map(m), dtype=object))
-        dphi = value(dual.jacobian(lambda p: np.asarray(base_map(as_point(p)), dtype=object), m))
-        a_m = value(np.asarray(chart.anchor(m), dtype=object))
-        a_p = value(np.asarray(chart.anchor(as_point(pm)), dtype=object))
-        lhs = dphi @ a_m @ frame_at(value(np.asarray(m, dtype=object)))
-        rhs = a_p @ frame_at(pm)
-        rows_lhs.append(lhs)
-        rows_rhs.append(rhs)
-    L = np.vstack(rows_lhs)
-    R = np.vstack(rows_rhs)
-    mu, *_ = np.linalg.lstsq(R, L, rcond=None)
-    resid = float(np.max(np.abs(R @ mu - L)))
-    if resid > 1e-6:
-        raise DevelopmentError(f"no algebra twist fits the base map (residual {resid:.3e})")
-    g0 = fiber_bracket_at(chart, m0)
-    return AlgebraMap(g0, g0, mu)
 
 
 # -- geometric closure --------------------------------------------------------
@@ -573,7 +522,7 @@ def _complement_coords(H: HomogeneousModel, coords: np.ndarray) -> np.ndarray:
 
 def _coset_coords(H: HomogeneousModel, c: Coset) -> np.ndarray:
     lr = log_matrix(H.realization, c.g)
-    if not lr.in_region:
+    if lr.coords is None:
         raise DevelopmentError("coset representative outside log region")
     return _complement_coords(H, lr.coords)
 

@@ -14,8 +14,8 @@ Array-valued formulas then differentiate without per-scalar Duals:
 ``contract``, ``inv`` and ``cholesky`` carry a ``Taylor`` jet through
 whole-array numpy contractions by the product rule (Griewank & Walther,
 *Evaluating Derivatives*, 2nd ed., SIAM 2008, on propagating Taylor
-coefficients).  ``directional`` and ``second_directional`` lift a point
-along given directions and stay as references for these.
+coefficients).  The tests' reference for these lifts a point along one
+direction (``tests/oracles.py``: ``directional``).
 """
 
 from __future__ import annotations
@@ -205,11 +205,6 @@ def lift(m, v):
     return out
 
 
-def directional(f, m, v):
-    """Exact directional derivative of ``f`` at ``m`` along ``v``."""
-    return eps_part(f(lift(m, v)))
-
-
 def jacobian(f, m):
     """First derivatives of ``f`` at ``m`` along the coordinate axes: the
     order-1 ``taylor`` jet's derivative, with the direction moved last.
@@ -217,15 +212,6 @@ def jacobian(f, m):
     For ``f`` with output shape ``s`` returns shape ``s + (n,)``.
     """
     return np.moveaxis(taylor(f, m, 1).d, 0, -1)
-
-
-def second_directional(f, m, v, w):
-    """Exact mixed second derivative d^2 f(m)[v, w]."""
-    inner = lift(m, v)
-    outer = np.empty(len(m), dtype=object)
-    for k in range(len(m)):
-        outer[k] = Dual(inner[k], Dual(w[k], 0.0))
-    return eps_part(eps_part(f(outer)))
 
 
 # -- small dense linear algebra on object arrays -----------------------------

@@ -3,8 +3,6 @@
 Everything lives on open boxes.  Fields are plain callables evaluated
 through dual numbers, so first and second derivatives are exact; a field's
 value and first derivative at a point come from ``SmoothField.first_jet``.
-Central finite differences are available separately as a cross-check
-oracle.
 
 Curvature convention used throughout:
 
@@ -222,11 +220,6 @@ class TMConnection:
         return dw @ vm + np.einsum("kij,i,j->k", gm, vm, wm)
 
 
-def flat_connection(chart: Chart) -> TMConnection:
-    n = chart.dim
-    return TMConnection(chart, np.zeros((n, n, n)))
-
-
 def frame_connection(chart: Chart, frame: Callable) -> TMConnection:
     """Connection whose parallel fields are the columns of ``frame(m)``.
 
@@ -276,36 +269,10 @@ def levi_civita(metric: SmoothField) -> TMConnection:
         jet=lambda m: christoffel_from_jet(metric_jet(metric, m, 2))))
 
 
-def curvature_tm(conn: TMConnection, m, U, V, W):
-    """R(U, V)W at m for constant-coefficient U, V, W, as floats."""
-    conn.chart.require_interior(m)
-    return np.einsum("lkij,i,j,k->l", curvature_tensor(conn, m),
-                     *(np.asarray(X, dtype=float) for X in (U, V, W)))
-
-
 def curvature_tensor(conn: TMConnection, m) -> np.ndarray:
     """Full R[l, k, i, j] = (R(e_i, e_j) e_k)^l at m, as floats, from the
     Christoffel symbols' 1-jet."""
     return curvature_from_christoffel(conn.christoffel.first_jet(m))
-
-
-def curvature_tensor_obj(conn: TMConnection, m) -> np.ndarray:
-    """Curvature tensor preserving dual layers of the evaluation point.
-
-    R[l, k, i, j] = d_i G^l_{jk} - d_j G^l_{ik} + G^l_{im} G^m_{jk}
-    - G^l_{jm} G^m_{ik}, from one evaluation of the Christoffel symbols
-    and their Jacobian (``dual.jacobian``), so it can be differentiated
-    again (``models.curvature_formula_check``); it is also the nested-Dual
-    reference for ``curvature_tensor``.  It does not check the chart
-    interior: this is evaluation plumbing for derived fields, which
-    integrators probe right up to chart edges.
-    """
-    m = as_point(m)
-    G = np.asarray(conn.christoffel(m), dtype=object)
-    dG = dual.jacobian(lambda p: np.asarray(conn.christoffel(p), dtype=object), m)  # (l, j, k, i)
-    D = np.einsum("ljki->lkij", dG)
-    Q = np.einsum("lim,mjk->lkij", G, G)
-    return (D - np.swapaxes(D, 2, 3)) + (Q - np.swapaxes(Q, 2, 3))
 
 
 @dataclass(frozen=True)
@@ -328,23 +295,6 @@ def scalar_form_fit(conn: TMConnection, metric: SmoothField, m) -> ScalarFormFit
         return ScalarFormFit(0.0, float(np.linalg.norm(R)))
     s = float(np.sum(R * B) / denom)
     return ScalarFormFit(s, float(np.linalg.norm(R - s * B)))
-
-
-# -- finite-difference oracles ------------------------------------------------
-
-def fd_jacobian(f, m) -> np.ndarray:
-    """Central-difference Jacobian with step 1e-5; cross-check only, never
-    load-bearing."""
-    h = 1e-5
-    m = np.asarray(m, dtype=float)
-    n = len(m)
-    cols = []
-    for k in range(n):
-        dp = np.zeros(n)
-        dp[k] = h
-        cols.append((np.asarray(f(m + dp), dtype=float)
-                     - np.asarray(f(m - dp), dtype=float)) / (2 * h))
-    return np.stack(cols, axis=-1)
 
 
 # -- bundled metric catalog ---------------------------------------------------

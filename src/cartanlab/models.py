@@ -33,19 +33,18 @@ import numpy as np
 
 from . import dual
 from .dual import value
-from .algebra import (AlgebraMap, LieAlgebra, Subalgebra, abelian,
-                      adjoint_realization, so3, translation_realization)
+from .algebra import (AlgebraMap, Subalgebra, abelian, adjoint_realization,
+                      translation_realization)
 from .algebroid import (ActionAlgebroid, AlgebroidChart, GluedAlgebroid,
                         Overlap, make_action_algebroid)
-from .cartan import TensorReport, curvature_conn_tensor, fiber_bracket_at, worst
+from .cartan import TensorReport, fiber_bracket_at, worst
 from .development import (CoverSpec, EquivariantMap, HomogeneousModel,
                           OverlapSpec)
 from .geometry import (Chart, GeometryError, SmoothField, TMConnection, as_point,
                        christoffel_from_jet, curvature_from_christoffel,
-                       curvature_tensor, curvature_tensor_obj, ellipsoid_metric,
-                       euclidean_metric, flat_connection, frame_connection,
-                       hyperbolic_metric, levi_civita, lie_bracket_vf, metric_jet,
-                       scalar_form_fit, sphere_metric)
+                       curvature_tensor, frame_connection, hyperbolic_metric,
+                       levi_civita, lie_bracket_vf, metric_jet, scalar_form_fit,
+                       sphere_metric)
 from .transport import BasePath, PathSegment, monodromy
 
 
@@ -202,116 +201,6 @@ def build_riemannian_cartan(metric: SmoothField) -> RiemannianCartanChart:
         torsion=field("torsion", (r, r, r), lambda m: torsion_of(parts(metric_jet(metric, m, 2))),
                       torsion_of))
     return RiemannianCartanChart(metric, lc, chart, n, frame)
-
-
-def skewness_residual(R: RiemannianCartanChart, samples=None) -> float:
-    """h-coordinates must act by metric-skew endomorphisms (by default at
-    10 points drawn with seed 42)."""
-    base = R.metric.chart
-    if samples is None:
-        samples = base.sample_points(np.random.default_rng(42), 10)
-    E = skew_basis(R.n)
-    res = []
-    for m in samples:
-        m = as_point(m)
-        F = value(np.asarray(R.frame(m), dtype=object))
-        sig = value(np.asarray(R.metric(m), dtype=object))
-        phi = F @ E @ np.linalg.inv(F)
-        res.append(np.max(np.abs(np.swapaxes(phi, 1, 2) @ sig + sig @ phi)))
-    return worst(res)
-
-
-def bracket_component_check(R: RiemannianCartanChart, samples=None) -> TensorReport:
-    """Derived section bracket against the displayed component formula on
-    adapted constant sections, to tolerance 1e-6 (by default at 5 points
-    drawn with seed 42)."""
-    base = R.metric.chart
-    if samples is None:
-        samples = base.sample_points(np.random.default_rng(42), 5)
-    n, r = R.n, R.rank
-    eye = np.eye(r)
-    res = []
-    for m in samples:
-        m = as_point(m)
-        F = np.asarray(R.frame(m), dtype=object)
-        Finv = dual.inv(F)
-        dF = dual.jacobian(lambda p: np.asarray(R.frame(as_point(p)), dtype=object), m)
-        Gam = np.asarray(R.lc.christoffel(m), dtype=object)
-        Rt = curvature_tensor_obj(R.lc, m)
-        for a in range(r):
-            for b in range(a + 1, r):
-                got = value(np.asarray(R.chart.bracket(eye[a], eye[b])(m), dtype=object))
-                va, wa = eye[a][:n], eye[a][n:]
-                vb, wb = eye[b][:n], eye[b][n:]
-                Wa = skew_matrix(wa.astype(object), n)
-                Wb = skew_matrix(wb.astype(object), n)
-                Va, Vb = F @ va.astype(object), F @ vb.astype(object)
-                Pa, Pb = F @ Wa @ Finv, F @ Wb @ Finv
-                jl = (np.einsum("kci,c->ki", dF, vb.astype(object)) @ Va
-                      - np.einsum("kci,c->ki", dF, va.astype(object)) @ Vb)
-                def lc_endo(Vdir, W):
-                    acc = np.zeros((n, n), dtype=object)
-                    Phi = F @ W @ Finv
-                    for i in range(n):
-                        dPhi = dF[:, :, i] @ W @ Finv - F @ W @ (Finv @ dF[:, :, i] @ Finv)
-                        Gi = Gam[:, i, :]
-                        acc = acc + Vdir[i] * (dPhi + Gi @ Phi - Phi @ Gi)
-                    return acc
-                R_ab = np.einsum("lbij,i,j->lb", Rt, Va, Vb)
-                want_tm = Finv @ jl
-                want_h = skew_coords(Finv @ (Pa @ Pb - Pb @ Pa
-                                             + lc_endo(Va, Wb) - lc_endo(Vb, Wa)
-                                             + R_ab) @ F, n)
-                want = np.concatenate([value(np.asarray(want_tm, dtype=object)),
-                                       value(np.asarray(want_h, dtype=object))])
-                res.append(np.max(np.abs(got - want)))
-    return TensorReport("bracket_component_check", worst(res), 1e-6)
-
-
-def curvature_formula_check(R: RiemannianCartanChart, samples=None) -> TensorReport:
-    """Chart-connection curvature against the displayed closed form
-
-        R(U1,U2)(V+phi) = 0 + ( -(LC_V R + phi . R)(U1, U2) ),
-
-    to tolerance 1e-6 (by default at 4 points drawn with seed 42).
-    """
-    base = R.metric.chart
-    if samples is None:
-        samples = base.sample_points(np.random.default_rng(42), 4)
-    n, r = R.n, R.rank
-    eyer = np.eye(r)
-    res = []
-    for m in samples:
-        m = as_point(m)
-        F = np.asarray(R.frame(m), dtype=object)
-        Finv = dual.inv(F)
-        Gam = np.asarray(R.lc.christoffel(m), dtype=object)
-        Rt = curvature_tensor_obj(R.lc, m)
-        dRt = dual.jacobian(lambda p: curvature_tensor_obj(R.lc, as_point(p)), m)
-        curv = curvature_conn_tensor(R.chart.jet(m))
-        for i in range(n):
-            for j in range(i + 1, n):
-                for a in range(r):
-                    lhs = curv[:, a, i, j]
-                    v, w = eyer[a][:n].astype(object), eyer[a][n:].astype(object)
-                    V = F @ v
-                    Phi = F @ skew_matrix(w, n) @ Finv
-                    Rij = Rt[:, :, i, j]
-                    # (LC_V R)(e_i, e_j) as an endomorphism
-                    dR_V = np.einsum("lbk,k->lb", dRt[:, :, i, j, :], V)
-                    GV = np.einsum("kil,l->ki", Gam, V)  # Gamma(V) matrix [k,i]
-                    cov = (dR_V + GV @ Rij - Rij @ GV
-                           - np.einsum("lbkj,ki->lbij", Rt, GV)[:, :, i, j]
-                           - np.einsum("lbik,kj->lbij", Rt, GV)[:, :, i, j])
-                    phiR = (Phi @ Rij - Rij @ Phi
-                            - np.einsum("lbkj,ki->lbij", Rt, Phi)[:, :, i, j]
-                            - np.einsum("lbik,kj->lbij", Rt, Phi)[:, :, i, j])
-                    closed_h = -(cov + phiR)
-                    want = np.concatenate([
-                        np.zeros(n),
-                        value(np.asarray(skew_coords(Finv @ closed_h @ F, n), dtype=object))])
-                    res.append(np.max(np.abs(lhs - want)))
-    return TensorReport("curvature_formula_check", worst(res), 1e-6)
 
 
 # -- constant-curvature classification ----------------------------------------
@@ -501,11 +390,6 @@ def local_lie_group_check(P: DualPair, tol: float = 1e-7,
     return LocalLieGroupReport(flat_a, worst(flat_b), worst(par), float(jres), tol)
 
 
-def restricted_bracket(P: DualPair, m0) -> LieAlgebra:
-    T0 = value(torsion_field(P, m0))
-    return LieAlgebra(np.einsum("kij->ijk", T0))
-
-
 @dataclass(frozen=True)
 class ObstructionForm:
     w: np.ndarray
@@ -532,26 +416,6 @@ translation_action.batch = lambda xi, ms: np.broadcast_to(xi, ms.shape)
 def translations_model(n: int) -> ActionAlgebroid:
     base = Chart((-np.inf,) * n, (np.inf,) * n)
     return make_action_algebroid(abelian(n), translation_action, base)
-
-
-def so3_r3_model() -> ActionAlgebroid:
-    """Rotation algebra acting on R^3 with anchor a(m) = skew(m).
-
-    The orientation is m x xi, under which the basis fields are a plain
-    bracket homomorphism and the derived section bracket is Jacobi; the
-    opposite cross product satisfies the mirrored homomorphism law
-    instead (resolve_action_sign tells the two apart).
-    """
-    base = Chart((-5.0,) * 3, (5.0,) * 3)
-
-    def cross(xi, m):
-        xi = np.asarray(xi, dtype=object)
-        m = np.asarray(m, dtype=object)
-        return np.array([m[1] * xi[2] - m[2] * xi[1],
-                         m[2] * xi[0] - m[0] * xi[2],
-                         m[0] * xi[1] - m[1] * xi[0]], dtype=object)
-
-    return make_action_algebroid(so3(), cross, base)
 
 
 @dataclass(frozen=True)
@@ -726,14 +590,6 @@ def hyperbolic2() -> RiemannianModel:
     return riemannian_model("hyperbolic2", hyperbolic_metric(2), [0.0, 1.0])
 
 
-def euclidean2() -> RiemannianModel:
-    return riemannian_model("euclidean2", euclidean_metric(2), [0.0, 0.0])
-
-
-def ellipsoid2() -> RiemannianModel:
-    return riemannian_model("ellipsoid", ellipsoid_metric(), [1.1, 0.2])
-
-
 @dataclass(frozen=True)
 class LocalLieGroupModel:
     name: str
@@ -785,12 +641,6 @@ def heisenberg_group() -> LocalLieGroupModel:
 
     return LocalLieGroupModel("heisenberg", DualPair(
         chart, frame_connection(chart, right_frame), frame_connection(chart, left_frame)))
-
-
-def abelian_pair(n: int = 2) -> LocalLieGroupModel:
-    chart = Chart((-3.0,) * n, (3.0,) * n)
-    return LocalLieGroupModel("abelian", DualPair(
-        chart, flat_connection(chart), flat_connection(chart)))
 
 
 CATALOG = {

@@ -20,10 +20,8 @@ DOP853; solves with events use RK45 and its dense output.  Every event
 function is checked at step ends and also scanned on the interpolant at
 64 evenly spaced times over the range actually integrated, so a sign
 change that opens and closes inside one long step is still found; roots
-are located on the interpolant by Brent's method.  The fixed-step
-classical RK4 lives here as an independent oracle and doubles as the
-dual-number-capable integrator (the adaptive driver steps float arrays
-only).
+are located on the interpolant by Brent's method.  The driver steps
+float arrays only.
 """
 
 from __future__ import annotations
@@ -456,19 +454,3 @@ def integrate(rhs, t_span, y0, events=None, rtol=DEFAULT_RTOL,
     if sol.status == "step_collapse":
         return IvpOutcome(sol.t, sol.y, "step_collapse", float(sol.t[-1]), **work)
     return IvpOutcome(sol.t, sol.y, "completed", t1, **work)
-
-
-def rk4(rhs, t0: float, t1: float, y0, steps: int):
-    """Fixed-step classical RK4; works elementwise so dual-number states
-    pass straight through."""
-    y = np.asarray(y0, dtype=object).copy()
-    h = (t1 - t0) / steps
-    t = t0
-    for _ in range(steps):
-        k1 = np.asarray(rhs(t, y), dtype=object)
-        k2 = np.asarray(rhs(t + 0.5 * h, y + 0.5 * h * k1), dtype=object)
-        k3 = np.asarray(rhs(t + 0.5 * h, y + 0.5 * h * k2), dtype=object)
-        k4 = np.asarray(rhs(t + h, y + h * k3), dtype=object)
-        y = y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        t += h
-    return y

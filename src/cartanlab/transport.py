@@ -24,8 +24,8 @@ from .dual import Dual, value
 from .algebra import AlgebraMap, Subalgebra
 from .algebroid import AlgebroidChart, GluedAlgebroid
 from .cartan import TensorReport, bar_tm_tensor, fiber_bracket_at, worst
-from .geometry import Chart, SmoothField, as_point
-from .ode import integrate, rk4
+from .geometry import SmoothField, as_point
+from .ode import integrate
 
 BLOWUP_NORM = 1e6
 # speed above which geodesics are integrated in rescaled time (see
@@ -113,13 +113,6 @@ def line_path(a, b) -> BasePath:
     a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float)
     return BasePath((PathSegment(0, lambda t: a + t * (b - a), line=(a, b)),))
-
-
-def polyline_path(points) -> BasePath:
-    segs = []
-    for a, b in zip(points[:-1], points[1:]):
-        segs.extend(line_path(a, b).segments)
-    return BasePath(tuple(segs))
 
 
 @dataclass
@@ -212,10 +205,6 @@ def _apply_switch(G: GluedAlgebroid, i: int, j: int, m_end, m_next) -> np.ndarra
     raise TransportError("chart switch does not match any overlap base map")
 
 
-def parallel_transport(G, path: BasePath, X0) -> np.ndarray:
-    return transport_matrix(G, path) @ np.asarray(X0, dtype=float)
-
-
 def monodromy(G, loop: BasePath) -> AlgebraMap:
     """Parallel transport around a closed loop as an algebra map on the
     fiber bracket at the base point."""
@@ -227,76 +216,6 @@ def monodromy(G, loop: BasePath) -> AlgebraMap:
     M = transport_matrix(G, loop)
     A0 = fiber_bracket_at(G.charts[c0], m0)
     return AlgebraMap(A0, A0, M)
-
-
-# -- parallel frames ----------------------------------------------------------
-
-@dataclass(frozen=True)
-class ParallelFrame:
-    """Basis of parallel sections over a simply-connected region, equal to
-    the standard fiber basis at the anchor point."""
-
-    chart: AlgebroidChart
-    m0: np.ndarray
-    region: Chart
-    steps: int = 96
-    path_dependence: float = 0.0
-
-    def section(self, a: int) -> Callable:
-        e = np.zeros(self.chart.rank)
-        e[a] = 1.0
-
-        def sec(m):
-            return _transport_line_dual(self.chart, self.m0, m, e, self.steps)
-
-        return sec
-
-    def sections(self):
-        return [self.section(a) for a in range(self.chart.rank)]
-
-
-def _transport_line_dual(C: AlgebroidChart, m0, m, x0, steps: int):
-    """Fixed-step RK4 transport along the straight segment m0 -> m.
-
-    ``x0`` is a fiber vector or an r x k matrix whose columns are
-    transported together.  The endpoint may carry dual coordinates, so
-    sections built from this are differentiable like any other field.
-    """
-    m0 = np.asarray(m0, dtype=float)
-    m = as_point(m)
-    delta = m - m0.astype(object)
-
-    def rhs(t, x):
-        p = m0.astype(object) + t * delta
-        g = np.asarray(C.gamma(p), dtype=object)
-        gv = np.einsum("iab,i->ab", g, delta)
-        return -(gv @ x)
-
-    return rk4(rhs, 0.0, 1.0, np.asarray(x0, dtype=object), steps)
-
-
-def parallel_frame(C: AlgebroidChart, m0, region: Chart | None = None,
-                   steps: int = 96, dependence_tol: float = 1e-6) -> ParallelFrame:
-    """Frame of parallel sections; fails loudly when straight-line and
-    staircase transports disagree (flatness violation) at any of three
-    probe points."""
-    m0 = np.asarray(m0, dtype=float)
-    region = region or C.base
-    eye = np.eye(C.rank)
-    gaps = []
-    for m in region.halton_points(3, shrink=0.15):
-        mid = np.array(m, dtype=float).copy()
-        mid[0] = m0[0]
-        # the columns of each transported identity are the transported basis
-        direct = value(_transport_line_dual(C, m0, m, eye, steps))
-        via = value(_transport_line_dual(
-            C, mid, m, value(_transport_line_dual(C, m0, mid, eye, steps)), steps))
-        gaps.append(np.max(np.abs(direct - via)))
-    res = worst(gaps)
-    if not res <= dependence_tol:
-        raise TransportError(
-            f"path-dependent transport (residual {res:.3e}); region is not flat")
-    return ParallelFrame(C, m0, region, steps, res)
 
 
 # -- geodesics ----------------------------------------------------------------
@@ -614,54 +533,3 @@ def monodromy_compactness_probe(maps, norm_bound: float = 1e3) -> CompactnessRep
         if len(bad):
             return CompactnessReport("unbounded", words[bad[0]], max_dev, max_norm)
     return CompactnessReport("consistent-with-compact-closure", None, max_dev, max_norm)
-
-
-@dataclass(frozen=True)
-class EscapeBound:
-    T: float
-    sup_norm: float
-    verified: bool
-    note: str = ("box-coordinate balls replace geodesic balls; the bound "
-                 "is conservative for metrics dominating the box metric")
-
-
-def escape_bound(V, sigma, chart: Chart, m, r: float) -> EscapeBound:
-    """Uniform flow-time lower bound T = r / sup_{B_2r} |V|.
-
-    The supremum is sampled on a grid of 33 points per axis over the box
-    ball of radius 2r, and integral curves from three points of the inner
-    ball are integrated for |t| <= T as a cross-check.  The centre m must
-    lie in the chart interior, so that the grid holds a point of the chart.
-    """
-    m = np.asarray(m, dtype=float)
-    chart.require_interior(m)
-    n = len(m)
-    axes = [np.linspace(mi - 2 * r, mi + 2 * r, 33) for mi in m]
-    speeds = []
-    mesh = np.meshgrid(*axes, indexing="ij")
-    pts = np.stack([ax.reshape(-1) for ax in mesh], axis=1)
-    for p in pts:
-        if not chart.contains(p, margin=0.0):
-            continue
-        v = value(np.asarray(V(as_point(p)), dtype=object))
-        g = value(np.asarray(sigma(as_point(p)), dtype=object))
-        speeds.append(float(np.sqrt(v @ g @ v)))
-    sup = worst(speeds)
-    if sup == 0.0:
-        return EscapeBound(np.inf, 0.0, True)
-    T = r / sup
-    if math.isnan(sup):     # a speed that is not a number bounds nothing
-        return EscapeBound(T, sup, False)
-    ok = True
-    rng = np.random.default_rng(7)
-    for _ in range(3):
-        p0 = m + rng.uniform(-r, r, size=n)
-        for sign in (1.0, -1.0):
-            out = integrate(lambda t, y: value(np.asarray(V(as_point(y)), dtype=object)),
-                            (0.0, sign * T), p0)
-            if out.status != "completed":
-                ok = False
-            else:
-                if np.max(np.abs(out.states[-1] - m)) > 3 * r + 1e-9:
-                    ok = False
-    return EscapeBound(T, sup, ok)

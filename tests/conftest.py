@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from cartanlab import models
+import oracles
 
 
 @pytest.fixture(scope="session")
@@ -28,17 +29,17 @@ def hyperbolic():
 
 @pytest.fixture(scope="session")
 def euclid():
-    return models.euclidean2()
+    return oracles.euclidean2()
 
 
 @pytest.fixture(scope="session")
 def ellipsoid():
-    return models.ellipsoid2()
+    return oracles.ellipsoid2()
 
 
 @pytest.fixture(scope="session")
 def so3_action():
-    return models.so3_r3_model()
+    return oracles.so3_r3_model()
 
 
 @pytest.fixture(scope="session")

@@ -1,0 +1,425 @@
+"""Reference implementations and fixtures that only the tests use.
+
+The references compute what the package computes from 1-jets and
+adaptive solves another way, for the tests to compare: the section
+calculus by its defining formulas, from which the tests build the
+cocurvature; central differences, directional Duals and the nested-Dual
+curvature; the displayed component formulas of the TM+h chart; and
+fixed-step RK4, which steps Dual states, with the parallel frames and
+twist fits built on it.  The fixtures are polylines and the stock
+algebras and models that no catalog entry or scenario names.
+"""
+
+from __future__ import annotations
+
+from dataclasses import dataclass
+from typing import Callable
+
+import numpy as np
+
+from cartanlab import dual
+from cartanlab.algebra import AlgebraMap, LieAlgebra, MatrixRealization
+from cartanlab.algebroid import ActionAlgebroid, AlgebroidChart, make_action_algebroid
+from cartanlab.cartan import (TensorReport, curvature_conn_tensor, fiber_bracket_at,
+                              worst)
+from cartanlab.development import DevelopmentError
+from cartanlab.dual import eps_part, lift, value
+from cartanlab.geometry import (Chart, TMConnection, as_point, ellipsoid_metric,
+                                euclidean_metric, lie_bracket_vf)
+from cartanlab.models import (DualPair, LocalLieGroupModel, RiemannianCartanChart,
+                              RiemannianModel, riemannian_model, skew_basis, skew_coords,
+                              skew_matrix)
+from cartanlab.transport import BasePath, TransportError, line_path
+
+
+# -- stock algebras -----------------------------------------------------------
+
+def so3() -> LieAlgebra:
+    """[e1,e2]=e3 and cyclic."""
+    c = np.zeros((3, 3, 3))
+    for i, j, k in ((0, 1, 2), (1, 2, 0), (2, 0, 1)):
+        c[i, j, k] = 1.0
+        c[j, i, k] = -1.0
+    return LieAlgebra(c, basis_labels=("e1", "e2", "e3"))
+
+
+def so3_realization() -> MatrixRealization:
+    """Cross-product generators: G_i v = e_i x v."""
+    def hat(v):
+        return np.array([[0.0, -v[2], v[1]], [v[2], 0.0, -v[0]], [-v[1], v[0], 0.0]])
+    return MatrixRealization(so3(), tuple(hat(np.eye(3)[i]) for i in range(3)))
+
+
+def affine_line() -> LieAlgebra:
+    """Scaling and translation of the line: [e1, e2] = e2."""
+    c = np.zeros((2, 2, 2))
+    c[0, 1, 1] = 1.0
+    c[1, 0, 1] = -1.0
+    return LieAlgebra(c, basis_labels=("scale", "shift"))
+
+
+def heisenberg() -> LieAlgebra:
+    """[e1, e2] = e3 with e3 central."""
+    c = np.zeros((3, 3, 3))
+    c[0, 1, 2] = 1.0
+    c[1, 0, 2] = -1.0
+    return LieAlgebra(c)
+
+
+# -- derivatives by definition ------------------------------------------------
+
+def directional(f, m, v):
+    """Exact directional derivative of ``f`` at ``m`` along ``v``."""
+    return eps_part(f(lift(m, v)))
+
+
+# -- TM connections and curvature ---------------------------------------------
+
+def flat_connection(chart: Chart) -> TMConnection:
+    n = chart.dim
+    return TMConnection(chart, np.zeros((n, n, n)))
+
+
+def curvature_tensor_obj(conn: TMConnection, m) -> np.ndarray:
+    """Curvature tensor preserving dual layers of the evaluation point.
+
+    R[l, k, i, j] = d_i G^l_{jk} - d_j G^l_{ik} + G^l_{im} G^m_{jk}
+    - G^l_{jm} G^m_{ik}, from one evaluation of the Christoffel symbols
+    and their Jacobian (``dual.jacobian``), so it can be differentiated
+    again (``curvature_formula_check``); it is also the nested-Dual
+    reference for ``curvature_tensor``.  It does not check the chart
+    interior: this is evaluation plumbing for derived fields, which
+    integrators probe right up to chart edges.
+    """
+    m = as_point(m)
+    G = np.asarray(conn.christoffel(m), dtype=object)
+    dG = dual.jacobian(lambda p: np.asarray(conn.christoffel(p), dtype=object), m)  # (l, j, k, i)
+    D = np.einsum("ljki->lkij", dG)
+    Q = np.einsum("lim,mjk->lkij", G, G)
+    return (D - np.swapaxes(D, 2, 3)) + (Q - np.swapaxes(Q, 2, 3))
+
+
+def fd_jacobian(f, m) -> np.ndarray:
+    """Central-difference Jacobian with step 1e-5; cross-check only, never
+    load-bearing."""
+    h = 1e-5
+    m = np.asarray(m, dtype=float)
+    n = len(m)
+    cols = []
+    for k in range(n):
+        dp = np.zeros(n)
+        dp[k] = h
+        cols.append((np.asarray(f(m + dp), dtype=float)
+                     - np.asarray(f(m - dp), dtype=float)) / (2 * h))
+    return np.stack(cols, axis=-1)
+
+
+# -- fixed-step integration ---------------------------------------------------
+
+def rk4(rhs, t0: float, t1: float, y0, steps: int):
+    """Fixed-step classical RK4; works elementwise so dual-number states
+    pass straight through."""
+    y = np.asarray(y0, dtype=object).copy()
+    h = (t1 - t0) / steps
+    t = t0
+    for _ in range(steps):
+        k1 = np.asarray(rhs(t, y), dtype=object)
+        k2 = np.asarray(rhs(t + 0.5 * h, y + 0.5 * h * k1), dtype=object)
+        k3 = np.asarray(rhs(t + 0.5 * h, y + 0.5 * h * k2), dtype=object)
+        k4 = np.asarray(rhs(t + h, y + h * k3), dtype=object)
+        y = y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        t += h
+    return y
+
+
+# -- section calculus ---------------------------------------------------------
+
+def nabla_bar_tm(C: AlgebroidChart, X, V, m):
+    """Associated fiber-direction derivative of a tangent field."""
+    m = as_point(m)
+    C.base.require_interior(m)
+    X = C.section(X)
+    V = C.vector(V)
+    first = np.asarray(C.anchor(m), dtype=object) @ C.conn(V, X, m)
+    second = lie_bracket_vf(C.anchor_of(X), V, m)
+    return first + second
+
+
+def nabla_bar_g(C: AlgebroidChart, X, Y, m):
+    """Associated fiber-direction derivative of a fiber section."""
+    m = as_point(m)
+    C.base.require_interior(m)
+    X = C.section(X)
+    Y = C.section(Y)
+    return C.conn(C.anchor_of(Y), X, m) + C.bracket(X, Y)(m)
+
+
+def torsion_bar(C: AlgebroidChart, x, y, m):
+    """Torsion of the associated connection on constant extensions.
+
+    Equals the stored torsion field by construction of the derived
+    bracket; kept as an explicit consistency probe.
+    """
+    m = as_point(m)
+    C.base.require_interior(m)
+    X, Y = C.section(x), C.section(y)
+    return (C.conn(C.anchor_of(Y), X, m) - C.conn(C.anchor_of(X), Y, m)
+            + C.bracket(X, Y)(m))
+
+
+# -- paths, parallel frames and twist fits -------------------------------------
+
+def polyline_path(points) -> BasePath:
+    segs = []
+    for a, b in zip(points[:-1], points[1:]):
+        segs.extend(line_path(a, b).segments)
+    return BasePath(tuple(segs))
+
+
+@dataclass(frozen=True)
+class ParallelFrame:
+    """Basis of parallel sections over a simply-connected region, equal to
+    the standard fiber basis at the anchor point."""
+
+    chart: AlgebroidChart
+    m0: np.ndarray
+    region: Chart
+    steps: int = 96
+    path_dependence: float = 0.0
+
+    def section(self, a: int) -> Callable:
+        e = np.zeros(self.chart.rank)
+        e[a] = 1.0
+
+        def sec(m):
+            return _transport_line_dual(self.chart, self.m0, m, e, self.steps)
+
+        return sec
+
+    def sections(self):
+        return [self.section(a) for a in range(self.chart.rank)]
+
+
+def _transport_line_dual(C: AlgebroidChart, m0, m, x0, steps: int):
+    """Fixed-step RK4 transport along the straight segment m0 -> m.
+
+    ``x0`` is a fiber vector or an r x k matrix whose columns are
+    transported together.  The endpoint may carry dual coordinates, so
+    sections built from this are differentiable like any other field.
+    """
+    m0 = np.asarray(m0, dtype=float)
+    m = as_point(m)
+    delta = m - m0.astype(object)
+
+    def rhs(t, x):
+        p = m0.astype(object) + t * delta
+        g = np.asarray(C.gamma(p), dtype=object)
+        gv = np.einsum("iab,i->ab", g, delta)
+        return -(gv @ x)
+
+    return rk4(rhs, 0.0, 1.0, np.asarray(x0, dtype=object), steps)
+
+
+def parallel_frame(C: AlgebroidChart, m0, region: Chart | None = None,
+                   steps: int = 96, dependence_tol: float = 1e-6) -> ParallelFrame:
+    """Frame of parallel sections; fails loudly when straight-line and
+    staircase transports disagree (flatness violation) at any of three
+    probe points."""
+    m0 = np.asarray(m0, dtype=float)
+    region = region or C.base
+    eye = np.eye(C.rank)
+    gaps = []
+    for m in region.halton_points(3, shrink=0.15):
+        mid = np.array(m, dtype=float).copy()
+        mid[0] = m0[0]
+        # the columns of each transported identity are the transported basis
+        direct = value(_transport_line_dual(C, m0, m, eye, steps))
+        via = value(_transport_line_dual(
+            C, mid, m, value(_transport_line_dual(C, m0, mid, eye, steps)), steps))
+        gaps.append(np.max(np.abs(direct - via)))
+    res = worst(gaps)
+    if not res <= dependence_tol:
+        raise TransportError(
+            f"path-dependent transport (residual {res:.3e}); region is not flat")
+    return ParallelFrame(C, m0, region, steps, res)
+
+
+def fit_twist(chart, base_map: Callable, m0, samples) -> AlgebraMap:
+    """Least-squares twist of a base map on the parallel-section fields.
+
+    Solves Dphi(m) a(m) P(m) = a(phi m) P(phi m) mu over the samples,
+    where P is the parallel frame from m0 (64 RK4 steps), then verifies
+    the fit to 1e-6.
+    """
+    r = chart.rank
+    m0 = np.asarray(m0, dtype=float)
+
+    def frame_at(m):
+        return value(_transport_line_dual(chart, m0, m, np.eye(r), 64))
+
+    rows_lhs = []
+    rows_rhs = []
+    for m in samples:
+        m = as_point(np.asarray(m, dtype=float))
+        pm = value(np.asarray(base_map(m), dtype=object))
+        dphi = value(dual.jacobian(lambda p: np.asarray(base_map(as_point(p)), dtype=object), m))
+        a_m = value(np.asarray(chart.anchor(m), dtype=object))
+        a_p = value(np.asarray(chart.anchor(as_point(pm)), dtype=object))
+        lhs = dphi @ a_m @ frame_at(value(np.asarray(m, dtype=object)))
+        rhs = a_p @ frame_at(pm)
+        rows_lhs.append(lhs)
+        rows_rhs.append(rhs)
+    L = np.vstack(rows_lhs)
+    R = np.vstack(rows_rhs)
+    mu, *_ = np.linalg.lstsq(R, L, rcond=None)
+    resid = float(np.max(np.abs(R @ mu - L)))
+    if resid > 1e-6:
+        raise DevelopmentError(f"no algebra twist fits the base map (residual {resid:.3e})")
+    g0 = fiber_bracket_at(chart, m0)
+    return AlgebraMap(g0, g0, mu)
+
+
+# -- the TM+h chart against its displayed formulas, and fixture models --------
+
+def skewness_residual(R: RiemannianCartanChart, samples=None) -> float:
+    """h-coordinates must act by metric-skew endomorphisms (by default at
+    10 points drawn with seed 42)."""
+    base = R.metric.chart
+    if samples is None:
+        samples = base.sample_points(np.random.default_rng(42), 10)
+    E = skew_basis(R.n)
+    res = []
+    for m in samples:
+        m = as_point(m)
+        F = value(np.asarray(R.frame(m), dtype=object))
+        sig = value(np.asarray(R.metric(m), dtype=object))
+        phi = F @ E @ np.linalg.inv(F)
+        res.append(np.max(np.abs(np.swapaxes(phi, 1, 2) @ sig + sig @ phi)))
+    return worst(res)
+
+
+def bracket_component_check(R: RiemannianCartanChart, samples=None) -> TensorReport:
+    """Derived section bracket against the displayed component formula on
+    adapted constant sections, to tolerance 1e-6 (by default at 5 points
+    drawn with seed 42)."""
+    base = R.metric.chart
+    if samples is None:
+        samples = base.sample_points(np.random.default_rng(42), 5)
+    n, r = R.n, R.rank
+    eye = np.eye(r)
+    res = []
+    for m in samples:
+        m = as_point(m)
+        F = np.asarray(R.frame(m), dtype=object)
+        Finv = dual.inv(F)
+        dF = dual.jacobian(lambda p: np.asarray(R.frame(as_point(p)), dtype=object), m)
+        Gam = np.asarray(R.lc.christoffel(m), dtype=object)
+        Rt = curvature_tensor_obj(R.lc, m)
+        for a in range(r):
+            for b in range(a + 1, r):
+                got = value(np.asarray(R.chart.bracket(eye[a], eye[b])(m), dtype=object))
+                va, wa = eye[a][:n], eye[a][n:]
+                vb, wb = eye[b][:n], eye[b][n:]
+                Wa = skew_matrix(wa.astype(object), n)
+                Wb = skew_matrix(wb.astype(object), n)
+                Va, Vb = F @ va.astype(object), F @ vb.astype(object)
+                Pa, Pb = F @ Wa @ Finv, F @ Wb @ Finv
+                jl = (np.einsum("kci,c->ki", dF, vb.astype(object)) @ Va
+                      - np.einsum("kci,c->ki", dF, va.astype(object)) @ Vb)
+                def lc_endo(Vdir, W):
+                    acc = np.zeros((n, n), dtype=object)
+                    Phi = F @ W @ Finv
+                    for i in range(n):
+                        dPhi = dF[:, :, i] @ W @ Finv - F @ W @ (Finv @ dF[:, :, i] @ Finv)
+                        Gi = Gam[:, i, :]
+                        acc = acc + Vdir[i] * (dPhi + Gi @ Phi - Phi @ Gi)
+                    return acc
+                R_ab = np.einsum("lbij,i,j->lb", Rt, Va, Vb)
+                want_tm = Finv @ jl
+                want_h = skew_coords(Finv @ (Pa @ Pb - Pb @ Pa
+                                             + lc_endo(Va, Wb) - lc_endo(Vb, Wa)
+                                             + R_ab) @ F, n)
+                want = np.concatenate([value(np.asarray(want_tm, dtype=object)),
+                                       value(np.asarray(want_h, dtype=object))])
+                res.append(np.max(np.abs(got - want)))
+    return TensorReport("bracket_component_check", worst(res), 1e-6)
+
+
+def curvature_formula_check(R: RiemannianCartanChart, samples=None) -> TensorReport:
+    """Chart-connection curvature against the displayed closed form
+
+        R(U1,U2)(V+phi) = 0 + ( -(LC_V R + phi . R)(U1, U2) ),
+
+    to tolerance 1e-6 (by default at 4 points drawn with seed 42).
+    """
+    base = R.metric.chart
+    if samples is None:
+        samples = base.sample_points(np.random.default_rng(42), 4)
+    n, r = R.n, R.rank
+    eyer = np.eye(r)
+    res = []
+    for m in samples:
+        m = as_point(m)
+        F = np.asarray(R.frame(m), dtype=object)
+        Finv = dual.inv(F)
+        Gam = np.asarray(R.lc.christoffel(m), dtype=object)
+        Rt = curvature_tensor_obj(R.lc, m)
+        dRt = dual.jacobian(lambda p: curvature_tensor_obj(R.lc, as_point(p)), m)
+        curv = curvature_conn_tensor(R.chart.jet(m))
+        for i in range(n):
+            for j in range(i + 1, n):
+                for a in range(r):
+                    lhs = curv[:, a, i, j]
+                    v, w = eyer[a][:n].astype(object), eyer[a][n:].astype(object)
+                    V = F @ v
+                    Phi = F @ skew_matrix(w, n) @ Finv
+                    Rij = Rt[:, :, i, j]
+                    # (LC_V R)(e_i, e_j) as an endomorphism
+                    dR_V = np.einsum("lbk,k->lb", dRt[:, :, i, j, :], V)
+                    GV = np.einsum("kil,l->ki", Gam, V)  # Gamma(V) matrix [k,i]
+                    cov = (dR_V + GV @ Rij - Rij @ GV
+                           - np.einsum("lbkj,ki->lbij", Rt, GV)[:, :, i, j]
+                           - np.einsum("lbik,kj->lbij", Rt, GV)[:, :, i, j])
+                    phiR = (Phi @ Rij - Rij @ Phi
+                            - np.einsum("lbkj,ki->lbij", Rt, Phi)[:, :, i, j]
+                            - np.einsum("lbik,kj->lbij", Rt, Phi)[:, :, i, j])
+                    closed_h = -(cov + phiR)
+                    want = np.concatenate([
+                        np.zeros(n),
+                        value(np.asarray(skew_coords(Finv @ closed_h @ F, n), dtype=object))])
+                    res.append(np.max(np.abs(lhs - want)))
+    return TensorReport("curvature_formula_check", worst(res), 1e-6)
+
+
+def so3_r3_model() -> ActionAlgebroid:
+    """Rotation algebra acting on R^3 with anchor a(m) = skew(m).
+
+    The orientation is m x xi, under which the basis fields are a plain
+    bracket homomorphism and the derived section bracket is Jacobi; the
+    opposite cross product satisfies the mirrored homomorphism law
+    instead (``development.bracket_orientation`` tells the two apart).
+    """
+    base = Chart((-5.0,) * 3, (5.0,) * 3)
+
+    def cross(xi, m):
+        xi = np.asarray(xi, dtype=object)
+        m = np.asarray(m, dtype=object)
+        return np.array([m[1] * xi[2] - m[2] * xi[1],
+                         m[2] * xi[0] - m[0] * xi[2],
+                         m[0] * xi[1] - m[1] * xi[0]], dtype=object)
+
+    return make_action_algebroid(so3(), cross, base)
+
+
+def euclidean2() -> RiemannianModel:
+    return riemannian_model("euclidean2", euclidean_metric(2), [0.0, 0.0])
+
+
+def ellipsoid2() -> RiemannianModel:
+    return riemannian_model("ellipsoid", ellipsoid_metric(), [1.1, 0.2])
+
+
+def abelian_pair(n: int = 2) -> LocalLieGroupModel:
+    chart = Chart((-3.0,) * n, (3.0,) * n)
+    return LocalLieGroupModel("abelian", DualPair(
+        chart, flat_connection(chart), flat_connection(chart)))

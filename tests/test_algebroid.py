@@ -4,15 +4,15 @@ import math
 import numpy as np
 import pytest
 
-from cartanlab import algebra, algebroid, dual, models
+from cartanlab import algebra, algebroid, models
 from cartanlab.algebroid import (AffineCocycleEntry, AlgebroidError,
-                                 check_action_homomorphism,
                                  check_anchor_homomorphism, check_cocycle,
                                  check_overlap_compatibility, infinitesimalize,
-                                 make_action_algebroid, resolve_action_sign,
-                                 section_bracket)
+                                 make_action_algebroid)
+from cartanlab.development import bracket_orientation
 from cartanlab.dual import value
 from cartanlab.geometry import Chart, as_point
+import oracles
 
 
 def test_translations_anchor_identity(translations2):
@@ -30,7 +30,7 @@ def test_so3_anchor_is_skew_of_point(so3_action):
     assert np.allclose(a, hat, atol=1e-14)
     # torsion equals the so(3) bracket table
     t = value(np.asarray(so3_action.chart.torsion(as_point(m)), dtype=object))
-    c = algebra.so3().structure_constants
+    c = oracles.so3().structure_constants
     assert np.allclose(np.einsum("cab->abc", t), c)
 
 
@@ -40,23 +40,25 @@ def test_counterexample_anchor(circle):
     assert abs(a[0, 0] - math.exp(-th)) < 1e-14
 
 
+# An action algebroid's anchor is its action on the basis, so the action is
+# a bracket homomorphism exactly when the anchor is.
+
 def test_action_homomorphism_translations(translations2):
-    rep = check_action_homomorphism(translations2, 1e-10, sign=1)
+    rep = check_anchor_homomorphism(translations2.chart, 1e-10, sign=1)
     assert rep.passed and rep.max_residual == 0.0
 
 
 def test_action_homomorphism_so3_sign_resolution(so3_action):
-    rep = resolve_action_sign(so3_action)
-    assert rep.passed
-    assert rep.sign == 1
-    assert rep.max_residual < 1e-8
+    assert bracket_orientation(so3_action.chart) == 1
+    rep = check_anchor_homomorphism(so3_action.chart, sign=1)
+    assert rep.passed and rep.max_residual < 1e-8
     # the mirrored cross product resolves to the opposite flag
     mirrored = make_action_algebroid(
         so3_action.algebra,
         lambda xi, m: -np.asarray(so3_action.action(xi, m), dtype=object),
         so3_action.chart.base)
-    rep2 = resolve_action_sign(mirrored)
-    assert rep2.passed and rep2.sign == -1
+    assert bracket_orientation(mirrored.chart) == -1
+    assert check_anchor_homomorphism(mirrored.chart, sign=-1).passed
 
 
 def test_action_homomorphism_failure_case():
@@ -67,22 +69,22 @@ def test_action_homomorphism_failure_case():
         return np.array([xi[0] * m[0] + xi[1]], dtype=object)
 
     A = make_action_algebroid(g0, act, Chart((-2.0,), (2.0,)))
-    plus = check_action_homomorphism(A, 1e-8, sign=1)
-    minus = check_action_homomorphism(A, 1e-8, sign=-1)
+    plus = check_anchor_homomorphism(A.chart, 1e-8, sign=1)
+    minus = check_anchor_homomorphism(A.chart, 1e-8, sign=-1)
     assert not plus.passed and not minus.passed
 
 
 def test_section_bracket_constant_sections_equal_tau(so3_action):
     m = [0.2, 0.4, -0.6]
     out = value(np.asarray(
-        section_bracket(so3_action.chart, np.eye(3)[0], np.eye(3)[1], m), dtype=object))
+        so3_action.chart.bracket(np.eye(3)[0], np.eye(3)[1])(m), dtype=object))
     assert np.allclose(out, [0.0, 0.0, 1.0], atol=1e-14)
 
 
 def test_section_bracket_self_is_zero(so3_action):
     X = lambda m: np.array([m[0], 1.0 + 0.0 * m[0], m[2] ** 2], dtype=object)
     out = value(np.asarray(
-        section_bracket(so3_action.chart, X, X, [0.5, 0.1, 0.9]), dtype=object))
+        so3_action.chart.bracket(X, X)([0.5, 0.1, 0.9]), dtype=object))
     assert np.allclose(out, 0.0, atol=1e-12)
 
 
@@ -90,14 +92,12 @@ def test_section_bracket_antisymmetry_exact(so3_action, sphere):
     X = lambda m: np.array([m[0], 1.0 + 0.0 * m[0], m[2] * m[1]], dtype=object)
     Y = lambda m: np.array([0.2 + 0.0 * m[0], m[1], m[0] ** 2], dtype=object)
     m = [0.5, 0.1, 0.9]
-    xy = value(np.asarray(section_bracket(so3_action.chart, X, Y, m), dtype=object))
-    yx = value(np.asarray(section_bracket(so3_action.chart, Y, X, m), dtype=object))
+    xy = value(np.asarray(so3_action.chart.bracket(X, Y)(m), dtype=object))
+    yx = value(np.asarray(so3_action.chart.bracket(Y, X)(m), dtype=object))
     assert np.array_equal(xy, -yx)
     m2 = sphere.m0 + [0.05, 0.1]
-    a = value(np.asarray(section_bracket(
-        sphere.rc.chart, np.eye(3)[0], np.eye(3)[2], m2), dtype=object))
-    b = value(np.asarray(section_bracket(
-        sphere.rc.chart, np.eye(3)[2], np.eye(3)[0], m2), dtype=object))
+    a = value(np.asarray(sphere.rc.chart.bracket(np.eye(3)[0], np.eye(3)[2])(m2), dtype=object))
+    b = value(np.asarray(sphere.rc.chart.bracket(np.eye(3)[2], np.eye(3)[0])(m2), dtype=object))
     assert np.max(np.abs(a + b)) < 1e-14
 
 
@@ -108,11 +108,11 @@ def test_section_bracket_leibniz_oracle(translations2):
     f = lambda m: m[0] * m[1]
     fY = lambda m: np.array([f(m), f(m) * m[0]], dtype=object)
     m = np.array([0.7, -0.2])
-    got = value(np.asarray(section_bracket(C, fY, Y, m), dtype=object))
+    got = value(np.asarray(C.bracket(fY, Y)(m), dtype=object))
     # #Y f along the anchor (identity): directional derivative of f along Y
     anchor_y = value(np.asarray(C.anchor(as_point(m)), dtype=object)) @ \
         value(np.asarray(Y(as_point(m)), dtype=object))
-    df = value(dual.directional(lambda p: f(p), as_point(m), anchor_y))
+    df = value(oracles.directional(lambda p: f(p), as_point(m), anchor_y))
     expected = -df * value(np.asarray(Y(as_point(m)), dtype=object))
     assert np.max(np.abs(got - expected)) < 1e-12
 
@@ -315,10 +315,11 @@ def test_jet_arrays_read_in_any_order_match(sphere):
 
 def test_a_nan_action_at_the_second_sample_fails_the_homomorphism(translations2,
                                                                   nan_after_first_point):
-    A = algebroid.ActionAlgebroid(translations2.algebra,
-                                  nan_after_first_point(translations2.action),
-                                  translations2.chart)
-    rep = check_action_homomorphism(A, 1e-10, sign=1, samples=[[0.1, 0.2], [0.3, -0.4]])
+    # the action reaches the homomorphism check as the anchor it builds
+    C = translations2.chart
+    chart = algebroid.AlgebroidChart(C.base, 2, anchor=nan_after_first_point(C.anchor),
+                                     gamma=C.gamma, torsion=C.torsion)
+    rep = check_anchor_homomorphism(chart, 1e-10, sign=1, samples=[[0.1, 0.2], [0.3, -0.4]])
     assert not rep.passed and math.isnan(rep.max_residual)
 
 

@@ -13,7 +13,8 @@ from cartanlab import cli, models, ode
 from cartanlab.algebroid import AlgebroidError
 from cartanlab.dual import value
 from cartanlab.geometry import Chart, GeometryError, SmoothField, as_point
-from cartanlab.transport import line_path, polyline_path, segment_batch
+from cartanlab.transport import line_path, segment_batch
+from oracles import polyline_path
 
 FLOATS = st.floats(-1e3, 1e3, allow_nan=False)
 # two ulp of the larger operand

@@ -16,6 +16,7 @@ from cartanlab import algebra, cartan, cli, development, geometry, models
 from cartanlab.cli import (ScenarioError, bundled_scenarios,
                            export_report, list_examples,
                            report_from_structured, run_scenario)
+import oracles
 
 MINIMAL = {"name": "minimal", "model": "affine_line_group", "seed": 7,
            "checks": [{"op": "dual_pair"}]}
@@ -532,7 +533,7 @@ def test_tol_scale_scales_every_threshold():
         assert run_scenario(doc).verdict is not expect_zero
         assert run_scenario(doc, tol_scale=1e12).verdict is expect_zero
     # a monodromy 1e-3 off an automorphism of so(3)
-    so3 = algebra.so3()
+    so3 = oracles.so3()
     model = models.load_model("flat_torus")
     vars(model)["monodromies"] = (algebra.AlgebraMap(so3, so3, 1.001 * np.eye(3)),)
     item = {"op": "monodromy", "automorphism_tol": 1e-6}

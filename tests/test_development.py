@@ -11,16 +11,17 @@ from cartanlab.algebra import AlgebraMap, MatrixRealization, Subalgebra
 from cartanlab.algebroid import ActionAlgebroid
 from cartanlab.development import (Coset, DevelopmentError, EquivariantMap,
                                    HomogeneousModel, check_equivariant_twist,
-                                   check_lemma_diagram, coset_residual,
-                                   develop_paths, develop_point, develop_to,
+                                   coset_residual, develop_paths, develop_point,
                                    development_jacobian,
-                                   equivariance_diagram_check, fit_twist,
+                                   equivariance_diagram_check,
                                    geometric_closure_probe,
                                    induced_affine_map, integrated_twist,
                                    path_independence_check, reconstruct_atlas)
 from cartanlab.dual import cos, sin, value
 from cartanlab.geometry import as_point
-from cartanlab.transport import BasePath, PathSegment, line_path, polyline_path
+from cartanlab.transport import BasePath, PathSegment, line_path
+import oracles
+from oracles import fit_twist, polyline_path
 
 E2PI = math.exp(2 * math.pi)
 
@@ -38,7 +39,7 @@ def test_equivariant_twist_deck_map(circle, rng):
 
 
 def test_equivariant_twist_rotation_needs_adjoint(so3_action, rng):
-    R = algebra.exp_matrix(algebra.so3_realization(), [0, 0, 1], 0.8)
+    R = algebra.exp_matrix(oracles.so3_realization(), [0, 0, 1], 0.8)
     good = EquivariantMap(lambda m: R.astype(object) @ as_point(m),
                           AlgebraMap(so3_action.algebra, so3_action.algebra, R))
     rep = check_equivariant_twist(so3_action, good, samples=rng.uniform(-1, 1, (6, 3)))
@@ -50,7 +51,7 @@ def test_equivariant_twist_rotation_needs_adjoint(so3_action, rng):
 
 
 def test_develop_translations_gives_translation_part(torus):
-    c = develop_to(torus.cover, torus.homog, [0.0, 0.0], [0.7, -0.4])
+    c = develop_point(torus.cover, torus.homog, line_path([0.0, 0.0], [0.7, -0.4]))
     assert np.allclose(c.g[:2, 2], [0.7, -0.4], atol=1e-10)
     ident = develop_point(torus.cover, torus.homog,
                           line_path([0.3, 0.3], [0.3, 0.3]))
@@ -62,7 +63,7 @@ def test_develop_counterexample_quadrature_oracle(circle):
     # integrate it independently by quadrature
     theta = 1.3
     expected, _ = quad(lambda t: math.exp(t * theta) * theta, 0.0, 1.0)
-    c = develop_to(circle.cover, circle.homog, [0.0], [theta])
+    c = develop_point(circle.cover, circle.homog, line_path([0.0], [theta]))
     assert abs(c.g[0, 1] - expected) < 1e-9
     assert abs(expected - (math.exp(theta) - 1.0)) < 1e-10
 
@@ -70,7 +71,7 @@ def test_develop_counterexample_quadrature_oracle(circle):
 def test_develop_rejects_rank_deficient_anchor(so3_action):
     # the rotation action is not transitive on R^3: radial motion cannot
     # be lifted through the anchor
-    H = HomogeneousModel(so3_action.algebra, algebra.so3_realization(),
+    H = HomogeneousModel(so3_action.algebra, oracles.so3_realization(),
                          Subalgebra(so3_action.algebra, ()))
     with pytest.raises(DevelopmentError):
         develop_point(so3_action, H, line_path([1.0, 0.0, 0.0], [2.0, 0.0, 0.0]))
@@ -127,7 +128,7 @@ def _great_circle_arc(u, w):
 
 
 def _so3_model(so3_action):
-    return HomogeneousModel(so3_action.algebra, algebra.so3_realization(),
+    return HomogeneousModel(so3_action.algebra, oracles.so3_realization(),
                             Subalgebra(so3_action.algebra, ()))
 
 
@@ -349,19 +350,19 @@ def test_sphere_coset_residual_beyond_a_third_of_a_turn(sphere):
 def test_induced_affine_map_identity(circle):
     H = circle.homog
     E = EquivariantMap.identity(circle.cover.algebra)
-    q = develop_to(circle.cover, H, [0.0], [0.0])
+    q = develop_point(circle.cover, H, line_path([0.0], [0.0]))
     aff = induced_affine_map(E, H, q)
-    c = develop_to(circle.cover, H, [0.0], [0.9])
+    c = develop_point(circle.cover, H, line_path([0.0], [0.9]))
     assert coset_residual(aff(c), c) < 1e-10
 
 
 def test_induced_affine_map_counterexample_formula(circle):
     # x -> e^{2 pi} x + (e^{2 pi} - 1) on the developed line
     H = circle.homog
-    q = develop_to(circle.cover, H, [0.0], [2 * math.pi])
+    q = develop_point(circle.cover, H, line_path([0.0], [2 * math.pi]))
     aff = induced_affine_map(circle.decks[0], H, q)
     for x in (0.0, -0.3, 2.0):
-        c = develop_to(circle.cover, H, [0.0], [math.log(1 + x)])
+        c = develop_point(circle.cover, H, line_path([0.0], [math.log(1 + x)]))
         img = aff(c)
         want = E2PI * x + (E2PI - 1.0)
         assert abs(img.g[0, 1] - want) < 1e-6 * max(1.0, abs(want))
@@ -373,24 +374,26 @@ def test_induced_affine_map_composition_law(circle):
     A = circle.cover
     deck = circle.decks[0]
     deck2 = deck.compose(deck)
-    q1 = develop_to(A, H, [0.0], value(np.asarray(deck.base_map([0.0]), dtype=object)))
+    q1 = develop_point(A, H, line_path([0.0], value(np.asarray(deck.base_map([0.0]),
+                                                                dtype=object))))
     aff1 = induced_affine_map(deck, H, q1)
-    q2 = develop_to(A, H, [0.0], value(np.asarray(deck2.base_map([0.0]), dtype=object)))
+    q2 = develop_point(A, H, line_path([0.0], value(np.asarray(deck2.base_map([0.0]),
+                                                                dtype=object))))
     aff2 = induced_affine_map(deck2, H, q2)
     composed = aff1.compose(aff1)
     for x in (-0.2, 0.5):
-        c = develop_to(A, H, [0.0], [x])
+        c = develop_point(A, H, line_path([0.0], [x]))
         assert coset_residual(aff2(c), composed(c)) < 1e-6
 
 
 def test_induced_affine_map_group_equivariance(circle):
     # phi(g . x) = mu_hat(g) . phi(x) for g near the identity
     H = circle.homog
-    q = develop_to(circle.cover, H, [0.0], [2 * math.pi])
+    q = develop_point(circle.cover, H, line_path([0.0], [2 * math.pi]))
     aff = induced_affine_map(circle.decks[0], H, q)
     for s in (0.07, -0.11):
         g = algebra.exp_matrix(H.realization, [s])
-        x = develop_to(circle.cover, H, [0.0], [0.4])
+        x = develop_point(circle.cover, H, line_path([0.0], [0.4]))
         lhs = aff(development.Coset(g @ x.g, H))
         rhs = development.Coset(
             integrated_twist(H, circle.decks[0].twist, g) @ aff(x).g, H)
@@ -409,16 +412,23 @@ def test_lemma_b_guard_rejects_inconsistent_inputs(sphere):
         induced_affine_map(E, H, q)
 
 
+def _lemma_diagram(model, deck, a, b):
+    """Matrix residual of: developing the deck image of the segment a -> b
+    equals applying the integrated twist to its development.  The decks
+    are translations, so the image is the segment phi(a) -> phi(b)."""
+    def phi(m):
+        return value(np.asarray(deck.base_map(as_point(m)), dtype=object))
+    g, g_img = develop_paths(model.cover, model.homog,
+                             [line_path(a, b), line_path(phi(a), phi(b))])
+    return np.max(np.abs(g_img.g - integrated_twist(model.homog, deck.twist, g.g)))
+
+
 def test_lemma_diagram_counterexample_matrix_level(circle):
-    res = check_lemma_diagram(circle.cover, circle.homog, circle.decks[0],
-                              line_path([0.0], [1.1]))
-    assert res < 1e-6
+    assert _lemma_diagram(circle, circle.decks[0], [0.0], [1.1]) < 1e-6
 
 
 def test_lemma_diagram_torus(torus):
-    res = check_lemma_diagram(torus.cover, torus.homog, torus.decks[1],
-                              line_path([0.0, 0.0], [0.4, 0.3]))
-    assert res < 1e-9
+    assert _lemma_diagram(torus, torus.decks[1], [0.0, 0.0], [0.4, 0.3]) < 1e-9
 
 
 def test_equivariance_diagram_counterexample(circle, rng):
@@ -489,7 +499,7 @@ def test_closure_probe_sphere_isotropy_via_frequencies(sphere):
 
 
 def test_closure_probe_undecided_for_nonskew():
-    aff = algebra.affine_line()
+    aff = oracles.affine_line()
     gens = (np.array([[1.0, 0.0], [0.0, 0.0]]), np.array([[0.0, 1.0], [0.0, 0.0]]))
     real = MatrixRealization(aff, gens)
     H = HomogeneousModel(aff, real, Subalgebra(aff, (np.array([1.0, 0.0]),)))
@@ -561,7 +571,7 @@ def test_a_nan_coset_residual_after_the_first_sample_fails_the_diagram(circle, m
 
 
 def test_a_nan_residual_after_the_first_generator_refuses_the_induced_map(monkeypatch):
-    aff = algebra.affine_line()
+    aff = oracles.affine_line()
     gens = (np.array([[1.0, 0.0], [0.0, 0.0]]), np.array([[0.0, 1.0], [0.0, 0.0]]))
     H = HomogeneousModel(aff, MatrixRealization(aff, gens),
                          Subalgebra(aff, (np.array([1.0, 0.0]),)))

@@ -8,6 +8,7 @@ from hypothesis.extra.numpy import array_shapes
 
 from cartanlab import dual
 from cartanlab.dual import Dual, value
+import oracles
 
 
 def test_first_derivative_matches_closed_form():
@@ -58,7 +59,7 @@ def test_jacobian_at_a_dual_point_matches_directionals():
     J = dual.jacobian(f, m)
     assert J.shape == (2, 2, 3)
     for k in range(3):
-        want = np.asarray(dual.directional(f, m, np.eye(3)[k]), dtype=object)
+        want = np.asarray(oracles.directional(f, m, np.eye(3)[k]), dtype=object)
         for part in (value, lambda x: value(dual.eps_part(x))):
             assert np.array_equal(part(J[..., k]), part(want))
 
@@ -67,7 +68,7 @@ def test_directional_second_derivative():
     def f(m):
         return m[0] ** 2 * m[1]
 
-    out = dual.second_directional(f, np.array([1.5, 2.0]), [1.0, 0.0], [0.0, 1.0])
+    out = dual.taylor(f, np.array([1.5, 2.0]), 2).d.d[0, 1]
     # d^2/dxdy (x^2 y) = 2x
     assert abs(value(out) - 3.0) < 1e-13
 

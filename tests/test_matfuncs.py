@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 
 from cartanlab import algebra
 from cartanlab.algebra import AlgebraError
+import oracles
 
 REL = 1e-12
 
@@ -25,7 +26,7 @@ def rel_err(got, want) -> float:
 def rotation(axis, angle) -> np.ndarray:
     n = np.asarray(axis, dtype=float)
     n = n / np.linalg.norm(n)
-    return scipy.linalg.expm(angle * algebra.so3_realization().element(n))
+    return scipy.linalg.expm(angle * oracles.so3_realization().element(n))
 
 
 def affine(s, t) -> np.ndarray:
@@ -38,8 +39,8 @@ def heisenberg(a, b, c) -> np.ndarray:
 
 coord = st.floats(-3.0, 3.0, allow_nan=False)
 axis = st.tuples(coord, coord, coord).filter(lambda v: np.linalg.norm(v) > 1e-3)
-REALIZATIONS = [algebra.so3_realization(), algebra.adjoint_realization(algebra.heisenberg()),
-                algebra.adjoint_realization(algebra.affine_line()),
+REALIZATIONS = [oracles.so3_realization(), algebra.adjoint_realization(oracles.heisenberg()),
+                algebra.adjoint_realization(oracles.affine_line()),
                 algebra.translation_realization(2)]
 
 

@@ -7,16 +7,17 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from cartanlab import algebra, cartan, dual, geometry, models, transport
+from cartanlab.algebra import LieAlgebra
 from cartanlab.algebroid import AlgebroidChart
 from cartanlab.dual import value
-from cartanlab.geometry import (SmoothField, TMConnection, as_point, curvature_tensor_obj,
-                                scalar_form_fit)
+from cartanlab.geometry import SmoothField, TMConnection, as_point, scalar_form_fit
 from cartanlab.models import (DualPair, build_riemannian_cartan,
                               check_dual_pair, classify_constant_curvature,
-                              curvature_formula_check, local_lie_group_check,
-                              model_structure_constants, obstruction_form,
-                              bracket_component_check, restricted_bracket,
-                              skew_coords, skew_matrix, skewness_residual)
+                              local_lie_group_check, model_structure_constants,
+                              obstruction_form, skew_coords, skew_matrix, torsion_field)
+import oracles
+from oracles import (bracket_component_check, curvature_formula_check, curvature_tensor_obj,
+                     skewness_residual)
 
 
 def _skew_matrix_loop(w, n):
@@ -392,7 +393,7 @@ def test_riemannian_model_builds_its_homogeneous_model_on_first_use(monkeypatch)
     def no_bracket(*args):
         raise algebra.AlgebraError("no fiber bracket")
     monkeypatch.setattr(models, "fiber_bracket_at", no_bracket)
-    model = models.ellipsoid2()
+    model = oracles.ellipsoid2()
     assert model.chart.rank == 3
     with pytest.raises(algebra.AlgebraError):
         model.homog
@@ -440,6 +441,12 @@ def test_christoffel_jets_match_nested_dual_references(name):
         assert np.max(np.abs(R - value(curvature_tensor_obj(ref, m)))) < 1e-12
 
 
+def _restricted_bracket(P, m0):
+    """Structure constants c[i, j, k] = T^k_ij of the second connection's
+    torsion at m0, a Lie algebra's (checked by ``LieAlgebra``)."""
+    return LieAlgebra(np.einsum("kij->ijk", value(torsion_field(P, m0)))).structure_constants
+
+
 def test_dual_pair_affine_and_failure():
     aff = models.affine_line_group()
     assert check_dual_pair(aff.pair).verdict
@@ -448,19 +455,18 @@ def test_dual_pair_affine_and_failure():
 
 
 def test_dual_pair_flat_euclidean():
-    ab = models.abelian_pair(2)
+    ab = oracles.abelian_pair(2)
     assert check_dual_pair(ab.pair).verdict
     rep = local_lie_group_check(ab.pair)
     assert rep.passed
-    assert restricted_bracket(ab.pair, [0.0, 0.0]).structure_constants.max() == 0.0
+    assert _restricted_bracket(ab.pair, [0.0, 0.0]).max() == 0.0
 
 
 def test_local_lie_group_affine():
     aff = models.affine_line_group()
     rep = local_lie_group_check(aff.pair, m0=[1.0, 0.0])
     assert rep.passed
-    fb = restricted_bracket(aff.pair, [1.0, 0.0])
-    c = fb.structure_constants
+    c = _restricted_bracket(aff.pair, [1.0, 0.0])
     # one-dimensional derived algebra spanned by the translation direction
     assert abs(abs(c[0, 1, 1]) - 1.0) < 1e-9
     assert np.max(np.abs(c[0, 1, 0])) < 1e-12
@@ -480,8 +486,7 @@ def test_local_lie_group_heisenberg():
     h = models.heisenberg_group()
     rep = local_lie_group_check(h.pair, m0=[0.0, 0.0, 0.0])
     assert rep.passed
-    fb = restricted_bracket(h.pair, [0.0, 0.0, 0.0])
-    c = fb.structure_constants
+    c = _restricted_bracket(h.pair, [0.0, 0.0, 0.0])
     assert abs(abs(c[0, 1, 2]) - 1.0) < 1e-12
     # center: e3 brackets to zero
     assert np.max(np.abs(c[2, :, :])) < 1e-12
@@ -508,7 +513,7 @@ def test_obstruction_form_values(rng):
         frame_val = ob.w @ np.array([m[0], 0.0])
         assert abs(abs(frame_val) - 1.0) < 1e-9
     assert seen_nonzero
-    for mk in (models.heisenberg_group(), models.abelian_pair(2)):
+    for mk in (models.heisenberg_group(), oracles.abelian_pair(2)):
         for m in mk.pair.chart.sample_points(rng, 4):
             ob = obstruction_form(mk.pair, m)
             assert np.max(np.abs(ob.w)) < 1e-9

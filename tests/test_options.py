@@ -8,45 +8,18 @@ conservative: name collisions can hide an unused option, never invent one.
 """
 
 import ast
-from pathlib import Path
 
-ROOT = Path(__file__).resolve().parent.parent
+from _audit import calls, parse
 
 # "module: function(parameter)" -> why it stays an option with no caller
 KEEP: dict[str, str] = {}
-
-
-def _parse(*dirs):
-    for d in dirs:
-        for path in sorted((ROOT / d).rglob("*.py")):
-            yield path, ast.parse(path.read_text())
-
-
-def _calls():
-    """Call name -> [(positional count, keyword names, passes *args or **kwargs,
-    called as an attribute)] over the package, its tests and its benchmark."""
-    calls = {}
-    for _, tree in _parse("src/cartanlab", "tests", "perfbench"):
-        for node in ast.walk(tree):
-            if not isinstance(node, ast.Call):
-                continue
-            fn = node.func
-            name = fn.id if isinstance(fn, ast.Name) else getattr(fn, "attr", None)
-            if name is None:
-                continue
-            starred = any(isinstance(a, ast.Starred) for a in node.args)
-            calls.setdefault(name, []).append((
-                len(node.args), {k.arg for k in node.keywords},
-                starred or any(k.arg is None for k in node.keywords),
-                isinstance(fn, ast.Attribute)))
-    return calls
 
 
 def _options():
     """(label, call name, parameter, its positional index or None, how many
     leading parameters a plain call and an attribute call bind implicitly)
     for every option."""
-    for path, tree in _parse("src/cartanlab"):
+    for path, tree in parse("src/cartanlab"):
         methods = {id(f): cls for cls in ast.walk(tree) if isinstance(cls, ast.ClassDef)
                    for f in cls.body if isinstance(f, ast.FunctionDef)}
         for node in ast.walk(tree):
@@ -69,7 +42,7 @@ def _options():
 
 
 def _unused() -> list[str]:
-    calls = _calls()
+    found = calls("src/cartanlab", "tests", "perfbench")
     out = []
     for label, name, param, i, skip in _options():
         if param.startswith("_"):
@@ -77,7 +50,7 @@ def _unused() -> list[str]:
 
         def passes(npos, keywords, star, attribute):
             return star or param in keywords or (i is not None and npos > i - skip[attribute])
-        if not any(passes(*c) for c in calls.get(name, ())):
+        if not any(passes(*c) for c in found.get(name, ())):
             out.append(f"{label}({param})")
     return out
 

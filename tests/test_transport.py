@@ -3,18 +3,16 @@ import math
 import numpy as np
 import pytest
 
-from cartanlab import algebra, dual, geometry
+from cartanlab import algebra, geometry
 from cartanlab.algebroid import AlgebroidChart
 from cartanlab.cartan import bar_tm_tensor
 from cartanlab.dual import value
 from cartanlab.geometry import Chart, SmoothField, as_point
 from cartanlab.transport import (MAX_SWITCHES, BasePath, PathSegment, TransportError,
-                                 _transport_line_dual, completeness_probe, escape_bound, geodesic,
-                                 geodesic_glued, invariant_metric_check,
-                                 isotropy_subalgebra, line_path, monodromy,
-                                 monodromy_compactness_probe, parallel_frame,
-                                 parallel_transport, polyline_path,
-                                 transport_matrix)
+                                 completeness_probe, geodesic, geodesic_glued,
+                                 invariant_metric_check, isotropy_subalgebra, line_path,
+                                 monodromy, monodromy_compactness_probe, transport_matrix)
+from oracles import _transport_line_dual, directional, parallel_frame, polyline_path
 
 E2PI = math.exp(2 * math.pi)
 
@@ -50,7 +48,7 @@ def test_transport_along_a_sphere_latitude_rotates_the_frame():
 
 def test_transport_flat_chart_preserves_fiber(translations2):
     path = polyline_path([[0.0, 0.0], [0.7, 0.2], [0.3, 0.9]])
-    out = parallel_transport(translations2.chart, path, [1.3, -0.4])
+    out = transport_matrix(translations2.chart, path) @ np.array([1.3, -0.4])
     assert np.allclose(out, [1.3, -0.4], atol=1e-12)
 
 
@@ -61,7 +59,7 @@ def test_transport_is_linear(circle, rng):
         x = rng.uniform(-1, 1, 1)
         y = rng.uniform(-1, 1, 1)
         a, b = rng.uniform(-2, 2, 2)
-        lhs = parallel_transport(circle.glued, loop, a * x + b * y)
+        lhs = transport_matrix(circle.glued, loop) @ (a * x + b * y)
         rhs = a * M @ x + b * M @ y
         assert np.max(np.abs(lhs - rhs)) < 1e-9
 
@@ -74,8 +72,8 @@ def test_transport_homotopy_invariance_flat(sphere):
     p1 = line_path(m0, m1)
     p2 = polyline_path([m0, m0 + [0.0, -0.2], m1])
     x0 = np.array([0.3, -0.5, 0.8])
-    a = parallel_transport(C, p1, x0)
-    b = parallel_transport(C, p2, x0)
+    a = transport_matrix(C, p1) @ x0
+    b = transport_matrix(C, p2) @ x0
     assert np.max(np.abs(a - b)) < 1e-8
 
 
@@ -85,7 +83,7 @@ def test_transport_small_square_loop_sphere(sphere):
     d = 0.15
     square = polyline_path([m0, m0 + [d, 0], m0 + [d, d], m0 + [0, d], m0])
     x0 = np.array([1.0, 0.5, -0.25])
-    out = parallel_transport(C, square, x0)
+    out = transport_matrix(C, square) @ x0
     assert np.max(np.abs(out - x0)) < 1e-6
 
 
@@ -400,7 +398,7 @@ def _invariant_metric_by_directions(C, sigma, samples):
         sig = value(np.asarray(sigma(m), dtype=object))
         bar = bar_tm_tensor(C.jet(m))
         anchor = value(np.asarray(C.anchor(m), dtype=object))
-        res = [value(np.asarray(dual.directional(sigma, m, anchor[:, a]), dtype=object))
+        res = [value(np.asarray(directional(sigma, m, anchor[:, a]), dtype=object))
                - sig @ bar[:, a] - bar[:, a].T @ sig for a in range(C.rank)]
         per.append(np.max(np.abs(res)))
     return np.array(per)
@@ -474,59 +472,6 @@ def test_compactness_probe_matches_word_by_word_scan(rng):
         # the deviation is |lambda| - 1, so its roundoff scales with |lambda|
         assert abs(rep.max_modulus_deviation - dev) <= 1e-12 * (1.0 + dev)
         assert abs(rep.max_word_norm - nrm) <= 1e-12 * nrm
-
-
-def test_escape_bound_constant_field():
-    chart = Chart((-np.inf,) * 2, (np.inf,) * 2)
-    V = lambda m: np.array([2.0, 0.0], dtype=object)
-    sig = SmoothField.constant(chart, np.eye(2))
-    eb = escape_bound(V, sig, chart, [0.0, 0.0], 1.0)
-    assert abs(eb.T - 0.5) < 1e-12
-    assert eb.verified
-
-
-def test_escape_bound_counterexample_field():
-    from cartanlab import dual
-    chart = Chart((-np.inf,), (np.inf,))
-    V = lambda m: np.array([dual.exp(-m[0])], dtype=object)
-    sig = SmoothField.constant(chart, np.eye(1))
-    eb = escape_bound(V, sig, chart, [0.0], 0.5)
-    assert abs(eb.T - 0.5 / math.e) < 1e-12
-    assert eb.verified
-
-
-def test_escape_bound_integration_cross_check(rng):
-    chart = Chart((-np.inf,) * 2, (np.inf,) * 2)
-    A = np.array([[0.0, 1.5], [-1.5, 0.0]])
-    V = lambda m: A.astype(object) @ as_point(m)
-    sig = SmoothField.constant(chart, np.eye(2))
-    eb = escape_bound(V, sig, chart, [1.0, 0.0], 0.4)
-    assert eb.T > 0 and eb.verified
-
-
-def test_escape_bound_fails_on_a_nan_speed_after_the_first(nan_after_first_point):
-    chart = Chart((-np.inf,) * 2, (np.inf,) * 2)
-    V = nan_after_first_point(lambda m: np.array([2.0, 0.0], dtype=object))
-    eb = escape_bound(V, SmoothField.constant(chart, np.eye(2)), chart, [0.0, 0.0], 1.0)
-    assert math.isnan(eb.sup_norm) and not eb.verified
-
-
-def test_escape_bound_refuses_a_centre_outside_the_chart():
-    # the whole grid around m = 5 lies outside (0, 1): nothing would be sampled
-    chart = Chart((0.0,), (1.0,))
-    V = lambda m: np.array([1.0], dtype=object)
-    with pytest.raises(geometry.GeometryError, match="outside chart interior"):
-        escape_bound(V, SmoothField.constant(chart, np.eye(1)), chart, [5.0], 0.1)
-    eb = escape_bound(V, SmoothField.constant(chart, np.eye(1)), chart, [0.5], 0.1)
-    assert abs(eb.T - 0.1) < 1e-12 and eb.verified
-
-
-def test_escape_bound_zero_field():
-    chart = Chart((-np.inf,), (np.inf,))
-    V = lambda m: np.array([0.0], dtype=object)
-    sig = SmoothField.constant(chart, np.eye(1))
-    eb = escape_bound(V, sig, chart, [0.0], 1.0)
-    assert eb.T == np.inf
 
 
 def test_gpath_csv_table(circle, tmp_path):
