@@ -4,12 +4,12 @@ compatibility, parallel transport and monodromy, geodesic completeness
 probes, development into homogeneous models and atlas reconstruction."""
 
 from .algebra import (AlgebraMap, LieAlgebra, MatrixRealization, Subalgebra,
-                      bracket, exp_matrix, is_automorphism, log_matrix)
+                      TensorReport, bracket, exp_matrix, is_automorphism, log_matrix)
 from .algebroid import (ActionAlgebroid, AlgebroidChart, GluedAlgebroid,
                         Overlap, check_anchor_homomorphism, check_cocycle,
                         infinitesimalize, make_action_algebroid)
-from .cartan import (TensorReport, cocurvature, curvature_conn,
-                     fiber_bracket_at, is_cartan, is_flat)
+from .cartan import (cocurvature, curvature_conn, fiber_bracket_at, is_cartan,
+                     is_flat)
 from .development import (Coset, CoverSpec, EquivariantMap, HomogeneousModel,
                           check_equivariant_twist, develop_point,
                           equivariance_diagram_check, geometric_closure_probe,

@@ -12,7 +12,7 @@ over those square roots.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -33,6 +33,24 @@ def worst(residuals) -> float:
     """The largest residual, NaN if any is NaN (``max`` would keep whichever
     came first), so a residual that is not a number fails its check."""
     return float(np.max(residuals, initial=0.0))
+
+
+@dataclass(frozen=True)
+class TensorReport:
+    """Outcome of a residual check, which passes when its worst residual is
+    within ``tol``.  A check over sample points also keeps each point's
+    residual and the points."""
+
+    name: str
+    max_residual: float
+    tol: float
+    per_point: tuple[float, ...] = ()
+    sample_points: tuple = ()
+    details: dict = field(default_factory=dict)
+
+    @property
+    def passed(self) -> bool:
+        return self.max_residual <= self.tol
 
 
 @dataclass(frozen=True)
@@ -360,17 +378,7 @@ class AlgebraMap:
         return AlgebraMap(other.source, self.target, self.matrix @ other.matrix)
 
 
-@dataclass(frozen=True)
-class AutomorphismReport:
-    residual: float
-    tol: float
-
-    @property
-    def passed(self) -> bool:
-        return self.residual <= self.tol
-
-
-def is_automorphism(A: LieAlgebra, M: AlgebraMap, tol: float = 1e-8) -> AutomorphismReport:
+def is_automorphism(A: LieAlgebra, M: AlgebraMap, tol: float = 1e-8) -> TensorReport:
     """Check M[x,y] = [Mx, My] on basis pairs; requires an invertible M."""
     if M.source is not A and M.source.dim != A.dim:
         raise AlgebraError("map must act on the given algebra")
@@ -382,7 +390,7 @@ def is_automorphism(A: LieAlgebra, M: AlgebraMap, tol: float = 1e-8) -> Automorp
     res = [np.max(np.abs(mat @ bracket(A, eye[i], eye[j])
                          - bracket(A, mat @ eye[i], mat @ eye[j])))
            for i in range(n) for j in range(i + 1, n)]
-    return AutomorphismReport(worst(res), tol)
+    return TensorReport("is_automorphism", worst(res), tol)
 
 
 # -- stock algebras -----------------------------------------------------------

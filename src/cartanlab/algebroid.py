@@ -8,10 +8,11 @@ The bracket is never stored; it is always derived:
 
     [X, Y] = nabla_{#X} Y - nabla_{#Y} X + T(X, Y)
 
-``AlgebroidChart.jet`` reads each of the three fields' value and first
-derivative at most once at a point, when a pointwise tensor check first
-reads that field, through ``SmoothField.first_jet``: the field's closed
-form where it has one, else its 1-jet from ``dual.taylor``.
+The pointwise checks read each field they need once per point, as its
+``SmoothField.first_jet`` (the field's closed form where it has one, else
+its 1-jet from ``dual.taylor``), and contract those jets directly;
+``frame_bracket`` is the bracket of constant frame sections.  The anchor
+homomorphism and overlap checks return an ``algebra.TensorReport``.
 
 Action algebroids carry gamma = 0 and T equal to the fiberwise algebra
 bracket.  Glued algebroids add transition data on overlaps.
@@ -19,15 +20,14 @@ bracket.  Glued algebroids add transition data on overlaps.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from functools import cached_property
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
 
 from . import dual
 from .dual import value
-from .algebra import LieAlgebra, worst
+from .algebra import LieAlgebra, TensorReport, worst
 from .geometry import Chart, SmoothField, as_field, as_point
 
 
@@ -35,40 +35,12 @@ class AlgebroidError(ValueError):
     pass
 
 
-class Jet:
-    """Float values and first derivatives of a chart's fields at a point,
-    each field read once, through ``SmoothField.first_jet``, when first
-    needed.  Each ``d_*`` array is the field's shape plus a last axis
-    indexing the coordinate direction of differentiation.
-    """
-
-    def __init__(self, chart: AlgebroidChart, m):
-        self._chart, self._m = chart, m
-        self._closed = {}
-
-    def _jet(self, name: str) -> dual.Taylor:
-        if name not in self._closed:
-            self._closed[name] = getattr(self._chart, name).first_jet(self._m)
-        return self._closed[name]
-
-    def _derivative(self, name: str) -> np.ndarray:
-        return np.moveaxis(self._jet(name).d, 0, -1)
-
-    anchor = cached_property(lambda self: self._jet("anchor").v)              # (n, r)
-    d_anchor = cached_property(lambda self: self._derivative("anchor"))       # (n, r, n)
-    gamma = cached_property(lambda self: self._jet("gamma").v)                # (n, r, r)
-    d_gamma = cached_property(lambda self: self._derivative("gamma"))         # (n, r, r, n)
-    torsion = cached_property(lambda self: self._jet("torsion").v)            # (r, r, r)
-    d_torsion = cached_property(lambda self: self._derivative("torsion"))     # (r, r, r, n)
-
-    def gamma_on_anchor(self) -> np.ndarray:
-        """P[:, a, b] = Gamma(#e_a)e_b, so [e_a, e_b] = P - P^T + T."""
-        return np.einsum("ia,icb->cab", self.anchor, self.gamma)
-
-    def frame_bracket(self) -> np.ndarray:
-        """[e_a, e_b] of constant frame sections, at axis positions (:, a, b)."""
-        P = self.gamma_on_anchor()
-        return P - np.swapaxes(P, 1, 2) + self.torsion
+def frame_bracket(A, G, T):
+    """[e_a, e_b] = Gamma(#e_a)e_b - Gamma(#e_b)e_a + T(e_a, e_b) of constant
+    frame sections, at axis positions (:, a, b), from the anchor, gamma and
+    torsion: of their values, or of their jets for the bracket's jet."""
+    P = dual.contract("ia,icb->cab", A, G)
+    return P - dual.swap(P) + T
 
 
 @dataclass(frozen=True)
@@ -93,23 +65,13 @@ class AlgebroidChart:
             self.base, (r, r, r), lambda m: anti(np.asarray(raw(m), dtype=object)),
             name="torsion", jet=lambda m: anti(raw.first_jet(m))))
 
-    def jet(self, m) -> Jet:
-        """Anchor, gamma and torsion with their first derivatives at m."""
-        return Jet(self, as_point(m))
-
     # -- section calculus -----------------------------------------------------
 
     def section(self, x) -> Callable:
-        """Constant-in-trivialization extension of a fiber vector."""
+        """Constant-in-trivialization extension of a fiber (or tangent) vector."""
         if callable(x):
             return x
         arr = np.asarray(x, dtype=object)
-        return lambda m, _a=arr: _a
-
-    def vector(self, v) -> Callable:
-        if callable(v):
-            return v
-        arr = np.asarray(v, dtype=object)
         return lambda m, _a=arr: _a
 
     def anchor_of(self, X) -> Callable:
@@ -120,7 +82,7 @@ class AlgebroidChart:
     def conn(self, V, X, m):
         """nabla_V X at m; V tangent (vector or field), X fiber section."""
         m = as_point(m)
-        V = self.vector(V)
+        V = self.section(V)
         X = self.section(X)
         vm = np.asarray(V(m), dtype=object)
         xm = np.asarray(X(m), dtype=object)
@@ -200,30 +162,18 @@ def make_action_algebroid(g0: LieAlgebra, action: Callable, base: Chart) -> Acti
 
 # -- homomorphism checks ------------------------------------------------------
 
-@dataclass(frozen=True)
-class ResidualReport:
-    name: str
-    max_residual: float
-    tol: float
-    details: dict = field(default_factory=dict)
-
-    @property
-    def passed(self) -> bool:
-        return self.max_residual <= self.tol
-
-
 def check_anchor_homomorphism(C: AlgebroidChart, tol: float = 1e-8,
-                              sign: int = 1, samples: np.ndarray | None = None) -> ResidualReport:
+                              sign: int = 1, samples: np.ndarray | None = None) -> TensorReport:
     """Residual of #[X, Y] = sign * [#X, #Y] on constant-frame sections."""
     if samples is None:
         samples = C.base.halton_points(7)
     res = []
     for m in samples:
-        J = C.jet(m)
-        lhs = np.einsum("ic,cab->iab", J.anchor, J.frame_bracket())
-        L = np.einsum("ibk,ka->iab", J.d_anchor, J.anchor)     # (D #e_b) #e_a
+        A, G, T = (f.first_jet(m) for f in (C.anchor, C.gamma, C.torsion))
+        lhs = np.einsum("ic,cab->iab", A.v, frame_bracket(A.v, G.v, T.v))
+        L = np.einsum("kib,ka->iab", A.d, A.v)     # (D #e_b) #e_a
         res.append(np.max(np.abs(lhs - sign * (L - np.swapaxes(L, 1, 2)))))
-    return ResidualReport("anchor_homomorphism", worst(res), tol)
+    return TensorReport("anchor_homomorphism", worst(res), tol)
 
 
 # -- glued algebroids ---------------------------------------------------------
@@ -268,10 +218,6 @@ class GluedAlgebroid:
         out = [ov for ov in self.overlaps if ov.i == i and ov.j == j]
         out.extend(_inverted(ov) for ov in self.overlaps if ov.i == j and ov.j == i)
         return out
-
-    def overlap(self, i: int, j: int) -> Overlap | None:
-        found = self.overlaps_between(i, j)
-        return found[0] if found else None
 
 
 def _inverted(ov: Overlap) -> Overlap:
@@ -319,7 +265,7 @@ def intertwining_residuals(Ci: AlgebroidChart, Cj: AlgebroidChart, phi, mu,
     return tuple(float(np.max(np.abs(t), initial=0.0)) for t in (anchor, conn, torsion))
 
 
-def check_overlap_compatibility(G: GluedAlgebroid, tol: float = 1e-7) -> ResidualReport:
+def check_overlap_compatibility(G: GluedAlgebroid, tol: float = 1e-7) -> TensorReport:
     """Anchor / connection / torsion intertwining residuals on a fixed
     low-discrepancy sample of 17 points per overlap.  ``details`` holds
     each overlap's residual under ``overlap_i_j`` (``overlap_i_j_1`` and
@@ -344,7 +290,7 @@ def check_overlap_compatibility(G: GluedAlgebroid, tol: float = 1e-7) -> Residua
             evaluated += 1
         per.append(worst(res) if evaluated else np.inf)
         details[key], details[f"{key}_points"] = per[-1], evaluated
-    return ResidualReport("overlap_compatibility", worst(per), tol, details=details)
+    return TensorReport("overlap_compatibility", worst(per), tol, details=details)
 
 
 # -- cocycles and infinitesimalization ---------------------------------------

@@ -398,7 +398,7 @@ def _as_expected(passed: bool, params, residual: float) -> bool:
 def check_is_cartan(model, params, seed):
     C = model.chart
     rep = cartan.is_cartan(C, samples=params["samples"], tol=params["tol"], seed=seed)
-    return CheckResult("is_cartan", _as_expected(rep.verdict, params, rep.max_residual),
+    return CheckResult("is_cartan", _as_expected(rep.passed, params, rep.max_residual),
                        rep.max_residual,
                        {"samples": len(rep.per_point), "components_evaluated":
                         len(rep.per_point) * math.comb(C.rank, 2) * C.base.dim})
@@ -407,7 +407,7 @@ def check_is_cartan(model, params, seed):
 def check_is_flat(model, params, seed):
     C = model.chart
     rep = cartan.is_flat(C, samples=params["samples"], tol=params["tol"], seed=seed)
-    return CheckResult("is_flat", _as_expected(rep.verdict, params, rep.max_residual),
+    return CheckResult("is_flat", _as_expected(rep.passed, params, rep.max_residual),
                        rep.max_residual,
                        {"samples": len(rep.per_point), "components_evaluated":
                         len(rep.per_point) * math.comb(C.base.dim, 2) * C.rank})
@@ -417,7 +417,7 @@ def check_monodromy(model, params, seed):
     eigs, worst = [], 0.0
     for M in model.monodromies:
         eigs.extend(sorted(np.abs(np.linalg.eigvals(M.matrix)).tolist()))
-    auto_res = cartan.worst([algebra.is_automorphism(M.source, M).residual
+    auto_res = algebra.worst([algebra.is_automorphism(M.source, M).max_residual
                              for M in model.monodromies])
     if params["expect_eigenvalues"] is not None:
         got = np.sort(np.asarray(eigs))
@@ -460,7 +460,7 @@ def check_scalar_form_fit(model, params, seed):
     svals = [f.s for f in fits]
     # numpy's max and min keep a NaN, so a NaN fit fails the comparisons below
     spread = float(np.max(svals) - np.min(svals))
-    residual = cartan.worst([spread] + [f.residual for f in fits])
+    residual = algebra.worst([spread] + [f.residual for f in fits])
     verdict = spread <= params["spread_tol"]
     if params["expect_abs_s"] is not None:
         verdict = abs(abs(np.mean(svals)) - params["expect_abs_s"]) <= params["tol"] and verdict
@@ -485,7 +485,7 @@ def check_invariant_metric(model, params, seed):
         sigma = geometry.SmoothField(chart.base, metric.shape, metric.fn, name=metric.name)
     pts = chart.base.sample_points(np.random.default_rng(seed), params["samples"])
     rep = transport.invariant_metric_check(chart, sigma, tol=params["tol"], samples=pts)
-    return CheckResult("invariant_metric", _as_expected(rep.verdict, params, rep.max_residual),
+    return CheckResult("invariant_metric", _as_expected(rep.passed, params, rep.max_residual),
                        rep.max_residual, {"samples": len(rep.per_point)})
 
 
@@ -503,10 +503,10 @@ def check_compactness_probe(model, params, seed):
 def check_reconstruct(model, params, seed):
     atlas = development.reconstruct_atlas(model.glued, model.homog, model.atlas_spec)
     # each loop's transport must equal its deck twist
-    mono = cartan.worst([np.max(np.abs(M.matrix - d.twist.matrix))
+    mono = algebra.worst([np.max(np.abs(M.matrix - d.twist.matrix))
                          / max(1.0, float(np.max(np.abs(d.twist.matrix))))
                          for M, d in zip(model.monodromies, model.decks)])
-    worst = cartan.worst([t.residual for t in atlas.transitions])
+    worst = algebra.worst([t.residual for t in atlas.transitions])
     verdict = atlas.passed and mono <= params["monodromy_rtol"]
     mult = params["expect_multiplier"]
     witnesses = {
@@ -518,7 +518,7 @@ def check_reconstruct(model, params, seed):
              "offset": t.affine_offset.tolist()} for t in atlas.transitions],
     }
     if mult is not None:
-        fitted = cartan.worst([np.max(np.abs(t.affine_matrix)) for t in atlas.transitions])
+        fitted = algebra.worst([np.max(np.abs(t.affine_matrix)) for t in atlas.transitions])
         rel = abs(fitted - mult) / abs(mult)
         verdict = verdict and rel <= params["rtol"]
         witnesses["fitted_multiplier"] = fitted
@@ -531,12 +531,12 @@ def check_equivariance_diagram(model, params, seed):
     pts = rng.uniform(box.lower, box.upper, (params["samples"], box.dim))
     rep = development.equivariance_diagram_check(model.cover, model.homog, model.decks[0],
                                                  model.atlas_spec.m0, pts, tol=params["tol"])
-    return CheckResult("equivariance_diagram", rep.verdict, rep.max_residual, {})
+    return CheckResult("equivariance_diagram", rep.passed, rep.max_residual, {})
 
 
 def check_dual_pair(model, params, seed):
     rep = models.check_dual_pair(model.pair, tol=params["tol"], seed=seed)
-    return CheckResult("dual_pair", _as_expected(rep.verdict, params, rep.max_residual),
+    return CheckResult("dual_pair", _as_expected(rep.passed, params, rep.max_residual),
                        rep.max_residual, {})
 
 
@@ -550,8 +550,8 @@ def check_obstruction_form(model, params, seed):
     rng = np.random.default_rng(seed)
     pts = model.pair.chart.sample_points(rng, params["samples"])
     forms = [models.obstruction_form(model.pair, m) for m in pts]
-    dw = cartan.worst([ob.dw_residual for ob in forms])
-    wmax = cartan.worst([np.max(np.abs(ob.w)) for ob in forms])
+    dw = algebra.worst([ob.dw_residual for ob in forms])
+    wmax = algebra.worst([np.max(np.abs(ob.w)) for ob in forms])
     is_zero = wmax <= params["zero_tol"]
     # a form that is not a number is neither zero nor a valid nonzero form
     verdict = dw <= params["dw_tol"] and math.isfinite(wmax) and is_zero == params["expect_zero"]
@@ -563,7 +563,7 @@ def check_cocycle(model, params, seed):
     entries = {(e["i"], e["j"]): algebroid.AffineCocycleEntry(
         *(np.asarray(e[k], dtype=float) for k in "AbM")) for e in params["entries"]}
     rep = algebroid.check_cocycle(entries, tol=params["tol"])
-    residual = cartan.worst([rep.identity_residual, rep.composition_residual])
+    residual = algebra.worst([rep.identity_residual, rep.composition_residual])
     return CheckResult("cocycle", _as_expected(rep.passed, params, residual), residual,
                        {"failures": list(rep.failures)})
 

@@ -28,9 +28,8 @@ import numpy as np
 from . import dual
 from .dual import value
 from .algebra import (AlgebraMap, LieAlgebra, MatrixRealization,
-                      Subalgebra, exp_matrix, log_matrix)
-from .algebroid import ActionAlgebroid, worst
-from .cartan import TensorReport
+                      Subalgebra, TensorReport, exp_matrix, log_matrix, worst)
+from .algebroid import ActionAlgebroid
 from .geometry import Chart, as_point
 from .ode import RTOL_FLOOR, integrate
 from .transport import BasePath, line_path, segment_batch
@@ -553,7 +552,7 @@ def reconstruct_atlas(glued, H: HomogeneousModel, spec: CoverSpec) -> AtlasRepor
         if not rep.passed:
             raise DevelopmentError(
                 f"deck twist for patches {ov.i}/{ov.j} is not an automorphism "
-                f"of the fiber bracket (residual {rep.residual:.3e})")
+                f"of the fiber bracket (residual {rep.max_residual:.3e})")
     A = spec.cover
     m0 = np.asarray(spec.m0, dtype=float)
     chart_samples = []

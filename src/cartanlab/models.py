@@ -33,11 +33,11 @@ import numpy as np
 
 from . import dual
 from .dual import value
-from .algebra import (AlgebraMap, Subalgebra, abelian, adjoint_realization,
-                      translation_realization)
+from .algebra import (AlgebraMap, Subalgebra, TensorReport, abelian,
+                      adjoint_realization, translation_realization, worst)
 from .algebroid import (ActionAlgebroid, AlgebroidChart, GluedAlgebroid,
                         Overlap, make_action_algebroid)
-from .cartan import TensorReport, fiber_bracket_at, worst
+from .cartan import fiber_bracket_at
 from .development import (CoverSpec, EquivariantMap, HomogeneousModel,
                           OverlapSpec)
 from .geometry import (Chart, GeometryError, SmoothField, TMConnection, as_point,
@@ -257,7 +257,7 @@ def classify_constant_curvature(R: RiemannianCartanChart, m0,
     """
     from .cartan import is_flat
     flat = is_flat(R.chart, samples=6)
-    if not flat.verdict:
+    if not flat.passed:
         raise ValueError(
             f"chart connection is not flat (residual {flat.max_residual:.3e}); "
             "curvature is not constant")

@@ -21,9 +21,9 @@ import numpy as np
 
 from . import dual
 from .dual import Dual, value
-from .algebra import AlgebraMap, Subalgebra
+from .algebra import AlgebraMap, Subalgebra, TensorReport, worst
 from .algebroid import AlgebroidChart, GluedAlgebroid
-from .cartan import TensorReport, bar_tm_tensor, fiber_bracket_at, worst
+from .cartan import bar_tm_tensor, fiber_bracket_at
 from .geometry import SmoothField, as_point
 from .ode import integrate
 
@@ -55,9 +55,6 @@ class PathSegment:
     t1: float = 1.0
     # endpoints (a, b) when the curve is a + t (b - a) on [0, 1]
     line: tuple[np.ndarray, np.ndarray] | None = field(default=None, compare=False)
-
-    def velocity(self, t: float):
-        return dual.eps_part(np.asarray(self.curve(Dual(t, 1.0)), dtype=object))
 
     def point(self, t: float):
         return value(np.asarray(self.curve(t), dtype=object))
@@ -474,10 +471,9 @@ def invariant_metric_check(C: AlgebroidChart, sigma: SmoothField, tol: float = 1
         samples = C.base.sample_points(np.random.default_rng(42), 10)
     per = []
     for m in samples:
-        S = sigma.first_jet(m)
-        J = C.jet(m)
-        bar = bar_tm_tensor(J)     # bar[:, a, k] = nabla_bar_{e_a} e_k
-        res = (np.einsum("ipq,ia->apq", S.d, J.anchor) - np.einsum("pi,iaq->apq", S.v, bar)
+        S, A = sigma.first_jet(m), C.anchor.first_jet(m)
+        bar = bar_tm_tensor(A, C.gamma.first_jet(m))     # bar[:, a, k] = nabla_bar_{e_a} e_k
+        res = (np.einsum("ipq,ia->apq", S.d, A.v) - np.einsum("pi,iaq->apq", S.v, bar)
                - np.einsum("iap,iq->apq", bar, S.v))
         per.append(float(np.max(np.abs(res), initial=0.0)))
     return TensorReport("invariant_metric_check", worst(per), tol, tuple(per),

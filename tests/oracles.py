@@ -18,10 +18,9 @@ from typing import Callable
 import numpy as np
 
 from cartanlab import dual
-from cartanlab.algebra import AlgebraMap, LieAlgebra, MatrixRealization
+from cartanlab.algebra import AlgebraMap, LieAlgebra, MatrixRealization, TensorReport, worst
 from cartanlab.algebroid import ActionAlgebroid, AlgebroidChart, make_action_algebroid
-from cartanlab.cartan import (TensorReport, curvature_conn_tensor, fiber_bracket_at,
-                              worst)
+from cartanlab.cartan import curvature_conn_tensor, fiber_bracket_at
 from cartanlab.development import DevelopmentError
 from cartanlab.dual import eps_part, lift, value
 from cartanlab.geometry import (Chart, TMConnection, as_point, ellipsoid_metric,
@@ -139,7 +138,7 @@ def nabla_bar_tm(C: AlgebroidChart, X, V, m):
     m = as_point(m)
     C.base.require_interior(m)
     X = C.section(X)
-    V = C.vector(V)
+    V = C.section(V)
     first = np.asarray(C.anchor(m), dtype=object) @ C.conn(V, X, m)
     second = lie_bracket_vf(C.anchor_of(X), V, m)
     return first + second
@@ -365,7 +364,7 @@ def curvature_formula_check(R: RiemannianCartanChart, samples=None) -> TensorRep
         Gam = np.asarray(R.lc.christoffel(m), dtype=object)
         Rt = curvature_tensor_obj(R.lc, m)
         dRt = dual.jacobian(lambda p: curvature_tensor_obj(R.lc, as_point(p)), m)
-        curv = curvature_conn_tensor(R.chart.jet(m))
+        curv = curvature_conn_tensor(R.chart.gamma.first_jet(m))
         for i in range(n):
             for j in range(i + 1, n):
                 for a in range(r):

@@ -44,7 +44,7 @@ def test_criterion_03_cartan_certification(circle, so3_action, translations2):
     for A in (translations2, so3_action, circle.cover):
         rep = cartan.is_cartan(A.chart, samples=50, tol=1e-7)
         worst = max(worst, rep.max_residual)
-        assert rep.verdict
+        assert rep.passed
     gamma0 = translations2.chart.gamma
 
     def perturbed(m):
@@ -101,7 +101,7 @@ def test_criterion_05_monodromy_automorphism_law(circle, torus):
         M = transport.monodromy(glued, lp)
         mats[name] = M.matrix
         worst_auto = max(worst_auto,
-                         algebra.is_automorphism(M.source, M, tol=1e-6).residual)
+                         algebra.is_automorphism(M.source, M, tol=1e-6).max_residual)
     mult = np.max(np.abs(mats["circle2"] - mats["circle"] @ mats["circle"]))
     mult_rel = mult / np.max(np.abs(mats["circle2"]))
     inv = np.max(np.abs(mats["circle-rev"] @ mats["circle"] - np.eye(1)))
@@ -115,7 +115,7 @@ def test_criterion_06_riemannian_pipeline(sphere, euclid, hyperbolic, ellipsoid,
     svals = [geometry.scalar_form_fit(sphere.rc.lc, sphere.metric, m).s
              for m in sphere.metric.chart.sample_points(rng, 20)]
     s_ok = abs(abs(np.mean(svals)) - 1.0) <= 1e-6 and max(svals) - min(svals) <= 1e-6
-    flats = {name: cartan.is_flat(model.rc.chart, samples=50).verdict
+    flats = {name: cartan.is_flat(model.rc.chart, samples=50).passed
              for name, model in (("sphere", sphere), ("euclidean", euclid),
                                  ("hyperbolic", hyperbolic))}
     ell_flat = cartan.is_flat(ellipsoid.rc.chart, samples=20)
@@ -126,7 +126,7 @@ def test_criterion_06_riemannian_pipeline(sphere, euclid, hyperbolic, ellipsoid,
         cls = models.classify_constant_curvature(model.rc, model.m0, tol=1e-6)
         tags[want] = cls.tag == want
         worst_struct = max(worst_struct, cls.structure_residual)
-    ok = (s_ok and all(flats.values()) and not ell_flat.verdict
+    ok = (s_ok and all(flats.values()) and not ell_flat.passed
           and all(tags.values()) and worst_struct <= 1e-6)
     _report(6, ok,
             f"sphere |s|=1 constant over 20 pts; flat: {flats}; ellipsoid flat "
@@ -199,7 +199,7 @@ def test_criterion_07_development(circle, torus, sphere, rng):
     comp_res = max(comp_res,
                    development.coset_residual(taff2(c), taff.compose(taff)(c)))
     ok = (worst_pi <= 1e-5 and min_det >= 1e-6
-          and rep_cx.verdict and rep_to.verdict and comp_res <= 1e-6)
+          and rep_cx.passed and rep_to.passed and comp_res <= 1e-6)
     _report(7, ok,
             f"path independence <= {worst_pi:.2e} over 30 pairs (tol 1e-5); "
             f"min |det J| = {min_det:.3f} (>= 1e-6); diagrams "
@@ -254,13 +254,13 @@ def test_criterion_10_sufficient_condition_checkers(circle, sphere, hyperbolic,
             model.rc.chart, model.metric,
             samples=model.metric.chart.sample_points(rng, 8), tol=1e-7)
         worst = max(worst, rep.max_residual)
-        assert rep.verdict
+        assert rep.passed
     eu1 = SmoothField.constant(circle.cover.chart.base, np.eye(1))
     bad = transport.invariant_metric_check(circle.cover.chart, eu1,
                                            samples=rng.uniform(-1, 1, (5, 1)))
     M = transport.monodromy(circle.glued, circle.loops[0])
     probe = transport.monodromy_compactness_probe([M])
-    ok = (worst <= 1e-7 and not bad.verdict
+    ok = (worst <= 1e-7 and not bad.passed
           and probe.verdict == "unbounded" and probe.witness_word is not None
           and len(probe.witness_word) == 1)
     _report(10, ok,

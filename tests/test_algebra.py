@@ -144,7 +144,7 @@ def test_log_flags_off_span():
 def test_automorphism_identity():
     A = oracles.so3()
     rep = is_automorphism(A, AlgebraMap(A, A, np.eye(3)))
-    assert rep.passed and rep.residual == 0.0
+    assert rep.passed and rep.max_residual == 0.0
 
 
 def test_automorphism_scalar_on_line():
@@ -158,7 +158,7 @@ def test_swap_map_fails_with_residual_two():
     M = AlgebraMap(A, A, np.array([[0.0, 1.0, 0.0], [1.0, 0.0, 0.0], [0.0, 0.0, 1.0]]))
     rep = is_automorphism(A, M)
     assert not rep.passed
-    assert abs(rep.residual - 2.0) < 1e-12
+    assert abs(rep.max_residual - 2.0) < 1e-12
 
 
 def test_automorphism_composition_closed(rng):
@@ -209,7 +209,7 @@ def test_a_nan_map_entry_fails_the_automorphism_check():
     M = np.eye(3)
     M[2, 2] = math.nan
     rep = is_automorphism(A, AlgebraMap(A, A, M))
-    assert math.isnan(rep.residual) and not rep.passed
+    assert math.isnan(rep.max_residual) and not rep.passed
 
 
 def test_a_nan_generator_entry_fails_the_realization_closure():

@@ -300,19 +300,6 @@ def test_jets_evaluate_only_the_fields_a_check_reads(so3_action):
     assert calls
 
 
-def test_jet_arrays_read_in_any_order_match(sphere):
-    C = sphere.rc.chart
-    fields = ("anchor", "d_anchor", "gamma", "d_gamma", "torsion", "d_torsion")
-    for m in C.base.halton_points(2):
-        J = C.jet(m)
-        whole = [getattr(J, f) for f in fields]
-        assert all(getattr(J, f) is a for f, a in zip(fields, whole))
-        for order in (fields[::-1], fields[2::2] + fields[1::2] + fields[:1]):
-            J = C.jet(m)
-            got = {f: getattr(J, f) for f in order}
-            assert all(np.array_equal(got[f], a) for f, a in zip(fields, whole))
-
-
 def test_a_nan_action_at_the_second_sample_fails_the_homomorphism(translations2,
                                                                   nan_after_first_point):
     # the action reaches the homomorphism check as the anchor it builds

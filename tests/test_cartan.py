@@ -7,8 +7,8 @@ from hypothesis import strategies as st
 
 from cartanlab import algebra, algebroid, dual, geometry, models
 from cartanlab.algebroid import intertwining_residuals
-from cartanlab.cartan import (cocurvature, curvature_conn, fiber_bracket_at, is_cartan,
-                              is_flat)
+from cartanlab.cartan import (cocurvature, curvature_conn, curvature_conn_tensor,
+                              fiber_bracket_at, is_cartan, is_flat)
 from cartanlab.dual import value
 from cartanlab.geometry import Chart, as_point
 import oracles
@@ -128,7 +128,7 @@ def test_cocurvature_perturbed_connection_fails(translations2):
     pert = algebroid.AlgebroidChart(base=C.base, rank=2, anchor=C.anchor,
                                     gamma=gam, torsion=C.torsion)
     rep = is_cartan(pert, samples=20)
-    assert not rep.verdict
+    assert not rep.passed
     assert rep.max_residual >= 1e-3
 
 
@@ -172,10 +172,10 @@ def test_curvature_conn_antisymmetry(sphere):
 
 
 def test_is_cartan_is_flat_verdicts(sphere, ellipsoid):
-    assert is_cartan(sphere.rc.chart, samples=3).verdict
-    assert is_flat(sphere.rc.chart, samples=10).verdict
-    assert is_cartan(ellipsoid.rc.chart, samples=2).verdict
-    assert not is_flat(ellipsoid.rc.chart, samples=10).verdict
+    assert is_cartan(sphere.rc.chart, samples=3).passed
+    assert is_flat(sphere.rc.chart, samples=10).passed
+    assert is_cartan(ellipsoid.rc.chart, samples=2).passed
+    assert not is_flat(ellipsoid.rc.chart, samples=10).passed
 
 
 def test_fiber_bracket_so3_exact(so3_action):
@@ -256,7 +256,7 @@ def test_check_morphism_non_automorphism_fails(so3_action):
 def cocurvature_by_definition(C, x, y, v, m):
     """c(x, y)v built from the section calculus on constant extensions."""
     m = as_point(m)
-    X, Y, Vf = C.section(x), C.section(y), C.vector(v)
+    X, Y, Vf = C.section(x), C.section(y), C.section(v)
     nVX = lambda p: C.conn(Vf, X, as_point(p))
     nVY = lambda p: C.conn(Vf, Y, as_point(p))
     barXV = lambda p: (np.asarray(C.anchor(as_point(p)), dtype=object) @ nVX(p)
@@ -275,6 +275,26 @@ def curvature_by_definition(C, u, v, x, m):
     gu, gv = np.einsum("iab,i->ab", g, u), np.einsum("iab,i->ab", g, v)
     curl = np.einsum("jabi,i,j->ab", dg, u, v) - np.einsum("iabj,i,j->ab", dg, u, v)
     return (curl + gu @ gv - gv @ gu) @ x
+
+
+def curvature_by_gamma_jet(G):
+    """F[:, b, i, j] = d_i Gamma_j - d_j Gamma_i + [Gamma_i, Gamma_j] from the
+    gamma jet, contracted in gamma's own layout (G.d[i] = d_i gamma)."""
+    D = np.einsum("ijcb->cbij", G.d) + np.einsum("icd,jdb->cbij", G.v, G.v)
+    return D - np.swapaxes(D, 2, 3)
+
+
+@pytest.mark.parametrize("name", ["sphere(2)", "hyperbolic(3)", "ellipsoid", "circle", "torus"])
+def test_curvature_conn_tensor_is_the_gamma_curvature_formula(name):
+    if name in ("circle", "torus"):
+        C = {"circle": models.counterexample_s1, "torus": models.flat_torus}[name]().cover.chart
+    else:
+        metric = (geometry.ellipsoid_metric() if name == "ellipsoid"
+                  else geometry.metric_by_name(name))
+        C = models.build_riemannian_cartan(metric).chart
+    for m in C.base.halton_points(5):
+        G = C.gamma.first_jet(m)
+        assert np.array_equal(curvature_conn_tensor(G), curvature_by_gamma_jet(G))
 
 
 def _poly(rng, shape, n):
@@ -367,4 +387,4 @@ def test_a_nan_residual_at_the_second_sample_fails_the_check():
     rep = is_flat(C, samples=pts)
     assert np.isfinite(rep.per_point[0]) and np.isnan(rep.per_point[1])
     assert np.isnan(rep.max_residual)
-    assert not rep.verdict
+    assert not rep.passed

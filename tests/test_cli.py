@@ -170,7 +170,7 @@ def test_a_nan_multiplier_after_the_first_transition_fails_reconstruct(monkeypat
 
 
 def test_a_nan_residual_fails_a_check_that_expects_fail(monkeypatch):
-    nan_report = cartan.TensorReport("is_flat", math.nan, 1e-7, (0.0, math.nan))
+    nan_report = algebra.TensorReport("is_flat", math.nan, 1e-7, (0.0, math.nan))
     monkeypatch.setattr(cartan, "is_flat", lambda *a, **k: nan_report)
     params = {"samples": 2, "tol": 1e-7, "expect": "fail"}
     assert not cli.check_is_flat(models.sphere2(), params, 7).verdict
@@ -689,7 +689,7 @@ def test_a_nan_automorphism_residual_of_the_second_loop_fails(monkeypatch):
     def nan_second(A, M):
         calls.append(M)
         rep = is_automorphism(A, M)
-        return algebra.AutomorphismReport(math.nan, rep.tol) if len(calls) == 2 else rep
+        return algebra.TensorReport(rep.name, math.nan, rep.tol) if len(calls) == 2 else rep
 
     monkeypatch.setattr(algebra, "is_automorphism", nan_second)
     params = {"expect_eigenvalues": None, "rtol": 1e-6, "automorphism_tol": 1e-6}

@@ -29,13 +29,13 @@ E2PI = math.exp(2 * math.pi)
 def test_equivariant_twist_identity(circle):
     E = EquivariantMap.identity(circle.cover.algebra)
     rep = check_equivariant_twist(circle.cover, E)
-    assert rep.verdict and rep.max_residual < 1e-12
+    assert rep.passed and rep.max_residual < 1e-12
 
 
 def test_equivariant_twist_deck_map(circle, rng):
     rep = check_equivariant_twist(circle.cover, circle.decks[0],
                                   samples=rng.uniform(-1, 1, (8, 1)))
-    assert rep.verdict
+    assert rep.passed
 
 
 def test_equivariant_twist_rotation_needs_adjoint(so3_action, rng):
@@ -43,11 +43,11 @@ def test_equivariant_twist_rotation_needs_adjoint(so3_action, rng):
     good = EquivariantMap(lambda m: R.astype(object) @ as_point(m),
                           AlgebraMap(so3_action.algebra, so3_action.algebra, R))
     rep = check_equivariant_twist(so3_action, good, samples=rng.uniform(-1, 1, (6, 3)))
-    assert rep.verdict
+    assert rep.passed
     bad = EquivariantMap(lambda m: R.astype(object) @ as_point(m),
                          AlgebraMap(so3_action.algebra, so3_action.algebra, np.eye(3)))
     rep2 = check_equivariant_twist(so3_action, bad, samples=rng.uniform(-1, 1, (6, 3)))
-    assert not rep2.verdict
+    assert not rep2.passed
 
 
 def test_develop_translations_gives_translation_part(torus):
@@ -435,7 +435,7 @@ def test_equivariance_diagram_counterexample(circle, rng):
     pts = rng.uniform(-0.5, 1.5, (10, 1))
     rep = equivariance_diagram_check(circle.cover, circle.homog, circle.decks[0],
                                      [0.0], pts)
-    assert rep.verdict and rep.max_residual < 1e-5
+    assert rep.passed and rep.max_residual < 1e-5
 
 
 def test_equivariance_diagram_torus(torus, rng):
@@ -443,7 +443,7 @@ def test_equivariance_diagram_torus(torus, rng):
     for deck in torus.decks:
         rep = equivariance_diagram_check(torus.cover, torus.homog, deck,
                                          [0.0, 0.0], pts)
-        assert rep.verdict
+        assert rep.passed
 
 
 def test_equivariance_diagram_identity_map(torus, rng):
@@ -460,7 +460,7 @@ def test_equivariance_diagram_sphere_rotation(sphere):
     tw = fit_twist(C, rot, m0, samples)
     assert algebra.is_automorphism(tw.source, tw, tol=1e-8).passed
     rep = equivariance_diagram_check(C, H, EquivariantMap(rot, tw), m0, samples)
-    assert rep.verdict and rep.max_residual < 1e-5
+    assert rep.passed and rep.max_residual < 1e-5
 
 
 def test_closure_probe_trivial_and_asserted(circle):
@@ -554,7 +554,7 @@ def test_a_nan_action_after_the_first_point_fails_the_equivariant_twist(
     rep = check_equivariant_twist(A, EquivariantMap.identity(A.algebra),
                                   samples=[[0.1], [0.4], [0.7]])
     assert rep.per_point[0] == 0.0 and math.isnan(rep.per_point[1])
-    assert math.isnan(rep.max_residual) and not rep.verdict
+    assert math.isnan(rep.max_residual) and not rep.passed
 
 
 def test_a_nan_coset_residual_after_the_first_sample_fails_the_diagram(circle, monkeypatch):
@@ -567,7 +567,7 @@ def test_a_nan_coset_residual_after_the_first_sample_fails_the_diagram(circle, m
     rep = equivariance_diagram_check(circle.cover, circle.homog, circle.decks[0], [0.0],
                                      [[0.2], [0.5], [0.9]])
     assert len(calls) == 3 and rep.per_point[0] < 1e-5
-    assert math.isnan(rep.max_residual) and not rep.verdict
+    assert math.isnan(rep.max_residual) and not rep.passed
 
 
 def test_a_nan_residual_after_the_first_generator_refuses_the_induced_map(monkeypatch):
