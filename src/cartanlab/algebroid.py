@@ -257,8 +257,8 @@ def intertwining_residuals(Ci: AlgebroidChart, Cj: AlgebroidChart, phi, mu,
     dphi, dmu = (value(dual.jacobian(lambda p, _f=f: np.asarray(_f(p), dtype=object), m))
                  for f in (phi, mu))
     M = value(np.asarray(mu(m), dtype=object))
-    ai, gi, ti = (value(np.asarray(f(m), dtype=object)) for f in (Ci.anchor, Ci.gamma, Ci.torsion))
-    aj, gj, tj = (value(np.asarray(f(pm), dtype=object)) for f in (Cj.anchor, Cj.gamma, Cj.torsion))
+    ai, gi, ti = (f.values(m[None])[0] for f in (Ci.anchor, Ci.gamma, Ci.torsion))
+    aj, gj, tj = (f.values(pm[None])[0] for f in (Cj.anchor, Cj.gamma, Cj.torsion))
     anchor = aj @ M - dphi @ ai
     conn = np.einsum("cd,kde->cek", M, gi) - dmu - np.einsum("ik,icd,de->cek", dphi, gj, M)
     torsion = np.einsum("cd,dab->cab", M, ti) - np.einsum("cde,da,eb->cab", tj, M, M)

@@ -136,6 +136,6 @@ def fiber_bracket_at(C: AlgebroidChart, m0, jacobi_tol: float = 1e-6) -> LieAlge
     """
     m0 = as_point(m0)
     C.base.require_interior(m0)
-    t = value(np.asarray(C.torsion(m0), dtype=object))
+    t = C.torsion.values(m0[None])[0]
     c = np.einsum("cab->abc", t)
     return LieAlgebra(c, tol=jacobi_tol)

@@ -15,6 +15,7 @@ kind).  The parse pass checks every check before the first one runs.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import math
 import sys
@@ -481,8 +482,7 @@ def check_invariant_metric(model, params, seed):
     if name == "model":
         sigma = model.metric
     else:
-        metric = geometry.metric_by_name(name)
-        sigma = geometry.SmoothField(chart.base, metric.shape, metric.fn, name=metric.name)
+        sigma = dataclasses.replace(geometry.metric_by_name(name), chart=chart.base)
     pts = chart.base.sample_points(np.random.default_rng(seed), params["samples"])
     rep = transport.invariant_metric_check(chart, sigma, tol=params["tol"], samples=pts)
     return CheckResult("invariant_metric", _as_expected(rep.passed, params, rep.max_residual),

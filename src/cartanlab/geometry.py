@@ -2,7 +2,8 @@
 
 Everything lives on open boxes.  Fields are plain callables evaluated
 through dual numbers, so first and second derivatives are exact; a field's
-value and first derivative at a point come from ``SmoothField.first_jet``.
+float values at points come from ``SmoothField.values``, its value and
+first derivative at a point from ``SmoothField.first_jet``.
 
 Curvature convention used throughout:
 
@@ -122,11 +123,14 @@ class SmoothField:
     """Point-to-value assignment on a chart, dual-number evaluable.
 
     ``shape`` is the output shape: () scalar, (n,) tangent vector, (r,)
-    fiber vector, (n, n) bilinear form, and so on.  ``batch``, when a
-    constructor knows the field in closed form, maps float points (B, n)
-    to float values (B, *shape) in one call.  ``jet``, when it knows the
-    first derivative in closed form, maps a float point (n,) to the
-    field's order-1 ``dual.Taylor`` jet there (see ``first_jet``).
+    fiber vector, (n, n) bilinear form, and so on.  Calling the field runs
+    ``fn``, its Dual-capable formula, for ``dual.taylor`` and the section
+    calculus; ``values`` is the float read, and every float value of a
+    field is read through it.  ``batch``, when a constructor knows the
+    field in closed form, maps float points (B, n) to float values
+    (B, *shape) in one call.  ``jet``, when it knows the first derivative
+    in closed form, maps a float point (n,) to the field's order-1
+    ``dual.Taylor`` jet there (see ``first_jet``).
     """
 
     chart: Chart
@@ -287,7 +291,7 @@ def scalar_form_fit(conn: TMConnection, metric: SmoothField, m) -> ScalarFormFit
     conn.chart.require_interior(m)
     n = conn.chart.dim
     R = curvature_tensor(conn, m)
-    g = value(np.asarray(metric(m), dtype=object))
+    g = metric.values(m[None])[0]
     eye = np.eye(n)
     B = (np.einsum("jk,li->lkij", g, eye) - np.einsum("ik,lj->lkij", g, eye))
     denom = float(np.sum(B * B))

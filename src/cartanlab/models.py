@@ -50,10 +50,6 @@ from .transport import BasePath, PathSegment, monodromy
 
 # -- skew bookkeeping ---------------------------------------------------------
 
-def skew_pairs(n: int) -> list[tuple[int, int]]:
-    return [(p, q) for p in range(n) for q in range(p + 1, n)]
-
-
 def skew_basis(n: int) -> np.ndarray:
     """E[c] = e_p e_q^T - e_q e_p^T over lexicographic pairs (p, q)."""
     P, Q = np.triu_indices(n, 1)
@@ -61,11 +57,6 @@ def skew_basis(n: int) -> np.ndarray:
     E[np.arange(len(P)), P, Q] = 1.0
     E[np.arange(len(P)), Q, P] = -1.0
     return E
-
-
-def skew_matrix(w, n: int):
-    """Sum of w_pq (e_p e_q^T - e_q e_p^T) over lexicographic pairs."""
-    return np.einsum("c,cpq->pq", np.asarray(w, dtype=object), skew_basis(n))
 
 
 def skew_coords(S, n: int):
@@ -207,27 +198,16 @@ def build_riemannian_cartan(metric: SmoothField) -> RiemannianCartanChart:
 
 def model_structure_constants(s: float, n: int) -> np.ndarray:
     """Bracket table of the constant-curvature model algebra on the
-    adapted basis (tangent slots first, then skew pairs)."""
-    pairs = skew_pairs(n)
-    r = n + len(pairs)
-    eye = np.eye(r)
-    c = np.zeros((r, r, r))
-
-    def bracket(x, y):
-        v1, w1 = x[:n], x[n:]
-        v2, w2 = y[:n], y[n:]
-        W1 = value(np.asarray(skew_matrix(w1.astype(object), n), dtype=object))
-        W2 = value(np.asarray(skew_matrix(w2.astype(object), n), dtype=object))
-        tm = W1 @ v2 - W2 @ v1
-        h = W1 @ W2 - W2 @ W1 - s * (np.outer(v1, v2) - np.outer(v2, v1))
-        return np.concatenate([tm, value(np.asarray(skew_coords(h.astype(object), n), dtype=object))])
-
-    for a in range(r):
-        for b in range(a + 1, r):
-            cab = bracket(eye[a], eye[b])
-            c[a, b, :] = cab
-            c[b, a, :] = -cab
-    return c
+    adapted basis (tangent slots first, then skew pairs), all pairs of
+    basis vectors (v_a, W_a) at once."""
+    E = skew_basis(n)
+    V = np.eye(n + len(E), n)                           # v_a
+    W = np.concatenate([np.zeros((n, n, n)), E])        # W_a
+    WV = np.einsum("apq,bq->abp", W, V)                 # W_a v_b
+    WW = W[:, None] @ W[None]                           # W_a W_b
+    VV = np.einsum("ap,bq->abpq", V, V)                 # v_a v_b^T
+    h = WW - np.swapaxes(WW, 0, 1) - s * (VV - np.swapaxes(VV, 0, 1))
+    return np.concatenate([WV - np.swapaxes(WV, 0, 1), skew_coords(h, n)], axis=-1)
 
 
 MODEL_ALGEBRA_NAMES = {"euclidean": "o(n) semidirect R^n",
@@ -309,9 +289,8 @@ def check_dual_pair(P: DualPair, tol: float = 1e-8, seed: int = 42) -> TensorRep
     n = P.chart.dim
     res = []
     for m in samples:
-        m = as_point(m)
-        Gb = value(np.asarray(P.nabla_bar.christoffel(m), dtype=object))
-        Ga = value(np.asarray(P.nabla.christoffel(m), dtype=object))
+        Gb = P.nabla_bar.christoffel.values(m[None])[0]
+        Ga = P.nabla.christoffel.values(m[None])[0]
         res.append(np.max(np.abs(Gb - np.swapaxes(Ga, 1, 2)), initial=0.0))
     fields = [_poly_field(rng, n) for _ in range(20)]
     for k in range(0, len(fields) - 1, 2):
@@ -331,12 +310,6 @@ def _tm_flatness(conn: TMConnection, samples) -> float:
         conn.chart.require_interior(m)
         res.append(np.max(np.abs(curvature_tensor(conn, m))))
     return worst(res)
-
-
-def torsion_field(P: DualPair, m):
-    """T[k, i, j] of the second connection on coordinate fields."""
-    G = np.asarray(P.nabla_bar.christoffel(as_point(m)), dtype=object)
-    return G - np.einsum("kij->kji", G)
 
 
 def _torsion_jet(P: DualPair, m):
@@ -383,7 +356,7 @@ def local_lie_group_check(P: DualPair, tol: float = 1e-7,
                - np.einsum("mlj,kim->lkij", G, T.v))
         par.append(np.max(np.abs(cov)))
     m0 = np.asarray(m0 if m0 is not None else samples[0], dtype=float)
-    T0 = value(torsion_field(P, m0))
+    T0 = _torsion_jet(P, m0)[1].v
     c = np.einsum("kij->ijk", T0)
     from .algebra import jacobi_residual
     jres = jacobi_residual(0.5 * (c - np.swapaxes(c, 0, 1)))

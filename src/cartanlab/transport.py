@@ -2,7 +2,12 @@
 
 Transport solves dX^a/dt + Gamma^a_{ib} dm^i/dt X^b = 0 along a base
 path, applying fiber transition matrices at chart switches of a glued
-algebroid.  Geodesics couple that equation with dm/dt = a(m) X.
+algebroid.  Geodesics couple that equation with dm/dt = a(m) X.  Every
+right-hand side, event and start check reads the anchor and gamma as
+floats through ``SmoothField.values`` (the closed-form batch where a
+field has one), and the path's points and velocities through
+``segment_batch``, so a geodesic and its blow-up event see the same
+anchor.
 
 Completeness verdicts are one-sided: numerical integration can certify
 incompleteness (the fiber norm or the base speed reaching the blow-up
@@ -76,7 +81,7 @@ def segment_batch(segs) -> Callable:
 
     def each(t):
         ms, vs = zip(*(s.point_velocity(t) for s in segs))
-        return np.stack(ms), np.stack(vs)
+        return np.array(ms), np.array(vs)
     return each
 
 
@@ -124,7 +129,7 @@ class GPath:
     @property
     def velocity(self) -> np.ndarray:
         """(T, n) base velocity a(m)X of each row, in its chart's coordinates."""
-        return np.array([value(np.asarray(C.anchor(as_point(m)), dtype=object)) @ x
+        return np.array([C.anchor.values(m[None])[0] @ x
                          for C, m, x in zip(self.charts, self.base, self.fiber)])
 
     def to_table(self) -> list[list[float]]:
@@ -168,13 +173,12 @@ def transport_matrix(G, path: BasePath) -> np.ndarray:
         if prev_chart is not None:
             M = _apply_switch(G, prev_chart, seg.chart, prev_end,
                               seg.point(seg.t0)) @ M
-        n = C.base.dim
+        curve = segment_batch([seg])
 
-        def rhs(t, mflat, _C=C, _seg=seg, _r=r):
-            m, v = _seg.point_velocity(t)
-            g = value(np.asarray(_C.gamma(as_point(m)), dtype=object))
-            gv = np.einsum("iab,i->ab", g, v)
-            return (-gv @ mflat.reshape(_r, _r)).reshape(-1)
+        def rhs(t, mflat):
+            ms, vs = curve(t)
+            gv = np.einsum("biac,bi->ac", C.gamma.values(ms), vs)
+            return (-gv @ mflat.reshape(r, r)).reshape(-1)
 
         if not C.base.contains(seg.point(seg.t0)) or not C.base.contains(seg.point(seg.t1)):
             raise TransportError("path leaves its declared chart")
@@ -274,8 +278,8 @@ def _geodesic_rhs(C: AlgebroidChart, direction: float):
 
     def rhs(s, z):
         m, x = z[1:n + 1], z[n + 1:]
-        v = value(np.asarray(C.anchor(as_point(m)), dtype=object)) @ x
-        g = value(np.asarray(C.gamma(as_point(m)), dtype=object))
+        v = C.anchor.values(m[None])[0] @ x
+        g = C.gamma.values(m[None])[0]
         w = np.concatenate(([1.0], v, -np.einsum("iab,i,b->a", g, v, x)))
         top = abs(w).max()
         if not top < np.inf:
@@ -442,8 +446,8 @@ class IsotropyResult:
 
 def isotropy_subalgebra(C: AlgebroidChart, m0) -> IsotropyResult:
     """Kernel of the anchor at m0 inside the fiber bracket algebra."""
-    m0 = as_point(m0)
-    a = value(np.asarray(C.anchor(m0), dtype=object))
+    m0 = np.asarray(m0, dtype=float)
+    a = C.anchor.values(m0[None])[0]
     u, s, vt = np.linalg.svd(a)
     scale = s[0] if len(s) and s[0] > 0 else 1.0
     keep = s > ISOTROPY_CUTOFF * scale

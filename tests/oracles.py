@@ -26,8 +26,7 @@ from cartanlab.dual import eps_part, lift, value
 from cartanlab.geometry import (Chart, TMConnection, as_point, ellipsoid_metric,
                                 euclidean_metric, lie_bracket_vf)
 from cartanlab.models import (DualPair, LocalLieGroupModel, RiemannianCartanChart,
-                              RiemannianModel, riemannian_model, skew_basis, skew_coords,
-                              skew_matrix)
+                              RiemannianModel, riemannian_model, skew_basis, skew_coords)
 from cartanlab.transport import BasePath, TransportError, line_path
 
 
@@ -279,6 +278,15 @@ def fit_twist(chart, base_map: Callable, m0, samples) -> AlgebraMap:
 
 
 # -- the TM+h chart against its displayed formulas, and fixture models --------
+
+def skew_pairs(n: int) -> list[tuple[int, int]]:
+    return [(p, q) for p in range(n) for q in range(p + 1, n)]
+
+
+def skew_matrix(w, n: int):
+    """Sum of w_pq (e_p e_q^T - e_q e_p^T) over lexicographic pairs."""
+    return np.einsum("c,cpq->pq", np.asarray(w, dtype=object), skew_basis(n))
+
 
 def skewness_residual(R: RiemannianCartanChart, samples=None) -> float:
     """h-coordinates must act by metric-skew endomorphisms (by default at

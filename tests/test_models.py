@@ -14,22 +14,22 @@ from cartanlab.geometry import SmoothField, TMConnection, as_point, scalar_form_
 from cartanlab.models import (DualPair, build_riemannian_cartan,
                               check_dual_pair, classify_constant_curvature,
                               local_lie_group_check, model_structure_constants,
-                              obstruction_form, skew_coords, skew_matrix, torsion_field)
+                              obstruction_form, skew_coords)
 import oracles
 from oracles import (bracket_component_check, curvature_formula_check, curvature_tensor_obj,
-                     skewness_residual)
+                     skew_matrix, skew_pairs, skewness_residual)
 
 
 def _skew_matrix_loop(w, n):
     out = np.zeros((n, n), dtype=object)
-    for c, (p, q) in enumerate(models.skew_pairs(n)):
+    for c, (p, q) in enumerate(skew_pairs(n)):
         out[p, q] = out[p, q] + w[c]
         out[q, p] = out[q, p] - w[c]
     return out
 
 
 def _skew_coords_loop(S, n):
-    pairs = models.skew_pairs(n)
+    pairs = skew_pairs(n)
     out = np.empty(len(pairs), dtype=object)
     for c, (p, q) in enumerate(pairs):
         out[c] = 0.5 * (S[p, q] - S[q, p])
@@ -113,7 +113,7 @@ def _loop_riemannian_chart(metric):
     straight from the definitions: the reference for the contracted build."""
     base = metric.chart
     n = base.dim
-    r = n + len(models.skew_pairs(n))
+    r = n + len(skew_pairs(n))
     lc = _koszul_connection(metric)
 
     def frame(m):
@@ -443,7 +443,8 @@ def test_christoffel_jets_match_nested_dual_references(name):
 def _restricted_bracket(P, m0):
     """Structure constants c[i, j, k] = T^k_ij of the second connection's
     torsion at m0, a Lie algebra's (checked by ``LieAlgebra``)."""
-    return LieAlgebra(np.einsum("kij->ijk", value(torsion_field(P, m0)))).structure_constants
+    T = models._torsion_jet(P, m0)[1].v
+    return LieAlgebra(np.einsum("kij->ijk", T)).structure_constants
 
 
 def test_dual_pair_affine_and_failure():
@@ -472,13 +473,14 @@ def test_local_lie_group_affine():
 
 
 def test_local_lie_group_takes_one_christoffel_jet_per_sample():
-    # flatness and torsion parallelism of nabla_bar read the same jet
+    # flatness and torsion parallelism of nabla_bar read the same jet at
+    # each of the 5 samples; the restricted bracket reads one more at m0
     pair = models.affine_line_group().pair
     Gam, calls = pair.nabla_bar.christoffel, []
     counted = dataclasses.replace(Gam, jet=lambda m: calls.append(m) or Gam.jet(m))
     bar = dataclasses.replace(pair.nabla_bar, christoffel=counted)
     rep = local_lie_group_check(dataclasses.replace(pair, nabla_bar=bar), m0=[1.0, 0.0])
-    assert rep.passed and len(calls) == 5
+    assert rep.passed and len(calls) == 6 and np.array_equal(calls[-1], [1.0, 0.0])
 
 
 def test_local_lie_group_heisenberg():

@@ -1,10 +1,11 @@
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 
 from cartanlab import algebra, geometry
-from cartanlab.algebroid import AlgebroidChart
+from cartanlab.algebroid import AlgebroidChart, GluedAlgebroid
 from cartanlab.cartan import bar_tm_tensor
 from cartanlab.dual import Dual, eps_part, value
 from cartanlab.geometry import Chart, SmoothField, as_point
@@ -366,6 +367,45 @@ def test_a_glued_geodesic_past_the_switch_cap_certifies_nothing(torus):
     v = completeness_probe(torus.glued, [(0, [0, 0], [1, 0.3])], horizon=400)[0]
     assert v.verdict == "no-blowup-within-horizon" and v.t_star is None
     assert "switch limit" in v.note
+
+
+class FloatCall(Exception):
+    """Raised by a field formula called at a point with no Dual in it."""
+
+
+def _refusing_floats(C: AlgebroidChart) -> AlgebroidChart:
+    """A copy of the chart whose anchor and gamma formulas refuse float
+    points, so that only their closed-form batches can give float values."""
+    def refuse(f):
+        def fn(m):
+            if not any(isinstance(x, Dual) for x in np.ravel(np.asarray(m, dtype=object))):
+                raise FloatCall(f"{f.name} called at the float point {m}")
+            return f.fn(m)
+        return dataclasses.replace(f, fn=fn)
+    return dataclasses.replace(C, anchor=refuse(C.anchor), gamma=refuse(C.gamma))
+
+
+@pytest.mark.parametrize("model, seeds, span", [
+    ("circle", [(0, [0.5], [1.0])], (0.0, -2.0)),
+    ("circle", [(0, [0.5], [1.0]), (1, [4.0], [-0.5])], (0.0, 600.0)),
+    ("torus", [(0, [0.0, 0.0], [1.0, 0.3]), (3, [0.6, 0.4], [-0.7, 2.0])], (0.0, 3.0)),
+])
+def test_geodesics_and_monodromy_read_floats_through_values(model, seeds, span, request):
+    # the glued charts' anchors and gammas all have closed-form batches
+    # (SmoothField.values), which every float read goes through
+    model = request.getfixturevalue(model)
+    glued = model.glued
+    refusing = GluedAlgebroid(tuple(map(_refusing_floats, glued.charts)), glued.overlaps)
+    for chart, m0, x0 in seeds:
+        want = geodesic_glued(glued, chart, m0, x0, span)
+        got = geodesic_glued(refusing, chart, m0, x0, span)
+        assert (got.status, got.t_end, got.switches) == (want.status, want.t_end, want.switches)
+        assert np.array_equal(got.path.velocity, want.path.velocity)
+        want = geodesic(glued.charts[chart], m0, x0, span)
+        got = geodesic(refusing.charts[chart], m0, x0, span)
+        assert (got.status, got.t_end) == (want.status, want.t_end)
+    for loop in model.loops:
+        assert np.array_equal(monodromy(refusing, loop).matrix, monodromy(glued, loop).matrix)
 
 
 def test_isotropy_translations_trivial(translations2):
