@@ -23,6 +23,11 @@ _SERIES_TOL = 1e-16
 # a log takes square roots of g until |g - I|_F is at most the gap, and
 # refuses g if the cap on roots is reached first
 _ROOT_GAP, _MAX_ROOTS = 0.25, 40
+# g is normal when |g g^T - g^T g|_F is at most this times |g|_F^2; a normal
+# g has no principal log when an eigenvalue with negative real part has an
+# imaginary part of at most the cut gap times its modulus (the log's
+# condition there, about pi / gap, would leave no digit of it)
+_NORMAL_TOL, _CUT_GAP = 1e-12, 1e-9
 
 
 class AlgebraError(ValueError):
@@ -266,13 +271,34 @@ def principal_log(g: np.ndarray) -> np.ndarray:
     Where g - I is strictly upper triangular (a unipotent g, such as a
     translation or Heisenberg element) it is nilpotent, so the Mercator
     series ends after n - 1 terms and is summed as it stands.  Any other g
-    goes through inverse scaling-and-squaring (``_log_by_roots``).
+    goes through inverse scaling-and-squaring (``_log_by_roots``).  A
+    normal g (a rotation, or compact isotropy) that needs a root takes its
+    first one from its eigendecomposition (``_normal_sqrt``), since
+    Denman-Beavers loses digits on an eigenvalue near the negative real
+    axis: a rotation by nearly pi.
     """
     g = np.asarray(g, dtype=float)
     x = g - np.eye(g.shape[0])
     if not np.any(np.tril(x)):
         return _mercator(x, g.shape[0] - 1)
+    if np.linalg.norm(x) > _ROOT_GAP and _is_normal(g):
+        return 2.0 * _log_by_roots(_normal_sqrt(g), _SERIES_TOL)
     return _log_by_roots(g, _SERIES_TOL)
+
+
+def _is_normal(g: np.ndarray) -> bool:
+    return bool(np.linalg.norm(g @ g.T - g.T @ g) <= _NORMAL_TOL * np.linalg.norm(g) ** 2)
+
+
+def _normal_sqrt(g: np.ndarray) -> np.ndarray:
+    """Principal square root V D^(1/2) V^-1 of a normal g from
+    ``np.linalg.eig`` (its eigenvectors are unitary, so V is well
+    conditioned), refused where an eigenvalue lies on or within the cut
+    gap of the closed negative real axis."""
+    d, V = np.linalg.eig(g)
+    if np.any((d.real <= 0) & (np.abs(d.imag) <= _CUT_GAP * np.abs(d))):
+        raise AlgebraError("an eigenvalue on the negative real axis: no principal log")
+    return ((V * np.sqrt(d.astype(complex))) @ np.linalg.inv(V)).real
 
 
 def _mercator(x: np.ndarray, last: int, tol: float = 0.0) -> np.ndarray:

@@ -8,9 +8,10 @@ The bracket is never stored; it is always derived:
 
     [X, Y] = nabla_{#X} Y - nabla_{#Y} X + T(X, Y)
 
-The pointwise checks read each field they need once per point, as its
-``SmoothField.first_jet`` (the field's closed form where it has one, else
-its 1-jet from ``dual.taylor``), and contract those jets directly;
+The pointwise checks read each field they need once for the whole sample
+set, as its ``SmoothField.first_jet`` stacked over the points (the
+field's closed form where it has one, else its 1-jets from one lane call
+or from ``dual.taylor``), and contract those jets directly;
 ``frame_bracket`` is the bracket of constant frame sections.  The anchor
 homomorphism and overlap checks return an ``algebra.TensorReport``.
 
@@ -39,7 +40,7 @@ def frame_bracket(A, G, T):
     """[e_a, e_b] = Gamma(#e_a)e_b - Gamma(#e_b)e_a + T(e_a, e_b) of constant
     frame sections, at axis positions (:, a, b), from the anchor, gamma and
     torsion: of their values, or of their jets for the bracket's jet."""
-    P = dual.contract("ia,icb->cab", A, G)
+    P = dual.contract("...ia,...icb->...cab", A, G)
     return P - dual.swap(P) + T
 
 
@@ -63,7 +64,8 @@ class AlgebroidChart:
 
         object.__setattr__(self, "torsion", SmoothField(
             self.base, (r, r, r), lambda m: anti(np.asarray(raw(m), dtype=object)),
-            name="torsion", jet=lambda m: anti(raw.first_jet(m))))
+            name="torsion", batch=None if raw.batch is None else lambda ms: anti(raw.batch(ms)),
+            jet=lambda ms: anti(raw.first_jet(ms))))
 
     # -- section calculus -----------------------------------------------------
 
@@ -167,13 +169,11 @@ def check_anchor_homomorphism(C: AlgebroidChart, tol: float = 1e-8,
     """Residual of #[X, Y] = sign * [#X, #Y] on constant-frame sections."""
     if samples is None:
         samples = C.base.halton_points(7)
-    res = []
-    for m in samples:
-        A, G, T = (f.first_jet(m) for f in (C.anchor, C.gamma, C.torsion))
-        lhs = np.einsum("ic,cab->iab", A.v, frame_bracket(A.v, G.v, T.v))
-        L = np.einsum("kib,ka->iab", A.d, A.v)     # (D #e_b) #e_a
-        res.append(np.max(np.abs(lhs - sign * (L - np.swapaxes(L, 1, 2)))))
-    return TensorReport("anchor_homomorphism", worst(res), tol)
+    A, G, T = (f.first_jet(samples) for f in (C.anchor, C.gamma, C.torsion))
+    lhs = np.einsum("...ic,...cab->...iab", A.v, frame_bracket(A.v, G.v, T.v))
+    L = np.einsum("k...ib,...ka->...iab", A.d, A.v)     # (D #e_b) #e_a
+    return TensorReport("anchor_homomorphism",
+                        worst(np.abs(lhs - sign * (L - np.swapaxes(L, -1, -2)))), tol)
 
 
 # -- glued algebroids ---------------------------------------------------------

@@ -13,13 +13,14 @@ connection is certified Cartan through the vanishing of its cocurvature
 
 and flat through the vanishing of its ordinary curvature.  Both are
 tensorial, so the checks evaluate them on constant frames, where each
-reduces to a contraction of the fields' 1-jets at the point, read once per
-point through ``SmoothField.first_jet``: the anchor, gamma and torsion for
-the cocurvature, gamma alone for the curvature, which is
+reduces to a contraction of the fields' 1-jets, read for the whole sample
+set at once through ``SmoothField.first_jet``: the anchor, gamma and
+torsion for the cocurvature, gamma alone for the curvature, which is
 ``geometry.curvature_from_christoffel`` of gamma read as Christoffel
-symbols.  Both checks return an ``algebra.TensorReport``.  The section
-calculus above, on arbitrary sections by the closures of
-``AlgebroidChart``, lives with the test
+symbols.  The contractions carry the point axis (``...``) and the
+residual is reduced point by point.  Both checks return an
+``algebra.TensorReport``.  The section calculus above, on arbitrary
+sections by the closures of ``AlgebroidChart``, lives with the test
 oracles (``tests/oracles.py``: ``nabla_bar_tm``, ``nabla_bar_g``,
 ``torsion_bar``); the tests build the cocurvature from it by definition
 and compare the jet formulas against it.
@@ -36,17 +37,19 @@ from .geometry import as_point, curvature_from_christoffel
 
 
 def _swap(t):
-    return np.swapaxes(t, 1, 2)
+    """Transpose of the frame slots a, b of c[..., :, a, b, k]."""
+    return np.swapaxes(t, -3, -2)
 
 
 def bar_tm_tensor(A, G) -> np.ndarray:
-    """bar[:, a, k] = nabla_bar_{e_a} e_k = #Gamma(e_k)e_a - (d_k #)e_a, from
-    the anchor and gamma jets."""
-    return np.einsum("id,kda->iak", A.v, G.v) - np.einsum("kia->iak", A.d)
+    """bar[..., :, a, k] = nabla_bar_{e_a} e_k = #Gamma(e_k)e_a - (d_k #)e_a,
+    from the anchor and gamma jets."""
+    return np.einsum("...id,...kda->...iak", A.v, G.v) - np.einsum("k...ia->...iak", A.d)
 
 
 def cocurvature_tensor(A, G, T) -> np.ndarray:
-    """c[:, a, b, k] = c(e_a, e_b)e_k from the anchor, gamma and torsion jets.
+    """c[..., :, a, b, k] = c(e_a, e_b)e_k from the anchor, gamma and torsion
+    jets.
 
     With Gamma(u) = u^i Gamma_i, constant x, y, v and d_v the jet
     derivative, the definition reduces to
@@ -59,24 +62,26 @@ def cocurvature_tensor(A, G, T) -> np.ndarray:
             + Gamma(bar_x v)y - Gamma(bar_y v)x.
     """
     B = frame_bracket(A, G, T)
-    P = np.einsum("ia,icb->cab", A.v, G.v)                     # Gamma(#e_a)e_b
-    t1 = np.einsum("kcab->cabk", B.d) + np.einsum("kcd,dab->cabk", G.v, B.v)
-    # S[:, a, b, k] = [Gamma(e_k)e_a, e_b]; [x, Gamma(v)y] is its transpose
-    S = (np.einsum("kda,cdb->cabk", G.v, P) - np.einsum("jkca,jb->cabk", G.d, A.v)
-         - np.einsum("cbd,kda->cabk", P, G.v) + np.einsum("cdb,kda->cabk", T.v, G.v))
-    Q = np.einsum("iak,icb->cabk", bar_tm_tensor(A, G), G.v)
+    P = np.einsum("...ia,...icb->...cab", A.v, G.v)            # Gamma(#e_a)e_b
+    t1 = np.einsum("k...cab->...cabk", B.d) + np.einsum("...kcd,...dab->...cabk", G.v, B.v)
+    # S[..., :, a, b, k] = [Gamma(e_k)e_a, e_b]; [x, Gamma(v)y] is its transpose
+    S = (np.einsum("...kda,...cdb->...cabk", G.v, P)
+         - np.einsum("j...kca,...jb->...cabk", G.d, A.v)
+         - np.einsum("...cbd,...kda->...cabk", P, G.v)
+         + np.einsum("...cdb,...kda->...cabk", T.v, G.v))
+    Q = np.einsum("...iak,...icb->...cabk", bar_tm_tensor(A, G), G.v)
     return t1 - (S - _swap(S)) + (Q - _swap(Q))
 
 
 def curvature_conn_tensor(G) -> np.ndarray:
-    """F[:, b, i, j] = R(e_i, e_j)e_b of the chart connection, from the gamma
-    jet read as the Christoffel symbols Gamma^c_{ib} = gamma[i, c, b]."""
-    return curvature_from_christoffel(contract("icb->cib", G))
+    """F[..., :, b, i, j] = R(e_i, e_j)e_b of the chart connection, from the
+    gamma jet read as the Christoffel symbols Gamma^c_{ib} = gamma[i, c, b]."""
+    return curvature_from_christoffel(contract("...icb->...cib", G))
 
 
-def _frame_jets(C: AlgebroidChart, m):
-    """The anchor, gamma and torsion jets at m."""
-    return C.anchor.first_jet(m), C.gamma.first_jet(m), C.torsion.first_jet(m)
+def _frame_jets(C: AlgebroidChart, ms):
+    """The anchor, gamma and torsion jets at the points ms (B, n)."""
+    return C.anchor.first_jet(ms), C.gamma.first_jet(ms), C.torsion.first_jet(ms)
 
 
 def _at(u, m):
@@ -89,7 +94,7 @@ def cocurvature(C: AlgebroidChart, x, y, v, m):
     m = as_point(m)
     C.base.require_interior(m)
     x, y, v = (_at(u, m) for u in (x, y, v))
-    return np.einsum("cabk,a,b,k->c", cocurvature_tensor(*_frame_jets(C, m)), x, y, v)
+    return np.einsum("cabk,a,b,k->c", cocurvature_tensor(*_frame_jets(C, m[None]))[0], x, y, v)
 
 
 def curvature_conn(C: AlgebroidChart, u, v, x, m):
@@ -97,7 +102,8 @@ def curvature_conn(C: AlgebroidChart, u, v, x, m):
     m = as_point(m)
     C.base.require_interior(m)
     u, v, x = (_at(w, m) for w in (u, v, x))
-    return np.einsum("cbij,i,j,b->c", curvature_conn_tensor(C.gamma.first_jet(m)), u, v, x)
+    return np.einsum("cbij,i,j,b->c", curvature_conn_tensor(C.gamma.first_jet(m[None]))[0],
+                     u, v, x)
 
 
 def _sample_set(C: AlgebroidChart, samples, seed=42):
@@ -108,23 +114,31 @@ def _sample_set(C: AlgebroidChart, samples, seed=42):
     return np.asarray(samples, dtype=float)
 
 
+def per_point_max(t) -> tuple[float, ...]:
+    """Max |t| at each point of a residual stacked on a leading point axis."""
+    return tuple(float(x) for x in np.max(np.abs(t), axis=tuple(range(1, t.ndim)), initial=0.0))
+
+
 def _max_over_samples(name, C, tensor_at, samples, tol, seed) -> TensorReport:
+    """The residual tensor over the whole sample set, from ``tensor_at`` of
+    the stacked points, reduced to its max |.| at each point."""
     pts = _sample_set(C, samples, seed)
     for m in pts:
         C.base.require_interior(m)
-    per = [float(np.max(np.abs(tensor_at(m)), initial=0.0)) for m in pts]
-    return TensorReport(name, worst(per), tol, tuple(per), tuple(map(tuple, pts)))
+    per = per_point_max(tensor_at(pts))
+    return TensorReport(name, worst(per), tol, per, tuple(map(tuple, pts)))
 
 
 def is_cartan(C: AlgebroidChart, samples=None, tol: float = 1e-7, seed: int = 42) -> TensorReport:
     """Max cocurvature residual over samples and frame combinations."""
-    return _max_over_samples("is_cartan", C, lambda m: cocurvature_tensor(*_frame_jets(C, m)),
+    return _max_over_samples("is_cartan", C, lambda ms: cocurvature_tensor(*_frame_jets(C, ms)),
                              samples, tol, seed)
 
 
 def is_flat(C: AlgebroidChart, samples=None, tol: float = 1e-7, seed: int = 42) -> TensorReport:
     """Max curvature residual of the chart connection over samples."""
-    return _max_over_samples("is_flat", C, lambda m: curvature_conn_tensor(C.gamma.first_jet(m)),
+    return _max_over_samples("is_flat", C,
+                             lambda ms: curvature_conn_tensor(C.gamma.first_jet(ms)),
                              samples, tol, seed)
 
 

@@ -8,14 +8,31 @@ ordinary Python callables written with ``+ - * /``, ``**`` and the
 object arrays), so any such callable is differentiable here without
 modification.
 
-One routine differentiates: ``taylor`` takes a field's jet of any order
-at a point, with nested Duals, and ``jacobian`` is its order-1 view.
+Two routines differentiate.  ``taylor`` takes a field's jet of any order
+at one point, float or Dual, with one call of the field per nondecreasing
+multi-index of directions, and ``jacobian`` is its order-1 view; it works
+on any Dual-capable callable and is the oracle.  ``taylor_stack`` takes
+the jets at a stack of float points from one call: its point is a lane
+point, whose coordinates are Duals nested ``order`` deep with float-array
+leaves over lanes, one lane per (sample point, multi-index) pair, and
+``exp/log/sin/cos/sqrt`` send such leaves to numpy (vector forward mode;
+Griewank & Walther, *Evaluating Derivatives*, 2nd ed., SIAM 2008, ch. 13;
+Bettencourt, Johnson & Duvenaud, "Taylor-mode automatic differentiation
+for higher-order derivatives in JAX", 2019).  It needs a formula that
+runs on array leaves as written, as the catalog metrics do
+(``SmoothField.lanes``); other fields keep ``taylor`` point by point.
+
 Array-valued formulas then differentiate without per-scalar Duals:
 ``contract``, ``inv`` and ``cholesky`` carry a ``Taylor`` jet through
-whole-array numpy contractions by the product rule (Griewank & Walther,
-*Evaluating Derivatives*, 2nd ed., SIAM 2008, on propagating Taylor
-coefficients).  The tests' reference for these lifts a point along one
-direction (``tests/oracles.py``: ``directional``).
+whole-array numpy contractions by the product rule.  The tests'
+reference for these lifts a point along one direction
+(``tests/oracles.py``: ``directional``).
+
+The point axis: a jet at B points has leaves of shape (n,)*j + (B,) +
+shape, the j derivative axes ahead of the point axis, so an order-1 jet
+has value (B, *shape) and derivative (n, B, *shape).  Einsum specs over
+such jets write ``...`` for the point axis after any derivative index; a
+jet at one point is the same with ``...`` empty.
 """
 
 from __future__ import annotations
@@ -150,17 +167,19 @@ class Dual:
         return self
 
 
-def _unary(name, mathfn):
+def _unary(name, mathfn, npfn):
     def f(x):
-        return getattr(x, name)() if isinstance(x, Dual) else mathfn(x)
+        if isinstance(x, Dual):
+            return getattr(x, name)()
+        return npfn(x) if isinstance(x, np.ndarray) else mathfn(x)
     return f
 
 
-_exp = _unary("exp", math.exp)
-_log = _unary("log", math.log)
-_sqrt = _unary("sqrt", math.sqrt)
-_sin = _unary("sin", math.sin)
-_cos = _unary("cos", math.cos)
+_exp = _unary("exp", math.exp, np.exp)
+_log = _unary("log", math.log, np.log)
+_sqrt = _unary("sqrt", math.sqrt, np.sqrt)
+_sin = _unary("sin", math.sin, np.sin)
+_cos = _unary("cos", math.cos, np.cos)
 
 # public names for writing dual-safe field formulas
 exp, log, sqrt = _exp, _log, _sqrt
@@ -250,10 +269,10 @@ def solve(a, b):
 
 def inv(a):
     """Inverse of a matrix of Duals or floats, or of a ``Taylor`` jet of one
-    (float leaves go to LAPACK)."""
+    (float leaves go to LAPACK, a stack of matrices at once)."""
     if isinstance(a, Taylor):
         ai = inv(a.v)
-        return Taylor(ai, -contract("ij,zjk,kl->zil", ai, a.d, ai))
+        return Taylor(ai, -contract("...ij,z...jk,...kl->z...il", ai, a.d, ai))
     if np.asarray(a).dtype != object:
         return np.linalg.inv(a)
     n = np.asarray(a).shape[0]
@@ -265,12 +284,13 @@ def inv(a):
 def cholesky(a):
     """Lower-triangular Cholesky factor L (a = L L^T) of an SPD matrix of
     Duals or floats, or of a ``Taylor`` jet of one, whose derivative is
-    dL = L Phi(L^-1 da L^-T) with Phi the lower triangle, diagonal halved."""
+    dL = L Phi(L^-1 da L^-T) with Phi the lower triangle, diagonal halved.
+    Float leaves may be a stack of matrices."""
     if isinstance(a, Taylor):
         L = cholesky(a.v)
         Li = inv(L)
-        X = contract("ij,zjk,lk->zil", Li, a.d, Li)
-        return Taylor(L, contract("ij,zjk->zik", L, X * _half_lower(leaf(L).shape[-1])))
+        X = contract("...ij,z...jk,...lk->z...il", Li, a.d, Li)
+        return Taylor(L, contract("...ij,z...jk->z...ik", L, X * _half_lower(leaf(L).shape[-1])))
     a = np.asarray(a)
     if a.dtype != object:
         return np.linalg.cholesky(a)
@@ -300,7 +320,8 @@ class Taylor:
     of ``d``; a jet of order 0 is a plain array (floats, or objects carrying
     the Dual layers of the point).  So ``v.d`` and ``d.v`` are both first
     derivatives and ``d.d[i, j]`` is d_i d_j.  Every operation acts on the
-    trailing axes, which makes a leading axis of ``d`` invisible to it.
+    trailing axes, which makes a leading axis of ``d``, and a point axis
+    (see the module docstring), invisible to it.
     """
 
     __slots__ = ("v", "d")
@@ -395,6 +416,13 @@ def _components(x, layers: int) -> list:
     return _components(x, layers - 1) + [0.0] * 2 ** (layers - 1)
 
 
+def _nest(derivs: list, order: int):
+    """The jet of the given order whose j-th derivatives are ``derivs[j]``."""
+    def jet(k, j):
+        return derivs[j] if k == 0 else Taylor(jet(k - 1, j), jet(k - 1, j + 1))
+    return jet(order, 0)
+
+
 def taylor(f, m, order: int):
     """Jet of the given order of an array-valued ``f`` at ``m``.
 
@@ -430,8 +458,76 @@ def taylor(f, m, order: int):
             D[t] = parts[tuple(sorted(t))]
         D = D.reshape((n,) * j + shape)
         derivs.append(D.astype(float) if floats else D)
+    return _nest(derivs, order)
 
-    def jet(k, j):
-        return derivs[j] if k == 0 else Taylor(jet(k - 1, j), jet(k - 1, j + 1))
 
-    return jet(order, 0)
+@lru_cache(maxsize=None)
+def _lanes(n: int, order: int):
+    """The nondecreasing multi-indices of ``order`` directions in n
+    coordinates, (M, order), and for each derivative order j the (layer
+    mask, multi-index) pair whose component is d_t for every t in
+    range(n)**j, in C order, as two index arrays."""
+    dirs = list(combinations_with_replacement(range(n), order))
+    first = {}
+    for q, d in enumerate(dirs):
+        for mask in range(2 ** order):
+            first.setdefault(tuple(d[b] for b in range(order) if mask >> b & 1), (mask, q))
+    picks = [tuple(np.array(a, dtype=int) for a in
+                   zip(*(first[tuple(sorted(t))] for t in product(range(n), repeat=j))))
+             for j in range(order + 1)]
+    return np.array(dirs, dtype=int).reshape(len(dirs), order), picks
+
+
+def taylor_stack(f, ms, order: int):
+    """Jets of the given order of ``f`` at the float points ``ms`` (B, n),
+    with the point axis after the derivative axes, from one call of ``f``.
+
+    Lane p*M + q holds point p moved along the q-th of the M nondecreasing
+    multi-indices, so each coordinate is a Dual nested ``order`` deep whose
+    leaves are float arrays over the B*M lanes; the eps of layer b is
+    wrapped in b layers of zero eps, so that arrays only ever meet arrays
+    and floats.  ``f`` must run on such leaves as written (numpy
+    arithmetic and the ``exp/log/sin/cos/sqrt`` of this module).  Each
+    lane yields every derivative along a sub-multi-index, as in ``taylor``.
+    """
+    ms = np.asarray(ms, dtype=float)
+    B, n = ms.shape
+    dirs, picks = _lanes(n, order)
+    M = len(dirs)
+    p = np.empty(n, dtype=object)
+    for i in range(n):
+        x = np.repeat(ms[:, i], M)
+        for b in range(order):
+            e = np.tile((dirs[:, b] == i).astype(float), B)
+            for _ in range(b):
+                e = Dual(e, 0.0)
+            x = Dual(x, e)
+        p[i] = x
+    out = np.asarray(f(p), dtype=object)
+    flat = out.reshape(-1)
+    comps = np.zeros((2 ** order, B * M, flat.size))
+    for k, x in enumerate(flat):
+        for mask, c in enumerate(_components(x, order)):
+            comps[mask, :, k] = c
+    comps = comps.reshape(2 ** order, B, M, flat.size)
+    return _nest([comps[mask, :, q].reshape((n,) * j + (B,) + out.shape)
+                  for j, (mask, q) in enumerate(picks)], order)
+
+
+def stack(jets: list):
+    """The jets of one order at single points, stacked on a point axis after
+    the derivative axes."""
+    def at(xs, k):
+        if isinstance(xs[0], Taylor):
+            return Taylor(at([x.v for x in xs], k), at([x.d for x in xs], k + 1))
+        return np.stack(xs, axis=k)
+    return at(jets, 0)
+
+
+def point(x, b: int):
+    """The jet at point b of a jet over a stack of points."""
+    def at(x, k):
+        if isinstance(x, Taylor):
+            return Taylor(at(x.v, k), at(x.d, k + 1))
+        return x[(slice(None),) * k + (b,)]
+    return at(x, 0)

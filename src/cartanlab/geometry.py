@@ -2,8 +2,11 @@
 
 Everything lives on open boxes.  Fields are plain callables evaluated
 through dual numbers, so first and second derivatives are exact; a field's
-float values at points come from ``SmoothField.values``, its value and
-first derivative at a point from ``SmoothField.first_jet``.
+float values at a stack of points come from ``SmoothField.values``, its
+values and first derivatives there from ``SmoothField.first_jet``.  The
+catalog metrics run on lane points (``SmoothField.lanes``), so their
+values and jets of any order at a stack come from one formula call
+(``dual.taylor_stack``); every other field is read point by point.
 
 Curvature convention used throughout:
 
@@ -129,8 +132,12 @@ class SmoothField:
     field is read through it.  ``batch``, when a constructor knows the
     field in closed form, maps float points (B, n) to float values
     (B, *shape) in one call.  ``jet``, when it knows the first derivative
-    in closed form, maps a float point (n,) to the field's order-1
-    ``dual.Taylor`` jet there (see ``first_jet``).
+    in closed form, maps float points (B, n) to the field's order-1
+    ``dual.Taylor`` jet there, value (B, *shape) and derivative
+    (n, B, *shape) (see ``first_jet``).  ``lanes`` says that ``fn`` also
+    runs on the lane points of ``dual.taylor_stack`` (float-array leaves),
+    so that its values and jets of any order at a stack of points come
+    from one call of it.
     """
 
     chart: Chart
@@ -139,35 +146,50 @@ class SmoothField:
     name: str = ""
     batch: Callable | None = None
     jet: Callable | None = None
+    lanes: bool = False
 
     def __call__(self, m):
         return self.fn(m)
 
-    def first_jet(self, m) -> dual.Taylor:
-        """Float value ``v`` (*shape) and first derivative ``d`` (n, *shape),
-        ``d[i]`` the derivative along d_i, at the point m: the constructor's
-        closed form ``jet`` where it has one, else ``dual.taylor``."""
-        m = value(np.asarray(m, dtype=object))
+    def first_jet(self, ms) -> dual.Taylor:
+        """Float values ``v`` (B, *shape) and first derivatives ``d``
+        (n, B, *shape), ``d[i]`` the derivative along d_i, at float points
+        (B, n): the closed-form ``jet`` where the constructor has one, else
+        one lane call where the formula runs on lanes, else ``dual.taylor``
+        point by point.  A stack of no points has an empty jet."""
+        ms = np.asarray(ms, dtype=float)
+        if not len(ms):
+            return dual.Taylor(np.zeros((0, *self.shape)),
+                               np.zeros((self.chart.dim, 0, *self.shape)))
         if self.jet is not None:
-            return self.jet(m)
-        return dual.taylor(self, m, 1)
+            return self.jet(ms)
+        if self.lanes:
+            return dual.taylor_stack(self, ms, 1)
+        return dual.stack([dual.taylor(self, m, 1) for m in ms])
 
     def values(self, ms) -> np.ndarray:
         """Float values (B, *shape) at float points (B, n): the closed-form
-        batch when the field has one, else one call per point."""
+        batch when the field has one, else one lane call where the formula
+        runs on lanes, else one call per point."""
         ms = np.asarray(ms, dtype=float)
         if self.batch is not None:
             return self.batch(ms)
+        if self.lanes:
+            return dual.taylor_stack(self, ms, 0)
         vals = [value(np.asarray(self(as_point(m)), dtype=object)) for m in ms]
         return np.array(vals, dtype=float).reshape(len(ms), *self.shape)
 
     @staticmethod
     def constant(chart: Chart, val, name: str = "") -> "SmoothField":
         arr = np.asarray(val, dtype=float)
-        zero = np.zeros((chart.dim,) + arr.shape)
-        return SmoothField(chart, arr.shape, lambda m, _a=arr: _a.copy(), name=name,
-                           batch=lambda ms, _a=arr: np.repeat(_a[None], len(ms), axis=0),
-                           jet=lambda m, _a=arr: dual.Taylor(_a.copy(), zero.copy()))
+
+        def jet(ms):
+            return dual.Taylor(np.repeat(arr[None], len(ms), axis=0),
+                               np.zeros((chart.dim, len(ms)) + arr.shape))
+
+        return SmoothField(chart, arr.shape, lambda m: arr.copy(), name=name,
+                           batch=lambda ms: np.repeat(arr[None], len(ms), axis=0),
+                           jet=jet, lanes=True)
 
 
 def as_field(chart: Chart, shape, obj, name: str) -> SmoothField:
@@ -228,36 +250,50 @@ def frame_connection(chart: Chart, frame: Callable) -> TMConnection:
     """Connection whose parallel fields are the columns of ``frame(m)``.
 
     Gamma^k_{ij} = -(d_i E)^k_a (E^{-1})^a_j so that nabla E_a = 0,
-    contracted from the frame's 1-jet for a value and from its 2-jet for
-    the closed-form jet.
+    contracted from the frame's 1-jet for a value and from its 2-jets,
+    taken point by point, for the closed-form jet.
     """
     def christoffel(E):
-        return -dual.contract("ika,aj->kij", E.d, dual.inv(E.v))
+        return -dual.contract("i...ka,...aj->...kij", E.d, dual.inv(E.v))
 
     return TMConnection(chart, SmoothField(
         chart, (chart.dim,) * 3, lambda m: christoffel(dual.taylor(frame, m, 1)),
-        name="frame connection", jet=lambda m: christoffel(dual.taylor(frame, m, 2))))
+        name="frame connection",
+        jet=lambda ms: christoffel(dual.stack([dual.taylor(frame, m, 2) for m in ms]))))
 
 
 def christoffel_from_jet(G):
     """Gamma[k, i, j] = g^kl (d_i g_jl + d_j g_il - d_l g_ij) / 2 from a metric
-    jet of order >= 1 (``dual.taylor``), as a jet one order lower."""
-    dg = G.d                                   # dg[i, j, l] = d_i g_jl
-    lower = 0.5 * (dual.contract("ijl->lij", dg) + dual.contract("jil->lij", dg) - dg)
-    return dual.contract("kl,lij->kij", dual.inv(G.v), lower)
+    jet of order >= 1 (see ``metric_jet``), as a jet one order lower."""
+    dg = G.d                                   # dg[i, ..., j, l] = d_i g_jl
+    lower = 0.5 * (dual.contract("i...jl->...lij", dg) + dual.contract("j...il->...lij", dg)
+                   - dual.contract("l...ij->...lij", dg))
+    return dual.contract("...kl,...lij->...kij", dual.inv(G.v), lower)
 
 
 def curvature_from_christoffel(Gam):
     """R[l, k, i, j] = d_i G^l_jk - d_j G^l_ik + G^l_im G^m_jk - G^l_jm G^m_ik
     from a jet of the Christoffel symbols of order >= 1, one order lower."""
-    A = dual.contract("iljk->lkij", Gam.d) + dual.contract("lim,mjk->lkij", Gam.v, Gam.v)
+    A = (dual.contract("i...ljk->...lkij", Gam.d)
+         + dual.contract("...lim,...mjk->...lkij", Gam.v, Gam.v))
     return A - dual.swap(A)
 
 
 def metric_jet(metric: SmoothField, m, order: int):
-    """The metric's jet at m (``dual.taylor``), refused where the metric is
-    not positive definite."""
-    G = dual.taylor(metric, as_point(m), order)
+    """The metric's jet of the given order at a stack of float points
+    (B, n), with the point axis after the derivative axes, or at one point
+    (n,), float or Dual.  A metric that runs on lanes gives the jets at
+    float points from one call (``dual.taylor_stack``); otherwise, and at
+    a Dual point, ``dual.taylor`` takes them point by point.  Refused
+    where the metric is not positive definite."""
+    m = np.asarray(m)
+    if m.ndim == 2:
+        G = (dual.taylor_stack(metric, m, order) if metric.lanes
+             else dual.stack([dual.taylor(metric, p, order) for p in m]))
+    elif metric.lanes and not any(isinstance(x, dual.Dual) for x in m):
+        G = dual.point(dual.taylor_stack(metric, m[None], order), 0)
+    else:
+        G = dual.taylor(metric, m, order)
     if np.min(np.linalg.eigvalsh(value(dual.leaf(G)))) <= 0:
         raise GeometryError("metric not positive definite at sample point")
     return G
@@ -266,17 +302,17 @@ def metric_jet(metric: SmoothField, m, order: int):
 def levi_civita(metric: SmoothField) -> TMConnection:
     """Torsion-free metric connection from the Koszul formula: the
     Christoffel symbols are contracted from the metric's 1-jet, and their
-    closed-form jet from its 2-jet."""
+    closed-form jet at a stack of points from its 2-jets there."""
     return TMConnection(metric.chart, SmoothField(
         metric.chart, (metric.chart.dim,) * 3,
         lambda m: christoffel_from_jet(metric_jet(metric, m, 1)), name="levi-civita",
-        jet=lambda m: christoffel_from_jet(metric_jet(metric, m, 2))))
+        jet=lambda ms: christoffel_from_jet(metric_jet(metric, ms, 2))))
 
 
 def curvature_tensor(conn: TMConnection, m) -> np.ndarray:
     """Full R[l, k, i, j] = (R(e_i, e_j) e_k)^l at m, as floats, from the
     Christoffel symbols' 1-jet."""
-    return curvature_from_christoffel(conn.christoffel.first_jet(m))
+    return curvature_from_christoffel(conn.christoffel.first_jet(as_point(m)[None]))[0]
 
 
 @dataclass(frozen=True)
@@ -329,7 +365,7 @@ def sphere_metric(n: int = 2) -> SmoothField:
             g[k, k] = acc
         return g
 
-    return SmoothField(chart, (n, n), fn, name=f"sphere({n})")
+    return SmoothField(chart, (n, n), fn, name=f"sphere({n})", lanes=True)
 
 
 def hyperbolic_metric(n: int = 2) -> SmoothField:
@@ -347,7 +383,7 @@ def hyperbolic_metric(n: int = 2) -> SmoothField:
             g[k, k] = inv2
         return g
 
-    return SmoothField(chart, (n, n), fn, name=f"hyperbolic({n})")
+    return SmoothField(chart, (n, n), fn, name=f"hyperbolic({n})", lanes=True)
 
 
 def ellipsoid_metric() -> SmoothField:
@@ -365,7 +401,7 @@ def ellipsoid_metric() -> SmoothField:
         g[1, 1] = st * st
         return g
 
-    return SmoothField(chart, (2, 2), fn, name="ellipsoid")
+    return SmoothField(chart, (2, 2), fn, name="ellipsoid", lanes=True)
 
 
 METRIC_CATALOG = {

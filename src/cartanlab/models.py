@@ -26,7 +26,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import cached_property
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -106,13 +106,17 @@ def build_riemannian_cartan(metric: SmoothField) -> RiemannianCartanChart:
     rho(U, V) = F^-1 R(U, V) F, and every field is an index contraction
     of these with the skew basis E.
 
-    Only the metric is differentiated: its jet at a point is taken once
-    with nested Duals (``dual.taylor``), and the frame, Christoffel
-    symbols, curvature and the three fields are contractions of that jet
+    Only the metric is differentiated: its jet is taken once
+    (``geometry.metric_jet``), and the frame, Christoffel symbols,
+    curvature and the three fields are contractions of that jet
     (``dual.contract``).  The same formula runs on float leaves at a float
-    point and on Dual leaves at a Dual point; on a jet one order higher it
-    yields the first derivatives too, which the fields offer as their
-    closed-form jet (``SmoothField.jet``, read by ``first_jet``).
+    point or a stack of them and on Dual leaves at a Dual point; on a jet
+    one order higher it yields the first derivatives too, which the fields
+    offer as their closed-form jet (``SmoothField.jet``, read by
+    ``first_jet``).  Those jets are kept on the chart, point by point, and
+    a stack's missing points are built in one pass from one metric 3-jet
+    over all of them, so each sample point's jets are built once however
+    many checks read them.
     """
     base = metric.chart
     n = base.dim
@@ -134,37 +138,54 @@ def build_riemannian_cartan(metric: SmoothField) -> RiemannianCartanChart:
         F, dF, Finv = F1.v, F1.d, dual.swap(L.v)                      # dF[i] = d_i F
         Gam1 = christoffel_from_jet(G)
         Rt = curvature_from_christoffel(Gam1)                         # (l, b, i, j)
-        om = (dual.contract("aj,ijb->iab", Finv, dF)
-              + dual.contract("aj,jim,mb->iab", Finv, Gam1.v, F))     # omega_i, (i, a, k)
-        rho = dual.contract("al,lmij,jk,mb->ikab", Finv, Rt, F, F)    # rho(d_i, F e_k)
-        om_E = (dual.contract("iap,cpb->icab", om, E)
-                - dual.contract("cap,ipb->icab", E, om))              # [omega_i, E[c]]
-        lc_h = 0.5 * dual.contract("epq,icpq->iec", E, om_E)          # in skew coordinates
-        gamma = (place(om, TM, TM) + place(0.5 * dual.contract("epq,ikpq->iek", E, rho), H, TM)
-                 + place(dual.contract("cpq,qi->ipc", E, Finv), TM, H)   # E[c] F^-1 e_i
+        om = (dual.contract("...aj,i...jb->...iab", Finv, dF)
+              + dual.contract("...aj,...jim,...mb->...iab", Finv, Gam1.v, F))  # omega_i (i, a, k)
+        # rho(d_i, F e_k) = F^-1 R(d_i, F e_k) F, one factor at a time
+        rho = dual.contract("...al,...lmij->...amij", Finv, Rt)
+        rho = dual.contract("...amij,...jk->...amik", rho, F)
+        rho = dual.contract("...amik,...mb->...ikab", rho, F)
+        om_E = (dual.contract("...iap,cpb->...icab", om, E)
+                - dual.contract("cap,...ipb->...icab", E, om))        # [omega_i, E[c]]
+        lc_h = 0.5 * dual.contract("epq,...icpq->...iec", E, om_E)    # in skew coordinates
+        gamma = (place(om, TM, TM)
+                 + place(0.5 * dual.contract("epq,...ikpq->...iek", E, rho), H, TM)
+                 + place(dual.contract("cpq,...qi->...ipc", E, Finv), TM, H)  # E[c] F^-1 e_i
                  + place(lc_h, H, H))
         return _FrameParts(F, dF, Finv, rho, lc_h, gamma)
 
     def torsion_of(p: _FrameParts):
         """Gamma(#e_b) e_a - Gamma(#e_a) e_b + [e_a, e_b] on adapted sections."""
-        P = place(dual.contract("ik,iab->akb", p.F, p.gamma), ALL, TM, ALL)   # Gamma(#e_k) e_b
+        P = place(dual.contract("...ik,...iab->...akb", p.F, p.gamma),
+                  ALL, TM, ALL)                                       # Gamma(#e_k) e_b
         # the section bracket: Jacobi-Lie bracket of frame vectors, the
         # curvature rho(F e_k, F e_l), the LC derivatives of the skew
         # sections along frame vectors and the commutators [E[c], E[d]]
-        jl = dual.contract("ik,iml->mkl", p.F, p.dF)                  # d_{F e_k} F e_l
-        lc_kd = dual.contract("ik,iec->ekc", p.F, p.lc_h)
-        bracket = (place(dual.contract("am,mkl->akl", p.Finv, jl - dual.swap(jl)), TM, TM, TM)
-                   + place(0.5 * dual.contract("epq,ik,ilpq->ekl", E, p.F, p.rho), H, TM, TM)
+        jl = dual.contract("...ik,i...ml->...mkl", p.F, p.dF)         # d_{F e_k} F e_l
+        lc_kd = dual.contract("...ik,...iec->...ekc", p.F, p.lc_h)
+        bracket = (place(dual.contract("...am,...mkl->...akl", p.Finv, jl - dual.swap(jl)),
+                         TM, TM, TM)
+                   + place(0.5 * dual.contract("...ik,...eil->...ekl", p.F,
+                                               dual.contract("epq,...ilpq->...eil", E, p.rho)),
+                           H, TM, TM)
                    + place(lc_kd, H, TM, H) - place(dual.swap(lc_kd), H, H, TM) + EE)
         return dual.swap(P) - P + bracket
 
     def frame(m):
         return dual.swap(dual.inv(dual.cholesky(metric_jet(metric, m, 0))))
 
-    @lru_cache(maxsize=1)
-    def jet_parts(m):
-        # one metric jet serves the closed-form jets of all three fields at m
-        return parts(metric_jet(metric, m, 3))
+    store = {}       # point -> the anchor, gamma and torsion order-1 jets there
+
+    def jet_parts(ms):
+        """The three fields' jets at each float point of ms (B, n); one
+        metric 3-jet over the points not yet kept serves all three."""
+        keys = [tuple(m) for m in ms]
+        new = [k for k in dict.fromkeys(keys) if k not in store]
+        if new:
+            p = parts(metric_jet(metric, np.array(new), 3))
+            jets = (place(p.F, TM), p.gamma, torsion_of(p))
+            for b, k in enumerate(new):
+                store[k] = tuple(dual.point(x, b) for x in jets)
+        return [store[k] for k in keys]
 
     def frames(ms):
         """The anchor at float points (B, n): the frames F = L^-T, stacked."""
@@ -176,21 +197,18 @@ def build_riemannian_cartan(metric: SmoothField) -> RiemannianCartanChart:
         out[:, :, TM] = np.swapaxes(np.linalg.inv(L), -1, -2)
         return out
 
-    def field(name, shape, value_fn, of, batch=None):
-        def jet(m):
-            # copies, so no caller can write into the shared parts
-            x = of(jet_parts(tuple(m)))
-            return dual.Taylor(x.v.copy(), x.d.copy())
+    def field(name, shape, value_fn, slot, batch=None):
+        def jet(ms):
+            # stacked afresh, so no caller can write into the kept jets
+            return dual.stack([j[slot] for j in jet_parts(ms)])
         return SmoothField(base, shape, value_fn, name=f"tm+h {name}", batch=batch, jet=jet)
 
     chart = AlgebroidChart(
         base=base, rank=r,
-        anchor=field("anchor", (n, r), lambda m: place(frame(m), TM), lambda p: place(p.F, TM),
-                     frames),
-        gamma=field("connection", (n, r, r), lambda m: parts(metric_jet(metric, m, 2)).gamma,
-                    lambda p: p.gamma),
-        torsion=field("torsion", (r, r, r), lambda m: torsion_of(parts(metric_jet(metric, m, 2))),
-                      torsion_of))
+        anchor=field("anchor", (n, r), lambda m: place(frame(m), TM), 0, frames),
+        gamma=field("connection", (n, r, r), lambda m: parts(metric_jet(metric, m, 2)).gamma, 1),
+        torsion=field("torsion", (r, r, r),
+                      lambda m: torsion_of(parts(metric_jet(metric, m, 2))), 2))
     return RiemannianCartanChart(metric, lc, chart, n, frame)
 
 
@@ -312,10 +330,10 @@ def _tm_flatness(conn: TMConnection, samples) -> float:
     return worst(res)
 
 
-def _torsion_jet(P: DualPair, m):
-    """The second connection's Christoffel symbols' 1-jet at m and its
-    torsion's order-1 jet, taken from it."""
-    G = P.nabla_bar.christoffel.first_jet(m)
+def _torsion_jet(P: DualPair, ms):
+    """The second connection's Christoffel symbols' 1-jets at the points ms
+    (B, n) and its torsion's order-1 jets, taken from them."""
+    G = P.nabla_bar.christoffel.first_jet(ms)
     return G, G - dual.swap(G)
 
 
@@ -345,22 +363,21 @@ def local_lie_group_check(P: DualPair, tol: float = 1e-7,
     one Christoffel jet per point."""
     samples = P.chart.sample_points(np.random.default_rng(seed), 5)
     flat_a = _tm_flatness(P.nabla, samples)
-    flat_b, par = [], []
     for m in samples:
         P.nabla_bar.chart.require_interior(m)
-        Gam, T = _torsion_jet(P, m)
-        flat_b.append(np.max(np.abs(curvature_from_christoffel(Gam))))
-        G = Gam.v
-        # (bar_nabla_l T)^k_ij from the jets, l on the leading axis
-        cov = (T.d + np.einsum("klm,mij->lkij", G, T.v) - np.einsum("mli,kmj->lkij", G, T.v)
-               - np.einsum("mlj,kim->lkij", G, T.v))
-        par.append(np.max(np.abs(cov)))
+    Gam, T = _torsion_jet(P, samples)
+    flat_b = worst(np.abs(curvature_from_christoffel(Gam)))
+    G = Gam.v
+    # (bar_nabla_l T)^k_ij from the jets, l on the leading axis of T.d
+    cov = (np.moveaxis(T.d, 0, 1) + np.einsum("...klm,...mij->...lkij", G, T.v)
+           - np.einsum("...mli,...kmj->...lkij", G, T.v)
+           - np.einsum("...mlj,...kim->...lkij", G, T.v))
     m0 = np.asarray(m0 if m0 is not None else samples[0], dtype=float)
-    T0 = _torsion_jet(P, m0)[1].v
+    T0 = _torsion_jet(P, m0[None])[1].v[0]
     c = np.einsum("kij->ijk", T0)
     from .algebra import jacobi_residual
     jres = jacobi_residual(0.5 * (c - np.swapaxes(c, 0, 1)))
-    return LocalLieGroupReport(flat_a, worst(flat_b), worst(par), float(jres), tol)
+    return LocalLieGroupReport(flat_a, flat_b, worst(np.abs(cov)), float(jres), tol)
 
 
 @dataclass(frozen=True)
@@ -372,7 +389,7 @@ class ObstructionForm:
 def obstruction_form(P: DualPair, m) -> ObstructionForm:
     """Trace one-form w(U) = trace T(U, .) and its exterior-derivative
     residual (closedness)."""
-    w = dual.contract("kik->i", _torsion_jet(P, m)[1])    # w.d[j, i] = d_j w_i
+    w = dual.contract("kik->i", dual.point(_torsion_jet(P, [m])[1], 0))  # w.d[j, i] = d_j w_i
     return ObstructionForm(w.v, float(np.max(np.abs(w.d - w.d.T))))
 
 

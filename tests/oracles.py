@@ -372,7 +372,7 @@ def curvature_formula_check(R: RiemannianCartanChart, samples=None) -> TensorRep
         Gam = np.asarray(R.lc.christoffel(m), dtype=object)
         Rt = curvature_tensor_obj(R.lc, m)
         dRt = dual.jacobian(lambda p: curvature_tensor_obj(R.lc, as_point(p)), m)
-        curv = curvature_conn_tensor(R.chart.gamma.first_jet(m))
+        curv = curvature_conn_tensor(dual.point(R.chart.gamma.first_jet([m]), 0))
         for i in range(n):
             for j in range(i + 1, n):
                 for a in range(r):

@@ -105,6 +105,23 @@ def test_non_finite_linear_action_is_refused_by_both_forms():
             anchor.values([[0.0], [1e10]])
 
 
+@settings(max_examples=30, deadline=None)
+@given(data=st.data())
+def test_action_torsion_batch_is_the_per_point_antisymmetrized_bracket(circle, torus, data):
+    # the chart antisymmetrizes the raw torsion and keeps its constant batch
+    so3 = [[[0.0, 0.0, 0.0], [0.0, 0.0, 1.0], [0.0, -1.0, 0.0]],
+           [[0.0, 0.0, -1.0], [0.0, 0.0, 0.0], [1.0, 0.0, 0.0]],
+           [[0.0, 1.0, 0.0], [-1.0, 0.0, 0.0], [0.0, 0.0, 0.0]]]
+    inline = cli._build_inline_action({
+        "algebra": {"structure_constants": so3},
+        "chart": {"lower": [-5.0] * 3, "upper": [5.0] * 3},
+        "action": {"family": "translation"}}).chart
+    for chart in (circle.glued.charts[0], circle.cover.chart, torus.glued.charts[1], inline):
+        ms = data.draw(_points(chart.base.dim))
+        assert chart.torsion.batch is not None
+        assert chart.torsion.values(ms).tobytes() == _per_point(chart.torsion, ms).tobytes()
+
+
 def test_fields_without_a_closed_form_loop_over_points(sphere):
     ms = sphere.chart.base.halton_points(5, shrink=0.2)
     for field in (sphere.chart.gamma, sphere.chart.torsion):

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from cartanlab import algebra, algebroid, dual, geometry, models
+from cartanlab import algebra, algebroid, dual, geometry, models, transport
 from cartanlab.algebroid import intertwining_residuals
 from cartanlab.cartan import (cocurvature, curvature_conn, curvature_conn_tensor,
                               fiber_bracket_at, is_cartan, is_flat)
@@ -293,7 +293,7 @@ def test_curvature_conn_tensor_is_the_gamma_curvature_formula(name):
                   else geometry.metric_by_name(name))
         C = models.build_riemannian_cartan(metric).chart
     for m in C.base.halton_points(5):
-        G = C.gamma.first_jet(m)
+        G = dual.point(C.gamma.first_jet([m]), 0)
         assert np.array_equal(curvature_conn_tensor(G), curvature_by_gamma_jet(G))
 
 
@@ -388,3 +388,12 @@ def test_a_nan_residual_at_the_second_sample_fails_the_check():
     assert np.isfinite(rep.per_point[0]) and np.isnan(rep.per_point[1])
     assert np.isnan(rep.max_residual)
     assert not rep.passed
+
+
+def test_an_empty_sample_set_reports_no_point(sphere, torus):
+    # a stack of no points has an empty jet, from closed forms and loops alike
+    none = np.empty((0, 2))
+    for C in (sphere.rc.chart, torus.chart):
+        for rep in (is_cartan(C, samples=none), is_flat(C, samples=none),
+                    transport.invariant_metric_check(C, sphere.metric, samples=none)):
+            assert rep.per_point == () and rep.max_residual == 0.0

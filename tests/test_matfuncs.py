@@ -160,3 +160,33 @@ def test_sqrtm_rejects_a_negative_eigenvalue(g):
     with pytest.raises(AlgebraError, match="did not converge"):
         algebra.sqrtm(g)
 
+
+
+def test_rotation_log_near_the_branch_cut_is_as_accurate_as_logm():
+    # 1,500 seeded rotations by angles in (3.1, pi).  The log's relative
+    # condition there is about theta / sin(theta), the divided difference of
+    # log over the eigenvalue pair e^{+-i theta}: two backward-stable logs
+    # of the same rounded g differ by eps times that (scipy's logm is 2e-12
+    # from a 50-digit log at pi - 2e-5), which is 1e-13 at pi - 7e-3.
+    # Denman-Beavers roots alone missed it by up to 5,000 times.
+    rng = np.random.default_rng(0)
+    eps = np.finfo(float).eps
+    for _ in range(1500):
+        theta = rng.uniform(3.1, math.pi)
+        g = rotation(rng.normal(size=3), theta)
+        want = scipy.linalg.logm(g).real
+        assert rel_err(algebra.principal_log(g), want) <= eps * theta / math.sin(theta)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.one_of(st.builds(affine, st.floats(-3.0, 3.0), st.floats(0.1, 3.0)),
+                 st.builds(heisenberg, st.floats(0.1, 3.0), coord, coord).map(lambda g: 1.5 * g)))
+def test_non_normal_logs_take_every_root_by_denman_beavers(g):
+    assert not algebra._is_normal(g)
+    assert np.array_equal(algebra.principal_log(g), algebra._log_by_roots(g, algebra._SERIES_TOL))
+
+
+@pytest.mark.parametrize("gap", [1e-10, 1e-14, 0.0])
+def test_rotation_log_refuses_an_eigenvalue_at_the_cut(gap):
+    with pytest.raises(AlgebraError, match="negative real axis"):
+        algebra.principal_log(rotation([0.3, -0.5, 0.8], math.pi - gap))

@@ -212,7 +212,7 @@ def test_contracted_chart_matches_loop_reference(name):
     want = _loop_riemannian_chart(metric)
     for m in metric.chart.halton_points(3):
         for field in FIELDS:
-            a, b = getattr(got, field).first_jet(m), getattr(want, field).first_jet(m)
+            a, b = getattr(got, field).first_jet([m]), getattr(want, field).first_jet([m])
             assert np.max(np.abs(a.v - b.v)) < 1e-12, field
             assert np.max(np.abs(a.d - b.d)) < 1e-12, field
 
@@ -239,7 +239,7 @@ def test_jet_build_matches_dual_build(name, examples):
               suppress_health_check=[HealthCheck.too_slow])
     @given(_interior_points(metric.chart))
     def check(m):
-        a, b = ({f: getattr(C, f).first_jet(m) for f in FIELDS} for C in (got, want))
+        a, b = ({f: getattr(C, f).first_jet([m]) for f in FIELDS} for C in (got, want))
         # roundoff grows with the frame: at the sphere(4) corner where the
         # three polar angles are 0.29, |F| reaches 43 and both builds carry
         # ~5e-12 in the torsion's derivative, whose exact value is 0
@@ -266,13 +266,15 @@ def test_gamma_at_a_dual_point_matches_dual_build(name, rng):
 
 
 def _counted(metric):
+    """The metric with every call of its formula recorded; it keeps running
+    on lanes, so a stacked jet build is one call."""
     calls = []
 
     def fn(m):
         calls.append(m)
         return metric.fn(m)
 
-    return SmoothField(metric.chart, metric.shape, fn, name=metric.name), calls
+    return dataclasses.replace(metric, fn=fn), calls
 
 
 def test_metric_evaluations_per_jet_and_per_gamma_value():
@@ -280,19 +282,61 @@ def test_metric_evaluations_per_jet_and_per_gamma_value():
     chart = build_riemannian_cartan(metric).chart
     m = np.array([1.1, 0.4])
     for field in FIELDS:
-        getattr(chart, field).first_jet(m)
-    assert len(calls) <= 10          # one 3-jet: four nested-Dual evaluations
+        getattr(chart, field).first_jet([m])
+    assert len(calls) == 1           # one 3-jet: one evaluation at lane points
     calls.clear()
     g = chart.gamma(as_point(m))
     assert g.dtype == float
-    assert len(calls) <= 4           # one 2-jet: three nested-Dual evaluations
+    assert len(calls) == 1           # one 2-jet: one evaluation at lane points
 
 
 def test_is_flat_reads_only_gamma_from_one_metric_jet_per_point():
+    # one formula call at 3-layer lane points builds every sample's jet
+    for samples in (1, 6, 50):
+        metric, calls = _counted(geometry.sphere_metric(2))
+        chart = build_riemannian_cartan(metric).chart
+        rep = cartan.is_flat(chart, samples=samples)
+        assert len(rep.per_point) == samples
+        assert len(calls) == 1 and _layers(calls[0][0]) == 3
+        assert len(calls[0][0].val.val.val) == samples * 4    # 4 multi-indices of order 3
+
+
+def _layers(x) -> int:
+    k = 0
+    while isinstance(x, dual.Dual):
+        x, k = x.val, k + 1
+    return k
+
+
+def test_tensor_checks_on_one_sample_set_build_each_jet_once():
     metric, calls = _counted(geometry.sphere_metric(2))
     chart = build_riemannian_cartan(metric).chart
-    cartan.is_flat(chart, samples=np.array([[1.1, 0.4]]))
-    assert len(calls) == 4
+    pts = metric.chart.sample_points(np.random.default_rng(3), 7)
+    cartan.is_cartan(chart, samples=pts[:4])
+    cartan.is_flat(chart, samples=pts)
+    transport.invariant_metric_check(chart, metric, samples=pts[2:])
+    builds = [len(c[0].val.val.val) // 4 for c in calls if _layers(c[0]) == 3]
+    # the three points is_cartan did not read are built by is_flat, once
+    assert builds == [4, 3]
+    # invariant_metric reads the metric's own 1-jet: one more call
+    assert [_layers(c[0]) for c in calls] == [3, 3, 1]
+
+
+@pytest.mark.parametrize("name", ["sphere(1)", "sphere(2)", "sphere(3)", "sphere(4)",
+                                  "hyperbolic(2)", "hyperbolic(3)", "ellipsoid"])
+def test_stacked_jets_match_the_per_point_dual_build(name):
+    metric = geometry.metric_by_name(name)
+    ms = metric.chart.sample_points(np.random.default_rng(7), 6)
+    got = build_riemannian_cartan(metric).chart
+    # the same metric read point by point through dual.taylor
+    want = build_riemannian_cartan(dataclasses.replace(metric, lanes=False)).chart
+    for f in FIELDS:
+        a = getattr(got, f).first_jet(ms)
+        for b, m in enumerate(ms):
+            w = getattr(want, f).first_jet([m])
+            tol = 1e-12 * max(1.0, np.max(np.abs(want.anchor.first_jet([m]).v)))
+            assert np.max(np.abs(a.v[b] - w.v[0]), initial=0.0) < tol, f
+            assert np.max(np.abs(a.d[:, b] - w.d[:, 0]), initial=0.0) < tol, f
 
 
 def test_euclidean_chart_block_structure(euclid):
@@ -432,7 +476,7 @@ def test_christoffel_jets_match_nested_dual_references(name):
         conn, ref = geometry.levi_civita(metric), _koszul_connection(metric)
     assert conn.christoffel.jet is not None and ref.christoffel.jet is None
     for m in conn.chart.halton_points(5):
-        G = conn.christoffel.first_jet(m)
+        G = dual.point(conn.christoffel.first_jet([m]), 0)
         want_d = np.moveaxis(value(dual.jacobian(ref.christoffel, as_point(m))), -1, 0)
         assert np.max(np.abs(G.v - value(ref.christoffel(as_point(m))))) < 1e-12
         assert np.max(np.abs(G.d - want_d)) < 1e-12
@@ -443,7 +487,7 @@ def test_christoffel_jets_match_nested_dual_references(name):
 def _restricted_bracket(P, m0):
     """Structure constants c[i, j, k] = T^k_ij of the second connection's
     torsion at m0, a Lie algebra's (checked by ``LieAlgebra``)."""
-    T = models._torsion_jet(P, m0)[1].v
+    T = models._torsion_jet(P, [m0])[1].v[0]
     return LieAlgebra(np.einsum("kij->ijk", T)).structure_constants
 
 
@@ -474,13 +518,15 @@ def test_local_lie_group_affine():
 
 def test_local_lie_group_takes_one_christoffel_jet_per_sample():
     # flatness and torsion parallelism of nabla_bar read the same jet at
-    # each of the 5 samples; the restricted bracket reads one more at m0
+    # each of the 5 samples, stacked in one read; the restricted bracket
+    # reads one more at m0
     pair = models.affine_line_group().pair
     Gam, calls = pair.nabla_bar.christoffel, []
-    counted = dataclasses.replace(Gam, jet=lambda m: calls.append(m) or Gam.jet(m))
+    counted = dataclasses.replace(Gam, jet=lambda ms: calls.append(ms) or Gam.jet(ms))
     bar = dataclasses.replace(pair.nabla_bar, christoffel=counted)
     rep = local_lie_group_check(dataclasses.replace(pair, nabla_bar=bar), m0=[1.0, 0.0])
-    assert rep.passed and len(calls) == 6 and np.array_equal(calls[-1], [1.0, 0.0])
+    assert rep.passed and [len(ms) for ms in calls] == [5, 1]
+    assert np.array_equal(calls[-1], [[1.0, 0.0]])
 
 
 def test_local_lie_group_heisenberg():

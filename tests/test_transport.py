@@ -437,7 +437,7 @@ def _invariant_metric_by_directions(C, sigma, samples):
     for m in samples:
         m = as_point(m)
         sig = value(np.asarray(sigma(m), dtype=object))
-        bar = bar_tm_tensor(C.anchor.first_jet(m), C.gamma.first_jet(m))
+        bar = bar_tm_tensor(C.anchor.first_jet([m]), C.gamma.first_jet([m]))[0]
         anchor = value(np.asarray(C.anchor(m), dtype=object))
         res = [value(np.asarray(directional(sigma, m, anchor[:, a]), dtype=object))
                - sig @ bar[:, a] - bar[:, a].T @ sig for a in range(C.rank)]
