@@ -15,8 +15,8 @@ from .development import (Coset, CoverSpec, EquivariantMap, HomogeneousModel,
                           equivariance_diagram_check, geometric_closure_probe,
                           induced_affine_map, path_independence_check,
                           reconstruct_atlas)
-from .geometry import (Chart, SmoothField, TMConnection, levi_civita,
-                       lie_bracket_vf, metric_by_name, scalar_form_fit)
+from .geometry import (Chart, SmoothField, TMConnection, lie_bracket_vf,
+                       metric_by_name, scalar_form_fit)
 from .models import (DualPair, RiemannianCartanChart, build_riemannian_cartan,
                      check_dual_pair, classify_constant_curvature, load_model,
                      local_lie_group_check, obstruction_form)

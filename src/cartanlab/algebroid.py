@@ -29,7 +29,7 @@ import numpy as np
 from . import dual
 from .dual import value
 from .algebra import LieAlgebra, TensorReport, worst
-from .geometry import Chart, SmoothField, as_field, as_point
+from .geometry import Chart, SmoothField, as_field, as_point, sample_stack
 
 
 class AlgebroidError(ValueError):
@@ -167,8 +167,7 @@ def make_action_algebroid(g0: LieAlgebra, action: Callable, base: Chart) -> Acti
 def check_anchor_homomorphism(C: AlgebroidChart, tol: float = 1e-8,
                               sign: int = 1, samples: np.ndarray | None = None) -> TensorReport:
     """Residual of #[X, Y] = sign * [#X, #Y] on constant-frame sections."""
-    if samples is None:
-        samples = C.base.halton_points(7)
+    samples = sample_stack(C.base.halton_points(7) if samples is None else samples)
     A, G, T = (f.first_jet(samples) for f in (C.anchor, C.gamma, C.torsion))
     lhs = np.einsum("...ic,...cab->...iab", A.v, frame_bracket(A.v, G.v, T.v))
     L = np.einsum("k...ib,...ka->...iab", A.d, A.v)     # (D #e_b) #e_a

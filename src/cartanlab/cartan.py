@@ -33,7 +33,7 @@ import numpy as np
 from .dual import contract, value
 from .algebra import LieAlgebra, TensorReport, worst
 from .algebroid import AlgebroidChart, frame_bracket
-from .geometry import as_point, curvature_from_christoffel
+from .geometry import as_point, curvature_from_christoffel, sample_stack
 
 
 def _swap(t):
@@ -111,7 +111,7 @@ def _sample_set(C: AlgebroidChart, samples, seed=42):
         return C.base.sample_points(np.random.default_rng(seed), 50)
     if isinstance(samples, int):
         return C.base.sample_points(np.random.default_rng(seed), samples)
-    return np.asarray(samples, dtype=float)
+    return samples
 
 
 def per_point_max(t) -> tuple[float, ...]:
@@ -122,7 +122,7 @@ def per_point_max(t) -> tuple[float, ...]:
 def _max_over_samples(name, C, tensor_at, samples, tol, seed) -> TensorReport:
     """The residual tensor over the whole sample set, from ``tensor_at`` of
     the stacked points, reduced to its max |.| at each point."""
-    pts = _sample_set(C, samples, seed)
+    pts = sample_stack(_sample_set(C, samples, seed))
     for m in pts:
         C.base.require_interior(m)
     per = per_point_max(tensor_at(pts))

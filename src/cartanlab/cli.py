@@ -454,14 +454,12 @@ def check_completeness(model, params, seed):
 
 
 def check_scalar_form_fit(model, params, seed):
-    rc = model.rc
-    rng = np.random.default_rng(seed)
-    pts = rc.metric.chart.sample_points(rng, params["points"])
-    fits = [geometry.scalar_form_fit(rc.lc, rc.metric, m) for m in pts]
-    svals = [f.s for f in fits]
+    pts = model.metric.chart.sample_points(np.random.default_rng(seed), params["points"])
+    fit = geometry.scalar_form_fit(model.metric, pts)
+    svals = fit.s
     # numpy's max and min keep a NaN, so a NaN fit fails the comparisons below
     spread = float(np.max(svals) - np.min(svals))
-    residual = algebra.worst([spread] + [f.residual for f in fits])
+    residual = algebra.worst([spread, *fit.residual])
     verdict = spread <= params["spread_tol"]
     if params["expect_abs_s"] is not None:
         verdict = abs(abs(np.mean(svals)) - params["expect_abs_s"]) <= params["tol"] and verdict
@@ -549,9 +547,9 @@ def check_local_lie_group(model, params, seed):
 def check_obstruction_form(model, params, seed):
     rng = np.random.default_rng(seed)
     pts = model.pair.chart.sample_points(rng, params["samples"])
-    forms = [models.obstruction_form(model.pair, m) for m in pts]
-    dw = algebra.worst([ob.dw_residual for ob in forms])
-    wmax = algebra.worst([np.max(np.abs(ob.w)) for ob in forms])
+    ob = models.obstruction_form(model.pair, pts)
+    dw = algebra.worst(ob.dw_residual)
+    wmax = algebra.worst(np.abs(ob.w))
     is_zero = wmax <= params["zero_tol"]
     # a form that is not a number is neither zero nor a valid nonzero form
     verdict = dw <= params["dw_tol"] and math.isfinite(wmax) and is_zero == params["expect_zero"]

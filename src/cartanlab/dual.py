@@ -163,9 +163,6 @@ class Dual:
     def cos(self):
         return Dual(_cos(self.val), -_sin(self.val) * self.eps)
 
-    def conjugate(self):
-        return self
-
 
 def _unary(name, mathfn, npfn):
     def f(x):

@@ -4,9 +4,12 @@ Everything lives on open boxes.  Fields are plain callables evaluated
 through dual numbers, so first and second derivatives are exact; a field's
 float values at a stack of points come from ``SmoothField.values``, its
 values and first derivatives there from ``SmoothField.first_jet``.  The
-catalog metrics run on lane points (``SmoothField.lanes``), so their
-values and jets of any order at a stack come from one formula call
-(``dual.taylor_stack``); every other field is read point by point.
+catalog metrics and the frames of ``frame_connection`` run on lane points
+(``SmoothField.lanes``, ``dual.taylor_stack``), so their values and jets
+of any order at a stack come from one formula call; a field with neither
+a closed form nor a lane formula falls back to ``dual.taylor`` point by
+point inside those two reads.  Every check reads its sample set as one
+stack (``sample_stack``), never one point at a time.
 
 Curvature convention used throughout:
 
@@ -225,7 +228,7 @@ class TMConnection:
     ``christoffel`` is a field of shape (n, n, n) with layout [k, i, j] for
     Gamma^k_{ij}: (nabla_U V)^k = U^i d_i V^k + Gamma^k_{ij} U^i V^j.  A
     plain callable is wrapped as a field, whose first derivatives then come
-    from ``dual.taylor``; the constructors below give closed-form jets.
+    from ``dual.taylor``; ``frame_connection`` gives a closed-form jet.
     """
 
     chart: Chart
@@ -250,8 +253,10 @@ def frame_connection(chart: Chart, frame: Callable) -> TMConnection:
     """Connection whose parallel fields are the columns of ``frame(m)``.
 
     Gamma^k_{ij} = -(d_i E)^k_a (E^{-1})^a_j so that nabla E_a = 0,
-    contracted from the frame's 1-jet for a value and from its 2-jets,
-    taken point by point, for the closed-form jet.
+    contracted from the frame's 1-jet for a value and from its 2-jet for
+    the closed-form jet.  The frame runs on lane points, so the values and
+    jets at a stack of points come from one call of it
+    (``dual.taylor_stack``).
     """
     def christoffel(E):
         return -dual.contract("i...ka,...aj->...kij", E.d, dual.inv(E.v))
@@ -259,7 +264,8 @@ def frame_connection(chart: Chart, frame: Callable) -> TMConnection:
     return TMConnection(chart, SmoothField(
         chart, (chart.dim,) * 3, lambda m: christoffel(dual.taylor(frame, m, 1)),
         name="frame connection",
-        jet=lambda ms: christoffel(dual.stack([dual.taylor(frame, m, 2) for m in ms]))))
+        batch=lambda ms: christoffel(dual.taylor_stack(frame, ms, 1)),
+        jet=lambda ms: christoffel(dual.taylor_stack(frame, ms, 2))))
 
 
 def christoffel_from_jet(G):
@@ -299,42 +305,39 @@ def metric_jet(metric: SmoothField, m, order: int):
     return G
 
 
-def levi_civita(metric: SmoothField) -> TMConnection:
-    """Torsion-free metric connection from the Koszul formula: the
-    Christoffel symbols are contracted from the metric's 1-jet, and their
-    closed-form jet at a stack of points from its 2-jets there."""
-    return TMConnection(metric.chart, SmoothField(
-        metric.chart, (metric.chart.dim,) * 3,
-        lambda m: christoffel_from_jet(metric_jet(metric, m, 1)), name="levi-civita",
-        jet=lambda ms: christoffel_from_jet(metric_jet(metric, ms, 2))))
-
-
-def curvature_tensor(conn: TMConnection, m) -> np.ndarray:
-    """Full R[l, k, i, j] = (R(e_i, e_j) e_k)^l at m, as floats, from the
-    Christoffel symbols' 1-jet."""
-    return curvature_from_christoffel(conn.christoffel.first_jet(as_point(m)[None]))[0]
+def sample_stack(ms) -> np.ndarray:
+    """A check's sample points as one float stack (B, n).  A check over no
+    point would evaluate nothing and pass, so an empty stack is refused."""
+    ms = np.asarray(ms, dtype=float)
+    if not len(ms):
+        raise GeometryError("no sample points: a check over none evaluates nothing")
+    return ms
 
 
 @dataclass(frozen=True)
 class ScalarFormFit:
-    s: float
-    residual: float
+    s: np.ndarray           # (B,) the fitted factor at each point
+    residual: np.ndarray    # (B,) the misfit there
 
 
-def scalar_form_fit(conn: TMConnection, metric: SmoothField, m) -> ScalarFormFit:
-    """Least-squares fit of R(U,V)W to s (sigma(V,W) U - sigma(U,W) V)."""
-    m = as_point(m)
-    conn.chart.require_interior(m)
-    n = conn.chart.dim
-    R = curvature_tensor(conn, m)
-    g = metric.values(m[None])[0]
-    eye = np.eye(n)
-    B = (np.einsum("jk,li->lkij", g, eye) - np.einsum("ik,lj->lkij", g, eye))
-    denom = float(np.sum(B * B))
-    if denom == 0.0:
-        return ScalarFormFit(0.0, float(np.linalg.norm(R)))
-    s = float(np.sum(R * B) / denom)
-    return ScalarFormFit(s, float(np.linalg.norm(R - s * B)))
+def scalar_form_fit(metric: SmoothField, ms) -> ScalarFormFit:
+    """Least-squares fit of R(U,V)W to s (sigma(V,W) U - sigma(U,W) V) at
+    each point of the stack ms (B, n).  One metric 2-jet over the stack
+    gives both: R from its Christoffel symbols, sigma from its value."""
+    ms = sample_stack(ms)
+    for m in ms:
+        metric.chart.require_interior(m)
+    G = metric_jet(metric, ms, 2)
+    R = curvature_from_christoffel(christoffel_from_jet(G))
+    g, eye = dual.leaf(G), np.eye(metric.chart.dim)
+    B = np.einsum("...jk,li->...lkij", g, eye) - np.einsum("...ik,lj->...lkij", g, eye)
+    each = (1, 2, 3, 4)
+    denom = np.sum(B * B, axis=each)
+    # a 1-dimensional metric has B = 0: s = 0 and the residual is |R|
+    s = np.divide(np.sum(R * B, axis=each), denom, out=np.zeros(len(ms)), where=denom > 0)
+    misfit = (R - s[:, None, None, None, None] * B).reshape(len(ms), 1, -1)
+    # |misfit| at each point by one dot product, as np.linalg.norm takes it
+    return ScalarFormFit(s, np.sqrt(misfit @ np.swapaxes(misfit, 1, 2))[:, 0, 0])
 
 
 # -- bundled metric catalog ---------------------------------------------------

@@ -42,9 +42,8 @@ from .development import (CoverSpec, EquivariantMap, HomogeneousModel,
                           OverlapSpec)
 from .geometry import (Chart, GeometryError, SmoothField, TMConnection, as_point,
                        christoffel_from_jet, curvature_from_christoffel,
-                       curvature_tensor, frame_connection, hyperbolic_metric,
-                       levi_civita, lie_bracket_vf, metric_jet, scalar_form_fit,
-                       sphere_metric)
+                       frame_connection, hyperbolic_metric, lie_bracket_vf,
+                       metric_jet, sample_stack, scalar_form_fit, sphere_metric)
 from .transport import BasePath, PathSegment, monodromy
 
 
@@ -70,7 +69,6 @@ def skew_coords(S, n: int):
 @dataclass(frozen=True)
 class RiemannianCartanChart:
     metric: SmoothField
-    lc: TMConnection
     chart: AlgebroidChart
     n: int
     frame: Callable            # m -> orthonormal frame matrix F (columns)
@@ -123,7 +121,6 @@ def build_riemannian_cartan(metric: SmoothField) -> RiemannianCartanChart:
     E = skew_basis(n)
     r = n + len(E)
     TM, H, ALL = slice(0, n), slice(n, r), slice(0, r)
-    lc = levi_civita(metric)
     # [E[c], E[d]] in skew coordinates, at (e, c, d) of the skew block
     EE = _scatter(0.5 * np.einsum("epq,cdpq->ecd", E, E[:, None] @ E[None] - E[None] @ E[:, None]),
                   r, (H, H, H))
@@ -209,7 +206,7 @@ def build_riemannian_cartan(metric: SmoothField) -> RiemannianCartanChart:
         gamma=field("connection", (n, r, r), lambda m: parts(metric_jet(metric, m, 2)).gamma, 1),
         torsion=field("torsion", (r, r, r),
                       lambda m: torsion_of(parts(metric_jet(metric, m, 2))), 2))
-    return RiemannianCartanChart(metric, lc, chart, n, frame)
+    return RiemannianCartanChart(metric, chart, n, frame)
 
 
 # -- constant-curvature classification ----------------------------------------
@@ -259,14 +256,14 @@ def classify_constant_curvature(R: RiemannianCartanChart, m0,
         raise ValueError(
             f"chart connection is not flat (residual {flat.max_residual:.3e}); "
             "curvature is not constant")
-    fit = scalar_form_fit(R.lc, R.metric, m0)
-    s = fit.s
+    fit = scalar_form_fit(R.metric, [m0])
+    s, fit_residual = float(fit.s[0]), float(fit.residual[0])
     extracted = fiber_bracket_at(R.chart, m0).structure_constants
     model = model_structure_constants(s, R.n)
     resid = float(np.max(np.abs(extracted - model)))
-    if not (resid <= tol and fit.residual <= tol):
+    if not (resid <= tol and fit_residual <= tol):
         raise ValueError(f"extracted bracket misfits the model "
-                         f"(residual {max(resid, fit.residual):.3e})")
+                         f"(residual {max(resid, fit_residual):.3e})")
     if abs(s) <= 1e-8:
         tag = "euclidean"
     elif s > 0:
@@ -305,11 +302,8 @@ def check_dual_pair(P: DualPair, tol: float = 1e-8, seed: int = 42) -> TensorRep
     rng = np.random.default_rng(seed)
     samples = P.chart.sample_points(rng, 5)
     n = P.chart.dim
-    res = []
-    for m in samples:
-        Gb = P.nabla_bar.christoffel.values(m[None])[0]
-        Ga = P.nabla.christoffel.values(m[None])[0]
-        res.append(np.max(np.abs(Gb - np.swapaxes(Ga, 1, 2)), initial=0.0))
+    Gb, Ga = P.nabla_bar.christoffel.values(samples), P.nabla.christoffel.values(samples)
+    res = [worst(np.abs(Gb - np.swapaxes(Ga, -1, -2)))]
     fields = [_poly_field(rng, n) for _ in range(20)]
     for k in range(0, len(fields) - 1, 2):
         X, Y = fields[k], fields[k + 1]
@@ -323,11 +317,12 @@ def check_dual_pair(P: DualPair, tol: float = 1e-8, seed: int = 42) -> TensorRep
 
 
 def _tm_flatness(conn: TMConnection, samples) -> float:
-    res = []
+    """Max |R| of the connection over the stack of samples, from one
+    Christoffel jet."""
+    samples = sample_stack(samples)
     for m in samples:
         conn.chart.require_interior(m)
-        res.append(np.max(np.abs(curvature_tensor(conn, m))))
-    return worst(res)
+    return worst(np.abs(curvature_from_christoffel(conn.christoffel.first_jet(samples))))
 
 
 def _torsion_jet(P: DualPair, ms):
@@ -382,15 +377,17 @@ def local_lie_group_check(P: DualPair, tol: float = 1e-7,
 
 @dataclass(frozen=True)
 class ObstructionForm:
-    w: np.ndarray
-    dw_residual: float
+    w: np.ndarray              # (B, n)
+    dw_residual: np.ndarray    # (B,)
 
 
-def obstruction_form(P: DualPair, m) -> ObstructionForm:
+def obstruction_form(P: DualPair, ms) -> ObstructionForm:
     """Trace one-form w(U) = trace T(U, .) and its exterior-derivative
-    residual (closedness)."""
-    w = dual.contract("kik->i", dual.point(_torsion_jet(P, [m])[1], 0))  # w.d[j, i] = d_j w_i
-    return ObstructionForm(w.v, float(np.max(np.abs(w.d - w.d.T))))
+    residual (closedness) at each point of the stack ms (B, n), from one
+    torsion jet over the stack."""
+    w = dual.contract("...kik->...i", _torsion_jet(P, sample_stack(ms))[1])
+    dw = np.moveaxis(w.d, 0, -1)                     # dw[b, i, j] = d_j w_i at point b
+    return ObstructionForm(w.v, np.max(np.abs(dw - np.swapaxes(dw, 1, 2)), axis=(1, 2)))
 
 
 # -- catalog ------------------------------------------------------------------

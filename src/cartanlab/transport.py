@@ -29,7 +29,7 @@ from .dual import Dual, value
 from .algebra import AlgebraMap, Subalgebra, TensorReport, worst
 from .algebroid import AlgebroidChart, GluedAlgebroid
 from .cartan import bar_tm_tensor, fiber_bracket_at, per_point_max
-from .geometry import SmoothField, as_point
+from .geometry import SmoothField, as_point, sample_stack
 from .ode import integrate
 
 BLOWUP_NORM = 1e6
@@ -474,7 +474,7 @@ def invariant_metric_check(C: AlgebroidChart, sigma: SmoothField, tol: float = 1
     point."""
     if samples is None:
         samples = C.base.sample_points(np.random.default_rng(42), 10)
-    samples = np.asarray(samples, dtype=float)
+    samples = sample_stack(samples)
     S, A = sigma.first_jet(samples), C.anchor.first_jet(samples)
     bar = bar_tm_tensor(A, C.gamma.first_jet(samples))  # bar[..., :, a, k] = nabla_bar_{e_a} e_k
     res = (np.einsum("i...pq,...ia->...apq", S.d, A.v)

@@ -4,10 +4,12 @@ The references compute what the package computes from 1-jets and
 adaptive solves another way, for the tests to compare: the section
 calculus by its defining formulas, from which the tests build the
 cocurvature; central differences, directional Duals and the nested-Dual
-curvature; the displayed component formulas of the TM+h chart; and
-fixed-step RK4, which steps Dual states, with the parallel frames and
-twist fits built on it.  The fixtures are polylines and the stock
-algebras and models that no catalog entry or scenario names.
+curvature; the Levi-Civita connection and the per-point scalar-form fit
+that the stacked checks are compared against; the displayed component
+formulas of the TM+h chart; and fixed-step RK4, which steps Dual states,
+with the parallel frames and twist fits built on it.  The fixtures are
+polylines and the stock algebras and models that no catalog entry or
+scenario names.
 """
 
 from __future__ import annotations
@@ -23,8 +25,9 @@ from cartanlab.algebroid import ActionAlgebroid, AlgebroidChart, make_action_alg
 from cartanlab.cartan import curvature_conn_tensor, fiber_bracket_at
 from cartanlab.development import DevelopmentError
 from cartanlab.dual import eps_part, lift, value
-from cartanlab.geometry import (Chart, TMConnection, as_point, ellipsoid_metric,
-                                euclidean_metric, lie_bracket_vf)
+from cartanlab.geometry import (Chart, SmoothField, TMConnection, as_point,
+                                christoffel_from_jet, curvature_from_christoffel,
+                                ellipsoid_metric, euclidean_metric, lie_bracket_vf, metric_jet)
 from cartanlab.models import (DualPair, LocalLieGroupModel, RiemannianCartanChart,
                               RiemannianModel, riemannian_model, skew_basis, skew_coords)
 from cartanlab.transport import BasePath, TransportError, line_path
@@ -78,6 +81,35 @@ def flat_connection(chart: Chart) -> TMConnection:
     return TMConnection(chart, np.zeros((n, n, n)))
 
 
+def levi_civita(metric: SmoothField) -> TMConnection:
+    """Torsion-free metric connection from the Koszul formula: the
+    Christoffel symbols are contracted from the metric's 1-jet, and their
+    closed-form jet at a stack of points from its 2-jets there."""
+    return TMConnection(metric.chart, SmoothField(
+        metric.chart, (metric.chart.dim,) * 3,
+        lambda m: christoffel_from_jet(metric_jet(metric, m, 1)), name="levi-civita",
+        jet=lambda ms: christoffel_from_jet(metric_jet(metric, ms, 2))))
+
+
+def scalar_form_fit_at(conn: TMConnection, metric: SmoothField, m) -> tuple[float, float]:
+    """Per-point reference for ``geometry.scalar_form_fit``: (s, residual)
+    of the least-squares fit of R(U,V)W to s (sigma(V,W) U - sigma(U,W) V)
+    at one point, R from the connection's Christoffel 1-jet there and
+    sigma from a separate read of the metric."""
+    m = as_point(m)
+    conn.chart.require_interior(m)
+    n = conn.chart.dim
+    R = curvature_from_christoffel(conn.christoffel.first_jet(m[None]))[0]
+    g = metric.values(m[None])[0]
+    eye = np.eye(n)
+    B = (np.einsum("jk,li->lkij", g, eye) - np.einsum("ik,lj->lkij", g, eye))
+    denom = float(np.sum(B * B))
+    if denom == 0.0:
+        return 0.0, float(np.linalg.norm(R))
+    s = float(np.sum(R * B) / denom)
+    return s, float(np.linalg.norm(R - s * B))
+
+
 def curvature_tensor_obj(conn: TMConnection, m) -> np.ndarray:
     """Curvature tensor preserving dual layers of the evaluation point.
 
@@ -85,9 +117,9 @@ def curvature_tensor_obj(conn: TMConnection, m) -> np.ndarray:
     - G^l_{jm} G^m_{ik}, from one evaluation of the Christoffel symbols
     and their Jacobian (``dual.jacobian``), so it can be differentiated
     again (``curvature_formula_check``); it is also the nested-Dual
-    reference for ``curvature_tensor``.  It does not check the chart
-    interior: this is evaluation plumbing for derived fields, which
-    integrators probe right up to chart edges.
+    reference for ``geometry.curvature_from_christoffel``.  It does not
+    check the chart interior: this is evaluation plumbing for derived
+    fields, which integrators probe right up to chart edges.
     """
     m = as_point(m)
     G = np.asarray(conn.christoffel(m), dtype=object)
@@ -314,14 +346,15 @@ def bracket_component_check(R: RiemannianCartanChart, samples=None) -> TensorRep
         samples = base.sample_points(np.random.default_rng(42), 5)
     n, r = R.n, R.rank
     eye = np.eye(r)
+    lc = levi_civita(R.metric)
     res = []
     for m in samples:
         m = as_point(m)
         F = np.asarray(R.frame(m), dtype=object)
         Finv = dual.inv(F)
         dF = dual.jacobian(lambda p: np.asarray(R.frame(as_point(p)), dtype=object), m)
-        Gam = np.asarray(R.lc.christoffel(m), dtype=object)
-        Rt = curvature_tensor_obj(R.lc, m)
+        Gam = np.asarray(lc.christoffel(m), dtype=object)
+        Rt = curvature_tensor_obj(lc, m)
         for a in range(r):
             for b in range(a + 1, r):
                 got = value(np.asarray(R.chart.bracket(eye[a], eye[b])(m), dtype=object))
@@ -364,14 +397,15 @@ def curvature_formula_check(R: RiemannianCartanChart, samples=None) -> TensorRep
         samples = base.sample_points(np.random.default_rng(42), 4)
     n, r = R.n, R.rank
     eyer = np.eye(r)
+    lc = levi_civita(R.metric)
     res = []
     for m in samples:
         m = as_point(m)
         F = np.asarray(R.frame(m), dtype=object)
         Finv = dual.inv(F)
-        Gam = np.asarray(R.lc.christoffel(m), dtype=object)
-        Rt = curvature_tensor_obj(R.lc, m)
-        dRt = dual.jacobian(lambda p: curvature_tensor_obj(R.lc, as_point(p)), m)
+        Gam = np.asarray(lc.christoffel(m), dtype=object)
+        Rt = curvature_tensor_obj(lc, m)
+        dRt = dual.jacobian(lambda p: curvature_tensor_obj(lc, as_point(p)), m)
         curv = curvature_conn_tensor(dual.point(R.chart.gamma.first_jet([m]), 0))
         for i in range(n):
             for j in range(i + 1, n):

@@ -390,10 +390,26 @@ def test_a_nan_residual_at_the_second_sample_fails_the_check():
     assert not rep.passed
 
 
-def test_an_empty_sample_set_reports_no_point(sphere, torus):
-    # a stack of no points has an empty jet, from closed forms and loops alike
-    none = np.empty((0, 2))
-    for C in (sphere.rc.chart, torus.chart):
-        for rep in (is_cartan(C, samples=none), is_flat(C, samples=none),
-                    transport.invariant_metric_check(C, sphere.metric, samples=none)):
-            assert rep.per_point == () and rep.max_residual == 0.0
+_NO_POINT = np.empty((0, 2))
+# each check over no sample point; the chart checks run on the model given
+_OVER_NO_POINT = {
+    "is_cartan": lambda M: is_cartan(M.chart, samples=_NO_POINT),
+    "is_flat": lambda M: is_flat(M.chart, samples=_NO_POINT),
+    "invariant_metric": lambda M: transport.invariant_metric_check(
+        M.chart, geometry.SmoothField.constant(M.chart.base, np.eye(2)), samples=_NO_POINT),
+    "anchor_homomorphism": lambda M: algebroid.check_anchor_homomorphism(
+        M.chart, samples=_NO_POINT),
+    "scalar_form_fit": lambda M: geometry.scalar_form_fit(geometry.sphere_metric(2), _NO_POINT),
+    "obstruction_form": lambda M: models.obstruction_form(
+        models.affine_line_group().pair, _NO_POINT),
+    "tm_flatness": lambda M: models._tm_flatness(models.affine_line_group().pair.nabla,
+                                                 _NO_POINT),
+}
+
+
+@pytest.mark.parametrize("check", list(_OVER_NO_POINT))
+def test_a_check_over_no_sample_point_is_refused(check, sphere, torus):
+    # evaluating nothing would pass the check, so it raises instead
+    for model in (sphere, torus):
+        with pytest.raises(ValueError, match="no sample points"):
+            _OVER_NO_POINT[check](model)

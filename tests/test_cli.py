@@ -128,14 +128,17 @@ def test_a_nan_scalar_fit_at_the_second_point_fails(monkeypatch):
     fit = geometry.scalar_form_fit
     calls = []
 
-    def nan_second(*args):
-        calls.append(args)
-        return geometry.ScalarFormFit(math.nan, math.nan) if len(calls) == 2 else fit(*args)
+    def nan_second(metric, ms):
+        calls.append(ms)
+        out = fit(metric, ms)
+        second = np.arange(len(ms)) == 1
+        return geometry.ScalarFormFit(np.where(second, math.nan, out.s),
+                                      np.where(second, math.nan, out.residual))
 
     monkeypatch.setattr(geometry, "scalar_form_fit", nan_second)
     params = {"points": 3, "expect_abs_s": None, "tol": 1e-6, "spread_tol": 1e-6}
     result = cli.check_scalar_form_fit(models.sphere2(), params, 7)
-    assert len(calls) == 3
+    assert [len(ms) for ms in calls] == [3]          # one stacked read
     assert not result.verdict and math.isnan(result.max_residual)
 
 
@@ -667,19 +670,21 @@ def test_a_nan_obstruction_form_at_the_second_sample_fails(field, monkeypatch):
     form = models.obstruction_form
     calls = []
 
-    def nan_second(pair, m):
-        calls.append(m)
-        ob = form(pair, m)
-        if len(calls) != 2:
-            return ob
+    def nan_second(pair, ms):
+        calls.append(ms)
+        ob = form(pair, ms)
         if field == "w":
-            return models.ObstructionForm(np.full_like(ob.w, math.nan), ob.dw_residual)
-        return models.ObstructionForm(ob.w, math.nan)
+            w = ob.w.copy()
+            w[1] = math.nan
+            return models.ObstructionForm(w, ob.dw_residual)
+        return models.ObstructionForm(ob.w, np.where(np.arange(len(ms)) == 1, math.nan,
+                                                     ob.dw_residual))
 
     monkeypatch.setattr(models, "obstruction_form", nan_second)
     params = {"samples": 3, "dw_tol": 1e-7, "zero_tol": 1e-9, "expect_zero": False}
     result = cli.check_obstruction_form(models.affine_line_group(), params, 7)
-    assert len(calls) == 3 and not result.verdict
+    assert [len(ms) for ms in calls] == [3] and not result.verdict   # one stacked read
+    assert math.isnan(result.witnesses["max_abs_w" if field == "w" else "dw_residual"])
 
 
 def test_a_nan_automorphism_residual_of_the_second_loop_fails(monkeypatch):

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from cartanlab import algebra, cartan, dual, geometry, models, transport
+from cartanlab import algebra, cartan, cli, dual, geometry, models, transport
 from cartanlab.algebra import LieAlgebra
 from cartanlab.algebroid import AlgebroidChart
 from cartanlab.dual import value
@@ -339,6 +339,57 @@ def test_stacked_jets_match_the_per_point_dual_build(name):
             assert np.max(np.abs(a.d[:, b] - w.d[:, 0]), initial=0.0) < tol, f
 
 
+@pytest.mark.parametrize("name", ["euclidean(2)", "sphere(2)", "sphere(3)", "hyperbolic(2)",
+                                  "ellipsoid"])
+def test_stacked_scalar_form_fit_is_the_per_point_fit(name):
+    metric = geometry.metric_by_name(name)
+    ms = metric.chart.sample_points(np.random.default_rng(5), 20)
+    fit = scalar_form_fit(metric, ms)
+    lc = oracles.levi_civita(metric)
+    want = np.array([oracles.scalar_form_fit_at(lc, metric, m) for m in ms])
+    # the same formulas on the same jets and metric values: bit for bit
+    assert fit.s.tobytes() == want[:, 0].tobytes()
+    assert fit.residual.tobytes() == want[:, 1].tobytes()
+
+
+def test_scalar_form_fit_reads_the_metric_once_per_check_and_per_classify_fit(monkeypatch):
+    metric, calls = _counted(geometry.sphere_metric(2))
+    model = models.riemannian_model("counted sphere", metric, [math.pi / 2, 0.0])
+    params = {"points": 20, "expect_abs_s": 1.0, "tol": 1e-6, "spread_tol": 1e-6}
+    assert cli.check_scalar_form_fit(model, params, 7).verdict
+    # one 2-jet over the 20 points: 3 multi-indices of order 2 per point
+    assert len(calls) == 1 and _layers(calls[0][0]) == 2
+    assert len(calls[0][0].val.val) == 20 * 3
+    fit, per_fit = models.scalar_form_fit, []
+
+    def counted_fit(*args):
+        before = len(calls)
+        out = fit(*args)
+        per_fit.append(len(calls) - before)
+        return out
+
+    monkeypatch.setattr(models, "scalar_form_fit", counted_fit)
+    assert models.classify_constant_curvature(model.rc, model.m0).tag == "spherical"
+    assert per_fit == [1]
+
+
+@pytest.mark.parametrize("name", ["affine_line_group", "heisenberg"])
+def test_stacked_frame_connection_jets_are_the_per_point_dual_build(name, monkeypatch):
+    pair = models.load_model(name).pair
+    ms = pair.chart.sample_points(np.random.default_rng(11), 6)
+    conns = (pair.nabla, pair.nabla_bar)
+    got = [(c.christoffel.first_jet(ms), c.christoffel.values(ms)) for c in conns]
+    # the frame jets taken point by point by dual.taylor instead of one lane call
+    monkeypatch.setattr(dual, "taylor_stack", lambda f, ms, order: dual.stack(
+        [dual.taylor(f, m, order) for m in ms]))
+    for conn, (jet, vals) in zip(conns, got):
+        want = conn.christoffel.first_jet(ms)
+        assert jet.v.tobytes() == want.v.tobytes() and jet.d.tobytes() == want.d.tobytes()
+        # and the values are the one-point formula's, point by point
+        per_point = [value(np.asarray(conn.christoffel(as_point(m)), dtype=object)) for m in ms]
+        assert vals.tobytes() == np.stack(per_point).tobytes()
+
+
 def test_euclidean_chart_block_structure(euclid):
     # flat base: connection coefficients block-diagonal with zero R-term
     g = value(np.asarray(euclid.rc.chart.gamma(as_point([0.2, -0.4])), dtype=object))
@@ -412,8 +463,8 @@ def test_classification_scale_consistency():
                                   name="scaled sphere")
     rc = build_riemannian_cartan(scaled)
     m0 = np.array([math.pi / 2, 0.0])
-    fit = scalar_form_fit(rc.lc, scaled, m0)
-    assert abs(fit.s - 1.0 / r2) < 1e-9
+    fit = scalar_form_fit(scaled, [m0])
+    assert abs(fit.s[0] - 1.0 / r2) < 1e-9
     cls = classify_constant_curvature(rc, m0)
     assert cls.tag == "spherical"
     assert cls.structure_residual < 1e-6
@@ -425,9 +476,9 @@ def test_classification_rejects_misfit(ellipsoid):
 
 
 def test_classification_rejects_a_nan_fit_residual(sphere, monkeypatch):
-    fit = scalar_form_fit(sphere.rc.lc, sphere.metric, sphere.m0)
+    fit = scalar_form_fit(sphere.metric, [sphere.m0])
     monkeypatch.setattr(models, "scalar_form_fit",
-                        lambda *args: geometry.ScalarFormFit(fit.s, math.nan))
+                        lambda *args: geometry.ScalarFormFit(fit.s, np.array([math.nan])))
     with pytest.raises(ValueError):
         classify_constant_curvature(sphere.rc, sphere.m0)
 
@@ -473,14 +524,14 @@ def test_christoffel_jets_match_nested_dual_references(name):
         ref = TMConnection(conn.chart, conn.christoffel.fn)
     else:
         metric = geometry.metric_by_name(model)
-        conn, ref = geometry.levi_civita(metric), _koszul_connection(metric)
+        conn, ref = oracles.levi_civita(metric), _koszul_connection(metric)
     assert conn.christoffel.jet is not None and ref.christoffel.jet is None
     for m in conn.chart.halton_points(5):
         G = dual.point(conn.christoffel.first_jet([m]), 0)
         want_d = np.moveaxis(value(dual.jacobian(ref.christoffel, as_point(m))), -1, 0)
         assert np.max(np.abs(G.v - value(ref.christoffel(as_point(m))))) < 1e-12
         assert np.max(np.abs(G.d - want_d)) < 1e-12
-        R = geometry.curvature_tensor(conn, m)
+        R = geometry.curvature_from_christoffel(G)
         assert np.max(np.abs(R - value(curvature_tensor_obj(ref, m)))) < 1e-12
 
 
@@ -541,7 +592,7 @@ def test_local_lie_group_heisenberg():
 
 def test_local_lie_group_rejects_curved_member():
     sph = geometry.sphere_metric(2)
-    lc = geometry.levi_civita(sph)
+    lc = oracles.levi_civita(sph)
     pair = DualPair(sph.chart, lc, lc)
     rep = local_lie_group_check(pair)
     assert not rep.passed
@@ -550,21 +601,17 @@ def test_local_lie_group_rejects_curved_member():
 
 def test_obstruction_form_values(rng):
     aff = models.affine_line_group()
-    seen_nonzero = False
-    for m in aff.pair.chart.sample_points(rng, 5):
-        ob = obstruction_form(aff.pair, m)
-        assert ob.dw_residual < 1e-7
-        if np.max(np.abs(ob.w)) > 1e-6:
-            seen_nonzero = True
-        # trace form evaluated on the left-parallel frame is constant
-        frame_val = ob.w @ np.array([m[0], 0.0])
-        assert abs(abs(frame_val) - 1.0) < 1e-9
-    assert seen_nonzero
+    ms = aff.pair.chart.sample_points(rng, 5)
+    ob = obstruction_form(aff.pair, ms)
+    assert ob.w.shape == (5, 2) and ob.dw_residual.shape == (5,)
+    assert np.all(ob.dw_residual < 1e-7)
+    assert np.max(np.abs(ob.w)) > 1e-6
+    # trace form evaluated on the left-parallel frame (m[0], 0) is constant
+    assert np.all(np.abs(np.abs(ob.w[:, 0] * ms[:, 0]) - 1.0) < 1e-9)
     for mk in (models.heisenberg_group(), oracles.abelian_pair(2)):
-        for m in mk.pair.chart.sample_points(rng, 4):
-            ob = obstruction_form(mk.pair, m)
-            assert np.max(np.abs(ob.w)) < 1e-9
-            assert ob.dw_residual < 1e-9
+        ob = obstruction_form(mk.pair, mk.pair.chart.sample_points(rng, 4))
+        assert np.max(np.abs(ob.w)) < 1e-9
+        assert np.all(ob.dw_residual < 1e-9)
 
 
 def test_catalog_loads_every_name():

@@ -13,7 +13,8 @@ from cartanlab.transport import (MAX_SWITCHES, BasePath, PathSegment, TransportE
                                  completeness_probe, geodesic, geodesic_glued,
                                  invariant_metric_check, isotropy_subalgebra, line_path,
                                  monodromy, monodromy_compactness_probe, transport_matrix)
-from oracles import _transport_line_dual, directional, parallel_frame, polyline_path
+from oracles import (_transport_line_dual, directional, levi_civita, parallel_frame,
+                     polyline_path)
 
 E2PI = math.exp(2 * math.pi)
 
@@ -35,7 +36,7 @@ def test_transport_along_a_sphere_latitude_rotates_the_frame():
     # on the round sphere a latitude at colatitude theta0 turns an
     # orthonormal frame by dphi * cos(theta0) relative to (d_theta, d_phi / sin)
     metric = geometry.sphere_metric(2)
-    lc = geometry.levi_civita(metric)
+    lc = levi_civita(metric)
     chart = AlgebroidChart(
         metric.chart, 2, anchor=lambda m: np.eye(2, dtype=object),
         gamma=lambda m: np.einsum("kij->ikj", np.asarray(lc.christoffel(m), dtype=object)),
