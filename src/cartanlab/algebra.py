@@ -145,8 +145,12 @@ class MatrixRealization:
         return worst([np.max(np.abs(gap)) for gap in gaps])
 
     def element(self, xi) -> np.ndarray:
+        """sum_i xi_i G_i for a coordinate vector (n,) or each of a stack
+        (B, n)."""
         xi = np.asarray(xi, dtype=float)
-        return np.tensordot(xi, np.stack(self.generators), axes=([0], [0]))
+        d = self.matrix_dim
+        flat = np.stack(self.generators).reshape(len(self.generators), d * d)
+        return (xi[..., None, :] @ flat).reshape(*xi.shape[:-1], d, d)
 
 
 def adjoint_realization(A: LieAlgebra, tol: float = 1e-8) -> MatrixRealization:
@@ -176,20 +180,40 @@ _PADE_COEFFS = {
 
 
 def expm(a) -> np.ndarray:
-    """Matrix exponential by Pade scaling and squaring (Higham, "The
-    scaling and squaring method for the matrix exponential revisited",
-    SIAM J. Matrix Anal. Appl. 26, 2005, Algorithm 2.3): the lowest degree
-    m in {3, 5, 7, 9} whose threshold holds the 1-norm, else degree 13
-    after halving the matrix s times and squaring the result s times."""
+    """Matrix exponential of a (d, d) or of each element of a stack
+    (B, d, d), by Pade scaling and squaring (Higham, "The scaling and
+    squaring method for the matrix exponential revisited", SIAM J. Matrix
+    Anal. Appl. 26, 2005, Algorithm 2.3): the lowest degree m in
+    {3, 5, 7, 9} whose threshold holds the 1-norm, else degree 13 after
+    halving the matrix s times and squaring the result s times.  Each
+    element takes its own degree and s: the approximant is evaluated once
+    per degree for the elements of that degree, and each squaring step
+    squares the elements that still need one, so every element gets the
+    arithmetic it would get alone."""
     a = np.asarray(a, dtype=float)
-    norm = np.abs(a).sum(axis=0).max()
-    if not math.isfinite(norm):
+    stack = a.reshape(-1, *a.shape[-2:])
+    norms = np.abs(stack).sum(axis=-2).max(axis=-1, initial=0.0)
+    if not np.all(np.isfinite(norms)):
         raise AlgebraError("matrix exponential of non-finite entries")
-    m = next((m for m, theta in _PADE_THETA.items() if norm <= theta), 13)
-    s = max(0, math.ceil(math.log2(norm / _PADE_THETA[13]))) if m == 13 else 0
-    a = a / 2.0 ** s
+    degree = np.select([norms <= theta for theta in _PADE_THETA.values()], list(_PADE_THETA), 13)
+    # s = max(0, ceil(log2 x)), x = norm / theta_13, read exactly off
+    # x = f 2^e with 1/2 <= f < 1
+    f, e = np.frexp(norms / _PADE_THETA[13])
+    s = np.where(degree == 13, np.maximum(e - (f == 0.5), 0), 0)
+    out = np.empty_like(stack)
+    for m in set(degree.tolist()):
+        lanes = degree == m
+        out[lanes] = _pade(stack[lanes] / 2.0 ** s[lanes, None, None], m)
+    for k in range(s.max(initial=0)):
+        lanes = s > k
+        out[lanes] = out[lanes] @ out[lanes]
+    return out.reshape(a.shape)
+
+
+def _pade(a: np.ndarray, m: int) -> np.ndarray:
+    """The degree-m Pade approximant to exp on a stack (B, d, d)."""
     b = _PADE_COEFFS[m]
-    eye = np.eye(len(a))
+    eye = np.eye(a.shape[-1])
     a2 = a @ a
     if m < 13:
         even = [eye, a2]                      # a^0, a^2, ..., a^(m-1)
@@ -204,10 +228,7 @@ def expm(a) -> np.ndarray:
                  + b[7] * a6 + b[5] * a4 + b[3] * a2 + b[1] * eye)
         v = (a6 @ (b[12] * a6 + b[10] * a4 + b[8] * a2)
              + b[6] * a6 + b[4] * a4 + b[2] * a2 + b[0] * eye)
-    r = np.linalg.solve(v - u, v + u)
-    for _ in range(s):
-        r = r @ r
-    return r
+    return np.linalg.solve(v - u, v + u)
 
 
 # the square-root iteration scales while |M - I|_F is above the first bound
@@ -252,7 +273,8 @@ def sqrtm(a) -> np.ndarray:
 
 
 def exp_matrix(R: MatrixRealization, xi, t: float = 1.0) -> np.ndarray:
-    """exp(t * sum_i xi_i G_i), scaling-and-squaring to machine precision."""
+    """exp(t * sum_i xi_i G_i), scaling-and-squaring to machine precision,
+    for coordinates xi (n,) or each row of a stack (B, n)."""
     m = expm(float(t) * R.element(xi))
     if not np.all(np.isfinite(m)):
         raise AlgebraError("matrix exponential produced non-finite entries")
@@ -261,8 +283,16 @@ def exp_matrix(R: MatrixRealization, xi, t: float = 1.0) -> np.ndarray:
 
 @dataclass(frozen=True)
 class LogResult:
-    coords: np.ndarray | None     # None where g has no principal log
-    off_span_residual: float
+    coords: np.ndarray                # NaN where g has no principal log
+    off_span_residual: np.ndarray     # inf where g has no principal log
+
+
+def vector_norms(v) -> np.ndarray:
+    """Euclidean norms over the last axis of a stack of vectors (..., n).
+    Each is summed by ``@`` as ``np.linalg.norm`` sums one vector, so a
+    stack reads the norms its vectors have alone."""
+    v = np.asarray(v, dtype=float)
+    return np.sqrt((v[..., None, :] @ v[..., :, None])[..., 0, 0])
 
 
 def principal_log(g: np.ndarray) -> np.ndarray:
@@ -302,14 +332,15 @@ def _normal_sqrt(g: np.ndarray) -> np.ndarray:
 
 
 def _mercator(x: np.ndarray, last: int, tol: float = 0.0) -> np.ndarray:
-    """log(I + x) = x - x^2/2 + x^3/3 - ..., summed to the x^last term or
-    to the first term whose entries all lie below tol."""
+    """log(I + x) = x - x^2/2 + x^3/3 - ..., for x (d, d) or a stack
+    (B, d, d), summed to the x^last term or to the first term whose
+    entries all lie below tol."""
     out, term = x.copy(), x
     for m in range(2, last + 1):
         term = term @ x
         incr = (-1) ** (m + 1) / m * term
         out += incr
-        if np.max(np.abs(incr)) < tol:
+        if np.max(np.abs(incr), initial=0.0) < tol:
             break
     return out
 
@@ -332,21 +363,40 @@ def _log_by_roots(g: np.ndarray, series_tol: float) -> np.ndarray:
     return _mercator(a - eye, 59, series_tol) * 2.0 ** k
 
 
-def log_matrix(R: MatrixRealization, g: np.ndarray) -> LogResult:
-    """Principal log of g projected onto the generator span.
+def log_matrix(R: MatrixRealization, g) -> LogResult:
+    """Principal log of g (d, d), or of each element of a stack (B, d, d),
+    projected onto the generator span.
 
     The off-span residual reports how far the log lies from the algebra; a
     large residual means g is not (a small exponential of) an algebra
-    element.
+    element.  An element with no principal log reads NaN coordinates and
+    an infinite residual, and leaves the others as they would be alone.
+    The Mercator series is summed once for all unipotent elements (see
+    ``principal_log``); every other element goes through
+    ``principal_log`` on its own; one least-squares solve with a
+    right-hand side per element gives the coordinates.
     """
-    try:
-        L = principal_log(np.asarray(g, dtype=float))
-    except AlgebraError:
-        return LogResult(None, np.inf)
+    g = np.asarray(g, dtype=float)
+    d = g.shape[-1]
+    stack = g.reshape(-1, d, d)
+    x = stack - np.eye(d)
+    unipotent = ~np.any(np.tril(x), axis=(-2, -1))
+    logs = np.zeros_like(stack)
+    logs[unipotent] = _mercator(x[unipotent], d - 1)
+    found = unipotent.copy()
+    for k in np.flatnonzero(~unipotent):
+        try:
+            logs[k] = principal_log(stack[k])
+        except AlgebraError:
+            continue
+        found[k] = True
     basis = np.stack([G.reshape(-1) for G in R.generators], axis=1)
-    coords, *_ = np.linalg.lstsq(basis, L.reshape(-1), rcond=None)
-    resid = float(np.linalg.norm(L.reshape(-1) - basis @ coords))
-    return LogResult(coords, resid)
+    flat = logs.reshape(len(stack), d * d)
+    coords = np.linalg.lstsq(basis, flat.T, rcond=None)[0].T
+    resid = vector_norms(flat - (basis @ coords[..., None])[..., 0])
+    coords[~found], resid[~found] = np.nan, np.inf
+    n = len(R.generators)
+    return LogResult(coords.reshape(*g.shape[:-2], n), resid.reshape(g.shape[:-2])[()])
 
 
 @dataclass(frozen=True)
@@ -398,7 +448,8 @@ class AlgebraMap:
         object.__setattr__(self, "matrix", m)
 
     def __call__(self, x):
-        return self.matrix @ np.asarray(x, dtype=float)
+        """The image of a coordinate vector (n,) or of each of a stack (B, n)."""
+        return (self.matrix @ np.asarray(x, dtype=float)[..., None])[..., 0]
 
     def compose(self, other: "AlgebraMap") -> "AlgebraMap":
         return AlgebraMap(other.source, self.target, self.matrix @ other.matrix)

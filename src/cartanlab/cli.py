@@ -585,13 +585,18 @@ def run_scenario(doc: dict, seed: int | None = None, tol_scale: float = 1.0) -> 
     return Report(name, seed, results)
 
 
+# libyaml's parser where PyYAML was built with it; both loaders resolve and
+# construct through the same safe classes, so the document is the same
+_YAML_LOADER = yaml.CSafeLoader if yaml.__with_libyaml__ else yaml.SafeLoader
+
+
 def load_scenario_file(path: str) -> dict:
     try:
         text = Path(path).read_text()
     except OSError as e:
         raise ScenarioError(f"cannot read scenario file: {e}") from None
     try:
-        return yaml.safe_load(text)
+        return yaml.load(text, Loader=_YAML_LOADER)
     except yaml.YAMLError as e:
         mark = getattr(e, "problem_mark", None)
         loc = f" at line {mark.line + 1}, column {mark.column + 1}" if mark else ""

@@ -20,6 +20,7 @@ composes developments with patch lifts and verifies the transitions.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from fractions import Fraction
 from typing import Callable
 
@@ -28,7 +29,8 @@ import numpy as np
 from . import dual
 from .dual import value
 from .algebra import (AlgebraMap, LieAlgebra, MatrixRealization,
-                      Subalgebra, TensorReport, exp_matrix, log_matrix, worst)
+                      Subalgebra, TensorReport, exp_matrix, log_matrix, vector_norms,
+                      worst)
 from .algebroid import ActionAlgebroid
 from .geometry import Chart, as_point
 from .ode import RTOL_FLOOR, integrate
@@ -63,13 +65,11 @@ class HomogeneousModel:
     h0: Subalgebra
     closure: str = "unknown"
 
-    def h0_matrix(self) -> np.ndarray:
-        return self.h0.matrix()
-
+    @cached_property
     def h0_projector(self) -> np.ndarray:
         """Orthogonal projector onto the complement of span(h0) in
-        coordinate space."""
-        B = self.h0_matrix()
+        coordinate space, computed once per model."""
+        B = self.h0.matrix()
         n = self.algebra.dim
         if B.shape[1] == 0:
             return np.eye(n)
@@ -79,30 +79,33 @@ class HomogeneousModel:
 
 @dataclass(frozen=True)
 class Coset:
+    """The coset g H0, or a stack of cosets: g is one representative
+    (d, d) or a stack of them (B, d, d), each of which must be
+    invertible."""
+
     g: np.ndarray
     model: HomogeneousModel
 
     def __post_init__(self):
         g = np.asarray(self.g, dtype=float)
-        if abs(np.linalg.det(g)) < 1e-12:
+        if np.any(np.abs(np.linalg.det(g)) < 1e-12):
             raise DevelopmentError("coset representative must be invertible")
         object.__setattr__(self, "g", g)
 
 
-def coset_residual(c1: Coset, c2: Coset) -> float:
+def coset_residual(c1: Coset, c2: Coset):
     """Residual of g1^-1 g2 against H0: the norm of the component of its
     principal log orthogonal to span(h0), plus any off-algebra part of
     that log; inf where g1^-1 g2 has no principal log.  It vanishes where
     the log lies in h0 and equals the distance along a transvection p, but
     it is a residual, not a distance: the log of exp(p) h, h in H0, is not
-    p + log h."""
+    p + log h.  Either coset may be a stack; the residuals then come as
+    one array, from one log of the stacked g1^-1 g2."""
     H = c1.model
-    z = np.linalg.solve(c1.g, c2.g)
-    lr = log_matrix(H.realization, z)
-    if lr.coords is None:
-        return np.inf
-    P = H.h0_projector()
-    return float(np.linalg.norm(P @ lr.coords) + lr.off_span_residual)
+    lr = log_matrix(H.realization, np.linalg.solve(c1.g, c2.g))
+    off = lr.off_span_residual
+    norm = vector_norms((H.h0_projector @ lr.coords[..., None])[..., 0])
+    return np.where(off == np.inf, np.inf, norm + off)[()]
 
 
 @dataclass(frozen=True)
@@ -294,10 +297,11 @@ def develop_point(A, H: HomogeneousModel, path: BasePath,
     return develop_paths(A, H, [path], rtol=rtol)[0]
 
 
-def _develop_from(A, H: HomogeneousModel, m0, points) -> list[Coset]:
-    """Developments along the straight segments m0 -> m, one batch for all m."""
+def _develop_from(A, H: HomogeneousModel, m0, points) -> np.ndarray:
+    """Group elements (B, d, d) developed along the straight segments
+    m0 -> m, one batch for all m."""
     m0 = np.asarray(m0, float)
-    return develop_paths(A, H, [line_path(m0, np.asarray(m, float)) for m in points])
+    return _develop_frames(A, H, [line_path(m0, np.asarray(m, float)) for m in points])[0]
 
 
 def path_independence_check(A, H: HomogeneousModel,
@@ -344,7 +348,7 @@ def _frame_jacobian(A, H: HomogeneousModel, m, g: np.ndarray,
     ad = np.linalg.solve(g, np.einsum("ik,iac->kac", xi, gens) @ g)
     coords, *_ = np.linalg.lstsq(gens.reshape(len(gens), -1).T,
                                  ad.reshape(n, -1).T, rcond=None)
-    J = _complement_coords(H, coords)
+    J = _complement_coords(H, coords.T).T
     if J.shape[0] != n:
         # transitive case: coset dimension equals base dimension
         raise DevelopmentError("coset coordinate count does not match base dimension")
@@ -354,14 +358,19 @@ def _frame_jacobian(A, H: HomogeneousModel, m, g: np.ndarray,
 # -- induced affine maps ------------------------------------------------------
 
 def integrated_twist(H: HomogeneousModel, mu: AlgebraMap, g: np.ndarray) -> np.ndarray:
-    """Group automorphism integrating the algebra twist, evaluated at g:
-    exp(mu(log g)) with the principal log.  Refused where g has no
-    principal log or its log leaves the algebra (off-span residual above
-    1e-7 (1 + |g|))."""
+    """Group automorphism integrating the algebra twist, evaluated at g
+    (d, d) or at each element of a stack (B, d, d): exp(mu(log g)) with
+    the principal log, one log and one exponential for the stack.  Refused
+    where an element has no principal log or its log leaves the algebra
+    (off-span residual above 1e-7 (1 + |g|))."""
+    g = np.asarray(g, dtype=float)
     lr = log_matrix(H.realization, g)
-    if not lr.off_span_residual <= _SPAN_TOL * (1 + np.linalg.norm(g)):
+    off = lr.off_span_residual
+    size = vector_norms(g.reshape(*g.shape[:-2], g.shape[-2] * g.shape[-1]))
+    bad = ~(off <= _SPAN_TOL * (1 + size))
+    if np.any(bad):
         raise DevelopmentError(f"group element has no principal log in the algebra "
-                               f"(off-span residual {lr.off_span_residual:.3e})")
+                               f"(off-span residual {worst(off[bad]):.3e})")
     return exp_matrix(H.realization, mu(lr.coords))
 
 
@@ -375,6 +384,7 @@ class AffineCosetMap:
     consistency_residual: float = 0.0
 
     def __call__(self, c: Coset) -> Coset:
+        """The image of a coset, or of each of a stack."""
         return Coset(integrated_twist(self.model, self.twist, c.g) @ self.q, self.model)
 
     def compose(self, other: "AffineCosetMap") -> "AffineCosetMap":
@@ -387,14 +397,14 @@ class AffineCosetMap:
 def induced_affine_map(E: EquivariantMap, H: HomogeneousModel,
                        q_coset: Coset) -> AffineCosetMap:
     """Build the induced coset map and verify its subgroup consistency:
-    the twist must carry H0 onto q H0 q^-1 (checked on h0 generators, to
-    tolerance 1e-6)."""
-    per = []
-    for b in H.h0.basis_vectors:
-        for t in (0.05, -0.08):
-            im = integrated_twist(H, E.twist, exp_matrix(H.realization, t * b))
-            per.append(coset_residual(q_coset, Coset(im @ q_coset.g, H)))
-    res = worst(per)
+    the twist must carry H0 onto q H0 q^-1 (checked on h0 generators at
+    two steps each, all in one stack, to tolerance 1e-6).  A trivial H0
+    has nothing to check."""
+    if not H.h0.basis_vectors:
+        return AffineCosetMap(H, E.twist, q_coset.g, 0.0)
+    steps = np.array([t * b for b in H.h0.basis_vectors for t in (0.05, -0.08)])
+    im = integrated_twist(H, E.twist, exp_matrix(H.realization, steps))
+    res = worst(coset_residual(q_coset, Coset(im @ q_coset.g, H)))
     if not res <= 1e-6:
         raise DevelopmentError(
             f"twist does not normalize the subgroup through q (residual {res:.3e})")
@@ -411,10 +421,11 @@ def equivariance_diagram_check(A: ActionAlgebroid, H: HomogeneousModel,
     """Coset residual of D(phi(m)) against the induced map of D(m)."""
     ms = [np.asarray(m, dtype=float) for m in sample_points]
     ends = [_image(E, m0)] + [_image(E, m) for m in ms] + ms
-    q, *devs = _develop_from(A, H, m0, ends)
-    aff = induced_affine_map(E, H, q)
-    per = [coset_residual(lhs, aff(c)) for lhs, c in zip(devs[:len(ms)], devs[len(ms):])]
-    return TensorReport("equivariance_diagram", worst(per), tol, tuple(per))
+    gs = _develop_from(A, H, m0, ends)
+    aff = induced_affine_map(E, H, Coset(gs[0], H))
+    k = len(ms)
+    per = coset_residual(Coset(gs[1:k + 1], H), aff(Coset(gs[k + 1:], H)))
+    return TensorReport("equivariance_diagram", worst(per), tol, tuple(per.tolist()))
 
 
 # -- geometric closure --------------------------------------------------------
@@ -513,15 +524,18 @@ class AtlasReport:
 
 
 def _complement_coords(H: HomogeneousModel, coords: np.ndarray) -> np.ndarray:
-    """Algebra coordinates projected off span(h0), one row per kept axis."""
-    P = H.h0_projector()
+    """Algebra coordinates (..., n) projected off span(h0), keeping the
+    axes the projector does not annihilate."""
+    P = H.h0_projector
     keep = np.nonzero(np.linalg.norm(P, axis=1) > 1e-12)[0]
-    return (P @ coords)[keep]
+    return (P @ coords[..., None])[..., keep, 0]
 
 
-def _coset_coords(H: HomogeneousModel, c: Coset) -> np.ndarray:
-    lr = log_matrix(H.realization, c.g)
-    if lr.coords is None:
+def _coset_coords(H: HomogeneousModel, gs: np.ndarray) -> np.ndarray:
+    """Coset coordinates (B, k) of a stack of coset representatives, from
+    one log."""
+    lr = log_matrix(H.realization, gs)
+    if np.any(np.isnan(lr.coords)):
         raise DevelopmentError("coset representative outside log region")
     return _complement_coords(H, lr.coords)
 
@@ -532,7 +546,10 @@ def reconstruct_atlas(glued, H: HomogeneousModel, spec: CoverSpec) -> AtlasRepor
 
     ``glued`` is the algebroid being reconstructed; its rank must match
     the model algebra and every deck twist must be an automorphism of the
-    fiber bracket read off its charts.
+    fiber bracket read off its charts.  The patch samples are developed in
+    one batch and the overlaps in another; the coordinates of all patch
+    samples come from one log, and each overlap reads its induced map,
+    transition residuals and coordinates from one stacked call each.
     """
     from .cartan import fiber_bracket_at
     closure = geometric_closure_probe(H)
@@ -555,32 +572,31 @@ def reconstruct_atlas(glued, H: HomogeneousModel, spec: CoverSpec) -> AtlasRepor
                 f"of the fiber bracket (residual {rep.max_residual:.3e})")
     A = spec.cover
     m0 = np.asarray(spec.m0, dtype=float)
-    chart_samples = []
-    dets = []
     patch_pts = [patch.halton_points(_ATLAS_SAMPLES, shrink=0.1) for patch in spec.patches]
     gs, frames = _develop_frames(A, H, [line_path(m0, p) for pts in patch_pts for p in pts])
-    start = 0
-    for pts in patch_pts:
-        chart_samples.append(np.stack([_coset_coords(H, Coset(g, H))
-                                       for g in gs[start:start + len(pts)]]))
-        # the Jacobian at each patch's first sample, read off its development
-        J = _frame_jacobian(A, H, pts[0], gs[start], frames[start])
-        dets.append(abs(np.linalg.det(J)))
-        start += len(pts)
+    firsts = np.cumsum([0] + [len(pts) for pts in patch_pts[:-1]])
+    # the Jacobian at each patch's first sample, read off its development
+    dets = [abs(np.linalg.det(_frame_jacobian(A, H, pts[0], gs[k], frames[k])))
+            for pts, k in zip(patch_pts, firsts)]
+    samples = Coset(gs, H)      # every representative must be invertible
+    chart_samples = np.split(_coset_coords(H, samples.g), firsts[1:])
     # each overlap develops its q = D(deck(m0)), its samples p and their images
     region_pts = [ov.region.halton_points(_ATLAS_SAMPLES, shrink=0.1)
                   for ov in spec.overlaps]
-    devs = iter(_develop_from(A, H, m0, [
+    devs = _develop_from(A, H, m0, [
         e for ov, pts in zip(spec.overlaps, region_pts)
-        for e in [_image(ov.deck, m0), *pts, *(_image(ov.deck, p) for p in pts)]]))
+        for e in [_image(ov.deck, m0), *pts, *(_image(ov.deck, p) for p in pts)]])
     transitions = []
+    start = 0
     for ov, pts in zip(spec.overlaps, region_pts):
-        aff = induced_affine_map(ov.deck, H, next(devs))
-        psi_i = [next(devs) for _ in pts]
-        psi_j = [next(devs) for _ in pts]
-        res = worst([coset_residual(pj, aff(pi)) for pi, pj in zip(psi_i, psi_j)])
-        X = np.stack([_coset_coords(H, c) for c in psi_i])
-        Y = np.stack([_coset_coords(H, c) for c in psi_j])
+        k = len(pts)
+        q, psi = devs[start], devs[start + 1:start + 1 + 2 * k]
+        start += 1 + 2 * k
+        aff = induced_affine_map(ov.deck, H, Coset(q, H))
+        # the samples' developments, then their images'
+        psi_i, psi_j = Coset(psi[:k], H), Coset(psi[k:], H)
+        res = worst(coset_residual(psi_j, aff(psi_i)))
+        X, Y = np.split(_coset_coords(H, psi), 2)
         Amat, b, fit = _fit_affine(X, Y)
         transitions.append(TransitionRecord(ov.i, ov.j, res, ov.deck.twist.matrix,
                                             Amat, b, fit))

@@ -159,11 +159,8 @@ class SmoothField:
         (n, B, *shape), ``d[i]`` the derivative along d_i, at float points
         (B, n): the closed-form ``jet`` where the constructor has one, else
         one lane call where the formula runs on lanes, else ``dual.taylor``
-        point by point.  A stack of no points has an empty jet."""
+        point by point."""
         ms = np.asarray(ms, dtype=float)
-        if not len(ms):
-            return dual.Taylor(np.zeros((0, *self.shape)),
-                               np.zeros((self.chart.dim, 0, *self.shape)))
         if self.jet is not None:
             return self.jet(ms)
         if self.lanes:

@@ -6,24 +6,28 @@ calculus by its defining formulas, from which the tests build the
 cocurvature; central differences, directional Duals and the nested-Dual
 curvature; the Levi-Civita connection and the per-point scalar-form fit
 that the stacked checks are compared against; the displayed component
-formulas of the TM+h chart; and fixed-step RK4, which steps Dual states,
-with the parallel frames and twist fits built on it.  The fixtures are
-polylines and the stock algebras and models that no catalog entry or
+formulas of the TM+h chart; fixed-step RK4, which steps Dual states,
+with the parallel frames and twist fits built on it; and the matrix exp,
+log, integrated twist and coset residual of one element at a time, which
+the stacked coset algebra is compared against bit for bit.  The fixtures
+are polylines and the stock algebras and models that no catalog entry or
 scenario names.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
 
-from cartanlab import dual
-from cartanlab.algebra import AlgebraMap, LieAlgebra, MatrixRealization, TensorReport, worst
+from cartanlab import algebra, dual
+from cartanlab.algebra import (AlgebraError, AlgebraMap, LieAlgebra, MatrixRealization,
+                               TensorReport, worst)
 from cartanlab.algebroid import ActionAlgebroid, AlgebroidChart, make_action_algebroid
 from cartanlab.cartan import curvature_conn_tensor, fiber_bracket_at
-from cartanlab.development import DevelopmentError
+from cartanlab.development import DevelopmentError, HomogeneousModel
 from cartanlab.dual import eps_part, lift, value
 from cartanlab.geometry import (Chart, SmoothField, TMConnection, as_point,
                                 christoffel_from_jet, curvature_from_christoffel,
@@ -65,6 +69,74 @@ def heisenberg() -> LieAlgebra:
     c[0, 1, 2] = 1.0
     c[1, 0, 2] = -1.0
     return LieAlgebra(c)
+
+
+# -- the coset algebra one element at a time ----------------------------------
+# References for the stacked exp, log, integrated twist and coset residual:
+# each takes one element through the arithmetic the stacked forms group.
+
+def expm_at(a) -> np.ndarray:
+    """Pade scaling and squaring of one matrix (``algebra.expm``'s
+    algorithm): degree and s from its own 1-norm."""
+    a = np.asarray(a, dtype=float)
+    norm = np.abs(a).sum(axis=0).max()
+    if not math.isfinite(norm):
+        raise AlgebraError("matrix exponential of non-finite entries")
+    theta = algebra._PADE_THETA
+    m = next((m for m, t in theta.items() if norm <= t), 13)
+    s = max(0, math.ceil(math.log2(norm / theta[13]))) if m == 13 else 0
+    a = a / 2.0 ** s
+    b = algebra._PADE_COEFFS[m]
+    eye = np.eye(len(a))
+    a2 = a @ a
+    if m < 13:
+        even = [eye, a2]
+        for _ in range(2, (m + 1) // 2):
+            even.append(even[-1] @ a2)
+        u = a @ sum(b[2 * k + 1] * p for k, p in enumerate(even))
+        v = sum(b[2 * k] * p for k, p in enumerate(even))
+    else:
+        a4 = a2 @ a2
+        a6 = a4 @ a2
+        u = a @ (a6 @ (b[13] * a6 + b[11] * a4 + b[9] * a2)
+                 + b[7] * a6 + b[5] * a4 + b[3] * a2 + b[1] * eye)
+        v = (a6 @ (b[12] * a6 + b[10] * a4 + b[8] * a2)
+             + b[6] * a6 + b[4] * a4 + b[2] * a2 + b[0] * eye)
+    r = np.linalg.solve(v - u, v + u)
+    for _ in range(s):
+        r = r @ r
+    return r
+
+
+def exp_matrix_at(R: MatrixRealization, xi) -> np.ndarray:
+    return expm_at(np.tensordot(np.asarray(xi, dtype=float), np.stack(R.generators),
+                                axes=([0], [0])))
+
+
+def log_matrix_at(R: MatrixRealization, g) -> tuple[np.ndarray | None, float]:
+    """(coordinates, off-span residual) of one principal log, (None, inf)
+    where g has none."""
+    try:
+        L = algebra.principal_log(np.asarray(g, dtype=float))
+    except AlgebraError:
+        return None, math.inf
+    basis = np.stack([G.reshape(-1) for G in R.generators], axis=1)
+    coords, *_ = np.linalg.lstsq(basis, L.reshape(-1), rcond=None)
+    return coords, float(np.linalg.norm(L.reshape(-1) - basis @ coords))
+
+
+def integrated_twist_at(H: HomogeneousModel, mu: AlgebraMap, g) -> np.ndarray:
+    coords, off = log_matrix_at(H.realization, g)
+    if not off <= 1e-7 * (1 + np.linalg.norm(g)):
+        raise DevelopmentError("group element has no principal log in the algebra")
+    return exp_matrix_at(H.realization, mu.matrix @ coords)
+
+
+def coset_residual_at(H: HomogeneousModel, g1, g2) -> float:
+    coords, off = log_matrix_at(H.realization, np.linalg.solve(g1, g2))
+    if coords is None:
+        return math.inf
+    return float(np.linalg.norm(H.h0_projector @ coords) + off)
 
 
 # -- derivatives by definition ------------------------------------------------

@@ -560,6 +560,33 @@ def test_nonpositive_tolerance_rejected():
         run_scenario(MINIMAL, tol_scale=0.0)
 
 
+LOADERS = [yaml.SafeLoader] + ([yaml.CSafeLoader] if yaml.__with_libyaml__ else [])
+
+
+def test_the_loader_follows_the_libyaml_build():
+    assert cli._YAML_LOADER is LOADERS[-1]
+
+
+@pytest.mark.parametrize("loader", LOADERS, ids=lambda c: c.__name__)
+def test_bundled_scenarios_load_alike_under_each_loader(loader, monkeypatch):
+    want = {name: yaml.safe_load(Path(path).read_text())
+            for name, path in bundled_scenarios().items()}
+    monkeypatch.setattr(cli, "_YAML_LOADER", loader)
+    got = {name: cli.load_scenario_file(path) for name, path in bundled_scenarios().items()}
+    assert got == want
+    assert json.dumps(got, sort_keys=True) == json.dumps(want, sort_keys=True)
+
+
+@pytest.mark.parametrize("loader", LOADERS, ids=lambda c: c.__name__)
+def test_a_malformed_file_reports_its_line_and_column_under_each_loader(
+        loader, monkeypatch, tmp_path):
+    monkeypatch.setattr(cli, "_YAML_LOADER", loader)
+    broken = tmp_path / "broken.yaml"
+    broken.write_text("name: ok\nchecks:\n  - op: [unclosed\n")
+    with pytest.raises(ScenarioError, match=r"^scenario parse error at line 4, column 1: "):
+        cli.load_scenario_file(str(broken))
+
+
 def test_cli_exit_codes(tmp_path, capsys):
     good = tmp_path / "good.yaml"
     good.write_text(yaml.safe_dump(MINIMAL))

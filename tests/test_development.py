@@ -248,7 +248,7 @@ def _fd_development_jacobian(A, H, m0, m, h=1e-5, rtol=1e-10):
     n = len(m)
     ends = [m, *(m + h * np.eye(n)), *(m - h * np.eye(n))]
     base, *moved = develop_paths(A, H, [line_path(m0, e) for e in ends], rtol=rtol)
-    P = H.h0_projector()
+    P = H.h0_projector
     keep = np.linalg.norm(P, axis=1) > 1e-12
 
     def coords(c):
@@ -557,16 +557,28 @@ def test_a_nan_action_after_the_first_point_fails_the_equivariant_twist(
     assert math.isnan(rep.max_residual) and not rep.passed
 
 
-def test_a_nan_coset_residual_after_the_first_sample_fails_the_diagram(circle, monkeypatch):
+def _nan_after_the_first_lane(monkeypatch):
+    """Make every stacked coset residual NaN after its first lane; returns
+    the list of (real residuals, stack length) per call."""
     real, calls = development.coset_residual, []
 
     def nan_after_first(a, b):
-        calls.append(a)
-        return real(a, b) if len(calls) == 1 else math.nan
+        res = np.array(real(a, b), dtype=float)
+        calls.append((res.copy(), res.size))
+        res[1:] = math.nan
+        return res
     monkeypatch.setattr(development, "coset_residual", nan_after_first)
+    return calls
+
+
+def test_a_nan_coset_residual_after_the_first_sample_fails_the_diagram(circle, monkeypatch):
+    calls = _nan_after_the_first_lane(monkeypatch)
     rep = equivariance_diagram_check(circle.cover, circle.homog, circle.decks[0], [0.0],
                                      [[0.2], [0.5], [0.9]])
-    assert len(calls) == 3 and rep.per_point[0] < 1e-5
+    # the circle's h0 is trivial, so the induced map reads no residual; the
+    # diagram reads one stack of three
+    assert [size for _, size in calls] == [3]
+    assert rep.per_point[0] == calls[0][0][0] < 1e-5
     assert math.isnan(rep.max_residual) and not rep.passed
 
 
@@ -577,15 +589,11 @@ def test_a_nan_residual_after_the_first_generator_refuses_the_induced_map(monkey
                          Subalgebra(aff, (np.array([1.0, 0.0]),)))
     E, q = EquivariantMap.identity(aff), Coset(np.eye(2), H)
     assert induced_affine_map(E, H, q).consistency_residual < 1e-12
-    real, calls = HomogeneousModel.h0_projector, []
-
-    def nan_after_first(model):
-        calls.append(model)
-        return real(model) * (1.0 if len(calls) == 1 else math.nan)
-    monkeypatch.setattr(HomogeneousModel, "h0_projector", nan_after_first)
+    calls = _nan_after_the_first_lane(monkeypatch)
     with pytest.raises(DevelopmentError, match="residual nan"):
         induced_affine_map(E, H, q)
-    assert len(calls) == 2
+    # one stack: h0's one generator at two steps
+    assert [size for _, size in calls] == [2] and calls[0][0][0] < 1e-12
 
 
 # numpy warns of the NaN it is given; the check must still fail
