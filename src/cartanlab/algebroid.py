@@ -10,13 +10,17 @@ The bracket is never stored; it is always derived:
 
 The pointwise checks read each field they need once for the whole sample
 set, as its ``SmoothField.first_jet`` stacked over the points (the
-field's closed form where it has one, else its 1-jets from one lane call
-or from ``dual.taylor``), and contract those jets directly;
-``frame_bracket`` is the bracket of constant frame sections.  The anchor
-homomorphism and overlap checks return an ``algebra.TensorReport``.
+field's closed form where it has one, else its 1-jets from one lane
+call), and contract those jets directly; ``frame_bracket`` is the
+bracket of constant frame sections.  The overlap check reads an
+overlap's base and fiber maps with their first derivatives from one lane
+call each (``dual.taylor_stack``) and the fields from ``values`` at its
+points and at their images.  Both checks return an
+``algebra.TensorReport``.
 
 Action algebroids carry gamma = 0 and T equal to the fiberwise algebra
-bracket.  Glued algebroids add transition data on overlaps.
+bracket; their anchors run on lane points.  Glued algebroids add
+transition data on overlaps.
 """
 
 from __future__ import annotations
@@ -124,9 +128,11 @@ def make_action_algebroid(g0: LieAlgebra, action: Callable, base: Chart) -> Acti
     """Build the chart with gamma = 0, T = fiberwise bracket, anchor from
     the action's basis fields.
 
-    An action that carries a float batch form ``action.batch(xi, ms)``
-    (points (B, n) to tangent vectors (B, n)) gives the anchor a
-    closed-form batch (``SmoothField.values``)."""
+    The action must run on the lane points of ``dual.taylor_stack`` as
+    written, so the anchor's jets at a stack of points come from one call
+    of it.  An action that carries a float batch form
+    ``action.batch(xi, ms)`` (points (B, n) to tangent vectors (B, n))
+    gives the anchor a closed-form batch (``SmoothField.values``)."""
     r = g0.dim
     n = base.dim
     eye = np.eye(r)
@@ -134,9 +140,15 @@ def make_action_algebroid(g0: LieAlgebra, action: Callable, base: Chart) -> Acti
     def anchor_fn(m):
         m = as_point(m)
         out = np.empty((n, r), dtype=object)
-        for i in range(r):
-            out[:, i] = np.asarray(action(eye[i], m), dtype=object)
-        if not np.all(np.isfinite(value(out))):
+        # like Python floats, lane leaves overflow to inf and fail below
+        with np.errstate(over="ignore", invalid="ignore"):
+            for i in range(r):
+                # entry by entry: at an order-0 lane point, np.array([...])
+                # of float-array leaves stacks them into one row per entry
+                col = action(eye[i], m)
+                for k in range(n):
+                    out[k, i] = col[k]
+        if not all(np.all(np.isfinite(value(x))) for x in out.flat):
             raise AlgebroidError("action produced non-finite values")
         return out
 
@@ -155,7 +167,8 @@ def make_action_algebroid(g0: LieAlgebra, action: Callable, base: Chart) -> Acti
         base=base,
         rank=r,
         anchor=SmoothField(base, (n, r), anchor_fn, name="action anchor",
-                           batch=anchor_batch if hasattr(action, "batch") else None),
+                           batch=anchor_batch if hasattr(action, "batch") else None,
+                           lanes=True),
         gamma=SmoothField.constant(base, np.zeros((n, r, r)), name="canonical flat"),
         torsion=SmoothField.constant(base, tors, name="fiber bracket"),
     )
@@ -179,7 +192,9 @@ def check_anchor_homomorphism(C: AlgebroidChart, tol: float = 1e-8,
 
 @dataclass(frozen=True)
 class Overlap:
-    """Transition data from chart i to chart j on a region of chart i."""
+    """Transition data from chart i to chart j on a region of chart i.  The
+    maps run on the lane points of ``dual.taylor_stack``, which reads them
+    with their first derivatives (``check_overlap_compatibility``)."""
 
     i: int
     j: int
@@ -242,53 +257,56 @@ def _map_box(f, box: Chart) -> Chart:
 
 
 def intertwining_residuals(Ci: AlgebroidChart, Cj: AlgebroidChart, phi, mu,
-                           m) -> tuple[float, float, float]:
-    """Anchor, connection and torsion residuals at m of the bundle map that
-    sends the base of ``Ci`` by ``phi`` and its fibers by the matrix field
-    ``mu`` into ``Cj``: the max |.| of
+                           ms) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Anchor, connection and torsion residuals at each of the points ms
+    (B, n) of the bundle map that sends the base of ``Ci`` by ``phi`` and
+    its fibers by the matrix field ``mu`` into ``Cj``: the max |.| at each
+    point of
 
         a_j mu - Dphi a_i,
         mu Gamma_i(v) - d_v mu - Gamma_j(Dphi v) mu   (v over the axes),
         mu T_i(x, y) - T_j(mu x, mu y).
-    """
-    m = as_point(m)
-    pm = as_point(phi(m))
-    dphi, dmu = (value(dual.jacobian(lambda p, _f=f: np.asarray(_f(p), dtype=object), m))
-                 for f in (phi, mu))
-    M = value(np.asarray(mu(m), dtype=object))
-    ai, gi, ti = (f.values(m[None])[0] for f in (Ci.anchor, Ci.gamma, Ci.torsion))
-    aj, gj, tj = (f.values(pm[None])[0] for f in (Cj.anchor, Cj.gamma, Cj.torsion))
+
+    phi and Dphi come from one lane call of ``phi``, mu and its
+    derivatives from one of ``mu``, and the fields from ``values`` at the
+    points and at their images."""
+    ms = np.asarray(ms, dtype=float)
+    Phi, Mu = (dual.taylor_stack(f, ms, 1) for f in (phi, mu))
+    dphi = np.moveaxis(Phi.d, 0, -1)           # dphi[b, i, k] = d_k phi^i
+    dmu = np.moveaxis(Mu.d, 0, -1)             # dmu[b, c, e, k] = d_k mu_ce
+    M = Mu.v
+    ai, gi, ti = (f.values(ms) for f in (Ci.anchor, Ci.gamma, Ci.torsion))
+    aj, gj, tj = (f.values(Phi.v) for f in (Cj.anchor, Cj.gamma, Cj.torsion))
     anchor = aj @ M - dphi @ ai
-    conn = np.einsum("cd,kde->cek", M, gi) - dmu - np.einsum("ik,icd,de->cek", dphi, gj, M)
-    torsion = np.einsum("cd,dab->cab", M, ti) - np.einsum("cde,da,eb->cab", tj, M, M)
-    return tuple(float(np.max(np.abs(t), initial=0.0)) for t in (anchor, conn, torsion))
+    conn = (np.einsum("...cd,...kde->...cek", M, gi) - dmu
+            - np.einsum("...ik,...icd,...de->...cek", dphi, gj, M))
+    torsion = (np.einsum("...cd,...dab->...cab", M, ti)
+               - np.einsum("...cde,...da,...eb->...cab", tj, M, M))
+    return tuple(np.max(np.abs(t), axis=tuple(range(1, t.ndim)), initial=0.0)
+                 for t in (anchor, conn, torsion))
 
 
 def check_overlap_compatibility(G: GluedAlgebroid, tol: float = 1e-7) -> TensorReport:
     """Anchor / connection / torsion intertwining residuals on a fixed
-    low-discrepancy sample of 17 points per overlap.  ``details`` holds
-    each overlap's residual under ``overlap_i_j`` (``overlap_i_j_1`` and
-    so on for further overlaps of charts i and j) and how many of its
-    points were evaluated under that key with ``_points`` appended; a point
-    is skipped where it or its image leaves a chart.  An overlap with none
-    evaluated certifies nothing, so its residual is inf."""
+    low-discrepancy sample of 17 points per overlap, read as one stack.
+    ``details`` holds each overlap's residual under ``overlap_i_j``
+    (``overlap_i_j_1`` and so on for further overlaps of charts i and j)
+    and how many of its points were evaluated under that key with
+    ``_points`` appended; a point is skipped where it or its image leaves a
+    chart.  An overlap with none evaluated certifies nothing, so its
+    residual is inf."""
     details, per = {}, []
     for k, ov in enumerate(G.overlaps):
         Ci, Cj = G.charts[ov.i], G.charts[ov.j]
         repeat = sum((o.i, o.j) == (ov.i, ov.j) for o in G.overlaps[:k])
         key = f"overlap_{ov.i}_{ov.j}" + (f"_{repeat}" if repeat else "")
         pts = ov.region_i.halton_points(17, shrink=0.05)
-        res, evaluated = [], 0
-        for m in pts:
-            m = as_point(m)
-            if not ov.region_i.contains(m) or not Ci.base.contains(m):
-                continue
-            if not Cj.base.contains(ov.base_map(m)):
-                continue
-            res.extend(intertwining_residuals(Ci, Cj, ov.base_map, ov.fiber_map, m))
-            evaluated += 1
-        per.append(worst(res) if evaluated else np.inf)
-        details[key], details[f"{key}_points"] = per[-1], evaluated
+        pts = pts[[ov.region_i.contains(m) and Ci.base.contains(m) for m in pts]]
+        if len(pts):
+            pts = pts[[Cj.base.contains(p) for p in dual.taylor_stack(ov.base_map, pts, 0)]]
+        per.append(worst(np.concatenate(intertwining_residuals(
+            Ci, Cj, ov.base_map, ov.fiber_map, pts))) if len(pts) else np.inf)
+        details[key], details[f"{key}_points"] = per[-1], len(pts)
     return TensorReport("overlap_compatibility", worst(per), tol, details=details)
 
 

@@ -140,8 +140,10 @@ def _build_inline_action(block: dict):
             mat = sum(x * g.astype(object) for x, g in zip(xi, _g))
             return mat @ np.asarray(m, dtype=object)
 
-        def batch(xi, ms, _g=np.stack(gens)):
-            return (np.tensordot(xi, _g, 1)[None] * ms[:, None, :]).sum(axis=2)
+        def batch(xi, ms, _g=gens):
+            # action's sums, stacked, in its order: its jets carry these values
+            terms = sum(x * g for x, g in zip(xi, _g))[None] * ms[:, None, :]
+            return sum((terms[..., j] for j in range(1, n)), terms[..., 0])
         action.batch = batch
     elif fam == "exponential_line":
         action = models.scaling_action

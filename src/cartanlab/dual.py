@@ -8,19 +8,22 @@ ordinary Python callables written with ``+ - * /``, ``**`` and the
 object arrays), so any such callable is differentiable here without
 modification.
 
-Two routines differentiate.  ``taylor`` takes a field's jet of any order
-at one point, float or Dual, with one call of the field per nondecreasing
-multi-index of directions, and ``jacobian`` is its order-1 view; it works
-on any Dual-capable callable and is the oracle.  ``taylor_stack`` takes
-the jets at a stack of float points from one call: its point is a lane
-point, whose coordinates are Duals nested ``order`` deep with float-array
-leaves over lanes, one lane per (sample point, multi-index) pair, and
+Two routines differentiate.  ``taylor_stack`` takes the jets at a stack
+of float points from one call: its point is a lane point, whose
+coordinates are Duals nested ``order`` deep with float-array leaves over
+lanes, one lane per (sample point, multi-index) pair, and
 ``exp/log/sin/cos/sqrt`` send such leaves to numpy (vector forward mode;
 Griewank & Walther, *Evaluating Derivatives*, 2nd ed., SIAM 2008, ch. 13;
 Bettencourt, Johnson & Duvenaud, "Taylor-mode automatic differentiation
 for higher-order derivatives in JAX", 2019).  It needs a formula that
-runs on array leaves as written, as the catalog metrics do
-(``SmoothField.lanes``); other fields keep ``taylor`` point by point.
+runs on array leaves as written, as the catalog metrics, the local Lie
+group frames, the action anchors and the overlap and deck maps do
+(``SmoothField.lanes``), and every check reads its derivatives from it or
+in closed form.  ``taylor`` takes a jet of any order at one point, float
+or Dual, with one call of the field per nondecreasing multi-index of
+directions, and ``jacobian`` is its order-1 view; it works on any
+Dual-capable callable and is the oracle.  It serves a jet at a Dual
+point, a formula that does not run on lanes, and the section calculus.
 
 Array-valued formulas then differentiate without per-scalar Duals:
 ``contract``, ``inv`` and ``cholesky`` carry a ``Taylor`` jet through

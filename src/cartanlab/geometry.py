@@ -4,12 +4,13 @@ Everything lives on open boxes.  Fields are plain callables evaluated
 through dual numbers, so first and second derivatives are exact; a field's
 float values at a stack of points come from ``SmoothField.values``, its
 values and first derivatives there from ``SmoothField.first_jet``.  The
-catalog metrics and the frames of ``frame_connection`` run on lane points
-(``SmoothField.lanes``, ``dual.taylor_stack``), so their values and jets
-of any order at a stack come from one formula call; a field with neither
-a closed form nor a lane formula falls back to ``dual.taylor`` point by
-point inside those two reads.  Every check reads its sample set as one
-stack (``sample_stack``), never one point at a time.
+catalog metrics, the frames of ``frame_connection`` and the action
+anchors run on lane points (``SmoothField.lanes``, ``dual.taylor_stack``),
+so their values and jets of any order at a stack come from one formula
+call; a field with neither a closed form nor a lane formula falls back
+to ``dual.taylor`` point by point inside those two reads, a reference
+path that no bundled model takes.  Every check reads its sample set as
+one stack (``sample_stack``), never one point at a time.
 
 Curvature convention used throughout:
 
@@ -159,7 +160,8 @@ class SmoothField:
         (n, B, *shape), ``d[i]`` the derivative along d_i, at float points
         (B, n): the closed-form ``jet`` where the constructor has one, else
         one lane call where the formula runs on lanes, else ``dual.taylor``
-        point by point."""
+        point by point, the reference path for the Dual-only formulas that
+        tests build."""
         ms = np.asarray(ms, dtype=float)
         if self.jet is not None:
             return self.jet(ms)
@@ -209,7 +211,10 @@ def as_point(m) -> np.ndarray:
 
 
 def lie_bracket_vf(V, W, m):
-    """Jacobi-Lie bracket [V, W](m) = (DW)V - (DV)W."""
+    """Jacobi-Lie bracket [V, W](m) = (DW)V - (DV)W of vector-field
+    callables, by ``dual.jacobian``.  No check calls it (the checks take
+    brackets from stacked jets); the tests' section calculus and the
+    benchmark's tracer do."""
     m = as_point(m)
     vm = np.asarray(V(m), dtype=object)
     wm = np.asarray(W(m), dtype=object)
@@ -235,15 +240,6 @@ class TMConnection:
         n = self.chart.dim
         object.__setattr__(self, "christoffel",
                            as_field(self.chart, (n, n, n), self.christoffel, "christoffel"))
-
-    def covariant_vec(self, V, W, m):
-        """nabla_V W at m for vector-field callables V, W."""
-        m = as_point(m)
-        vm = np.asarray(V(m), dtype=object)
-        gm = np.asarray(self.christoffel(m), dtype=object)
-        dw = dual.jacobian(lambda p: np.asarray(W(p), dtype=object), m)
-        wm = np.asarray(W(m), dtype=object)
-        return dw @ vm + np.einsum("kij,i,j->k", gm, vm, wm)
 
 
 def frame_connection(chart: Chart, frame: Callable) -> TMConnection:

@@ -99,16 +99,6 @@ class BasePath:
         s = self.segments[-1]
         return s.chart, s.point(s.t1)
 
-    def reverse(self) -> "BasePath":
-        segs = []
-        for s in reversed(self.segments):
-            segs.append(PathSegment(
-                s.chart, lambda t, _s=s: _s.curve(_s.t0 + _s.t1 - t), s.t0, s.t1))
-        return BasePath(tuple(segs))
-
-    def then(self, other: "BasePath") -> "BasePath":
-        return BasePath(self.segments + other.segments)
-
 
 def line_path(a, b) -> BasePath:
     """The segment a -> b in chart 0."""
@@ -131,22 +121,6 @@ class GPath:
         """(T, n) base velocity a(m)X of each row, in its chart's coordinates."""
         return np.array([C.anchor.values(m[None])[0] @ x
                          for C, m, x in zip(self.charts, self.base, self.fiber)])
-
-    def to_table(self) -> list[list[float]]:
-        """Rows (t, m..., X...) for CSV-style export."""
-        return [[float(t), *map(float, m), *map(float, x)]
-                for t, m, x in zip(self.times, self.base, self.fiber)]
-
-    def to_csv(self, path) -> None:
-        import csv
-
-        n = self.base.shape[1]
-        r = self.fiber.shape[1]
-        header = ["t"] + [f"m{i}" for i in range(n)] + [f"X{a}" for a in range(r)]
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(header)
-            writer.writerows(self.to_table())
 
 
 # -- parallel transport -------------------------------------------------------

@@ -4,14 +4,15 @@ The references compute what the package computes from 1-jets and
 adaptive solves another way, for the tests to compare: the section
 calculus by its defining formulas, from which the tests build the
 cocurvature; central differences, directional Duals and the nested-Dual
-curvature; the Levi-Civita connection and the per-point scalar-form fit
-that the stacked checks are compared against; the displayed component
+curvature; the Levi-Civita connection, the per-point scalar-form fit
+and the covariant derivative and dual-pair residual pair by pair, which
+the stacked checks are compared against; the displayed component
 formulas of the TM+h chart; fixed-step RK4, which steps Dual states,
 with the parallel frames and twist fits built on it; and the matrix exp,
 log, integrated twist and coset residual of one element at a time, which
 the stacked coset algebra is compared against bit for bit.  The fixtures
-are polylines and the stock algebras and models that no catalog entry or
-scenario names.
+are polylines, reversed and concatenated paths, and the stock algebras
+and models that no catalog entry or scenario names.
 """
 
 from __future__ import annotations
@@ -34,7 +35,7 @@ from cartanlab.geometry import (Chart, SmoothField, TMConnection, as_point,
                                 ellipsoid_metric, euclidean_metric, lie_bracket_vf, metric_jet)
 from cartanlab.models import (DualPair, LocalLieGroupModel, RiemannianCartanChart,
                               RiemannianModel, riemannian_model, skew_basis, skew_coords)
-from cartanlab.transport import BasePath, TransportError, line_path
+from cartanlab.transport import BasePath, PathSegment, TransportError, line_path
 
 
 # -- stock algebras -----------------------------------------------------------
@@ -151,6 +152,46 @@ def directional(f, m, v):
 def flat_connection(chart: Chart) -> TMConnection:
     n = chart.dim
     return TMConnection(chart, np.zeros((n, n, n)))
+
+
+def covariant_vec(conn: TMConnection, V, W, m):
+    """nabla_V W at m for vector-field callables V, W, by its definition
+    (nabla_V W)^k = V^i d_i W^k + Gamma^k_ij V^i W^j with the Jacobian of W
+    from ``dual.jacobian``: the per-pair reference for the stacked
+    ``models.check_dual_pair``."""
+    m = as_point(m)
+    vm = np.asarray(V(m), dtype=object)
+    gm = np.asarray(conn.christoffel(m), dtype=object)
+    dw = dual.jacobian(lambda p: np.asarray(W(p), dtype=object), m)
+    wm = np.asarray(W(m), dtype=object)
+    return dw @ vm + np.einsum("kij,i,j->k", gm, vm, wm)
+
+
+def poly_field(rng: np.random.Generator, n: int) -> Callable:
+    """m -> A m + b + Q(m, m), drawn as A, b, Q in turn."""
+    A = rng.uniform(-1, 1, size=(n, n))
+    b = rng.uniform(-1, 1, size=n)
+    Q = rng.uniform(-0.3, 0.3, size=(n, n, n))
+    return lambda m: A.astype(object) @ as_point(m) + b + np.einsum("kij,i,j->k", Q, m, m)
+
+
+def dual_pair_residual_by_pairs(P: DualPair, seed: int = 42) -> float:
+    """Per-pair reference for ``models.check_dual_pair``: the same fields at
+    the same points, each pair's bar_X Y, nabla_Y X and [X, Y] taken with
+    ``dual.jacobian`` (``covariant_vec``, ``geometry.lie_bracket_vf``)."""
+    rng = np.random.default_rng(seed)
+    samples = P.chart.sample_points(rng, 5)
+    Gb, Ga = P.nabla_bar.christoffel.values(samples), P.nabla.christoffel.values(samples)
+    res = [worst(np.abs(Gb - np.swapaxes(Ga, -1, -2)))]
+    fields = [poly_field(rng, P.chart.dim) for _ in range(20)]
+    for k in range(0, len(fields), 2):
+        X, Y = fields[k], fields[k + 1]
+        m = as_point(samples[k % len(samples)])
+        lhs, mid, br = (value(np.asarray(t, dtype=object)) for t in (
+            covariant_vec(P.nabla_bar, X, Y, m), covariant_vec(P.nabla, Y, X, m),
+            lie_bracket_vf(X, Y, m)))
+        res.append(np.max(np.abs(lhs - mid - br)))
+    return worst(res)
 
 
 def levi_civita(metric: SmoothField) -> TMConnection:
@@ -270,6 +311,18 @@ def torsion_bar(C: AlgebroidChart, x, y, m):
 
 
 # -- paths, parallel frames and twist fits -------------------------------------
+
+def reverse(path: BasePath) -> BasePath:
+    """The path run backwards."""
+    return BasePath(tuple(
+        PathSegment(s.chart, lambda t, _s=s: _s.curve(_s.t0 + _s.t1 - t), s.t0, s.t1)
+        for s in reversed(path.segments)))
+
+
+def then(path: BasePath, other: BasePath) -> BasePath:
+    """``path`` followed by ``other``."""
+    return BasePath(path.segments + other.segments)
+
 
 def polyline_path(points) -> BasePath:
     segs = []

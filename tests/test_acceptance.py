@@ -10,7 +10,7 @@ from cartanlab import (algebra, algebroid, cartan, development, geometry,
 from cartanlab.geometry import SmoothField, as_point
 from cartanlab.transport import line_path
 import oracles
-from oracles import polyline_path
+from oracles import polyline_path, reverse, then
 
 E2PI = math.exp(2 * math.pi)
 
@@ -94,8 +94,8 @@ def test_criterion_05_monodromy_automorphism_law(circle, torus):
     loop = circle.loops[0]
     mats = {}
     for name, glued, lp in (("circle", circle.glued, loop),
-                            ("circle2", circle.glued, loop.then(loop)),
-                            ("circle-rev", circle.glued, loop.reverse()),
+                            ("circle2", circle.glued, then(loop, loop)),
+                            ("circle-rev", circle.glued, reverse(loop)),
                             ("torus-x", torus.glued, torus.loops[0]),
                             ("torus-y", torus.glued, torus.loops[1])):
         M = transport.monodromy(glued, lp)

@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from cartanlab import algebra, algebroid, models
+from cartanlab import algebra, algebroid, dual, models
 from cartanlab.algebroid import (AffineCocycleEntry, AlgebroidError,
                                  check_anchor_homomorphism, check_cocycle,
                                  check_overlap_compatibility, infinitesimalize,
@@ -13,6 +13,7 @@ from cartanlab.development import bracket_orientation
 from cartanlab.dual import value
 from cartanlab.geometry import Chart, as_point
 import oracles
+from oracles import reverse
 
 
 def test_translations_anchor_identity(translations2):
@@ -249,7 +250,7 @@ def test_infinitesimalize_circle_from_three_arcs():
     ))
     M = monodromy(G, loop)
     assert abs(M.matrix[0, 0] - 1.0 / mu) < 1e-9 / mu
-    Mrev = monodromy(G, loop.reverse())
+    Mrev = monodromy(G, reverse(loop))
     assert abs(Mrev.matrix[0, 0] - mu) < 1e-6
 
 
@@ -264,6 +265,20 @@ def test_infinitesimalize_rejects_bad_cocycle():
 def test_bundled_glued_models_intertwine(circle, torus):
     assert check_overlap_compatibility(circle.glued, tol=1e-7).passed
     assert check_overlap_compatibility(torus.glued, tol=1e-7).passed
+
+
+def test_intertwining_reads_the_derivative_of_a_varying_fiber_map(translations2):
+    # gamma = 0 and T = 0, so the connection residual is max |d mu| and the
+    # anchor residual max |mu - 1|
+    C = translations2.chart
+    ms = np.array([[0.5, -0.3], [-1.0, 0.2], [0.0, 0.0]])
+    anchor, conn, torsion = algebroid.intertwining_residuals(
+        C, C, lambda m: m,
+        lambda m: np.array([[dual.exp(m[0]), m[1]], [0.0, 1.0]], dtype=object), ms)
+    assert np.allclose(conn, np.maximum(np.exp(ms[:, 0]), 1.0), rtol=1e-15, atol=0)
+    assert np.allclose(anchor, np.maximum(np.abs(np.expm1(ms[:, 0])), np.abs(ms[:, 1])),
+                       rtol=1e-15, atol=1e-16)
+    assert np.all(torsion == 0.0)
 
 
 def test_an_overlap_with_no_evaluated_point_fails():

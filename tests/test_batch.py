@@ -14,7 +14,7 @@ from cartanlab.algebroid import AlgebroidError
 from cartanlab.dual import value
 from cartanlab.geometry import Chart, GeometryError, SmoothField, as_point
 from cartanlab.transport import line_path, segment_batch
-from oracles import polyline_path
+from oracles import polyline_path, reverse
 
 FLOATS = st.floats(-1e3, 1e3, allow_nan=False)
 # two ulp of the larger operand
@@ -95,6 +95,15 @@ def test_scaling_anchor_overflow_is_caught_by_the_ode_guard(circle):
     assert np.all(out == 1e150)
 
 
+def test_scaling_anchor_jet_overflow_is_refused_on_lanes_without_a_warning(circle):
+    # the lane jet's leaves overflow to inf under np.errstate, as the
+    # finiteness check on the value leaves expects
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(AlgebroidError, match="non-finite"):
+            circle.cover.chart.anchor.first_jet([[0.5], [-800.0]])
+
+
 def test_non_finite_linear_action_is_refused_by_both_forms():
     anchor = _inline_action("linear", 1, 1, np.array([[[1e300]]])).chart.anchor
     with np.errstate(over="ignore"), pytest.raises(AlgebroidError, match="non-finite"):
@@ -161,7 +170,7 @@ def test_line_segment_batch_is_the_per_point_value(data, n, t):
 
 def test_other_segments_fall_back_to_point_velocity(circle):
     poly = polyline_path([[0.0, 0.0], [0.3, 0.1], [-0.2, 0.5]])
-    mixed = [poly.segments[0], poly.reverse().segments[0]]
+    mixed = [poly.segments[0], reverse(poly).segments[0]]
     loop = circle.loops[0].segments[:1]
     for segs in (mixed, loop):
         for t in (0.0, 0.4, 1.0):

@@ -219,9 +219,10 @@ def test_fiber_bracket_jacobi_guard():
 # anchors, connections and torsions (``algebroid.intertwining_residuals``).
 
 def _morphism_residuals(C, M, phi, samples):
-    """Largest anchor, connection and torsion residuals over the samples of
-    the bundle map of C to itself with base map phi and fiber matrix M."""
-    return np.max([intertwining_residuals(C, C, phi, lambda m: M, m) for m in samples], axis=0)
+    """Largest anchor, connection and torsion residuals over the stack of
+    samples of the bundle map of C to itself with base map phi and fiber
+    matrix M."""
+    return np.max(intertwining_residuals(C, C, phi, lambda m: M, samples), axis=1)
 
 
 def test_check_morphism_identity(so3_action, sphere, hyperbolic, circle, torus,

@@ -8,7 +8,7 @@ from scipy.integrate import quad
 
 from cartanlab import algebra, development, ode
 from cartanlab.algebra import AlgebraMap, MatrixRealization, Subalgebra
-from cartanlab.algebroid import ActionAlgebroid
+from cartanlab.algebroid import ActionAlgebroid, AlgebroidChart
 from cartanlab.development import (Coset, DevelopmentError, EquivariantMap,
                                    HomogeneousModel, check_equivariant_twist,
                                    coset_residual, develop_paths, develop_point,
@@ -21,7 +21,7 @@ from cartanlab.dual import cos, sin, value
 from cartanlab.geometry import as_point
 from cartanlab.transport import BasePath, PathSegment, line_path
 import oracles
-from oracles import fit_twist, polyline_path
+from oracles import fit_twist, polyline_path, reverse
 
 E2PI = math.exp(2 * math.pi)
 
@@ -112,7 +112,7 @@ def test_a_batch_mixing_line_and_other_segments_matches_single_paths(circle, tor
     arc = BasePath((PathSegment(0, lambda t: np.array([2.0 * t * t - 0.5 * t])),))
     _assert_batch_matches_single_paths(
         circle.cover, circle.homog,
-        [line_path([0.0], [1.7]), arc, line_path([2.0], [0.0]).reverse(),
+        [line_path([0.0], [1.7]), arc, reverse(line_path([2.0], [0.0])),
          line_path([0.3], [-0.4])])
     bend = BasePath((PathSegment(0, lambda t: np.array([0.4 * t, 0.3 * t * t])),))
     _assert_batch_matches_single_paths(
@@ -549,8 +549,11 @@ def test_reconstruct_refuses_rank_mismatch(circle, torus):
 
 def test_a_nan_action_after_the_first_point_fails_the_equivariant_twist(
         circle, nan_after_first_point):
-    A = ActionAlgebroid(circle.cover.algebra, nan_after_first_point(circle.cover.action),
-                        circle.cover.chart)
+    # the check reads the action through the anchor of its chart
+    C = circle.cover.chart
+    A = ActionAlgebroid(circle.cover.algebra, circle.cover.action,
+                        AlgebroidChart(C.base, C.rank, nan_after_first_point(C.anchor),
+                                       C.gamma, C.torsion))
     rep = check_equivariant_twist(A, EquivariantMap.identity(A.algebra),
                                   samples=[[0.1], [0.4], [0.7]])
     assert rep.per_point[0] == 0.0 and math.isnan(rep.per_point[1])

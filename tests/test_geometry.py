@@ -9,7 +9,7 @@ from cartanlab.geometry import (Chart, GeometryError, SmoothField, as_point,
                                 curvature_from_christoffel, euclidean_metric,
                                 hyperbolic_metric, lie_bracket_vf, metric_by_name,
                                 scalar_form_fit, sphere_metric)
-from oracles import fd_jacobian, flat_connection, levi_civita
+from oracles import covariant_vec, fd_jacobian, flat_connection, levi_civita
 
 
 def _curvature(conn, m, U, V, W):
@@ -153,10 +153,10 @@ def test_curvature_is_tensorial_in_w():
     f = lambda p: 1.0 + p[0] * p[1]
 
     def nested(Wfield):
-        dVW = lambda p: lc.covariant_vec(V, Wfield, as_point(p))
-        dUW = lambda p: lc.covariant_vec(U, Wfield, as_point(p))
-        return (value(np.asarray(lc.covariant_vec(U, dVW, m), dtype=object))
-                - value(np.asarray(lc.covariant_vec(V, dUW, m), dtype=object)))
+        dVW = lambda p: covariant_vec(lc, V, Wfield, as_point(p))
+        dUW = lambda p: covariant_vec(lc, U, Wfield, as_point(p))
+        return (value(np.asarray(covariant_vec(lc, U, dVW, m), dtype=object))
+                - value(np.asarray(covariant_vec(lc, V, dUW, m), dtype=object)))
 
     base = value(np.asarray(_curvature(lc, m, [1, 0], [0, 1], w0), dtype=object))
     # definitional route on the constant extension agrees with the

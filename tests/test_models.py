@@ -549,6 +549,28 @@ def test_dual_pair_affine_and_failure():
     assert not check_dual_pair(bad).passed
 
 
+@pytest.mark.parametrize("name", ["affine_line_group", "heisenberg"])
+def test_stacked_dual_pair_is_the_per_pair_reference(name):
+    # the pair itself, and nabla twice, whose residual is its torsion's
+    pair = models.load_model(name).pair
+    for P in (pair, DualPair(pair.chart, pair.nabla, pair.nabla)):
+        for seed in (42, 7):
+            got = check_dual_pair(P, seed=seed).max_residual
+            want = oracles.dual_pair_residual_by_pairs(P, seed=seed)
+            assert abs(got - want) <= 1e-13 * (1.0 + want)
+
+
+def test_quadratic_field_jets_are_the_dual_jacobians(rng):
+    ms = rng.uniform(-2, 2, (6, 3))
+    val, jac = models._quadratic_fields(np.random.default_rng(5), ms)
+    draw = np.random.default_rng(5)
+    for f, m in enumerate(ms):
+        X = oracles.poly_field(draw, 3)
+        assert np.allclose(val[f], value(np.asarray(X(as_point(m)), dtype=object)),
+                           rtol=1e-14, atol=1e-14)
+        assert np.allclose(jac[f], dual.jacobian(X, as_point(m)), rtol=1e-14, atol=1e-14)
+
+
 def test_dual_pair_flat_euclidean():
     ab = oracles.abelian_pair(2)
     assert check_dual_pair(ab.pair).passed

@@ -1,15 +1,21 @@
-"""Every top-level definition in ``src/cartanlab`` is reached from the CLI
-or the benchmark, or is kept on purpose.
+"""Every top-level definition in ``src/cartanlab``, and every method and
+property of its classes, is reached from the CLI or the benchmark, or is
+kept on purpose.
 
 The roots are ``cli.main``, the check functions of ``cli.CHECKS`` (looked
-up by name at import, so no call names them) and every attribute that
-``perfbench/spans.py`` reads of a cartanlab module or class.  A reached
-top-level statement reaches every definition that a name or attribute
-in it names (see ``_audit``); a class brings its methods along.  What
-only tests call belongs in ``tests/oracles.py``; what nothing calls is
-deleted.  ``test_perfbench_hooks_resolve`` guards the benchmark's tracer,
-which the tier-1 suite never installs: a hook it cannot find breaks only
-the traced benchmark run.
+up by name at import, so no call names them), every attribute that
+``perfbench/spans.py`` reads of a cartanlab module or class, and every
+attribute that the benchmark's own tests (``perfbench/tests``) read.  A
+reached statement reaches every definition that a name or attribute in
+it names (see ``_audit``).  A method or property is a statement of its
+own, reached when its name is, so one that only tests call fails the
+audit as a function does; a class brings along its class-level
+statements and its special methods (``__init__``, ``__add__``, ...),
+which Python calls by protocol rather than by name.  What only tests
+call belongs in ``tests/oracles.py``; what nothing calls is deleted.
+``test_perfbench_hooks_resolve`` guards the benchmark's tracer, which the
+tier-1 suite never installs: a hook it cannot find breaks only the
+traced benchmark run.
 """
 
 import ast
@@ -38,12 +44,32 @@ KEEP: dict[str, str] = {
 }
 
 
+def _special(node) -> bool:
+    return node.name.startswith("__") and node.name.endswith("__")
+
+
+def _used(nodes) -> set:
+    return {name_of(n) for node in nodes for n in ast.walk(node)} - {None}
+
+
 def _statements():
-    """Top-level statements of the package as (module, names they bind,
-    names they use).  An assignment to an attribute of a name binds that
-    name (``f.batch = ...`` belongs to ``f``); imports bind nothing."""
+    """Statements of the package as (qualified name, node, names they bind,
+    names they use): the top-level ones, qualified "module.name", and the
+    methods and properties of classes, qualified "module.Class.name".  An
+    assignment to an attribute of a name binds that name (``f.batch =
+    ...`` belongs to ``f``); imports bind nothing.  A class statement uses
+    what its decorators, bases and class-level statements use, and what its
+    special methods use."""
     for path, tree in parse("src/cartanlab"):
         for node in tree.body:
+            if isinstance(node, ast.ClassDef):
+                methods = [m for m in node.body if isinstance(m, _DEFINITION) and not _special(m)]
+                rest = [m for m in node.body if not any(m is x for x in methods)]
+                yield (f"{path.stem}.{node.name}", node, {node.name},
+                       _used(node.decorator_list + node.bases + node.keywords + rest))
+                for m in methods:
+                    yield f"{path.stem}.{node.name}.{m.name}", m, {m.name}, _used([m])
+                continue
             if isinstance(node, _DEFINITION):
                 bound = {node.name}
             elif isinstance(node, (ast.Assign, ast.AnnAssign, ast.AugAssign)):
@@ -53,8 +79,7 @@ def _statements():
                          for t in (top.elts if isinstance(top, ast.Tuple) else [top])} - {None}
             else:
                 bound = set()
-            used = {name_of(n) for n in ast.walk(node)} - {None}
-            yield path.stem, node, bound, used
+            yield f"{path.stem}.{getattr(node, 'name', '')}", node, bound, _used([node])
 
 
 def _perfbench_reads():
@@ -88,11 +113,19 @@ def _perfbench_reads():
     return reads
 
 
+def _benchmark_test_reads() -> set:
+    """Every attribute name that the benchmark's tests read; perfbench/
+    changes only with the benchmark, so what it reads stays."""
+    return {node.attr for _, tree in parse("perfbench/tests") for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute)}
+
+
 def _unreached(keep) -> list[str]:
-    """Top-level definitions that neither the roots nor ``keep`` reach, as
-    "module.name"."""
+    """Definitions, methods and properties that neither the roots nor
+    ``keep`` reach, as "module.name" or "module.Class.name"."""
     statements = list(_statements())
-    frontier = {"main"} | {fn.__name__ for fn in cli.CHECKS.values()} | set(keep)
+    frontier = ({"main"} | {fn.__name__ for fn in cli.CHECKS.values()} | set(keep)
+                | _benchmark_test_reads())
     for _, attr, member in _perfbench_reads():
         frontier |= {attr, member} - {None}
     reached = set()
@@ -100,13 +133,13 @@ def _unreached(keep) -> list[str]:
         reached |= frontier
         frontier = {name for _, _, bound, used in statements if bound & frontier
                     for name in used} - reached
-    return sorted(f"{mod}.{node.name}" for mod, node, bound, _ in statements
+    return sorted(qual for qual, node, bound, _ in statements
                   if isinstance(node, _DEFINITION) and not bound & reached)
 
 
 def test_every_definition_is_reached_or_kept():
     assert len(KEEP) <= 5
-    needed = {d.split(".")[1] for d in _unreached(())}
+    needed = {d.rsplit(".", 1)[1] for d in _unreached(())}
     assert sorted(set(KEEP) - needed) == [], \
         "KEEP entries that name no definition or that the CLI or benchmark reach"
     assert _unreached(KEEP) == [], \

@@ -14,14 +14,14 @@ from cartanlab.transport import (MAX_SWITCHES, BasePath, PathSegment, TransportE
                                  invariant_metric_check, isotropy_subalgebra, line_path,
                                  monodromy, monodromy_compactness_probe, transport_matrix)
 from oracles import (_transport_line_dual, directional, levi_civita, parallel_frame,
-                     polyline_path)
+                     polyline_path, reverse, then)
 
 E2PI = math.exp(2 * math.pi)
 
 
 def test_point_velocity_matches_point_and_velocity(circle):
     poly = polyline_path([[0.0, 0.0], [0.3, 0.1], [-0.2, 0.5]])
-    paths = [line_path([0.1, -0.2], [0.7, 0.45]), poly, poly.reverse(), circle.loops[0]]
+    paths = [line_path([0.1, -0.2], [0.7, 0.45]), poly, reverse(poly), circle.loops[0]]
     for path in paths:
         for s in path.segments:
             for t in (s.t0, 1.0 / 3.0, 0.7, s.t1):
@@ -104,9 +104,9 @@ def test_monodromy_requires_closed_loop(circle):
 def test_monodromy_multiplicative_and_inverse(circle):
     loop = circle.loops[0]
     M1 = monodromy(circle.glued, loop).matrix
-    M2 = monodromy(circle.glued, loop.then(loop)).matrix
+    M2 = monodromy(circle.glued, then(loop, loop)).matrix
     assert np.max(np.abs(M2 - M1 @ M1)) / np.max(np.abs(M2)) < 1e-7
-    Mi = monodromy(circle.glued, loop.reverse()).matrix
+    Mi = monodromy(circle.glued, reverse(loop)).matrix
     assert np.max(np.abs(Mi @ M1 - np.eye(1))) < 1e-7
 
 
@@ -514,18 +514,6 @@ def test_compactness_probe_matches_word_by_word_scan(rng):
         # the deviation is |lambda| - 1, so its roundoff scales with |lambda|
         assert abs(rep.max_modulus_deviation - dev) <= 1e-12 * (1.0 + dev)
         assert abs(rep.max_word_norm - nrm) <= 1e-12 * nrm
-
-
-def test_gpath_csv_table(circle, tmp_path):
-    res = geodesic(circle.cover.chart, [0.0], [1.0], span=(0.0, 1.0))
-    rows = res.path.to_table()
-    assert all(len(r) == 3 for r in rows)
-    assert rows[0][0] == 0.0
-    out = tmp_path / "trace.csv"
-    res.path.to_csv(out)
-    lines = out.read_text().strip().splitlines()
-    assert lines[0] == "t,m0,X0"
-    assert len(lines) == len(rows) + 1
 
 
 def test_invariant_metric_reports_a_nan_at_the_second_sample(translations2):
