@@ -120,8 +120,7 @@ class ActionAlgebroid:
     """Action algebroid of a Lie algebra acting on a chart."""
 
     algebra: LieAlgebra
-    action: Callable  # (xi, m) -> tangent vector, linear in xi
-    chart: AlgebroidChart
+    chart: AlgebroidChart   # its anchor carries the action's basis fields
 
 
 def make_action_algebroid(g0: LieAlgebra, action: Callable, base: Chart) -> ActionAlgebroid:
@@ -172,7 +171,7 @@ def make_action_algebroid(g0: LieAlgebra, action: Callable, base: Chart) -> Acti
         gamma=SmoothField.constant(base, np.zeros((n, r, r)), name="canonical flat"),
         torsion=SmoothField.constant(base, tors, name="fiber bracket"),
     )
-    return ActionAlgebroid(g0, action, chart)
+    return ActionAlgebroid(g0, chart)
 
 
 # -- homomorphism checks ------------------------------------------------------

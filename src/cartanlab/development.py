@@ -8,6 +8,9 @@ inverse and integrated as a right-logarithmic matrix ODE
     dg/dt = (sum_i xi_i(t) G_i) g,    g(0) = I.
 
 The endpoint coset g(1) H0 is the developed image of the path's end.
+The lift is read in the frame parallel along the path; the solve carries
+that frame's inverse Q, dQ/dt = Q Gamma(dm/dt), so that each right-hand
+side re-expresses the lift with a product instead of a linear solve.
 A check's developments are integrated as one stacked solve: the B paths
 of a batch share one adaptive DOP853 step sequence, with tolerances scaled
 by 1/sqrt(B) so that each endpoint still meets its own tolerance, and each
@@ -33,7 +36,7 @@ from .algebra import (AlgebraMap, LieAlgebra, MatrixRealization,
                       worst)
 from .algebroid import ActionAlgebroid
 from .geometry import Chart, as_point, sample_stack
-from .ode import RTOL_FLOOR, integrate
+from .ode import integrate, lane_stacks, stacked_tolerances
 from .transport import BasePath, line_path, segment_batch
 
 
@@ -215,20 +218,19 @@ def _lift_fibers(a, v):
 
 def _develop_frames(A, H: HomogeneousModel, paths,
                     rtol: float = 1e-12) -> tuple[np.ndarray, np.ndarray]:
-    """Group elements (B, d, d) and parallel frames (B, r, r) at the ends
-    of a batch of paths; see ``develop_paths``.  Each right-hand side reads
-    the B points and velocities from one ``segment_batch`` call and the
-    anchors and gammas from one ``SmoothField.values`` call each."""
+    """Group elements (B, d, d) and inverse parallel frames (B, r, r) at
+    the ends of a batch of paths; see ``develop_paths``.  Each right-hand
+    side reads the B points and velocities from one ``segment_batch`` call
+    and the anchors and gammas from one ``SmoothField.values`` call each."""
     chart = _chart_of(A)
     d = H.realization.matrix_dim
     r = chart.rank
     B = len(paths)
     if B == 0:
         return np.zeros((0, d, d)), np.zeros((0, r, r))
-    limit = max(1, int((rtol / RTOL_FLOOR) ** 2 * (1 - 1e-9)))
-    if B > limit:
-        parts = [_develop_frames(A, H, paths[k:k + limit], rtol)
-                 for k in range(0, B, limit)]
+    parts = lane_stacks(B, rtol)
+    if len(parts) > 1:
+        parts = [_develop_frames(A, H, paths[c], rtol) for c in parts]
         return tuple(np.concatenate(p) for p in zip(*parts))
     spans = [(s.t0, s.t1) for s in paths[0].segments]
     if any([(s.t0, s.t1) for s in p.segments] != spans for p in paths):
@@ -236,22 +238,23 @@ def _develop_frames(A, H: HomogeneousModel, paths,
     sign = -float(bracket_orientation(chart))
     gens = np.stack(H.realization.generators)
     state = np.tile(np.concatenate([np.eye(r).reshape(-1), np.eye(d).reshape(-1)]), B)
+    tol = stacked_tolerances(rtol, 1e-13, B)
     for k, span in enumerate(spans):
         curve = segment_batch([p.segments[k] for p in paths])
 
         def rhs(t, y):
             y = y.reshape(B, -1)
-            P = y[:, :r * r].reshape(B, r, r)
+            Q = y[:, :r * r].reshape(B, r, r)
             G = y[:, r * r:].reshape(B, d, d)
             ms, v = curve(t)
             gv = np.einsum("biac,bi->bac", chart.gamma.values(ms), v)
             X = _lift_fibers(chart.anchor.values(ms), v)
-            xi = sign * np.linalg.solve(P, X[..., None])[..., 0]
+            xi = sign * (Q @ X[..., None])[..., 0]
             Xi = np.einsum("bi,iac->bac", xi, gens)
-            return np.concatenate([(-gv @ P).reshape(B, -1),
+            return np.concatenate([(Q @ gv).reshape(B, -1),
                                    (Xi @ G).reshape(B, -1)], axis=1).reshape(-1)
 
-        out = integrate(rhs, span, state, rtol=rtol / np.sqrt(B), atol=1e-13 / np.sqrt(B))
+        out = integrate(rhs, span, state, rtol=tol[0], atol=tol[1])
         if out.status != "completed":
             raise DevelopmentError(f"development ODE failed: {out.status}")
         state = out.states[-1]
@@ -264,24 +267,26 @@ def develop_paths(A, H: HomogeneousModel, paths, rtol: float = 1e-12) -> list[Co
 
     The paths must share their segment count and segment time spans.  All
     B states are integrated together by DOP853 with tolerances
-    rtol/sqrt(B) and atol/sqrt(B), atol = 1e-13, so that the RMS of each
-    of its two embedded error estimates over the whole state bounds that
-    path's own RMS at rtol/atol.  (DOP853 accepts a step on a blend of the
-    two, err5^2 / sqrt(err5^2 + 0.01 err3^2), for which the bound per path
-    holds only approximately.)  Batches whose scaled rtol would fall below
-    the driver's rtol floor (``ode.RTOL_FLOOR``, 100 eps) are split.
+    rtol/sqrt(B) and atol/sqrt(B), atol = 1e-13
+    (``ode.stacked_tolerances``), so that each path still meets rtol and
+    atol.  Batches whose scaled rtol would fall below the integrator's rtol
+    floor (``ode.RTOL_FLOOR``, 100 eps) are split (``ode.lane_stacks``).
 
     Each right-hand side evaluates the path points and velocities, the
     anchor and gamma once for the whole batch: in closed form for line
     segments and for fields that have a batch form (constant fields,
     translation, linear and scaling action anchors), else point by point.
 
-    The lift is re-expressed in the parallel frame transported from the
-    path start (for an action algebroid the frame stays the identity), so
-    the fiber coordinates match the algebra basis of the model.  Charts
-    whose anchor is a plain bracket homomorphism (orientation +1) have
-    their lifts negated: left-action generator fields anti-commute, and
-    the left-coset formulas downstream assume that picture.
+    The lift is re-expressed in the parallel frame P transported from the
+    path start, so the fiber coordinates match the algebra basis of the
+    model.  The solve carries the inverse frame Q = P^-1, which obeys
+    dQ/dt = Q Gamma(v) (v the path velocity) when dP/dt = -Gamma(v) P, so
+    each right-hand side re-expresses the lift with one product Q lift
+    instead of a linear solve.  For an action algebroid Gamma = 0 and Q
+    stays the identity exactly.  Charts whose anchor is a plain bracket
+    homomorphism (orientation +1) have their lifts negated: left-action
+    generator fields anti-commute, and the left-coset formulas downstream
+    assume that picture.
     """
     return [Coset(g, H) for g in _develop_frames(A, H, list(paths), rtol)[0]]
 
@@ -319,26 +324,26 @@ def development_jacobian(A, H: HomogeneousModel, m0, m,
 
     Local coordinates around D(m): h0-orthogonal log components of
     D(m)^-1 D(m + dx).  Extending the path by dx multiplies D(m) on the
-    left by I + Xi(dx), with Xi(dx) = sign sum_i (P(m)^-1 lift_m(dx))_i G_i
-    (P the parallel frame at the path end, G_i the generators), so column
-    k is the h0-complement coordinates of Ad(D(m)^-1) Xi(e_k).  This is
+    left by I + Xi(dx), with Xi(dx) = sign sum_i (Q(m) lift_m(dx))_i G_i
+    (Q the inverse parallel frame at the path end, G_i the generators), so
+    column k is the h0-complement coordinates of Ad(D(m)^-1) Xi(e_k).  This is
     exact when development is path-independent modulo H0 (flat), which
     the action-algebroid covers of ``reconstruct_atlas`` satisfy.
     """
     m = np.asarray(m, dtype=float)
-    g, frame = _develop_frames(A, H, [line_path(m0, m)], rtol=rtol)
-    return _frame_jacobian(A, H, m, g[0], frame[0])
+    g, Q = _develop_frames(A, H, [line_path(m0, m)], rtol=rtol)
+    return _frame_jacobian(A, H, m, g[0], Q[0])
 
 
 def _frame_jacobian(A, H: HomogeneousModel, m, g: np.ndarray,
-                    frame: np.ndarray) -> np.ndarray:
+                    Q: np.ndarray) -> np.ndarray:
     """``development_jacobian`` at m from the developed element g and the
-    parallel frame there."""
+    inverse parallel frame Q there."""
     chart = _chart_of(A)
     n = len(m)
     a = chart.anchor.values([m])[0]
     lifts = _lift_fibers(np.broadcast_to(a, (n, *a.shape)), np.eye(n))
-    xi = -bracket_orientation(chart) * np.linalg.solve(frame, lifts.T)
+    xi = -bracket_orientation(chart) * (Q @ lifts.T)
     gens = np.stack(H.realization.generators)
     ad = np.linalg.solve(g, np.einsum("ik,iac->kac", xi, gens) @ g)
     coords, *_ = np.linalg.lstsq(gens.reshape(len(gens), -1).T,
@@ -541,10 +546,10 @@ def reconstruct_atlas(glued, H: HomogeneousModel, spec: CoverSpec) -> AtlasRepor
 
     ``glued`` is the algebroid being reconstructed; its rank must match
     the model algebra and every deck twist must be an automorphism of the
-    fiber bracket read off its charts.  The patch samples are developed in
-    one batch and the overlaps in another; the coordinates of all patch
-    samples come from one log, and each overlap reads its induced map,
-    transition residuals and coordinates from one stacked call each.
+    fiber bracket read off its charts.  The patch samples and every
+    overlap's endpoints are developed in one batch; the coordinates of all
+    patch samples come from one log, and each overlap reads its induced
+    map, transition residuals and coordinates from one stacked call each.
     """
     from .cartan import fiber_bracket_at
     closure = geometric_closure_probe(H)
@@ -568,19 +573,21 @@ def reconstruct_atlas(glued, H: HomogeneousModel, spec: CoverSpec) -> AtlasRepor
     A = spec.cover
     m0 = np.asarray(spec.m0, dtype=float)
     patch_pts = [patch.halton_points(_ATLAS_SAMPLES, shrink=0.1) for patch in spec.patches]
-    gs, frames = _develop_frames(A, H, [line_path(m0, p) for pts in patch_pts for p in pts])
-    firsts = np.cumsum([0] + [len(pts) for pts in patch_pts[:-1]])
-    # the Jacobian at each patch's first sample, read off its development
-    dets = [abs(np.linalg.det(_frame_jacobian(A, H, pts[0], gs[k], frames[k])))
-            for pts, k in zip(patch_pts, firsts)]
-    samples = Coset(gs, H)      # every representative must be invertible
-    chart_samples = np.split(_coset_coords(H, samples.g), firsts[1:])
     # each overlap develops its q = D(deck(m0)), its samples p and their images
     region_pts = [ov.region.halton_points(_ATLAS_SAMPLES, shrink=0.1)
                   for ov in spec.overlaps]
-    devs = _develop_from(A, H, m0, [
+    ends = [p for pts in patch_pts for p in pts] + [
         e for ov, pts in zip(spec.overlaps, region_pts)
-        for e in [_image(ov.deck, m0), *pts, *(_image(ov.deck, p) for p in pts)]])
+        for e in [_image(ov.deck, m0), *pts, *(_image(ov.deck, p) for p in pts)]]
+    gs, Qs = _develop_frames(A, H, [line_path(m0, e) for e in ends])
+    npatch = sum(len(pts) for pts in patch_pts)
+    gs, devs = gs[:npatch], gs[npatch:]
+    firsts = np.cumsum([0] + [len(pts) for pts in patch_pts[:-1]])
+    # the Jacobian at each patch's first sample, read off its development
+    dets = [abs(np.linalg.det(_frame_jacobian(A, H, pts[0], gs[k], Qs[k])))
+            for pts, k in zip(patch_pts, firsts)]
+    samples = Coset(gs, H)      # every representative must be invertible
+    chart_samples = np.split(_coset_coords(H, samples.g), firsts[1:])
     transitions = []
     start = 0
     for ov, pts in zip(spec.overlaps, region_pts):

@@ -481,6 +481,11 @@ def _lanes(n: int, order: int):
 def taylor_stack(f, ms, order: int):
     """Jets of the given order of ``f`` at the float points ``ms`` (B, n),
     with the point axis after the derivative axes, from one call of ``f``.
+    Where ``f`` declares its output ``shape`` (a ``SmoothField``), an
+    output of any other shape raises ``ValueError``: at order 0 the
+    coordinates are float arrays, so a formula that builds its output
+    with ``np.array([...], dtype=object)`` returns them as an extra lane
+    axis instead of one entry each.
 
     Lane p*M + q holds point p moved along the q-th of the M nondecreasing
     multi-indices, so each coordinate is a Dual nested ``order`` deep whose
@@ -504,6 +509,11 @@ def taylor_stack(f, ms, order: int):
             x = Dual(x, e)
         p[i] = x
     out = np.asarray(f(p), dtype=object)
+    shape = getattr(f, "shape", None)
+    if shape is not None and out.shape != tuple(shape):
+        raise ValueError(f"{getattr(f, 'name', '') or 'formula'} returned shape {out.shape} "
+                         f"on lane points, expected {tuple(shape)}; build the output entry "
+                         f"by entry into an object array of that shape")
     flat = out.reshape(-1)
     comps = np.zeros((2 ** order, B * M, flat.size))
     for k, x in enumerate(flat):

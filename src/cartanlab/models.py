@@ -43,7 +43,7 @@ from .geometry import (Chart, GeometryError, SmoothField, TMConnection, as_point
                        christoffel_from_jet, curvature_from_christoffel,
                        frame_connection, hyperbolic_metric, metric_jet,
                        sample_stack, scalar_form_fit, sphere_metric)
-from .transport import BasePath, PathSegment, monodromy
+from .transport import BasePath, PathSegment, monodromies
 
 
 # -- skew bookkeeping ---------------------------------------------------------
@@ -427,8 +427,9 @@ class GluedModel:
 
     @cached_property
     def monodromies(self) -> tuple[AlgebraMap, ...]:
-        """Transport around each loop, computed on first use."""
-        return tuple(monodromy(self.glued, loop) for loop in self.loops)
+        """Transport around each loop, computed on first use from one
+        stacked solve (``transport.monodromies``)."""
+        return tuple(monodromies(self.glued, self.loops))
 
 
 def scaling_action(xi, th):
@@ -493,23 +494,18 @@ def flat_torus() -> GluedModel:
     centers = [np.array(c) for c in ((0.0, 0.0), (0.5, 0.0), (0.0, 0.5), (0.5, 0.5))]
     boxes = [Chart(tuple(c - half), tuple(c + half)) for c in centers]
     pieces = tuple(make_action_algebroid(g0, translation_action, b).chart for b in boxes)
-    overlaps = []
-    for i in range(4):
-        for j in range(4):
-            for sx in (-1.0, 0.0, 1.0):
-                for sy in (-1.0, 0.0, 1.0):
-                    if i == j and sx == 0 and sy == 0:
-                        continue
-                    if j < i and sx == 0 and sy == 0:
-                        continue  # unshifted pairs recorded once
-                    shift = np.array([sx, sy])
-                    target = Chart(tuple(np.array(boxes[j].lower) - shift),
-                                   tuple(np.array(boxes[j].upper) - shift))
-                    region = boxes[i].intersect(target)
-                    if region is None:
-                        continue
-                    overlaps.append(Overlap.affine(i, j, np.eye(2), shift,
-                                                   np.eye(2), region))
+    # box i meets box j shifted by -s wherever the intersection bounds
+    # order; the unshifted pairs are recorded once
+    lower = np.array([b.lower for b in boxes])
+    upper = np.array([b.upper for b in boxes])
+    shifts = np.array([(sx, sy) for sx in (-1.0, 0.0, 1.0) for sy in (-1.0, 0.0, 1.0)])
+    I, J, S = np.array([(i, j, s) for i in range(4) for j in range(4) for s in range(9)
+                        if j > i or shifts[s].any()]).T
+    lo = np.maximum(lower[I], lower[J] - shifts[S])
+    hi = np.minimum(upper[I], upper[J] - shifts[S])
+    overlaps = [Overlap.affine(int(i), int(j), np.eye(2), shifts[s], np.eye(2),
+                               Chart(tuple(a), tuple(b)))
+                for i, j, s, a, b, ok in zip(I, J, S, lo, hi, np.all(lo < hi, axis=1)) if ok]
     glued = GluedAlgebroid(pieces, tuple(overlaps))
     loop_x = BasePath((
         PathSegment(0, lambda t: np.array([0.3 * t, 0.0])),

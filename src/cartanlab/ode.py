@@ -415,6 +415,25 @@ def _first_sign_change(sol, fns, t0: float, stop: float, closed: bool):
     return best
 
 
+def lane_stacks(B: int, rtol: float) -> list[slice]:
+    """Slices of ``range(B)`` for solves that stack independent lanes,
+    each as long as it can be while its scaled rtol
+    (``stacked_tolerances``) stays at or above ``RTOL_FLOOR``."""
+    limit = max(1, int((rtol / RTOL_FLOOR) ** 2 * (1 - 1e-9)))
+    return [slice(k, k + limit) for k in range(0, B, limit)]
+
+
+def stacked_tolerances(rtol: float, atol: float, lanes: int) -> tuple[float, float]:
+    """rtol and atol for one solve of ``lanes`` stacked independent states:
+    both scaled by 1/sqrt(lanes), so that the RMS of each embedded error
+    estimate over the whole state bounds each lane's own RMS at rtol and
+    atol.  (DOP853 accepts a step on a blend of its two estimates,
+    err5^2 / sqrt(err5^2 + 0.01 err3^2), for which the bound per lane
+    holds only approximately.)"""
+    scale = np.sqrt(lanes)
+    return rtol / scale, atol / scale
+
+
 def integrate(rhs, t_span, y0, events=None, rtol=DEFAULT_RTOL,
               atol=DEFAULT_ATOL, first_step=None) -> IvpOutcome:
     """Adaptive integration with named terminal events.

@@ -2,12 +2,16 @@
 
 Transport solves dX^a/dt + Gamma^a_{ib} dm^i/dt X^b = 0 along a base
 path, applying fiber transition matrices at chart switches of a glued
-algebroid.  Geodesics couple that equation with dm/dt = a(m) X.  Every
-right-hand side, event and start check reads the anchor and gamma as
-floats through ``SmoothField.values`` (the closed-form batch where a
-field has one), and the path's points and velocities through
-``segment_batch``, so a geodesic and its blow-up event see the same
-anchor.
+algebroid.  The equation is linear, so a path's transport is the product
+of its segments' transports and its transitions: every segment of a
+batch of paths is transported from the identity, the segments that share
+a time span in one stacked solve (``transport_matrices``), and each path
+composes its segment matrices.  Geodesics couple that equation with
+dm/dt = a(m) X.  Every right-hand side, event and start check reads the
+anchor and gamma as floats through ``SmoothField.values`` (the
+closed-form batch where a field has one), and the path's points and
+velocities through ``segment_batch``, so a geodesic and its blow-up
+event see the same anchor.
 
 Completeness verdicts are one-sided: numerical integration can certify
 incompleteness (the fiber norm or the base speed reaching the blow-up
@@ -30,7 +34,7 @@ from .algebra import AlgebraMap, Subalgebra, TensorReport, worst
 from .algebroid import AlgebroidChart, GluedAlgebroid
 from .cartan import bar_tm_tensor, fiber_bracket_at, per_point_max
 from .geometry import SmoothField, as_point, sample_stack
-from .ode import integrate
+from .ode import DEFAULT_ATOL, DEFAULT_RTOL, integrate, lane_stacks, stacked_tolerances
 
 BLOWUP_NORM = 1e6
 # speed above which geodesics are integrated in rescaled time (see
@@ -135,34 +139,68 @@ def _as_glued(G) -> GluedAlgebroid:
     raise TypeError(f"expected a chart or glued algebroid, got {type(G)!r}")
 
 
-def transport_matrix(G, path: BasePath) -> np.ndarray:
-    """Fundamental transport matrix along the path, transitions included."""
+def transport_matrices(G, paths) -> list[np.ndarray]:
+    """Fundamental transport matrices (r, r) along a batch of paths,
+    transitions included.
+
+    Every segment of every path is transported from the identity, and the
+    segments that share a time span are one stacked solve: the B segment
+    matrices share one DOP853 step sequence at rtol and atol scaled by
+    1/sqrt(B) (``ode.stacked_tolerances``, split by ``ode.lane_stacks``
+    as in ``development.develop_paths``), and each right-hand side reads
+    the points and velocities from one ``segment_batch`` call and gamma
+    from one ``values`` call per chart.  The equation is linear, so each
+    path's matrix is the product of its segment matrices and transition
+    matrices, in path order; a path with no segments transports by the
+    identity."""
     G = _as_glued(G)
-    r = G.rank
-    M = np.eye(r)
-    prev_chart = None
-    prev_end = None
-    for seg in path.segments:
-        C = G.charts[seg.chart]
-        if prev_chart is not None:
-            M = _apply_switch(G, prev_chart, seg.chart, prev_end,
-                              seg.point(seg.t0)) @ M
-        curve = segment_batch([seg])
-
-        def rhs(t, mflat):
-            ms, vs = curve(t)
-            gv = np.einsum("biac,bi->ac", C.gamma.values(ms), vs)
-            return (-gv @ mflat.reshape(r, r)).reshape(-1)
-
-        if not C.base.contains(seg.point(seg.t0)) or not C.base.contains(seg.point(seg.t1)):
+    segs = [s for p in paths for s in p.segments]
+    for s in segs:
+        base = G.charts[s.chart].base
+        if not base.contains(s.point(s.t0)) or not base.contains(s.point(s.t1)):
             raise TransportError("path leaves its declared chart")
-        out = integrate(rhs, (seg.t0, seg.t1), M.reshape(-1))
-        if out.status != "completed":
-            raise TransportError(f"transport ODE failed with status {out.status}")
-        M = out.states[-1].reshape(r, r)
-        prev_chart = seg.chart
-        prev_end = seg.point(seg.t1)
-    return M
+    by_span: dict[tuple, list[int]] = {}
+    for k, s in enumerate(segs):
+        by_span.setdefault((s.t0, s.t1), []).append(k)
+    T = np.empty((len(segs), G.rank, G.rank))
+    for span, ks in by_span.items():
+        for c in lane_stacks(len(ks), DEFAULT_RTOL):
+            T[ks[c]] = _segment_transports(G, [segs[k] for k in ks[c]], span)
+    T, out = iter(T), []
+    for p in paths:
+        M = next(T) if p.segments else np.eye(G.rank)
+        for prev, seg in zip(p.segments, p.segments[1:]):
+            M = next(T) @ (_apply_switch(G, prev.chart, seg.chart, prev.point(prev.t1),
+                                         seg.point(seg.t0)) @ M)
+        out.append(M)
+    return out
+
+
+def _segment_transports(G: GluedAlgebroid, segs, span) -> np.ndarray:
+    """Transport matrices (B, r, r) from the identity along segments that
+    share one time span, from one solve."""
+    r, B = G.rank, len(segs)
+    curve = segment_batch(segs)
+    lanes = [(G.charts[c], np.array([b for b, s in enumerate(segs) if s.chart == c]))
+             for c in dict.fromkeys(s.chart for s in segs)]
+
+    def rhs(t, y):
+        ms, vs = curve(t)
+        gv = np.empty((B, r, r))
+        for C, b in lanes:
+            gv[b] = np.einsum("biac,bi->bac", C.gamma.values(ms[b]), vs[b])
+        return (-gv @ y.reshape(B, r, r)).reshape(-1)
+
+    rtol, atol = stacked_tolerances(DEFAULT_RTOL, DEFAULT_ATOL, B)
+    out = integrate(rhs, span, np.tile(np.eye(r).reshape(-1), B), rtol=rtol, atol=atol)
+    if out.status != "completed":
+        raise TransportError(f"transport ODE failed with status {out.status}")
+    return out.states[-1].reshape(B, r, r)
+
+
+def transport_matrix(G, path: BasePath) -> np.ndarray:
+    """Fundamental transport matrix along one path (``transport_matrices``)."""
+    return transport_matrices(G, [path])[0]
 
 
 def _apply_switch(G: GluedAlgebroid, i: int, j: int, m_end, m_next) -> np.ndarray:
@@ -180,17 +218,25 @@ def _apply_switch(G: GluedAlgebroid, i: int, j: int, m_end, m_next) -> np.ndarra
     raise TransportError("chart switch does not match any overlap base map")
 
 
-def monodromy(G, loop: BasePath) -> AlgebraMap:
-    """Parallel transport around a closed loop as an algebra map on the
-    fiber bracket at the base point."""
+def monodromies(G, loops) -> list[AlgebraMap]:
+    """Parallel transport around each closed loop as an algebra map on the
+    fiber bracket at its base point, all loops from one
+    ``transport_matrices`` call."""
     G = _as_glued(G)
-    c0, m0 = loop.start
-    c1, m1 = loop.end
-    if c0 != c1 or np.max(np.abs(np.asarray(m0) - np.asarray(m1))) > CONTINUITY_TOL:
-        raise TransportError("monodromy requires a loop closed in its start chart")
-    M = transport_matrix(G, loop)
-    A0 = fiber_bracket_at(G.charts[c0], m0)
-    return AlgebraMap(A0, A0, M)
+    starts = [loop.start for loop in loops]
+    for (c0, m0), (c1, m1) in zip(starts, (loop.end for loop in loops)):
+        if c0 != c1 or np.max(np.abs(np.asarray(m0) - np.asarray(m1))) > CONTINUITY_TOL:
+            raise TransportError("monodromy requires a loop closed in its start chart")
+    out = []
+    for (c0, m0), M in zip(starts, transport_matrices(G, loops)):
+        A0 = fiber_bracket_at(G.charts[c0], m0)
+        out.append(AlgebraMap(A0, A0, M))
+    return out
+
+
+def monodromy(G, loop: BasePath) -> AlgebraMap:
+    """Monodromy of one closed loop (``monodromies``)."""
+    return monodromies(G, [loop])[0]
 
 
 # -- geodesics ----------------------------------------------------------------

@@ -8,11 +8,14 @@ curvature; the Levi-Civita connection, the per-point scalar-form fit
 and the covariant derivative and dual-pair residual pair by pair, which
 the stacked checks are compared against; the displayed component
 formulas of the TM+h chart; fixed-step RK4, which steps Dual states,
-with the parallel frames and twist fits built on it; and the matrix exp,
+with the parallel frames and twist fits built on it; the matrix exp,
 log, integrated twist and coset residual of one element at a time, which
-the stacked coset algebra is compared against bit for bit.  The fixtures
-are polylines, reversed and concatenated paths, and the stock algebras
-and models that no catalog entry or scenario names.
+the stacked coset algebra is compared against bit for bit; transport
+solved segment after segment from the carried matrix, development
+carrying the parallel frame P rather than its inverse, and the flat
+torus overlaps found by trial intersection of every shifted box.  The
+fixtures are polylines, reversed and concatenated paths, and the stock
+algebras and models that no catalog entry or scenario names.
 """
 
 from __future__ import annotations
@@ -23,10 +26,11 @@ from typing import Callable
 
 import numpy as np
 
-from cartanlab import algebra, dual
+from cartanlab import algebra, development, dual, transport
 from cartanlab.algebra import (AlgebraError, AlgebraMap, LieAlgebra, MatrixRealization,
                                TensorReport, worst)
-from cartanlab.algebroid import ActionAlgebroid, AlgebroidChart, make_action_algebroid
+from cartanlab.algebroid import (ActionAlgebroid, AlgebroidChart, Overlap,
+                                 make_action_algebroid)
 from cartanlab.cartan import curvature_conn_tensor, fiber_bracket_at
 from cartanlab.development import DevelopmentError, HomogeneousModel
 from cartanlab.dual import eps_part, lift, value
@@ -35,6 +39,7 @@ from cartanlab.geometry import (Chart, SmoothField, TMConnection, as_point,
                                 ellipsoid_metric, euclidean_metric, lie_bracket_vf, metric_jet)
 from cartanlab.models import (DualPair, LocalLieGroupModel, RiemannianCartanChart,
                               RiemannianModel, riemannian_model, skew_basis, skew_coords)
+from cartanlab.ode import integrate
 from cartanlab.transport import BasePath, PathSegment, TransportError, line_path
 
 
@@ -434,6 +439,100 @@ def fit_twist(chart, base_map: Callable, m0, samples) -> AlgebraMap:
     return AlgebraMap(g0, g0, mu)
 
 
+# -- carried-matrix transport, P-frame development, the torus overlap loop ----
+
+def transport_matrix_carried(G, path: BasePath) -> np.ndarray:
+    """Transport matrix solved one segment at a time, each solve starting
+    from the matrix carried so far, with the transition applied between
+    solves (what ``transport.transport_matrices`` does with one stacked
+    solve from the identity per time span)."""
+    G = transport._as_glued(G)
+    r = G.rank
+    M = np.eye(r)
+    prev = None
+    for seg in path.segments:
+        C = G.charts[seg.chart]
+        if prev is not None:
+            M = transport._apply_switch(G, prev.chart, seg.chart, prev.point(prev.t1),
+                                        seg.point(seg.t0)) @ M
+        curve = transport.segment_batch([seg])
+
+        def rhs(t, mflat, C=C, curve=curve):
+            ms, vs = curve(t)
+            gv = np.einsum("biac,bi->ac", C.gamma.values(ms), vs)
+            return (-gv @ mflat.reshape(r, r)).reshape(-1)
+
+        if not C.base.contains(seg.point(seg.t0)) or not C.base.contains(seg.point(seg.t1)):
+            raise TransportError("path leaves its declared chart")
+        out = integrate(rhs, (seg.t0, seg.t1), M.reshape(-1))
+        if out.status != "completed":
+            raise TransportError(f"transport ODE failed with status {out.status}")
+        M = out.states[-1].reshape(r, r)
+        prev = seg
+    return M
+
+
+def develop_frames_p(A, H: HomogeneousModel, paths,
+                     rtol: float = 1e-12) -> tuple[np.ndarray, np.ndarray]:
+    """Group elements (B, d, d) and parallel frames P (B, r, r) at the ends
+    of a batch of paths that share their segment spans, from one stacked
+    solve of dP/dt = -Gamma(v) P, each lift re-expressed by a linear solve
+    against P (``development._develop_frames`` carries P^-1 instead)."""
+    chart = development._chart_of(A)
+    d = H.realization.matrix_dim
+    r = chart.rank
+    B = len(paths)
+    sign = -float(development.bracket_orientation(chart))
+    gens = np.stack(H.realization.generators)
+    state = np.tile(np.concatenate([np.eye(r).reshape(-1), np.eye(d).reshape(-1)]), B)
+    for k, s in enumerate(paths[0].segments):
+        curve = transport.segment_batch([p.segments[k] for p in paths])
+
+        def rhs(t, y, curve=curve):
+            y = y.reshape(B, -1)
+            P = y[:, :r * r].reshape(B, r, r)
+            G = y[:, r * r:].reshape(B, d, d)
+            ms, v = curve(t)
+            gv = np.einsum("biac,bi->bac", chart.gamma.values(ms), v)
+            X = development._lift_fibers(chart.anchor.values(ms), v)
+            xi = sign * np.linalg.solve(P, X[..., None])[..., 0]
+            Xi = np.einsum("bi,iac->bac", xi, gens)
+            return np.concatenate([(-gv @ P).reshape(B, -1),
+                                   (Xi @ G).reshape(B, -1)], axis=1).reshape(-1)
+
+        out = integrate(rhs, (s.t0, s.t1), state, rtol=rtol / np.sqrt(B),
+                        atol=1e-13 / np.sqrt(B))
+        if out.status != "completed":
+            raise DevelopmentError(f"development ODE failed: {out.status}")
+        state = out.states[-1]
+    state = state.reshape(B, -1)
+    return state[:, r * r:].reshape(B, d, d), state[:, :r * r].reshape(B, r, r)
+
+
+def torus_overlaps(boxes) -> list[Overlap]:
+    """The flat torus transitions by trial intersection of every box with
+    every shifted box (``models.flat_torus`` computes the bounds first and
+    builds only the nonempty regions)."""
+    overlaps = []
+    for i in range(4):
+        for j in range(4):
+            for sx in (-1.0, 0.0, 1.0):
+                for sy in (-1.0, 0.0, 1.0):
+                    if i == j and sx == 0 and sy == 0:
+                        continue
+                    if j < i and sx == 0 and sy == 0:
+                        continue  # unshifted pairs recorded once
+                    shift = np.array([sx, sy])
+                    target = Chart(tuple(np.array(boxes[j].lower) - shift),
+                                   tuple(np.array(boxes[j].upper) - shift))
+                    region = boxes[i].intersect(target)
+                    if region is None:
+                        continue
+                    overlaps.append(Overlap.affine(i, j, np.eye(2), shift,
+                                                   np.eye(2), region))
+    return overlaps
+
+
 # -- the TM+h chart against its displayed formulas, and fixture models --------
 
 def skew_pairs(n: int) -> list[tuple[int, int]]:
@@ -566,15 +665,16 @@ def so3_r3_model() -> ActionAlgebroid:
     instead (``development.bracket_orientation`` tells the two apart).
     """
     base = Chart((-5.0,) * 3, (5.0,) * 3)
+    return make_action_algebroid(so3(), so3_cross_action, base)
 
-    def cross(xi, m):
-        xi = np.asarray(xi, dtype=object)
-        m = np.asarray(m, dtype=object)
-        return np.array([m[1] * xi[2] - m[2] * xi[1],
-                         m[2] * xi[0] - m[0] * xi[2],
-                         m[0] * xi[1] - m[1] * xi[0]], dtype=object)
 
-    return make_action_algebroid(so3(), cross, base)
+def so3_cross_action(xi, m):
+    """The field m x xi of xi in so(3) on R^3."""
+    xi = np.asarray(xi, dtype=object)
+    m = np.asarray(m, dtype=object)
+    return np.array([m[1] * xi[2] - m[2] * xi[1],
+                     m[2] * xi[0] - m[0] * xi[2],
+                     m[0] * xi[1] - m[1] * xi[0]], dtype=object)
 
 
 def euclidean2() -> RiemannianModel:

@@ -56,7 +56,7 @@ def test_action_homomorphism_so3_sign_resolution(so3_action):
     # the mirrored cross product resolves to the opposite flag
     mirrored = make_action_algebroid(
         so3_action.algebra,
-        lambda xi, m: -np.asarray(so3_action.action(xi, m), dtype=object),
+        lambda xi, m: -np.asarray(oracles.so3_cross_action(xi, m), dtype=object),
         so3_action.chart.base)
     assert bracket_orientation(mirrored.chart) == -1
     assert check_anchor_homomorphism(mirrored.chart, sign=-1).passed

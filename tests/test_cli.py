@@ -470,14 +470,21 @@ def test_parse_pass_returns_declared_kinds_or_scenario_error(op_key, val, tol_sc
 
 
 def test_glued_model_transports_each_loop_once(monkeypatch):
-    from cartanlab import models, transport
-    calls = []
-    monkeypatch.setattr(models, "monodromy",
-                        lambda G, loop: calls.append(loop) or transport.monodromy(G, loop))
-    doc = {"name": "loops", "model": "counterexample_s1",
-           "checks": [{"op": "monodromy"}, {"op": "compactness_probe", "expect": "unbounded"}]}
-    assert run_scenario(doc).verdict
-    assert len(calls) == 1
+    # every loop of the model in one transport solve, read by all three
+    # checks, and one development solve for the reconstruction
+    from cartanlab import ode, transport
+    solves = []
+    for module in (transport, development):
+        monkeypatch.setattr(module, "integrate", lambda *a, module=module, **k:
+                            solves.append(module.__name__) or ode.integrate(*a, **k))
+    for model, compact in (("counterexample_s1", "unbounded"),
+                           ("flat_torus", "consistent-with-compact-closure")):
+        solves.clear()
+        doc = {"name": "loops", "model": model,
+               "checks": [{"op": "monodromy"}, {"op": "compactness_probe", "expect": compact},
+                          {"op": "reconstruct"}]}
+        assert run_scenario(doc).verdict
+        assert solves == ["cartanlab.transport", "cartanlab.development"]
 
 
 def test_tensor_checks_count_components():

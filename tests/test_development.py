@@ -106,6 +106,27 @@ def test_develop_paths_matches_single_paths_sphere(sphere):
     _assert_batch_matches_single_paths(sphere.rc.chart, sphere.homog, paths)
 
 
+def test_inverse_frame_development_matches_the_p_frame_solve(circle, torus, sphere):
+    # Gamma = 0 on the action algebroids: the frames stay the identity and
+    # the developments are the P-frame solve's bit for bit
+    for A, H, m0, ends in ((circle.cover, circle.homog, [0.0], [[0.4], [-1.1], [2.5]]),
+                           (torus.cover, torus.homog, [0.0, 0.0], [[0.3, -0.2], [0.1, 0.4]])):
+        paths = [line_path(m0, e) for e in ends]
+        g, Q = development._develop_frames(A, H, paths)
+        g_p, P = oracles.develop_frames_p(A, H, paths)
+        assert np.array_equal(g, g_p) and np.array_equal(Q, P)
+        assert np.array_equal(Q, np.broadcast_to(np.eye(Q.shape[-1]), Q.shape))
+    # on the TM+h chart the frame is nontrivial; Q is P's inverse
+    m0 = sphere.m0
+    paths = [polyline_path([m0, m0 + [0.0, o[1]], m0 + o])
+             for o in ([0.25, 0.2], [-0.2, 0.1], [0.1, -0.3])]
+    g, Q = development._develop_frames(sphere.rc.chart, sphere.homog, paths)
+    g_p, P = oracles.develop_frames_p(sphere.rc.chart, sphere.homog, paths)
+    assert np.max(np.abs(P - np.eye(P.shape[-1]))) > 1e-2
+    assert np.max(np.abs(g - g_p)) <= 1e-10 * np.max(np.abs(g_p))
+    assert np.max(np.abs(Q @ P - np.eye(P.shape[-1]))) <= 1e-10
+
+
 def test_a_batch_mixing_line_and_other_segments_matches_single_paths(circle, torus):
     # alone, a line path develops from its stacked endpoints; in this batch
     # every segment is evaluated through point_velocity
@@ -227,8 +248,8 @@ def test_develop_paths_splits_batches_at_the_rtol_floor(torus, monkeypatch):
 def test_reconstruct_torus_batches_its_developments(torus, monkeypatch):
     outcomes = _record_integrations(monkeypatch)
     reconstruct_atlas(torus.glued, torus.homog, torus.atlas_spec)
-    # one batch of patch samples (Jacobians included), one of overlaps
-    assert len(outcomes) == 2
+    # one batch: the patch samples (Jacobians included) and the overlaps
+    assert len(outcomes) == 1
 
 
 def test_circle_batch_matches_closed_form(circle):
@@ -551,7 +572,7 @@ def test_a_nan_action_after_the_first_point_fails_the_equivariant_twist(
         circle, nan_after_first_point):
     # the check reads the action through the anchor of its chart
     C = circle.cover.chart
-    A = ActionAlgebroid(circle.cover.algebra, circle.cover.action,
+    A = ActionAlgebroid(circle.cover.algebra,
                         AlgebroidChart(C.base, C.rank, nan_after_first_point(C.anchor),
                                        C.gamma, C.torsion))
     rep = check_equivariant_twist(A, EquivariantMap.identity(A.algebra),

@@ -212,3 +212,18 @@ def test_fd_jacobian_cross_checks_dual_jacobian():
     exact = value(dual.jacobian(f, m))
     approx = fd_jacobian(lambda p: value(np.asarray(f(as_point(p)), dtype=object)), m)
     assert np.max(np.abs(exact - approx)) < 1e-8
+
+
+def test_a_lane_formula_of_the_wrong_shape_is_refused():
+    # at order 0 the lane coordinates are float arrays, so np.array([...])
+    # stacks them into an extra lane axis instead of one entry each
+    chart = Chart((-1.0, -1.0), (1.0, 1.0))
+    f = SmoothField(chart, (2,), lambda m: np.array([2 * m[0], m[0] * m[1]], dtype=object),
+                    name="pair", lanes=True)
+    pts = np.array([[0.1, 0.2], [0.3, -0.4], [-0.5, 0.6]])
+    with pytest.raises(ValueError, match=r"pair returned shape \(2, 3\) on lane points, "
+                                         r"expected \(2,\)"):
+        f.values(pts)
+    # at order 1 the coordinates are Duals and the same formula is read right
+    jet = f.first_jet(pts)
+    assert np.array_equal(jet.v, np.stack([2 * pts[:, 0], pts[:, 0] * pts[:, 1]], axis=1))

@@ -668,3 +668,18 @@ def test_a_nan_frame_at_the_second_sample_fails_the_skewness_and_component_check
     for check in (bracket_component_check, curvature_formula_check):
         rep = check(nan_frame(), samples=pts)
         assert math.isnan(rep.max_residual) and not rep.passed
+
+
+def test_flat_torus_overlaps_equal_the_trial_intersection_loop(torus):
+    boxes = [C.base for C in torus.glued.charts]
+    want = oracles.torus_overlaps(boxes)
+    got = torus.glued.overlaps
+    assert len(got) == len(want) == 26
+    probe = np.array([0.1, -0.2])
+    for ov, ref in zip(got, want):
+        assert (type(ov.i), type(ov.j)) == (int, int)
+        assert (ov.i, ov.j) == (ref.i, ref.j)
+        assert ov.region_i == ref.region_i      # bounds bit for bit
+        assert np.array_equal(value(ov.base_map(as_point(probe))),
+                              value(ref.base_map(as_point(probe))))
+        assert np.array_equal(ov.fiber_map(probe), ref.fiber_map(probe))

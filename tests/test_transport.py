@@ -12,7 +12,9 @@ from cartanlab.geometry import Chart, SmoothField, as_point
 from cartanlab.transport import (MAX_SWITCHES, BasePath, PathSegment, TransportError,
                                  completeness_probe, geodesic, geodesic_glued,
                                  invariant_metric_check, isotropy_subalgebra, line_path,
-                                 monodromy, monodromy_compactness_probe, transport_matrix)
+                                 monodromies, monodromy, monodromy_compactness_probe,
+                                 transport_matrices, transport_matrix)
+import oracles
 from oracles import (_transport_line_dual, directional, levi_civita, parallel_frame,
                      polyline_path, reverse, then)
 
@@ -129,6 +131,108 @@ def test_monodromy_contractible_loop_is_identity(torus):
                             [0.0, 0.0]])
     M = monodromy(torus.glued, square)
     assert np.max(np.abs(M.matrix - np.eye(2))) < 1e-12
+
+
+def _relative_gap(a, b) -> float:
+    return float(np.max(np.abs(a - b)) / np.max(np.abs(b)))
+
+
+def test_stacked_loop_transport_equals_the_carried_solves(circle, torus):
+    # Gamma = 0 on both atlases, so each segment transport is the identity
+    # exactly and the loop matrix is the product of its transitions
+    for glued, loops in ((circle.glued, circle.loops), (torus.glued, torus.loops)):
+        got = transport_matrices(glued, loops)
+        assert len(got) == len(loops)
+        for M, loop in zip(got, loops):
+            assert np.array_equal(M, oracles.transport_matrix_carried(glued, loop))
+            assert np.array_equal(transport_matrix(glued, loop), M)
+        assert all(np.array_equal(m.matrix, M) for m, M in zip(monodromies(glued, loops), got))
+
+
+def test_stacked_transport_matches_the_carried_solves_where_gamma_is_not_zero(sphere):
+    C, m0 = sphere.rc.chart, sphere.m0
+    # three line segments in one span, one stacked solve (the chart is flat,
+    # so the path is left open for its transport to be nontrivial)
+    square = polyline_path([m0, m0 + [0.3, 0.0], m0 + [0.3, 0.4], m0 + [0.0, 0.4]])
+    # a second span: the last segment runs on [0, 2]
+    arc = BasePath((
+        PathSegment(0, lambda t: m0 + np.array([0.2 * t, 0.1 * t * t])),
+        PathSegment(0, lambda t: m0 + np.array([0.2 - 0.1 * t, 0.1 + 0.15 * t]), 0.0, 2.0)))
+    for path in (square, arc):
+        want = oracles.transport_matrix_carried(C, path)
+        assert np.max(np.abs(want - np.eye(C.rank))) > 1e-2   # transport is not trivial
+        assert _relative_gap(transport_matrix(C, path), want) <= 1e-10
+    # both paths in one call: the two spans make two solves
+    both = transport_matrices(C, [square, arc])
+    assert _relative_gap(both[1], oracles.transport_matrix_carried(C, arc)) <= 1e-10
+
+
+def _reglued_sphere(sphere):
+    """sphere2's TM+h chart (theta, phi) glued to the sphere in coordinates
+    (theta, psi), psi = 0.5 - 2 phi, metric diag(1, sin^2 theta / 4).  The
+    fibers are orthonormal frames, so the transition flips the frame's
+    second vector and the rotation: fiber map diag(1, -1, -1)."""
+    from cartanlab.algebroid import Overlap, check_overlap_compatibility
+    from cartanlab.models import build_riemannian_cartan
+
+    def metric(m):
+        m = as_point(m)
+        g = np.zeros((2, 2), dtype=object)
+        g[0, 0] = 1.0
+        g[1, 1] = np.sin(m[0]) ** 2 / 4
+        return g
+
+    C1 = build_riemannian_cartan(SmoothField(Chart((0.2, -6.0), (math.pi - 0.2, 6.0)),
+                                             (2, 2), metric, name="sphere_metric_psi")).chart
+    A, b = np.diag([1.0, -2.0]), np.array([0.0, 0.5])
+    G = GluedAlgebroid((sphere.rc.chart, C1), (Overlap.affine(
+        0, 1, A, b, np.diag([1.0, -1.0, -1.0]), Chart((0.3, -2.0), (2.8, 2.0))),))
+    assert check_overlap_compatibility(G).max_residual <= 1e-12
+    return G, lambda m: A @ m + b
+
+
+def test_stacked_transport_matches_the_carried_solves_across_a_transition(sphere,
+                                                                          monkeypatch):
+    from cartanlab import ode, transport
+    G, to_psi = _reglued_sphere(sphere)
+    m0 = sphere.m0
+    p = [m0, m0 + [0.3, 0.2], m0 + [-0.1, 0.45], m0 + [0.15, 0.6]]
+
+    def seg(chart, a, b):
+        return PathSegment(chart, lambda t: a + t * (b - a), line=(a, b))
+
+    # charts 0, 1, 0: out through the transition and back
+    crossing = BasePath((seg(0, p[0], p[1]), seg(1, to_psi(p[1]), to_psi(p[2])),
+                         seg(0, p[2], p[3])))
+    inside = BasePath((seg(1, to_psi(m0), to_psi(m0 + [0.2, -0.3])),))
+    solves = []
+    monkeypatch.setattr(transport, "integrate", lambda rhs, span, y0, **k:
+                        solves.append(len(y0)) or ode.integrate(rhs, span, y0, **k))
+    got = transport_matrices(G, [crossing, inside])
+    assert solves == [4 * 9]         # one span: lanes in charts 0, 1, 0, 1
+    for M, path in zip(got, (crossing, inside)):
+        want = oracles.transport_matrix_carried(G, path)
+        assert np.max(np.abs(want - np.eye(3))) > 1e-2
+        assert _relative_gap(M, want) <= 1e-10
+    # the same curve transported in chart 0 alone
+    assert _relative_gap(got[0], transport_matrix(G, polyline_path(p))) <= 1e-7
+
+
+def test_a_path_with_no_segments_transports_by_the_identity(circle):
+    empty = BasePath(())
+    assert np.array_equal(transport_matrix(circle.glued, empty), np.eye(circle.glued.rank))
+    M, I = transport_matrices(circle.glued, [circle.loops[0], empty])
+    assert np.array_equal(M, transport_matrix(circle.glued, circle.loops[0]))
+    assert np.array_equal(I, np.eye(circle.glued.rank))
+
+
+def test_transport_makes_one_solve_per_time_span(torus, monkeypatch):
+    from cartanlab import ode, transport
+    spans = []
+    monkeypatch.setattr(transport, "integrate", lambda rhs, span, y0, **k:
+                        spans.append((span, len(y0))) or ode.integrate(rhs, span, y0, **k))
+    monodromies(torus.glued, torus.loops)
+    assert spans == [((0.0, 1.0), 6 * 4)]      # six segments of rank 2
 
 
 def test_parallel_frame_action_algebroid_constant(translations2):
