@@ -157,7 +157,7 @@ def make_action_algebroid(g0: LieAlgebra, action: Callable, base: Chart) -> Acti
         with np.errstate(over="ignore", invalid="ignore"):
             for i in range(r):
                 out[:, :, i] = action.batch(eye[i], ms)
-        if not np.all(np.isfinite(out)):
+        if not np.isfinite(out).all():
             raise AlgebroidError("action produced non-finite values")
         return out
 

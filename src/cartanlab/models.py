@@ -43,7 +43,7 @@ from .geometry import (Chart, GeometryError, SmoothField, TMConnection, as_point
                        christoffel_from_jet, curvature_from_christoffel,
                        frame_connection, hyperbolic_metric, metric_jet,
                        sample_stack, scalar_form_fit, sphere_metric)
-from .transport import BasePath, PathSegment, monodromies
+from .transport import BasePath, line_segment, monodromies
 
 
 # -- skew bookkeeping ---------------------------------------------------------
@@ -465,9 +465,9 @@ def counterexample_s1() -> GluedModel:
     glued = GluedAlgebroid((arc_a, arc_b), overlaps)
     # oriented so that transport around it scales by e^{2 pi}
     loop = BasePath((
-        PathSegment(1, lambda t: np.array([1.5 * math.pi + t * (math.pi - 1.5 * math.pi)])),
-        PathSegment(0, lambda t: np.array([math.pi * (1 - t)])),
-        PathSegment(1, lambda t: np.array([two_pi + t * (1.5 * math.pi - two_pi)])),
+        line_segment(1, [1.5 * math.pi], [math.pi]),
+        line_segment(0, [math.pi], [0.0]),
+        line_segment(1, [two_pi], [1.5 * math.pi]),
     ))
     deck = EquivariantMap(
         base_map=lambda m: np.asarray(m, dtype=object) + np.array([two_pi]),
@@ -508,14 +508,14 @@ def flat_torus() -> GluedModel:
                 for i, j, s, a, b, ok in zip(I, J, S, lo, hi, np.all(lo < hi, axis=1)) if ok]
     glued = GluedAlgebroid(pieces, tuple(overlaps))
     loop_x = BasePath((
-        PathSegment(0, lambda t: np.array([0.3 * t, 0.0])),
-        PathSegment(1, lambda t: np.array([0.3 + 0.5 * t, 0.0])),
-        PathSegment(0, lambda t: np.array([-0.2 + 0.2 * t, 0.0])),
+        line_segment(0, [0.0, 0.0], [0.3, 0.0]),
+        line_segment(1, [0.3, 0.0], [0.8, 0.0]),
+        line_segment(0, [-0.2, 0.0], [0.0, 0.0]),
     ))
     loop_y = BasePath((
-        PathSegment(0, lambda t: np.array([0.0, 0.3 * t])),
-        PathSegment(2, lambda t: np.array([0.0, 0.3 + 0.5 * t])),
-        PathSegment(0, lambda t: np.array([0.0, -0.2 + 0.2 * t])),
+        line_segment(0, [0.0, 0.0], [0.0, 0.3]),
+        line_segment(2, [0.0, 0.3], [0.0, 0.8]),
+        line_segment(0, [0.0, -0.2], [0.0, 0.0]),
     ))
     deck_x = EquivariantMap(lambda m: np.asarray(m, dtype=object) + np.array([1.0, 0.0]),
                             AlgebraMap(g0, g0, np.eye(2)))

@@ -22,6 +22,21 @@ function is checked at step ends and also scanned on the interpolant at
 change that opens and closes inside one long step is still found; roots
 are located on the interpolant by Brent's method.  The driver steps
 float arrays only.
+
+The driver steps lanes: a state stack y0 (L, n) is L independent solves
+in one, and a 1-D y0 is one lane.  Each lane has its own span end, first
+step, t, step size, error norm (the RMS over its own n entries, at rtol
+and atol as given, with no scaling by L), accept/reject decision,
+events, dense output, event scan, Brent roots and status.  A driver step
+makes one trial step of every running lane, one right-hand-side call per
+stage over all of them.  The stage sums, error estimates and
+interpolants are stacked products of lane-major stages, which numpy
+computes lane by lane as it computes a lane alone, so every lane's
+result is bit for bit the result of its solve alone.  A lane's ``nfev``
+counts the right-hand-side evaluations of that lane and its ``steps``
+its accepted steps; the lane solve's own ``nfev`` counts batched calls
+and its ``steps`` driver steps, as many as its longest lane takes trial
+steps.
 """
 
 from __future__ import annotations
@@ -30,6 +45,8 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
+
+from .algebra import vector_norms
 
 DEFAULT_RTOL = 1e-9
 DEFAULT_ATOL = 1e-9
@@ -48,14 +65,15 @@ _SAFETY, _MIN_FACTOR, _MAX_FACTOR = 0.9, 0.2, 10.0
 class _Pair:
     """An embedded Runge-Kutta pair: stage times ``C``, stage coefficients
     ``A`` (row s builds stage s), step weights ``B``, the scaled error
-    norm ``error_norm(K, h, scale)`` of the stages ``K`` (the last row
-    holds f at the step end), the order of that estimate, and the
-    dense-output coefficients ``P`` where the pair has them."""
+    norms ``error_norms(K, h, scale)`` of a lane stack's stages ``K``
+    (lanes, stages, n; the last stage holds f at the step end), one per
+    lane, the order of that estimate, and the dense-output coefficients
+    ``P`` where the pair has them."""
 
     C: np.ndarray
     A: np.ndarray
     B: np.ndarray
-    error_norm: Callable
+    error_norms: Callable
     error_order: int
     P: np.ndarray | None = None
 
@@ -86,10 +104,9 @@ def _rk45() -> _Pair:
         [0, -282668133/205662961, 2019193451/616988883, -1453857185/822651844],
         [0, 40617522/29380423, -110615467/29380423, 69997945/29380423]])
 
-    def error_norm(K, h, scale):
-        err = np.dot(K.T, E) * h / scale
-        return np.linalg.norm(err) / err.size ** 0.5
-    return _Pair(C, A, B, error_norm, 4, P)
+    def error_norms(K, h, scale):
+        return vector_norms((E @ K) * h[:, None] / scale) / K.shape[-1] ** 0.5
+    return _Pair(C, A, B, error_norms, 4, P)
 
 
 def _dop853() -> _Pair:
@@ -180,13 +197,16 @@ def _dop853() -> _Pair:
     E5[10] = 0.8192320648511571246570742613e-1
     E5[11] = -0.2235530786388629525884427845e-1
 
-    def error_norm(K, h, scale):
-        err5 = np.linalg.norm(np.dot(K.T, E5) / scale) ** 2
-        err3 = np.linalg.norm(np.dot(K.T, E3) / scale) ** 2
-        if err5 == 0 and err3 == 0:
-            return 0.0
-        return np.abs(h) * err5 / np.sqrt((err5 + 0.01 * err3) * len(scale))
-    return _Pair(C, A[:12], A[12], error_norm, 7)
+    def error_norms(K, h, scale):
+        out = []
+        # lane by lane on numpy scalars, whose ** 2 is not the array square
+        for n5, n3, hb in zip(vector_norms((E5 @ K) / scale), vector_norms((E3 @ K) / scale),
+                              h):
+            err5, err3 = n5 ** 2, n3 ** 2
+            out.append(0.0 if err5 == 0 and err3 == 0 else
+                       np.abs(hb) * err5 / np.sqrt((err5 + 0.01 * err3) * K.shape[-1]))
+        return out
+    return _Pair(C, A[:12], A[12], error_norms, 7)
 
 
 _PAIRS = {"RK45": _rk45(), "DOP853": _dop853()}
@@ -223,14 +243,22 @@ class Solution:
     step end; after an event its last entry is the event time instead of
     the end of the step that crossed it.  ``y`` (T, n) holds the states at
     ``t``, ``nfev`` the right-hand-side calls, ``event`` the index of the
-    event that stopped the solve and ``sol`` the dense output (RK45 only)."""
+    event that stopped the solve and ``sol`` the dense output (RK45 only).
+
+    A lane solve returns one such Solution per lane in ``lanes``.  Its own
+    ``t`` numbers its driver steps 0, 1, ..., T, each one trial step of
+    every running lane, so ``len(t) - 1`` counts them; ``y`` is None;
+    ``nfev`` counts the batched right-hand-side calls; ``status`` is
+    "step_collapse" when any lane's is, "completed" when every lane's is,
+    else "event"."""
 
     t: np.ndarray
-    y: np.ndarray
+    y: np.ndarray | None
     status: str                 # "completed" | "event" | "step_collapse"
     nfev: int
     event: int | None = None
     sol: DenseOutput | None = None
+    lanes: list[Solution] | None = None
 
 
 def _brent(f, a: float, b: float, fa: float, fb: float) -> float:
@@ -276,6 +304,24 @@ def _brent(f, a: float, b: float, fa: float, fb: float) -> float:
     return xcur
 
 
+def _per_lane(v, L: int) -> list[float]:
+    """A scalar or one value per lane, as a list of L floats."""
+    v = np.asarray(v, dtype=float)
+    return [float(v)] * L if v.ndim == 0 else v.tolist()
+
+
+def _lane_events(events) -> list:
+    """Event functions g(t, y) of one solve as lane event functions."""
+    return [lambda t, y, lanes, ev=ev: ev(t, y) for ev in events]
+
+
+def _lane_fn(fn, b: int, state):
+    """s -> float value of the lane event fn on lane b at time s and the
+    state ``state(s)``, for Brent's method."""
+    lane = np.array([b])
+    return lambda s: float(fn(np.array([s]), state(s)[None], lane)[0])
+
+
 def solve_ivp(fun, t_span, y0, method: str = "RK45", rtol: float = DEFAULT_RTOL,
               atol: float = DEFAULT_ATOL, events=(), first_step=None) -> Solution:
     """Integrate y' = fun(t, y) from y0 over t_span with ``method``, "RK45"
@@ -286,77 +332,150 @@ def solve_ivp(fun, t_span, y0, method: str = "RK45", rtol: float = DEFAULT_RTOL,
     step those whose sign changes between the step's ends (a zero counts
     as either sign) are solved for on the step's interpolant, and the
     solve stops at the earliest root.  Events need RK45's dense output.
+    They are called on stacks, times (k,) and states (k, n).
+
+    A lane stack y0 (L, n) is L independent solves (see the module
+    docstring): ``fun(t, y, lanes)`` and each event ``g(t, y, lanes)``
+    take the times (k,), states (k, n) and lane indices (k,) of k of the
+    lanes and return (k, n) and (k,), and the end of ``t_span`` and
+    ``first_step`` may give one value per lane.  A 1-D y0 is one lane.
     """
+    y0 = np.asarray(y0, dtype=float)
+    if y0.ndim == 2:
+        return _solve_lanes(fun, t_span, y0, method, rtol, atol, events, first_step)
+    # the stages broadcast its (n,) values over the lane axis
+    sol = _solve_lanes(lambda t, y, lanes: fun(t[0], y[0]), t_span, y0[None], method,
+                       rtol, atol, _lane_events(events), first_step)
+    return sol.lanes[0]
+
+
+def _solve_lanes(fun, t_span, y0, method, rtol, atol, events, first_step) -> Solution:
+    """``solve_ivp`` of a lane stack y0 (L, n).  The stage sums, step
+    ends, error estimates and interpolants are stacked products of
+    lane-major stages (lanes, stages, n), so each lane's arithmetic is that
+    of a solve of its own; the step control runs lane by lane on scalars."""
     pair = _PAIRS[method]
     if events and pair.P is None:
         raise ValueError(f"{method} has no dense output to locate events on")
-    t0, t1 = float(t_span[0]), float(t_span[1])
-    direction = 1.0 if t1 >= t0 else -1.0
+    L, n = y0.shape
+    S = len(pair.C)
+    t0 = float(t_span[0])
+    t1 = _per_lane(t_span[1], L)
+    direction = [1.0 if end >= t0 else -1.0 for end in t1]
     rtol = max(rtol, RTOL_FLOOR)
     exponent = -1.0 / (pair.error_order + 1)
-    y = np.array(y0, dtype=float)
-    f = fun(t0, y)
-    nfev = 1
-    ts, ys, steps = [t0], [y], []
-    if y.size == 0 or t0 == t1:
-        return Solution(np.array([t0, t1]), np.array([y, y]), "completed", nfev)
-    g = [ev(t0, y) for ev in events]
-    K = np.empty((len(pair.C) + 1, y.size))
-    t, h_abs = t0, abs(t1 - t0)
+    y0 = y0.copy()
+    f0 = np.asarray(fun(np.full(L, t0), y0, np.arange(L)), dtype=float).reshape(L, n)
+    t, y, f = [t0] * L, list(y0), list(f0)
+    h_abs = [abs(end - t0) for end in t1]
     if first_step is not None:
-        h_abs = min(h_abs, first_step)
-    status, hit = "completed", None
-    while direction * (t - t1) < 0:
-        min_step = 10 * np.abs(np.nextafter(t, direction * np.inf) - t)
-        h_abs = max(h_abs, min_step)
-        rejected = False
-        while True:
-            if h_abs < min_step:
-                status = "step_collapse"
+        h_abs = [min(h, s) for h, s in zip(h_abs, _per_lane(first_step, L))]
+    ts, ys, steps = [[t0] for _ in y], [[row] for row in y], [[] for _ in y]
+    nfev, status, hit = [1] * L, [None] * L, [None] * L
+    rejected, min_step = [False] * L, [0.0] * L
+    run = [b for b in range(L) if n and t1[b] != t0]
+    for b in set(range(L)) - set(run):
+        status[b] = "completed"
+        ts[b].append(t1[b])
+        ys[b].append(y[b])
+    g = {}
+    if events and run:
+        ri = np.array(run)
+        g0 = [np.asarray(ev(np.full(len(run), t0), y0[ri], ri), dtype=float) for ev in events]
+        g = {b: [ge[j] for ge in g0] for j, b in enumerate(run)}
+    A = [pair.A[s, :s] for s in range(S)]
+    rounds, calls, idx = 0, 1, None
+    while run:
+        trial, tl, hl = [], [], []
+        for b in run:
+            tb, d = t[b], direction[b]
+            if not rejected[b]:
+                min_step[b] = 10 * np.abs(np.nextafter(tb, d * np.inf) - tb)
+                h_abs[b] = max(h_abs[b], min_step[b])
+            if h_abs[b] < min_step[b]:
+                status[b] = "step_collapse"
+                continue
+            t_new = tb + h_abs[b] * d
+            if d * (t_new - t1[b]) > 0:
+                t_new = t1[b]
+            h_abs[b] = np.abs(t_new - tb)
+            trial.append(t_new)
+            tl.append(tb)
+            hl.append(t_new - tb)
+        if len(trial) < len(run):
+            run = [b for b in run if status[b] is None]
+            idx = None
+            if not run:
                 break
-            t_new = t + h_abs * direction
-            if direction * (t_new - t1) > 0:
-                t_new = t1
-            h = t_new - t
-            h_abs = np.abs(h)
-            K[0] = f
-            for s in range(1, len(pair.C)):
-                K[s] = fun(t + pair.C[s] * h, y + np.dot(K[:s].T, pair.A[s, :s]) * h)
-            y_new = y + h * np.dot(K[:-1].T, pair.B)
-            f_new = fun(t + h, y_new)
-            K[-1] = f_new
-            nfev += len(pair.C)
-            scale = atol + np.maximum(np.abs(y), np.abs(y_new)) * rtol
-            err = pair.error_norm(K, h, scale)
+        if idx is None:
+            idx = np.array(run)
+        tt, h = np.array(tl), np.array(hl)
+        hc = h[:, None]
+        tc = tt + np.multiply.outer(pair.C, h)  # the stage times t + C[s] h
+        yr = np.array([y[b] for b in run])
+        K = np.empty((len(run), S + 1, n))
+        K[:, 0] = [f[b] for b in run]
+        for s in range(1, S):
+            K[:, s] = fun(tc[s], yr + (A[s] @ K[:, :s]) * hc, idx)
+        y_new = yr + hc * (pair.B @ K[:, :-1])
+        K[:, -1] = fun(tt + h, y_new, idx)
+        calls += S
+        scale = atol + np.maximum(np.abs(yr), np.abs(y_new)) * rtol
+        accepted = []
+        for j, (b, err) in enumerate(zip(run, pair.error_norms(K, h, scale))):
+            nfev[b] += S
             if err < 1:
                 factor = _MAX_FACTOR if err == 0 else min(_MAX_FACTOR, _SAFETY * err ** exponent)
-                h_abs *= min(1, factor) if rejected else factor
-                break
-            h_abs *= max(_MIN_FACTOR, _SAFETY * err ** exponent)
-            rejected = True
-        if status == "step_collapse":
-            break
-        step = (t, h, y, K.T.dot(pair.P)) if pair.P is not None else None
-        t, y, f = t_new, y_new, f_new
-        ts.append(t)
-        ys.append(y)
-        if step is not None:
-            steps.append(step)
-        if not events:
-            continue
-        g_new = [ev(t, y) for ev in events]
-        roots = [(k, _brent(lambda s, ev=ev: ev(s, _rk_interpolate(s, *step)),
-                            step[0], t, g[k], g_new[k]))
-                 for k, ev in enumerate(events)
-                 if (g[k] <= 0 and g_new[k] >= 0) or (g[k] >= 0 and g_new[k] <= 0)]
-        if roots:
-            hit, ts[-1] = min(roots, key=lambda kr: direction * kr[1])
-            ys[-1] = _rk_interpolate(ts[-1], *step)
-            status = "event"
-            break
-        g = g_new
-    sol = DenseOutput(steps, direction) if steps else None
-    return Solution(np.array(ts), np.array(ys), status, nfev, hit, sol)
+                h_abs[b] *= min(1, factor) if rejected[b] else factor
+                rejected[b] = False
+                accepted.append(j)
+            else:
+                h_abs[b] *= max(_MIN_FACTOR, _SAFETY * err ** exponent)
+                rejected[b] = True
+        if accepted:
+            every = len(accepted) == len(run)
+            acc = slice(None) if every else np.array(accepted)
+            Ka = K if every else K[acc]
+            Q = Ka.transpose(0, 2, 1) @ pair.P if pair.P is not None else None
+            ya = y_new if every else y_new[acc]
+            for i, j in enumerate(accepted):
+                b = run[j]
+                if Q is not None:
+                    steps[b].append((tl[j], hl[j], yr[j], Q[i]))
+                t[b], y[b], f[b] = trial[j], ya[i], Ka[i, -1]
+                ts[b].append(t[b])
+                ys[b].append(y[b])
+            if events:
+                ta, ia = np.array([trial[j] for j in accepted]), idx[acc]
+                g_acc = [np.asarray(ev(ta, ya, ia), dtype=float).tolist() for ev in events]
+            stopped = False
+            for i, j in enumerate(accepted):
+                b = run[j]
+                if events:
+                    gb, g_new = g[b], [ge[i] for ge in g_acc]
+                    crossed = [k for k, (a, c) in enumerate(zip(gb, g_new))
+                               if (a <= 0 and c >= 0) or (a >= 0 and c <= 0)]
+                    if crossed:
+                        step = steps[b][-1]
+                        at = lambda s, step=step: _rk_interpolate(s, *step)  # noqa: E731
+                        roots = [(k, _brent(_lane_fn(events[k], b, at), step[0], t[b], gb[k],
+                                            g_new[k])) for k in crossed]
+                        hit[b], ts[b][-1] = min(roots, key=lambda kr: direction[b] * kr[1])
+                        ys[b][-1] = _rk_interpolate(ts[b][-1], *step)
+                        status[b], stopped = "event", True
+                        continue
+                    g[b] = g_new
+                if not direction[b] * (t[b] - t1[b]) < 0:
+                    status[b], stopped = "completed", True
+            if stopped:
+                run, idx = [b for b in run if status[b] is None], None
+        rounds += 1
+    lanes = [Solution(np.array(ts[b]), np.array(ys[b]), status[b], nfev[b], hit[b],
+                      DenseOutput(steps[b], direction[b]) if steps[b] else None)
+             for b in range(L)]
+    overall = ("step_collapse" if "step_collapse" in status else
+               "completed" if all(s == "completed" for s in status) else "event")
+    return Solution(np.arange(rounds + 1.0), None, overall, calls, lanes=lanes)
 
 
 @dataclass
@@ -370,49 +489,106 @@ class IvpOutcome:
     steps: int = 0              # accepted steps
 
 
+@dataclass
+class LaneOutcome:
+    """``integrate``'s result for a lane stack: per lane the IvpOutcome
+    its solve alone gives, and the work of the whole solve: ``nfev``
+    batched right-hand-side calls and ``steps`` driver steps.  ``status``
+    is "step_collapse" when any lane's is, else "lanes"."""
+
+    lanes: tuple[IvpOutcome, ...]
+    nfev: int
+    steps: int
+
+    @property
+    def status(self) -> str:
+        return "step_collapse" if any(o.status == "step_collapse" for o in self.lanes) else "lanes"
+
+
+_GUARDED = (OverflowError, FloatingPointError, ValueError, np.linalg.LinAlgError)
+
+
 def _overflow_safe(rhs):
     """Trial steps can overshoot into float overflow or slightly past a
     field's domain; returning huge finite values forces step rejection
-    instead of a crash (the terminal events stop integration first)."""
-    def f(t, y):
+    instead of a crash (the terminal events stop integration first).  A
+    lane right-hand side that raises is called again lane by lane, so
+    only the lanes that raise get the sentinel; non-finite entries are
+    replaced by it entry by entry."""
+    def f(t, y, *lanes):
         try:
-            out = np.asarray(rhs(t, y), dtype=float)
-        except (OverflowError, FloatingPointError, ValueError,
-                np.linalg.LinAlgError):
-            return np.full(np.shape(y), 1e150)
-        if not np.all(np.isfinite(out)):
+            out = np.asarray(rhs(t, y, *lanes), dtype=float)
+        except _GUARDED:
+            if not lanes or len(y) == 1:
+                return np.full(np.shape(y), 1e150)
+            return np.concatenate([f(t[j:j + 1], y[j:j + 1], lanes[0][j:j + 1])
+                                   for j in range(len(y))])
+        if not np.isfinite(out).all():
             out = np.nan_to_num(out, nan=1e150, posinf=1e150, neginf=-1e150)
         return out
     return f
 
 
-def _first_sign_change(sol, fns, t0: float, stop: float, closed: bool):
-    """(k, t) for the earliest sign change of any event function fns[k] on
-    the dense output, or None.  ``solve_ivp`` checks the sign at every
-    step end, so only the steps that hold a scan time t0 + j(stop - t0)/64
-    are scanned, at those times and at the step's two ends, up to
-    ``stop``, the end of the integrated range (included when ``closed``):
-    one call of each fn on the stack of grid states.  A change between two
-    grid times is located by Brent's method on the interpolant."""
-    d = stop - t0
-    scan = t0 + d * np.arange(1, _EVENT_SCAN_POINTS) / _EVENT_SCAN_POINTS
-    i = np.searchsorted(sol.t * np.sign(d), scan * np.sign(d))   # sol.t[i-1] < scan <= sol.t[i]
-    grid = np.concatenate([scan, sol.t[i - 1], sol.t[i], [stop]])
-    ahead = (grid - stop) * d
-    grid = np.unique(grid[(ahead <= 0) if closed else (ahead < 0)])[::1 if d > 0 else -1]
-    if len(grid) < 2:
-        return None
-    ys = sol.sol(grid)
-    best = None
+def _first_sign_changes(sols, fns, t0: float, stops, closed) -> list:
+    """Per lane, (k, t) for the earliest sign change of any lane event
+    function fns[k] on the lane's dense output ``sols[b].sol``, or None;
+    a lane whose stop is None is not scanned.  ``solve_ivp`` checks the
+    sign at every step end, so only the steps that hold a scan time
+    t0 + j(stop - t0)/64 are scanned, at those times and at the step's two
+    ends, up to ``stop``, the end of the lane's integrated range (included
+    when ``closed``): one call of each fn on the grid states of all lanes.
+    A change between two grid times is located by Brent's method on the
+    interpolant."""
+    grids = {}
+    for b, (sol, stop) in enumerate(zip(sols, stops)):
+        if stop is None:
+            continue
+        d = stop - t0
+        scan = t0 + d * np.arange(1, _EVENT_SCAN_POINTS) / _EVENT_SCAN_POINTS
+        # sol.t[i-1] < scan <= sol.t[i]
+        i = np.searchsorted(sol.t * np.sign(d), scan * np.sign(d))
+        grid = np.concatenate([scan, sol.t[i - 1], sol.t[i], [stop]])
+        ahead = (grid - stop) * d
+        grid = np.unique(grid[(ahead <= 0) if closed[b] else (ahead < 0)])[::1 if d > 0 else -1]
+        if len(grid) >= 2:
+            grids[b] = grid
+    out = [None] * len(sols)
+    if not grids:
+        return out
+    lanes = list(grids)
+    times = np.concatenate([grids[b] for b in lanes])
+    states = np.concatenate([sols[b].sol(grids[b]) for b in lanes])
+    ids = np.concatenate([np.full(len(grids[b]), b) for b in lanes])
+    last = np.cumsum([len(grids[b]) for b in lanes])[:-1] - 1   # each grid's end but the last's
     for k, fn in enumerate(fns):
-        g = np.asarray(fn(grid, ys), dtype=float)
-        hits = np.nonzero((g[:-1] != 0) & (g[:-1] * g[1:] <= 0))[0]
-        if len(hits):
-            j = hits[0]
-            t = _brent(lambda s: fn(s, sol.sol(s)), grid[j], grid[j + 1], g[j], g[j + 1])
-            if best is None or (t - best[1]) * d < 0:
-                best = (k, t)
-    return best
+        g = np.asarray(fn(times, states, ids), dtype=float)
+        change = (g[:-1] != 0) & (g[:-1] * g[1:] <= 0)
+        change[last] = False
+        seen = set()
+        for i in np.nonzero(change)[0].tolist():
+            b = int(ids[i])
+            if b in seen:
+                continue
+            seen.add(b)
+            t = _brent(_lane_fn(fn, b, sols[b].sol), times[i], times[i + 1], g[i], g[i + 1])
+            if out[b] is None or (t - out[b][1]) * (stops[b] - t0) < 0:
+                out[b] = (k, t)
+    return out
+
+
+def _outcome(sol, names, t0: float, t1: float, earlier) -> IvpOutcome:
+    """One lane's IvpOutcome from its Solution and its scan's earlier
+    sign change."""
+    work = {"nfev": sol.nfev, "steps": len(sol.t) - 1}
+    hit, t_hit = (sol.event, float(sol.t[-1])) if earlier is None else earlier
+    if hit is not None:
+        keep = (sol.t - t_hit) * (t1 - t0) < 0
+        times = np.append(sol.t[keep], t_hit)
+        states = np.vstack([sol.y[keep], sol.sol(t_hit)])
+        return IvpOutcome(times, states, f"event:{names[hit]}", t_hit, names[hit], **work)
+    if sol.status == "step_collapse":
+        return IvpOutcome(sol.t, sol.y, "step_collapse", float(sol.t[-1]), **work)
+    return IvpOutcome(sol.t, sol.y, "completed", t1, **work)
 
 
 def lane_stacks(B: int, rtol: float) -> list[slice]:
@@ -435,41 +611,46 @@ def stacked_tolerances(rtol: float, atol: float, lanes: int) -> tuple[float, flo
 
 
 def integrate(rhs, t_span, y0, events=None, rtol=DEFAULT_RTOL,
-              atol=DEFAULT_ATOL, first_step=None) -> IvpOutcome:
+              atol=DEFAULT_ATOL, first_step=None):
     """Adaptive integration with named terminal events.
 
     Error control at rtol/atol sizes every step, starting from one step
     of ``first_step`` (default: the whole span).  Without events the pair
-    is DOP853.  ``events`` is a list of (name, fn): fn(t, y) takes one
-    time and state and returns a float, or times (T,) and a stack of
-    states (T, n) and returns (T,).  Integration stops at the first sign
-    change of any fn, found by RK45's own check at step ends or by a scan
-    of the dense output at no more than 1/64 of the integrated range apart
-    (the scan calls no right-hand side).
+    is DOP853.  ``events`` is a list of (name, fn): fn(t, y) takes times
+    (T,) and a stack of states (T, n) and returns (T,).  Integration stops
+    at the first sign change of any fn, found by RK45's own check at step
+    ends or by a scan of the dense output at no more than 1/64 of the
+    integrated range apart (the scan calls no right-hand side).
     Step-size collapse is reported as its own status (the solver cannot
     continue but the last reached time brackets the breakdown); an event
-    before the collapse wins.
+    before the collapse wins.  Returns an IvpOutcome.
+
+    A lane stack y0 (L, n) is L independent solves in one (see
+    ``solve_ivp``): ``rhs(t, y, lanes)`` and each fn(t, y, lanes) take
+    the times, states and lane indices of any k of the lanes.  Each
+    lane's error is controlled at rtol/atol on its own, with no scaling
+    by the number of lanes, and its outcome, with its ``nfev`` (that
+    lane's right-hand-side evaluations) and ``steps`` (its accepted
+    steps), is bit for bit the outcome of its solve alone.  Returns a
+    LaneOutcome, whose own ``nfev`` counts batched right-hand-side calls
+    and ``steps`` driver steps; the event scans of all lanes are one call
+    of each fn.
     """
-    t0, t1 = float(t_span[0]), float(t_span[1])
+    y0 = np.asarray(y0, dtype=float)
     names = [name for name, _ in events or ()]
     fns = [fn for _, fn in events or ()]
-    # the 1e150 sentinel of _overflow_safe overflows the error norm, which
-    # then rejects the step as intended
-    with np.errstate(over="ignore"):
-        sol = solve_ivp(_overflow_safe(rhs), (t0, t1), y0,
+    t0 = float(t_span[0])
+    t1 = _per_lane(t_span[1], len(y0) if y0.ndim == 2 else 1)
+    # the 1e150 sentinel of _overflow_safe overflows the error norm, or
+    # makes it inf/inf, which then rejects the step as intended
+    with np.errstate(over="ignore", invalid="ignore"):
+        sol = solve_ivp(_overflow_safe(rhs), (t0, t_span[1]), y0,
                         method="RK45" if fns else "DOP853", rtol=rtol, atol=atol,
                         events=fns, first_step=first_step)
-        work = {"nfev": sol.nfev, "steps": len(sol.t) - 1}
-        hit, t_hit = sol.event, float(sol.t[-1])
-        if fns and t_hit != t0:
-            earlier = _first_sign_change(sol, fns, t0, t_hit, closed=hit is None)
-            if earlier is not None:
-                hit, t_hit = earlier
-    if hit is not None:
-        keep = (sol.t - t_hit) * (t1 - t0) < 0
-        times = np.append(sol.t[keep], t_hit)
-        states = np.vstack([sol.y[keep], sol.sol(t_hit)])
-        return IvpOutcome(times, states, f"event:{names[hit]}", t_hit, names[hit], **work)
-    if sol.status == "step_collapse":
-        return IvpOutcome(sol.t, sol.y, "step_collapse", float(sol.t[-1]), **work)
-    return IvpOutcome(sol.t, sol.y, "completed", t1, **work)
+        sols = sol.lanes if y0.ndim == 2 else [sol]
+        if y0.ndim == 1:
+            fns = _lane_events(fns)
+        stops = [float(s.t[-1]) if fns and s.t[-1] != t0 else None for s in sols]
+        earlier = _first_sign_changes(sols, fns, t0, stops, [s.event is None for s in sols])
+    outs = [_outcome(s, names, t0, end, e) for s, end, e in zip(sols, t1, earlier)]
+    return LaneOutcome(tuple(outs), sol.nfev, len(sol.t) - 1) if y0.ndim == 2 else outs[0]

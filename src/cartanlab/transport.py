@@ -11,7 +11,11 @@ dm/dt = a(m) X.  Every right-hand side, event and start check reads the
 anchor and gamma as floats through ``SmoothField.values`` (the
 closed-form batch where a field has one), and the path's points and
 velocities through ``segment_batch``, so a geodesic and its blow-up
-event see the same anchor.
+event see the same anchor.  Geodesics run as the lanes of one lane solve
+per round (``_geodesic_runs``): a completeness probe integrates all its
+seeds in both directions together, each lane bit for bit as it runs
+alone, and a lane that leaves its chart switches chart and runs on in
+the next round.
 
 Completeness verdicts are one-sided: numerical integration can certify
 incompleteness (the fiber norm or the base speed reaching the blow-up
@@ -30,7 +34,7 @@ import numpy as np
 
 from . import dual
 from .dual import Dual, value
-from .algebra import AlgebraMap, Subalgebra, TensorReport, worst
+from .algebra import AlgebraMap, Subalgebra, TensorReport, vector_norms, worst
 from .algebroid import AlgebroidChart, GluedAlgebroid
 from .cartan import bar_tm_tensor, fiber_bracket_at, per_point_max
 from .geometry import SmoothField, as_point, sample_stack
@@ -104,11 +108,16 @@ class BasePath:
         return s.chart, s.point(s.t1)
 
 
-def line_path(a, b) -> BasePath:
-    """The segment a -> b in chart 0."""
+def line_segment(chart: int, a, b) -> PathSegment:
+    """The segment a -> b in ``chart``, carrying its endpoints."""
     a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float)
-    return BasePath((PathSegment(0, lambda t: a + t * (b - a), line=(a, b)),))
+    return PathSegment(chart, lambda t: a + t * (b - a), line=(a, b))
+
+
+def line_path(a, b) -> BasePath:
+    """The segment a -> b in chart 0."""
+    return BasePath((line_segment(0, a, b),))
 
 
 @dataclass
@@ -258,27 +267,52 @@ class GeodesicResult:
         return self.status == "blowup"
 
 
-def _geodesic_events(C: AlgebroidChart, t1: float, direction: float, blowup_norm: float):
-    """Terminal events on the rescaled state z = (t, m, X): t reaches t1,
-    the larger of the fiber norm and the base speed |a(m) X| (max-norms)
-    reaches ``blowup_norm``, m comes within EXIT_MARGIN of the chart edge.
-    Each takes one state or a stack of them."""
-    n = C.base.dim
-    lower, upper = np.asarray(C.base.lower, dtype=float), np.asarray(C.base.upper, dtype=float)
+def _chart_groups(Cs):
+    """lanes -> [(C, sel)]: for lane indices into Cs, each chart among
+    their charts and the positions of its lanes among them."""
+    if all(C is Cs[0] for C in Cs):
+        return lambda lanes: [(Cs[0], slice(None))]
+    first = {}
+    code = np.array([first.setdefault(id(C), k) for k, C in enumerate(Cs)])
 
-    def end_fn(s, z):
-        return direction * (t1 - z[..., 0])
+    def groups(lanes):
+        c = code[lanes]
+        return [(Cs[k], np.nonzero(c == k)[0]) for k in dict.fromkeys(c.tolist())]
+    return groups
 
-    def blow_fn(s, z):
-        zs = np.atleast_2d(z)
-        xs = zs[:, n + 1:]
-        v = np.einsum("bir,br->bi", C.anchor.values(zs[:, 1:n + 1]), xs)
-        g = blowup_norm - np.maximum(abs(xs).max(axis=1), abs(v).max(axis=1))
-        return g if np.ndim(z) == 2 else float(g[0])
 
-    def exit_fn(s, z):
-        m = z[..., 1:n + 1]
-        return np.min(np.minimum(m - lower, upper - m), axis=-1) - EXIT_MARGIN
+def _geodesic_events(Cs, t1: np.ndarray, direction: np.ndarray, blowup_norm: float):
+    """Terminal lane events on the rescaled states z = (t, m, X) of lanes
+    in the charts Cs, each with its own end time t1 and direction: t
+    reaches t1, the larger of the fiber norm and the base speed |a(m) X|
+    (max-norms) reaches ``blowup_norm`` (one anchor read per chart), m
+    comes within EXIT_MARGIN of its chart's edge.  Each takes times (k,),
+    states (k, dim) and lane indices (k,)."""
+    n = Cs[0].base.dim
+    groups = _chart_groups(Cs)
+    lower = np.array([C.base.lower for C in Cs], dtype=float)
+    upper = np.array([C.base.upper for C in Cs], dtype=float)
+
+    def end_fn(s, z, lanes):
+        return direction[lanes] * (t1[lanes] - z[:, 0])
+
+    def blow(C, z):
+        x = z[:, n + 1:]
+        v = np.einsum("bir,br->bi", C.anchor.values(z[:, 1:n + 1]), x)
+        return blowup_norm - np.maximum(abs(x).max(axis=1), abs(v).max(axis=1))
+
+    def blow_fn(s, z, lanes):
+        parts = groups(lanes)
+        if len(parts) == 1:
+            return blow(parts[0][0], z)
+        g = np.empty(len(z))
+        for C, sel in parts:
+            g[sel] = blow(C, z[sel])
+        return g
+
+    def exit_fn(s, z, lanes):
+        m = z[:, 1:n + 1]
+        return np.min(np.minimum(m - lower[lanes], upper[lanes] - m), axis=-1) - EXIT_MARGIN
 
     events = [("end", end_fn), ("blowup", blow_fn)]
     if np.any(np.isfinite(lower)) or np.any(np.isfinite(upper)):
@@ -286,17 +320,23 @@ def _geodesic_events(C: AlgebroidChart, t1: float, direction: float, blowup_norm
     return events
 
 
-def _geodesic_rhs(C: AlgebroidChart, direction: float):
+def _geodesic_rhs(C: AlgebroidChart, direction):
     """dz/ds of z = (t, m, X) in the rescaled time s, ds = (1 + |f|/K) |dt|
     with K = RESCALE_SPEED, where f = (a(m) X, -Gamma(a(m) X) X) is the
     geodesic field in t.  Below speed K, s runs nearly like t; above it
     |dz/ds| <= K, so a blow-up at finite t* is an infinite s-span over
     which t(s) converges to t*.  The scale is taken out before the norm,
     so a huge but finite f cannot overflow the norm and freeze t; a
-    non-finite f is passed on for the solver's overflow guard."""
+    non-finite f is passed on for the solver's overflow guard.
+
+    ``rhs(s, z)`` takes one state; ``rhs(s, z, lanes)`` takes a stack
+    (k, dim) of lane states, with ``direction`` one per lane, read with
+    one anchor and one gamma call.  Each row of a stack is computed bit
+    for bit as the one-state formula computes it, which a single lane
+    takes, since numpy runs it with half the per-call overhead."""
     n = C.base.dim
 
-    def rhs(s, z):
+    def one(z, d):
         m, x = z[1:n + 1], z[n + 1:]
         v = C.anchor.values(m[None])[0] @ x
         g = C.gamma.values(m[None])[0]
@@ -306,8 +346,50 @@ def _geodesic_rhs(C: AlgebroidChart, direction: float):
             return w
         w /= top        # w[0] = 1/top, so 1 + |f|/K = top (w[0] + |w[1:]|/K)
         f = w[1:]
-        return w * (direction / (w[0] + math.sqrt(f @ f) / RESCALE_SPEED))
+        return w * (d / (w[0] + math.sqrt(f @ f) / RESCALE_SPEED))
 
+    def rhs(s, z, lanes=None):
+        if lanes is None:
+            return one(z, direction)
+        if len(z) == 1:
+            return one(z[0], direction[lanes[0]])[None]
+        m, x = z[:, 1:n + 1], z[:, n + 1:]
+        v = (C.anchor.values(m) @ x[:, :, None])[:, :, 0]
+        e = np.einsum("kiab,ki,kb->ka", C.gamma.values(m), v, x)
+        w = np.concatenate((np.ones((len(z), 1)), v, -e), axis=1)
+        top = abs(w).max(axis=1)
+        d = direction[lanes]
+        if top.max() < np.inf:
+            return _rescaled(w, top, d)
+        ok = top < np.inf
+        w[ok] = _rescaled(w[ok], top[ok], d[ok])
+        return w
+
+    return rhs
+
+
+def _rescaled(w, top, d):
+    """Rows w = (1, f) of the geodesic field, scaled to dz/ds in the
+    direction d: w[:, 0] / top = 1/top, so 1 + |f|/K = top (w0 + |w[1:]|/K)."""
+    w = w / top[:, None]
+    f = w[:, 1:]
+    speed = np.sqrt((f[:, None, :] @ f[:, :, None])[:, 0, 0])
+    return w * (d / (w[:, 0] + speed / RESCALE_SPEED))[:, None]
+
+
+def _lanes_rhs(Cs, direction: np.ndarray):
+    """``_geodesic_rhs`` over lanes in the charts Cs, each with its own
+    direction: one call per chart among the lanes it is given."""
+    groups = _chart_groups(Cs)
+    fields = {id(C): _geodesic_rhs(C, direction) for C in Cs}
+    if len(fields) == 1:
+        return fields[id(Cs[0])]
+
+    def rhs(s, z, lanes):
+        out = np.empty_like(z)
+        for C, sel in groups(lanes):
+            out[sel] = fields[id(C)](s, z[sel], lanes[sel])
+        return out
     return rhs
 
 
@@ -315,88 +397,110 @@ def geodesic(C: AlgebroidChart, m0, X0, span=(0.0, 1.0),
              blowup_norm: float = BLOWUP_NORM) -> GeodesicResult:
     """Integrate dm/dt = a(m) X, nabla_{dm/dt} X = 0 from (m0, X0)."""
     C.base.require_interior(np.asarray(m0, dtype=float))
-    return _geodesic_run(GluedAlgebroid((C,), ()), 0, m0, X0, span, blowup_norm,
-                         max_switches=0, exit_status="escaped_chart")
+    return _geodesic_runs(GluedAlgebroid((C,), ()), [(0, m0, X0, span)], blowup_norm,
+                          max_switches=0, exit_status="escaped_chart")[0]
 
 
 def geodesic_glued(G, chart: int, m0, X0, span=(0.0, 1.0)) -> GeodesicResult:
     """Geodesic integration across chart switches of a glued algebroid,
     stopped with status "switch_limit" after MAX_SWITCHES switches."""
-    return _geodesic_run(_as_glued(G), chart, m0, X0, span, BLOWUP_NORM,
-                         MAX_SWITCHES, exit_status="escaped_atlas")
+    return _geodesic_runs(_as_glued(G), [(chart, m0, X0, span)], BLOWUP_NORM,
+                          MAX_SWITCHES, exit_status="escaped_atlas")[0]
 
 
-def _geodesic_run(G: GluedAlgebroid, chart: int, m0, X0, span, blowup_norm: float,
-                  max_switches: int, exit_status: str) -> GeodesicResult:
+def _geodesic_runs(G: GluedAlgebroid, starts, blowup_norm: float, max_switches: int,
+                   exit_status: str) -> list[GeodesicResult]:
     """The integration loop behind both public geodesic functions, which
-    must not call each other: each is traced as one geodesic.
+    must not call each other (each is traced as one geodesic), and behind
+    ``completeness_probe``: B geodesics from ``starts``, each (chart, m0,
+    X0, span), as the lanes of one run.
 
-    Each leg, one chart between switches, is one solve in the rescaled
-    time s of ``_geodesic_rhs`` with terminal events (``_geodesic_events``).
-    Its s-span (1 + blowup_norm/K) |t1 - t| is only an upper bound, so
-    the first step is the s-length the leg would take at its start speed.
+    Each leg of a geodesic, one chart between switches, is a lane of a
+    solve in the rescaled time s of ``_geodesic_rhs`` with terminal events
+    (``_geodesic_events``); each round of the run is one lane solve over
+    the geodesics still running, whose right-hand side and events read
+    the anchor and gamma once per chart among its lanes.  A leg's s-span
+    (1 + blowup_norm/K) |t1 - t| is only an upper bound, so its first step
+    is the s-length the leg would take at its start speed.  A lane that
+    leaves its chart switches chart and runs its next leg in the next
+    round.  Every geodesic is bit for bit what it is alone.
+
     Blow-up is certified when the fiber norm or the base speed reaches
     ``blowup_norm``.  A leg that stops short of t1 otherwise, by a
     collapsed step or by spending its whole s-span (|f| above
     ``blowup_norm`` on average), reports "step_collapse"; a run past
     ``max_switches`` chart switches reports "switch_limit".  Neither
     certifies anything."""
-    t = float(span[0])
-    t_final = float(span[1])
-    m = np.asarray(m0, dtype=float)
-    x = np.asarray(X0, dtype=float)
-    direction = 1.0 if t_final >= t else -1.0
-    times, bases, fibers, charts = [], [], [], []
-    switches = steps = nfev = 0
-    while True:
-        C = G.charts[chart]
-        n = C.base.dim
-        v = C.anchor.values(m[None])[0] @ x
-        if not max(np.max(np.abs(x)), np.max(np.abs(v))) < blowup_norm:
-            if not times:
-                raise ValueError(f"start fiber {x.tolist()} or its base speed {v.tolist()} is "
-                                 f"not below the blow-up norm {blowup_norm:g}, so its blow-up "
-                                 f"event could never fire")
-            status = "blowup"
-            break
-        dt = abs(t_final - t)
+    B = len(starts)
+    chart = [int(c) for c, _, _, _ in starts]
+    m = [np.asarray(m0, dtype=float) for _, m0, _, _ in starts]
+    x = [np.asarray(X0, dtype=float) for _, _, X0, _ in starts]
+    t = [float(span[0]) for *_, span in starts]
+    t_final = np.array([float(span[1]) for *_, span in starts])
+    direction = np.where(t_final >= np.array(t), 1.0, -1.0)
+    times, bases, fibers, charts = ([[] for _ in range(B)] for _ in range(4))
+    switches, steps, nfev, status = [0] * B, [0] * B, [0] * B, [None] * B
+    run = list(range(B))
+    while run:
+        Cs = [G.charts[chart[b]] for b in run]
+        ms, xs = np.array([m[b] for b in run]), np.array([x[b] for b in run])
+        v = np.empty_like(ms)
+        for C, sel in _chart_groups(Cs)(slice(None)):
+            v[sel] = (C.anchor.values(ms[sel]) @ xs[sel][:, :, None])[:, :, 0]
+        big = np.abs(np.concatenate((xs, v), axis=1)).max(axis=1)
+        stopped = np.nonzero(~(big < blowup_norm))[0]
+        for j in stopped:
+            if not times[run[j]]:
+                raise ValueError(f"start fiber {xs[j].tolist()} or its base speed "
+                                 f"{v[j].tolist()} is not below the blow-up norm "
+                                 f"{blowup_norm:g}, so its blow-up event could never fire")
+            status[run[j]] = "blowup"
+        if len(stopped):
+            legs = [j for j, b in enumerate(run) if status[b] is None]
+            if not legs:
+                break
+            run, Cs, ms, xs, v = [run[j] for j in legs], [Cs[j] for j in legs], ms[legs], \
+                xs[legs], v[legs]
+        t0 = np.array([t[b] for b in run])
+        dt = np.abs(t_final[run] - t0)
         # a margin past the start speed's s-length, so that a constant
         # field's first step ends beyond t1 and not a rounding short of it
-        first = (1 + 1e-6) * (1 + np.linalg.norm(v) / RESCALE_SPEED) * dt
-        out = integrate(_geodesic_rhs(C, direction),
+        first = (1 + 1e-6) * (1 + vector_norms(v) / RESCALE_SPEED) * dt
+        out = integrate(_lanes_rhs(Cs, direction[run]),
                         (0.0, (1 + blowup_norm / RESCALE_SPEED) * dt),
-                        np.concatenate([[t], m, x]),
-                        events=_geodesic_events(C, t_final, direction, blowup_norm),
+                        np.column_stack((t0, ms, xs)),
+                        events=_geodesic_events(Cs, t_final[run], direction[run], blowup_norm),
                         first_step=first)
-        z = out.states
-        times.extend(z[:, 0].tolist())
-        bases.extend(z[:, 1:n + 1].tolist())
-        fibers.extend(z[:, n + 1:].tolist())
-        charts.extend([C] * len(z))
-        steps, nfev = steps + out.steps, nfev + out.nfev
-        t, m, x = z[-1, 0], z[-1, 1:n + 1], z[-1, n + 1:]
-        if out.status == "event:end" or dt == 0:
-            status, t = "completed", t_final
-            times[-1] = t
-            break
-        if out.status == "event:blowup":
-            status = "blowup"
-            break
-        if out.status != "event:escaped_chart":
-            status = "step_collapse"
-            break
-        # chart exit: look for a continuation chart
-        nxt = _find_switch(G, chart, m)
-        if nxt is None:
-            status = exit_status
-            break
-        chart, m, x = nxt[0], nxt[1], nxt[2] @ x
-        switches += 1
-        if switches > max_switches:
-            status = "switch_limit"
-            break
-    gp = GPath(np.asarray(times), np.asarray(bases), np.asarray(fibers), tuple(charts))
-    return GeodesicResult(gp, status, float(t), chart, switches, steps, nfev)
+        for b, C, o, dtb in zip(run, Cs, out.lanes, dt):
+            n = C.base.dim
+            z = o.states
+            times[b].extend(z[:, 0].tolist())
+            bases[b].extend(z[:, 1:n + 1].tolist())
+            fibers[b].extend(z[:, n + 1:].tolist())
+            charts[b].extend([C] * len(z))
+            steps[b], nfev[b] = steps[b] + o.steps, nfev[b] + o.nfev
+            t[b], m[b], x[b] = z[-1, 0], z[-1, 1:n + 1], z[-1, n + 1:]
+            if o.status == "event:end" or dtb == 0:
+                status[b], t[b] = "completed", t_final[b]
+                times[b][-1] = t[b]
+            elif o.status == "event:blowup":
+                status[b] = "blowup"
+            elif o.status != "event:escaped_chart":
+                status[b] = "step_collapse"
+            else:
+                # chart exit: look for a continuation chart
+                nxt = _find_switch(G, chart[b], m[b])
+                if nxt is None:
+                    status[b] = exit_status
+                    continue
+                chart[b], m[b], x[b] = nxt[0], nxt[1], nxt[2] @ x[b]
+                switches[b] += 1
+                if switches[b] > max_switches:
+                    status[b] = "switch_limit"
+        run = [b for b in run if status[b] is None]
+    return [GeodesicResult(GPath(np.asarray(times[b]), np.asarray(bases[b]), np.asarray(fibers[b]),
+                                 tuple(charts[b])), status[b], float(t[b]), chart[b],
+                           switches[b], steps[b], nfev[b]) for b in range(B)]
 
 
 def _find_switch(G: GluedAlgebroid, chart: int, m):
@@ -429,18 +533,26 @@ def completeness_probe(obj, seeds, horizon: float = 100.0) -> list[SeedVerdict]:
     """One-sided completeness verdicts; never claims completeness.
 
     Seeds are (m0, X0) for a single chart or (chart, m0, X0) for a glued
-    algebroid.  Both time directions are probed.
+    algebroid.  Both time directions are probed, all seeds in both
+    directions as the lanes of one geodesic run (``_geodesic_runs``), so
+    a probe whose geodesics switch no chart is one solve.  A seed's
+    verdict reads its + direction first: the first blow-up certifies
+    incompleteness, else the note of the last direction that stopped
+    early.  An empty seed list is refused: a probe of no geodesic finds
+    no blow-up and shows nothing.
     """
+    seeds = list(seeds)
+    if not seeds:
+        raise ValueError("completeness_probe needs at least one seed")
     G = _as_glued(obj)
+    starts = [seed if len(seed) == 3 else (0, *seed) for seed in seeds]
+    runs = _geodesic_runs(G, [(chart, m0, X0, (0.0, sign * horizon))
+                              for chart, m0, X0 in starts for sign in (1.0, -1.0)],
+                          BLOWUP_NORM, MAX_SWITCHES, exit_status="escaped_atlas")
     verdicts = []
-    for seed in seeds:
-        if len(seed) == 3:
-            chart, m0, X0 = seed
-        else:
-            chart, (m0, X0) = 0, seed
+    for k, (_, m0, X0) in enumerate(starts):
         worst: tuple[str, float | None, str] = ("no-blowup-within-horizon", None, "")
-        for sign in (+1.0, -1.0):
-            res = geodesic_glued(G, chart, m0, X0, (0.0, sign * horizon))
+        for res in runs[2 * k:2 * k + 2]:
             if res.status == "blowup":
                 worst = ("certified-incomplete", res.t_end, "")
                 break

@@ -14,8 +14,9 @@ the stacked coset algebra is compared against bit for bit; transport
 solved segment after segment from the carried matrix, development
 carrying the parallel frame P rather than its inverse, and the flat
 torus overlaps found by trial intersection of every shifted box.  The
-fixtures are polylines, reversed and concatenated paths, and the stock
-algebras and models that no catalog entry or scenario names.
+fixtures are polylines, reversed and concatenated paths, the catalog
+loops written as curve lambdas without endpoints, and the stock algebras
+and models that no catalog entry or scenario names.
 """
 
 from __future__ import annotations
@@ -334,6 +335,30 @@ def polyline_path(points) -> BasePath:
     for a, b in zip(points[:-1], points[1:]):
         segs.extend(line_path(a, b).segments)
     return BasePath(tuple(segs))
+
+
+def circle_loop_by_curves() -> BasePath:
+    """The counterexample_s1 loop as curve lambdas with no endpoints, so
+    that its transport reads every point and velocity through the
+    scalar-Dual ``PathSegment.point_velocity``."""
+    two_pi = 2 * math.pi
+    return BasePath((
+        PathSegment(1, lambda t: np.array([1.5 * math.pi + t * (math.pi - 1.5 * math.pi)])),
+        PathSegment(0, lambda t: np.array([math.pi * (1 - t)])),
+        PathSegment(1, lambda t: np.array([two_pi + t * (1.5 * math.pi - two_pi)])),
+    ))
+
+
+def torus_loops_by_curves() -> tuple[BasePath, BasePath]:
+    """The flat_torus loops as curve lambdas with no endpoints."""
+    return (
+        BasePath((PathSegment(0, lambda t: np.array([0.3 * t, 0.0])),
+                  PathSegment(1, lambda t: np.array([0.3 + 0.5 * t, 0.0])),
+                  PathSegment(0, lambda t: np.array([-0.2 + 0.2 * t, 0.0])))),
+        BasePath((PathSegment(0, lambda t: np.array([0.0, 0.3 * t])),
+                  PathSegment(2, lambda t: np.array([0.0, 0.3 + 0.5 * t])),
+                  PathSegment(0, lambda t: np.array([0.0, -0.2 + 0.2 * t])))),
+    )
 
 
 @dataclass(frozen=True)

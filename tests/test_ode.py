@@ -67,6 +67,57 @@ def test_event_scan_covers_the_integrated_range_of_a_long_span():
     assert out.status == "event:window" and abs(out.t_end - 4.9) < 1e-9
 
 
+def _forced_oscillators(t, y, lanes=None):
+    # q' = p, p' = -(1 + t^2/2) q, r' = t - 0.3 r on a stack of lane states
+    return np.stack([y[:, 1], -y[:, 0] * (1.0 + 0.5 * t * t), t - 0.3 * y[:, 2]], axis=1)
+
+
+@pytest.mark.parametrize("with_events", [False, True])
+def test_a_lane_stack_solves_each_lane_as_it_solves_alone(with_events):
+    rng = np.random.default_rng(3)
+    y0 = rng.uniform(-1.0, 1.0, (7, 3))
+    ends, firsts = rng.uniform(-6.0, 6.0, 7), rng.uniform(0.05, 3.0, 7)
+    events = [("cross", lambda t, y, lanes: y[:, 0] - 0.5),
+              ("late", lambda t, y, lanes: 4.0 - np.abs(t))] if with_events else None
+    out = ode.integrate(_forced_oscillators, (0.0, ends), y0, events=events, first_step=firsts)
+    assert isinstance(out, ode.LaneOutcome) and len(out.lanes) == 7
+    S = 6 if with_events else 12
+    for b, got in enumerate(out.lanes):
+        one = [(name, lambda t, y, fn=fn: fn(np.atleast_1d(t), np.atleast_2d(y), None))
+               for name, fn in events or ()]
+        want = ode.integrate(lambda t, y: _forced_oscillators(np.array([t]), y[None])[0],
+                             (0.0, ends[b]), y0[b], events=one or None, first_step=firsts[b])
+        assert (got.status, got.event_name, got.steps, got.nfev) == \
+            (want.status, want.event_name, want.steps, want.nfev)
+        assert got.times.tobytes() == want.times.tobytes()
+        assert got.states.tobytes() == want.states.tobytes()
+        assert np.float64(got.t_end).tobytes() == np.float64(want.t_end).tobytes()
+    assert {o.status for o in out.lanes} >= ({"completed", "event:cross"} if with_events
+                                              else {"completed"})
+    # one right-hand-side call per stage over the running lanes: the solve
+    # takes as many driver steps as its longest lane takes trial steps
+    assert out.nfev == 1 + S * out.steps
+    assert out.steps == max((o.nfev - 1) // S for o in out.lanes)
+
+
+def test_a_lane_that_overflows_leaves_its_batch_mate_as_it_runs_alone(circle):
+    # the scaling anchor e^-theta raises for the whole stack it reads once
+    # one point overflows (theta = -800); only that lane gets the sentinel
+    anchor = circle.cover.chart.anchor
+    with pytest.raises(FloatingPointError):
+        anchor.values(np.array([[-800.0], [0.5]]))
+
+    def rhs(t, y, lanes):
+        return anchor.values(y)[:, :, 0]
+    both = ode.integrate(rhs, (0.0, 1.0), np.array([[-800.0], [0.5]]))
+    alone = ode.integrate(rhs, (0.0, 1.0), np.array([[0.5]]))
+    got, want = both.lanes[1], alone.lanes[0]
+    assert got.status == "completed" and both.lanes[0].status == "step_collapse"
+    assert (got.steps, got.nfev) == (want.steps, want.nfev)
+    assert got.times.tobytes() == want.times.tobytes()
+    assert got.states.tobytes() == want.states.tobytes()
+
+
 def test_constant_skew_transport_turns_several_times_exactly():
     # dX/dt = -L J X along m(t) = tL: the transport is the rotation by -L,
     # five full turns and one radian, which a full-span step must not skip
@@ -86,13 +137,29 @@ def test_constant_skew_transport_turns_several_times_exactly():
 def _scipy_solve_ivp(fun, t_span, y0, method="RK45", rtol=ode.DEFAULT_RTOL,
                      atol=ode.DEFAULT_ATOL, events=(), first_step=None):
     """scipy's solve_ivp, configured as ``ode.solve_ivp`` runs: a full-span
-    (or the given) first step and terminal events on the dense output."""
+    (or the given) first step and terminal events on the dense output.  A
+    lane stack is solved lane by lane."""
+    y0 = np.asarray(y0, dtype=float)
+    if y0.ndim == 2:
+        L = len(y0)
+        ends = np.broadcast_to(t_span[1], (L,))
+        firsts = np.broadcast_to(np.array(first_step, dtype=object), (L,))
+
+        def lane(b):
+            at = np.array([b])
+            return _scipy_solve_ivp(
+                lambda t, y: fun(np.array([t]), y[None], at)[0], (t_span[0], ends[b]), y0[b],
+                method, rtol, atol, [lambda t, y, ev=ev: float(ev(np.array([t]), y[None], at)[0])
+                                     for ev in events], firsts[b])
+        lanes = [lane(b) for b in range(L)]
+        return ode.Solution(np.zeros((1, L)), None, "lanes", sum(s.nfev for s in lanes),
+                            lanes=lanes)
     for ev in events:
         ev.terminal = True
     span = abs(t_span[1] - t_span[0])
     if first_step is not None:
         span = min(span, first_step)
-    r = scipy.integrate.solve_ivp(fun, t_span, np.asarray(y0, dtype=float), method=method,
+    r = scipy.integrate.solve_ivp(fun, t_span, y0, method=method,
                                   rtol=rtol, atol=atol, first_step=span or None,
                                   events=list(events) or None, dense_output=bool(events))
     status = {0: "completed", 1: "event", -1: "step_collapse"}[r.status]
@@ -107,13 +174,15 @@ def _scipy_brent(f, a, b, fa, fb):
 
 
 def _outcomes(monkeypatch, run, oracle: bool):
-    """The outcome of every adaptive solve that ``run`` makes, with the
-    in-house driver or, for ``oracle``, with scipy's in its place."""
+    """The outcome of every adaptive solve that ``run`` makes, lane by
+    lane, with the in-house driver or, for ``oracle``, with scipy's in its
+    place."""
     outcomes, integrate = [], ode.integrate
 
     def recording(*args, **kwargs):
-        outcomes.append(integrate(*args, **kwargs))
-        return outcomes[-1]
+        out = integrate(*args, **kwargs)
+        outcomes.extend(out.lanes if isinstance(out, ode.LaneOutcome) else [out])
+        return out
     with monkeypatch.context() as mp:
         for module in (ode, transport, development):
             mp.setattr(module, "integrate", recording)

@@ -9,8 +9,9 @@ from cartanlab.algebroid import AlgebroidChart, GluedAlgebroid
 from cartanlab.cartan import bar_tm_tensor
 from cartanlab.dual import Dual, eps_part, value
 from cartanlab.geometry import Chart, SmoothField, as_point
-from cartanlab.transport import (MAX_SWITCHES, BasePath, PathSegment, TransportError,
-                                 completeness_probe, geodesic, geodesic_glued,
+from cartanlab.transport import (BLOWUP_NORM, MAX_SWITCHES, BasePath, PathSegment,
+                                 TransportError, _geodesic_runs, completeness_probe,
+                                 geodesic, geodesic_glued,
                                  invariant_metric_check, isotropy_subalgebra, line_path,
                                  monodromies, monodromy, monodromy_compactness_probe,
                                  transport_matrices, transport_matrix)
@@ -472,6 +473,112 @@ def test_a_glued_geodesic_past_the_switch_cap_certifies_nothing(torus):
     v = completeness_probe(torus.glued, [(0, [0, 0], [1, 0.3])], horizon=400)[0]
     assert v.verdict == "no-blowup-within-horizon" and v.t_star is None
     assert "switch limit" in v.note
+
+
+def test_completeness_probe_refuses_an_empty_seed_list(circle):
+    # a probe of no geodesic would read as "no blow-up found"
+    with pytest.raises(ValueError, match="at least one seed"):
+        completeness_probe(circle.glued, [])
+
+
+def _same_geodesic(a, b) -> bool:
+    """Equal results, float arrays compared by their bytes."""
+    return ((a.status, a.chart, a.switches, a.steps, a.nfev) ==
+            (b.status, b.chart, b.switches, b.steps, b.nfev)
+            and np.float64(a.t_end).tobytes() == np.float64(b.t_end).tobytes()
+            and all(getattr(a.path, k).tobytes() == getattr(b.path, k).tobytes()
+                    for k in ("times", "base", "fiber"))
+            and a.path.charts == b.path.charts)
+
+
+def _circle_cover_lanes(rng):
+    # blow-up at t* = -e^theta0 / x0 where the span reaches it, else complete
+    seeds = [(float(rng.uniform(-1.0, 1.0)), float(rng.choice([-1.0, 1.0]) * rng.uniform(0.5, 2.0)))
+             for _ in range(6)]
+    return [(0, [theta0], [x0], (0.0, sign * 10.0)) for theta0, x0 in seeds for sign in (1.0, -1.0)]
+
+
+@pytest.mark.parametrize("case", ["circle cover", "glued circle", "glued torus", "sphere2"])
+def test_a_lane_runs_as_it_runs_alone(case, circle, torus, sphere):
+    rng = np.random.default_rng(7)
+    if case == "circle cover":
+        G, glued = GluedAlgebroid((circle.cover.chart,), ()), False
+        starts, want = _circle_cover_lanes(rng), {"blowup", "completed"}
+    elif case == "glued circle":
+        G, glued = circle.glued, True
+        starts = [(0, [0.5], [1.0], (0.0, 600.0)), (1, [4.0], [-0.5], (0.0, 600.0)),
+                  (0, [0.5], [1.0], (0.0, -5.0)), (1, [3.5], [0.8], (0.0, 30.0))]
+        starts += [(int(c), [float(rng.uniform(0.0, 3.0)) + 3.0 * c],
+                    [float(rng.uniform(-2.0, 2.0))], (0.0, float(rng.uniform(-50.0, 50.0))))
+                   for c in rng.integers(0, 2, 4)]
+        want = {"blowup", "completed"}
+    elif case == "glued torus":
+        G, glued = torus.glued, True
+        starts = [(0, [0.0, 0.0], [1.0, 0.3], (0.0, 400.0)),
+                  (3, [0.6, 0.4], [-0.7, 2.0], (0.0, 3.0)),
+                  (1, [0.5, 0.1], [0.2, -0.4], (0.0, -5.0))]
+        want = {"switch_limit", "completed"}
+    else:
+        G, glued = GluedAlgebroid((sphere.rc.chart,), ()), False
+        starts = [(0, [0.3, 0.0], [-1.0, 0.0, 0.5], (0.0, 1.0)),
+                  (0, [1.2, 0.3], [0.5, -0.8, 0.3], (0.0, 1.0)),
+                  (0, [1.5, -1.0], [0.2, 0.4, -0.5], (0.0, -0.8))]
+        want = {"escaped_chart", "completed"}
+    if glued:
+        batch = _geodesic_runs(G, starts, BLOWUP_NORM, MAX_SWITCHES, "escaped_atlas")
+        alone = [geodesic_glued(G, *start) for start in starts]
+    else:
+        batch = _geodesic_runs(G, starts, BLOWUP_NORM, 0, "escaped_chart")
+        alone = [geodesic(G.charts[0], m0, x0, span) for _, m0, x0, span in starts]
+    assert {r.status for r in batch} >= want
+    if case == "glued circle":
+        assert max(r.switches for r in batch) >= 2
+    for got, ref in zip(batch, alone):
+        assert _same_geodesic(got, ref)
+
+
+def test_a_probe_is_one_solve_when_no_lane_switches_chart(circle, monkeypatch):
+    from cartanlab import transport
+    solves = []
+
+    def counting(*args, **kwargs):
+        solves.append(np.shape(args[2]))
+        return integrate(*args, **kwargs)
+    integrate = transport.integrate
+    monkeypatch.setattr(transport, "integrate", counting)
+    seeds = [([0.3], [0.7]), ([-0.5], [-1.2]), ([0.1], [1.5])]
+    verdicts = completeness_probe(circle.chart, seeds, horizon=10.0)
+    assert solves == [(6, 3)]
+    # the + direction is read first, and every seed here blows up in one direction
+    for (m0, x0), v in zip(seeds, verdicts):
+        t_star = -math.exp(m0[0]) / x0[0]
+        assert v.verdict == "certified-incomplete" and abs(v.t_star - t_star) < 1e-3
+
+
+def test_a_probe_reads_the_plus_direction_first():
+    # both directions collapse, at t = 1 and t = -1: the note is that of
+    # the last direction, as when the directions ran one after the other
+    v = completeness_probe(_chart_ending_at(1.0), [([0.0], [1.0])], horizon=2.0)[0]
+    assert v.verdict == "no-blowup-within-horizon" and "t=-1 (step collapse)" in v.note
+
+
+def test_catalog_loops_carry_their_endpoints(circle, torus):
+    # line segments read their points off their endpoints in the stacked
+    # transport; the curve-lambda loops read them through point_velocity.
+    # Both transports are exact (gamma = 0 on every catalog chart), so the
+    # monodromies agree bit for bit.
+    for model, curves in ((circle, (oracles.circle_loop_by_curves(),)),
+                          (torus, oracles.torus_loops_by_curves())):
+        assert all(s.line is not None for loop in model.loops for s in loop.segments)
+        assert all(s.line is None for loop in curves for s in loop.segments)
+        for got, want in zip(monodromies(model.glued, model.loops),
+                             monodromies(model.glued, curves)):
+            assert got.matrix.tobytes() == want.matrix.tobytes()
+        # the same points: pi (1 - t) and pi + t (0 - pi) round apart by an ulp
+        for loop, ref in zip(model.loops, curves):
+            for seg, old in zip(loop.segments, ref.segments):
+                for t in (0.0, 0.3, 0.7, 1.0):
+                    assert np.max(np.abs(seg.point(t) - old.point(t))) <= 1e-15
 
 
 class FloatCall(Exception):
