@@ -11,10 +11,10 @@ The endpoint coset g(1) H0 is the developed image of the path's end.
 The lift is read in the frame parallel along the path; the solve carries
 that frame's inverse Q, dQ/dt = Q Gamma(dm/dt), so that each right-hand
 side re-expresses the lift with a product instead of a linear solve.
-A check's developments are integrated as one stacked solve: the B paths
-of a batch share one adaptive DOP853 step sequence, with tolerances scaled
-by 1/sqrt(B) so that each endpoint still meets its own tolerance, and each
-right-hand side evaluates fields and paths once for the whole batch.
+A check's developments are integrated as one lane solve: each path of a
+batch is a lane with its own adaptive DOP853 steps at the caller's
+tolerances, bit for bit its development alone, and each right-hand side
+evaluates fields and paths once for the lanes it is given.
 Equivariant base maps with an algebra twist induce affine maps of the
 coset space, and the reconstruction of a locally homogeneous atlas
 composes developments with patch lifts and verifies the transitions.
@@ -36,7 +36,7 @@ from .algebra import (AlgebraMap, LieAlgebra, MatrixRealization,
                       worst)
 from .algebroid import ActionAlgebroid
 from .geometry import Chart, as_point, sample_stack
-from .ode import integrate, lane_stacks, stacked_tolerances
+from .ode import integrate
 from .transport import BasePath, line_path, segment_batch
 
 
@@ -187,25 +187,27 @@ def _lift_fibers(a, v):
     """Minimum-norm anchor lifts of a stack of tangent vectors; errors when
     v is not in an anchor's range (transitivity violated).
 
-    A batch of square anchors whose determinants all exceed _RANK_TOL times
-    the product of their row norms (Hadamard's bound, so the test ignores
-    row scaling) is solved directly; any other batch is pseudo-inverted,
-    since solving a rank-deficient anchor returns an arbitrary lift of a v
-    in its range."""
+    A square anchor whose determinant exceeds _RANK_TOL times the product
+    of its row norms (Hadamard's bound, so the test ignores row scaling) is
+    solved directly; any other anchor is pseudo-inverted, since solving a
+    rank-deficient anchor returns an arbitrary lift of a v in its range.
+    The test is made anchor by anchor, so no lift depends on its stack."""
     n = a.shape[-1]
     if a.shape[-2] != n:
-        solvable = False
+        solvable = np.zeros(len(a), dtype=bool)
     elif n == 1:
-        solvable = bool(np.all(np.abs(a) > 0))     # for 1x1 the test is a != 0
+        solvable = np.abs(a[:, 0, 0]) > 0     # for 1x1 the test is a != 0
     else:
         det = np.linalg.det(a)
         rows = np.einsum("bij,bij->bi", a, a).prod(axis=1)
-        solvable = bool(np.all(det * det > _RANK_TOL ** 2 * rows))
+        solvable = det * det > _RANK_TOL ** 2 * rows
     try:
-        if solvable:
+        if solvable.all():
             xi = np.linalg.solve(a, v[..., None])[..., 0]
         else:
             xi = np.einsum("bij,bj->bi", np.linalg.pinv(a), v)
+            if solvable.any():
+                xi[solvable] = np.linalg.solve(a[solvable], v[solvable][..., None])[..., 0]
     except np.linalg.LinAlgError:
         raise DevelopmentError("anchor not surjective along path (no lift)") from None
     gap = np.max(np.abs(np.einsum("bij,bj->bi", a, xi) - v), axis=1)
@@ -220,62 +222,54 @@ def _develop_frames(A, H: HomogeneousModel, paths,
                     rtol: float = 1e-12) -> tuple[np.ndarray, np.ndarray]:
     """Group elements (B, d, d) and inverse parallel frames (B, r, r) at
     the ends of a batch of paths; see ``develop_paths``.  Each right-hand
-    side reads the B points and velocities from one ``segment_batch`` call
-    and the anchors and gammas from one ``SmoothField.values`` call each."""
+    side reads the points and velocities of its lanes from one
+    ``segment_batch`` call and the anchors and gammas from one
+    ``SmoothField.values`` call each."""
     chart = _chart_of(A)
     d = H.realization.matrix_dim
     r = chart.rank
     B = len(paths)
     if B == 0:
         return np.zeros((0, d, d)), np.zeros((0, r, r))
-    parts = lane_stacks(B, rtol)
-    if len(parts) > 1:
-        parts = [_develop_frames(A, H, paths[c], rtol) for c in parts]
-        return tuple(np.concatenate(p) for p in zip(*parts))
     spans = [(s.t0, s.t1) for s in paths[0].segments]
     if any([(s.t0, s.t1) for s in p.segments] != spans for p in paths):
         raise DevelopmentError("paths in one batch must share their segment time spans")
     sign = -float(bracket_orientation(chart))
     gens = np.stack(H.realization.generators)
-    state = np.tile(np.concatenate([np.eye(r).reshape(-1), np.eye(d).reshape(-1)]), B)
-    tol = stacked_tolerances(rtol, 1e-13, B)
+    state = np.tile(np.concatenate([np.eye(r).reshape(-1), np.eye(d).reshape(-1)]), (B, 1))
     for k, span in enumerate(spans):
         curve = segment_batch([p.segments[k] for p in paths])
 
-        def rhs(t, y):
-            y = y.reshape(B, -1)
-            Q = y[:, :r * r].reshape(B, r, r)
-            G = y[:, r * r:].reshape(B, d, d)
-            ms, v = curve(t)
+        def rhs(t, y, lanes):
+            Q = y[:, :r * r].reshape(-1, r, r)
+            G = y[:, r * r:].reshape(-1, d, d)
+            ms, v = curve(t, lanes)
             gv = np.einsum("biac,bi->bac", chart.gamma.values(ms), v)
             X = _lift_fibers(chart.anchor.values(ms), v)
             xi = sign * (Q @ X[..., None])[..., 0]
             Xi = np.einsum("bi,iac->bac", xi, gens)
-            return np.concatenate([(Q @ gv).reshape(B, -1),
-                                   (Xi @ G).reshape(B, -1)], axis=1).reshape(-1)
+            return np.concatenate([(Q @ gv).reshape(len(y), -1),
+                                   (Xi @ G).reshape(len(y), -1)], axis=1)
 
-        out = integrate(rhs, span, state, rtol=tol[0], atol=tol[1])
-        if out.status != "completed":
+        out = integrate(rhs, span, state, rtol=rtol, atol=1e-13)
+        if out.status != "lanes":
             raise DevelopmentError(f"development ODE failed: {out.status}")
-        state = out.states[-1]
-    state = state.reshape(B, -1)
+        state = np.array([o.states[-1] for o in out.lanes])
     return state[:, r * r:].reshape(B, d, d), state[:, :r * r].reshape(B, r, r)
 
 
 def develop_paths(A, H: HomogeneousModel, paths, rtol: float = 1e-12) -> list[Coset]:
-    """Develop a batch of paths in one stacked solve.
+    """Develop a batch of paths in one lane solve.
 
-    The paths must share their segment count and segment time spans.  All
-    B states are integrated together by DOP853 with tolerances
-    rtol/sqrt(B) and atol/sqrt(B), atol = 1e-13
-    (``ode.stacked_tolerances``), so that each path still meets rtol and
-    atol.  Batches whose scaled rtol would fall below the integrator's rtol
-    floor (``ode.RTOL_FLOOR``, 100 eps) are split (``ode.lane_stacks``).
+    The paths must share their segment count and segment time spans.  Each
+    path is a lane of one DOP853 solve per segment (``ode.integrate``): it
+    takes its own steps at rtol and atol = 1e-13, and its coset is bit for
+    bit the one it develops alone.
 
     Each right-hand side evaluates the path points and velocities, the
-    anchor and gamma once for the whole batch: in closed form for line
-    segments and for fields that have a batch form (constant fields,
-    translation, linear and scaling action anchors), else point by point.
+    anchor and gamma once for its lanes: in closed form for line segments
+    and for fields that have a batch form (constant fields, translation,
+    linear and scaling action anchors), else point by point.
 
     The lift is re-expressed in the parallel frame P transported from the
     path start, so the fiber coordinates match the algebra basis of the

@@ -428,7 +428,7 @@ class GluedModel:
     @cached_property
     def monodromies(self) -> tuple[AlgebraMap, ...]:
         """Transport around each loop, computed on first use from one
-        stacked solve (``transport.monodromies``)."""
+        lane solve (``transport.monodromies``)."""
         return tuple(monodromies(self.glued, self.loops))
 
 

@@ -41,6 +41,7 @@ steps.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable
 
@@ -66,9 +67,9 @@ class _Pair:
     """An embedded Runge-Kutta pair: stage times ``C``, stage coefficients
     ``A`` (row s builds stage s), step weights ``B``, the scaled error
     norms ``error_norms(K, h, scale)`` of a lane stack's stages ``K``
-    (lanes, stages, n; the last stage holds f at the step end), one per
-    lane, the order of that estimate, and the dense-output coefficients
-    ``P`` where the pair has them."""
+    (lanes, stages, n; the last stage holds f at the step end), a list of
+    one float per lane, the order of that estimate, and the dense-output
+    coefficients ``P`` where the pair has them."""
 
     C: np.ndarray
     A: np.ndarray
@@ -105,8 +106,16 @@ def _rk45() -> _Pair:
         [0, 40617522/29380423, -110615467/29380423, 69997945/29380423]])
 
     def error_norms(K, h, scale):
-        return vector_norms((E @ K) * h[:, None] / scale) / K.shape[-1] ** 0.5
+        return (vector_norms((E @ K) * h[:, None] / scale) / K.shape[-1] ** 0.5).tolist()
     return _Pair(C, A, B, error_norms, 4, P)
+
+
+def _square(x: float) -> float:
+    """x ** 2 of a Python float, inf where it overflows, as numpy's is."""
+    try:
+        return x ** 2
+    except OverflowError:
+        return math.inf
 
 
 def _dop853() -> _Pair:
@@ -199,12 +208,13 @@ def _dop853() -> _Pair:
 
     def error_norms(K, h, scale):
         out = []
-        # lane by lane on numpy scalars, whose ** 2 is not the array square
-        for n5, n3, hb in zip(vector_norms((E5 @ K) / scale), vector_norms((E3 @ K) / scale),
-                              h):
-            err5, err3 = n5 ** 2, n3 ** 2
+        # lane by lane on Python floats, whose ** 2 is the numpy scalar power
+        # and not the array square
+        for n5, n3, hb in zip(vector_norms((E5 @ K) / scale).tolist(),
+                              vector_norms((E3 @ K) / scale).tolist(), h.tolist()):
+            err5, err3 = _square(n5), _square(n3)
             out.append(0.0 if err5 == 0 and err3 == 0 else
-                       np.abs(hb) * err5 / np.sqrt((err5 + 0.01 * err3) * K.shape[-1]))
+                       abs(hb) * err5 / math.sqrt((err5 + 0.01 * err3) * K.shape[-1]))
         return out
     return _Pair(C, A[:12], A[12], error_norms, 7)
 
@@ -353,7 +363,8 @@ def _solve_lanes(fun, t_span, y0, method, rtol, atol, events, first_step) -> Sol
     """``solve_ivp`` of a lane stack y0 (L, n).  The stage sums, step
     ends, error estimates and interpolants are stacked products of
     lane-major stages (lanes, stages, n), so each lane's arithmetic is that
-    of a solve of its own; the step control runs lane by lane on scalars."""
+    of a solve of its own; the step control runs lane by lane on Python
+    floats, whose arithmetic is that of numpy's float64 scalars."""
     pair = _PAIRS[method]
     if events and pair.P is None:
         raise ValueError(f"{method} has no dense output to locate events on")
@@ -364,20 +375,20 @@ def _solve_lanes(fun, t_span, y0, method, rtol, atol, events, first_step) -> Sol
     direction = [1.0 if end >= t0 else -1.0 for end in t1]
     rtol = max(rtol, RTOL_FLOOR)
     exponent = -1.0 / (pair.error_order + 1)
-    y0 = y0.copy()
-    f0 = np.asarray(fun(np.full(L, t0), y0, np.arange(L)), dtype=float).reshape(L, n)
-    t, y, f = [t0] * L, list(y0), list(f0)
+    y = y0.copy()
+    f = np.asarray(fun(np.full(L, t0), y, np.arange(L)), dtype=float).reshape(L, n)
+    t = [t0] * L
     h_abs = [abs(end - t0) for end in t1]
     if first_step is not None:
         h_abs = [min(h, s) for h, s in zip(h_abs, _per_lane(first_step, L))]
-    ts, ys, steps = [[t0] for _ in y], [[row] for row in y], [[] for _ in y]
+    ts, ys, steps = [[t0] for _ in t], [[row] for row in y0], [[] for _ in t]
     nfev, status, hit = [1] * L, [None] * L, [None] * L
     rejected, min_step = [False] * L, [0.0] * L
     run = [b for b in range(L) if n and t1[b] != t0]
     for b in set(range(L)) - set(run):
         status[b] = "completed"
         ts[b].append(t1[b])
-        ys[b].append(y[b])
+        ys[b].append(y0[b])
     g = {}
     if events and run:
         ri = np.array(run)
@@ -390,7 +401,7 @@ def _solve_lanes(fun, t_span, y0, method, rtol, atol, events, first_step) -> Sol
         for b in run:
             tb, d = t[b], direction[b]
             if not rejected[b]:
-                min_step[b] = 10 * np.abs(np.nextafter(tb, d * np.inf) - tb)
+                min_step[b] = 10 * abs(math.nextafter(tb, d * math.inf) - tb)
                 h_abs[b] = max(h_abs[b], min_step[b])
             if h_abs[b] < min_step[b]:
                 status[b] = "step_collapse"
@@ -398,7 +409,7 @@ def _solve_lanes(fun, t_span, y0, method, rtol, atol, events, first_step) -> Sol
             t_new = tb + h_abs[b] * d
             if d * (t_new - t1[b]) > 0:
                 t_new = t1[b]
-            h_abs[b] = np.abs(t_new - tb)
+            h_abs[b] = abs(t_new - tb)
             trial.append(t_new)
             tl.append(tb)
             hl.append(t_new - tb)
@@ -412,9 +423,9 @@ def _solve_lanes(fun, t_span, y0, method, rtol, atol, events, first_step) -> Sol
         tt, h = np.array(tl), np.array(hl)
         hc = h[:, None]
         tc = tt + np.multiply.outer(pair.C, h)  # the stage times t + C[s] h
-        yr = np.array([y[b] for b in run])
+        yr = y[idx]
         K = np.empty((len(run), S + 1, n))
-        K[:, 0] = [f[b] for b in run]
+        K[:, 0] = f[idx]
         for s in range(1, S):
             K[:, s] = fun(tc[s], yr + (A[s] @ K[:, :s]) * hc, idx)
         y_new = yr + hc * (pair.B @ K[:, :-1])
@@ -436,21 +447,21 @@ def _solve_lanes(fun, t_span, y0, method, rtol, atol, events, first_step) -> Sol
             every = len(accepted) == len(run)
             acc = slice(None) if every else np.array(accepted)
             Ka = K if every else K[acc]
-            Q = Ka.transpose(0, 2, 1) @ pair.P if pair.P is not None else None
             ya = y_new if every else y_new[acc]
+            rows = idx[acc]
+            y[rows], f[rows] = ya, Ka[:, -1]
+            Q = Ka.transpose(0, 2, 1) @ pair.P if pair.P is not None else None
+            if events:
+                ta = np.array([trial[j] for j in accepted])
+                g_acc = [np.asarray(ev(ta, ya, rows), dtype=float).tolist() for ev in events]
+            stopped = False
             for i, j in enumerate(accepted):
                 b = run[j]
                 if Q is not None:
                     steps[b].append((tl[j], hl[j], yr[j], Q[i]))
-                t[b], y[b], f[b] = trial[j], ya[i], Ka[i, -1]
+                t[b] = trial[j]
                 ts[b].append(t[b])
-                ys[b].append(y[b])
-            if events:
-                ta, ia = np.array([trial[j] for j in accepted]), idx[acc]
-                g_acc = [np.asarray(ev(ta, ya, ia), dtype=float).tolist() for ev in events]
-            stopped = False
-            for i, j in enumerate(accepted):
-                b = run[j]
+                ys[b].append(ya[i])
                 if events:
                     gb, g_new = g[b], [ge[i] for ge in g_acc]
                     crossed = [k for k, (a, c) in enumerate(zip(gb, g_new))
@@ -579,35 +590,15 @@ def _first_sign_changes(sols, fns, t0: float, stops, closed) -> list:
 def _outcome(sol, names, t0: float, t1: float, earlier) -> IvpOutcome:
     """One lane's IvpOutcome from its Solution and its scan's earlier
     sign change."""
-    work = {"nfev": sol.nfev, "steps": len(sol.t) - 1}
+    steps = len(sol.t) - 1
+    if earlier is None and sol.event is None:
+        t_end = float(sol.t[-1]) if sol.status == "step_collapse" else t1
+        return IvpOutcome(sol.t, sol.y, sol.status, t_end, None, sol.nfev, steps)
     hit, t_hit = (sol.event, float(sol.t[-1])) if earlier is None else earlier
-    if hit is not None:
-        keep = (sol.t - t_hit) * (t1 - t0) < 0
-        times = np.append(sol.t[keep], t_hit)
-        states = np.vstack([sol.y[keep], sol.sol(t_hit)])
-        return IvpOutcome(times, states, f"event:{names[hit]}", t_hit, names[hit], **work)
-    if sol.status == "step_collapse":
-        return IvpOutcome(sol.t, sol.y, "step_collapse", float(sol.t[-1]), **work)
-    return IvpOutcome(sol.t, sol.y, "completed", t1, **work)
-
-
-def lane_stacks(B: int, rtol: float) -> list[slice]:
-    """Slices of ``range(B)`` for solves that stack independent lanes,
-    each as long as it can be while its scaled rtol
-    (``stacked_tolerances``) stays at or above ``RTOL_FLOOR``."""
-    limit = max(1, int((rtol / RTOL_FLOOR) ** 2 * (1 - 1e-9)))
-    return [slice(k, k + limit) for k in range(0, B, limit)]
-
-
-def stacked_tolerances(rtol: float, atol: float, lanes: int) -> tuple[float, float]:
-    """rtol and atol for one solve of ``lanes`` stacked independent states:
-    both scaled by 1/sqrt(lanes), so that the RMS of each embedded error
-    estimate over the whole state bounds each lane's own RMS at rtol and
-    atol.  (DOP853 accepts a step on a blend of its two estimates,
-    err5^2 / sqrt(err5^2 + 0.01 err3^2), for which the bound per lane
-    holds only approximately.)"""
-    scale = np.sqrt(lanes)
-    return rtol / scale, atol / scale
+    keep = (sol.t - t_hit) * (t1 - t0) < 0
+    times = np.append(sol.t[keep], t_hit)
+    states = np.vstack([sol.y[keep], sol.sol(t_hit)])
+    return IvpOutcome(times, states, f"event:{names[hit]}", t_hit, names[hit], sol.nfev, steps)
 
 
 def integrate(rhs, t_span, y0, events=None, rtol=DEFAULT_RTOL,
@@ -650,7 +641,9 @@ def integrate(rhs, t_span, y0, events=None, rtol=DEFAULT_RTOL,
         sols = sol.lanes if y0.ndim == 2 else [sol]
         if y0.ndim == 1:
             fns = _lane_events(fns)
-        stops = [float(s.t[-1]) if fns and s.t[-1] != t0 else None for s in sols]
-        earlier = _first_sign_changes(sols, fns, t0, stops, [s.event is None for s in sols])
+        earlier = [None] * len(sols)
+        if fns:
+            stops = [float(s.t[-1]) if s.t[-1] != t0 else None for s in sols]
+            earlier = _first_sign_changes(sols, fns, t0, stops, [s.event is None for s in sols])
     outs = [_outcome(s, names, t0, end, e) for s, end, e in zip(sols, t1, earlier)]
     return LaneOutcome(tuple(outs), sol.nfev, len(sol.t) - 1) if y0.ndim == 2 else outs[0]

@@ -5,8 +5,8 @@ path, applying fiber transition matrices at chart switches of a glued
 algebroid.  The equation is linear, so a path's transport is the product
 of its segments' transports and its transitions: every segment of a
 batch of paths is transported from the identity, the segments that share
-a time span in one stacked solve (``transport_matrices``), and each path
-composes its segment matrices.  Geodesics couple that equation with
+a time span as the lanes of one solve (``transport_matrices``), and each
+path composes its segment matrices.  Geodesics couple that equation with
 dm/dt = a(m) X.  Every right-hand side, event and start check reads the
 anchor and gamma as floats through ``SmoothField.values`` (the
 closed-form batch where a field has one), and the path's points and
@@ -38,7 +38,7 @@ from .algebra import AlgebraMap, Subalgebra, TensorReport, vector_norms, worst
 from .algebroid import AlgebroidChart, GluedAlgebroid
 from .cartan import bar_tm_tensor, fiber_bracket_at, per_point_max
 from .geometry import SmoothField, as_point, sample_stack
-from .ode import DEFAULT_ATOL, DEFAULT_RTOL, integrate, lane_stacks, stacked_tolerances
+from .ode import integrate
 
 BLOWUP_NORM = 1e6
 # speed above which geodesics are integrated in rescaled time (see
@@ -79,16 +79,21 @@ class PathSegment:
 
 
 def segment_batch(segs) -> Callable:
-    """t -> float points and velocities (B, n) of segments that share one
+    """(t, lanes) -> float points and velocities (k, n) of the segments
+    ``segs[lanes]``, each at its own time t (k,); the segments share one
     time span.  A batch of line segments reads them off its endpoints,
     stacked once; any other batch calls each ``point_velocity``."""
     if all(s.line is not None for s in segs):
         a = np.stack([s.line[0] for s in segs])
         v = np.stack([s.line[1] - s.line[0] for s in segs])
-        return lambda t: (a + t * v, v)
 
-    def each(t):
-        ms, vs = zip(*(s.point_velocity(t) for s in segs))
+        def lines(t, lanes):
+            vl = v[lanes]
+            return a[lanes] + t[:, None] * vl, vl
+        return lines
+
+    def each(t, lanes):
+        ms, vs = zip(*(segs[b].point_velocity(tb) for tb, b in zip(t, lanes)))
         return np.array(ms), np.array(vs)
     return each
 
@@ -153,15 +158,14 @@ def transport_matrices(G, paths) -> list[np.ndarray]:
     transitions included.
 
     Every segment of every path is transported from the identity, and the
-    segments that share a time span are one stacked solve: the B segment
-    matrices share one DOP853 step sequence at rtol and atol scaled by
-    1/sqrt(B) (``ode.stacked_tolerances``, split by ``ode.lane_stacks``
-    as in ``development.develop_paths``), and each right-hand side reads
-    the points and velocities from one ``segment_batch`` call and gamma
-    from one ``values`` call per chart.  The equation is linear, so each
-    path's matrix is the product of its segment matrices and transition
-    matrices, in path order; a path with no segments transports by the
-    identity."""
+    segments that share a time span are the lanes of one solve: each
+    segment takes its own DOP853 steps at the default rtol and atol and is
+    bit for bit its transport alone, and each right-hand side reads the
+    points and velocities of its lanes from one ``segment_batch`` call and
+    gamma from one ``values`` call per chart among them.  The equation is
+    linear, so each path's matrix is the product of its segment matrices
+    and transition matrices, in path order; a path with no segments
+    transports by the identity."""
     G = _as_glued(G)
     segs = [s for p in paths for s in p.segments]
     for s in segs:
@@ -173,8 +177,7 @@ def transport_matrices(G, paths) -> list[np.ndarray]:
         by_span.setdefault((s.t0, s.t1), []).append(k)
     T = np.empty((len(segs), G.rank, G.rank))
     for span, ks in by_span.items():
-        for c in lane_stacks(len(ks), DEFAULT_RTOL):
-            T[ks[c]] = _segment_transports(G, [segs[k] for k in ks[c]], span)
+        T[ks] = _segment_transports(G, [segs[k] for k in ks], span)
     T, out = iter(T), []
     for p in paths:
         M = next(T) if p.segments else np.eye(G.rank)
@@ -187,24 +190,22 @@ def transport_matrices(G, paths) -> list[np.ndarray]:
 
 def _segment_transports(G: GluedAlgebroid, segs, span) -> np.ndarray:
     """Transport matrices (B, r, r) from the identity along segments that
-    share one time span, from one solve."""
-    r, B = G.rank, len(segs)
+    share one time span, each a lane of one solve."""
+    r = G.rank
     curve = segment_batch(segs)
-    lanes = [(G.charts[c], np.array([b for b, s in enumerate(segs) if s.chart == c]))
-             for c in dict.fromkeys(s.chart for s in segs)]
+    groups = _chart_groups([G.charts[s.chart] for s in segs])
 
-    def rhs(t, y):
-        ms, vs = curve(t)
-        gv = np.empty((B, r, r))
-        for C, b in lanes:
-            gv[b] = np.einsum("biac,bi->bac", C.gamma.values(ms[b]), vs[b])
-        return (-gv @ y.reshape(B, r, r)).reshape(-1)
+    def rhs(t, y, lanes):
+        ms, vs = curve(t, lanes)
+        gv = np.empty((len(y), r, r))
+        for C, sel in groups(lanes):
+            gv[sel] = np.einsum("biac,bi->bac", C.gamma.values(ms[sel]), vs[sel])
+        return (-gv @ y.reshape(-1, r, r)).reshape(len(y), -1)
 
-    rtol, atol = stacked_tolerances(DEFAULT_RTOL, DEFAULT_ATOL, B)
-    out = integrate(rhs, span, np.tile(np.eye(r).reshape(-1), B), rtol=rtol, atol=atol)
-    if out.status != "completed":
+    out = integrate(rhs, span, np.tile(np.eye(r).reshape(-1), (len(segs), 1)))
+    if out.status != "lanes":
         raise TransportError(f"transport ODE failed with status {out.status}")
-    return out.states[-1].reshape(B, r, r)
+    return np.array([o.states[-1] for o in out.lanes]).reshape(-1, r, r)
 
 
 def transport_matrix(G, path: BasePath) -> np.ndarray:
@@ -274,10 +275,14 @@ def _chart_groups(Cs):
         return lambda lanes: [(Cs[0], slice(None))]
     first = {}
     code = np.array([first.setdefault(id(C), k) for k, C in enumerate(Cs)])
+    # a lane solve passes the same lanes to every stage while they run
+    last = [None, None]
 
     def groups(lanes):
-        c = code[lanes]
-        return [(Cs[k], np.nonzero(c == k)[0]) for k in dict.fromkeys(c.tolist())]
+        if lanes is not last[0]:
+            c = code[lanes]
+            last[:] = lanes, [(Cs[k], np.nonzero(c == k)[0]) for k in dict.fromkeys(c.tolist())]
+        return last[1]
     return groups
 
 

@@ -483,7 +483,7 @@ def transport_matrix_carried(G, path: BasePath) -> np.ndarray:
         curve = transport.segment_batch([seg])
 
         def rhs(t, mflat, C=C, curve=curve):
-            ms, vs = curve(t)
+            ms, vs = curve(np.array([t]), [0])
             gv = np.einsum("biac,bi->ac", C.gamma.values(ms), vs)
             return (-gv @ mflat.reshape(r, r)).reshape(-1)
 
@@ -500,38 +500,37 @@ def transport_matrix_carried(G, path: BasePath) -> np.ndarray:
 def develop_frames_p(A, H: HomogeneousModel, paths,
                      rtol: float = 1e-12) -> tuple[np.ndarray, np.ndarray]:
     """Group elements (B, d, d) and parallel frames P (B, r, r) at the ends
-    of a batch of paths that share their segment spans, from one stacked
-    solve of dP/dt = -Gamma(v) P, each lift re-expressed by a linear solve
+    of a batch of paths, each path solved on its own, segment by segment,
+    as dP/dt = -Gamma(v) P with each lift re-expressed by a linear solve
     against P (``development._develop_frames`` carries P^-1 instead)."""
     chart = development._chart_of(A)
     d = H.realization.matrix_dim
     r = chart.rank
-    B = len(paths)
     sign = -float(development.bracket_orientation(chart))
     gens = np.stack(H.realization.generators)
-    state = np.tile(np.concatenate([np.eye(r).reshape(-1), np.eye(d).reshape(-1)]), B)
-    for k, s in enumerate(paths[0].segments):
-        curve = transport.segment_batch([p.segments[k] for p in paths])
+    ends = []
+    for path in paths:
+        state = np.concatenate([np.eye(r).reshape(-1), np.eye(d).reshape(-1)])
+        for s in path.segments:
+            curve = transport.segment_batch([s])
 
-        def rhs(t, y, curve=curve):
-            y = y.reshape(B, -1)
-            P = y[:, :r * r].reshape(B, r, r)
-            G = y[:, r * r:].reshape(B, d, d)
-            ms, v = curve(t)
-            gv = np.einsum("biac,bi->bac", chart.gamma.values(ms), v)
-            X = development._lift_fibers(chart.anchor.values(ms), v)
-            xi = sign * np.linalg.solve(P, X[..., None])[..., 0]
-            Xi = np.einsum("bi,iac->bac", xi, gens)
-            return np.concatenate([(-gv @ P).reshape(B, -1),
-                                   (Xi @ G).reshape(B, -1)], axis=1).reshape(-1)
+            def rhs(t, y, curve=curve):
+                P = y[:r * r].reshape(1, r, r)
+                G = y[r * r:].reshape(1, d, d)
+                ms, v = curve(np.array([t]), [0])
+                gv = np.einsum("biac,bi->bac", chart.gamma.values(ms), v)
+                X = development._lift_fibers(chart.anchor.values(ms), v)
+                xi = sign * np.linalg.solve(P, X[..., None])[..., 0]
+                Xi = np.einsum("bi,iac->bac", xi, gens)
+                return np.concatenate([(-gv @ P).reshape(-1), (Xi @ G).reshape(-1)])
 
-        out = integrate(rhs, (s.t0, s.t1), state, rtol=rtol / np.sqrt(B),
-                        atol=1e-13 / np.sqrt(B))
-        if out.status != "completed":
-            raise DevelopmentError(f"development ODE failed: {out.status}")
-        state = out.states[-1]
-    state = state.reshape(B, -1)
-    return state[:, r * r:].reshape(B, d, d), state[:, :r * r].reshape(B, r, r)
+            out = integrate(rhs, (s.t0, s.t1), state, rtol=rtol, atol=1e-13)
+            if out.status != "completed":
+                raise DevelopmentError(f"development ODE failed: {out.status}")
+            state = out.states[-1]
+        ends.append(state)
+    state = np.array(ends)
+    return state[:, r * r:].reshape(-1, d, d), state[:, :r * r].reshape(-1, r, r)
 
 
 def torus_overlaps(boxes) -> list[Overlap]:

@@ -162,8 +162,11 @@ def test_line_segment_batch_is_the_per_point_value(data, n, t):
     ends = data.draw(arrays(float, st.tuples(st.integers(1, 8), st.just(2), st.just(n)),
                             elements=FLOATS))
     segs = [line_path(a, b).segments[0] for a, b in ends]
-    ms, vs = segment_batch(segs)(t)
-    want = [s.point_velocity(t) for s in segs]
+    # the lanes in reverse order, each at its own time
+    lanes = np.arange(len(segs))[::-1]
+    times = np.linspace(0.0, t, len(segs))
+    ms, vs = segment_batch(segs)(times, lanes)
+    want = [segs[b].point_velocity(tb) for tb, b in zip(times, lanes)]
     assert ms.tobytes() == np.stack([m for m, _ in want]).tobytes()
     assert vs.tobytes() == np.stack([v for _, v in want]).tobytes()
 
@@ -173,8 +176,10 @@ def test_other_segments_fall_back_to_point_velocity(circle):
     mixed = [poly.segments[0], reverse(poly).segments[0]]
     loop = circle.loops[0].segments[:1]
     for segs in (mixed, loop):
-        for t in (0.0, 0.4, 1.0):
-            ms, vs = segment_batch(segs)(t)
-            want = [s.point_velocity(t) for s in segs]
-            assert np.array_equal(ms, np.stack([m for m, _ in want]))
-            assert np.array_equal(vs, np.stack([v for _, v in want]))
+        # each lane at its own time, a segment in more than one lane
+        times = np.array([0.0, 0.4, 1.0, 0.7])
+        lanes = np.arange(len(times)) % len(segs)
+        ms, vs = segment_batch(segs)(times, lanes)
+        want = [segs[b].point_velocity(t) for t, b in zip(times, lanes)]
+        assert np.array_equal(ms, np.stack([m for m, _ in want]))
+        assert np.array_equal(vs, np.stack([v for _, v in want]))

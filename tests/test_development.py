@@ -8,7 +8,7 @@ from scipy.integrate import quad
 
 from cartanlab import algebra, development, ode
 from cartanlab.algebra import AlgebraMap, MatrixRealization, Subalgebra
-from cartanlab.algebroid import ActionAlgebroid, AlgebroidChart
+from cartanlab.algebroid import ActionAlgebroid, AlgebroidChart, make_action_algebroid
 from cartanlab.development import (Coset, DevelopmentError, EquivariantMap,
                                    HomogeneousModel, check_equivariant_twist,
                                    coset_residual, develop_paths, develop_point,
@@ -18,7 +18,7 @@ from cartanlab.development import (Coset, DevelopmentError, EquivariantMap,
                                    induced_affine_map, integrated_twist,
                                    path_independence_check, reconstruct_atlas)
 from cartanlab.dual import cos, sin, value
-from cartanlab.geometry import as_point
+from cartanlab.geometry import Chart, as_point
 from cartanlab.transport import BasePath, PathSegment, line_path
 import oracles
 from oracles import fit_twist, polyline_path, reverse
@@ -81,8 +81,8 @@ def _assert_batch_matches_single_paths(A, H, paths):
     batch = develop_paths(A, H, paths)
     assert len(batch) == len(paths)
     for path, got in zip(paths, batch):
-        want = develop_point(A, H, path).g
-        assert np.max(np.abs(got.g - want)) <= 1e-10 * max(1.0, np.max(np.abs(want)))
+        # each path is a lane of the batch's solve, bit for bit its solve alone
+        assert np.array_equal(got.g, develop_point(A, H, path).g)
 
 
 def test_develop_paths_matches_single_paths_torus(torus, rng):
@@ -232,17 +232,35 @@ def test_development_work_is_independent_of_sample_count(circle, rng, monkeypatc
     assert counts[0] == counts[1]
 
 
-def test_develop_paths_splits_batches_at_the_rtol_floor(torus, monkeypatch):
-    # rtol/sqrt(B) must stay at or above the driver's 100 eps floor: at rtol 1e-13 a
-    # batch holds at most 20 paths, so 25 paths take two solves
+def test_develop_paths_at_the_rtol_floor_is_one_solve_of_lanes(torus, monkeypatch):
+    # each path meets rtol on its own, so 25 paths at rtol 1e-13 are 25
+    # lanes of one solve, none of them changed by its batch mates
     outcomes = _record_integrations(monkeypatch)
     paths = [line_path([0.0, 0.0], [0.03 * k, -0.02 * k]) for k in range(25)]
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         batch = develop_paths(torus.cover, torus.homog, paths, rtol=1e-13)
-    assert len(outcomes) == 2
-    for k, c in enumerate(batch):
+    assert len(outcomes) == 1 and len(outcomes[0].lanes) == 25
+    for k, (path, c) in enumerate(zip(paths, batch)):
         assert np.allclose(c.g[:2, 2], [0.03 * k, -0.02 * k], atol=1e-12)
+        assert np.array_equal(c.g, develop_paths(torus.cover, torus.homog, [path],
+                                                 rtol=1e-13)[0].g)
+
+
+def test_an_anchor_failing_the_rank_test_changes_only_its_own_lift(torus):
+    # R^2 acting by d_x + d_y and d_x + (1 + y - x) d_y: the anchor's rows
+    # are nearly parallel where y - x is below ~1e-8, so Hadamard's test
+    # sends that lane to the pseudo-inverse and the other lanes to solve
+    def action(xi, m):
+        m = as_point(m)
+        return [xi[0] + xi[1], xi[0] + xi[1] * (1 + m[1] - m[0])]
+
+    A = make_action_algebroid(torus.cover.algebra, action, Chart((-1.0, -1.0), (1.0, 1.0)))
+    near = line_path([-0.5, -0.5 + 1e-8], [-0.2, -0.2 + 1e-8])
+    a = A.chart.anchor.values([near.start[1]])[0]
+    assert np.linalg.det(a) ** 2 < development._RANK_TOL ** 2 * np.prod(np.sum(a * a, axis=1))
+    paths = [line_path([-0.5, 0.3], [0.2, 0.6]), near, line_path([-0.8, 0.1], [-0.1, 0.9])]
+    _assert_batch_matches_single_paths(A, torus.homog, paths)
 
 
 def test_reconstruct_torus_batches_its_developments(torus, monkeypatch):

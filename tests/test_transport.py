@@ -13,7 +13,8 @@ from cartanlab.transport import (BLOWUP_NORM, MAX_SWITCHES, BasePath, PathSegmen
                                  TransportError, _geodesic_runs, completeness_probe,
                                  geodesic, geodesic_glued,
                                  invariant_metric_check, isotropy_subalgebra, line_path,
-                                 monodromies, monodromy, monodromy_compactness_probe,
+                                 line_segment, monodromies, monodromy,
+                                 monodromy_compactness_probe,
                                  transport_matrices, transport_matrix)
 import oracles
 from oracles import (_transport_line_dual, directional, levi_civita, parallel_frame,
@@ -210,13 +211,38 @@ def test_stacked_transport_matches_the_carried_solves_across_a_transition(sphere
     monkeypatch.setattr(transport, "integrate", lambda rhs, span, y0, **k:
                         solves.append(len(y0)) or ode.integrate(rhs, span, y0, **k))
     got = transport_matrices(G, [crossing, inside])
-    assert solves == [4 * 9]         # one span: lanes in charts 0, 1, 0, 1
+    assert solves == [4]             # one span: four lanes, in charts 0, 1, 0, 1
     for M, path in zip(got, (crossing, inside)):
         want = oracles.transport_matrix_carried(G, path)
         assert np.max(np.abs(want - np.eye(3))) > 1e-2
         assert _relative_gap(M, want) <= 1e-10
     # the same curve transported in chart 0 alone
     assert _relative_gap(got[0], transport_matrix(G, polyline_path(p))) <= 1e-7
+
+
+def _assert_lanes_are_their_paths_alone(G, paths):
+    batch = transport_matrices(G, paths)
+    for path, M in zip(paths, batch):
+        assert np.array_equal(M, transport_matrix(G, path))
+
+
+def test_each_transport_lane_is_its_path_transported_alone(sphere):
+    # every segment is a lane with its own steps, so its batch changes no bit
+    C, m0 = sphere.rc.chart, sphere.m0
+    rng = np.random.default_rng(3)
+    bends = rng.uniform(-0.3, 0.3, (12, 2, 2))
+    _assert_lanes_are_their_paths_alone(
+        C, [polyline_path([m0, m0 + a, m0 + a + b]) for a, b in bends])
+    # on the reglued sphere the lanes of one span sit in both charts
+    G, to_psi = _reglued_sphere(sphere)
+    paths = []
+    for o in rng.uniform(-0.1, 0.1, (4, 3, 2)):
+        p = [m0, m0 + [0.3, 0.2] + o[0], m0 + [-0.1, 0.45] + o[1], m0 + [0.15, 0.6] + o[2]]
+        paths += [BasePath((line_segment(0, p[0], p[1]),
+                            line_segment(1, to_psi(p[1]), to_psi(p[2])),
+                            line_segment(0, p[2], p[3]))),
+                  BasePath((line_segment(1, to_psi(m0), to_psi(p[2])),))]
+    _assert_lanes_are_their_paths_alone(G, paths)
 
 
 def test_a_path_with_no_segments_transports_by_the_identity(circle):
@@ -233,7 +259,7 @@ def test_transport_makes_one_solve_per_time_span(torus, monkeypatch):
     monkeypatch.setattr(transport, "integrate", lambda rhs, span, y0, **k:
                         spans.append((span, len(y0))) or ode.integrate(rhs, span, y0, **k))
     monodromies(torus.glued, torus.loops)
-    assert spans == [((0.0, 1.0), 6 * 4)]      # six segments of rank 2
+    assert spans == [((0.0, 1.0), 6)]      # six segments, one lane each
 
 
 def test_parallel_frame_action_algebroid_constant(translations2):
