@@ -10,12 +10,19 @@ Exit codes: 0 scenario passed, 1 at least one check failed, 2 usage or
 parse error, including any check that does not match its op's declaration
 in ``OPS`` (the model kinds it accepts, and each parameter's default and
 kind).  The parse pass checks every check before the first one runs.
+Exit 3: a check that parsed raised while it ran (``CheckError``).
+
+The geodesic checks of a scenario (``GEODESIC_STARTS``) share one
+``transport.geodesic`` run, made when the first of them runs, so the text
+report counts its time in that check; each check reads its own lanes,
+bit for bit its run alone (``_shared_geodesics``).
 """
 
 from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import json
 import math
 import sys
@@ -431,9 +438,47 @@ def check_monodromy(model, params, seed):
                        {"eigenvalues": eigs, "automorphism_residual": auto_res})
 
 
-def check_geodesic_escape(model, params, seed):
-    res = transport.geodesic(model.chart, params["point"], params["fiber"],
-                             span=tuple(params["span"]))
+# The starts (m0, X0, span) of a geodesic check's lanes, in lane order.
+GEODESIC_STARTS = {
+    "geodesic_escape": lambda params: [(params["point"], params["fiber"], params["span"])],
+    "completeness": lambda params: [(s["point"], s["fiber"], (0.0, sign * params["horizon"]))
+                                    for s in params["seeds"] for sign in (1.0, -1.0)],
+}
+
+
+def _geodesics(model, starts) -> list:
+    """The geodesics from ``starts`` in the model's chart, as the lanes of
+    one ``transport.geodesic`` run."""
+    m0, X0, spans = zip(*starts)
+    return transport.geodesic(model.chart, m0, X0, span=spans)
+
+
+def _shared_geodesics(model, checks):
+    """k -> the geodesics of check k (from 1) of ``checks``.  Every start
+    of the scenario's geodesic checks is a lane of one run, made at the
+    first call; each lane is bit for bit its run alone.  When that run
+    raises, each check runs its own lanes alone, so the error stops the
+    scenario at the check that owns it."""
+    owned = {k: GEODESIC_STARTS[op](params)
+             for k, (op, params) in enumerate(checks, 1) if op in GEODESIC_STARTS}
+    shared = None
+
+    def lanes(k):
+        nonlocal shared
+        if shared is None:
+            try:
+                runs = iter(_geodesics(model, [s for starts in owned.values() for s in starts]))
+            except Exception:   # raised again by the check whose lanes raise alone
+                shared = {}
+            else:
+                shared = {j: [next(runs) for _ in starts] for j, starts in owned.items()}
+        return shared[k] if k in shared else _geodesics(model, owned[k])
+    return lanes
+
+
+def check_geodesic_escape(model, params, seed, lanes):
+    """``lanes()`` is the check's geodesic (``_shared_geodesics``)."""
+    res, = lanes()
     t_star = params["expect_t_star"]
     if t_star is not None:
         worst = abs(res.t_end - t_star)
@@ -446,9 +491,11 @@ def check_geodesic_escape(model, params, seed):
                         "rhs_calls": res.nfev})
 
 
-def check_completeness(model, params, seed):
-    seeds = [(s["point"], s["fiber"]) for s in params["seeds"]]
-    verdicts = transport.completeness_probe(model.chart, seeds, horizon=params["horizon"])
+def check_completeness(model, params, seed, lanes):
+    """``lanes()`` is the check's geodesics, each seed to +horizon and then
+    to -horizon (``_shared_geodesics``)."""
+    verdicts = transport.seed_verdicts([(s["point"], s["fiber"]) for s in params["seeds"]],
+                                       lanes())
     ok = all(v.verdict == params["expect"] for v in verdicts)
     return CheckResult("completeness", ok, 0.0,
                        {"verdicts": [v.verdict for v in verdicts],
@@ -572,14 +619,17 @@ CHECKS = {op: globals()[f"check_{op}"] for op in OPS}
 
 
 def run_scenario(doc: dict, seed: int | None = None, tol_scale: float = 1.0) -> Report:
-    """Parse every check, then run them in order.  An exception inside a
+    """Parse every check, then run them in order, each geodesic check on
+    its lanes of the scenario's one geodesic run.  An exception inside a
     check stops the run as a ``CheckError`` naming the check."""
     name, seed, model, checks = parse_scenario(doc, seed, tol_scale)
+    lanes = _shared_geodesics(model, checks)
     results = []
     for k, (op, params) in enumerate(checks, 1):
         t0 = time.perf_counter()
         try:
-            results.append(CHECKS[op](model, params, seed))
+            shared = (functools.partial(lanes, k),) if op in GEODESIC_STARTS else ()
+            results.append(CHECKS[op](model, params, seed, *shared))
         except Exception as e:
             raise CheckError(f"check {k} ({op}) could not run: "
                              f"{type(e).__name__}: {e}") from e
@@ -627,7 +677,9 @@ def export_report(report: Report, fmt: str) -> str:
     raise ScenarioError(f"unknown format {fmt!r}")
 
 
-def main(argv=None) -> int:
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process."""
     parser = argparse.ArgumentParser(prog="cartanlab",
                                      description="scenario runner for algebroid "
                                                  "connection certification")
@@ -642,8 +694,12 @@ def main(argv=None) -> int:
     p_exp = sub.add_parser("export", help="re-render a structured report")
     p_exp.add_argument("report")
     p_exp.add_argument("--format", choices=["text", "json"], default="text")
+    return parser
+
+
+def main(argv=None) -> int:
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
     except SystemExit as e:
         return 2 if e.code not in (0, None) else 0
 

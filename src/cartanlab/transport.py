@@ -13,9 +13,10 @@ closed-form batch where a field has one), and the path's points and
 velocities through ``segment_batch``, so a geodesic and its blow-up
 event see the same anchor.  Geodesics run as the lanes of one lane solve
 per round (``_geodesic_runs``): a completeness probe integrates all its
-seeds in both directions together, each lane bit for bit as it runs
-alone, and a lane that leaves its chart switches chart and runs on in
-the next round.
+seeds in both directions together, ``geodesic`` a stack of starts (the
+CLI's one run per scenario), each lane bit for bit as it runs alone, and
+a lane that leaves its chart switches chart and runs on in the next
+round.
 
 Completeness verdicts are one-sided: numerical integration can certify
 incompleteness (the fiber norm or the base speed reaching the blow-up
@@ -399,11 +400,23 @@ def _lanes_rhs(Cs, direction: np.ndarray):
 
 
 def geodesic(C: AlgebroidChart, m0, X0, span=(0.0, 1.0),
-             blowup_norm: float = BLOWUP_NORM) -> GeodesicResult:
-    """Integrate dm/dt = a(m) X, nabla_{dm/dt} X = 0 from (m0, X0)."""
-    C.base.require_interior(np.asarray(m0, dtype=float))
-    return _geodesic_runs(GluedAlgebroid((C,), ()), [(0, m0, X0, span)], blowup_norm,
-                          max_switches=0, exit_status="escaped_chart")[0]
+             blowup_norm: float = BLOWUP_NORM):
+    """Integrate dm/dt = a(m) X, nabla_{dm/dt} X = 0 from (m0, X0) in the
+    chart C, stopped with status "escaped_chart" at its edge.
+
+    A start is one lane and returns its ``GeodesicResult``.  A stack of
+    starts, m0 (B, n) and X0 (B, r) with span (2,) for every lane or
+    (B, 2) one per lane, is one run of B lanes (``_geodesic_runs``) and
+    returns their B results, each bit for bit its start run alone."""
+    m0 = np.asarray(m0, dtype=float)
+    ms = np.atleast_2d(m0)
+    spans = np.broadcast_to(np.asarray(span, dtype=float), (len(ms), 2))
+    for m in ms:
+        C.base.require_interior(m)
+    runs = _geodesic_runs(GluedAlgebroid((C,), ()),
+                          [(0, m, x, s) for m, x, s in zip(ms, np.atleast_2d(X0), spans)],
+                          blowup_norm, max_switches=0, exit_status="escaped_chart")
+    return runs if m0.ndim == 2 else runs[0]
 
 
 def geodesic_glued(G, chart: int, m0, X0, span=(0.0, 1.0)) -> GeodesicResult:
@@ -540,11 +553,10 @@ def completeness_probe(obj, seeds, horizon: float = 100.0) -> list[SeedVerdict]:
     Seeds are (m0, X0) for a single chart or (chart, m0, X0) for a glued
     algebroid.  Both time directions are probed, all seeds in both
     directions as the lanes of one geodesic run (``_geodesic_runs``), so
-    a probe whose geodesics switch no chart is one solve.  A seed's
-    verdict reads its + direction first: the first blow-up certifies
-    incompleteness, else the note of the last direction that stopped
-    early.  An empty seed list is refused: a probe of no geodesic finds
-    no blow-up and shows nothing.
+    a probe whose geodesics switch no chart is one solve, and each seed's
+    verdict is read off its two runs by ``seed_verdicts``.  An empty seed
+    list is refused: a probe of no geodesic finds no blow-up and shows
+    nothing.
     """
     seeds = list(seeds)
     if not seeds:
@@ -554,14 +566,24 @@ def completeness_probe(obj, seeds, horizon: float = 100.0) -> list[SeedVerdict]:
     runs = _geodesic_runs(G, [(chart, m0, X0, (0.0, sign * horizon))
                               for chart, m0, X0 in starts for sign in (1.0, -1.0)],
                           BLOWUP_NORM, MAX_SWITCHES, exit_status="escaped_atlas")
+    return seed_verdicts([(m0, X0) for _, m0, X0 in starts], runs)
+
+
+def seed_verdicts(seeds, runs) -> list[SeedVerdict]:
+    """The verdict of each seed (m0, X0) from its runs to +horizon and to
+    -horizon, runs[2k] and runs[2k + 1].  The + direction is read first:
+    the first blow-up certifies incompleteness, else the note of the last
+    direction that stopped early.  A geodesic that leaves its chart with
+    no chart to switch to ("escaped_chart" from one chart's ``geodesic``,
+    "escaped_atlas" from a glued run) has left the atlas."""
     verdicts = []
-    for k, (_, m0, X0) in enumerate(starts):
+    for k, (m0, X0) in enumerate(seeds):
         worst: tuple[str, float | None, str] = ("no-blowup-within-horizon", None, "")
         for res in runs[2 * k:2 * k + 2]:
             if res.status == "blowup":
                 worst = ("certified-incomplete", res.t_end, "")
                 break
-            if res.status == "escaped_atlas":
+            if res.status in ("escaped_chart", "escaped_atlas"):
                 worst = ("no-blowup-within-horizon", None,
                          f"left the atlas at t={res.t_end:.6g}; verdict limited to the atlas")
             elif res.status in ("step_collapse", "switch_limit"):

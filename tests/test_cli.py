@@ -12,7 +12,7 @@ import yaml
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cartanlab import algebra, cartan, cli, development, geometry, models
+from cartanlab import algebra, cartan, cli, development, geometry, models, transport
 from cartanlab.cli import (ScenarioError, bundled_scenarios,
                            export_report, list_examples,
                            report_from_structured, run_scenario)
@@ -757,3 +757,102 @@ def test_a_develop_and_a_geodesic_run_leave_scipy_unimported():
                            "counterexample_s1"], capture_output=True, text=True, timeout=600)
     assert proc.returncode == 0, proc.stderr
     assert json.loads(proc.stdout) == {"codes": [0, 0], "scipy": []}
+
+
+# -- one geodesic run per scenario ---------------------------------------------------
+
+def _circle_escape(theta0, x0):
+    t_star = -math.exp(theta0) / x0       # where e^theta reaches 0
+    return {"op": "geodesic_escape", "point": [theta0], "fiber": [x0],
+            "span": [0.0, 1.5 * t_star], "expect_t_star": t_star, "tol": 1e-3}
+
+
+SHARED_RUN_SCENARIOS = {
+    "bundled-circle": yaml.safe_load(Path(bundled_scenarios()["counterexample_s1"]).read_text()),
+    "benchmark-circle": {
+        "name": "circle-geodesics", "model": "counterexample_s1", "seed": 3,
+        "checks": [_circle_escape(0.31, 1.2), _circle_escape(-0.74, -0.6),
+                   _circle_escape(0.05, 1.9),
+                   {"op": "completeness", "horizon": 10.0, "expect": "certified-incomplete",
+                    "seeds": [{"point": [0.4], "fiber": [-1.4]},
+                              {"point": [-0.2], "fiber": [0.8]}]}]},
+    "sphere2-chart-exits": {
+        "name": "sphere-geodesics", "model": "sphere2",
+        "checks": [{"op": "geodesic_escape", "point": [0.3, 0.0], "fiber": [-1.0, 0.0, 0.5],
+                    "expect_status": "escaped_chart"},
+                   {"op": "is_flat", "samples": 2},
+                   {"op": "geodesic_escape", "point": [1.2, 0.3], "fiber": [0.5, -0.8, 0.3]},
+                   {"op": "completeness", "horizon": 3.0,
+                    "seeds": [{"point": [1.5, -1.0], "fiber": [0.2, 0.4, -0.5]},
+                              {"point": [0.4, 2.5], "fiber": [0.3, -0.6, 0.2]}]}]},
+}
+
+
+@pytest.mark.parametrize("name", SHARED_RUN_SCENARIOS)
+def test_each_geodesic_check_reads_as_it_does_alone(name, monkeypatch):
+    doc = SHARED_RUN_SCENARIOS[name]
+    runs = []
+
+    def recording(*args, **kwargs):
+        runs.append(geodesic(*args, **kwargs))
+        return runs[-1]
+    geodesic = transport.geodesic
+    monkeypatch.setattr(transport, "geodesic", recording)
+    report = run_scenario(doc)
+    assert report.verdict, export_report(report, "text")
+    geodesic_checks = [(k, check) for k, check in enumerate(doc["checks"])
+                       if check["op"] in cli.GEODESIC_STARTS]
+    assert len(runs) == 1
+    assert len(runs[0]) == sum(2 * len(check["seeds"]) if check["op"] == "completeness" else 1
+                               for _, check in geodesic_checks)
+    for k, check in geodesic_checks:
+        alone = run_scenario({**doc, "checks": [check]}).structured()["checks"][0]
+        assert json.dumps(report.structured()["checks"][k]) == json.dumps(alone)
+    if name == "sphere2-chart-exits":
+        # a lane of each geodesic check's kind leaves the chart: the first
+        # escape, and the second seed's backward geodesic
+        assert [r.status for r in runs[0]] == ["escaped_chart", "completed", "completed",
+                                               "completed", "completed", "escaped_chart"]
+
+
+REFUSED_START = {"point": [-2.5], "fiber": [500000.0]}   # base speed 6.09e6
+
+
+@pytest.mark.parametrize("refused", [
+    pytest.param({"op": "geodesic_escape", **REFUSED_START}, id="escape"),
+    pytest.param({"op": "completeness", "seeds": [{"point": [0.2], "fiber": [1.0]},
+                                                 REFUSED_START]}, id="completeness-seed"),
+])
+def test_a_refused_start_stops_the_run_at_the_check_that_owns_it(refused, tmp_path, capsys):
+    valid_escape = _circle_escape(0.31, 1.2)
+    valid_probe = {"op": "completeness", "horizon": 5.0, "expect": "certified-incomplete",
+                   "seeds": [{"point": [0.3], "fiber": [1.0]}]}
+    errors = []
+    for checks in ([valid_escape, refused, valid_probe], [refused]):
+        path = tmp_path / "refused.yaml"
+        path.write_text(yaml.safe_dump({"name": "refused", "model": "counterexample_s1",
+                                        "checks": checks}))
+        assert cli.main(["run", str(path)]) == 3
+        out, err = capsys.readouterr()
+        assert out == "" and "Traceback" not in err
+        errors.append(err)
+    together, alone = errors
+    assert together.startswith(f"error: check 2 ({refused['op']}) could not run: ValueError: "
+                               f"start fiber [500000.0] or its base speed [6091246.98")
+    assert together == alone.replace("check 1", "check 2")
+
+
+def test_one_parser_serves_every_call_of_main(tmp_path, capsys):
+    # the parser is built once per process: a usage error, an override and
+    # a default in turn each read as they do in a fresh process
+    good = tmp_path / "good.yaml"
+    good.write_text(yaml.safe_dump(MINIMAL))
+    assert cli.main(["run"]) == 2
+    seeds = []
+    for flags in (["--seed", "11"], []):
+        capsys.readouterr()
+        assert cli.main(["run", str(good), "--format", "json", *flags]) == 0
+        seeds.append(json.loads(capsys.readouterr().out)["seed"])
+    assert seeds == [11, 7]
+    assert cli.main(["run", str(good), "--format", "yaml"]) == 2
+    assert cli._parser() is cli._parser()

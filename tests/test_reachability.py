@@ -38,6 +38,11 @@ KEEP: dict[str, str] = {
                                "from YAML' checks each declared deck twist with it",
     "isotropy_subalgebra": "the isotropy algebra h0, the kernel of the anchor; 'The main "
                            "theorem end to end' builds the homogeneous model from it",
+    "completeness_probe": "the probe of a glued algebroid's completeness, seeds in any chart "
+                          "and geodesics across chart switches, exported by the package; the "
+                          "completeness op probes the model's one chart in the scenario's "
+                          "shared geodesic run and reads its verdicts with the same "
+                          "seed_verdicts; 'Completeness certified' extends it",
     "path_independence_check": "development is path-independent mod H0 on a flat Cartan "
                                "chart; 'The main theorem end to end' checks it in the "
                                "develop op",

@@ -9,8 +9,8 @@ from cartanlab.algebroid import AlgebroidChart, GluedAlgebroid
 from cartanlab.cartan import bar_tm_tensor
 from cartanlab.dual import Dual, eps_part, value
 from cartanlab.geometry import Chart, SmoothField, as_point
-from cartanlab.transport import (BLOWUP_NORM, MAX_SWITCHES, BasePath, PathSegment,
-                                 TransportError, _geodesic_runs, completeness_probe,
+from cartanlab.transport import (BLOWUP_NORM, MAX_SWITCHES, BasePath, GeodesicResult,
+                                 PathSegment, TransportError, _geodesic_runs, completeness_probe,
                                  geodesic, geodesic_glued,
                                  invariant_metric_check, isotropy_subalgebra, line_path,
                                  line_segment, monodromies, monodromy,
@@ -561,6 +561,27 @@ def test_a_lane_runs_as_it_runs_alone(case, circle, torus, sphere):
         assert max(r.switches for r in batch) >= 2
     for got, ref in zip(batch, alone):
         assert _same_geodesic(got, ref)
+
+
+def test_a_stack_of_starts_is_a_lane_each(circle, sphere):
+    # a 1-D start is a lane of its own; a stack of one returns a list of
+    # one equal result, and a stack with a span per lane a result per lane
+    starts = [(sphere.rc.chart, [[0.3, 0.0], [1.2, 0.3]], [[-1.0, 0.0, 0.5], [0.5, -0.8, 0.3]],
+               [(0.0, 1.0), (0.0, -1.0)]),
+              (circle.cover.chart, [[0.0], [0.4], [-0.2]], [[1.0], [-1.4], [0.8]],
+               [(0.0, -2.0), (0.0, -10.0), (0.0, -10.0)])]
+    for C, ms, xs, spans in starts:
+        single = [geodesic(C, m, x, span) for m, x, span in zip(ms, xs, spans)]
+        assert isinstance(single[0], GeodesicResult)
+        for m, x, span, ref in zip(ms, xs, spans, single):
+            (got,) = geodesic(C, [m], [x], [span])
+            assert _same_geodesic(got, ref)
+        assert all(map(_same_geodesic, geodesic(C, ms, xs, spans), single))
+        assert len({r.status for r in single}) == 2
+    # one span serves every lane of a stack
+    same = geodesic(circle.cover.chart, [[0.0], [0.4]], [[1.0], [-1.4]], (0.0, 3.0))
+    assert all(_same_geodesic(r, geodesic(circle.cover.chart, m, x, (0.0, 3.0)))
+               for r, m, x in zip(same, [[0.0], [0.4]], [[1.0], [-1.4]]))
 
 
 def test_a_probe_is_one_solve_when_no_lane_switches_chart(circle, monkeypatch):
