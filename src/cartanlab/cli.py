@@ -13,9 +13,11 @@ kind).  The parse pass checks every check before the first one runs.
 Exit 3: a check that parsed raised while it ran (``CheckError``).
 
 The geodesic checks of a scenario (``GEODESIC_STARTS``) share one
-``transport.geodesic`` run, made when the first of them runs, so the text
-report counts its time in that check; each check reads its own lanes,
-bit for bit its run alone (``_shared_geodesics``).
+``transport.geodesic`` run, and its development checks (``DEVELOP_ENDS``)
+one ``development.develop_ends`` solve.  Each shared solve is made when the
+first of its checks runs, so the text report counts its time in that
+check; each check reads its own lanes, bit for bit its solve alone
+(``_shared_lanes``).
 """
 
 from __future__ import annotations
@@ -438,46 +440,71 @@ def check_monodromy(model, params, seed):
                        {"eigenvalues": eigs, "automorphism_residual": auto_res})
 
 
-# The starts (m0, X0, span) of a geodesic check's lanes, in lane order.
+# The checks that share a solve (see _shared_lanes): op -> (model, params,
+# seed) -> (on, items), the objects the check's solve runs on and its
+# items, one per lane, in lane order.
+# A geodesic check's starts (m0, X0, span), in the model's chart.
 GEODESIC_STARTS = {
-    "geodesic_escape": lambda params: [(params["point"], params["fiber"], params["span"])],
-    "completeness": lambda params: [(s["point"], s["fiber"], (0.0, sign * params["horizon"]))
-                                    for s in params["seeds"] for sign in (1.0, -1.0)],
+    "geodesic_escape": lambda model, params, seed: (
+        (model.chart,), [(params["point"], params["fiber"], params["span"])]),
+    "completeness": lambda model, params, seed: (
+        (model.chart,), [(s["point"], s["fiber"], (0.0, sign * params["horizon"]))
+                         for s in params["seeds"] for sign in (1.0, -1.0)]),
+}
+# A development check's ends, developed from m0 on the cover A into the model H.
+DEVELOP_ENDS = {
+    "equivariance_diagram": lambda model, params, seed: (
+        (model.cover, model.homog, model.atlas_spec.m0),
+        development.equivariance_ends(model.decks[0], model.atlas_spec.m0,
+                                      _equivariance_points(model, params, seed))),
+    "reconstruct": lambda model, params, seed: (
+        (model.atlas_spec.cover, model.homog, model.atlas_spec.m0),
+        development.reconstruct_ends(model.atlas_spec)),
 }
 
 
-def _geodesics(model, starts) -> list:
-    """The geodesics from ``starts`` in the model's chart, as the lanes of
-    one ``transport.geodesic`` run."""
+def _geodesics(chart, starts) -> list:
+    """The geodesics from ``starts`` in ``chart``, as the lanes of one
+    ``transport.geodesic`` run."""
     m0, X0, spans = zip(*starts)
-    return transport.geodesic(model.chart, m0, X0, span=spans)
+    return transport.geodesic(chart, m0, X0, span=spans)
 
 
-def _shared_geodesics(model, checks):
-    """k -> the geodesics of check k (from 1) of ``checks``.  Every start
-    of the scenario's geodesic checks is a lane of one run, made at the
-    first call; each lane is bit for bit its run alone.  When that run
-    raises, each check runs its own lanes alone, so the error stops the
+def _shared_lanes(model, checks, seed, table, solve):
+    """k -> the lanes of check k (from 1) of ``checks``, for the checks of
+    ``table``: ``solve(*on, items)`` returns one result per item, and
+    ``results[i:j]`` are those of items i to j.  The
+    items of every check whose ``on`` are the same objects as the first
+    check's are the lanes of one solve, made at the first call; each lane
+    is bit for bit its solve alone.  Any other check, and every check when
+    that solve raises, runs its own lanes alone, so an error stops the
     scenario at the check that owns it."""
-    owned = {k: GEODESIC_STARTS[op](params)
-             for k, (op, params) in enumerate(checks, 1) if op in GEODESIC_STARTS}
+    owned = {k: functools.partial(table[op], model, params, seed)
+             for k, (op, params) in enumerate(checks, 1) if op in table}
     shared = None
 
     def lanes(k):
         nonlocal shared
         if shared is None:
             try:
-                runs = iter(_geodesics(model, [s for starts in owned.values() for s in starts]))
+                parts = {j: part() for j, part in owned.items()}
+                on, _ = parts[min(parts)]
+                parts = {j: items for j, (where, items) in parts.items()
+                         if all(a is b for a, b in zip(where, on))}
+                results = solve(*on, [i for items in parts.values() for i in items])
+                ends = np.cumsum([0, *map(len, parts.values())])
+                shared = {j: results[lo:hi] for j, lo, hi in zip(parts, ends, ends[1:])}
             except Exception:   # raised again by the check whose lanes raise alone
                 shared = {}
-            else:
-                shared = {j: [next(runs) for _ in starts] for j, starts in owned.items()}
-        return shared[k] if k in shared else _geodesics(model, owned[k])
+        if k in shared:
+            return shared[k]
+        on, items = owned[k]()
+        return solve(*on, items)
     return lanes
 
 
 def check_geodesic_escape(model, params, seed, lanes):
-    """``lanes()`` is the check's geodesic (``_shared_geodesics``)."""
+    """``lanes()`` is the check's geodesic (``_shared_lanes``)."""
     res, = lanes()
     t_star = params["expect_t_star"]
     if t_star is not None:
@@ -493,7 +520,7 @@ def check_geodesic_escape(model, params, seed, lanes):
 
 def check_completeness(model, params, seed, lanes):
     """``lanes()`` is the check's geodesics, each seed to +horizon and then
-    to -horizon (``_shared_geodesics``)."""
+    to -horizon (``_shared_lanes``)."""
     verdicts = transport.seed_verdicts([(s["point"], s["fiber"]) for s in params["seeds"]],
                                        lanes())
     ok = all(v.verdict == params["expect"] for v in verdicts)
@@ -547,8 +574,11 @@ def check_compactness_probe(model, params, seed):
                        {"verdict": rep.verdict, "witness_word": witness})
 
 
-def check_reconstruct(model, params, seed):
-    atlas = development.reconstruct_atlas(model.glued, model.homog, model.atlas_spec)
+def check_reconstruct(model, params, seed, lanes):
+    """``lanes()`` is the developed ``Frames`` of the reconstruction's ends
+    (``_shared_lanes``); with ``lanes`` None the check develops its own."""
+    atlas = development.reconstruct_atlas(model.glued, model.homog, model.atlas_spec,
+                                          lanes=lanes)
     # each loop's transport must equal its deck twist
     mono = algebra.worst([np.max(np.abs(M.matrix - d.twist.matrix))
                          / max(1.0, float(np.max(np.abs(d.twist.matrix))))
@@ -572,12 +602,18 @@ def check_reconstruct(model, params, seed):
     return CheckResult("reconstruct", verdict, worst, witnesses)
 
 
-def check_equivariance_diagram(model, params, seed):
-    rng = np.random.default_rng(seed)
+def _equivariance_points(model, params, seed) -> np.ndarray:
     box = model.sample_box
-    pts = rng.uniform(box.lower, box.upper, (params["samples"], box.dim))
-    rep = development.equivariance_diagram_check(model.cover, model.homog, model.decks[0],
-                                                 model.atlas_spec.m0, pts, tol=params["tol"])
+    return np.random.default_rng(seed).uniform(box.lower, box.upper,
+                                               (params["samples"], box.dim))
+
+
+def check_equivariance_diagram(model, params, seed, lanes):
+    """``lanes()`` is the developed ``Frames`` of the diagram's ends
+    (``_shared_lanes``)."""
+    rep = development.equivariance_diagram_check(
+        model.cover, model.homog, model.decks[0], model.atlas_spec.m0,
+        _equivariance_points(model, params, seed), tol=params["tol"], lanes=lanes)
     return CheckResult("equivariance_diagram", rep.passed, rep.max_residual, {})
 
 
@@ -619,16 +655,20 @@ CHECKS = {op: globals()[f"check_{op}"] for op in OPS}
 
 
 def run_scenario(doc: dict, seed: int | None = None, tol_scale: float = 1.0) -> Report:
-    """Parse every check, then run them in order, each geodesic check on
-    its lanes of the scenario's one geodesic run.  An exception inside a
-    check stops the run as a ``CheckError`` naming the check."""
+    """Parse every check, then run them in order.  Each geodesic check
+    reads its lanes of the scenario's one geodesic run, and each
+    development check its lanes of the scenario's one development solve
+    (``_shared_lanes``).  An exception inside a check stops the run as a
+    ``CheckError`` naming the check."""
     name, seed, model, checks = parse_scenario(doc, seed, tol_scale)
-    lanes = _shared_geodesics(model, checks)
+    lanes = {}
+    for table, solve in ((GEODESIC_STARTS, _geodesics), (DEVELOP_ENDS, development.develop_ends)):
+        lanes.update(dict.fromkeys(table, _shared_lanes(model, checks, seed, table, solve)))
     results = []
     for k, (op, params) in enumerate(checks, 1):
         t0 = time.perf_counter()
         try:
-            shared = (functools.partial(lanes, k),) if op in GEODESIC_STARTS else ()
+            shared = (functools.partial(lanes[op], k),) if op in lanes else ()
             results.append(CHECKS[op](model, params, seed, *shared))
         except Exception as e:
             raise CheckError(f"check {k} ({op}) could not run: "

@@ -14,7 +14,11 @@ side re-expresses the lift with a product instead of a linear solve.
 A check's developments are integrated as one lane solve: each path of a
 batch is a lane with its own adaptive DOP853 steps at the caller's
 tolerances, bit for bit its development alone, and each right-hand side
-evaluates fields and paths once for the lanes it is given.
+evaluates fields and paths once for the lanes it is given.  The
+equivariance diagram and the atlas reconstruction name their ends
+(``equivariance_ends``, ``reconstruct_ends``) apart from the residuals they
+read off the developed lanes, so a scenario develops the ends of both as
+the lanes of one ``develop_ends`` solve.
 Equivariant base maps with an algebra twist induce affine maps of the
 coset space, and the reconstruction of a locally homogeneous atlas
 composes developments with patch lifts and verifies the transitions.
@@ -23,7 +27,7 @@ composes developments with patch lifts and verifies the transitions.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, partial
 from fractions import Fraction
 from typing import Callable
 
@@ -291,11 +295,28 @@ def develop_point(A, H: HomogeneousModel, path: BasePath,
     return develop_paths(A, H, [path], rtol=rtol)[0]
 
 
-def _develop_from(A, H: HomogeneousModel, m0, points) -> np.ndarray:
-    """Group elements (B, d, d) developed along the straight segments
-    m0 -> m, one batch for all m."""
+@dataclass(frozen=True)
+class Frames:
+    """The group elements g (B, d, d) and inverse parallel frames Q
+    (B, r, r) at the ends of B developed lanes; ``frames[i:j]`` holds
+    lanes i to j."""
+
+    g: np.ndarray
+    Q: np.ndarray
+
+    def __len__(self) -> int:
+        return len(self.g)
+
+    def __getitem__(self, lanes: slice) -> "Frames":
+        return Frames(self.g[lanes], self.Q[lanes])
+
+
+def develop_ends(A, H: HomogeneousModel, m0, ends) -> Frames:
+    """The frames at the end of each straight segment m0 -> e, each a lane
+    of one solve (``_develop_frames``), so each is bit for bit its
+    development alone."""
     m0 = np.asarray(m0, float)
-    return _develop_frames(A, H, [line_path(m0, np.asarray(m, float)) for m in points])[0]
+    return Frames(*_develop_frames(A, H, [line_path(m0, np.asarray(e, float)) for e in ends]))
 
 
 def path_independence_check(A, H: HomogeneousModel,
@@ -409,15 +430,26 @@ def _image(E: EquivariantMap, m) -> np.ndarray:
     return value(np.asarray(E.base_map(as_point(np.asarray(m, dtype=float))), dtype=object))
 
 
+def equivariance_ends(E: EquivariantMap, m0, sample_points) -> list[np.ndarray]:
+    """The ends that ``equivariance_diagram_check`` develops from m0, in
+    lane order: phi(m0), then phi(m) for each sample m, then the samples.
+    An empty sample set is refused (``sample_stack``)."""
+    ms = sample_stack(sample_points)
+    return [_image(E, m0), *(_image(E, m) for m in ms), *ms]
+
+
 def equivariance_diagram_check(A: ActionAlgebroid, H: HomogeneousModel,
                                E: EquivariantMap, m0, sample_points,
-                               tol: float = 1e-5) -> TensorReport:
-    """Coset residual of D(phi(m)) against the induced map of D(m)."""
-    ms = [np.asarray(m, dtype=float) for m in sample_points]
-    ends = [_image(E, m0)] + [_image(E, m) for m in ms] + ms
-    gs = _develop_from(A, H, m0, ends)
+                               tol: float = 1e-5, lanes=None) -> TensorReport:
+    """Coset residual of D(phi(m)) against the induced map of D(m), over a
+    nonempty set of samples m.  ``lanes()`` is the ``Frames`` of the ends
+    of ``equivariance_ends``, in order (``develop_ends``); by default the
+    ends are developed here."""
+    if lanes is None:
+        lanes = partial(develop_ends, A, H, m0, equivariance_ends(E, m0, sample_points))
+    gs = lanes().g
+    k = len(gs) // 2            # phi(m0), then k images and k samples
     aff = induced_affine_map(E, H, Coset(gs[0], H))
-    k = len(ms)
     per = coset_residual(Coset(gs[1:k + 1], H), aff(Coset(gs[k + 1:], H)))
     return TensorReport("equivariance_diagram", worst(per), tol, tuple(per.tolist()))
 
@@ -491,6 +523,11 @@ class CoverSpec:
     patches: tuple[Chart, ...]
     overlaps: tuple[OverlapSpec, ...]
 
+    @cached_property
+    def patch_samples(self) -> list[np.ndarray]:
+        """The Halton samples of each patch that the reconstruction develops."""
+        return [patch.halton_points(_ATLAS_SAMPLES, shrink=0.1) for patch in self.patches]
+
 
 @dataclass
 class TransitionRecord:
@@ -534,18 +571,37 @@ def _coset_coords(H: HomogeneousModel, gs: np.ndarray) -> np.ndarray:
     return _complement_coords(H, lr.coords)
 
 
-def reconstruct_atlas(glued, H: HomogeneousModel, spec: CoverSpec) -> AtlasReport:
+def reconstruct_ends(spec: CoverSpec) -> list[np.ndarray]:
+    """The ends that ``reconstruct_atlas`` develops from spec.m0, in lane
+    order: every patch's samples, then for each overlap the deck image q
+    of m0, the overlap's samples p and their deck images."""
+    ends = [p for pts in spec.patch_samples for p in pts]
+    for ov in spec.overlaps:
+        pts = ov.region.halton_points(_ATLAS_SAMPLES, shrink=0.1)
+        ends += [_image(ov.deck, spec.m0), *pts, *(_image(ov.deck, p) for p in pts)]
+    return ends
+
+
+def reconstruct_atlas(glued, H: HomogeneousModel, spec: CoverSpec,
+                      lanes=None) -> AtlasReport:
     """Build numeric charts by developing patch lifts and verify that the
     overlap transitions are the induced affine maps of their deck data.
 
     ``glued`` is the algebroid being reconstructed; its rank must match
     the model algebra and every deck twist must be an automorphism of the
-    fiber bracket read off its charts.  The patch samples and every
-    overlap's endpoints are developed in one batch; the coordinates of all
-    patch samples come from one log, and each overlap reads its induced
-    map, transition residuals and coordinates from one stacked call each.
+    fiber bracket read off its charts, and a spec with no patch and no
+    overlap, which would check nothing and pass, is refused.  These are
+    checked first.  Then the patch samples and every overlap's endpoints
+    (``reconstruct_ends``) are developed in one batch, or read from
+    ``lanes()``, their ``Frames`` in order (``develop_ends``).  The
+    coordinates of all patch samples come from one log, and each overlap
+    reads its induced map, transition residuals and coordinates from one
+    stacked call each.
     """
     from .cartan import fiber_bracket_at
+    if not (spec.patches or spec.overlaps):
+        raise DevelopmentError("a cover spec with no patch and no overlap reconstructs "
+                               "nothing")
     closure = geometric_closure_probe(H)
     if closure.verdict == "nonclosed-witness":
         raise DevelopmentError("reconstruction requires geometric closure")
@@ -565,15 +621,11 @@ def reconstruct_atlas(glued, H: HomogeneousModel, spec: CoverSpec) -> AtlasRepor
                 f"deck twist for patches {ov.i}/{ov.j} is not an automorphism "
                 f"of the fiber bracket (residual {rep.max_residual:.3e})")
     A = spec.cover
-    m0 = np.asarray(spec.m0, dtype=float)
-    patch_pts = [patch.halton_points(_ATLAS_SAMPLES, shrink=0.1) for patch in spec.patches]
-    # each overlap develops its q = D(deck(m0)), its samples p and their images
-    region_pts = [ov.region.halton_points(_ATLAS_SAMPLES, shrink=0.1)
-                  for ov in spec.overlaps]
-    ends = [p for pts in patch_pts for p in pts] + [
-        e for ov, pts in zip(spec.overlaps, region_pts)
-        for e in [_image(ov.deck, m0), *pts, *(_image(ov.deck, p) for p in pts)]]
-    gs, Qs = _develop_frames(A, H, [line_path(m0, e) for e in ends])
+    patch_pts = spec.patch_samples
+    if lanes is None:
+        lanes = partial(develop_ends, A, H, spec.m0, reconstruct_ends(spec))
+    frames = lanes()
+    gs, Qs = frames.g, frames.Q
     npatch = sum(len(pts) for pts in patch_pts)
     gs, devs = gs[:npatch], gs[npatch:]
     firsts = np.cumsum([0] + [len(pts) for pts in patch_pts[:-1]])
@@ -583,11 +635,11 @@ def reconstruct_atlas(glued, H: HomogeneousModel, spec: CoverSpec) -> AtlasRepor
     samples = Coset(gs, H)      # every representative must be invertible
     chart_samples = np.split(_coset_coords(H, samples.g), firsts[1:])
     transitions = []
-    start = 0
-    for ov, pts in zip(spec.overlaps, region_pts):
-        k = len(pts)
-        q, psi = devs[start], devs[start + 1:start + 1 + 2 * k]
-        start += 1 + 2 * k
+    # each overlap's lanes: its q = D(deck(m0)), its samples p and their images
+    k = _ATLAS_SAMPLES
+    for ov, dev in zip(spec.overlaps,
+                       devs.reshape(len(spec.overlaps), 1 + 2 * k, *devs.shape[1:])):
+        q, psi = dev[0], dev[1:]
         aff = induced_affine_map(ov.deck, H, Coset(q, H))
         # the samples' developments, then their images'
         psi_i, psi_j = Coset(psi[:k], H), Coset(psi[k:], H)

@@ -153,7 +153,7 @@ def test_a_nan_transition_residual_after_the_first_fails_reconstruct(monkeypatch
 
     monkeypatch.setattr(development, "reconstruct_atlas", nan_after_first)
     params = {"monodromy_rtol": 1e-6, "expect_multiplier": None, "rtol": 1e-6}
-    result = cli.check_reconstruct(models.flat_torus(), params, 7)
+    result = cli.check_reconstruct(models.flat_torus(), params, 7, None)
     assert not result.verdict and math.isnan(result.max_residual)
 
 
@@ -168,7 +168,7 @@ def test_a_nan_multiplier_after_the_first_transition_fails_reconstruct(monkeypat
 
     monkeypatch.setattr(development, "reconstruct_atlas", nan_after_first)
     params = {"monodromy_rtol": 1e-6, "expect_multiplier": 1.0, "rtol": 1e-6}
-    result = cli.check_reconstruct(models.flat_torus(), params, 7)
+    result = cli.check_reconstruct(models.flat_torus(), params, 7, None)
     assert not result.verdict and math.isnan(result.witnesses["fitted_multiplier"])
 
 
@@ -856,3 +856,93 @@ def test_one_parser_serves_every_call_of_main(tmp_path, capsys):
     assert seeds == [11, 7]
     assert cli.main(["run", str(good), "--format", "yaml"]) == 2
     assert cli._parser() is cli._parser()
+
+
+# -- one development solve per scenario ----------------------------------------------
+
+SHARED_SOLVE_SCENARIOS = {
+    "bundled-circle": yaml.safe_load(Path(bundled_scenarios()["counterexample_s1"]).read_text()),
+    "bundled-torus": yaml.safe_load(Path(bundled_scenarios()["flat_torus"]).read_text()),
+    "benchmark-circle": {
+        "name": "circle-develop", "model": "counterexample_s1", "seed": 5,
+        "checks": [{"op": "monodromy", "expect_eigenvalues": [math.exp(2 * math.pi)],
+                    "rtol": 1e-6},
+                   {"op": "compactness_probe", "expect": "unbounded"},
+                   {"op": "equivariance_diagram", "samples": 17, "tol": 1e-5},
+                   {"op": "reconstruct"}]},
+    "torus-reconstruct-first": {
+        "name": "torus-develop", "model": "flat_torus", "seed": 9,
+        "checks": [{"op": "reconstruct"},
+                   {"op": "equivariance_diagram", "samples": 3},
+                   {"op": "monodromy"},
+                   {"op": "reconstruct"}]},
+}
+
+
+def _record_development_solves(monkeypatch) -> list:
+    """The lane count of each development solve."""
+    solves = []
+
+    def recording(*args, **kwargs):
+        out = integrate(*args, **kwargs)
+        solves.append(len(out.lanes))
+        return out
+    integrate = development.integrate
+    monkeypatch.setattr(development, "integrate", recording)
+    return solves
+
+
+@pytest.mark.parametrize("name", SHARED_SOLVE_SCENARIOS)
+def test_each_development_check_reads_as_it_does_alone(name, monkeypatch):
+    doc = SHARED_SOLVE_SCENARIOS[name]
+    solves = _record_development_solves(monkeypatch)
+    report = run_scenario(doc)
+    assert report.verdict, export_report(report, "text")
+    _, _, model, checks = cli.parse_scenario(doc, None, 1.0)
+    spec, S = model.atlas_spec, development._ATLAS_SAMPLES
+    ends = {"equivariance_diagram": lambda params: 1 + 2 * params["samples"],
+            "reconstruct": lambda params: S * len(spec.patches) + (1 + 2 * S) * len(spec.overlaps)}
+    assert solves == [sum(ends[op](params) for op, params in checks if op in ends)]
+    developing = [k for k, check in enumerate(doc["checks"]) if check["op"] in ends]
+    assert len(developing) >= 2
+    for k in developing:
+        alone = run_scenario({**doc, "checks": [doc["checks"][k]]}).structured()["checks"][0]
+        assert json.dumps(report.structured()["checks"][k]) == json.dumps(alone)
+
+
+def test_a_failing_end_stops_the_run_at_the_check_that_owns_it(tmp_path, capsys, monkeypatch):
+    ends = development.reconstruct_ends
+    # the circle's anchor e^-theta overflows on the way to theta = -800, so
+    # the development of that end collapses its steps
+    monkeypatch.setattr(development, "reconstruct_ends",
+                        lambda spec: [*ends(spec), np.array([-800.0])])
+    errors = []
+    for checks in ([{"op": "equivariance_diagram", "samples": 4}, {"op": "reconstruct"}],
+                   [{"op": "reconstruct"}]):
+        path = tmp_path / "failing.yaml"
+        path.write_text(yaml.safe_dump({"name": "failing", "model": "counterexample_s1",
+                                        "checks": checks}))
+        assert cli.main(["run", str(path)]) == 3
+        out, err = capsys.readouterr()
+        assert out == "" and "Traceback" not in err
+        errors.append(err)
+    together, alone = errors
+    assert together == ("error: check 2 (reconstruct) could not run: DevelopmentError: "
+                        "development ODE failed: step_collapse\n")
+    assert together == alone.replace("check 1", "check 2")
+
+
+def test_only_checks_on_the_same_objects_share_a_solve():
+    solves = []
+
+    def solve(on, items):
+        solves.append((on, items))
+        return [(on, i) for i in items]
+    first, equal = ["cover"], ["cover"]     # equal, but not the same object
+    table = {"develop": lambda model, params, seed: ((params["on"],), params["items"])}
+    checks = [("develop", {"on": first, "items": [1, 2]}), ("monodromy", {}),
+              ("develop", {"on": equal, "items": [3]}), ("develop", {"on": first, "items": [4]})]
+    lanes = cli._shared_lanes(None, checks, 0, table, solve)
+    assert [lanes(k) for k in (1, 3, 4)] == [[(first, 1), (first, 2)], [(equal, 3)], [(first, 4)]]
+    assert solves == [(first, [1, 2, 4]), (equal, [3])]
+    assert solves[1][0] is equal

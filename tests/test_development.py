@@ -18,7 +18,7 @@ from cartanlab.development import (Coset, DevelopmentError, EquivariantMap,
                                    induced_affine_map, integrated_twist,
                                    path_independence_check, reconstruct_atlas)
 from cartanlab.dual import cos, sin, value
-from cartanlab.geometry import Chart, as_point
+from cartanlab.geometry import Chart, GeometryError, as_point
 from cartanlab.transport import BasePath, PathSegment, line_path
 import oracles
 from oracles import fit_twist, polyline_path, reverse
@@ -574,6 +574,13 @@ def test_reconstruct_single_chart_trivial(torus):
     assert atlas.passed and not atlas.transitions
 
 
+def test_a_reconstruction_of_no_patch_and_no_overlap_is_refused(torus):
+    # it would develop nothing and pass
+    spec = development.CoverSpec(torus.cover, np.zeros(2), (), ())
+    with pytest.raises(DevelopmentError, match="reconstructs nothing"):
+        reconstruct_atlas(torus.glued, torus.homog, spec)
+
+
 def test_reconstruct_refuses_nonclosed(circle):
     H = HomogeneousModel(circle.homog.algebra, circle.homog.realization,
                          circle.homog.h0, closure="asserted-nonclosed")
@@ -650,3 +657,10 @@ def test_a_nan_jacobian_after_the_first_patch_fails_reconstruct(torus, monkeypat
     atlas = reconstruct_atlas(torus.glued, torus.homog, torus.atlas_spec)
     assert len(calls) == 4
     assert math.isnan(atlas.jacobian_min_abs_det) and not atlas.passed
+
+
+def test_an_equivariance_diagram_over_no_sample_is_refused(torus):
+    # over no sample the diagram would compare nothing and pass
+    with pytest.raises(GeometryError, match="no sample points"):
+        equivariance_diagram_check(torus.cover, torus.homog, torus.decks[0],
+                                   torus.atlas_spec.m0, [])
