@@ -39,7 +39,7 @@ from .algebra import (AlgebraMap, LieAlgebra, MatrixRealization,
                       Subalgebra, TensorReport, exp_matrix, log_matrix, vector_norms,
                       worst)
 from .algebroid import ActionAlgebroid
-from .geometry import Chart, as_point, sample_stack
+from .geometry import INTERIOR_MARGIN, Chart, as_point, sample_stack
 from .ode import integrate
 from .transport import BasePath, line_path, segment_batch
 
@@ -225,29 +225,37 @@ def _lift_fibers(a, v):
 def _develop_frames(A, H: HomogeneousModel, paths,
                     rtol: float = 1e-12) -> tuple[np.ndarray, np.ndarray]:
     """Group elements (B, d, d) and inverse parallel frames (B, r, r) at
-    the ends of a batch of paths; see ``develop_paths``.  Each right-hand
-    side reads the points and velocities of its lanes from one
-    ``segment_batch`` call and the anchors and gammas from one
-    ``SmoothField.values`` call each."""
+    the ends of a batch of paths; see ``develop_paths``.  Every segment
+    must lie in chart 0, the action's one chart: it does when both its
+    ends do, as it is straight.  Each right-hand side reads the points
+    and velocities of its lanes from one ``segment_batch`` call and the
+    anchors and gammas from one ``SmoothField.values`` call each."""
     chart = _chart_of(A)
     d = H.realization.matrix_dim
     r = chart.rank
     B = len(paths)
     if B == 0:
         return np.zeros((0, d, d)), np.zeros((0, r, r))
-    spans = [(s.t0, s.t1) for s in paths[0].segments]
-    if any([(s.t0, s.t1) for s in p.segments] != spans for p in paths):
-        raise DevelopmentError("paths in one batch must share their segment time spans")
+    count = len(paths[0].segments)
+    if any(len(p.segments) != count for p in paths):
+        raise DevelopmentError("paths in one batch must have the same number of segments")
+    segs = [s for p in paths for s in p.segments]
+    if any(s.chart != 0 for s in segs):
+        raise DevelopmentError("a development runs in chart 0; a segment names another chart")
+    ends = np.array([e for s in segs for e in (s.a, s.b)]).reshape(-1, chart.base.dim)
+    lo, hi = np.array(chart.base.lower), np.array(chart.base.upper)
+    if not np.all((lo + INTERIOR_MARGIN <= ends) & (ends <= hi - INTERIOR_MARGIN)):
+        raise DevelopmentError("path leaves its chart")
     sign = -float(bracket_orientation(chart))
     gens = np.stack(H.realization.generators)
     state = np.tile(np.concatenate([np.eye(r).reshape(-1), np.eye(d).reshape(-1)]), (B, 1))
-    for k, span in enumerate(spans):
-        curve = segment_batch([p.segments[k] for p in paths])
+    for k in range(count):
+        read = segment_batch([p.segments[k] for p in paths])
 
         def rhs(t, y, lanes):
             Q = y[:, :r * r].reshape(-1, r, r)
             G = y[:, r * r:].reshape(-1, d, d)
-            ms, v = curve(t, lanes)
+            ms, v = read(t, lanes)
             gv = np.einsum("biac,bi->bac", chart.gamma.values(ms), v)
             X = _lift_fibers(chart.anchor.values(ms), v)
             xi = sign * (Q @ X[..., None])[..., 0]
@@ -255,7 +263,7 @@ def _develop_frames(A, H: HomogeneousModel, paths,
             return np.concatenate([(Q @ gv).reshape(len(y), -1),
                                    (Xi @ G).reshape(len(y), -1)], axis=1)
 
-        out = integrate(rhs, span, state, rtol=rtol, atol=1e-13)
+        out = integrate(rhs, (0.0, 1.0), state, rtol=rtol, atol=1e-13)
         if out.status != "lanes":
             raise DevelopmentError(f"development ODE failed: {out.status}")
         state = np.array([o.states[-1] for o in out.lanes])
@@ -265,15 +273,18 @@ def _develop_frames(A, H: HomogeneousModel, paths,
 def develop_paths(A, H: HomogeneousModel, paths, rtol: float = 1e-12) -> list[Coset]:
     """Develop a batch of paths in one lane solve.
 
-    The paths must share their segment count and segment time spans.  Each
-    path is a lane of one DOP853 solve per segment (``ode.integrate``): it
-    takes its own steps at rtol and atol = 1e-13, and its coset is bit for
-    bit the one it develops alone.
+    The paths must have the same number of segments, and every segment
+    must lie in the chart of A, named chart 0; a path that leaves it is
+    refused, as ``transport_matrices`` refuses one.  Each path is a lane
+    of one DOP853 solve per segment (``ode.integrate``): it takes its own
+    steps at rtol and atol = 1e-13, and its coset is bit for bit the one
+    it develops alone.
 
     Each right-hand side evaluates the path points and velocities, the
-    anchor and gamma once for its lanes: in closed form for line segments
-    and for fields that have a batch form (constant fields, translation,
-    linear and scaling action anchors), else point by point.
+    anchor and gamma once for its lanes: the points off the stacked
+    segment ends, the fields in closed form where they have a batch form
+    (constant fields, translation, linear and scaling action anchors),
+    else point by point.
 
     The lift is re-expressed in the parallel frame P transported from the
     path start, so the fiber coordinates match the algebra basis of the

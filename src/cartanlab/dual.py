@@ -196,21 +196,6 @@ def value(x):
     return float(x)
 
 
-def eps_part(x):
-    """Epsilon component, one layer deep, elementwise on object arrays."""
-    if isinstance(x, Dual):
-        return x.eps
-    if isinstance(x, np.ndarray) and x.dtype == object:
-        out = np.empty(x.shape, dtype=object)
-        flat, oflat = x.reshape(-1), out.reshape(-1)
-        for i in range(flat.size):
-            oflat[i] = eps_part(flat[i])
-        return out
-    if isinstance(x, np.ndarray):
-        return np.zeros(x.shape)
-    return 0.0
-
-
 def lift(m, v):
     """Point ``m`` displaced by epsilon in direction ``v`` (object array).
 

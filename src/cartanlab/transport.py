@@ -1,22 +1,22 @@
 """Parallel transport, monodromy, geodesics and completeness probes.
 
 Transport solves dX^a/dt + Gamma^a_{ib} dm^i/dt X^b = 0 along a base
-path, applying fiber transition matrices at chart switches of a glued
-algebroid.  The equation is linear, so a path's transport is the product
-of its segments' transports and its transitions: every segment of a
-batch of paths is transported from the identity, the segments that share
-a time span as the lanes of one solve (``transport_matrices``), and each
-path composes its segment matrices.  Geodesics couple that equation with
-dm/dt = a(m) X.  Every right-hand side, event and start check reads the
-anchor and gamma as floats through ``SmoothField.values`` (the
-closed-form batch where a field has one), and the path's points and
-velocities through ``segment_batch``, so a geodesic and its blow-up
-event see the same anchor.  Geodesics run as the lanes of one lane solve
-per round (``_geodesic_runs``): a completeness probe integrates all its
-seeds in both directions together, ``geodesic`` a stack of starts (the
-CLI's one run per scenario), each lane bit for bit as it runs alone, and
-a lane that leaves its chart switches chart and runs on in the next
-round.
+path, a polyline of straight segments in chart coordinates, applying
+fiber transition matrices at chart switches of a glued algebroid.  The
+equation is linear, so a path's transport is the product of its
+segments' transports and its transitions: every segment of a batch of
+paths is transported from the identity as a lane of one solve
+(``transport_matrices``), and each path composes its segment matrices.
+Geodesics couple that equation with dm/dt = a(m) X.  Every right-hand
+side, event and start check reads the anchor and gamma as floats through
+``SmoothField.values`` (the closed-form batch where a field has one),
+and the path's points and velocities through ``segment_batch``, so a
+geodesic and its blow-up event see the same anchor.  Geodesics run as
+the lanes of one lane solve per round (``_geodesic_runs``): a
+completeness probe integrates all its seeds in both directions
+together, ``geodesic`` a stack of starts (the CLI's one run per
+scenario), each lane bit for bit as it runs alone, and a lane that
+leaves its chart switches chart and runs on in the next round.
 
 Completeness verdicts are one-sided: numerical integration can certify
 incompleteness (the fiber norm or the base speed reaching the blow-up
@@ -28,13 +28,12 @@ solve that merely stops (a step collapse) certifies nothing.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
 
-from . import dual
-from .dual import Dual, value
+from .dual import value
 from .algebra import AlgebraMap, Subalgebra, TensorReport, vector_norms, worst
 from .algebroid import AlgebroidChart, GluedAlgebroid
 from .cartan import bar_tm_tensor, fiber_bracket_at, per_point_max
@@ -61,64 +60,49 @@ class TransportError(RuntimeError):
 
 # -- paths --------------------------------------------------------------------
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PathSegment:
+    """The straight segment t -> a + t (b - a), t in [0, 1], in the
+    coordinates of ``chart``."""
+
     chart: int
-    curve: Callable  # dual-safe map t -> point
-    t0: float = 0.0
-    t1: float = 1.0
-    # endpoints (a, b) when the curve is a + t (b - a) on [0, 1]
-    line: tuple[np.ndarray, np.ndarray] | None = field(default=None, compare=False)
-
-    def point(self, t: float):
-        return value(np.asarray(self.curve(t), dtype=object))
-
-    def point_velocity(self, t: float):
-        """Point and velocity as floats from one evaluation of the curve."""
-        c = np.asarray(self.curve(Dual(t, 1.0)), dtype=object)
-        return value(c), value(dual.eps_part(c))
+    a: np.ndarray
+    b: np.ndarray
 
 
 def segment_batch(segs) -> Callable:
     """(t, lanes) -> float points and velocities (k, n) of the segments
-    ``segs[lanes]``, each at its own time t (k,); the segments share one
-    time span.  A batch of line segments reads them off its endpoints,
-    stacked once; any other batch calls each ``point_velocity``."""
-    if all(s.line is not None for s in segs):
-        a = np.stack([s.line[0] for s in segs])
-        v = np.stack([s.line[1] - s.line[0] for s in segs])
+    ``segs[lanes]``, each at its own time t (k,), read off their
+    endpoints, stacked once."""
+    a = np.stack([s.a for s in segs])
+    v = np.stack([s.b - s.a for s in segs])
 
-        def lines(t, lanes):
-            vl = v[lanes]
-            return a[lanes] + t[:, None] * vl, vl
-        return lines
-
-    def each(t, lanes):
-        ms, vs = zip(*(segs[b].point_velocity(tb) for tb, b in zip(t, lanes)))
-        return np.array(ms), np.array(vs)
-    return each
+    def lines(t, lanes):
+        vl = v[lanes]
+        return a[lanes] + t[:, None] * vl, vl
+    return lines
 
 
 @dataclass(frozen=True)
 class BasePath:
+    """A polyline: straight segments, each run on t in [0, 1]."""
+
     segments: tuple[PathSegment, ...]
 
     @property
     def start(self):
         s = self.segments[0]
-        return s.chart, s.point(s.t0)
+        return s.chart, s.a
 
     @property
     def end(self):
         s = self.segments[-1]
-        return s.chart, s.point(s.t1)
+        return s.chart, s.b
 
 
 def line_segment(chart: int, a, b) -> PathSegment:
-    """The segment a -> b in ``chart``, carrying its endpoints."""
-    a = np.asarray(a, dtype=float)
-    b = np.asarray(b, dtype=float)
-    return PathSegment(chart, lambda t: a + t * (b - a), line=(a, b))
+    """The segment a -> b in ``chart``."""
+    return PathSegment(chart, np.asarray(a, dtype=float), np.asarray(b, dtype=float))
 
 
 def line_path(a, b) -> BasePath:
@@ -158,52 +142,45 @@ def transport_matrices(G, paths) -> list[np.ndarray]:
     """Fundamental transport matrices (r, r) along a batch of paths,
     transitions included.
 
-    Every segment of every path is transported from the identity, and the
-    segments that share a time span are the lanes of one solve: each
-    segment takes its own DOP853 steps at the default rtol and atol and is
-    bit for bit its transport alone, and each right-hand side reads the
-    points and velocities of its lanes from one ``segment_batch`` call and
-    gamma from one ``values`` call per chart among them.  The equation is
-    linear, so each path's matrix is the product of its segment matrices
-    and transition matrices, in path order; a path with no segments
-    transports by the identity."""
+    Every segment of every path is transported from the identity as a lane
+    of one solve: each segment takes its own DOP853 steps at the default
+    rtol and atol and is bit for bit its transport alone, and each
+    right-hand side reads the points and velocities of its lanes from one
+    ``segment_batch`` call and gamma from one ``values`` call per chart
+    among them.  A segment is straight, so it stays in its chart's box
+    exactly when both its ends do.  The equation is linear, so each path's
+    matrix is the product of its segment matrices and transition matrices,
+    in path order; a path with no segments transports by the identity."""
     G = _as_glued(G)
     segs = [s for p in paths for s in p.segments]
     for s in segs:
         base = G.charts[s.chart].base
-        if not base.contains(s.point(s.t0)) or not base.contains(s.point(s.t1)):
+        if not base.contains(s.a) or not base.contains(s.b):
             raise TransportError("path leaves its declared chart")
-    by_span: dict[tuple, list[int]] = {}
-    for k, s in enumerate(segs):
-        by_span.setdefault((s.t0, s.t1), []).append(k)
-    T = np.empty((len(segs), G.rank, G.rank))
-    for span, ks in by_span.items():
-        T[ks] = _segment_transports(G, [segs[k] for k in ks], span)
-    T, out = iter(T), []
+    T, out = iter(_segment_transports(G, segs) if segs else ()), []
     for p in paths:
         M = next(T) if p.segments else np.eye(G.rank)
         for prev, seg in zip(p.segments, p.segments[1:]):
-            M = next(T) @ (_apply_switch(G, prev.chart, seg.chart, prev.point(prev.t1),
-                                         seg.point(seg.t0)) @ M)
+            M = next(T) @ (_apply_switch(G, prev.chart, seg.chart, prev.b, seg.a) @ M)
         out.append(M)
     return out
 
 
-def _segment_transports(G: GluedAlgebroid, segs, span) -> np.ndarray:
-    """Transport matrices (B, r, r) from the identity along segments that
-    share one time span, each a lane of one solve."""
+def _segment_transports(G: GluedAlgebroid, segs) -> np.ndarray:
+    """Transport matrices (B, r, r) from the identity along segments, each
+    a lane of one solve."""
     r = G.rank
-    curve = segment_batch(segs)
+    read = segment_batch(segs)
     groups = _chart_groups([G.charts[s.chart] for s in segs])
 
     def rhs(t, y, lanes):
-        ms, vs = curve(t, lanes)
+        ms, vs = read(t, lanes)
         gv = np.empty((len(y), r, r))
         for C, sel in groups(lanes):
             gv[sel] = np.einsum("biac,bi->bac", C.gamma.values(ms[sel]), vs[sel])
         return (-gv @ y.reshape(-1, r, r)).reshape(len(y), -1)
 
-    out = integrate(rhs, span, np.tile(np.eye(r).reshape(-1), (len(segs), 1)))
+    out = integrate(rhs, (0.0, 1.0), np.tile(np.eye(r).reshape(-1), (len(segs), 1)))
     if out.status != "lanes":
         raise TransportError(f"transport ODE failed with status {out.status}")
     return np.array([o.states[-1] for o in out.lanes]).reshape(-1, r, r)

@@ -10,13 +10,16 @@ the stacked checks are compared against; the displayed component
 formulas of the TM+h chart; fixed-step RK4, which steps Dual states,
 with the parallel frames and twist fits built on it; the matrix exp,
 log, integrated twist and coset residual of one element at a time, which
-the stacked coset algebra is compared against bit for bit; transport
+the stacked coset algebra is compared against bit for bit; curve
+segments, whose points and velocities are read off a Dual time, the
+reference that the package's polylines are checked against; transport
 solved segment after segment from the carried matrix, development
-carrying the parallel frame P rather than its inverse, and the flat
-torus overlaps found by trial intersection of every shifted box.  The
-fixtures are polylines, reversed and concatenated paths, the catalog
-loops written as curve lambdas without endpoints, and the stock algebras
-and models that no catalog entry or scenario names.
+carrying the parallel frame P rather than its inverse, both reading each
+segment as a curve, and the flat torus overlaps found by trial
+intersection of every shifted box.  The fixtures are polylines, reversed
+and concatenated polylines, the catalog loops written as curve lambdas,
+and the stock algebras and models that no catalog entry or scenario
+names.
 """
 
 from __future__ import annotations
@@ -34,14 +37,14 @@ from cartanlab.algebroid import (ActionAlgebroid, AlgebroidChart, Overlap,
                                  make_action_algebroid)
 from cartanlab.cartan import curvature_conn_tensor, fiber_bracket_at
 from cartanlab.development import DevelopmentError, HomogeneousModel
-from cartanlab.dual import eps_part, lift, value
+from cartanlab.dual import Dual, lift, value
 from cartanlab.geometry import (Chart, SmoothField, TMConnection, as_point,
                                 christoffel_from_jet, curvature_from_christoffel,
                                 ellipsoid_metric, euclidean_metric, lie_bracket_vf, metric_jet)
 from cartanlab.models import (DualPair, LocalLieGroupModel, RiemannianCartanChart,
                               RiemannianModel, riemannian_model, skew_basis, skew_coords)
 from cartanlab.ode import integrate
-from cartanlab.transport import BasePath, PathSegment, TransportError, line_path
+from cartanlab.transport import BasePath, TransportError, line_path, line_segment
 
 
 # -- stock algebras -----------------------------------------------------------
@@ -147,6 +150,21 @@ def coset_residual_at(H: HomogeneousModel, g1, g2) -> float:
 
 
 # -- derivatives by definition ------------------------------------------------
+
+def eps_part(x):
+    """Epsilon component, one layer deep, elementwise on object arrays."""
+    if isinstance(x, Dual):
+        return x.eps
+    if isinstance(x, np.ndarray) and x.dtype == object:
+        out = np.empty(x.shape, dtype=object)
+        flat, oflat = x.reshape(-1), out.reshape(-1)
+        for i in range(flat.size):
+            oflat[i] = eps_part(flat[i])
+        return out
+    if isinstance(x, np.ndarray):
+        return np.zeros(x.shape)
+    return 0.0
+
 
 def directional(f, m, v):
     """Exact directional derivative of ``f`` at ``m`` along ``v``."""
@@ -318,11 +336,38 @@ def torsion_bar(C: AlgebroidChart, x, y, m):
 
 # -- paths, parallel frames and twist fits -------------------------------------
 
+@dataclass(frozen=True)
+class CurveSegment:
+    """The segment t -> curve(t), t in [0, 1], in ``chart``, for a
+    Dual-safe curve: the reference that the package's straight segments
+    are checked against.  Only the carried oracles below run it, reading
+    its points through ``point`` and ``point_velocity``."""
+
+    chart: int
+    curve: Callable
+
+    def point(self, t: float):
+        return value(np.asarray(self.curve(t), dtype=object))
+
+    def point_velocity(self, t: float):
+        """Point and velocity as floats from one evaluation of the curve
+        at the Dual time t + eps."""
+        c = np.asarray(self.curve(Dual(t, 1.0)), dtype=object)
+        return value(c), value(eps_part(c))
+
+
+def as_curve(seg) -> CurveSegment:
+    """A straight segment as the curve a + t (b - a) on [0, 1]; a curve
+    segment as it is."""
+    if isinstance(seg, CurveSegment):
+        return seg
+    a, b = seg.a, seg.b
+    return CurveSegment(seg.chart, lambda t: a + t * (b - a))
+
+
 def reverse(path: BasePath) -> BasePath:
-    """The path run backwards."""
-    return BasePath(tuple(
-        PathSegment(s.chart, lambda t, _s=s: _s.curve(_s.t0 + _s.t1 - t), s.t0, s.t1)
-        for s in reversed(path.segments)))
+    """The polyline run backwards."""
+    return BasePath(tuple(line_segment(s.chart, s.b, s.a) for s in reversed(path.segments)))
 
 
 def then(path: BasePath, other: BasePath) -> BasePath:
@@ -338,26 +383,25 @@ def polyline_path(points) -> BasePath:
 
 
 def circle_loop_by_curves() -> BasePath:
-    """The counterexample_s1 loop as curve lambdas with no endpoints, so
-    that its transport reads every point and velocity through the
-    scalar-Dual ``PathSegment.point_velocity``."""
+    """The counterexample_s1 loop written as curve lambdas, for the
+    carried oracles."""
     two_pi = 2 * math.pi
     return BasePath((
-        PathSegment(1, lambda t: np.array([1.5 * math.pi + t * (math.pi - 1.5 * math.pi)])),
-        PathSegment(0, lambda t: np.array([math.pi * (1 - t)])),
-        PathSegment(1, lambda t: np.array([two_pi + t * (1.5 * math.pi - two_pi)])),
+        CurveSegment(1, lambda t: np.array([1.5 * math.pi + t * (math.pi - 1.5 * math.pi)])),
+        CurveSegment(0, lambda t: np.array([math.pi * (1 - t)])),
+        CurveSegment(1, lambda t: np.array([two_pi + t * (1.5 * math.pi - two_pi)])),
     ))
 
 
 def torus_loops_by_curves() -> tuple[BasePath, BasePath]:
-    """The flat_torus loops as curve lambdas with no endpoints."""
+    """The flat_torus loops written as curve lambdas."""
     return (
-        BasePath((PathSegment(0, lambda t: np.array([0.3 * t, 0.0])),
-                  PathSegment(1, lambda t: np.array([0.3 + 0.5 * t, 0.0])),
-                  PathSegment(0, lambda t: np.array([-0.2 + 0.2 * t, 0.0])))),
-        BasePath((PathSegment(0, lambda t: np.array([0.0, 0.3 * t])),
-                  PathSegment(2, lambda t: np.array([0.0, 0.3 + 0.5 * t])),
-                  PathSegment(0, lambda t: np.array([0.0, -0.2 + 0.2 * t])))),
+        BasePath((CurveSegment(0, lambda t: np.array([0.3 * t, 0.0])),
+                  CurveSegment(1, lambda t: np.array([0.3 + 0.5 * t, 0.0])),
+                  CurveSegment(0, lambda t: np.array([-0.2 + 0.2 * t, 0.0])))),
+        BasePath((CurveSegment(0, lambda t: np.array([0.0, 0.3 * t])),
+                  CurveSegment(2, lambda t: np.array([0.0, 0.3 + 0.5 * t])),
+                  CurveSegment(0, lambda t: np.array([0.0, -0.2 + 0.2 * t])))),
     )
 
 
@@ -469,27 +513,28 @@ def fit_twist(chart, base_map: Callable, m0, samples) -> AlgebraMap:
 def transport_matrix_carried(G, path: BasePath) -> np.ndarray:
     """Transport matrix solved one segment at a time, each solve starting
     from the matrix carried so far, with the transition applied between
-    solves (what ``transport.transport_matrices`` does with one stacked
-    solve from the identity per time span)."""
+    solves (what ``transport.transport_matrices`` does with one solve from
+    the identity over all segments).  Each segment is read as a curve
+    (``as_curve``), point by point."""
     G = transport._as_glued(G)
     r = G.rank
     M = np.eye(r)
     prev = None
-    for seg in path.segments:
+    for seg in map(as_curve, path.segments):
         C = G.charts[seg.chart]
         if prev is not None:
-            M = transport._apply_switch(G, prev.chart, seg.chart, prev.point(prev.t1),
-                                        seg.point(seg.t0)) @ M
-        curve = transport.segment_batch([seg])
+            M = transport._apply_switch(G, prev.chart, seg.chart, prev.point(1.0),
+                                        seg.point(0.0)) @ M
 
-        def rhs(t, mflat, C=C, curve=curve):
-            ms, vs = curve(np.array([t]), [0])
-            gv = np.einsum("biac,bi->ac", C.gamma.values(ms), vs)
+        def rhs(t, mflat, C=C, seg=seg):
+            m, v = seg.point_velocity(t)
+            gv = np.einsum("biac,bi->ac", C.gamma.values(m[None]), v[None])
             return (-gv @ mflat.reshape(r, r)).reshape(-1)
 
-        if not C.base.contains(seg.point(seg.t0)) or not C.base.contains(seg.point(seg.t1)):
+        # the ends only: exact for a straight segment, not for a curve
+        if not C.base.contains(seg.point(0.0)) or not C.base.contains(seg.point(1.0)):
             raise TransportError("path leaves its declared chart")
-        out = integrate(rhs, (seg.t0, seg.t1), M.reshape(-1))
+        out = integrate(rhs, (0.0, 1.0), M.reshape(-1))
         if out.status != "completed":
             raise TransportError(f"transport ODE failed with status {out.status}")
         M = out.states[-1].reshape(r, r)
@@ -500,9 +545,10 @@ def transport_matrix_carried(G, path: BasePath) -> np.ndarray:
 def develop_frames_p(A, H: HomogeneousModel, paths,
                      rtol: float = 1e-12) -> tuple[np.ndarray, np.ndarray]:
     """Group elements (B, d, d) and parallel frames P (B, r, r) at the ends
-    of a batch of paths, each path solved on its own, segment by segment,
-    as dP/dt = -Gamma(v) P with each lift re-expressed by a linear solve
-    against P (``development._develop_frames`` carries P^-1 instead)."""
+    of a batch of paths, each path solved on its own, segment by segment
+    and read as curves (``as_curve``), as dP/dt = -Gamma(v) P with each
+    lift re-expressed by a linear solve against P
+    (``development._develop_frames`` carries P^-1 instead)."""
     chart = development._chart_of(A)
     d = H.realization.matrix_dim
     r = chart.rank
@@ -511,20 +557,20 @@ def develop_frames_p(A, H: HomogeneousModel, paths,
     ends = []
     for path in paths:
         state = np.concatenate([np.eye(r).reshape(-1), np.eye(d).reshape(-1)])
-        for s in path.segments:
-            curve = transport.segment_batch([s])
+        for s in map(as_curve, path.segments):
 
-            def rhs(t, y, curve=curve):
+            def rhs(t, y, s=s):
                 P = y[:r * r].reshape(1, r, r)
                 G = y[r * r:].reshape(1, d, d)
-                ms, v = curve(np.array([t]), [0])
+                m, v = s.point_velocity(t)
+                ms, v = m[None], v[None]
                 gv = np.einsum("biac,bi->bac", chart.gamma.values(ms), v)
                 X = development._lift_fibers(chart.anchor.values(ms), v)
                 xi = sign * np.linalg.solve(P, X[..., None])[..., 0]
                 Xi = np.einsum("bi,iac->bac", xi, gens)
                 return np.concatenate([(-gv @ P).reshape(-1), (Xi @ G).reshape(-1)])
 
-            out = integrate(rhs, (s.t0, s.t1), state, rtol=rtol, atol=1e-13)
+            out = integrate(rhs, (0.0, 1.0), state, rtol=rtol, atol=1e-13)
             if out.status != "completed":
                 raise DevelopmentError(f"development ODE failed: {out.status}")
             state = out.states[-1]

@@ -227,7 +227,7 @@ def test_infinitesimalize_circle_from_three_arcs():
     # quotient circle in cover coordinates: three arcs, two identity seams
     # and a wrap seam shifting by 2 pi; compatibility forces the wrap twist
     # to the scaling e^{-2 pi} in the 2->0 direction
-    from cartanlab.transport import BasePath, PathSegment, monodromy
+    from cartanlab.transport import BasePath, line_segment, monodromy
     g0 = algebra.abelian(1)
     mu = math.exp(2 * math.pi)
     two_pi = 2 * math.pi
@@ -243,10 +243,10 @@ def test_infinitesimalize_circle_from_three_arcs():
     # positively oriented generator loop: transport picks up 1/mu, the
     # reverse orientation picks up mu
     loop = BasePath((
-        PathSegment(0, lambda t: np.array([0.0 + t * 2.0])),
-        PathSegment(1, lambda t: np.array([2.0 + t * 2.2])),
-        PathSegment(2, lambda t: np.array([4.2 + t * (two_pi - 4.2)])),
-        PathSegment(0, lambda t: np.array([0.0 * t])),
+        line_segment(0, [0.0], [2.0]),
+        line_segment(1, [2.0], [4.2]),
+        line_segment(2, [4.2], [two_pi]),
+        line_segment(0, [0.0], [0.0]),
     ))
     M = monodromy(G, loop)
     assert abs(M.matrix[0, 0] - 1.0 / mu) < 1e-9 / mu

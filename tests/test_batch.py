@@ -14,7 +14,7 @@ from cartanlab.algebroid import AlgebroidError
 from cartanlab.dual import value
 from cartanlab.geometry import Chart, GeometryError, SmoothField, as_point
 from cartanlab.transport import line_path, segment_batch
-from oracles import polyline_path, reverse
+from oracles import as_curve
 
 FLOATS = st.floats(-1e3, 1e3, allow_nan=False)
 # two ulp of the larger operand
@@ -159,27 +159,15 @@ def test_tm_h_anchor_batch_refuses_a_metric_that_is_not_positive_definite():
 @settings(max_examples=100, deadline=None)
 @given(st.data(), st.integers(1, 3), st.floats(0.0, 1.0))
 def test_line_segment_batch_is_the_per_point_value(data, n, t):
+    # the stacked read against the oracle curve a + t (b - a) at the Dual t
     ends = data.draw(arrays(float, st.tuples(st.integers(1, 8), st.just(2), st.just(n)),
                             elements=FLOATS))
     segs = [line_path(a, b).segments[0] for a, b in ends]
-    # the lanes in reverse order, each at its own time
-    lanes = np.arange(len(segs))[::-1]
-    times = np.linspace(0.0, t, len(segs))
+    # the lanes in reverse order, each segment in two lanes, each lane at
+    # its own time
+    lanes = np.arange(2 * len(segs))[::-1] % len(segs)
+    times = np.linspace(0.0, t, len(lanes))
     ms, vs = segment_batch(segs)(times, lanes)
-    want = [segs[b].point_velocity(tb) for tb, b in zip(times, lanes)]
+    want = [as_curve(segs[b]).point_velocity(tb) for tb, b in zip(times, lanes)]
     assert ms.tobytes() == np.stack([m for m, _ in want]).tobytes()
     assert vs.tobytes() == np.stack([v for _, v in want]).tobytes()
-
-
-def test_other_segments_fall_back_to_point_velocity(circle):
-    poly = polyline_path([[0.0, 0.0], [0.3, 0.1], [-0.2, 0.5]])
-    mixed = [poly.segments[0], reverse(poly).segments[0]]
-    loop = circle.loops[0].segments[:1]
-    for segs in (mixed, loop):
-        # each lane at its own time, a segment in more than one lane
-        times = np.array([0.0, 0.4, 1.0, 0.7])
-        lanes = np.arange(len(times)) % len(segs)
-        ms, vs = segment_batch(segs)(times, lanes)
-        want = [segs[b].point_velocity(t) for t, b in zip(times, lanes)]
-        assert np.array_equal(ms, np.stack([m for m, _ in want]))
-        assert np.array_equal(vs, np.stack([v for _, v in want]))

@@ -19,7 +19,8 @@ from cartanlab.development import (Coset, DevelopmentError, EquivariantMap,
                                    path_independence_check, reconstruct_atlas)
 from cartanlab.dual import cos, sin, value
 from cartanlab.geometry import Chart, GeometryError, as_point
-from cartanlab.transport import BasePath, PathSegment, line_path
+from cartanlab.transport import (BasePath, TransportError, line_path, line_segment,
+                                 transport_matrix)
 import oracles
 from oracles import fit_twist, polyline_path, reverse
 
@@ -92,10 +93,12 @@ def test_develop_paths_matches_single_paths_torus(torus, rng):
 
 
 def test_develop_paths_matches_single_paths_circle(circle):
-    # far ends grow like e^theta, so the batch mixes very different scales
+    # far ends grow like e^theta, so the batch mixes very different scales;
+    # the last lane runs backwards
     thetas = [-0.5, 0.3, 1.7, math.pi, 2 * math.pi, 2 * math.pi + 1.5]
-    _assert_batch_matches_single_paths(circle.cover, circle.homog,
-                                       [line_path([0.0], [t]) for t in thetas])
+    _assert_batch_matches_single_paths(
+        circle.cover, circle.homog,
+        [line_path([0.0], [t]) for t in thetas] + [reverse(line_path([2.0], [0.0]))])
 
 
 def test_develop_paths_matches_single_paths_sphere(sphere):
@@ -127,25 +130,13 @@ def test_inverse_frame_development_matches_the_p_frame_solve(circle, torus, sphe
     assert np.max(np.abs(Q @ P - np.eye(P.shape[-1]))) <= 1e-10
 
 
-def test_a_batch_mixing_line_and_other_segments_matches_single_paths(circle, torus):
-    # alone, a line path develops from its stacked endpoints; in this batch
-    # every segment is evaluated through point_velocity
-    arc = BasePath((PathSegment(0, lambda t: np.array([2.0 * t * t - 0.5 * t])),))
-    _assert_batch_matches_single_paths(
-        circle.cover, circle.homog,
-        [line_path([0.0], [1.7]), arc, reverse(line_path([2.0], [0.0])),
-         line_path([0.3], [-0.4])])
-    bend = BasePath((PathSegment(0, lambda t: np.array([0.4 * t, 0.3 * t * t])),))
-    _assert_batch_matches_single_paths(
-        torus.cover, torus.homog, [line_path([0.0, 0.0], [0.5, -0.2]), bend])
-
-
 def _great_circle_arc(u, w):
     # t -> cos(t) u + sin(t) w on [0, 1]; with u, w orthonormal its velocity
-    # is always orthogonal to the point, so it stays in the so(3) anchor's range
+    # is always orthogonal to the point, so it stays in the so(3) anchor's
+    # range, which no chord does
     u, w = np.asarray(u, dtype=float), np.asarray(w, dtype=float)
-    return BasePath((PathSegment(0, lambda t: [cos(t) * a + sin(t) * b
-                                               for a, b in zip(u, w)]),))
+    return BasePath((oracles.CurveSegment(0, lambda t: [cos(t) * a + sin(t) * b
+                                                        for a, b in zip(u, w)]),))
 
 
 def _so3_model(so3_action):
@@ -153,43 +144,57 @@ def _so3_model(so3_action):
                             Subalgebra(so3_action.algebra, ()))
 
 
+def _standing_paths():
+    # zero-length lanes: velocity 0, which every anchor lifts
+    return [line_path(m, m) for m in ([1.0, 0.0, 0.0], [0.0, 0.6, 0.8])]
+
+
 def test_develop_paths_rejects_a_non_liftable_path_in_the_batch(so3_action):
-    # the arcs lift on their own, so only the radial path, last in the
-    # batch, can fail it; the sibling test puts it in the middle
+    # the standing lanes lift on their own, so only the radial path, last
+    # in the batch, can fail it; the sibling test puts it in the middle
     H = _so3_model(so3_action)
-    arc = _great_circle_arc([1.0, 0.0, 0.0], [0.0, 1.0, 0.0])
-    other = _great_circle_arc([0.0, 0.6, 0.8], [1.0, 0.0, 0.0])
+    here, there = _standing_paths()
     radial = line_path([1.0, 0.0, 0.0], [2.0, 0.0, 0.0])
-    develop_paths(so3_action, H, [arc])
-    develop_paths(so3_action, H, [other])
+    develop_paths(so3_action, H, [here])
+    develop_paths(so3_action, H, [there])
     with pytest.raises(DevelopmentError, match="surjective"):
-        develop_paths(so3_action, H, [arc, other, radial])
+        develop_paths(so3_action, H, [here, there, radial])
 
 
 def test_a_radial_path_fails_the_lift_of_a_batch_whose_other_paths_lift(so3_action):
-    arc = _great_circle_arc([1.0, 0.0, 0.0], [0.0, 1.0, 0.0])
+    here, there = _standing_paths()
     radial = line_path([1.0, 0.0, 0.0], [2.0, 0.0, 0.0])
     H = _so3_model(so3_action)
-    develop_paths(so3_action, H, [arc, arc])
+    develop_paths(so3_action, H, [here, there])
     with pytest.raises(DevelopmentError, match="surjective along path \\(gap"):
-        develop_paths(so3_action, H, [arc, radial, arc])
+        develop_paths(so3_action, H, [here, radial, there])
 
 
 def test_rank_deficient_square_anchors_take_the_minimum_norm_lift(so3_action):
     # the so(3) anchor on R^3 is square of rank 2: exactly singular along the
     # z = 0 plane, singular up to roundoff at the other points.  The
     # minimum-norm lift of a great-circle arc is the constant rotation rate
-    # u x w, so the developed element is the rotation by angle 1 about it
+    # u x w (up to the anchor's sign), so the developed element is the
+    # rotation by angle 1 about it.  No chord stays in the anchor's range,
+    # so the lifts are read at stacked arc points and the arcs developed
+    # through the oracle's curve segments
     s = math.sqrt(0.5)
     frames = [([1.0, 0.0, 0.0], [0.0, 1.0, 0.0]), ([0.0, s, s], [1.0, 0.0, 0.0]),
               ([0.6, 0.0, 0.8], [0.0, 1.0, 0.0])]
-    cosets = develop_paths(so3_action, _so3_model(so3_action),
-                           [_great_circle_arc(u, w) for u, w in frames])
-    for (u, w), c in zip(frames, cosets):
+    t = np.linspace(0.0, 1.0, 7)[:, None]
+    for u, w in frames:
+        ms, vs = np.cos(t) * u + np.sin(t) * w, np.cos(t) * w - np.sin(t) * u
+        lifts = development._lift_fibers(so3_action.chart.anchor.values(ms), vs)
+        # the anchor at m is xi -> m x xi, so the lift is -(u x w); the
+        # development's orientation sign turns it back
+        assert np.allclose(lifts, -np.cross(u, w), rtol=0, atol=1e-12)
+    g, _ = oracles.develop_frames_p(so3_action, _so3_model(so3_action),
+                                    [_great_circle_arc(u, w) for u, w in frames])
+    for (u, w), gk in zip(frames, g):
         k = np.cross(u, w)
         K = np.array([[0.0, -k[2], k[1]], [k[2], 0.0, -k[0]], [-k[1], k[0], 0.0]])
         rotation = np.eye(3) + math.sin(1.0) * K + (1 - math.cos(1.0)) * K @ K
-        assert np.allclose(c.g, rotation, rtol=0, atol=1e-10)
+        assert np.allclose(gk, rotation, rtol=0, atol=1e-10)
 
 
 def test_a_radial_path_at_a_generic_point_fails_the_lift_gap(so3_action):
@@ -203,10 +208,27 @@ def test_a_radial_path_at_a_generic_point_fails_the_lift_gap(so3_action):
         develop_paths(so3_action, _so3_model(so3_action), [line_path(m, 1.3 * m)])
 
 
-def test_develop_paths_requires_shared_time_spans(circle):
-    with pytest.raises(DevelopmentError):
+def test_develop_paths_requires_equal_segment_counts(circle):
+    with pytest.raises(DevelopmentError, match="same number of segments"):
         develop_paths(circle.cover, circle.homog,
                       [line_path([0.0], [1.0]), polyline_path([[0.0], [0.5], [1.0]])])
+
+
+def test_develop_paths_refuses_a_path_that_leaves_its_chart(sphere):
+    # as transport refuses it; the solve would read the fields off the chart
+    m0 = sphere.m0
+    path = line_path(m0, m0 + [5.0, 0.0])
+    with pytest.raises(TransportError, match="leaves its declared chart"):
+        transport_matrix(sphere.rc.chart, path)
+    with pytest.raises(DevelopmentError, match="leaves its chart"):
+        develop_paths(sphere.rc.chart, sphere.homog, [line_path(m0, m0 + [0.1, 0.0]), path])
+
+
+def test_develop_paths_refuses_a_segment_in_another_chart(torus):
+    # the cover has one chart; a segment labelled chart 3 names no chart of it
+    other = BasePath((line_segment(3, [0.0, 0.0], [0.2, 0.1]),))
+    with pytest.raises(DevelopmentError, match="chart 0"):
+        develop_paths(torus.cover, torus.homog, [line_path([0.0, 0.0], [0.1, 0.2]), other])
 
 
 def _record_integrations(monkeypatch):

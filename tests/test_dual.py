@@ -60,7 +60,7 @@ def test_jacobian_at_a_dual_point_matches_directionals():
     assert J.shape == (2, 2, 3)
     for k in range(3):
         want = np.asarray(oracles.directional(f, m, np.eye(3)[k]), dtype=object)
-        for part in (value, lambda x: value(dual.eps_part(x))):
+        for part in (value, lambda x: value(oracles.eps_part(x))):
             assert np.array_equal(part(J[..., k]), part(want))
 
 

@@ -262,7 +262,7 @@ def test_gamma_at_a_dual_point_matches_dual_build(name, rng):
         a = np.asarray(getattr(got, field)(p), dtype=object)
         b = np.asarray(getattr(want, field)(p), dtype=object)
         assert np.max(np.abs(value(a) - value(b))) < 1e-12, field
-        assert np.max(np.abs(value(dual.eps_part(a)) - value(dual.eps_part(b)))) < 1e-12, field
+        assert np.max(np.abs(value(oracles.eps_part(a)) - value(oracles.eps_part(b)))) < 1e-12, field
 
 
 def _counted(metric):

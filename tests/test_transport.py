@@ -7,28 +7,30 @@ import pytest
 from cartanlab import algebra, geometry
 from cartanlab.algebroid import AlgebroidChart, GluedAlgebroid
 from cartanlab.cartan import bar_tm_tensor
-from cartanlab.dual import Dual, eps_part, value
+from cartanlab.dual import Dual, value
 from cartanlab.geometry import Chart, SmoothField, as_point
 from cartanlab.transport import (BLOWUP_NORM, MAX_SWITCHES, BasePath, GeodesicResult,
-                                 PathSegment, TransportError, _geodesic_runs, completeness_probe,
+                                 TransportError, _geodesic_runs, completeness_probe,
                                  geodesic, geodesic_glued,
                                  invariant_metric_check, isotropy_subalgebra, line_path,
                                  line_segment, monodromies, monodromy,
                                  monodromy_compactness_probe,
                                  transport_matrices, transport_matrix)
 import oracles
-from oracles import (_transport_line_dual, directional, levi_civita, parallel_frame,
+from oracles import (_transport_line_dual, directional, eps_part, levi_civita, parallel_frame,
                      polyline_path, reverse, then)
 
 E2PI = math.exp(2 * math.pi)
 
 
 def test_point_velocity_matches_point_and_velocity(circle):
+    # the oracle's curve segments, straight segments read as their lines
     poly = polyline_path([[0.0, 0.0], [0.3, 0.1], [-0.2, 0.5]])
-    paths = [line_path([0.1, -0.2], [0.7, 0.45]), poly, reverse(poly), circle.loops[0]]
+    paths = [line_path([0.1, -0.2], [0.7, 0.45]), poly, reverse(poly), circle.loops[0],
+             oracles.circle_loop_by_curves()]
     for path in paths:
-        for s in path.segments:
-            for t in (s.t0, 1.0 / 3.0, 0.7, s.t1):
+        for s in map(oracles.as_curve, path.segments):
+            for t in (0.0, 1.0 / 3.0, 0.7, 1.0):
                 m, v = s.point_velocity(t)
                 assert m.dtype == v.dtype == float
                 assert np.array_equal(m, s.point(t))
@@ -100,7 +102,7 @@ def test_circle_monodromy_value(circle):
 
 
 def test_monodromy_requires_closed_loop(circle):
-    open_path = BasePath((PathSegment(0, lambda t: np.array([0.3 * t])),))
+    open_path = line_path([0.0], [0.3])
     with pytest.raises(TransportError):
         monodromy(circle.glued, open_path)
 
@@ -153,20 +155,17 @@ def test_stacked_loop_transport_equals_the_carried_solves(circle, torus):
 
 def test_stacked_transport_matches_the_carried_solves_where_gamma_is_not_zero(sphere):
     C, m0 = sphere.rc.chart, sphere.m0
-    # three line segments in one span, one stacked solve (the chart is flat,
-    # so the path is left open for its transport to be nontrivial)
+    # three segments, one solve (the chart is flat, so the paths are left
+    # open for their transport to be nontrivial)
     square = polyline_path([m0, m0 + [0.3, 0.0], m0 + [0.3, 0.4], m0 + [0.0, 0.4]])
-    # a second span: the last segment runs on [0, 2]
-    arc = BasePath((
-        PathSegment(0, lambda t: m0 + np.array([0.2 * t, 0.1 * t * t])),
-        PathSegment(0, lambda t: m0 + np.array([0.2 - 0.1 * t, 0.1 + 0.15 * t]), 0.0, 2.0)))
-    for path in (square, arc):
+    bend = polyline_path([m0, m0 + [0.2, 0.1], m0 + [0.0, 0.35]])
+    for path in (square, bend):
         want = oracles.transport_matrix_carried(C, path)
         assert np.max(np.abs(want - np.eye(C.rank))) > 1e-2   # transport is not trivial
         assert _relative_gap(transport_matrix(C, path), want) <= 1e-10
-    # both paths in one call: the two spans make two solves
-    both = transport_matrices(C, [square, arc])
-    assert _relative_gap(both[1], oracles.transport_matrix_carried(C, arc)) <= 1e-10
+    # both paths in one call: their five segments are the lanes of one solve
+    both = transport_matrices(C, [square, bend])
+    assert _relative_gap(both[1], oracles.transport_matrix_carried(C, bend)) <= 1e-10
 
 
 def _reglued_sphere(sphere):
@@ -200,18 +199,16 @@ def test_stacked_transport_matches_the_carried_solves_across_a_transition(sphere
     m0 = sphere.m0
     p = [m0, m0 + [0.3, 0.2], m0 + [-0.1, 0.45], m0 + [0.15, 0.6]]
 
-    def seg(chart, a, b):
-        return PathSegment(chart, lambda t: a + t * (b - a), line=(a, b))
-
     # charts 0, 1, 0: out through the transition and back
-    crossing = BasePath((seg(0, p[0], p[1]), seg(1, to_psi(p[1]), to_psi(p[2])),
-                         seg(0, p[2], p[3])))
-    inside = BasePath((seg(1, to_psi(m0), to_psi(m0 + [0.2, -0.3])),))
+    crossing = BasePath((line_segment(0, p[0], p[1]),
+                         line_segment(1, to_psi(p[1]), to_psi(p[2])),
+                         line_segment(0, p[2], p[3])))
+    inside = BasePath((line_segment(1, to_psi(m0), to_psi(m0 + [0.2, -0.3])),))
     solves = []
     monkeypatch.setattr(transport, "integrate", lambda rhs, span, y0, **k:
                         solves.append(len(y0)) or ode.integrate(rhs, span, y0, **k))
     got = transport_matrices(G, [crossing, inside])
-    assert solves == [4]             # one span: four lanes, in charts 0, 1, 0, 1
+    assert solves == [4]             # one solve: four lanes, in charts 0, 1, 0, 1
     for M, path in zip(got, (crossing, inside)):
         want = oracles.transport_matrix_carried(G, path)
         assert np.max(np.abs(want - np.eye(3))) > 1e-2
@@ -610,22 +607,21 @@ def test_a_probe_reads_the_plus_direction_first():
 
 
 def test_catalog_loops_carry_their_endpoints(circle, torus):
-    # line segments read their points off their endpoints in the stacked
-    # transport; the curve-lambda loops read them through point_velocity.
-    # Both transports are exact (gamma = 0 on every catalog chart), so the
-    # monodromies agree bit for bit.
+    # the catalog loops are polylines, read off their endpoints in the
+    # stacked transport; the carried oracle reads the curve-lambda loops
+    # through point_velocity.  Both transports are exact (gamma = 0 on every
+    # catalog chart), so the monodromies agree bit for bit.
     for model, curves in ((circle, (oracles.circle_loop_by_curves(),)),
                           (torus, oracles.torus_loops_by_curves())):
-        assert all(s.line is not None for loop in model.loops for s in loop.segments)
-        assert all(s.line is None for loop in curves for s in loop.segments)
-        for got, want in zip(monodromies(model.glued, model.loops),
-                             monodromies(model.glued, curves)):
-            assert got.matrix.tobytes() == want.matrix.tobytes()
+        for got, curve in zip(monodromies(model.glued, model.loops), curves):
+            want = oracles.transport_matrix_carried(model.glued, curve)
+            assert got.matrix.tobytes() == want.tobytes()
         # the same points: pi (1 - t) and pi + t (0 - pi) round apart by an ulp
         for loop, ref in zip(model.loops, curves):
             for seg, old in zip(loop.segments, ref.segments):
+                line = oracles.as_curve(seg)
                 for t in (0.0, 0.3, 0.7, 1.0):
-                    assert np.max(np.abs(seg.point(t) - old.point(t))) <= 1e-15
+                    assert np.max(np.abs(line.point(t) - old.point(t))) <= 1e-15
 
 
 class FloatCall(Exception):
