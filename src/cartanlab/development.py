@@ -264,7 +264,7 @@ def _develop_frames(A, H: HomogeneousModel, paths,
                                    (Xi @ G).reshape(len(y), -1)], axis=1)
 
         out = integrate(rhs, (0.0, 1.0), state, rtol=rtol, atol=1e-13)
-        if out.status != "lanes":
+        if out.status != "completed":
             raise DevelopmentError(f"development ODE failed: {out.status}")
         state = np.array([o.states[-1] for o in out.lanes])
     return state[:, r * r:].reshape(B, d, d), state[:, :r * r].reshape(B, r, r)

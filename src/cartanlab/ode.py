@@ -23,26 +23,26 @@ change that opens and closes inside one long step is still found; roots
 are located on the interpolant by Brent's method.  The driver steps
 float arrays only.
 
-The driver steps lanes: a state stack y0 (L, n) is L independent solves
-in one, and a 1-D y0 is one lane.  Each lane has its own span end, first
-step, t, step size, error norm (the RMS over its own n entries, at rtol
-and atol as given, with no scaling by L), accept/reject decision,
-events, dense output, event scan, Brent roots and status.  A driver step
-makes one trial step of every running lane, one right-hand-side call per
-stage over all of them.  The stage sums, error estimates and
-interpolants are stacked products of lane-major stages, which numpy
-computes lane by lane as it computes a lane alone, so every lane's
-result is bit for bit the result of its solve alone.  A lane's ``nfev``
-counts the right-hand-side evaluations of that lane and its ``steps``
-its accepted steps; the lane solve's own ``nfev`` counts batched calls
-and its ``steps`` driver steps, as many as its longest lane takes trial
-steps.
+Every solve is a lane stack: a state stack y0 (L, n) is L independent
+solves in one, and a single solve is a stack of one.  Each lane has its
+own span end, first step, t, step size, error norm (the RMS over its own
+n entries, at rtol and atol as given, with no scaling by L),
+accept/reject decision, events, dense output, event scan, Brent roots
+and status.  A driver step makes one trial step of every running lane,
+one right-hand-side call per stage over all of them.  The stage sums,
+error estimates and interpolants are stacked products of lane-major
+stages, which numpy computes lane by lane as it computes a lane alone, so
+every lane's result is bit for bit the result of its solve alone.  A
+solve returns one ``Solution``: a ``Lane`` record per lane, whose
+``nfev`` counts the right-hand-side evaluations of that lane and whose
+``steps`` its accepted steps, and its own ``nfev`` batched calls and
+``steps`` driver steps, as many as its longest lane takes trial steps.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable
 
 import numpy as np
@@ -231,7 +231,7 @@ def _rk_interpolate(t, t_old, h, y_old, Q):
 
 
 class DenseOutput:
-    """Continuous solution of an RK45 solve: each accepted step's
+    """Continuous solution of an RK45 lane: each accepted step's
     interpolant.  ``sol(t)`` is the state at t (shape (n,)), or the states
     at an array of times (shape (T, n)); a time on a step end is read off
     the step that ends there."""
@@ -248,27 +248,49 @@ class DenseOutput:
 
 
 @dataclass
-class Solution:
-    """A ``solve_ivp`` result.  ``t`` holds the start and every accepted
+class Lane:
+    """One lane of a solve.  ``times`` holds the start and every accepted
     step end; after an event its last entry is the event time instead of
-    the end of the step that crossed it.  ``y`` (T, n) holds the states at
-    ``t``, ``nfev`` the right-hand-side calls, ``event`` the index of the
-    event that stopped the solve and ``sol`` the dense output (RK45 only).
+    the end of the step that crossed it.  ``states`` (T, n) holds the
+    states at ``times``, ``status`` is "completed", "event:<name>" or
+    "step_collapse", ``t_end`` the time reached, ``event_name`` the name of
+    the event that stopped the lane, ``nfev`` its right-hand-side
+    evaluations, ``steps`` its accepted steps and ``sol`` its dense output
+    (RK45 only), which ``integrate`` drops once it has scanned it."""
 
-    A lane solve returns one such Solution per lane in ``lanes``.  Its own
-    ``t`` numbers its driver steps 0, 1, ..., T, each one trial step of
-    every running lane, so ``len(t) - 1`` counts them; ``y`` is None;
-    ``nfev`` counts the batched right-hand-side calls; ``status`` is
-    "step_collapse" when any lane's is, "completed" when every lane's is,
-    else "event"."""
-
-    t: np.ndarray
-    y: np.ndarray | None
-    status: str                 # "completed" | "event" | "step_collapse"
+    times: np.ndarray
+    states: np.ndarray
+    status: str
+    t_end: float
+    event_name: str | None
     nfev: int
-    event: int | None = None
+    steps: int
     sol: DenseOutput | None = None
-    lanes: list[Solution] | None = None
+
+
+@dataclass
+class Solution:
+    """A lane solve: its ``lanes``, ``nfev`` batched right-hand-side calls
+    and ``steps`` driver steps, each one trial step of every running lane,
+    as many as its longest lane takes trial steps."""
+
+    lanes: tuple[Lane, ...]
+    nfev: int
+    steps: int
+
+    @property
+    def status(self) -> str:
+        """"step_collapse" when any lane's is, "completed" when every
+        lane's is, else "event"."""
+        status = [lane.status for lane in self.lanes]
+        return ("step_collapse" if "step_collapse" in status else
+                "completed" if all(s == "completed" for s in status) else "event")
+
+    @property
+    def t(self) -> np.ndarray:
+        """The driver steps numbered 0, 1, ..., ``steps``, so that
+        ``len(t) - 1`` counts them."""
+        return np.arange(self.steps + 1.0)
 
 
 def _brent(f, a: float, b: float, fa: float, fb: float) -> float:
@@ -320,11 +342,6 @@ def _per_lane(v, L: int) -> list[float]:
     return [float(v)] * L if v.ndim == 0 else v.tolist()
 
 
-def _lane_events(events) -> list:
-    """Event functions g(t, y) of one solve as lane event functions."""
-    return [lambda t, y, lanes, ev=ev: ev(t, y) for ev in events]
-
-
 def _lane_fn(fn, b: int, state):
     """s -> float value of the lane event fn on lane b at time s and the
     state ``state(s)``, for Brent's method."""
@@ -334,40 +351,31 @@ def _lane_fn(fn, b: int, state):
 
 def solve_ivp(fun, t_span, y0, method: str = "RK45", rtol: float = DEFAULT_RTOL,
               atol: float = DEFAULT_ATOL, events=(), first_step=None) -> Solution:
-    """Integrate y' = fun(t, y) from y0 over t_span with ``method``, "RK45"
-    or "DOP853", starting with one step of ``first_step``, or over the
-    whole span when it is None or longer.
+    """Integrate the lane stack y0 (L, n), L independent solves of
+    y' = fun(t, y) (see the module docstring), over t_span with
+    ``method``, "RK45" or "DOP853", each lane starting with one step of
+    its ``first_step``, or over its whole span when it is None or longer.
+    ``fun(t, y, lanes)`` takes the times (k,), states (k, n) and lane
+    indices (k,) of k of the lanes and returns (k, n); the end of
+    ``t_span`` and ``first_step`` may give one value per lane.
 
-    ``events`` are functions g(t, y), all terminal: after each accepted
-    step those whose sign changes between the step's ends (a zero counts
-    as either sign) are solved for on the step's interpolant, and the
-    solve stops at the earliest root.  Events need RK45's dense output.
-    They are called on stacks, times (k,) and states (k, n).
+    ``events`` are named terminal events (name, g), g(t, y, lanes)
+    returning (k,): after each accepted step of a lane those whose sign
+    changes between the step's ends (a zero counts as either sign) are
+    solved for on the step's interpolant, and the lane stops at the
+    earliest root.  Events need RK45's dense output.  Returns a Solution
+    of L Lanes.
 
-    A lane stack y0 (L, n) is L independent solves (see the module
-    docstring): ``fun(t, y, lanes)`` and each event ``g(t, y, lanes)``
-    take the times (k,), states (k, n) and lane indices (k,) of k of the
-    lanes and return (k, n) and (k,), and the end of ``t_span`` and
-    ``first_step`` may give one value per lane.  A 1-D y0 is one lane.
-    """
+    The stage sums, step ends, error estimates and interpolants are
+    stacked products of lane-major stages (lanes, stages, n), so each
+    lane's arithmetic is that of a solve of its own; the step control runs
+    lane by lane on Python floats, whose arithmetic is that of numpy's
+    float64 scalars."""
     y0 = np.asarray(y0, dtype=float)
-    if y0.ndim == 2:
-        return _solve_lanes(fun, t_span, y0, method, rtol, atol, events, first_step)
-    # the stages broadcast its (n,) values over the lane axis
-    sol = _solve_lanes(lambda t, y, lanes: fun(t[0], y[0]), t_span, y0[None], method,
-                       rtol, atol, _lane_events(events), first_step)
-    return sol.lanes[0]
-
-
-def _solve_lanes(fun, t_span, y0, method, rtol, atol, events, first_step) -> Solution:
-    """``solve_ivp`` of a lane stack y0 (L, n).  The stage sums, step
-    ends, error estimates and interpolants are stacked products of
-    lane-major stages (lanes, stages, n), so each lane's arithmetic is that
-    of a solve of its own; the step control runs lane by lane on Python
-    floats, whose arithmetic is that of numpy's float64 scalars."""
     pair = _PAIRS[method]
     if events and pair.P is None:
         raise ValueError(f"{method} has no dense output to locate events on")
+    names, fns = [name for name, _ in events], [fn for _, fn in events]
     L, n = y0.shape
     S = len(pair.C)
     t0 = float(t_span[0])
@@ -390,9 +398,9 @@ def _solve_lanes(fun, t_span, y0, method, rtol, atol, events, first_step) -> Sol
         ts[b].append(t1[b])
         ys[b].append(y0[b])
     g = {}
-    if events and run:
+    if fns and run:
         ri = np.array(run)
-        g0 = [np.asarray(ev(np.full(len(run), t0), y0[ri], ri), dtype=float) for ev in events]
+        g0 = [np.asarray(ev(np.full(len(run), t0), y0[ri], ri), dtype=float) for ev in fns]
         g = {b: [ge[j] for ge in g0] for j, b in enumerate(run)}
     A = [pair.A[s, :s] for s in range(S)]
     rounds, calls, idx = 0, 1, None
@@ -451,9 +459,9 @@ def _solve_lanes(fun, t_span, y0, method, rtol, atol, events, first_step) -> Sol
             rows = idx[acc]
             y[rows], f[rows] = ya, Ka[:, -1]
             Q = Ka.transpose(0, 2, 1) @ pair.P if pair.P is not None else None
-            if events:
+            if fns:
                 ta = np.array([trial[j] for j in accepted])
-                g_acc = [np.asarray(ev(ta, ya, rows), dtype=float).tolist() for ev in events]
+                g_acc = [np.asarray(ev(ta, ya, rows), dtype=float).tolist() for ev in fns]
             stopped = False
             for i, j in enumerate(accepted):
                 b = run[j]
@@ -462,18 +470,18 @@ def _solve_lanes(fun, t_span, y0, method, rtol, atol, events, first_step) -> Sol
                 t[b] = trial[j]
                 ts[b].append(t[b])
                 ys[b].append(ya[i])
-                if events:
+                if fns:
                     gb, g_new = g[b], [ge[i] for ge in g_acc]
                     crossed = [k for k, (a, c) in enumerate(zip(gb, g_new))
                                if (a <= 0 and c >= 0) or (a >= 0 and c <= 0)]
                     if crossed:
                         step = steps[b][-1]
                         at = lambda s, step=step: _rk_interpolate(s, *step)  # noqa: E731
-                        roots = [(k, _brent(_lane_fn(events[k], b, at), step[0], t[b], gb[k],
+                        roots = [(k, _brent(_lane_fn(fns[k], b, at), step[0], t[b], gb[k],
                                             g_new[k])) for k in crossed]
-                        hit[b], ts[b][-1] = min(roots, key=lambda kr: direction[b] * kr[1])
+                        k, ts[b][-1] = min(roots, key=lambda kr: direction[b] * kr[1])
                         ys[b][-1] = _rk_interpolate(ts[b][-1], *step)
-                        status[b], stopped = "event", True
+                        hit[b], status[b], stopped = names[k], f"event:{names[k]}", True
                         continue
                     g[b] = g_new
                 if not direction[b] * (t[b] - t1[b]) < 0:
@@ -481,39 +489,10 @@ def _solve_lanes(fun, t_span, y0, method, rtol, atol, events, first_step) -> Sol
             if stopped:
                 run, idx = [b for b in run if status[b] is None], None
         rounds += 1
-    lanes = [Solution(np.array(ts[b]), np.array(ys[b]), status[b], nfev[b], hit[b],
-                      DenseOutput(steps[b], direction[b]) if steps[b] else None)
-             for b in range(L)]
-    overall = ("step_collapse" if "step_collapse" in status else
-               "completed" if all(s == "completed" for s in status) else "event")
-    return Solution(np.arange(rounds + 1.0), None, overall, calls, lanes=lanes)
-
-
-@dataclass
-class IvpOutcome:
-    times: np.ndarray
-    states: np.ndarray          # (T, dim)
-    status: str                 # "completed" | "event:<name>" | "step_collapse"
-    t_end: float
-    event_name: str | None = None
-    nfev: int = 0               # right-hand-side evaluations
-    steps: int = 0              # accepted steps
-
-
-@dataclass
-class LaneOutcome:
-    """``integrate``'s result for a lane stack: per lane the IvpOutcome
-    its solve alone gives, and the work of the whole solve: ``nfev``
-    batched right-hand-side calls and ``steps`` driver steps.  ``status``
-    is "step_collapse" when any lane's is, else "lanes"."""
-
-    lanes: tuple[IvpOutcome, ...]
-    nfev: int
-    steps: int
-
-    @property
-    def status(self) -> str:
-        return "step_collapse" if any(o.status == "step_collapse" for o in self.lanes) else "lanes"
+    return Solution(tuple(Lane(np.array(ts[b]), np.array(ys[b]), status[b], ts[b][-1], hit[b],
+                               nfev[b], len(ts[b]) - 1,
+                               DenseOutput(steps[b], direction[b]) if steps[b] else None)
+                          for b in range(L)), calls, rounds)
 
 
 _GUARDED = (OverflowError, FloatingPointError, ValueError, np.linalg.LinAlgError)
@@ -523,16 +502,16 @@ def _overflow_safe(rhs):
     """Trial steps can overshoot into float overflow or slightly past a
     field's domain; returning huge finite values forces step rejection
     instead of a crash (the terminal events stop integration first).  A
-    lane right-hand side that raises is called again lane by lane, so
-    only the lanes that raise get the sentinel; non-finite entries are
-    replaced by it entry by entry."""
-    def f(t, y, *lanes):
+    lane right-hand side ``rhs(t, y, lanes)`` that raises is called again
+    lane by lane, so only the lanes that raise get the sentinel;
+    non-finite entries are replaced by it entry by entry."""
+    def f(t, y, lanes):
         try:
-            out = np.asarray(rhs(t, y, *lanes), dtype=float)
+            out = np.asarray(rhs(t, y, lanes), dtype=float)
         except _GUARDED:
-            if not lanes or len(y) == 1:
+            if len(y) == 1:
                 return np.full(np.shape(y), 1e150)
-            return np.concatenate([f(t[j:j + 1], y[j:j + 1], lanes[0][j:j + 1])
+            return np.concatenate([f(t[j:j + 1], y[j:j + 1], lanes[j:j + 1])
                                    for j in range(len(y))])
         if not np.isfinite(out).all():
             out = np.nan_to_num(out, nan=1e150, posinf=1e150, neginf=-1e150)
@@ -540,38 +519,40 @@ def _overflow_safe(rhs):
     return f
 
 
-def _first_sign_changes(sols, fns, t0: float, stops, closed) -> list:
-    """Per lane, (k, t) for the earliest sign change of any lane event
-    function fns[k] on the lane's dense output ``sols[b].sol``, or None;
-    a lane whose stop is None is not scanned.  ``solve_ivp`` checks the
+def _first_sign_changes(lanes, events, t0: float) -> list:
+    """Per lane, (name, t) for the earliest sign change of any named lane
+    event on the lane's dense output, or None.  ``solve_ivp`` checks the
     sign at every step end, so only the steps that hold a scan time
     t0 + j(stop - t0)/64 are scanned, at those times and at the step's two
     ends, up to ``stop``, the end of the lane's integrated range (included
-    when ``closed``): one call of each fn on the grid states of all lanes.
+    unless an event stopped the lane there; a lane that stayed at t0 is
+    not scanned): one call of each event on the grid states of all lanes.
     A change between two grid times is located by Brent's method on the
     interpolant."""
     grids = {}
-    for b, (sol, stop) in enumerate(zip(sols, stops)):
-        if stop is None:
+    for b, lane in enumerate(lanes):
+        stop = float(lane.times[-1])
+        if stop == t0:
             continue
         d = stop - t0
         scan = t0 + d * np.arange(1, _EVENT_SCAN_POINTS) / _EVENT_SCAN_POINTS
-        # sol.t[i-1] < scan <= sol.t[i]
-        i = np.searchsorted(sol.t * np.sign(d), scan * np.sign(d))
-        grid = np.concatenate([scan, sol.t[i - 1], sol.t[i], [stop]])
+        # lane.times[i-1] < scan <= lane.times[i]
+        i = np.searchsorted(lane.times * np.sign(d), scan * np.sign(d))
+        grid = np.concatenate([scan, lane.times[i - 1], lane.times[i], [stop]])
         ahead = (grid - stop) * d
-        grid = np.unique(grid[(ahead <= 0) if closed[b] else (ahead < 0)])[::1 if d > 0 else -1]
+        closed = lane.event_name is None
+        grid = np.unique(grid[(ahead <= 0) if closed else (ahead < 0)])[::1 if d > 0 else -1]
         if len(grid) >= 2:
             grids[b] = grid
-    out = [None] * len(sols)
+    out = [None] * len(lanes)
     if not grids:
         return out
-    lanes = list(grids)
-    times = np.concatenate([grids[b] for b in lanes])
-    states = np.concatenate([sols[b].sol(grids[b]) for b in lanes])
-    ids = np.concatenate([np.full(len(grids[b]), b) for b in lanes])
-    last = np.cumsum([len(grids[b]) for b in lanes])[:-1] - 1   # each grid's end but the last's
-    for k, fn in enumerate(fns):
+    scanned = list(grids)
+    times = np.concatenate([grids[b] for b in scanned])
+    states = np.concatenate([lanes[b].sol(grids[b]) for b in scanned])
+    ids = np.concatenate([np.full(len(grids[b]), b) for b in scanned])
+    last = np.cumsum([len(grids[b]) for b in scanned])[:-1] - 1   # each grid's end but the last's
+    for name, fn in events:
         g = np.asarray(fn(times, states, ids), dtype=float)
         change = (g[:-1] != 0) & (g[:-1] * g[1:] <= 0)
         change[last] = False
@@ -581,69 +562,58 @@ def _first_sign_changes(sols, fns, t0: float, stops, closed) -> list:
             if b in seen:
                 continue
             seen.add(b)
-            t = _brent(_lane_fn(fn, b, sols[b].sol), times[i], times[i + 1], g[i], g[i + 1])
-            if out[b] is None or (t - out[b][1]) * (stops[b] - t0) < 0:
-                out[b] = (k, t)
+            t = _brent(_lane_fn(fn, b, lanes[b].sol), times[i], times[i + 1], g[i], g[i + 1])
+            if out[b] is None or (t - out[b][1]) * (lanes[b].times[-1] - t0) < 0:
+                out[b] = (name, t)
     return out
 
 
-def _outcome(sol, names, t0: float, t1: float, earlier) -> IvpOutcome:
-    """One lane's IvpOutcome from its Solution and its scan's earlier
-    sign change."""
-    steps = len(sol.t) - 1
-    if earlier is None and sol.event is None:
-        t_end = float(sol.t[-1]) if sol.status == "step_collapse" else t1
-        return IvpOutcome(sol.t, sol.y, sol.status, t_end, None, sol.nfev, steps)
-    hit, t_hit = (sol.event, float(sol.t[-1])) if earlier is None else earlier
-    keep = (sol.t - t_hit) * (t1 - t0) < 0
-    times = np.append(sol.t[keep], t_hit)
-    states = np.vstack([sol.y[keep], sol.sol(t_hit)])
-    return IvpOutcome(times, states, f"event:{names[hit]}", t_hit, names[hit], sol.nfev, steps)
+def _trim(lane: Lane, t0: float, hit) -> Lane:
+    """``lane`` without its dense output, cut at the event that stops it:
+    the scan's sign change ``hit`` = (name, t), else the event the solve
+    stopped it at, if any.  The cut keeps the times before t, then t and
+    the interpolated state there."""
+    if hit is None and lane.event_name is None:
+        return replace(lane, sol=None)
+    name, t = hit or (lane.event_name, lane.t_end)
+    keep = (lane.times - t) * np.sign(lane.times[-1] - t0) < 0
+    return Lane(np.append(lane.times[keep], t), np.vstack([lane.states[keep], lane.sol(t)]),
+                f"event:{name}", t, name, lane.nfev, lane.steps)
 
 
 def integrate(rhs, t_span, y0, events=None, rtol=DEFAULT_RTOL,
-              atol=DEFAULT_ATOL, first_step=None):
-    """Adaptive integration with named terminal events.
+              atol=DEFAULT_ATOL, first_step=None) -> Solution:
+    """Adaptive integration of the lane stack y0 (L, n), L independent
+    solves in one (see ``solve_ivp``), with named terminal events.
 
-    Error control at rtol/atol sizes every step, starting from one step
-    of ``first_step`` (default: the whole span).  Without events the pair
-    is DOP853.  ``events`` is a list of (name, fn): fn(t, y) takes times
-    (T,) and a stack of states (T, n) and returns (T,).  Integration stops
-    at the first sign change of any fn, found by RK45's own check at step
-    ends or by a scan of the dense output at no more than 1/64 of the
-    integrated range apart (the scan calls no right-hand side).
-    Step-size collapse is reported as its own status (the solver cannot
-    continue but the last reached time brackets the breakdown); an event
-    before the collapse wins.  Returns an IvpOutcome.
+    ``rhs(t, y, lanes)`` and each event fn(t, y, lanes) of ``events``, a
+    list of (name, fn), take the times (k,), states (k, n) and lane
+    indices (k,) of any k of the lanes; fn returns (k,).  Error control at
+    rtol/atol sizes every step of each lane on its own, with no scaling by
+    the number of lanes, starting from one step of ``first_step``
+    (default: the whole span).  Without events the pair is DOP853.  A lane
+    stops at the first sign change of any fn, found by RK45's own check at
+    step ends or by a scan of its dense output at no more than 1/64 of its
+    integrated range apart (the scan calls no right-hand side; the scans
+    of all lanes are one call of each fn).  Step-size collapse is
+    reported as its own status (the solver cannot continue but the last
+    reached time brackets the breakdown); an event before the collapse
+    wins.
 
-    A lane stack y0 (L, n) is L independent solves in one (see
-    ``solve_ivp``): ``rhs(t, y, lanes)`` and each fn(t, y, lanes) take
-    the times, states and lane indices of any k of the lanes.  Each
-    lane's error is controlled at rtol/atol on its own, with no scaling
-    by the number of lanes, and its outcome, with its ``nfev`` (that
-    lane's right-hand-side evaluations) and ``steps`` (its accepted
-    steps), is bit for bit the outcome of its solve alone.  Returns a
-    LaneOutcome, whose own ``nfev`` counts batched right-hand-side calls
-    and ``steps`` driver steps; the event scans of all lanes are one call
-    of each fn.
+    Returns a Solution: per lane the Lane its solve alone gives, bit for
+    bit, with its ``nfev`` (that lane's right-hand-side evaluations) and
+    ``steps`` (its accepted steps), and the solve's own ``nfev`` batched
+    right-hand-side calls and ``steps`` driver steps.
     """
-    y0 = np.asarray(y0, dtype=float)
-    names = [name for name, _ in events or ()]
-    fns = [fn for _, fn in events or ()]
     t0 = float(t_span[0])
-    t1 = _per_lane(t_span[1], len(y0) if y0.ndim == 2 else 1)
     # the 1e150 sentinel of _overflow_safe overflows the error norm, or
     # makes it inf/inf, which then rejects the step as intended
     with np.errstate(over="ignore", invalid="ignore"):
-        sol = solve_ivp(_overflow_safe(rhs), (t0, t_span[1]), y0,
-                        method="RK45" if fns else "DOP853", rtol=rtol, atol=atol,
-                        events=fns, first_step=first_step)
-        sols = sol.lanes if y0.ndim == 2 else [sol]
-        if y0.ndim == 1:
-            fns = _lane_events(fns)
-        earlier = [None] * len(sols)
-        if fns:
-            stops = [float(s.t[-1]) if s.t[-1] != t0 else None for s in sols]
-            earlier = _first_sign_changes(sols, fns, t0, stops, [s.event is None for s in sols])
-    outs = [_outcome(s, names, t0, end, e) for s, end, e in zip(sols, t1, earlier)]
-    return LaneOutcome(tuple(outs), sol.nfev, len(sol.t) - 1) if y0.ndim == 2 else outs[0]
+        out = solve_ivp(_overflow_safe(rhs), (t0, t_span[1]), y0,
+                        method="RK45" if events else "DOP853", rtol=rtol, atol=atol,
+                        events=events or (), first_step=first_step)
+        if not events:
+            return out
+        hits = _first_sign_changes(out.lanes, events, t0)
+    return Solution(tuple(_trim(lane, t0, hit) for lane, hit in zip(out.lanes, hits)),
+                    out.nfev, out.steps)

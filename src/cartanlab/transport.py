@@ -27,7 +27,6 @@ solve that merely stops (a step collapse) certifies nothing.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Callable
 
@@ -128,6 +127,16 @@ class GPath:
 
 # -- parallel transport -------------------------------------------------------
 
+def _chart(G: GluedAlgebroid, label: int) -> AlgebroidChart:
+    """The chart of G that ``label`` names, refusing a label outside
+    0, ..., len(G.charts) - 1 (a negative index would name a chart from the
+    end)."""
+    if not 0 <= label < len(G.charts):
+        raise TransportError(f"chart {label} is not a chart of the algebroid, whose charts "
+                             f"are 0 to {len(G.charts) - 1}")
+    return G.charts[label]
+
+
 def _as_glued(G) -> GluedAlgebroid:
     if isinstance(G, GluedAlgebroid):
         return G
@@ -154,7 +163,7 @@ def transport_matrices(G, paths) -> list[np.ndarray]:
     G = _as_glued(G)
     segs = [s for p in paths for s in p.segments]
     for s in segs:
-        base = G.charts[s.chart].base
+        base = _chart(G, s.chart).base
         if not base.contains(s.a) or not base.contains(s.b):
             raise TransportError("path leaves its declared chart")
     T, out = iter(_segment_transports(G, segs) if segs else ()), []
@@ -181,7 +190,7 @@ def _segment_transports(G: GluedAlgebroid, segs) -> np.ndarray:
         return (-gv @ y.reshape(-1, r, r)).reshape(len(y), -1)
 
     out = integrate(rhs, (0.0, 1.0), np.tile(np.eye(r).reshape(-1), (len(segs), 1)))
-    if out.status != "lanes":
+    if out.status != "completed":
         raise TransportError(f"transport ODE failed with status {out.status}")
     return np.array([o.states[-1] for o in out.lanes]).reshape(-1, r, r)
 
@@ -312,30 +321,14 @@ def _geodesic_rhs(C: AlgebroidChart, direction):
     so a huge but finite f cannot overflow the norm and freeze t; a
     non-finite f is passed on for the solver's overflow guard.
 
-    ``rhs(s, z)`` takes one state; ``rhs(s, z, lanes)`` takes a stack
-    (k, dim) of lane states, with ``direction`` one per lane, read with
-    one anchor and one gamma call.  Each row of a stack is computed bit
-    for bit as the one-state formula computes it, which a single lane
-    takes, since numpy runs it with half the per-call overhead."""
+    ``rhs(s, z, lanes)`` takes the times (k,), a stack (k, dim) of lane
+    states and their lane indices (k,), with ``direction`` one per lane,
+    and reads them with one anchor and one gamma call.  Each row's
+    arithmetic is its own, so a lane's field is bit for bit the same in
+    any stack, a stack of one included."""
     n = C.base.dim
 
-    def one(z, d):
-        m, x = z[1:n + 1], z[n + 1:]
-        v = C.anchor.values(m[None])[0] @ x
-        g = C.gamma.values(m[None])[0]
-        w = np.concatenate(([1.0], v, -np.einsum("iab,i,b->a", g, v, x)))
-        top = abs(w).max()
-        if not top < np.inf:
-            return w
-        w /= top        # w[0] = 1/top, so 1 + |f|/K = top (w[0] + |w[1:]|/K)
-        f = w[1:]
-        return w * (d / (w[0] + math.sqrt(f @ f) / RESCALE_SPEED))
-
-    def rhs(s, z, lanes=None):
-        if lanes is None:
-            return one(z, direction)
-        if len(z) == 1:
-            return one(z[0], direction[lanes[0]])[None]
+    def rhs(s, z, lanes):
         m, x = z[:, 1:n + 1], z[:, n + 1:]
         v = (C.anchor.values(m) @ x[:, :, None])[:, :, 0]
         e = np.einsum("kiab,ki,kb->ka", C.gamma.values(m), v, x)
@@ -388,8 +381,6 @@ def geodesic(C: AlgebroidChart, m0, X0, span=(0.0, 1.0),
     m0 = np.asarray(m0, dtype=float)
     ms = np.atleast_2d(m0)
     spans = np.broadcast_to(np.asarray(span, dtype=float), (len(ms), 2))
-    for m in ms:
-        C.base.require_interior(m)
     runs = _geodesic_runs(GluedAlgebroid((C,), ()),
                           [(0, m, x, s) for m, x, s in zip(ms, np.atleast_2d(X0), spans)],
                           blowup_norm, max_switches=0, exit_status="escaped_chart")
@@ -425,9 +416,13 @@ def _geodesic_runs(G: GluedAlgebroid, starts, blowup_norm: float, max_switches: 
     collapsed step or by spending its whole s-span (|f| above
     ``blowup_norm`` on average), reports "step_collapse"; a run past
     ``max_switches`` chart switches reports "switch_limit".  Neither
-    certifies anything."""
+    certifies anything.  A start whose chart label names no chart of G,
+    or whose point is not inside its chart, is refused before any
+    solve."""
     B = len(starts)
     chart = [int(c) for c, _, _, _ in starts]
+    for c, (_, m0, _, _) in zip(chart, starts):
+        _chart(G, c).base.require_interior(m0)
     m = [np.asarray(m0, dtype=float) for _, m0, _, _ in starts]
     x = [np.asarray(X0, dtype=float) for _, _, X0, _ in starts]
     t = [float(span[0]) for *_, span in starts]

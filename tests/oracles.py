@@ -526,18 +526,18 @@ def transport_matrix_carried(G, path: BasePath) -> np.ndarray:
             M = transport._apply_switch(G, prev.chart, seg.chart, prev.point(1.0),
                                         seg.point(0.0)) @ M
 
-        def rhs(t, mflat, C=C, seg=seg):
-            m, v = seg.point_velocity(t)
+        def rhs(t, mflat, lanes, C=C, seg=seg):
+            m, v = seg.point_velocity(t[0])
             gv = np.einsum("biac,bi->ac", C.gamma.values(m[None]), v[None])
-            return (-gv @ mflat.reshape(r, r)).reshape(-1)
+            return (-gv @ mflat.reshape(r, r)).reshape(1, -1)
 
         # the ends only: exact for a straight segment, not for a curve
         if not C.base.contains(seg.point(0.0)) or not C.base.contains(seg.point(1.0)):
             raise TransportError("path leaves its declared chart")
-        out = integrate(rhs, (0.0, 1.0), M.reshape(-1))
+        out = integrate(rhs, (0.0, 1.0), M.reshape(1, -1))
         if out.status != "completed":
             raise TransportError(f"transport ODE failed with status {out.status}")
-        M = out.states[-1].reshape(r, r)
+        M = out.lanes[0].states[-1].reshape(r, r)
         prev = seg
     return M
 
@@ -559,21 +559,21 @@ def develop_frames_p(A, H: HomogeneousModel, paths,
         state = np.concatenate([np.eye(r).reshape(-1), np.eye(d).reshape(-1)])
         for s in map(as_curve, path.segments):
 
-            def rhs(t, y, s=s):
-                P = y[:r * r].reshape(1, r, r)
-                G = y[r * r:].reshape(1, d, d)
-                m, v = s.point_velocity(t)
+            def rhs(t, y, lanes, s=s):
+                P = y[:, :r * r].reshape(1, r, r)
+                G = y[:, r * r:].reshape(1, d, d)
+                m, v = s.point_velocity(t[0])
                 ms, v = m[None], v[None]
                 gv = np.einsum("biac,bi->bac", chart.gamma.values(ms), v)
                 X = development._lift_fibers(chart.anchor.values(ms), v)
                 xi = sign * np.linalg.solve(P, X[..., None])[..., 0]
                 Xi = np.einsum("bi,iac->bac", xi, gens)
-                return np.concatenate([(-gv @ P).reshape(-1), (Xi @ G).reshape(-1)])
+                return np.concatenate([(-gv @ P).reshape(1, -1), (Xi @ G).reshape(1, -1)], axis=1)
 
-            out = integrate(rhs, (0.0, 1.0), state, rtol=rtol, atol=1e-13)
+            out = integrate(rhs, (0.0, 1.0), state[None], rtol=rtol, atol=1e-13)
             if out.status != "completed":
                 raise DevelopmentError(f"development ODE failed: {out.status}")
-            state = out.states[-1]
+            state = out.lanes[0].states[-1]
         ends.append(state)
     state = np.array(ends)
     return state[:, r * r:].reshape(-1, d, d), state[:, :r * r].reshape(-1, r, r)

@@ -88,10 +88,10 @@ def test_scaling_anchor_overflow_is_caught_by_the_ode_guard(circle):
     anchor = circle.cover.chart.anchor
     with pytest.raises(OverflowError):
         anchor(as_point([-800.0]))
-    rhs = ode._overflow_safe(lambda t, y: anchor.values([[0.5], [-800.0]]).reshape(-1))
+    rhs = ode._overflow_safe(lambda t, y, lanes: anchor.values([[0.5], [-800.0]]).reshape(1, -1))
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        out = rhs(0.0, np.zeros(2))
+        out = rhs(np.zeros(1), np.zeros((1, 2)), np.array([0]))
     assert np.all(out == 1e150)
 
 

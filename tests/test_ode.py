@@ -10,12 +10,20 @@ from cartanlab.algebroid import AlgebroidChart
 from cartanlab.geometry import Chart
 
 
+def _ones(t, y, lanes):
+    return np.ones((len(y), 1))
+
+
+def _linear_flow(Xi):
+    return lambda t, y, lanes: (Xi @ y.reshape(-1, 3, 3)).reshape(len(y), -1)
+
+
 def test_event_free_linear_solve_takes_few_steps():
     # G(t) = I + t Xi for a nilpotent translation generator: a Runge-Kutta
     # step is exact on it, so only its error control sets the steps
     Xi = np.array([[0.0, 0.0, 0.7], [0.0, 0.0, -0.4], [0.0, 0.0, 0.0]])
-    out = ode.integrate(lambda t, y: (Xi @ y.reshape(3, 3)).reshape(-1), (0.0, 1.0),
-                        np.eye(3).reshape(-1), rtol=1e-12, atol=1e-13)
+    out, = ode.integrate(_linear_flow(Xi), (0.0, 1.0), np.eye(3).reshape(1, -1),
+                         rtol=1e-12, atol=1e-13).lanes
     assert out.status == "completed"
     assert 0 < out.steps < 10
     assert np.max(np.abs(out.states[-1].reshape(3, 3) - (np.eye(3) + Xi))) < 1e-14
@@ -24,50 +32,58 @@ def test_event_free_linear_solve_takes_few_steps():
 def test_event_window_inside_one_full_span_step_is_found():
     # (y - 5)^2 - 0.01 is negative only for t in (4.9, 5.1), far inside the
     # full-span first step, which RK45 accepts since y' = 1 is exact
-    out = ode.integrate(lambda t, y: np.ones(1), (0.0, 10.0), [0.0],
-                        events=[("window", lambda t, y: (y[..., 0] - 5.0) ** 2 - 0.01)])
+    out, = ode.integrate(_ones, (0.0, 10.0), [[0.0]],
+                         events=[("window", lambda t, y, lanes: (y[..., 0] - 5.0) ** 2 - 0.01)]
+                         ).lanes
     assert out.status == "event:window" and out.event_name == "window"
     assert abs(out.t_end - 4.9) < 1e-9
     assert out.times[-1] == out.t_end and abs(out.states[-1][0] - 4.9) < 1e-9
 
 
-def _ends_at_one(t, y):
+def _ends_at_one(t, y, lanes):
     # a field whose domain ends at t = 1: the solve collapses there
-    if t >= 1.0:
+    if t.max() >= 1.0:
         raise ValueError("outside the domain")
-    return np.ones(1)
+    return np.ones((len(y), 1))
+
+
+def _never(t, y, lanes):
+    return np.ones_like(t)
+
+
+def _window_at_half(t, y, lanes):
+    # negative only for y in (0.48, 0.52), between two accepted step ends
+    return (y[..., 0] - 0.5) ** 2 - 0.02 ** 2
 
 
 def test_event_before_a_step_collapse_wins():
-    never = ("never", lambda t, y: np.ones_like(t))
-    assert ode.integrate(_ends_at_one, (0.0, 2.0), [0.0], events=[never]).status == \
-        "step_collapse"
-    # negative only for y in (0.48, 0.52), between two accepted step ends
-    out = ode.integrate(_ends_at_one, (0.0, 2.0), [0.0],
-                        events=[never, ("window", lambda t, y: (y[..., 0] - 0.5) ** 2 - 0.02 ** 2)])
+    assert ode.integrate(_ends_at_one, (0.0, 2.0), [[0.0]], events=[("never", _never)]
+                         ).lanes[0].status == "step_collapse"
+    out, = ode.integrate(_ends_at_one, (0.0, 2.0), [[0.0]],
+                         events=[("never", _never), ("window", _window_at_half)]).lanes
     assert out.status == "event:window"
     assert abs(out.t_end - 0.48) < 1e-9
 
 
 def test_first_step_sets_the_first_trial_step():
-    out = ode.integrate(lambda t, y: np.ones(1), (0.0, 10.0), [0.0], first_step=2.0)
+    out, = ode.integrate(_ones, (0.0, 10.0), [[0.0]], first_step=2.0).lanes
     assert out.status == "completed" and out.times[1] == 2.0
-    assert ode.integrate(lambda t, y: np.ones(1), (0.0, 10.0), [0.0],
-                         first_step=20.0).steps == 1
+    assert ode.integrate(_ones, (0.0, 10.0), [[0.0]], first_step=20.0).lanes[0].steps == 1
 
 
 def test_event_scan_covers_the_integrated_range_of_a_long_span():
     # the span is only a bound: a stop event ends the solve at t = 10 inside
     # the one exact first step (0, 20), and the window (4.9, 5.1) lies
     # between two scan times spread over the whole span, not over (0, 10)
-    out = ode.integrate(lambda t, y: np.ones(1), (0.0, 1e6), [0.0], first_step=20.0,
-                        events=[("stop", lambda t, y: 10.0 - y[..., 0]),
-                                ("window", lambda t, y: (y[..., 0] - 5.0) ** 2 - 0.01)])
+    out, = ode.integrate(_ones, (0.0, 1e6), [[0.0]], first_step=20.0,
+                         events=[("stop", lambda t, y, lanes: 10.0 - y[..., 0]),
+                                 ("window", lambda t, y, lanes: (y[..., 0] - 5.0) ** 2 - 0.01)]
+                         ).lanes
     assert out.steps == 1
     assert out.status == "event:window" and abs(out.t_end - 4.9) < 1e-9
 
 
-def _forced_oscillators(t, y, lanes=None):
+def _forced_oscillators(t, y, lanes):
     # q' = p, p' = -(1 + t^2/2) q, r' = t - 0.3 r on a stack of lane states
     return np.stack([y[:, 1], -y[:, 0] * (1.0 + 0.5 * t * t), t - 0.3 * y[:, 2]], axis=1)
 
@@ -80,13 +96,11 @@ def test_a_lane_stack_solves_each_lane_as_it_solves_alone(with_events):
     events = [("cross", lambda t, y, lanes: y[:, 0] - 0.5),
               ("late", lambda t, y, lanes: 4.0 - np.abs(t))] if with_events else None
     out = ode.integrate(_forced_oscillators, (0.0, ends), y0, events=events, first_step=firsts)
-    assert isinstance(out, ode.LaneOutcome) and len(out.lanes) == 7
+    assert isinstance(out, ode.Solution) and len(out.lanes) == 7
     S = 6 if with_events else 12
     for b, got in enumerate(out.lanes):
-        one = [(name, lambda t, y, fn=fn: fn(np.atleast_1d(t), np.atleast_2d(y), None))
-               for name, fn in events or ()]
-        want = ode.integrate(lambda t, y: _forced_oscillators(np.array([t]), y[None])[0],
-                             (0.0, ends[b]), y0[b], events=one or None, first_step=firsts[b])
+        want, = ode.integrate(_forced_oscillators, (0.0, ends[b]), y0[b:b + 1], events=events,
+                              first_step=firsts[b]).lanes
         assert (got.status, got.event_name, got.steps, got.nfev) == \
             (want.status, want.event_name, want.steps, want.nfev)
         assert got.times.tobytes() == want.times.tobytes()
@@ -136,36 +150,38 @@ def test_constant_skew_transport_turns_several_times_exactly():
 
 def _scipy_solve_ivp(fun, t_span, y0, method="RK45", rtol=ode.DEFAULT_RTOL,
                      atol=ode.DEFAULT_ATOL, events=(), first_step=None):
-    """scipy's solve_ivp, configured as ``ode.solve_ivp`` runs: a full-span
-    (or the given) first step and terminal events on the dense output.  A
-    lane stack is solved lane by lane."""
+    """scipy's solve_ivp, configured as ``ode.solve_ivp`` runs, lane by
+    lane: a full-span (or the given) first step and terminal events on the
+    dense output.  scipy has no driver steps, so the solve counts none."""
     y0 = np.asarray(y0, dtype=float)
-    if y0.ndim == 2:
-        L = len(y0)
-        ends = np.broadcast_to(t_span[1], (L,))
-        firsts = np.broadcast_to(np.array(first_step, dtype=object), (L,))
+    L = len(y0)
+    ends = np.broadcast_to(t_span[1], (L,))
+    firsts = np.broadcast_to(np.array(first_step, dtype=object), (L,))
+    lanes = tuple(_scipy_lane(fun, (t_span[0], ends[b]), y0[b], b, method, rtol, atol,
+                              events, firsts[b]) for b in range(L))
+    return ode.Solution(lanes, sum(lane.nfev for lane in lanes), 0)
 
-        def lane(b):
-            at = np.array([b])
-            return _scipy_solve_ivp(
-                lambda t, y: fun(np.array([t]), y[None], at)[0], (t_span[0], ends[b]), y0[b],
-                method, rtol, atol, [lambda t, y, ev=ev: float(ev(np.array([t]), y[None], at)[0])
-                                     for ev in events], firsts[b])
-        lanes = [lane(b) for b in range(L)]
-        return ode.Solution(np.zeros((1, L)), None, "lanes", sum(s.nfev for s in lanes),
-                            lanes=lanes)
-    for ev in events:
-        ev.terminal = True
+
+def _scipy_lane(fun, t_span, y0, b, method, rtol, atol, events, first_step):
+    """Lane b of a lane stack, solved alone by scipy's solve_ivp."""
+    at = np.array([b])
+    terminal = []
+    for _, ev in events:
+        def g(t, y, ev=ev):
+            return float(ev(np.array([t]), y[None], at)[0])
+        g.terminal = True
+        terminal.append(g)
     span = abs(t_span[1] - t_span[0])
     if first_step is not None:
         span = min(span, first_step)
-    r = scipy.integrate.solve_ivp(fun, t_span, y0, method=method,
-                                  rtol=rtol, atol=atol, first_step=span or None,
-                                  events=list(events) or None, dense_output=bool(events))
-    status = {0: "completed", 1: "event", -1: "step_collapse"}[r.status]
-    hit = next(k for k, te in enumerate(r.t_events) if len(te)) if r.status == 1 else None
+    r = scipy.integrate.solve_ivp(lambda t, y: fun(np.array([t]), y[None], at)[0], t_span, y0,
+                                  method=method, rtol=rtol, atol=atol, first_step=span or None,
+                                  events=terminal or None, dense_output=bool(events))
+    name = (next(name for (name, _), te in zip(events, r.t_events) if len(te))
+            if r.status == 1 else None)
+    status = f"event:{name}" if name else {0: "completed", -1: "step_collapse"}[r.status]
     sol = (lambda t: r.sol(t).T) if r.sol is not None else None
-    return ode.Solution(r.t, r.y.T, status, r.nfev, hit, sol)
+    return ode.Lane(r.t, r.y.T, status, float(r.t[-1]), name, r.nfev, len(r.t) - 1, sol)
 
 
 def _scipy_brent(f, a, b, fa, fb):
@@ -181,7 +197,7 @@ def _outcomes(monkeypatch, run, oracle: bool):
 
     def recording(*args, **kwargs):
         out = integrate(*args, **kwargs)
-        outcomes.extend(out.lanes if isinstance(out, ode.LaneOutcome) else [out])
+        outcomes.extend(out.lanes)
         return out
     with monkeypatch.context() as mp:
         for module in (ode, transport, development):
@@ -195,20 +211,19 @@ def _outcomes(monkeypatch, run, oracle: bool):
 
 def _linear():
     Xi = np.array([[0.0, 0.0, 0.7], [0.0, 0.0, -0.4], [0.0, 0.0, 0.0]])
-    ode.integrate(lambda t, y: (Xi @ y.reshape(3, 3)).reshape(-1), (0.0, 1.0),
-                  np.eye(3).reshape(-1), rtol=1e-12, atol=1e-13)
+    ode.integrate(_linear_flow(Xi), (0.0, 1.0), np.eye(3).reshape(1, -1), rtol=1e-12,
+                  atol=1e-13)
 
 
 def _window():
-    ode.integrate(lambda t, y: np.ones(1), (0.0, 10.0), [0.0],
-                  events=[("window", lambda t, y: (y[..., 0] - 5.0) ** 2 - 0.01)])
+    ode.integrate(_ones, (0.0, 10.0), [[0.0]],
+                  events=[("window", lambda t, y, lanes: (y[..., 0] - 5.0) ** 2 - 0.01)])
 
 
 def _collapse_and_window():
-    never = ("never", lambda t, y: np.ones_like(t))
-    ode.integrate(_ends_at_one, (0.0, 2.0), [0.0], events=[never])
-    ode.integrate(_ends_at_one, (0.0, 2.0), [0.0],
-                  events=[never, ("window", lambda t, y: (y[..., 0] - 0.5) ** 2 - 0.02 ** 2)])
+    ode.integrate(_ends_at_one, (0.0, 2.0), [[0.0]], events=[("never", _never)])
+    ode.integrate(_ends_at_one, (0.0, 2.0), [[0.0]],
+                  events=[("never", _never), ("window", _window_at_half)])
 
 
 def _skew_transport():
@@ -227,10 +242,33 @@ def _circle_geodesics():
     transport.geodesic(chart, [0.4], [-1.3], span=(0.0, 3.0))
 
 
+def _circle_benchmark_geodesics():
+    # the benchmark's circle request in one run: three escapes over 1.5
+    # times their blow-up times and two completeness seeds in both
+    # directions, lanes that retire at their blow-ups until the last runs
+    # alone
+    rng = np.random.default_rng(11)
+    theta = rng.uniform(-1.0, 1.0, 5)
+    x = rng.uniform(0.5, 2.0, 5) * rng.choice([-1.0, 1.0], 5)
+    escapes = [(t, v, (0.0, -1.5 * math.exp(t) / v)) for t, v in zip(theta[:3], x[:3])]
+    seeds = [(t, v, (0.0, sign * 10.0)) for t, v in zip(theta[3:], x[3:]) for sign in (1.0, -1.0)]
+    m0, X0, spans = zip(*escapes, *seeds)
+    runs = transport.geodesic(models.counterexample_s1().chart, np.array(m0)[:, None],
+                              np.array(X0)[:, None], span=spans)
+    assert [r.status for r in runs].count("blowup") == 5
+
+
 def _curved_geodesics():
     transport.geodesic(models.sphere2().chart, [1.2, 0.3], [0.5, -0.8, 0.3], span=(0.0, 1.0))
     transport.geodesic(models.hyperbolic2().chart, [0.2, 1.1], [-0.4, 0.6, 0.9],
                        span=(0.0, -1.0))
+
+
+def _sphere_stack():
+    # three sphere2 starts in one run, with their own spans and directions
+    transport.geodesic(models.sphere2().chart, [[1.2, 0.3], [1.6, -0.5], [0.9, 1.1]],
+                       [[0.5, -0.8, 0.3], [-0.3, 0.4, -0.6], [0.2, 0.6, 0.1]],
+                       span=[(0.0, 1.0), (0.0, -0.8), (0.0, 0.5)])
 
 
 def _develop():
@@ -242,7 +280,8 @@ def _develop():
 
 
 @pytest.mark.parametrize("run", [_linear, _window, _collapse_and_window, _skew_transport,
-                                 _circle_geodesics, _curved_geodesics, _develop])
+                                 _circle_geodesics, _circle_benchmark_geodesics,
+                                 _curved_geodesics, _sphere_stack, _develop])
 def test_driver_matches_scipy_solve_ivp(run, monkeypatch):
     ours = _outcomes(monkeypatch, run, oracle=False)
     theirs = _outcomes(monkeypatch, run, oracle=True)

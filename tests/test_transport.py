@@ -8,7 +8,7 @@ from cartanlab import algebra, geometry
 from cartanlab.algebroid import AlgebroidChart, GluedAlgebroid
 from cartanlab.cartan import bar_tm_tensor
 from cartanlab.dual import Dual, value
-from cartanlab.geometry import Chart, SmoothField, as_point
+from cartanlab.geometry import Chart, GeometryError, SmoothField, as_point
 from cartanlab.transport import (BLOWUP_NORM, MAX_SWITCHES, BasePath, GeodesicResult,
                                  TransportError, _geodesic_runs, completeness_probe,
                                  geodesic, geodesic_glued,
@@ -105,6 +105,17 @@ def test_monodromy_requires_closed_loop(circle):
     open_path = line_path([0.0], [0.3])
     with pytest.raises(TransportError):
         monodromy(circle.glued, open_path)
+
+
+def test_transport_refuses_a_negative_chart_label(torus):
+    # inside chart 3's box: a label of -1 must not name the last chart
+    with pytest.raises(TransportError, match="chart -1 is not a chart"):
+        transport_matrices(torus.glued, [BasePath((line_segment(-1, [0.5, 0.5], [0.6, 0.5]),))])
+
+
+def test_transport_refuses_a_chart_label_past_the_last_chart(torus):
+    with pytest.raises(TransportError, match="chart 7 is not a chart"):
+        transport_matrix(torus.glued, BasePath((line_segment(7, [0.0, 0.0], [0.1, 0.0]),)))
 
 
 def test_monodromy_multiplicative_and_inverse(circle):
@@ -417,13 +428,13 @@ def test_the_rescaled_field_keeps_t_moving_and_passes_overflow_on():
                               anchor=lambda m: np.ones((1, 1), dtype=object),
                               gamma=lambda m: np.full((1, 1, 1), scale, dtype=object),
                               torsion=lambda m: np.zeros((1, 1, 1), dtype=object))
-    z = np.array([0.0, 0.0, 1e10])
+    s, z, lane = np.zeros(1), np.array([[0.0, 0.0, 1e10]]), np.array([0])
     # |f| = 1e300 does not overflow the norm: dt/ds stays positive
-    dz = _geodesic_rhs(chart(-1e280), -1.0)(0.0, z)
+    dz = _geodesic_rhs(chart(-1e280), np.array([-1.0]))(s, z, lane)[0]
     assert np.all(np.isfinite(dz)) and -1e-290 < dz[0] < 0.0
     assert np.linalg.norm(dz[1:]) == pytest.approx(RESCALE_SPEED)
     # a non-finite field still reaches the solver's rejection sentinel
-    out = _overflow_safe(_geodesic_rhs(chart(float("inf")), 1.0))(0.0, z)
+    out = _overflow_safe(_geodesic_rhs(chart(float("inf")), np.array([1.0])))(s, z, lane)[0]
     assert np.all(np.isfinite(out)) and out[2] == -1e150
 
 
@@ -461,6 +472,22 @@ def test_geodesic_glued_crosses_charts(circle):
     assert res.switches >= 2
     # the forward direction shrinks the fiber through the inverse twist
     assert abs(res.path.fiber[-1][0]) < 1.0
+
+
+def test_glued_geodesic_refuses_a_negative_chart_label(torus):
+    with pytest.raises(TransportError, match="chart -1 is not a chart"):
+        geodesic_glued(torus.glued, -1, [0.5, 0.5], [1.0, 0.0], span=(0.0, 1.0))
+
+
+def test_glued_geodesic_refuses_a_start_outside_its_chart(torus):
+    # (0.5, 0.5) lies in chart 3 but not in chart 0, the box (-0.36, 0.36)^2
+    with pytest.raises(GeometryError, match="outside chart interior"):
+        geodesic_glued(torus.glued, 0, [0.5, 0.5], [1.0, 0.0], span=(0.0, 1.0))
+
+
+def test_completeness_probe_refuses_a_seed_chart_label_past_the_last_chart(torus):
+    with pytest.raises(TransportError, match="chart 9 is not a chart"):
+        completeness_probe(torus.glued, [(9, [0.0, 0.0], [1.0, 0.0])], horizon=1.0)
 
 
 def test_completeness_probe_counterexample(circle):
