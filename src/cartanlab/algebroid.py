@@ -55,6 +55,10 @@ class AlgebroidChart:
     anchor: SmoothField
     gamma: SmoothField
     torsion: SmoothField
+    # jets(ms) builds the anchor, gamma and torsion 1-jets at the float
+    # points ms (B, n) and keeps them, so that every later ``first_jet`` of
+    # the three there reads what was kept; None where the chart keeps none
+    jets: Callable | None = None
 
     def __post_init__(self):
         n, r = self.base.dim, self.rank

@@ -106,7 +106,10 @@ def curvature_conn(C: AlgebroidChart, u, v, x, m):
                      u, v, x)
 
 
-def _sample_set(C: AlgebroidChart, samples, seed=42):
+def sample_set(C: AlgebroidChart, samples, seed=42):
+    """The points a tensor check reads: ``samples`` as given, or that many
+    points (50 for None) drawn uniformly in the chart's sample box with
+    ``seed``."""
     if samples is None:
         return C.base.sample_points(np.random.default_rng(seed), 50)
     if isinstance(samples, int):
@@ -122,7 +125,7 @@ def per_point_max(t) -> tuple[float, ...]:
 def _max_over_samples(name, C, tensor_at, samples, tol, seed) -> TensorReport:
     """The residual tensor over the whole sample set, from ``tensor_at`` of
     the stacked points, reduced to its max |.| at each point."""
-    pts = sample_stack(_sample_set(C, samples, seed))
+    pts = sample_stack(sample_set(C, samples, seed))
     for m in pts:
         C.base.require_interior(m)
     per = per_point_max(tensor_at(pts))
@@ -142,14 +145,18 @@ def is_flat(C: AlgebroidChart, samples=None, tol: float = 1e-7, seed: int = 42) 
                              samples, tol, seed)
 
 
-def fiber_bracket_at(C: AlgebroidChart, m0, jacobi_tol: float = 1e-6) -> LieAlgebra:
+def fiber_bracket_at(C: AlgebroidChart, m0, jacobi_tol: float = 1e-6,
+                     from_jets: bool = False) -> LieAlgebra:
     """Lie algebra read off the torsion at a point of a flat Cartan chart.
 
-    Raises if the extracted table fails the Jacobi identity, which signals
-    a violated flatness/Cartan precondition.
+    The torsion is its value read (``SmoothField.values``), or with
+    ``from_jets`` the value of its order-1 jet (``first_jet``), which a
+    chart that keeps its jets (``AlgebroidChart.jets``) reads from what it
+    kept.  Raises if the extracted table fails the Jacobi identity, which
+    signals a violated flatness/Cartan precondition.
     """
     m0 = as_point(m0)
     C.base.require_interior(m0)
-    t = C.torsion.values(m0[None])[0]
+    t = (C.torsion.first_jet(m0[None]).v if from_jets else C.torsion.values(m0[None]))[0]
     c = np.einsum("cab->abc", t)
     return LieAlgebra(c, tol=jacobi_tol)

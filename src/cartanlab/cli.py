@@ -17,7 +17,9 @@ The geodesic checks of a scenario (``GEODESIC_STARTS``) share one
 one ``development.develop_ends`` solve.  Each shared solve is made when the
 first of its checks runs, so the text report counts its time in that
 check; each check reads its own lanes, bit for bit its solve alone
-(``_shared_lanes``).
+(``_shared_lanes``).  Likewise its tensor checks (``TENSOR_POINTS``) read
+the chart's jets from one pass over all their sample points, made when the
+first of them runs, on a chart that keeps its jets (``_read_ahead``).
 """
 
 from __future__ import annotations
@@ -463,6 +465,43 @@ DEVELOP_ENDS = {
 }
 
 
+def _samples(model, params, seed) -> np.ndarray:
+    """The sample points of a tensor check with a ``samples`` count."""
+    return cartan.sample_set(model.chart, params["samples"], seed)
+
+
+# A tensor check's sample points, where it reads the chart's jets (see
+# _read_ahead): op -> (model, params, seed) -> the points (B, n).
+TENSOR_POINTS = {
+    "is_cartan": _samples,
+    "is_flat": _samples,
+    "invariant_metric": _samples,
+    # the flatness spot check, then the torsion at m0
+    "classify": lambda model, params, seed: np.vstack([cartan.sample_set(
+        model.chart, models.CLASSIFY_FLAT_SAMPLES, models.CLASSIFY_FLAT_SEED), [model.m0]]),
+}
+
+
+def _read_ahead(model, checks, seed):
+    """A callable that, at its first call, builds the chart's jets
+    (``AlgebroidChart.jets``) in one pass over the sample points of every
+    tensor check of ``checks``, so that each check's own reads find them
+    kept; on a chart that keeps no jets it does nothing.  When the pass
+    raises nothing is kept, and each check builds its own jets, so an error
+    stops the scenario at the check that owns it."""
+    points = [functools.partial(TENSOR_POINTS[op], model, params, seed)
+              for op, params in checks if op in TENSOR_POINTS]
+
+    def read():
+        if points and model.chart.jets is not None:
+            try:
+                model.chart.jets(np.concatenate([p() for p in points]))
+            except Exception:   # raised again by the check whose own read raises
+                pass
+        points.clear()
+    return read
+
+
 def _geodesics(chart, starts) -> list:
     """The geodesics from ``starts`` in ``chart``, as the lanes of one
     ``transport.geodesic`` run."""
@@ -557,8 +596,8 @@ def check_invariant_metric(model, params, seed):
         sigma = model.metric
     else:
         sigma = dataclasses.replace(geometry.metric_by_name(name), chart=chart.base)
-    pts = chart.base.sample_points(np.random.default_rng(seed), params["samples"])
-    rep = transport.invariant_metric_check(chart, sigma, tol=params["tol"], samples=pts)
+    rep = transport.invariant_metric_check(chart, sigma, tol=params["tol"],
+                                           samples=_samples(model, params, seed))
     return CheckResult("invariant_metric", _as_expected(rep.passed, params, rep.max_residual),
                        rep.max_residual, {"samples": len(rep.per_point)})
 
@@ -658,16 +697,22 @@ def run_scenario(doc: dict, seed: int | None = None, tol_scale: float = 1.0) -> 
     """Parse every check, then run them in order.  Each geodesic check
     reads its lanes of the scenario's one geodesic run, and each
     development check its lanes of the scenario's one development solve
-    (``_shared_lanes``).  An exception inside a check stops the run as a
-    ``CheckError`` naming the check."""
+    (``_shared_lanes``).  The first tensor check first builds the chart's
+    jets at the sample points of every tensor check in one pass, where the
+    chart keeps them, and each tensor check then reads its own points'
+    jets from that pass (``_read_ahead``).  An exception inside a check
+    stops the run as a ``CheckError`` naming the check."""
     name, seed, model, checks = parse_scenario(doc, seed, tol_scale)
     lanes = {}
     for table, solve in ((GEODESIC_STARTS, _geodesics), (DEVELOP_ENDS, development.develop_ends)):
         lanes.update(dict.fromkeys(table, _shared_lanes(model, checks, seed, table, solve)))
+    read_ahead = _read_ahead(model, checks, seed)
     results = []
     for k, (op, params) in enumerate(checks, 1):
         t0 = time.perf_counter()
         try:
+            if op in TENSOR_POINTS:
+                read_ahead()
             shared = (functools.partial(lanes[op], k),) if op in lanes else ()
             results.append(CHECKS[op](model, params, seed, *shared))
         except Exception as e:

@@ -113,7 +113,11 @@ def build_riemannian_cartan(metric: SmoothField) -> RiemannianCartanChart:
     ``first_jet``).  Those jets are kept on the chart, point by point, and
     a stack's missing points are built in one pass from one metric 3-jet
     over all of them, so each sample point's jets are built once however
-    many checks read them.
+    many checks read them.  The chart's ``jets`` is that pass: the scenario
+    runner calls it once over the sample points of all of a scenario's
+    tensor checks before the first of them runs (``cli.TENSOR_POINTS``), so
+    their own reads find every point kept.  A pass that raises keeps
+    nothing.
     """
     base = metric.chart
     n = base.dim
@@ -204,7 +208,8 @@ def build_riemannian_cartan(metric: SmoothField) -> RiemannianCartanChart:
         anchor=field("anchor", (n, r), lambda m: place(frame(m), TM), 0, frames),
         gamma=field("connection", (n, r, r), lambda m: parts(metric_jet(metric, m, 2)).gamma, 1),
         torsion=field("torsion", (r, r, r),
-                      lambda m: torsion_of(parts(metric_jet(metric, m, 2))), 2))
+                      lambda m: torsion_of(parts(metric_jet(metric, m, 2))), 2),
+        jets=jet_parts)
     return RiemannianCartanChart(metric, chart, n, frame)
 
 
@@ -223,6 +228,10 @@ def model_structure_constants(s: float, n: int) -> np.ndarray:
     h = WW - np.swapaxes(WW, 0, 1) - s * (VV - np.swapaxes(VV, 0, 1))
     return np.concatenate([WV - np.swapaxes(WV, 0, 1), skew_coords(h, n)], axis=-1)
 
+
+# classify's flatness spot check: its sample count and seed
+CLASSIFY_FLAT_SAMPLES = 6
+CLASSIFY_FLAT_SEED = 42
 
 MODEL_ALGEBRA_NAMES = {"euclidean": "o(n) semidirect R^n",
                        "spherical": "o(n+1)",
@@ -246,18 +255,20 @@ def classify_constant_curvature(R: RiemannianCartanChart, m0,
 
     Requires the chart connection to be flat (constant curvature); a
     non-flat chart has no constant model to classify into even when the
-    pointwise bracket fits, so the precondition is spot-checked at six
-    points.
+    pointwise bracket fits, so the precondition is spot-checked at
+    ``CLASSIFY_FLAT_SAMPLES`` points drawn with ``CLASSIFY_FLAT_SEED``.
+    The torsion at m0 is read from the chart's jets, which the chart keeps,
+    so a scenario that read them ahead builds no second jet there.
     """
     from .cartan import is_flat
-    flat = is_flat(R.chart, samples=6)
+    flat = is_flat(R.chart, samples=CLASSIFY_FLAT_SAMPLES, seed=CLASSIFY_FLAT_SEED)
     if not flat.passed:
         raise ValueError(
             f"chart connection is not flat (residual {flat.max_residual:.3e}); "
             "curvature is not constant")
     fit = scalar_form_fit(R.metric, [m0])
     s, fit_residual = float(fit.s[0]), float(fit.residual[0])
-    extracted = fiber_bracket_at(R.chart, m0).structure_constants
+    extracted = fiber_bracket_at(R.chart, m0, from_jets=True).structure_constants
     model = model_structure_constants(s, R.n)
     resid = float(np.max(np.abs(extracted - model)))
     if not (resid <= tol and fit_residual <= tol):

@@ -525,14 +525,15 @@ def _first_sign_changes(lanes, events, t0: float) -> list:
     sign at every step end, so only the steps that hold a scan time
     t0 + j(stop - t0)/64 are scanned, at those times and at the step's two
     ends, up to ``stop``, the end of the lane's integrated range (included
-    unless an event stopped the lane there; a lane that stayed at t0 is
-    not scanned): one call of each event on the grid states of all lanes.
-    A change between two grid times is located by Brent's method on the
-    interpolant."""
+    unless an event stopped the lane there; a lane that stayed at t0, or
+    that completed without a step and so has no dense output, as a lane of
+    no entries does, is not scanned): one call of each event on the grid
+    states of all lanes.  A change between two grid times is located by
+    Brent's method on the interpolant."""
     grids = {}
     for b, lane in enumerate(lanes):
         stop = float(lane.times[-1])
-        if stop == t0:
+        if stop == t0 or lane.sol is None:
             continue
         d = stop - t0
         scan = t0 + d * np.arange(1, _EVENT_SCAN_POINTS) / _EVENT_SCAN_POINTS

@@ -12,7 +12,7 @@ import yaml
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cartanlab import algebra, cartan, cli, development, geometry, models, transport
+from cartanlab import algebra, cartan, cli, development, dual, geometry, models, transport
 from cartanlab.cli import (ScenarioError, bundled_scenarios,
                            export_report, list_examples,
                            report_from_structured, run_scenario)
@@ -946,3 +946,114 @@ def test_only_checks_on_the_same_objects_share_a_solve():
     assert [lanes(k) for k in (1, 3, 4)] == [[(first, 1), (first, 2)], [(equal, 3)], [(first, 4)]]
     assert solves == [(first, [1, 2, 4]), (equal, [3])]
     assert solves[1][0] is equal
+
+
+# -- one jet pass per scenario -------------------------------------------------------
+
+def _certify_doc(model, tag, seed):
+    return {"name": f"certify-{model}", "model": model, "seed": seed, "checks": [
+        {"op": "is_cartan", "samples": 1, "tol": 1e-7},
+        {"op": "is_flat", "samples": 2, "tol": 1e-7},
+        {"op": "invariant_metric", "metric": "model", "samples": 2, "tol": 1e-7},
+        {"op": "scalar_form_fit", "points": 2, "expect_abs_s": 1.0},
+        {"op": "classify", "expect_tag": tag}]}
+
+
+SHARED_JET_SCENARIOS = {
+    "certify-sphere2": _certify_doc("sphere2", "spherical", 11),
+    "certify-hyperbolic2": _certify_doc("hyperbolic2", "hyperbolic", 12),
+    "bundled-sphere2": yaml.safe_load(Path(bundled_scenarios()["sphere2"]).read_text()),
+}
+
+
+def _record_chart_metric_jets(monkeypatch) -> list:
+    """(order, points, raised) of each metric jet the TM+h chart builds."""
+    jets = []
+
+    def recording(metric, m, order):
+        try:
+            out = metric_jet(metric, m, order)
+        except Exception:
+            jets.append((order, len(np.atleast_2d(m)), True))
+            raise
+        jets.append((order, len(np.atleast_2d(m)), False))
+        return out
+    metric_jet = models.metric_jet
+    monkeypatch.setattr(models, "metric_jet", recording)
+    return jets
+
+
+@pytest.mark.parametrize("name", SHARED_JET_SCENARIOS)
+def test_each_tensor_check_reads_as_it_does_alone(name, monkeypatch):
+    doc = SHARED_JET_SCENARIOS[name]
+    jets = _record_chart_metric_jets(monkeypatch)
+    report = run_scenario(doc)
+    assert report.verdict, export_report(report, "text")
+    _, _, model, checks = cli.parse_scenario(doc, None, 1.0)
+    points = np.concatenate([cli.TENSOR_POINTS[op](model, params, report.seed)
+                             for op, params in checks if op in cli.TENSOR_POINTS])
+    # one metric 3-jet over every tensor check's points, and no 2-jet for
+    # classify's torsion at m0
+    assert jets == [(3, len({tuple(m) for m in points}), False)]
+    tensor = [k for k, check in enumerate(doc["checks"]) if check["op"] in cli.TENSOR_POINTS]
+    assert len(tensor) >= 4
+    for k in tensor:
+        alone = run_scenario({**doc, "checks": [doc["checks"][k]]}).structured()["checks"][0]
+        assert json.dumps(report.structured()["checks"][k]) == json.dumps(alone)
+
+
+def test_a_failing_jet_pass_stops_the_run_at_the_check_that_owns_it(tmp_path, capsys,
+                                                                     monkeypatch):
+    # the round metric is not positive definite at theta = 0, classify's m0
+    monkeypatch.setitem(models.CATALOG, "sphere2", lambda: models.riemannian_model(
+        "sphere2", geometry.sphere_metric(2), [0.0, 0.0]))
+    jets = _record_chart_metric_jets(monkeypatch)
+    errors = []
+    for checks in ([{"op": "is_cartan", "samples": 1}, {"op": "is_flat", "samples": 2},
+                    {"op": "classify"}], [{"op": "classify"}]):
+        path = tmp_path / "failing.yaml"
+        path.write_text(yaml.safe_dump({"name": "failing", "model": "sphere2", "seed": 3,
+                                        "checks": checks}))
+        assert cli.main(["run", str(path)]) == 3
+        out, err = capsys.readouterr()
+        assert out == "" and "Traceback" not in err
+        errors.append(err)
+    together, alone = errors
+    assert together == ("error: check 3 (classify) could not run: GeometryError: "
+                        "point [0. 0.] outside chart interior\n")
+    assert together == alone.replace("check 1", "check 3")
+    # the shared pass over the 2 + 6 + 1 distinct points raised and kept
+    # nothing, so the first two checks built their own jets
+    assert jets[0] == (3, 9, True) and jets[1:3] == [(3, 1, False), (3, 1, False)]
+
+
+def test_an_action_chart_builds_no_jet_ahead(monkeypatch):
+    # the CI's inline so3_linear scenario
+    so3 = [[[0.0, 0.0, 0.0], [0.0, 0.0, 1.0], [0.0, -1.0, 0.0]],
+           [[0.0, 0.0, -1.0], [0.0, 0.0, 0.0], [1.0, 0.0, 0.0]],
+           [[0.0, 1.0, 0.0], [-1.0, 0.0, 0.0], [0.0, 0.0, 0.0]]]
+    doc = {"name": "so3_linear", "model": {"action_algebroid": {
+        "algebra": {"structure_constants": so3},
+        "chart": {"lower": [-2.0] * 3, "upper": [2.0] * 3},
+        "action": {"family": "linear", "generators": [
+            [[0.0, 0.0, 0.0], [0.0, 0.0, -1.0], [0.0, 1.0, 0.0]],
+            [[0.0, 0.0, 1.0], [0.0, 0.0, 0.0], [-1.0, 0.0, 0.0]],
+            [[0.0, -1.0, 0.0], [1.0, 0.0, 0.0], [0.0, 0.0, 0.0]]]}}},
+        "checks": [{"op": "is_cartan"}, {"op": "is_flat"},
+                   {"op": "geodesic_escape", "point": [0.5, 0.3, -0.2],
+                    "fiber": [0.1, 0.2, -0.1]}]}
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return taylor_stack(*args, **kwargs)
+    taylor_stack = dual.taylor_stack
+    monkeypatch.setattr(dual, "taylor_stack", counting)
+    assert run_scenario(doc).verdict
+    assert cli.resolve_model(doc["model"])[1].chart.jets is None
+    together, alone = len(calls), 0
+    for check in doc["checks"]:
+        calls.clear()
+        run_scenario({**doc, "checks": [check]})
+        alone += len(calls)
+    assert 0 < together <= alone

@@ -83,6 +83,18 @@ def test_event_scan_covers_the_integrated_range_of_a_long_span():
     assert out.status == "event:window" and abs(out.t_end - 4.9) < 1e-9
 
 
+def test_lanes_of_no_entries_complete_without_a_step_under_events():
+    # a lane of no entries completes at its span end without a step, so it
+    # has no dense output for the event scan to read
+    zero = lambda t, y, lanes: np.zeros_like(y)     # noqa: E731
+    out = ode.integrate(zero, (0.0, 1.0), np.zeros((2, 0)), events=[("never", _never)])
+    plain = ode.integrate(zero, (0.0, 1.0), np.zeros((2, 0)))
+    assert [(o.status, o.event_name, o.t_end, o.times.tolist(), o.states.shape, o.sol)
+            for o in out.lanes] == [("completed", None, 1.0, [0.0, 1.0], (2, 0), None)] * 2
+    assert [(o.times.tolist(), o.nfev, o.steps) for o in out.lanes] == \
+        [(o.times.tolist(), o.nfev, o.steps) for o in plain.lanes]
+
+
 def _forced_oscillators(t, y, lanes):
     # q' = p, p' = -(1 + t^2/2) q, r' = t - 0.3 r on a stack of lane states
     return np.stack([y[:, 1], -y[:, 0] * (1.0 + 0.5 * t * t), t - 0.3 * y[:, 2]], axis=1)
