@@ -189,13 +189,20 @@ def expm(a) -> np.ndarray:
     element takes its own degree and s: the approximant is evaluated once
     per degree for the elements of that degree, and each squaring step
     squares the elements that still need one, so every element gets the
-    arithmetic it would get alone."""
+    arithmetic it would get alone.
+
+    A strictly upper triangular element N (a translation or Heisenberg
+    exponent) is nilpotent, so it takes its terminating series
+    I + N + ... + N^(d-1)/(d-1)! instead: the result is unipotent, its
+    diagonal exactly 1, as ``log_matrix`` expects of such elements."""
     a = np.asarray(a, dtype=float)
     stack = a.reshape(-1, *a.shape[-2:])
     norms = np.abs(stack).sum(axis=-2).max(axis=-1, initial=0.0)
     if not np.all(np.isfinite(norms)):
         raise AlgebraError("matrix exponential of non-finite entries")
-    degree = np.select([norms <= theta for theta in _PADE_THETA.values()], list(_PADE_THETA), 13)
+    nilpotent = ~np.any(np.tril(stack), axis=(-2, -1))
+    degree = np.select([nilpotent, *(norms <= theta for theta in _PADE_THETA.values())],
+                       [0, *_PADE_THETA], 13)
     # s = max(0, ceil(log2 x)), x = norm / theta_13, read exactly off
     # x = f 2^e with 1/2 <= f < 1
     f, e = np.frexp(norms / _PADE_THETA[13])
@@ -203,11 +210,22 @@ def expm(a) -> np.ndarray:
     out = np.empty_like(stack)
     for m in set(degree.tolist()):
         lanes = degree == m
-        out[lanes] = _pade(stack[lanes] / 2.0 ** s[lanes, None, None], m)
+        out[lanes] = (_nilpotent_series(stack[lanes]) if m == 0 else
+                      _pade(stack[lanes] / 2.0 ** s[lanes, None, None], m))
     for k in range(s.max(initial=0)):
         lanes = s > k
         out[lanes] = out[lanes] @ out[lanes]
     return out.reshape(a.shape)
+
+
+def _nilpotent_series(a: np.ndarray) -> np.ndarray:
+    """exp of a stack (B, d, d) of nilpotent matrices: the series to the
+    a^(d-1) term."""
+    out, term = np.eye(a.shape[-1]) + a, a
+    for m in range(2, a.shape[-1]):
+        term = term @ a / m
+        out += term
+    return out
 
 
 def _pade(a: np.ndarray, m: int) -> np.ndarray:

@@ -87,11 +87,18 @@ def heisenberg() -> LieAlgebra:
 
 def expm_at(a) -> np.ndarray:
     """Pade scaling and squaring of one matrix (``algebra.expm``'s
-    algorithm): degree and s from its own 1-norm."""
+    algorithm): degree and s from its own 1-norm; a strictly upper
+    triangular matrix takes its terminating series."""
     a = np.asarray(a, dtype=float)
     norm = np.abs(a).sum(axis=0).max()
     if not math.isfinite(norm):
         raise AlgebraError("matrix exponential of non-finite entries")
+    if not np.any(np.tril(a)):
+        out, term = np.eye(len(a)) + a, a
+        for m in range(2, len(a)):
+            term = term @ a / m
+            out += term
+        return out
     theta = algebra._PADE_THETA
     m = next((m for m, t in theta.items() if norm <= t), 13)
     s = max(0, math.ceil(math.log2(norm / theta[13]))) if m == 13 else 0

@@ -471,12 +471,14 @@ def test_parse_pass_returns_declared_kinds_or_scenario_error(op_key, val, tol_sc
 
 def test_glued_model_transports_each_loop_once(monkeypatch):
     # every loop of the model in one transport solve, read by all three
-    # checks, and one development solve for the reconstruction
+    # checks, and one development call for the reconstruction
     from cartanlab import ode, transport
     solves = []
-    for module in (transport, development):
-        monkeypatch.setattr(module, "integrate", lambda *a, module=module, **k:
-                            solves.append(module.__name__) or ode.integrate(*a, **k))
+    monkeypatch.setattr(transport, "integrate", lambda *a, **k:
+                        solves.append(transport.__name__) or ode.integrate(*a, **k))
+    frames = development._develop_frames
+    monkeypatch.setattr(development, "_develop_frames", lambda *a, **k:
+                        solves.append(development.__name__) or frames(*a, **k))
     for model, compact in (("counterexample_s1", "unbounded"),
                            ("flat_torus", "consistent-with-compact-closure")):
         solves.clear()
@@ -880,15 +882,15 @@ SHARED_SOLVE_SCENARIOS = {
 
 
 def _record_development_solves(monkeypatch) -> list:
-    """The lane count of each development solve."""
+    """The path count of each development (``development._develop_frames``
+    call)."""
     solves = []
 
-    def recording(*args, **kwargs):
-        out = integrate(*args, **kwargs)
-        solves.append(len(out.lanes))
-        return out
-    integrate = development.integrate
-    monkeypatch.setattr(development, "integrate", recording)
+    def recording(A, H, paths, *args, **kwargs):
+        solves.append(len(paths))
+        return frames(A, H, paths, *args, **kwargs)
+    frames = development._develop_frames
+    monkeypatch.setattr(development, "_develop_frames", recording)
     return solves
 
 

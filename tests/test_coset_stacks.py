@@ -46,9 +46,8 @@ def _rotations(rng, angles):
 
 
 def test_unipotent_stacks_take_one_series_and_match_each_element():
-    # exp rounds the diagonal of a long translation off 1, so the unipotent
-    # elements are written down: exp(x) = I + x + x^2 / 2 for the
-    # translations and the upper triangular Heisenberg group
+    # the unipotent elements are written down: exp(x) = I + x + x^2 / 2 for
+    # the translations and the upper triangular Heisenberg group
     rng = np.random.default_rng(1)
     for R, xis in [(algebra.translation_realization(2), rng.uniform(-2000, 2000, (40, 2))),
                    (HEISENBERG, rng.uniform(-3, 3, (40, 3)))]:

@@ -4,9 +4,10 @@ import warnings
 
 import numpy as np
 import pytest
+import scipy.integrate
 from scipy.integrate import quad
 
-from cartanlab import algebra, development, ode
+from cartanlab import algebra, development
 from cartanlab.algebra import AlgebraMap, MatrixRealization, Subalgebra
 from cartanlab.algebroid import ActionAlgebroid, AlgebroidChart, make_action_algebroid
 from cartanlab.development import (Coset, DevelopmentError, EquivariantMap,
@@ -110,14 +111,14 @@ def test_develop_paths_matches_single_paths_sphere(sphere):
 
 
 def test_inverse_frame_development_matches_the_p_frame_solve(circle, torus, sphere):
-    # Gamma = 0 on the action algebroids: the frames stay the identity and
-    # the developments are the P-frame solve's bit for bit
+    # Gamma = 0 on the action algebroids: the frames stay the identity
+    # exactly, and the developments agree with the P-frame solve
     for A, H, m0, ends in ((circle.cover, circle.homog, [0.0], [[0.4], [-1.1], [2.5]]),
                            (torus.cover, torus.homog, [0.0, 0.0], [[0.3, -0.2], [0.1, 0.4]])):
         paths = [line_path(m0, e) for e in ends]
         g, Q = development._develop_frames(A, H, paths)
         g_p, P = oracles.develop_frames_p(A, H, paths)
-        assert np.array_equal(g, g_p) and np.array_equal(Q, P)
+        assert np.max(np.abs(g - g_p)) <= 1e-12 * np.max(np.abs(g_p)) and np.array_equal(Q, P)
         assert np.array_equal(Q, np.broadcast_to(np.eye(Q.shape[-1]), Q.shape))
     # on the TM+h chart the frame is nontrivial; Q is P's inverse
     m0 = sphere.m0
@@ -231,38 +232,43 @@ def test_develop_paths_refuses_a_segment_in_another_chart(torus):
         develop_paths(torus.cover, torus.homog, [line_path([0.0, 0.0], [0.1, 0.2]), other])
 
 
-def _record_integrations(monkeypatch):
-    outcomes = []
+def _record_reads(monkeypatch):
+    """The (lanes, nodes) of each stacked node read of a development."""
+    reads = []
 
-    def recording(*args, **kwargs):
-        out = ode.integrate(*args, **kwargs)
-        outcomes.append(out)
-        return out
-    monkeypatch.setattr(development, "integrate", recording)
-    return outcomes
+    def recording(chart, read, lanes, tau):
+        reads.append(tau.shape)
+        return fields(chart, read, lanes, tau)
+    fields = development._node_fields
+    monkeypatch.setattr(development, "_node_fields", recording)
+    return reads
 
 
 def test_development_work_is_independent_of_sample_count(circle, rng, monkeypatch):
-    outcomes = _record_integrations(monkeypatch)
+    # more samples are more lanes of the same node reads, not more reads
+    reads = _record_reads(monkeypatch)
     counts = []
     for k in (4, 12):
-        outcomes.clear()
+        reads.clear()
         equivariance_diagram_check(circle.cover, circle.homog, circle.decks[0], [0.0],
                                    rng.uniform(-0.5, 1.5, (k, 1)))
-        assert all(out.steps > 0 and out.nfev > out.steps for out in outcomes)
-        counts.append(len(outcomes))
+        assert reads and reads[0] == (1 + 2 * k, development._FIRST_NODES)
+        counts.append([nodes for _, nodes in reads])
     assert counts[0] == counts[1]
 
 
 def test_develop_paths_at_the_rtol_floor_is_one_solve_of_lanes(torus, monkeypatch):
     # each path meets rtol on its own, so 25 paths at rtol 1e-13 are 25
-    # lanes of one solve, none of them changed by its batch mates
-    outcomes = _record_integrations(monkeypatch)
+    # lanes of the same node reads, none of them changed by its batch
+    # mates: the torus lanes' elements are constant, so the first two node
+    # counts agree and each is one read of all 25 lanes
+    reads = _record_reads(monkeypatch)
     paths = [line_path([0.0, 0.0], [0.03 * k, -0.02 * k]) for k in range(25)]
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         batch = develop_paths(torus.cover, torus.homog, paths, rtol=1e-13)
-    assert len(outcomes) == 1 and len(outcomes[0].lanes) == 25
+    first = development._FIRST_NODES
+    assert reads == [(25, first), (25, 2 * first)]
     for k, (path, c) in enumerate(zip(paths, batch)):
         assert np.allclose(c.g[:2, 2], [0.03 * k, -0.02 * k], atol=1e-12)
         assert np.array_equal(c.g, develop_paths(torus.cover, torus.homog, [path],
@@ -286,10 +292,13 @@ def test_an_anchor_failing_the_rank_test_changes_only_its_own_lift(torus):
 
 
 def test_reconstruct_torus_batches_its_developments(torus, monkeypatch):
-    outcomes = _record_integrations(monkeypatch)
+    batches = []
+    frames = development._develop_frames
+    monkeypatch.setattr(development, "_develop_frames", lambda A, H, paths, *a, **k:
+                        batches.append(len(paths)) or frames(A, H, paths, *a, **k))
     reconstruct_atlas(torus.glued, torus.homog, torus.atlas_spec)
     # one batch: the patch samples (Jacobians included) and the overlaps
-    assert len(outcomes) == 1
+    assert batches == [len(development.reconstruct_ends(torus.atlas_spec))]
 
 
 def test_circle_batch_matches_closed_form(circle):
@@ -299,7 +308,119 @@ def test_circle_batch_matches_closed_form(circle):
                           [line_path([0.0], [t]) for t in thetas])
     for t, c in zip(thetas, batch):
         want = math.expm1(t)
-        assert abs(c.g[0, 1] - want) <= 1e-10 * abs(want)
+        assert abs(c.g[0, 1] - want) <= 1e-12 * abs(want)
+
+
+def test_developed_translations_are_exactly_unipotent(circle, torus):
+    # each lane's one step exponentiates a nilpotent element by its
+    # terminating series, so no diagonal entry leaves 1
+    for model in (circle, torus):
+        spec = model.atlas_spec
+        frames = development.develop_ends(spec.cover, model.homog, spec.m0,
+                                          development.reconstruct_ends(spec))
+        d = frames.g.shape[-1]
+        assert np.array_equal(np.diagonal(frames.g, axis1=1, axis2=2), np.ones((len(frames), d)))
+        assert not np.any(np.tril(frames.g, -1))
+
+
+def test_a_lane_whose_node_counts_disagree_takes_more_nodes(circle, monkeypatch):
+    # the integrand theta e^(theta t) of the far lane needs 32 nodes for
+    # 16 to agree with them at rtol 1e-12; looser tolerances stop sooner,
+    # and every count meets its rtol
+    reads = _record_reads(monkeypatch)
+    theta = 2 * math.pi + 1.5
+    nodes = []
+    for rtol in (1e-3, 1e-6, 1e-12):
+        reads.clear()
+        (c,) = develop_paths(circle.cover, circle.homog, [line_path([0.0], [theta])], rtol=rtol)
+        assert abs(c.g[0, 1] - math.expm1(theta)) <= rtol * math.expm1(theta)
+        nodes.append([n for _, n in reads])
+    first = development._FIRST_NODES
+    assert nodes[-1] == [first * 2 ** k for k in range(5)]
+    assert len(nodes[0]) < len(nodes[1]) < len(nodes[2])
+
+
+def _dop853_development(chart, H, path):
+    """(g, Q) at the end of one path from scipy's DOP853 at rtol = atol =
+    1e-13 on the pair dQ/dt = Q Gamma(v), dG/dt = Xi G, segment by
+    segment, each field read at one point."""
+    d, r = H.realization.matrix_dim, chart.rank
+    sign = -float(development.bracket_orientation(chart))
+    gens = np.stack(H.realization.generators)
+    y = np.concatenate([np.eye(r).ravel(), np.eye(d).ravel()])
+    for seg in path.segments:
+        a, v = seg.a, seg.b - seg.a
+
+        def f(t, y, a=a, v=v):
+            m = (a + t * v)[None]
+            Q, G = y[:r * r].reshape(r, r), y[r * r:].reshape(d, d)
+            gv = np.einsum("iac,i->ac", chart.gamma.values(m)[0], v)
+            X = development._lift_fibers(chart.anchor.values(m), v[None])[0]
+            Xi = np.einsum("i,iac->ac", sign * (Q @ X), gens)
+            return np.concatenate([(Q @ gv).ravel(), (Xi @ G).ravel()])
+        with warnings.catch_warnings():
+            # scipy raises an rtol below 100 eps to that floor, with a warning
+            warnings.simplefilter("ignore", UserWarning)
+            y = scipy.integrate.solve_ivp(f, (0.0, 1.0), y, method="DOP853",
+                                          rtol=1e-13, atol=1e-13).y[:, -1]
+    return y[r * r:].reshape(d, d), y[:r * r].reshape(r, r)
+
+
+def _relative_gap(got, want) -> float:
+    return float(np.max(np.abs(got - want)) / np.max(np.abs(want)))
+
+
+def test_sphere_polylines_match_the_p_frame_and_scipy_solves(sphere):
+    # the TM+h chart has Gamma != 0, so every lane takes Magnus steps of
+    # the pair (Q, G) under its own step control
+    rng = np.random.default_rng(3)
+    m0 = sphere.m0
+    paths = [polyline_path([m0, m0 + a, m0 + a + b]) for a, b in rng.uniform(-0.3, 0.3, (4, 2, 2))]
+    chart, H = sphere.rc.chart, sphere.homog
+    g, Q = development._develop_frames(chart, H, paths)
+    g_p, P = oracles.develop_frames_p(chart, H, paths)
+    assert min(np.max(np.abs(q - np.eye(3))) for q in Q) > 1e-2
+    for k, path in enumerate(paths):
+        assert _relative_gap(g[k], g_p[k]) <= 1e-11
+        assert _relative_gap(Q[k], np.linalg.inv(P[k])) <= 1e-11
+        g_s, Q_s = _dop853_development(chart, H, path)
+        assert _relative_gap(g[k], g_s) <= 1e-11 and _relative_gap(Q[k], Q_s) <= 1e-11
+
+
+def _affine_half_plane():
+    """aff(1), [e0, e1] = e0, acting on the plane by e0 = d_x and
+    e1 = x d_x + d_y, with its model the ax + b group.  Gamma = 0; the lift
+    of a velocity v at (x, y) is (v_x - x v_y, v_y), constant along a
+    horizontal segment and turning along any other, where the elements do
+    not commute."""
+    c = np.zeros((2, 2, 2))
+    c[0, 1, 0], c[1, 0, 0] = 1.0, -1.0
+    g0 = algebra.LieAlgebra(c)
+    A = make_action_algebroid(g0, lambda xi, m: [xi[0] + xi[1] * m[0], xi[1] + 0.0 * m[1]],
+                              Chart((-2.0, -2.0), (2.0, 2.0)))
+    R = MatrixRealization(g0, (np.array([[0.0, 1.0], [0.0, 0.0]]),
+                               np.array([[-1.0, 0.0], [0.0, 0.0]])))
+    return A, HomogeneousModel(g0, R, Subalgebra(g0, ()))
+
+
+def test_a_batch_mixes_one_step_and_stepped_lanes(monkeypatch):
+    A, H = _affine_half_plane()
+    level = [line_path([-0.5, 1.0], [1.2, 1.0]), line_path([0.3, -1.6], [-1.4, -1.6])]
+    rising = [line_path([-0.5, 1.0], [0.7, 1.8]), line_path([1.0, -0.8], [-0.2, 1.5])]
+    paths = [level[0], rising[0], level[1], rising[1]]
+    reads = _record_reads(monkeypatch)
+    g, _ = development._develop_frames(A, H, paths)
+    first = development._FIRST_NODES
+    # the level lanes take one step, the rising lanes Magnus steps, each
+    # trial read at the nodes of the step and of its two halves
+    assert reads[:2] == [(4, first), (2, 2 * first)]
+    assert {nodes for _, nodes in reads[2:]} == {3 * development._STEP_NODES}
+    _assert_batch_matches_single_paths(A, H, paths)
+    g_p, _ = oracles.develop_frames_p(A, H, paths)
+    assert all(_relative_gap(a, b) <= 1e-11 for a, b in zip(g, g_p))
+    # a level lane develops into a translation, exactly unipotent
+    for k in (0, 2):
+        assert g[k][1, 1] == 1.0 and g[k][0, 0] == 1.0 and g[k][1, 0] == 0.0
 
 
 def _fd_development_jacobian(A, H, m0, m, h=1e-5, rtol=1e-10):

@@ -190,3 +190,13 @@ def test_non_normal_logs_take_every_root_by_denman_beavers(g):
 def test_rotation_log_refuses_an_eigenvalue_at_the_cut(gap):
     with pytest.raises(AlgebraError, match="negative real axis"):
         algebra.principal_log(rotation([0.3, -0.5, 0.8], math.pi - gap))
+
+
+def test_a_nilpotent_exponent_takes_its_terminating_series():
+    # Pade scaling and squaring rounds the diagonal of a long translation
+    # off 1 (1 - 8.9e-16 here); the series keeps it unipotent
+    g = algebra.exp_matrix(algebra.translation_realization(2), [18.0, 4.7])
+    assert np.array_equal(np.diag(g), np.ones(3))
+    assert np.array_equal(g, [[1.0, 0.0, 18.0], [0.0, 1.0, 4.7], [0.0, 0.0, 1.0]])
+    n = np.array([[0.0, 1.5, 0.7], [0.0, 0.0, -2.0], [0.0, 0.0, 0.0]])
+    assert np.array_equal(algebra.expm(n), np.eye(3) + n + n @ n / 2)

@@ -5,9 +5,10 @@ import pytest
 import scipy.integrate
 import scipy.optimize
 
-from cartanlab import development, models, ode, transport
+from cartanlab import models, ode, transport
 from cartanlab.algebroid import AlgebroidChart
 from cartanlab.geometry import Chart
+import oracles
 
 
 def _ones(t, y, lanes):
@@ -212,7 +213,7 @@ def _outcomes(monkeypatch, run, oracle: bool):
         outcomes.extend(out.lanes)
         return out
     with monkeypatch.context() as mp:
-        for module in (ode, transport, development):
+        for module in (ode, transport, oracles):
             mp.setattr(module, "integrate", recording)
         if oracle:
             mp.setattr(ode, "solve_ivp", _scipy_solve_ivp)
@@ -284,11 +285,14 @@ def _sphere_stack():
 
 
 def _develop():
+    # development steps on the group (development._develop_frames); the
+    # driver still runs its reference, the P-frame solve, and the loop
+    # transports of a develop request
     circle = models.counterexample_s1()
-    development.develop_paths(circle.cover, circle.homog,
-                              [transport.line_path([0.0], [x]) for x in (1.0, -0.7, 5.5)])
+    oracles.develop_frames_p(circle.cover, circle.homog,
+                             [transport.line_path([0.0], [x]) for x in (1.0, -0.7, 5.5)])
     torus = models.flat_torus()
-    development.reconstruct_atlas(torus.glued, torus.homog, torus.atlas_spec)
+    transport.monodromies(torus.glued, torus.loops)
 
 
 @pytest.mark.parametrize("run", [_linear, _window, _collapse_and_window, _skew_transport,
