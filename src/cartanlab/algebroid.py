@@ -26,6 +26,7 @@ transition data on overlaps.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable
 
 import numpy as np
@@ -230,20 +231,30 @@ class GluedAlgebroid:
     def rank(self) -> int:
         return self.charts[0].rank
 
-    def overlaps_between(self, i: int, j: int) -> list[Overlap]:
+    def overlaps_between(self, i: int, j: int) -> list:
         """All transitions i -> j, including inverted entries."""
         out = [ov for ov in self.overlaps if ov.i == i and ov.j == j]
-        out.extend(_inverted(ov) for ov in self.overlaps if ov.i == j and ov.j == i)
+        out.extend(_Inverse(ov) for ov in self.overlaps if ov.i == j and ov.j == i)
         return out
 
 
-def _inverted(ov: Overlap) -> Overlap:
-    def fiber(m):
-        mi = ov.base_map_inv(as_point(m))
-        return np.linalg.inv(value(np.asarray(ov.fiber_map(mi), dtype=object)))
+class _Inverse:
+    """The transition j -> i of an overlap ``ov`` from i to j, read as an
+    ``Overlap``.  Its region, the bounding box of the image of ov's
+    region, is built on first read: a path's chart switch reads only the
+    maps."""
 
-    region = _map_box(ov.base_map, ov.region_i)
-    return Overlap(ov.j, ov.i, ov.base_map_inv, ov.base_map, fiber, region)
+    def __init__(self, ov: Overlap):
+        self.i, self.j, self.ov = ov.j, ov.i, ov
+        self.base_map, self.base_map_inv = ov.base_map_inv, ov.base_map
+
+    def fiber_map(self, m):
+        mi = self.ov.base_map_inv(as_point(m))
+        return np.linalg.inv(value(np.asarray(self.ov.fiber_map(mi), dtype=object)))
+
+    @cached_property
+    def region_i(self) -> Chart:
+        return _map_box(self.ov.base_map, self.ov.region_i)
 
 
 def _map_box(f, box: Chart) -> Chart:

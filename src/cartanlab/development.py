@@ -34,7 +34,7 @@ from __future__ import annotations
 
 import weakref
 from dataclasses import dataclass
-from functools import cache, cached_property, partial
+from functools import cached_property, partial
 from fractions import Fraction
 from typing import Callable
 
@@ -47,7 +47,7 @@ from .algebra import (AlgebraMap, LieAlgebra, MatrixRealization,
                       vector_norms, worst)
 from .algebroid import ActionAlgebroid
 from .geometry import INTERIOR_MARGIN, Chart, as_point, sample_stack
-from .ode import _GUARDED, _MAX_FACTOR, _MIN_FACTOR, _SAFETY, RTOL_FLOOR
+from .ode import RTOL_FLOOR, _commutators, _magnus_tables, _nan_guarded, lie_solve
 from .transport import BasePath, line_path, segment_batch
 
 
@@ -57,10 +57,6 @@ _RANK_TOL = 1e-8
 _ATLAS_SAMPLES = 6
 # largest off-span residual of a log that integrated_twist accepts, per 1 + |g|
 _SPAN_TOL = 1e-7
-# Gauss-Legendre node counts: a one-step lane compares its first two counts
-# from _FIRST_NODES and doubles up to _MAX_NODES; a Magnus step takes
-# _STEP_NODES
-_FIRST_NODES, _MAX_NODES, _STEP_NODES = 2, 64, 3
 
 
 class DevelopmentError(RuntimeError):
@@ -232,107 +228,45 @@ def _lift_fibers(a, v):
     return xi
 
 
-@cache
-def _gauss(s: int) -> tuple[np.ndarray, np.ndarray]:
-    """The s Gauss-Legendre nodes and weights on [0, 1], from the
-    eigendecomposition of the Jacobi matrix of the Legendre recurrence
-    (Golub and Welsch, Math. Comp. 23, 1969)."""
-    k = np.arange(1.0, s)
-    x, V = np.linalg.eigh(np.diag(k / np.sqrt(4 * k * k - 1), 1), UPLO="U")
-    return (x + 1.0) / 2.0, V[0] ** 2
-
-
-@cache
-def _magnus_tables() -> tuple[np.ndarray, np.ndarray]:
-    """W (s + 1, s) and K (s + 1, s, s) of the Magnus series of Y' = V Y
-    to its commutator term over [0, c] of a step h, from the values V_k at
-    the s = _STEP_NODES Gauss-Legendre nodes, for c each node and then 1:
-    Omega(c) = h sum_k W_ck V_k + h^2 sum_kl K_ckl [V_k, V_l], read off
-    the polynomial through the node values (l_k its Lagrange basis):
-    W_ck = int_0^c l_k, K_ckl = int_0^c l_k(u) int_0^u l_l / 2."""
-    c, _ = _gauss(_STEP_NODES)
-    ends, p = np.append(c, 1.0), np.arange(_STEP_NODES)
-    L = np.linalg.inv(np.vander(c, increasing=True))    # L[p, k]: the u^p term of l_k
-    W = ends[:, None] ** (p + 1) / (p + 1) @ L
-    # int_0^c u^p int_0^u w^q = c^(p+q+2) / ((q + 1)(p + q + 2))
-    E = ends[:, None, None] ** (p[:, None] + p + 2) / ((p + 1) * (p[:, None] + p + 2))
-    return W, np.einsum("cpq,pk,ql->ckl", E, L, L) / 2
-
-
-def _commutators(V: np.ndarray) -> np.ndarray:
-    """[V_k, V_l] (B, s, s, m, m) of each lane's node values V (B, s, m, m)."""
-    return V[:, :, None] @ V[:, None] - V[:, None] @ V[:, :, None]
-
-
 def _node_fields(chart, read, lanes: np.ndarray, tau: np.ndarray):
     """Gamma(v) (k, s, r, r) and anchor lifts of v (k, s, r) at the times
     tau (k, s) of the segments ``lanes`` of ``read``: one stacked read of
     the points and one call each of gamma, anchor and ``_lift_fibers``.
-    A lane whose read raises an arithmetic error alone reads NaN; a path
-    that does not lift raises ``DevelopmentError``."""
+    A path that does not lift raises ``DevelopmentError``."""
     (k, s), r = tau.shape, chart.rank
-    try:
-        ms, v = read(tau.reshape(-1), np.repeat(lanes, s))
-        gv = np.einsum("biac,bi->bac", chart.gamma.values(ms), v)
-        X = _lift_fibers(chart.anchor.values(ms), v)
-    except _GUARDED:
-        if k == 1:
-            return np.full((1, s, r, r), np.nan), np.full((1, s, r), np.nan)
-        parts = [_node_fields(chart, read, lanes[j:j + 1], tau[j:j + 1]) for j in range(k)]
-        return tuple(map(np.concatenate, zip(*parts)))
+    ms, v = read(tau.reshape(-1), np.repeat(lanes, s))
+    gv = np.einsum("biac,bi->bac", chart.gamma.values(ms), v)
+    X = _lift_fibers(chart.anchor.values(ms), v)
     return gv.reshape(k, s, r, r), X.reshape(k, s, r)
 
 
-def _error(Q1, G1, Q2, G2, rtol, atol) -> np.ndarray:
-    """Per lane, the RMS norm of (Q1, G1) - (Q2, G2), each entry scaled by
-    atol + rtol max(|y1|, |y2|), as ``ode.solve_ivp`` measures a step's
-    error: the two agree at rtol/atol where it is at most 1."""
-    y1, y2 = (np.concatenate([Q.reshape(len(Q), -1), G.reshape(len(G), -1)], axis=1)
-              for Q, G in ((Q1, G1), (Q2, G2)))
-    scale = atol + np.maximum(np.abs(y1), np.abs(y2)) * rtol
-    return vector_norms((y1 - y2) / scale) / y1.shape[1] ** 0.5
-
-
-def _single_steps(chart, read, Q, G, sign, gens, rtol, atol) -> np.ndarray:
-    """Develop in one step over the segment each lane whose Gamma(v)
-    vanishes and whose elements Xi_k = sum_i xi_ki G_i commute at its
-    nodes; return the other lanes.  They commute where xi_k ^ xi_l
-    vanishes on every generator pair (i, j) with [G_i, G_j] != 0, as
-    [Xi_k, Xi_l] = sum_(i<j) (xi_ki xi_lj - xi_kj xi_li) [G_i, G_j].
-    Such a lane keeps Q, and its Magnus series is its first term:
-    G(1) = exp(sum_k w_k Xi_k) G(0), w the s-node Gauss-Legendre weights.
-    s doubles from _FIRST_NODES until the elements of s and 2 s nodes
-    agree at rtol/atol, and the 2 s one is kept; a lane that finds no such
-    pair up to _MAX_NODES is left to ``_magnus_steps``."""
+def _one_step(Q, G, sign, gens, lanes, F, w):
+    """Which of ``lanes`` develop in one step over the segment, from their
+    fields F = (Gamma(v), lifts) at s Gauss-Legendre nodes of weights w,
+    and their (Q, G) after it: the lanes whose Gamma(v) vanishes and whose
+    elements Xi_k = sum_i xi_ki G_i commute at the nodes.  They commute
+    where xi_k ^ xi_l vanishes on every generator pair (i, j) with
+    [G_i, G_j] != 0, as [Xi_k, Xi_l] = sum_(i<j) (xi_ki xi_lj - xi_kj
+    xi_li) [G_i, G_j].  Such a lane keeps Q, and its Magnus series is its
+    first term: G(1) = exp(sum_k w_k Xi_k) G(0)."""
+    gv, X = F
     i, j = np.nonzero(np.triu(_commutators(gens[None])[0].any(axis=(2, 3)), 1))
-    todo, prev, left, s = np.arange(len(G)), None, [], _FIRST_NODES
-    while todo.size and s <= _MAX_NODES:
-        c, w = _gauss(s)
-        gv, X = _node_fields(chart, read, todo, np.tile(c, (len(todo), 1)))
-        xi = sign * (Q[todo, None] @ X[..., None])[..., 0]
-        wedge = xi[:, :, None, i] * xi[:, None, :, j] - xi[:, :, None, j] * xi[:, None, :, i]
-        one = (~gv.any(axis=(1, 2, 3)) & ~wedge.any(axis=(1, 2, 3))
-               & np.isfinite(xi).all(axis=(1, 2)))
-        left.append(todo[~one])
-        todo, prev = todo[one], None if prev is None else prev[one]
-        if not todo.size:
-            break
-        Om = np.einsum("bi,iac->bac", np.einsum("k,bki->bi", w, xi[one]), gens)
-        cand = expm(Om) @ G[todo]
-        if prev is not None:
-            done = _error(Q[todo], prev, Q[todo], cand, rtol, atol) <= 1
-            G[todo[done]] = cand[done]
-            todo, cand = todo[~done], cand[~done]
-        prev, s = cand, 2 * s
-    return np.concatenate([*left, todo]).astype(int)
+    xi = sign * (Q[lanes, None] @ X[..., None])[..., 0]
+    wedge = xi[:, :, None, i] * xi[:, None, :, j] - xi[:, :, None, j] * xi[:, None, :, i]
+    one = (~gv.any(axis=(1, 2, 3)) & ~wedge.any(axis=(1, 2, 3))
+           & np.isfinite(xi).all(axis=(1, 2)))
+    Om = np.einsum("bi,iac->bac", np.einsum("k,bki->bi", w, xi[one]), gens)
+    return one, (Q[lanes[one]], expm(Om) @ G[lanes[one]])
 
 
-def _magnus_step(Q, G, gv, X, h, sign, gens):
+def _magnus_step(sign, gens, Y, F, h):
     """One fourth-order Magnus step over h (k,) of the pair
-    dQ/dt = Q Gamma(v), dG/dt = Xi G, from the fields gv (k, s, r, r) and
-    lifts X (k, s, r) at the _STEP_NODES nodes of each lane's step.  Q at
-    the nodes comes from the series of its own equation to each node (a
-    right product, so the commutator term changes sign)."""
+    dQ/dt = Q Gamma(v), dG/dt = Xi G, Y = (Q, G), from the fields
+    F = (Gamma(v) (k, s, r, r), lifts (k, s, r)) at the _STEP_NODES nodes
+    of each lane's step.  Q at the nodes comes from the series of its own
+    equation to each node (a right product, so the commutator term
+    changes sign)."""
+    (Q, G), (gv, X) = Y, F
     W, K = _magnus_tables()
     hc = h[:, None, None, None]
     Qc = Q[:, None] @ expm(np.einsum("cs,bsij->bcij", W, gv) * hc
@@ -343,52 +277,17 @@ def _magnus_step(Q, G, gv, X, h, sign, gens):
     return Qc[:, -1], expm(OmG) @ G
 
 
-def _magnus_steps(chart, read, lanes, Q, G, sign, gens, rtol, atol) -> None:
-    """Develop ``lanes`` over the segment in ``_magnus_step`` steps, each
-    lane with its own step control: a step is kept when its error, the
-    gap to its two half steps, which are kept, is at most 1 at rtol/atol,
-    and the step size then changes by the factor 0.9 err^(-1/5), clamped
-    to [0.2, 10], with no growth right after a rejection, the controller
-    of ``ode.solve_ivp``.  A lane whose step falls below ten float
-    spacings of its t fails the development.  Updates Q and G in place."""
-    c, n = _gauss(_STEP_NODES)[0], _STEP_NODES
-    nodes = np.concatenate([c, c / 2, 0.5 + c / 2])      # the step, then its halves
-    t, h, run = np.zeros(len(lanes)), np.ones(len(lanes)), np.arange(len(lanes))
-    rejected = np.zeros(len(lanes), dtype=bool)
-    while run.size:
-        if np.any(h[run] < 10 * np.spacing(t[run])):
-            raise DevelopmentError("development ODE failed: step_collapse")
-        end = np.where(h[run] >= 1.0 - t[run], 1.0, t[run] + h[run])
-        hr, at = end - t[run], lanes[run]
-        gv, X = _node_fields(chart, read, at, t[run, None] + nodes * hr[:, None])
-        read_ok = np.isfinite(gv).all(axis=(1, 2, 3)) & np.isfinite(X).all(axis=(1, 2))
-        gv[~read_ok], X[~read_ok] = 0.0, 0.0
-        Qw, Gw = _magnus_step(np.concatenate([Q[at]] * 2), np.concatenate([G[at]] * 2),
-                              np.concatenate([gv[:, :n], gv[:, n:2 * n]]),
-                              np.concatenate([X[:, :n], X[:, n:2 * n]]),
-                              np.concatenate([hr, hr / 2]), sign, gens)
-        Qh, Gh = _magnus_step(Qw[len(at):], Gw[len(at):], gv[:, 2 * n:], X[:, 2 * n:], hr / 2,
-                              sign, gens)
-        err = np.where(read_ok, _error(Qw[:len(at)], Gw[:len(at)], Qh, Gh, rtol, atol), np.inf)
-        ok = err <= 1
-        factor = np.where(err == 0, _MAX_FACTOR,
-                          np.clip(_SAFETY * err ** -0.2, _MIN_FACTOR, _MAX_FACTOR))
-        Q[at[ok]], G[at[ok]], t[run[ok]] = Qh[ok], Gh[ok], end[ok]
-        h[run] = hr * np.where(ok & rejected[run], np.minimum(factor, 1.0), factor)
-        rejected[run] = ~ok
-        run = run[t[run] < 1.0]
-
-
 def _develop_frames(A, H: HomogeneousModel, paths,
                     rtol: float = 1e-12) -> tuple[np.ndarray, np.ndarray]:
     """Group elements (B, d, d) and inverse parallel frames (B, r, r) at
     the ends of a batch of paths; see ``develop_paths``.  Every segment
     must lie in chart 0, the action's one chart: it does when both its
     ends do, as it is straight.  Segment by segment, every lane first
-    tries one step over the segment (``_single_steps``), and the lanes
-    that cannot take one are stepped (``_magnus_steps``); each node set of
-    either reads the points off one ``segment_batch`` and gamma, the
-    anchor and the lifts in one call each."""
+    tries one step over the segment (``_one_step``), and the lanes that
+    cannot take one take Magnus steps (``_magnus_step``), in one
+    ``ode.lie_solve``; each node set of either reads the points off one
+    ``segment_batch`` and gamma, the anchor and the lifts in one call
+    each."""
     chart = _chart_of(A)
     d = H.realization.matrix_dim
     r = chart.rank
@@ -409,12 +308,13 @@ def _develop_frames(A, H: HomogeneousModel, paths,
     gens = np.stack(H.realization.generators)
     rtol, atol = max(rtol, RTOL_FLOOR), 1e-13
     Q, G = np.tile(np.eye(r), (B, 1, 1)), np.tile(np.eye(d), (B, 1, 1))
-    # a trial read can overflow; its lane then reads NaN and is rejected
-    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        for k in range(count):
-            read = segment_batch([p.segments[k] for p in paths])
-            left = _single_steps(chart, read, Q, G, sign, gens, rtol, atol)
-            _magnus_steps(chart, read, left, Q, G, sign, gens, rtol, atol)
+    one = partial(_one_step, Q, G, sign, gens)
+    step = partial(_magnus_step, sign, gens)
+    for k in range(count):
+        read = segment_batch([p.segments[k] for p in paths])
+        fields = _nan_guarded(partial(_node_fields, chart, read), [(r, r), (r,)])
+        if lie_solve(fields, one, step, (Q, G), rtol, atol) != "completed":
+            raise DevelopmentError("development ODE failed: step_collapse")
     return G, Q
 
 

@@ -1,27 +1,25 @@
 """Integration backends.
 
-Adaptive integration runs on one explicit Runge-Kutta driver,
-``solve_ivp``, with the two Dormand-Prince pairs of Hairer, Norsett and
-Wanner, *Solving Ordinary Differential Equations I*, sections II.4-6:
-RK45, the 5(4) pair with Shampine's quartic dense output, and DOP853, the
-8th-order pair whose error estimate blends its 5th- and 3rd-order
-embedded estimates.  The step controller is the classical one: RMS error
-norm, safety factor 0.9, step factors clamped to [0.2, 10], no growth
-right after a rejected step, and rtol raised to at least 100 eps.  It is
-the controller of scipy's ``solve_ivp`` with the same tableaux, so the
-step sequences and work counts are scipy's.  Each solve first tries the
-whole span in one step, or a caller's first step where the span is only
-an upper bound (a geodesic in rescaled time), so the embedded error
-estimate alone sizes every step; a step that has to shrink below ten
-float spacings of t is a step collapse.
+Adaptive integration of nonlinear equations (geodesics) runs on one
+explicit Runge-Kutta driver, ``solve_ivp``, with the Dormand-Prince
+5(4) pair of Hairer, Norsett and Wanner, *Solving Ordinary Differential
+Equations I*, sections II.4-6, and Shampine's quartic dense output.  The
+step controller is the classical one: RMS error norm, safety factor
+0.9, step factors clamped to [0.2, 10], no growth right after a rejected
+step, and rtol raised to at least 100 eps.  It is the controller of
+scipy's ``solve_ivp`` with the same tableau, so the step sequences and
+work counts are scipy's RK45.  Each solve first tries the whole span in
+one step, or a caller's first step where the span is only an upper bound
+(a geodesic in rescaled time), so the embedded error estimate alone
+sizes every step; a step that has to shrink below ten float spacings of
+t is a step collapse.
 
-``integrate`` adds named terminal events.  Solves without events use
-DOP853; solves with events use RK45 and its dense output.  Every event
-function is checked at step ends and also scanned on the interpolant at
-64 evenly spaced times over the range actually integrated, so a sign
-change that opens and closes inside one long step is still found; roots
-are located on the interpolant by Brent's method.  The driver steps
-float arrays only.
+``integrate`` adds named terminal events.  Every event function is
+checked at step ends and also scanned on the interpolant at 64 evenly
+spaced times over the range actually integrated, so a sign change that
+opens and closes inside one long step is still found; roots are located
+on the interpolant by Brent's method.  The driver steps float arrays
+only.
 
 Every solve is a lane stack: a state stack y0 (L, n) is L independent
 solves in one, and a single solve is a stack of one.  Each lane has its
@@ -37,13 +35,21 @@ solve returns one ``Solution``: a ``Lane`` record per lane, whose
 ``nfev`` counts the right-hand-side evaluations of that lane and whose
 ``steps`` its accepted steps, and its own ``nfev`` batched calls and
 ``steps`` driver steps, as many as its longest lane takes trial steps.
+
+Linear equations with known coefficients along a straight segment
+(transport, development) are solved on their group instead
+(``lie_solve``): a lane whose coefficients allow it takes one exact step
+over the segment, confirmed by Gauss-Legendre node counts 2, 4, ...
+until two agree; any other lane takes fourth-order Magnus steps, each
+checked against its two half steps under the same step control.  The
+lanes are stacked as in ``solve_ivp``, each bit for bit its solve alone.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from typing import Callable
+from functools import cache
 
 import numpy as np
 
@@ -62,164 +68,33 @@ RTOL_FLOOR = 100 * _EPS
 _SAFETY, _MIN_FACTOR, _MAX_FACTOR = 0.9, 0.2, 10.0
 
 
-@dataclass(frozen=True)
-class _Pair:
-    """An embedded Runge-Kutta pair: stage times ``C``, stage coefficients
-    ``A`` (row s builds stage s), step weights ``B``, the scaled error
-    norms ``error_norms(K, h, scale)`` of a lane stack's stages ``K``
-    (lanes, stages, n; the last stage holds f at the step end), a list of
-    one float per lane, the order of that estimate, and the dense-output
-    coefficients ``P`` where the pair has them."""
-
-    C: np.ndarray
-    A: np.ndarray
-    B: np.ndarray
-    error_norms: Callable
-    error_order: int
-    P: np.ndarray | None = None
-
-
-def _rk45() -> _Pair:
-    """Dormand and Prince (1980), with Shampine's (1986) dense output."""
-    C = np.array([0, 1/5, 3/10, 4/5, 8/9, 1])
-    A = np.array([
-        [0, 0, 0, 0, 0],
-        [1/5, 0, 0, 0, 0],
-        [3/40, 9/40, 0, 0, 0],
-        [44/45, -56/15, 32/9, 0, 0],
-        [19372/6561, -25360/2187, 64448/6561, -212/729, 0],
-        [9017/3168, -355/33, 46732/5247, 49/176, -5103/18656]
-    ])
-    B = np.array([35/384, 0, 500/1113, 125/192, -2187/6784, 11/84])
-    E = np.array([-71/57600, 0, 71/16695, -71/1920, 17253/339200, -22/525, 1/40])
-    P = np.array([
-        [1, -8048581381/2820520608, 8663915743/2820520608,
-         -12715105075/11282082432],
-        [0, 0, 0, 0],
-        [0, 131558114200/32700410799, -68118460800/10900136933,
-         87487479700/32700410799],
-        [0, -1754552775/470086768, 14199869525/1410260304,
-         -10690763975/1880347072],
-        [0, 127303824393/49829197408, -318862633887/49829197408,
-         701980252875 / 199316789632],
-        [0, -282668133/205662961, 2019193451/616988883, -1453857185/822651844],
-        [0, 40617522/29380423, -110615467/29380423, 69997945/29380423]])
-
-    def error_norms(K, h, scale):
-        return (vector_norms((E @ K) * h[:, None] / scale) / K.shape[-1] ** 0.5).tolist()
-    return _Pair(C, A, B, error_norms, 4, P)
-
-
-def _square(x: float) -> float:
-    """x ** 2 of a Python float, inf where it overflows, as numpy's is."""
-    try:
-        return x ** 2
-    except OverflowError:
-        return math.inf
-
-
-def _dop853() -> _Pair:
-    """Hairer's DOP853 (Hairer, Norsett and Wanner, section II.10); no
-    dense output, whose three extra stages no solve here needs."""
-    C = np.array([0.0,
-                  0.526001519587677318785587544488e-01,
-                  0.789002279381515978178381316732e-01,
-                  0.118350341907227396726757197510,
-                  0.281649658092772603273242802490,
-                  0.333333333333333333333333333333,
-                  0.25,
-                  0.307692307692307692307692307692,
-                  0.651282051282051282051282051282,
-                  0.6,
-                  0.857142857142857142857142857142,
-                  1.0])
-    A = np.zeros((13, 12))      # row 12 holds the step weights
-    A[1, 0] = 5.26001519587677318785587544488e-2
-    A[2, 0] = 1.97250569845378994544595329183e-2
-    A[2, 1] = 5.91751709536136983633785987549e-2
-    A[3, 0] = 2.95875854768068491816892993775e-2
-    A[3, 2] = 8.87627564304205475450678981324e-2
-    A[4, 0] = 2.41365134159266685502369798665e-1
-    A[4, 2] = -8.84549479328286085344864962717e-1
-    A[4, 3] = 9.24834003261792003115737966543e-1
-    A[5, 0] = 3.7037037037037037037037037037e-2
-    A[5, 3] = 1.70828608729473871279604482173e-1
-    A[5, 4] = 1.25467687566822425016691814123e-1
-    A[6, 0] = 3.7109375e-2
-    A[6, 3] = 1.70252211019544039314978060272e-1
-    A[6, 4] = 6.02165389804559606850219397283e-2
-    A[6, 5] = -1.7578125e-2
-    A[7, 0] = 3.70920001185047927108779319836e-2
-    A[7, 3] = 1.70383925712239993810214054705e-1
-    A[7, 4] = 1.07262030446373284651809199168e-1
-    A[7, 5] = -1.53194377486244017527936158236e-2
-    A[7, 6] = 8.27378916381402288758473766002e-3
-    A[8, 0] = 6.24110958716075717114429577812e-1
-    A[8, 3] = -3.36089262944694129406857109825
-    A[8, 4] = -8.68219346841726006818189891453e-1
-    A[8, 5] = 2.75920996994467083049415600797e1
-    A[8, 6] = 2.01540675504778934086186788979e1
-    A[8, 7] = -4.34898841810699588477366255144e1
-    A[9, 0] = 4.77662536438264365890433908527e-1
-    A[9, 3] = -2.48811461997166764192642586468
-    A[9, 4] = -5.90290826836842996371446475743e-1
-    A[9, 5] = 2.12300514481811942347288949897e1
-    A[9, 6] = 1.52792336328824235832596922938e1
-    A[9, 7] = -3.32882109689848629194453265587e1
-    A[9, 8] = -2.03312017085086261358222928593e-2
-    A[10, 0] = -9.3714243008598732571704021658e-1
-    A[10, 3] = 5.18637242884406370830023853209
-    A[10, 4] = 1.09143734899672957818500254654
-    A[10, 5] = -8.14978701074692612513997267357
-    A[10, 6] = -1.85200656599969598641566180701e1
-    A[10, 7] = 2.27394870993505042818970056734e1
-    A[10, 8] = 2.49360555267965238987089396762
-    A[10, 9] = -3.0467644718982195003823669022
-    A[11, 0] = 2.27331014751653820792359768449
-    A[11, 3] = -1.05344954667372501984066689879e1
-    A[11, 4] = -2.00087205822486249909675718444
-    A[11, 5] = -1.79589318631187989172765950534e1
-    A[11, 6] = 2.79488845294199600508499808837e1
-    A[11, 7] = -2.85899827713502369474065508674
-    A[11, 8] = -8.87285693353062954433549289258
-    A[11, 9] = 1.23605671757943030647266201528e1
-    A[11, 10] = 6.43392746015763530355970484046e-1
-    A[12, 0] = 5.42937341165687622380535766363e-2
-    A[12, 5] = 4.45031289275240888144113950566
-    A[12, 6] = 1.89151789931450038304281599044
-    A[12, 7] = -5.8012039600105847814672114227
-    A[12, 8] = 3.1116436695781989440891606237e-1
-    A[12, 9] = -1.52160949662516078556178806805e-1
-    A[12, 10] = 2.01365400804030348374776537501e-1
-    A[12, 11] = 4.47106157277725905176885569043e-2
-    E3 = np.append(A[12], 0.0)
-    E3[0] -= 0.244094488188976377952755905512
-    E3[8] -= 0.733846688281611857341361741547
-    E3[11] -= 0.220588235294117647058823529412e-1
-    E5 = np.zeros(13)
-    E5[0] = 0.1312004499419488073250102996e-1
-    E5[5] = -0.1225156446376204440720569753e+1
-    E5[6] = -0.4957589496572501915214079952
-    E5[7] = 0.1664377182454986536961530415e+1
-    E5[8] = -0.3503288487499736816886487290
-    E5[9] = 0.3341791187130174790297318841
-    E5[10] = 0.8192320648511571246570742613e-1
-    E5[11] = -0.2235530786388629525884427845e-1
-
-    def error_norms(K, h, scale):
-        out = []
-        # lane by lane on Python floats, whose ** 2 is the numpy scalar power
-        # and not the array square
-        for n5, n3, hb in zip(vector_norms((E5 @ K) / scale).tolist(),
-                              vector_norms((E3 @ K) / scale).tolist(), h.tolist()):
-            err5, err3 = _square(n5), _square(n3)
-            out.append(0.0 if err5 == 0 and err3 == 0 else
-                       abs(hb) * err5 / math.sqrt((err5 + 0.01 * err3) * K.shape[-1]))
-        return out
-    return _Pair(C, A[:12], A[12], error_norms, 7)
-
-
-_PAIRS = {"RK45": _rk45(), "DOP853": _dop853()}
+# Dormand and Prince (1980), with Shampine's (1986) dense output: stage
+# times C, stage coefficients A (row s builds stage s), step weights B,
+# weights E of the order-4 error estimate (the last on f at the step end)
+# and dense-output coefficients P
+_C = np.array([0, 1/5, 3/10, 4/5, 8/9, 1])
+_A = np.array([
+    [0, 0, 0, 0, 0],
+    [1/5, 0, 0, 0, 0],
+    [3/40, 9/40, 0, 0, 0],
+    [44/45, -56/15, 32/9, 0, 0],
+    [19372/6561, -25360/2187, 64448/6561, -212/729, 0],
+    [9017/3168, -355/33, 46732/5247, 49/176, -5103/18656]
+])
+_B = np.array([35/384, 0, 500/1113, 125/192, -2187/6784, 11/84])
+_E = np.array([-71/57600, 0, 71/16695, -71/1920, 17253/339200, -22/525, 1/40])
+_P = np.array([
+    [1, -8048581381/2820520608, 8663915743/2820520608,
+     -12715105075/11282082432],
+    [0, 0, 0, 0],
+    [0, 131558114200/32700410799, -68118460800/10900136933,
+     87487479700/32700410799],
+    [0, -1754552775/470086768, 14199869525/1410260304,
+     -10690763975/1880347072],
+    [0, 127303824393/49829197408, -318862633887/49829197408,
+     701980252875 / 199316789632],
+    [0, -282668133/205662961, 2019193451/616988883, -1453857185/822651844],
+    [0, 40617522/29380423, -110615467/29380423, 69997945/29380423]])
 
 
 def _rk_interpolate(t, t_old, h, y_old, Q):
@@ -255,8 +130,8 @@ class Lane:
     states at ``times``, ``status`` is "completed", "event:<name>" or
     "step_collapse", ``t_end`` the time reached, ``event_name`` the name of
     the event that stopped the lane, ``nfev`` its right-hand-side
-    evaluations, ``steps`` its accepted steps and ``sol`` its dense output
-    (RK45 only), which ``integrate`` drops once it has scanned it."""
+    evaluations, ``steps`` its accepted steps and ``sol`` its dense output,
+    which ``integrate`` drops once it has scanned it."""
 
     times: np.ndarray
     states: np.ndarray
@@ -349,12 +224,12 @@ def _lane_fn(fn, b: int, state):
     return lambda s: float(fn(np.array([s]), state(s)[None], lane)[0])
 
 
-def solve_ivp(fun, t_span, y0, method: str = "RK45", rtol: float = DEFAULT_RTOL,
-              atol: float = DEFAULT_ATOL, events=(), first_step=None) -> Solution:
+def solve_ivp(fun, t_span, y0, rtol: float = DEFAULT_RTOL, atol: float = DEFAULT_ATOL,
+              events=(), first_step=None) -> Solution:
     """Integrate the lane stack y0 (L, n), L independent solves of
-    y' = fun(t, y) (see the module docstring), over t_span with
-    ``method``, "RK45" or "DOP853", each lane starting with one step of
-    its ``first_step``, or over its whole span when it is None or longer.
+    y' = fun(t, y) (see the module docstring), over t_span with RK45,
+    each lane starting with one step of its ``first_step``, or over its
+    whole span when it is None or longer.
     ``fun(t, y, lanes)`` takes the times (k,), states (k, n) and lane
     indices (k,) of k of the lanes and returns (k, n); the end of
     ``t_span`` and ``first_step`` may give one value per lane.
@@ -363,8 +238,7 @@ def solve_ivp(fun, t_span, y0, method: str = "RK45", rtol: float = DEFAULT_RTOL,
     returning (k,): after each accepted step of a lane those whose sign
     changes between the step's ends (a zero counts as either sign) are
     solved for on the step's interpolant, and the lane stops at the
-    earliest root.  Events need RK45's dense output.  Returns a Solution
-    of L Lanes.
+    earliest root.  Returns a Solution of L Lanes.
 
     The stage sums, step ends, error estimates and interpolants are
     stacked products of lane-major stages (lanes, stages, n), so each
@@ -372,17 +246,14 @@ def solve_ivp(fun, t_span, y0, method: str = "RK45", rtol: float = DEFAULT_RTOL,
     lane by lane on Python floats, whose arithmetic is that of numpy's
     float64 scalars."""
     y0 = np.asarray(y0, dtype=float)
-    pair = _PAIRS[method]
-    if events and pair.P is None:
-        raise ValueError(f"{method} has no dense output to locate events on")
     names, fns = [name for name, _ in events], [fn for _, fn in events]
     L, n = y0.shape
-    S = len(pair.C)
+    S = len(_C)
     t0 = float(t_span[0])
     t1 = _per_lane(t_span[1], L)
     direction = [1.0 if end >= t0 else -1.0 for end in t1]
     rtol = max(rtol, RTOL_FLOOR)
-    exponent = -1.0 / (pair.error_order + 1)
+    exponent = -1.0 / 5
     y = y0.copy()
     f = np.asarray(fun(np.full(L, t0), y, np.arange(L)), dtype=float).reshape(L, n)
     t = [t0] * L
@@ -402,7 +273,7 @@ def solve_ivp(fun, t_span, y0, method: str = "RK45", rtol: float = DEFAULT_RTOL,
         ri = np.array(run)
         g0 = [np.asarray(ev(np.full(len(run), t0), y0[ri], ri), dtype=float) for ev in fns]
         g = {b: [ge[j] for ge in g0] for j, b in enumerate(run)}
-    A = [pair.A[s, :s] for s in range(S)]
+    A = [_A[s, :s] for s in range(S)]
     rounds, calls, idx = 0, 1, None
     while run:
         trial, tl, hl = [], [], []
@@ -430,18 +301,19 @@ def solve_ivp(fun, t_span, y0, method: str = "RK45", rtol: float = DEFAULT_RTOL,
             idx = np.array(run)
         tt, h = np.array(tl), np.array(hl)
         hc = h[:, None]
-        tc = tt + np.multiply.outer(pair.C, h)  # the stage times t + C[s] h
+        tc = tt + np.multiply.outer(_C, h)  # the stage times t + C[s] h
         yr = y[idx]
         K = np.empty((len(run), S + 1, n))
         K[:, 0] = f[idx]
         for s in range(1, S):
             K[:, s] = fun(tc[s], yr + (A[s] @ K[:, :s]) * hc, idx)
-        y_new = yr + hc * (pair.B @ K[:, :-1])
+        y_new = yr + hc * (_B @ K[:, :-1])
         K[:, -1] = fun(tt + h, y_new, idx)
         calls += S
         scale = atol + np.maximum(np.abs(yr), np.abs(y_new)) * rtol
         accepted = []
-        for j, (b, err) in enumerate(zip(run, pair.error_norms(K, h, scale))):
+        errs = (vector_norms((_E @ K) * hc / scale) / n ** 0.5).tolist()
+        for j, (b, err) in enumerate(zip(run, errs)):
             nfev[b] += S
             if err < 1:
                 factor = _MAX_FACTOR if err == 0 else min(_MAX_FACTOR, _SAFETY * err ** exponent)
@@ -458,15 +330,14 @@ def solve_ivp(fun, t_span, y0, method: str = "RK45", rtol: float = DEFAULT_RTOL,
             ya = y_new if every else y_new[acc]
             rows = idx[acc]
             y[rows], f[rows] = ya, Ka[:, -1]
-            Q = Ka.transpose(0, 2, 1) @ pair.P if pair.P is not None else None
+            Q = Ka.transpose(0, 2, 1) @ _P
             if fns:
                 ta = np.array([trial[j] for j in accepted])
                 g_acc = [np.asarray(ev(ta, ya, rows), dtype=float).tolist() for ev in fns]
             stopped = False
             for i, j in enumerate(accepted):
                 b = run[j]
-                if Q is not None:
-                    steps[b].append((tl[j], hl[j], yr[j], Q[i]))
+                steps[b].append((tl[j], hl[j], yr[j], Q[i]))
                 t[b] = trial[j]
                 ts[b].append(t[b])
                 ys[b].append(ya[i])
@@ -592,11 +463,11 @@ def integrate(rhs, t_span, y0, events=None, rtol=DEFAULT_RTOL,
     indices (k,) of any k of the lanes; fn returns (k,).  Error control at
     rtol/atol sizes every step of each lane on its own, with no scaling by
     the number of lanes, starting from one step of ``first_step``
-    (default: the whole span).  Without events the pair is DOP853.  A lane
-    stops at the first sign change of any fn, found by RK45's own check at
-    step ends or by a scan of its dense output at no more than 1/64 of its
-    integrated range apart (the scan calls no right-hand side; the scans
-    of all lanes are one call of each fn).  Step-size collapse is
+    (default: the whole span).  A lane stops at the first sign change of
+    any fn, found by RK45's own check at step ends or by a scan of its
+    dense output at no more than 1/64 of its integrated range apart (the
+    scan calls no right-hand side; the scans of all lanes are one call of
+    each fn).  Step-size collapse is
     reported as its own status (the solver cannot continue but the last
     reached time brackets the breakdown); an event before the collapse
     wins.
@@ -610,11 +481,157 @@ def integrate(rhs, t_span, y0, events=None, rtol=DEFAULT_RTOL,
     # the 1e150 sentinel of _overflow_safe overflows the error norm, or
     # makes it inf/inf, which then rejects the step as intended
     with np.errstate(over="ignore", invalid="ignore"):
-        out = solve_ivp(_overflow_safe(rhs), (t0, t_span[1]), y0,
-                        method="RK45" if events else "DOP853", rtol=rtol, atol=atol,
+        out = solve_ivp(_overflow_safe(rhs), (t0, t_span[1]), y0, rtol=rtol, atol=atol,
                         events=events or (), first_step=first_step)
-        if not events:
-            return out
-        hits = _first_sign_changes(out.lanes, events, t0)
+        hits = _first_sign_changes(out.lanes, events, t0) if events else [None] * len(out.lanes)
     return Solution(tuple(_trim(lane, t0, hit) for lane, hit in zip(out.lanes, hits)),
                     out.nfev, out.steps)
+
+
+# -- Lie-group steps of linear equations --------------------------------------
+
+# Gauss-Legendre node counts: a one-step lane compares its first two counts
+# from _FIRST_NODES and doubles up to _MAX_NODES; a Magnus step takes
+# _STEP_NODES
+_FIRST_NODES, _MAX_NODES, _STEP_NODES = 2, 64, 3
+
+
+@cache
+def _gauss(s: int) -> tuple[np.ndarray, np.ndarray]:
+    """The s Gauss-Legendre nodes and weights on [0, 1], from the
+    eigendecomposition of the Jacobi matrix of the Legendre recurrence
+    (Golub and Welsch, Math. Comp. 23, 1969)."""
+    k = np.arange(1.0, s)
+    x, V = np.linalg.eigh(np.diag(k / np.sqrt(4 * k * k - 1), 1), UPLO="U")
+    return (x + 1.0) / 2.0, V[0] ** 2
+
+
+@cache
+def _magnus_tables() -> tuple[np.ndarray, np.ndarray]:
+    """W (s + 1, s) and K (s + 1, s, s) of the Magnus series of Y' = V Y
+    to its commutator term over [0, c] of a step h, from the values V_k at
+    the s = _STEP_NODES Gauss-Legendre nodes, for c each node and then 1:
+    Omega(c) = h sum_k W_ck V_k + h^2 sum_kl K_ckl [V_k, V_l], read off
+    the polynomial through the node values (l_k its Lagrange basis):
+    W_ck = int_0^c l_k, K_ckl = int_0^c l_k(u) int_0^u l_l / 2."""
+    c, _ = _gauss(_STEP_NODES)
+    ends, p = np.append(c, 1.0), np.arange(_STEP_NODES)
+    L = np.linalg.inv(np.vander(c, increasing=True))    # L[p, k]: the u^p term of l_k
+    W = ends[:, None] ** (p + 1) / (p + 1) @ L
+    # int_0^c u^p int_0^u w^q = c^(p+q+2) / ((q + 1)(p + q + 2))
+    E = ends[:, None, None] ** (p[:, None] + p + 2) / ((p + 1) * (p[:, None] + p + 2))
+    return W, np.einsum("cpq,pk,ql->ckl", E, L, L) / 2
+
+
+def _commutators(V: np.ndarray) -> np.ndarray:
+    """[V_k, V_l] (B, s, s, m, m) of each lane's node values V (B, s, m, m)."""
+    return V[:, :, None] @ V[:, None] - V[:, None] @ V[:, :, None]
+
+
+def _error(Y1, Y2, rtol, atol) -> np.ndarray:
+    """Per lane, the RMS norm of Y1 - Y2, two tuples of state stacks
+    (B, ...), each entry scaled by atol + rtol max(|y1|, |y2|), as
+    ``solve_ivp`` measures a step's error: the two agree at rtol/atol
+    where it is at most 1."""
+    y1, y2 = (np.concatenate([y.reshape(len(y), -1) for y in Y], axis=1) for Y in (Y1, Y2))
+    scale = atol + np.maximum(np.abs(y1), np.abs(y2)) * rtol
+    return vector_norms((y1 - y2) / scale) / y1.shape[1] ** 0.5
+
+
+def _nan_guarded(read, shapes):
+    """``read(lanes, tau)``, a tuple of field stacks (k, s, *shape), one per
+    shape of ``shapes``, read again lane by lane where it raises an
+    arithmetic error; a lane whose read raises alone reads NaN, so no
+    lane's read depends on its stack."""
+    def guarded(lanes, tau):
+        try:
+            return read(lanes, tau)
+        except _GUARDED:
+            if len(lanes) == 1:
+                return tuple(np.full((1, tau.shape[1], *shape), np.nan) for shape in shapes)
+            parts = [guarded(lanes[j:j + 1], tau[j:j + 1]) for j in range(len(lanes))]
+            return tuple(map(np.concatenate, zip(*parts)))
+    return guarded
+
+
+def _one_steps(fields, one_step, Y, rtol, atol) -> np.ndarray:
+    """Take the lanes that ``one_step`` admits over [0, 1] in one step;
+    return the other lanes.  The node count s doubles from _FIRST_NODES
+    until the states of s and 2 s nodes agree at rtol/atol, and the 2 s
+    one is kept; a lane that finds no such pair up to _MAX_NODES is
+    left."""
+    todo, prev, left, s = np.arange(len(Y[0])), None, [], _FIRST_NODES
+    while todo.size and s <= _MAX_NODES:
+        c, w = _gauss(s)
+        one, cand = one_step(todo, fields(todo, np.tile(c, (len(todo), 1))), w)
+        left.append(todo[~one])
+        todo, prev = todo[one], None if prev is None else tuple(p[one] for p in prev)
+        if not todo.size:
+            break
+        if prev is not None:
+            done = _error(prev, cand, rtol, atol) <= 1
+            for y, x in zip(Y, cand):
+                y[todo[done]] = x[done]
+            todo, cand = todo[~done], tuple(x[~done] for x in cand)
+        prev, s = cand, 2 * s
+    return np.concatenate([*left, todo]).astype(int)
+
+
+def _magnus_steps(fields, step, lanes, Y, rtol, atol) -> str:
+    """Step ``lanes`` over [0, 1], each with its own step control: a step
+    is kept when its error, the gap to its two half steps, which are kept,
+    is at most 1 at rtol/atol, and the step size then changes by the
+    factor 0.9 err^(-1/5), clamped to [0.2, 10], with no growth right
+    after a rejection, the controller of ``solve_ivp``.  A lane whose read
+    is not finite rejects its step.  Returns "step_collapse" once a lane's
+    step falls below ten float spacings of its t, else "completed"."""
+    c, n = _gauss(_STEP_NODES)[0], _STEP_NODES
+    nodes = np.concatenate([c, c / 2, 0.5 + c / 2])      # the step, then its halves
+    t, h, run = np.zeros(len(lanes)), np.ones(len(lanes)), np.arange(len(lanes))
+    rejected = np.zeros(len(lanes), dtype=bool)
+    while run.size:
+        if np.any(h[run] < 10 * np.spacing(t[run])):
+            return "step_collapse"
+        end = np.where(h[run] >= 1.0 - t[run], 1.0, t[run] + h[run])
+        hr, at, k = end - t[run], lanes[run], len(run)
+        F = fields(at, t[run, None] + nodes * hr[:, None])
+        read_ok = np.logical_and.reduce([np.isfinite(f.reshape(k, -1)).all(axis=1) for f in F])
+        for f in F:
+            f[~read_ok] = 0.0
+        Yw = step(tuple(np.concatenate([y[at]] * 2) for y in Y),
+                  tuple(np.concatenate([f[:, :n], f[:, n:2 * n]]) for f in F),
+                  np.concatenate([hr, hr / 2]))
+        Yh = step(tuple(y[k:] for y in Yw), tuple(f[:, 2 * n:] for f in F), hr / 2)
+        err = np.where(read_ok, _error(tuple(y[:k] for y in Yw), Yh, rtol, atol), np.inf)
+        ok = err <= 1
+        factor = np.where(err == 0, _MAX_FACTOR,
+                          np.clip(_SAFETY * err ** -0.2, _MIN_FACTOR, _MAX_FACTOR))
+        for y, yh in zip(Y, Yh):
+            y[at[ok]] = yh[ok]
+        t[run[ok]] = end[ok]
+        h[run] = hr * np.where(ok & rejected[run], np.minimum(factor, 1.0), factor)
+        rejected[run] = ~ok
+        run = run[t[run] < 1.0]
+    return "completed"
+
+
+def lie_solve(fields, one_step, step, Y, rtol: float, atol: float) -> str:
+    """Solve a stack of linear equations over t in [0, 1] on their group
+    (Iserles, Munthe-Kaas, Norsett and Zanna, "Lie-group methods", Acta
+    Numerica 9, 2000), each lane bit for bit its solve alone.  ``Y`` is a
+    tuple of state stacks (B, ...), updated in place.
+
+    ``fields(lanes, tau)`` reads the coefficients of ``lanes`` at their
+    times tau (k, s), a tuple of stacks (k, s, ...) (NaN where a lane
+    cannot be read, see ``_nan_guarded``).  Every lane first tries one
+    step (``_one_steps``): ``one_step(lanes, F, w)``, given the fields F
+    at the s Gauss-Legendre nodes of weights w, returns which of ``lanes``
+    it can step in one, and their states after it.  The other lanes take
+    ``step(Y, F, h)``, a fourth-order Magnus step over h (k,) from the
+    fields at the _STEP_NODES nodes of each lane's step, under their own
+    step control (``_magnus_steps``).  Returns "completed" or
+    "step_collapse"."""
+    # a trial read can overflow; its lane then reads NaN and is rejected
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        left = _one_steps(fields, one_step, Y, rtol, atol)
+        return _magnus_steps(fields, step, left, Y, rtol, atol)

@@ -15,7 +15,8 @@ segments, whose points and velocities are read off a Dual time, the
 reference that the package's polylines are checked against; transport
 solved segment after segment from the carried matrix, development
 carrying the parallel frame P rather than its inverse, both reading each
-segment as a curve, and the flat torus overlaps found by trial
+segment as a curve and solved by scipy's DOP853 rather than the package's
+own steppers, and the flat torus overlaps found by trial
 intersection of every shifted box.  The fixtures are polylines, reversed
 and concatenated polylines, the catalog loops written as curve lambdas,
 and the stock algebras and models that no catalog entry or scenario
@@ -43,7 +44,6 @@ from cartanlab.geometry import (Chart, SmoothField, TMConnection, as_point,
                                 ellipsoid_metric, euclidean_metric, lie_bracket_vf, metric_jet)
 from cartanlab.models import (DualPair, LocalLieGroupModel, RiemannianCartanChart,
                               RiemannianModel, riemannian_model, skew_basis, skew_coords)
-from cartanlab.ode import integrate
 from cartanlab.transport import BasePath, TransportError, line_path, line_segment
 
 
@@ -517,12 +517,25 @@ def fit_twist(chart, base_map: Callable, m0, samples) -> AlgebraMap:
 
 # -- carried-matrix transport, P-frame development, the torus overlap loop ----
 
+def _dop853(rhs, y0) -> np.ndarray:
+    """The state at t = 1 of y' = rhs from y0 at t = 0, one lane of the
+    package's lane right-hand sides, solved by scipy's DOP853 at
+    rtol = atol = 1e-13, apart from the package's own solvers."""
+    from scipy.integrate import solve_ivp
+    out = solve_ivp(lambda t, y: rhs(np.array([t]), y[None], np.array([0]))[0], (0.0, 1.0),
+                    y0, method="DOP853", rtol=1e-13, atol=1e-13)
+    if out.status != 0:
+        raise RuntimeError(f"the reference solve failed: {out.message}")
+    return out.y[:, -1]
+
+
 def transport_matrix_carried(G, path: BasePath) -> np.ndarray:
     """Transport matrix solved one segment at a time, each solve starting
     from the matrix carried so far, with the transition applied between
     solves (what ``transport.transport_matrices`` does with one solve from
-    the identity over all segments).  Each segment is read as a curve
-    (``as_curve``), point by point."""
+    the identity over all segments), by scipy's DOP853 at rtol = atol =
+    1e-13.  Each segment is read as a curve (``as_curve``), point by
+    point."""
     G = transport._as_glued(G)
     r = G.rank
     M = np.eye(r)
@@ -541,21 +554,18 @@ def transport_matrix_carried(G, path: BasePath) -> np.ndarray:
         # the ends only: exact for a straight segment, not for a curve
         if not C.base.contains(seg.point(0.0)) or not C.base.contains(seg.point(1.0)):
             raise TransportError("path leaves its declared chart")
-        out = integrate(rhs, (0.0, 1.0), M.reshape(1, -1))
-        if out.status != "completed":
-            raise TransportError(f"transport ODE failed with status {out.status}")
-        M = out.lanes[0].states[-1].reshape(r, r)
+        M = _dop853(rhs, M.reshape(-1)).reshape(r, r)
         prev = seg
     return M
 
 
-def develop_frames_p(A, H: HomogeneousModel, paths,
-                     rtol: float = 1e-12) -> tuple[np.ndarray, np.ndarray]:
+def develop_frames_p(A, H: HomogeneousModel, paths) -> tuple[np.ndarray, np.ndarray]:
     """Group elements (B, d, d) and parallel frames P (B, r, r) at the ends
     of a batch of paths, each path solved on its own, segment by segment
     and read as curves (``as_curve``), as dP/dt = -Gamma(v) P with each
     lift re-expressed by a linear solve against P
-    (``development._develop_frames`` carries P^-1 instead)."""
+    (``development._develop_frames`` carries P^-1 instead), by scipy's
+    DOP853 at rtol = atol = 1e-13."""
     chart = development._chart_of(A)
     d = H.realization.matrix_dim
     r = chart.rank
@@ -577,10 +587,7 @@ def develop_frames_p(A, H: HomogeneousModel, paths,
                 Xi = np.einsum("bi,iac->bac", xi, gens)
                 return np.concatenate([(-gv @ P).reshape(1, -1), (Xi @ G).reshape(1, -1)], axis=1)
 
-            out = integrate(rhs, (0.0, 1.0), state[None], rtol=rtol, atol=1e-13)
-            if out.status != "completed":
-                raise DevelopmentError(f"development ODE failed: {out.status}")
-            state = out.lanes[0].states[-1]
+            state = _dop853(rhs, state)
         ends.append(state)
     state = np.array(ends)
     return state[:, r * r:].reshape(-1, d, d), state[:, :r * r].reshape(-1, r, r)

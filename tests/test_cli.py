@@ -474,8 +474,8 @@ def test_glued_model_transports_each_loop_once(monkeypatch):
     # checks, and one development call for the reconstruction
     from cartanlab import ode, transport
     solves = []
-    monkeypatch.setattr(transport, "integrate", lambda *a, **k:
-                        solves.append(transport.__name__) or ode.integrate(*a, **k))
+    monkeypatch.setattr(transport, "lie_solve", lambda *a, **k:
+                        solves.append(transport.__name__) or ode.lie_solve(*a, **k))
     frames = development._develop_frames
     monkeypatch.setattr(development, "_develop_frames", lambda *a, **k:
                         solves.append(development.__name__) or frames(*a, **k))

@@ -7,7 +7,7 @@ import pytest
 import scipy.integrate
 from scipy.integrate import quad
 
-from cartanlab import algebra, development
+from cartanlab import algebra, development, ode
 from cartanlab.algebra import AlgebraMap, MatrixRealization, Subalgebra
 from cartanlab.algebroid import ActionAlgebroid, AlgebroidChart, make_action_algebroid
 from cartanlab.development import (Coset, DevelopmentError, EquivariantMap,
@@ -252,7 +252,7 @@ def test_development_work_is_independent_of_sample_count(circle, rng, monkeypatc
         reads.clear()
         equivariance_diagram_check(circle.cover, circle.homog, circle.decks[0], [0.0],
                                    rng.uniform(-0.5, 1.5, (k, 1)))
-        assert reads and reads[0] == (1 + 2 * k, development._FIRST_NODES)
+        assert reads and reads[0] == (1 + 2 * k, ode._FIRST_NODES)
         counts.append([nodes for _, nodes in reads])
     assert counts[0] == counts[1]
 
@@ -267,7 +267,7 @@ def test_develop_paths_at_the_rtol_floor_is_one_solve_of_lanes(torus, monkeypatc
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         batch = develop_paths(torus.cover, torus.homog, paths, rtol=1e-13)
-    first = development._FIRST_NODES
+    first = ode._FIRST_NODES
     assert reads == [(25, first), (25, 2 * first)]
     for k, (path, c) in enumerate(zip(paths, batch)):
         assert np.allclose(c.g[:2, 2], [0.03 * k, -0.02 * k], atol=1e-12)
@@ -335,7 +335,7 @@ def test_a_lane_whose_node_counts_disagree_takes_more_nodes(circle, monkeypatch)
         (c,) = develop_paths(circle.cover, circle.homog, [line_path([0.0], [theta])], rtol=rtol)
         assert abs(c.g[0, 1] - math.expm1(theta)) <= rtol * math.expm1(theta)
         nodes.append([n for _, n in reads])
-    first = development._FIRST_NODES
+    first = ode._FIRST_NODES
     assert nodes[-1] == [first * 2 ** k for k in range(5)]
     assert len(nodes[0]) < len(nodes[1]) < len(nodes[2])
 
@@ -410,11 +410,11 @@ def test_a_batch_mixes_one_step_and_stepped_lanes(monkeypatch):
     paths = [level[0], rising[0], level[1], rising[1]]
     reads = _record_reads(monkeypatch)
     g, _ = development._develop_frames(A, H, paths)
-    first = development._FIRST_NODES
+    first = ode._FIRST_NODES
     # the level lanes take one step, the rising lanes Magnus steps, each
     # trial read at the nodes of the step and of its two halves
     assert reads[:2] == [(4, first), (2, 2 * first)]
-    assert {nodes for _, nodes in reads[2:]} == {3 * development._STEP_NODES}
+    assert {nodes for _, nodes in reads[2:]} == {3 * ode._STEP_NODES}
     _assert_batch_matches_single_paths(A, H, paths)
     g_p, _ = oracles.develop_frames_p(A, H, paths)
     assert all(_relative_gap(a, b) <= 1e-11 for a, b in zip(g, g_p))

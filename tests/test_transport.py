@@ -179,6 +179,34 @@ def test_stacked_transport_matches_the_carried_solves_where_gamma_is_not_zero(sp
     assert _relative_gap(both[1], oracles.transport_matrix_carried(C, bend)) <= 1e-10
 
 
+def test_a_gamma_that_vanishes_at_the_first_nodes_is_stepped(monkeypatch):
+    # Gamma(v) = k (x - x1)(x - x2) x^2 J vanishes at the 2 Gauss-Legendre
+    # nodes x1, x2 of the segment 0 -> 1 but not between them, so the
+    # identity that 2 nodes propose must be refused at 4 and the lane
+    # stepped; the x^2 keeps the 2-node rule, exact to degree 3, from
+    # integrating Gamma to 0: the transport is the rotation by -k/180
+    from cartanlab import ode, transport
+    J, k = np.array([[0.0, -1.0], [1.0, 0.0]]), 20.0
+    x1, x2 = ode._gauss(2)[0]
+    chart = AlgebroidChart(Chart((-2.0,), (2.0,)), 2,
+                           anchor=lambda m: np.eye(1, 2, dtype=object),
+                           gamma=lambda m: (k * (m[0] - x1) * (m[0] - x2) * m[0] ** 2 * J)[None],
+                           torsion=lambda m: np.zeros((2, 2, 2), dtype=object))
+    path = line_path([0.0], [1.0])
+    assert not chart.gamma.values(np.array([[x1], [x2]])).any()
+    steps = []
+    magnus = ode._magnus_steps
+    monkeypatch.setattr(ode, "_magnus_steps", lambda fields, step, lanes, *a:
+                        steps.append(len(lanes)) or magnus(fields, step, lanes, *a))
+    M = transport_matrix(chart, path)
+    assert steps == [1]
+    want = oracles.transport_matrix_carried(chart, path)
+    a = k / 180
+    rot = np.array([[math.cos(a), math.sin(a)], [-math.sin(a), math.cos(a)]])
+    assert np.max(np.abs(want - np.eye(2))) > 1e-2 and _relative_gap(want, rot) <= 1e-10
+    assert _relative_gap(M, want) <= 1e-10
+
+
 def _reglued_sphere(sphere):
     """sphere2's TM+h chart (theta, phi) glued to the sphere in coordinates
     (theta, psi), psi = 0.5 - 2 phi, metric diag(1, sin^2 theta / 4).  The
@@ -216,8 +244,8 @@ def test_stacked_transport_matches_the_carried_solves_across_a_transition(sphere
                          line_segment(0, p[2], p[3])))
     inside = BasePath((line_segment(1, to_psi(m0), to_psi(m0 + [0.2, -0.3])),))
     solves = []
-    monkeypatch.setattr(transport, "integrate", lambda rhs, span, y0, **k:
-                        solves.append(len(y0)) or ode.integrate(rhs, span, y0, **k))
+    monkeypatch.setattr(transport, "lie_solve", lambda fields, one, step, Y, *a:
+                        solves.append(len(Y[0])) or ode.lie_solve(fields, one, step, Y, *a))
     got = transport_matrices(G, [crossing, inside])
     assert solves == [4]             # one solve: four lanes, in charts 0, 1, 0, 1
     for M, path in zip(got, (crossing, inside)):
@@ -263,11 +291,11 @@ def test_a_path_with_no_segments_transports_by_the_identity(circle):
 
 def test_transport_makes_one_solve_per_time_span(torus, monkeypatch):
     from cartanlab import ode, transport
-    spans = []
-    monkeypatch.setattr(transport, "integrate", lambda rhs, span, y0, **k:
-                        spans.append((span, len(y0))) or ode.integrate(rhs, span, y0, **k))
+    solves = []
+    monkeypatch.setattr(transport, "lie_solve", lambda fields, one, step, Y, *a:
+                        solves.append(len(Y[0])) or ode.lie_solve(fields, one, step, Y, *a))
     monodromies(torus.glued, torus.loops)
-    assert spans == [((0.0, 1.0), 6)]      # six segments, one lane each
+    assert solves == [6]      # one solve over t in [0, 1]: six segments, one lane each
 
 
 def test_parallel_frame_action_algebroid_constant(translations2):
