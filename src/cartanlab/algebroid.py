@@ -231,11 +231,16 @@ class GluedAlgebroid:
     def rank(self) -> int:
         return self.charts[0].rank
 
+    @cached_property
+    def _inverses(self) -> tuple:
+        """Every overlap read the other way, built once, so that each
+        inverted region is too."""
+        return tuple(map(_Inverse, self.overlaps))
+
     def overlaps_between(self, i: int, j: int) -> list:
-        """All transitions i -> j, including inverted entries."""
-        out = [ov for ov in self.overlaps if ov.i == i and ov.j == j]
-        out.extend(_Inverse(ov) for ov in self.overlaps if ov.i == j and ov.j == i)
-        return out
+        """All transitions i -> j: the direct entries, then the inverted ones."""
+        return ([ov for ov in self.overlaps if ov.i == i and ov.j == j]
+                + [inv for inv in self._inverses if inv.i == i and inv.j == j])
 
 
 class _Inverse:

@@ -12,14 +12,10 @@ in ``OPS`` (the model kinds it accepts, and each parameter's default and
 kind).  The parse pass checks every check before the first one runs.
 Exit 3: a check that parsed raised while it ran (``CheckError``).
 
-The geodesic checks of a scenario (``GEODESIC_STARTS``) share one
-``transport.geodesic`` run, and its development checks (``DEVELOP_ENDS``)
-one ``development.develop_ends`` solve.  Each shared solve is made when the
-first of its checks runs, so the text report counts its time in that
-check; each check reads its own lanes, bit for bit its solve alone
-(``_shared_lanes``).  Likewise its tensor checks (``TENSOR_POINTS``) read
-the chart's jets from one pass over all their sample points, made when the
-first of them runs, on a chart that keeps its jets (``_read_ahead``).
+The checks of a scenario that share a pass (``WORK``: geodesics, developed
+ends, or the chart's jets at sample points) read their lanes of one pass,
+made when the first of them runs; a pass that raises keeps nothing, and
+each of its checks does its own work (``_plan``).
 """
 
 from __future__ import annotations
@@ -409,7 +405,10 @@ def _as_expected(passed: bool, params, residual: float) -> bool:
     return math.isfinite(residual) and passed == (params["expect"] == "pass")
 
 
-def check_is_cartan(model, params, seed):
+def check_is_cartan(model, params, seed, lanes):
+    """``lanes()`` keeps the chart's jets at the check's points (``_plan``),
+    as for every tensor check."""
+    lanes()
     C = model.chart
     rep = cartan.is_cartan(C, samples=params["samples"], tol=params["tol"], seed=seed)
     return CheckResult("is_cartan", _as_expected(rep.passed, params, rep.max_residual),
@@ -418,7 +417,8 @@ def check_is_cartan(model, params, seed):
                         len(rep.per_point) * math.comb(C.rank, 2) * C.base.dim})
 
 
-def check_is_flat(model, params, seed):
+def check_is_flat(model, params, seed, lanes):
+    lanes()
     C = model.chart
     rep = cartan.is_flat(C, samples=params["samples"], tol=params["tol"], seed=seed)
     return CheckResult("is_flat", _as_expected(rep.passed, params, rep.max_residual),
@@ -442,108 +442,95 @@ def check_monodromy(model, params, seed):
                        {"eigenvalues": eigs, "automorphism_residual": auto_res})
 
 
-# The checks that share a solve (see _shared_lanes): op -> (model, params,
-# seed) -> (on, items), the objects the check's solve runs on and its
-# items, one per lane, in lane order.
-# A geodesic check's starts (m0, X0, span), in the model's chart.
-GEODESIC_STARTS = {
-    "geodesic_escape": lambda model, params, seed: (
-        (model.chart,), [(params["point"], params["fiber"], params["span"])]),
-    "completeness": lambda model, params, seed: (
-        (model.chart,), [(s["point"], s["fiber"], (0.0, sign * params["horizon"]))
-                         for s in params["seeds"] for sign in (1.0, -1.0)]),
-}
-# A development check's ends, developed from m0 on the cover A into the model H.
-DEVELOP_ENDS = {
-    "equivariance_diagram": lambda model, params, seed: (
-        (model.cover, model.homog, model.atlas_spec.m0),
-        development.equivariance_ends(model.decks[0], model.atlas_spec.m0,
-                                      _equivariance_points(model, params, seed))),
-    "reconstruct": lambda model, params, seed: (
-        (model.atlas_spec.cover, model.homog, model.atlas_spec.m0),
-        development.reconstruct_ends(model.atlas_spec)),
-}
-
-
-def _samples(model, params, seed) -> np.ndarray:
-    """The sample points of a tensor check with a ``samples`` count."""
-    return cartan.sample_set(model.chart, params["samples"], seed)
-
-
-# A tensor check's sample points, where it reads the chart's jets (see
-# _read_ahead): op -> (model, params, seed) -> the points (B, n).
-TENSOR_POINTS = {
-    "is_cartan": _samples,
-    "is_flat": _samples,
-    "invariant_metric": _samples,
-    # the flatness spot check, then the torsion at m0
-    "classify": lambda model, params, seed: np.vstack([cartan.sample_set(
-        model.chart, models.CLASSIFY_FLAT_SAMPLES, models.CLASSIFY_FLAT_SEED), [model.m0]]),
-}
-
-
-def _read_ahead(model, checks, seed):
-    """A callable that, at its first call, builds the chart's jets
-    (``AlgebroidChart.jets``) in one pass over the sample points of every
-    tensor check of ``checks``, so that each check's own reads find them
-    kept; on a chart that keeps no jets it does nothing.  When the pass
-    raises nothing is kept, and each check builds its own jets, so an error
-    stops the scenario at the check that owns it."""
-    points = [functools.partial(TENSOR_POINTS[op], model, params, seed)
-              for op, params in checks if op in TENSOR_POINTS]
-
-    def read():
-        if points and model.chart.jets is not None:
-            try:
-                model.chart.jets(np.concatenate([p() for p in points]))
-            except Exception:   # raised again by the check whose own read raises
-                pass
-        points.clear()
-    return read
-
-
 def _geodesics(chart, starts) -> list:
-    """The geodesics from ``starts`` in ``chart``, as the lanes of one
-    ``transport.geodesic`` run."""
+    """The geodesics from ``starts`` (m0, X0, span) in ``chart``, as the
+    lanes of one ``transport.geodesic`` run."""
     m0, X0, spans = zip(*starts)
     return transport.geodesic(chart, m0, X0, span=spans)
 
 
-def _shared_lanes(model, checks, seed, table, solve):
-    """k -> the lanes of check k (from 1) of ``checks``, for the checks of
-    ``table``: ``solve(*on, items)`` returns one result per item, and
-    ``results[i:j]`` are those of items i to j.  The
-    items of every check whose ``on`` are the same objects as the first
-    check's are the lanes of one solve, made at the first call; each lane
-    is bit for bit its solve alone.  Any other check, and every check when
-    that solve raises, runs its own lanes alone, so an error stops the
+def _jets(chart, points) -> list:
+    """Builds the chart's jets at ``points`` where the chart keeps them
+    (``AlgebroidChart.jets``), so that the tensor checks' own reads find
+    them kept; one None per point.  A tensor check's own work is its own
+    reads, so a pass that raises keeps nothing and leaves the error to them."""
+    if chart.jets is not None:
+        try:
+            chart.jets(np.asarray(points))
+        except Exception:   # raised again by the check whose own reads raise
+            pass
+    return [None] * len(points)
+
+
+def _sample_points(model, params, seed):
+    """A tensor check's sample points, in the model's chart."""
+    return (model.chart,), cartan.sample_set(model.chart, params["samples"], seed)
+
+
+# The checks that share a pass: op -> (pass, work).  ``work(model, params,
+# seed)`` is (on, items), the objects the check's pass runs on and its
+# items, and ``pass(*on, items)`` returns one result per item (see _plan).
+WORK = {
+    # a geodesic check's starts, in the model's chart
+    "geodesic_escape": (_geodesics, lambda model, params, seed: (
+        (model.chart,), [(params["point"], params["fiber"], params["span"])])),
+    "completeness": (_geodesics, lambda model, params, seed: (
+        (model.chart,), [(s["point"], s["fiber"], (0.0, sign * params["horizon"]))
+                         for s in params["seeds"] for sign in (1.0, -1.0)])),
+    # a development check's ends, developed from m0 on the cover A into the model H
+    "equivariance_diagram": (development.develop_ends, lambda model, params, seed: (
+        (model.cover, model.homog, model.atlas_spec.m0),
+        development.equivariance_ends(model.decks[0], model.atlas_spec.m0,
+                                      _equivariance_points(model, params, seed)))),
+    "reconstruct": (development.develop_ends, lambda model, params, seed: (
+        (model.atlas_spec.cover, model.homog, model.atlas_spec.m0),
+        development.reconstruct_ends(model.atlas_spec))),
+    # a tensor check's points, where it reads the chart's jets
+    "is_cartan": (_jets, _sample_points),
+    "is_flat": (_jets, _sample_points),
+    "invariant_metric": (_jets, _sample_points),
+    # the flatness spot check, then the torsion at m0
+    "classify": (_jets, lambda model, params, seed: ((model.chart,), np.vstack([
+        cartan.sample_set(model.chart, models.CLASSIFY_FLAT_SAMPLES, models.CLASSIFY_FLAT_SEED),
+        [model.m0]]))),
+}
+
+
+def _plan(model, checks, seed):
+    """k -> the lanes of check k (from 1) of ``checks``, for the ops of
+    ``WORK``.  Each pass runs once, when the first of its checks asks, over
+    the items of every one of its checks whose ``on`` are the same objects
+    as the first one's; each of them reads its own slice, bit for bit its
+    pass alone.  Any other check, and every check of a pass that raised
+    (and so keeps nothing), does its own work, so an error stops the
     scenario at the check that owns it."""
-    owned = {k: functools.partial(table[op], model, params, seed)
-             for k, (op, params) in enumerate(checks, 1) if op in table}
-    shared = None
+    work = {k: (WORK[op][0], functools.partial(WORK[op][1], model, params, seed))
+            for k, (op, params) in enumerate(checks, 1) if op in WORK}
+    kept = {}       # pass -> {check: its results}
 
     def lanes(k):
-        nonlocal shared
-        if shared is None:
+        run, own = work[k]
+        if run not in kept:
+            kept[run] = {}
             try:
-                parts = {j: part() for j, part in owned.items()}
+                parts = {j: part() for j, (other, part) in work.items() if other is run}
                 on, _ = parts[min(parts)]
                 parts = {j: items for j, (where, items) in parts.items()
                          if all(a is b for a, b in zip(where, on))}
-                results = solve(*on, [i for items in parts.values() for i in items])
+                results = run(*on, [i for items in parts.values() for i in items])
                 ends = np.cumsum([0, *map(len, parts.values())])
-                shared = {j: results[lo:hi] for j, lo, hi in zip(parts, ends, ends[1:])}
-            except Exception:   # raised again by the check whose lanes raise alone
-                shared = {}
-        if k in shared:
-            return shared[k]
-        on, items = owned[k]()
-        return solve(*on, items)
+                kept[run] = {j: results[lo:hi] for j, lo, hi in zip(parts, ends, ends[1:])}
+            except Exception:   # raised again by the check whose own work raises
+                pass
+        if k in kept[run]:
+            return kept[run][k]
+        on, items = own()
+        return run(*on, items)
     return lanes
 
 
 def check_geodesic_escape(model, params, seed, lanes):
-    """``lanes()`` is the check's geodesic (``_shared_lanes``)."""
+    """``lanes()`` is the check's geodesic (``_plan``)."""
     res, = lanes()
     t_star = params["expect_t_star"]
     if t_star is not None:
@@ -559,7 +546,7 @@ def check_geodesic_escape(model, params, seed, lanes):
 
 def check_completeness(model, params, seed, lanes):
     """``lanes()`` is the check's geodesics, each seed to +horizon and then
-    to -horizon (``_shared_lanes``)."""
+    to -horizon (``_plan``)."""
     verdicts = transport.seed_verdicts([(s["point"], s["fiber"]) for s in params["seeds"]],
                                        lanes())
     ok = all(v.verdict == params["expect"] for v in verdicts)
@@ -582,7 +569,8 @@ def check_scalar_form_fit(model, params, seed):
                        {"s_mean": float(np.mean(svals)), "spread": spread})
 
 
-def check_classify(model, params, seed):
+def check_classify(model, params, seed, lanes):
+    lanes()
     cls = models.classify_constant_curvature(model.rc, model.m0, tol=params["tol"])
     return CheckResult("classify", params["expect_tag"] in (None, cls.tag),
                        cls.structure_residual,
@@ -590,14 +578,15 @@ def check_classify(model, params, seed):
                         "torsion_form": cls.torsion_form})
 
 
-def check_invariant_metric(model, params, seed):
+def check_invariant_metric(model, params, seed, lanes):
+    lanes()
     chart, name = model.chart, params["metric"]
     if name == "model":
         sigma = model.metric
     else:
         sigma = dataclasses.replace(geometry.metric_by_name(name), chart=chart.base)
     rep = transport.invariant_metric_check(chart, sigma, tol=params["tol"],
-                                           samples=_samples(model, params, seed))
+                                           samples=cartan.sample_set(chart, params["samples"], seed))
     return CheckResult("invariant_metric", _as_expected(rep.passed, params, rep.max_residual),
                        rep.max_residual, {"samples": len(rep.per_point)})
 
@@ -615,7 +604,7 @@ def check_compactness_probe(model, params, seed):
 
 def check_reconstruct(model, params, seed, lanes):
     """``lanes()`` is the developed ``Frames`` of the reconstruction's ends
-    (``_shared_lanes``); with ``lanes`` None the check develops its own."""
+    (``_plan``); with ``lanes`` None the check develops its own."""
     atlas = development.reconstruct_atlas(model.glued, model.homog, model.atlas_spec,
                                           lanes=lanes)
     # each loop's transport must equal its deck twist
@@ -649,7 +638,7 @@ def _equivariance_points(model, params, seed) -> np.ndarray:
 
 def check_equivariance_diagram(model, params, seed, lanes):
     """``lanes()`` is the developed ``Frames`` of the diagram's ends
-    (``_shared_lanes``)."""
+    (``_plan``)."""
     rep = development.equivariance_diagram_check(
         model.cover, model.homog, model.decks[0], model.atlas_spec.m0,
         _equivariance_points(model, params, seed), tol=params["tol"], lanes=lanes)
@@ -694,26 +683,16 @@ CHECKS = {op: globals()[f"check_{op}"] for op in OPS}
 
 
 def run_scenario(doc: dict, seed: int | None = None, tol_scale: float = 1.0) -> Report:
-    """Parse every check, then run them in order.  Each geodesic check
-    reads its lanes of the scenario's one geodesic run, and each
-    development check its lanes of the scenario's one development solve
-    (``_shared_lanes``).  The first tensor check first builds the chart's
-    jets at the sample points of every tensor check in one pass, where the
-    chart keeps them, and each tensor check then reads its own points'
-    jets from that pass (``_read_ahead``).  An exception inside a check
-    stops the run as a ``CheckError`` naming the check."""
+    """Parse every check, then run them in order; each check of ``WORK``
+    reads its lanes of its scenario's one pass (``_plan``).  An exception
+    inside a check stops the run as a ``CheckError`` naming the check."""
     name, seed, model, checks = parse_scenario(doc, seed, tol_scale)
-    lanes = {}
-    for table, solve in ((GEODESIC_STARTS, _geodesics), (DEVELOP_ENDS, development.develop_ends)):
-        lanes.update(dict.fromkeys(table, _shared_lanes(model, checks, seed, table, solve)))
-    read_ahead = _read_ahead(model, checks, seed)
+    lanes = _plan(model, checks, seed)
     results = []
     for k, (op, params) in enumerate(checks, 1):
         t0 = time.perf_counter()
         try:
-            if op in TENSOR_POINTS:
-                read_ahead()
-            shared = (functools.partial(lanes[op], k),) if op in lanes else ()
+            shared = (functools.partial(lanes, k),) if op in WORK else ()
             results.append(CHECKS[op](model, params, seed, *shared))
         except Exception as e:
             raise CheckError(f"check {k} ({op}) could not run: "

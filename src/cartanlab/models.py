@@ -115,9 +115,8 @@ def build_riemannian_cartan(metric: SmoothField) -> RiemannianCartanChart:
     over all of them, so each sample point's jets are built once however
     many checks read them.  The chart's ``jets`` is that pass: the scenario
     runner calls it once over the sample points of all of a scenario's
-    tensor checks before the first of them runs (``cli.TENSOR_POINTS``), so
-    their own reads find every point kept.  A pass that raises keeps
-    nothing.
+    tensor checks when the first of them runs (``cli.WORK``), so their own
+    reads find every point kept.  A pass that raises keeps nothing.
     """
     base = metric.chart
     n = base.dim

@@ -353,3 +353,13 @@ def test_a_nan_composition_after_the_first_fails_the_cocycle():
     rep = check_cocycle({(0, 1): shift(1.0), (1, 2): shift(2.0), (0, 2): shift(3.0),
                          (2, 3): shift(math.nan), (1, 3): shift(2.0)})
     assert math.isnan(rep.composition_residual) and not rep.passed
+
+
+def test_each_inverted_overlap_is_built_once_per_glued_algebroid(torus):
+    G = torus.glued
+    first, again = G.overlaps_between(1, 0), G.overlaps_between(1, 0)
+    # the direct entry 1 -> 0, then the two entries 0 -> 1 read backwards
+    assert [(ov.i, ov.j) for ov in first] == [(1, 0)] * 3
+    assert first[0] in G.overlaps and not any(ov in G.overlaps for ov in first[1:])
+    assert all(a is b for a, b in zip(first, again))
+    assert first[1].region_i is again[1].region_i

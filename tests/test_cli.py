@@ -176,7 +176,8 @@ def test_a_nan_residual_fails_a_check_that_expects_fail(monkeypatch):
     nan_report = algebra.TensorReport("is_flat", math.nan, 1e-7, (0.0, math.nan))
     monkeypatch.setattr(cartan, "is_flat", lambda *a, **k: nan_report)
     params = {"samples": 2, "tol": 1e-7, "expect": "fail"}
-    assert not cli.check_is_flat(models.sphere2(), params, 7).verdict
+    # a tensor check's lanes only keep the chart's jets; it reads nothing back
+    assert not cli.check_is_flat(models.sphere2(), params, 7, lambda: None).verdict
 
 
 MISSING = object()
@@ -790,6 +791,11 @@ SHARED_RUN_SCENARIOS = {
 }
 
 
+def _ops_of(run) -> set:
+    """The ops of ``cli.WORK`` whose checks share the pass ``run``."""
+    return {op for op, (other, _) in cli.WORK.items() if other is run}
+
+
 @pytest.mark.parametrize("name", SHARED_RUN_SCENARIOS)
 def test_each_geodesic_check_reads_as_it_does_alone(name, monkeypatch):
     doc = SHARED_RUN_SCENARIOS[name]
@@ -803,7 +809,7 @@ def test_each_geodesic_check_reads_as_it_does_alone(name, monkeypatch):
     report = run_scenario(doc)
     assert report.verdict, export_report(report, "text")
     geodesic_checks = [(k, check) for k, check in enumerate(doc["checks"])
-                       if check["op"] in cli.GEODESIC_STARTS]
+                       if check["op"] in _ops_of(cli._geodesics)]
     assert len(runs) == 1
     assert len(runs[0]) == sum(2 * len(check["seeds"]) if check["op"] == "completeness" else 1
                                for _, check in geodesic_checks)
@@ -934,17 +940,18 @@ def test_a_failing_end_stops_the_run_at_the_check_that_owns_it(tmp_path, capsys,
     assert together == alone.replace("check 1", "check 2")
 
 
-def test_only_checks_on_the_same_objects_share_a_solve():
+def test_only_checks_on_the_same_objects_share_a_solve(monkeypatch):
     solves = []
 
     def solve(on, items):
         solves.append((on, items))
         return [(on, i) for i in items]
     first, equal = ["cover"], ["cover"]     # equal, but not the same object
-    table = {"develop": lambda model, params, seed: ((params["on"],), params["items"])}
+    monkeypatch.setattr(cli, "WORK", {"develop": (
+        solve, lambda model, params, seed: ((params["on"],), params["items"]))})
     checks = [("develop", {"on": first, "items": [1, 2]}), ("monodromy", {}),
               ("develop", {"on": equal, "items": [3]}), ("develop", {"on": first, "items": [4]})]
-    lanes = cli._shared_lanes(None, checks, 0, table, solve)
+    lanes = cli._plan(None, checks, 0)
     assert [lanes(k) for k in (1, 3, 4)] == [[(first, 1), (first, 2)], [(equal, 3)], [(first, 4)]]
     assert solves == [(first, [1, 2, 4]), (equal, [3])]
     assert solves[1][0] is equal
@@ -992,23 +999,28 @@ def test_each_tensor_check_reads_as_it_does_alone(name, monkeypatch):
     report = run_scenario(doc)
     assert report.verdict, export_report(report, "text")
     _, _, model, checks = cli.parse_scenario(doc, None, 1.0)
-    points = np.concatenate([cli.TENSOR_POINTS[op](model, params, report.seed)
-                             for op, params in checks if op in cli.TENSOR_POINTS])
+    tensor_ops = _ops_of(cli._jets)
+    points = np.concatenate([cli.WORK[op][1](model, params, report.seed)[1]
+                             for op, params in checks if op in tensor_ops])
     # one metric 3-jet over every tensor check's points, and no 2-jet for
     # classify's torsion at m0
     assert jets == [(3, len({tuple(m) for m in points}), False)]
-    tensor = [k for k, check in enumerate(doc["checks"]) if check["op"] in cli.TENSOR_POINTS]
+    tensor = [k for k, check in enumerate(doc["checks"]) if check["op"] in tensor_ops]
     assert len(tensor) >= 4
     for k in tensor:
         alone = run_scenario({**doc, "checks": [doc["checks"][k]]}).structured()["checks"][0]
         assert json.dumps(report.structured()["checks"][k]) == json.dumps(alone)
 
 
-def test_a_failing_jet_pass_stops_the_run_at_the_check_that_owns_it(tmp_path, capsys,
-                                                                     monkeypatch):
+def _sphere2_at_theta_0(monkeypatch):
     # the round metric is not positive definite at theta = 0, classify's m0
     monkeypatch.setitem(models.CATALOG, "sphere2", lambda: models.riemannian_model(
         "sphere2", geometry.sphere_metric(2), [0.0, 0.0]))
+
+
+def test_a_failing_jet_pass_stops_the_run_at_the_check_that_owns_it(tmp_path, capsys,
+                                                                     monkeypatch):
+    _sphere2_at_theta_0(monkeypatch)
     jets = _record_chart_metric_jets(monkeypatch)
     errors = []
     for checks in ([{"op": "is_cartan", "samples": 1}, {"op": "is_flat", "samples": 2},
@@ -1027,6 +1039,49 @@ def test_a_failing_jet_pass_stops_the_run_at_the_check_that_owns_it(tmp_path, ca
     # the shared pass over the 2 + 6 + 1 distinct points raised and kept
     # nothing, so the first two checks built their own jets
     assert jets[0] == (3, 9, True) and jets[1:3] == [(3, 1, False), (3, 1, False)]
+
+
+@pytest.mark.parametrize("first", [[], [{"op": "is_cartan", "samples": 1}]],
+                         ids=["jets-last", "jets-first"])
+def test_a_pass_that_raises_leaves_the_other_kinds_of_pass_shared(first, tmp_path, capsys,
+                                                                  monkeypatch):
+    _sphere2_at_theta_0(monkeypatch)
+    jets = _record_chart_metric_jets(monkeypatch)
+    runs = []
+
+    def recording(chart, m0, *args, **kwargs):
+        runs.append(len(m0))
+        return geodesic(chart, m0, *args, **kwargs)
+    geodesic = transport.geodesic
+    monkeypatch.setattr(transport, "geodesic", recording)
+    checks = [*first,
+              {"op": "geodesic_escape", "point": [0.3, 0.0], "fiber": [-1.0, 0.0, 0.5],
+               "expect_status": "escaped_chart"},
+              {"op": "geodesic_escape", "point": [1.2, 0.3], "fiber": [0.5, -0.8, 0.3]},
+              {"op": "classify"}]
+    path = tmp_path / "failing.yaml"
+    path.write_text(yaml.safe_dump({"name": "failing", "model": "sphere2", "seed": 3,
+                                    "checks": checks}))
+    assert cli.main(["run", str(path)]) == 3
+    out, err = capsys.readouterr()
+    assert out == "" and "Traceback" not in err
+    assert err == (f"error: check {len(checks)} (classify) could not run: GeometryError: "
+                   "point [0. 0.] outside chart interior\n")
+    # the jet pass over every tensor check's distinct points raised and kept
+    # nothing (the geodesics read 2-jets point by point), and both geodesic
+    # checks read their lanes of one run
+    assert [j for j in jets if j[0] == 3][0] == (3, 7 + len(first), True)
+    assert runs == [2]
+
+
+@pytest.mark.parametrize("name", bundled_scenarios())
+def test_every_bundled_check_reads_as_it_does_in_a_scenario_of_its_own(name):
+    doc = yaml.safe_load(Path(bundled_scenarios()[name]).read_text())
+    together = run_scenario(doc).structured()["checks"]
+    assert len(together) == len(doc["checks"]) > 0
+    for k, check in enumerate(doc["checks"]):
+        alone = run_scenario({**doc, "checks": [check]}).structured()["checks"][0]
+        assert json.dumps(together[k]) == json.dumps(alone), (name, k)
 
 
 def test_an_action_chart_builds_no_jet_ahead(monkeypatch):
