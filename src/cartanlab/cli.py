@@ -546,13 +546,15 @@ def check_geodesic_escape(model, params, seed, lanes):
 
 def check_completeness(model, params, seed, lanes):
     """``lanes()`` is the check's geodesics, each seed to +horizon and then
-    to -horizon (``_plan``)."""
+    to -horizon (``_plan``).  ``notes`` says, seed by seed, why a seed's
+    geodesic stopped short of the horizon, and is "" where it did not."""
     verdicts = transport.seed_verdicts([(s["point"], s["fiber"]) for s in params["seeds"]],
                                        lanes())
     ok = all(v.verdict == params["expect"] for v in verdicts)
     return CheckResult("completeness", ok, 0.0,
                        {"verdicts": [v.verdict for v in verdicts],
-                        "t_star": [v.t_star for v in verdicts]})
+                        "t_star": [v.t_star for v in verdicts],
+                        "notes": [v.note for v in verdicts]})
 
 
 def check_scalar_form_fit(model, params, seed):

@@ -357,7 +357,7 @@ def linear(f, x):
 
 def swap(x):
     """Transpose of the last two axes."""
-    return linear(lambda a: np.swapaxes(a, -1, -2), x)
+    return linear(lambda a: a.swapaxes(-1, -2), x)
 
 
 @lru_cache(maxsize=None)
@@ -463,6 +463,26 @@ def _lanes(n: int, order: int):
     return np.array(dirs, dtype=int).reshape(len(dirs), order), picks
 
 
+@lru_cache(maxsize=64)
+def _seeds(n: int, order: int, B: int) -> tuple:
+    """The eps of each coordinate of a lane point at B points, one per
+    layer: the one-hot seeds of its direction over the lanes, layer b
+    wrapped in b layers of zero eps.  Read-only, since every call of
+    ``taylor_stack`` with these sizes shares them."""
+    dirs, _ = _lanes(n, order)
+    out = []
+    for i in range(n):
+        layers = []
+        for b in range(order):
+            e = np.tile((dirs[:, b] == i).astype(float), B)
+            e.setflags(write=False)
+            for _ in range(b):
+                e = Dual(e, 0.0)
+            layers.append(e)
+        out.append(tuple(layers))
+    return tuple(out)
+
+
 def taylor_stack(f, ms, order: int):
     """Jets of the given order of ``f`` at the float points ``ms`` (B, n),
     with the point axis after the derivative axes, from one call of ``f``.
@@ -485,12 +505,9 @@ def taylor_stack(f, ms, order: int):
     dirs, picks = _lanes(n, order)
     M = len(dirs)
     p = np.empty(n, dtype=object)
-    for i in range(n):
+    for i, seeds in enumerate(_seeds(n, order, B)):
         x = np.repeat(ms[:, i], M)
-        for b in range(order):
-            e = np.tile((dirs[:, b] == i).astype(float), B)
-            for _ in range(b):
-                e = Dual(e, 0.0)
+        for e in seeds:
             x = Dual(x, e)
         p[i] = x
     out = np.asarray(f(p), dtype=object)
@@ -502,6 +519,9 @@ def taylor_stack(f, ms, order: int):
     flat = out.reshape(-1)
     comps = np.zeros((2 ** order, B * M, flat.size))
     for k, x in enumerate(flat):
+        if not isinstance(x, Dual):         # a constant: its derivatives stay zero
+            comps[0, :, k] = x
+            continue
         for mask, c in enumerate(_components(x, order)):
             comps[mask, :, k] = c
     comps = comps.reshape(2 ** order, B, M, flat.size)

@@ -178,7 +178,7 @@ class SmoothField:
             return self.batch(ms)
         if self.lanes:
             return dual.taylor_stack(self, ms, 0)
-        vals = [value(np.asarray(self(as_point(m)), dtype=object)) for m in ms]
+        vals = [value(np.asarray(self(as_point(m)))) for m in ms]
         return np.array(vals, dtype=float).reshape(len(ms), *self.shape)
 
     @staticmethod
@@ -263,10 +263,14 @@ def frame_connection(chart: Chart, frame: Callable) -> TMConnection:
 
 def christoffel_from_jet(G):
     """Gamma[k, i, j] = g^kl (d_i g_jl + d_j g_il - d_l g_ij) / 2 from a metric
-    jet of order >= 1 (see ``metric_jet``), as a jet one order lower."""
-    dg = G.d                                   # dg[i, ..., j, l] = d_i g_jl
-    lower = 0.5 * (dual.contract("i...jl->...lij", dg) + dual.contract("j...il->...lij", dg)
-                   - dual.contract("l...ij->...lij", dg))
+    jet of order >= 1 (see ``metric_jet``), as a jet one order lower.
+
+    One contraction moves the derivative index of G.d behind the point
+    axis, A[l, i, j] = d_i g_jl; the other two terms are A with trailing
+    axes swapped: d_j g_il = A[l, j, i], and d_l g_ij = A[i, l, j] since g
+    is symmetric."""
+    A = dual.contract("i...jl->...lij", G.d)
+    lower = dual.linear(lambda a: 0.5 * (a + a.swapaxes(-1, -2) - a.swapaxes(-3, -2)), A)
     return dual.contract("...kl,...lij->...kij", dual.inv(G.v), lower)
 
 

@@ -26,7 +26,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -77,11 +77,30 @@ class RiemannianCartanChart:
         return self.chart.rank
 
 
-def _scatter(a, r: int, slots) -> np.ndarray:
-    """``a`` placed at ``slots`` of its trailing axes, each widened to r."""
-    out = np.zeros(a.shape[:-len(slots)] + (r,) * len(slots), dtype=a.dtype)
-    out[(Ellipsis, *slots)] = a
+def _blocks(r: int, *blocks):
+    """One array, or one jet, whose trailing axes, each of length r, hold
+    each ``(x, slots)`` of ``blocks`` at ``slots`` and zeros elsewhere, in
+    the dtype of the blocks (objects at a Dual point).  A plain array among
+    jets is a constant: it enters the value only."""
+    if any(isinstance(x, dual.Taylor) for x, _ in blocks):
+        return dual.Taylor(
+            _blocks(r, *((x.v if isinstance(x, dual.Taylor) else x, s) for x, s in blocks)),
+            _blocks(r, *((x.d, s) for x, s in blocks if isinstance(x, dual.Taylor))))
+    lead = max((x.shape[:x.ndim - len(s)] for x, s in blocks), key=len)
+    out = np.zeros(lead + (r,) * len(blocks[0][1]),
+                   dtype=np.result_type(*(x for x, _ in blocks)))
+    for x, s in blocks:
+        out[(Ellipsis, *s)] = x
     return out
+
+
+@lru_cache(maxsize=None)
+def _skew_bracket(n: int) -> np.ndarray:
+    """K[e, c, p, a] with sum_pa K[e, c, p, a] w[p, a] the skew coordinate e
+    (``skew_coords``) of [w, E[c]], for any w: the matrix
+    (E[c] E[e] - E[e] E[c]) / 2 at (p, a)."""
+    E = skew_basis(n)
+    return 0.5 * (np.einsum("epq,caq->ecpa", E, E) - np.einsum("eqa,cqp->ecpa", E, E))
 
 
 class _FrameParts(NamedTuple):
@@ -106,7 +125,11 @@ def build_riemannian_cartan(metric: SmoothField) -> RiemannianCartanChart:
     Only the metric is differentiated: its jet is taken once
     (``geometry.metric_jet``), and the frame, Christoffel symbols,
     curvature and the three fields are contractions of that jet
-    (``dual.contract``).  The same formula runs on float leaves at a float
+    (``dual.contract``), each read with few numpy calls: the LC derivative
+    of the skew sections, [omega_i, E[c]] in skew coordinates, is one
+    contraction of omega with the constant ``_skew_bracket(n)``, and gamma
+    and the torsion's section bracket are written block by block into one
+    array (``_blocks``).  The same formula runs on float leaves at a float
     point or a stack of them and on Dual leaves at a Dual point; on a jet
     one order higher it yields the first derivatives too, which the fields
     offer as their closed-form jet (``SmoothField.jet``, read by
@@ -123,12 +146,9 @@ def build_riemannian_cartan(metric: SmoothField) -> RiemannianCartanChart:
     E = skew_basis(n)
     r = n + len(E)
     TM, H, ALL = slice(0, n), slice(n, r), slice(0, r)
-    # [E[c], E[d]] in skew coordinates, at (e, c, d) of the skew block
-    EE = _scatter(0.5 * np.einsum("epq,cdpq->ecd", E, E[:, None] @ E[None] - E[None] @ E[:, None]),
-                  r, (H, H, H))
-
-    def place(x, *slots):
-        return dual.linear(lambda a: _scatter(a, r, slots), x)
+    # [E[c], E[d]] in skew coordinates, at (e, c, d)
+    EE = 0.5 * np.einsum("epq,cdpq->ecd", E, E[:, None] @ E[None] - E[None] @ E[:, None])
+    K = _skew_bracket(n)
 
     def parts(G) -> _FrameParts:
         """Frame data and gamma, two orders below the metric jet G."""
@@ -143,30 +163,27 @@ def build_riemannian_cartan(metric: SmoothField) -> RiemannianCartanChart:
         rho = dual.contract("...al,...lmij->...amij", Finv, Rt)
         rho = dual.contract("...amij,...jk->...amik", rho, F)
         rho = dual.contract("...amik,...mb->...ikab", rho, F)
-        om_E = (dual.contract("...iap,cpb->...icab", om, E)
-                - dual.contract("cap,...ipb->...icab", E, om))        # [omega_i, E[c]]
-        lc_h = 0.5 * dual.contract("epq,...icpq->...iec", E, om_E)    # in skew coordinates
-        gamma = (place(om, TM, TM)
-                 + place(0.5 * dual.contract("epq,...ikpq->...iek", E, rho), H, TM)
-                 + place(dual.contract("cpq,...qi->...ipc", E, Finv), TM, H)  # E[c] F^-1 e_i
-                 + place(lc_h, H, H))
+        lc_h = dual.contract("ecpa,...ipa->...iec", K, om)  # [omega_i, E[c]], skew coords
+        gamma = _blocks(r, (om, (TM, TM)),
+                        (0.5 * dual.contract("epq,...ikpq->...iek", E, rho), (H, TM)),
+                        (dual.contract("cpq,...qi->...ipc", E, Finv), (TM, H)),  # E[c] F^-1 e_i
+                        (lc_h, (H, H)))
         return _FrameParts(F, dF, Finv, rho, lc_h, gamma)
 
     def torsion_of(p: _FrameParts):
         """Gamma(#e_b) e_a - Gamma(#e_a) e_b + [e_a, e_b] on adapted sections."""
-        P = place(dual.contract("...ik,...iab->...akb", p.F, p.gamma),
-                  ALL, TM, ALL)                                       # Gamma(#e_k) e_b
+        P = _blocks(r, (dual.contract("...ik,...iab->...akb", p.F, p.gamma),
+                        (ALL, TM, ALL)))                              # Gamma(#e_k) e_b
         # the section bracket: Jacobi-Lie bracket of frame vectors, the
         # curvature rho(F e_k, F e_l), the LC derivatives of the skew
         # sections along frame vectors and the commutators [E[c], E[d]]
         jl = dual.contract("...ik,i...ml->...mkl", p.F, p.dF)         # d_{F e_k} F e_l
         lc_kd = dual.contract("...ik,...iec->...ekc", p.F, p.lc_h)
-        bracket = (place(dual.contract("...am,...mkl->...akl", p.Finv, jl - dual.swap(jl)),
-                         TM, TM, TM)
-                   + place(0.5 * dual.contract("...ik,...eil->...ekl", p.F,
-                                               dual.contract("epq,...ilpq->...eil", E, p.rho)),
-                           H, TM, TM)
-                   + place(lc_kd, H, TM, H) - place(dual.swap(lc_kd), H, H, TM) + EE)
+        bracket = _blocks(
+            r, (dual.contract("...am,...mkl->...akl", p.Finv, jl - dual.swap(jl)), (TM, TM, TM)),
+            (0.5 * dual.contract("...ik,...eil->...ekl", p.F,
+                                 dual.contract("epq,...ilpq->...eil", E, p.rho)), (H, TM, TM)),
+            (lc_kd, (H, TM, H)), (-dual.swap(lc_kd), (H, H, TM)), (EE, (H, H, H)))
         return dual.swap(P) - P + bracket
 
     def frame(m):
@@ -181,7 +198,7 @@ def build_riemannian_cartan(metric: SmoothField) -> RiemannianCartanChart:
         new = [k for k in dict.fromkeys(keys) if k not in store]
         if new:
             p = parts(metric_jet(metric, np.array(new), 3))
-            jets = (place(p.F, TM), p.gamma, torsion_of(p))
+            jets = (_blocks(r, (p.F, (TM,))), p.gamma, torsion_of(p))
             for b, k in enumerate(new):
                 store[k] = tuple(dual.point(x, b) for x in jets)
         return [store[k] for k in keys]
@@ -204,7 +221,7 @@ def build_riemannian_cartan(metric: SmoothField) -> RiemannianCartanChart:
 
     chart = AlgebroidChart(
         base=base, rank=r,
-        anchor=field("anchor", (n, r), lambda m: place(frame(m), TM), 0, frames),
+        anchor=field("anchor", (n, r), lambda m: _blocks(r, (frame(m), (TM,))), 0, frames),
         gamma=field("connection", (n, r, r), lambda m: parts(metric_jet(metric, m, 2)).gamma, 1),
         torsion=field("torsion", (r, r, r),
                       lambda m: torsion_of(parts(metric_jet(metric, m, 2))), 2),

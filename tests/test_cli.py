@@ -632,6 +632,25 @@ def test_a_complete_line_past_the_blowup_norm_is_not_certified_incomplete(tmp_pa
     assert cli.main(["run", str(path), "--format", "json"]) == 0
     check = json.loads(capsys.readouterr().out)["checks"][0]
     assert check["witnesses"]["verdicts"] == ["no-blowup-within-horizon"]
+    assert check["witnesses"]["notes"] == [""]
+
+
+def test_completeness_says_why_a_seed_stopped_short(tmp_path, capsys):
+    # the equatorial sphere2 geodesic along theta leaves the chart
+    # (theta in (0.2, pi - 0.2)) near t = +-(pi/2 - 0.2); a purely skew
+    # fiber leaves the base point fixed and runs the whole horizon
+    doc = {"name": "sphere2-seeds", "model": "sphere2",
+           "checks": [{"op": "completeness", "horizon": 20.0,
+                       "seeds": [{"point": [1.5, 0.0], "fiber": [1.0, 0.0, 0.0]},
+                                 {"point": [1.5, 0.0], "fiber": [0.0, 0.0, 1.0]}]}]}
+    path = tmp_path / "seeds.yaml"
+    path.write_text(yaml.safe_dump(doc))
+    assert cli.main(["run", str(path), "--format", "json"]) == 0
+    w = json.loads(capsys.readouterr().out)["checks"][0]["witnesses"]
+    assert w["verdicts"] == ["no-blowup-within-horizon"] * 2
+    left, whole = w["notes"]
+    assert left.startswith("left the atlas at t=") and "verdict limited to the atlas" in left
+    assert whole == ""
 
 
 def test_cli_run_writes_and_exports_report(tmp_path, capsys):

@@ -535,6 +535,116 @@ def test_christoffel_jets_match_nested_dual_references(name):
         assert np.max(np.abs(R - value(curvature_tensor_obj(ref, m)))) < 1e-12
 
 
+# -- the restated TM+h contractions against their term-by-term forms ----------
+
+def _christoffel_three_terms(G):
+    """Gamma from the three index permutations of dg, one contraction each."""
+    dg = G.d
+    lower = 0.5 * (dual.contract("i...jl->...lij", dg) + dual.contract("j...il->...lij", dg)
+                   - dual.contract("l...ij->...lij", dg))
+    return dual.contract("...kl,...lij->...kij", dual.inv(G.v), lower)
+
+
+def _lc_h_explicit(om, E):
+    """[omega_i, E[c]] in skew coordinates, E . [omega_i, E[c]] / 2: the two
+    commutator contractions, their difference and its projection onto E."""
+    om_E = (dual.contract("...iap,cpb->...icab", om, E)
+            - dual.contract("cap,...ipb->...icab", E, om))
+    return 0.5 * dual.contract("epq,...icpq->...iec", E, om_E)
+
+
+def _lc_h_table(om, n):
+    return dual.contract("ecpa,...ipa->...iec", models._skew_bracket(n), om)
+
+
+def _leaf_bits(x) -> list[bytes]:
+    """The bytes of every leaf of a jet; a Dual entry's value then eps parts."""
+    if isinstance(x, dual.Taylor):
+        return _leaf_bits(x.v) + _leaf_bits(x.d)
+    x = np.asarray(x)
+    if x.dtype != object:
+        return [x.tobytes()]
+    flat = list(x.reshape(-1))
+    out = []
+    while any(isinstance(e, dual.Dual) for e in flat):
+        out.append(np.array([value(e) for e in flat]).tobytes())
+        flat = [e.eps if isinstance(e, dual.Dual) else 0.0 for e in flat]
+    return out + [np.array(flat, dtype=float).tobytes()]
+
+
+def _sym(a):
+    """``a`` symmetrized over its last two axes, exactly (one add, one halving)."""
+    return 0.5 * (a + np.swapaxes(a, -1, -2))
+
+
+def _duals(rng, shape, sym=False):
+    """Object array of random Duals (value, eps), symmetric over the last
+    two axes if ``sym``."""
+    v, e = rng.uniform(-1, 1, (2, *shape))
+    if sym:
+        v, e = _sym(v), _sym(e)
+    out = np.empty(shape, dtype=object)
+    for idx in np.ndindex(shape):
+        out[idx] = dual.Dual(v[idx], e[idx])
+    return out
+
+
+def _random_metric_jet(rng, n, B):
+    """An order-2 jet at B points with random leaves, symmetric in the
+    metric's two slots but not in the two derivative directions, so a form
+    that needs mixed partials to commute would differ."""
+    a = rng.uniform(-1, 1, (B, n, n))
+    g = a @ np.swapaxes(a, -1, -2) + n * np.eye(n)
+    dg = _sym(rng.uniform(-1, 1, (n, B, n, n)))
+    d2g = _sym(rng.uniform(-1, 1, (n, n, B, n, n)))
+    return dual.Taylor(dual.Taylor(g, dg), dual.Taylor(dg, d2g))
+
+
+@pytest.mark.parametrize("n", range(2, 7))
+def test_restated_contractions_are_the_term_by_term_forms_bit_for_bit(n):
+    """The one-contraction Christoffel lowering and the constant skew
+    table give the term-by-term forms' values and jets bit for bit, at
+    float stacks and at a Dual point: each is the same arithmetic, the
+    table's entries being 0 or +-1/2 and each of its sums holding the
+    same two nonzero products.  At n = 2 the table is zero (so(2) is
+    abelian), so sphere2 and hyperbolic2 never read it."""
+    rng = np.random.default_rng(n)
+    E = models.skew_basis(n)
+    if n == 2:
+        assert not models._skew_bracket(n).any()
+    # Christoffel symbols: a float stack, and an order-1 jet at a Dual point
+    G = _random_metric_jet(rng, n, 4)
+    assert _leaf_bits(geometry.christoffel_from_jet(G)) == _leaf_bits(_christoffel_three_terms(G))
+    a = _duals(rng, (n, n))
+    g = dual.contract("ij,kj->ik", a, a) + n * np.eye(n)
+    G = dual.Taylor(g, _duals(rng, (n, n, n), sym=True))
+    assert _leaf_bits(geometry.christoffel_from_jet(G)) == _leaf_bits(_christoffel_three_terms(G))
+    # the LC derivative of the skew sections, from any omega: a float stack,
+    # an order-1 jet over a stack, and a Dual point
+    for om in (rng.uniform(-1, 1, (5, n, n, n)),
+               dual.Taylor(rng.uniform(-1, 1, (5, n, n, n)), rng.uniform(-1, 1, (n, 5, n, n, n))),
+               _duals(rng, (n, n, n))):
+        assert _leaf_bits(_lc_h_table(om, n)) == _leaf_bits(_lc_h_explicit(om, E))
+
+
+def test_christoffel_lowering_on_a_jet_symmetric_up_to_rounding():
+    """The restated lowering reads d_l g_ij as d_l g_ji.  Where a metric's
+    derivative is symmetric only up to rounding, the two forms differ by
+    at most half that asymmetry, contracted with g^-1, plus a few ulps of
+    the lowering's rounding."""
+    rng = np.random.default_rng(3)
+    n = 4
+    G = _random_metric_jet(rng, n, 6)
+    dg = G.d.v * (1.0 + 4e-16 * rng.uniform(-1, 1, G.d.v.shape))   # no longer symmetric
+    G = dual.Taylor(dual.Taylor(G.v.v, dg), dual.Taylor(dg, G.d.d))
+    got, want = geometry.christoffel_from_jet(G).v, _christoffel_three_terms(G).v
+    asym = np.max(np.abs(dg - np.swapaxes(dg, -1, -2)))
+    assert asym > 0 and not np.array_equal(got, want)
+    ginv = np.linalg.inv(G.v.v)
+    bound = np.max(np.sum(np.abs(ginv), axis=-1)) * (0.5 * asym + 4 * np.spacing(np.max(np.abs(dg))))
+    assert np.max(np.abs(got - want)) <= bound
+
+
 def _restricted_bracket(P, m0):
     """Structure constants c[i, j, k] = T^k_ij of the second connection's
     torsion at m0, a Lie algebra's (checked by ``LieAlgebra``)."""

@@ -51,9 +51,14 @@ def _fields(model):
             yield f"chart {k} {kind}", getattr(C, kind)
 
 
+# inline TM+h models where the skew block [omega, E] of gamma is not zero
+# (n >= 3), and the ellipsoid, whose curvature is not constant
+METRICS = ("sphere(3)", "sphere(4)", "hyperbolic(3)", "ellipsoid")
 MODELS = {**{name: lambda name=name: models.load_model(name) for name in models.CATALOG},
           **{name: lambda doc=doc: cli.resolve_model(doc["model"])[1]
-             for name, doc in INLINE.items()}}
+             for name, doc in INLINE.items()},
+          **{name: lambda name=name: cli.resolve_model({"metric": name})[1]
+             for name in METRICS}}
 
 
 @pytest.mark.parametrize("name", MODELS)
