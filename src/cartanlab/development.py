@@ -434,12 +434,15 @@ def _frame_jacobian(A, H: HomogeneousModel, m, g: np.ndarray,
 
 # -- induced affine maps ------------------------------------------------------
 
-def integrated_twist(H: HomogeneousModel, mu: AlgebraMap, g: np.ndarray) -> np.ndarray:
+def integrated_twist(H: HomogeneousModel, mu: AlgebraMap | list[AlgebraMap],
+                     g: np.ndarray) -> np.ndarray:
     """Group automorphism integrating the algebra twist, evaluated at g
-    (d, d) or at each element of a stack (B, d, d): exp(mu(log g)) with
-    the principal log, one log and one exponential for the stack.  Refused
-    where an element has no principal log or its log leaves the algebra
-    (off-span residual above 1e-7 (1 + |g|))."""
+    (d, d) or at each element of a stack (B, ..., d, d): exp(mu(log g))
+    with the principal log, one log and one exponential for the stack.
+    ``mu`` is one ``AlgebraMap`` for every element, or a sequence of them,
+    the k-th twisting the elements g[k].  Refused where an element has no
+    principal log or its log leaves the algebra (off-span residual above
+    1e-7 (1 + |g|))."""
     g = np.asarray(g, dtype=float)
     lr = log_matrix(H.realization, g)
     off = lr.off_span_residual
@@ -448,7 +451,9 @@ def integrated_twist(H: HomogeneousModel, mu: AlgebraMap, g: np.ndarray) -> np.n
     if np.any(bad):
         raise DevelopmentError(f"group element has no principal log in the algebra "
                                f"(off-span residual {worst(off[bad]):.3e})")
-    return exp_matrix(H.realization, mu(lr.coords))
+    if isinstance(mu, AlgebraMap):
+        return exp_matrix(H.realization, mu(lr.coords))
+    return exp_matrix(H.realization, np.stack([m(c) for m, c in zip(mu, lr.coords)]))
 
 
 @dataclass(frozen=True)
@@ -655,10 +660,13 @@ def reconstruct_atlas(glued, H: HomogeneousModel, spec: CoverSpec,
     overlap, which would check nothing and pass, is refused.  These are
     checked first.  Then the patch samples and every overlap's endpoints
     (``reconstruct_ends``) are developed in one batch, or read from
-    ``lanes()``, their ``Frames`` in order (``develop_ends``).  The
-    coordinates of all patch samples come from one log, and each overlap
-    reads its induced map, transition residuals and coordinates from one
-    stacked call each.
+    ``lanes()``, their ``Frames`` in order (``develop_ends``).  Each
+    overlap builds its induced map, and each patch reads its Jacobian at
+    its first sample.  Then all overlaps at once read their samples'
+    twisted images (one stacked ``integrated_twist``, each overlap's twist
+    on its own lanes) and transition residuals, and the coordinates of
+    every patch and overlap sample come from one log; only the affine fit
+    runs overlap by overlap.
     """
     from .cartan import fiber_bracket_at
     if not (spec.patches or spec.overlaps):
@@ -695,20 +703,28 @@ def reconstruct_atlas(glued, H: HomogeneousModel, spec: CoverSpec,
     dets = [abs(np.linalg.det(_frame_jacobian(A, H, pts[0], gs[k], Qs[k])))
             for pts, k in zip(patch_pts, firsts)]
     samples = Coset(gs, H)      # every representative must be invertible
-    chart_samples = np.split(_coset_coords(H, samples.g), firsts[1:])
-    transitions = []
     # each overlap's lanes: its q = D(deck(m0)), its samples p and their images
     k = _ATLAS_SAMPLES
-    for ov, dev in zip(spec.overlaps,
-                       devs.reshape(len(spec.overlaps), 1 + 2 * k, *devs.shape[1:])):
-        q, psi = dev[0], dev[1:]
-        aff = induced_affine_map(ov.deck, H, Coset(q, H))
+    devs = devs.reshape(len(spec.overlaps), 1 + 2 * k, *gs.shape[1:])
+    for ov, dev in zip(spec.overlaps, devs):
+        # refuses a twist that does not carry H0 onto q H0 q^-1; the map
+        # is g H0 -> mu_hat(g) q H0, read below for all overlaps at once
+        induced_affine_map(ov.deck, H, Coset(dev[0], H))
+    psi = devs[:, 1:]
+    res = []
+    if spec.overlaps:
         # the samples' developments, then their images'
-        psi_i, psi_j = Coset(psi[:k], H), Coset(psi[k:], H)
-        res = worst(coset_residual(psi_j, aff(psi_i)))
-        X, Y = np.split(_coset_coords(H, psi), 2)
+        psi_i, psi_j = Coset(psi[:, :k], H), Coset(psi[:, k:], H)
+        twists = [ov.deck.twist for ov in spec.overlaps]
+        images = integrated_twist(H, twists, psi_i.g) @ devs[:, :1]
+        res = coset_residual(psi_j, Coset(images, H))
+    coords = _coset_coords(H, np.concatenate([samples.g, psi.reshape(-1, *gs.shape[1:])]))
+    chart_samples = np.split(coords[:npatch], firsts[1:])
+    transitions = []
+    xy = coords[npatch:].reshape(len(spec.overlaps), 2, k, coords.shape[-1])
+    for ov, r, (X, Y) in zip(spec.overlaps, res, xy):
         Amat, b, fit = _fit_affine(X, Y)
-        transitions.append(TransitionRecord(ov.i, ov.j, res, ov.deck.twist.matrix,
+        transitions.append(TransitionRecord(ov.i, ov.j, worst(r), ov.deck.twist.matrix,
                                             Amat, b, fit))
     note = f"closure probe: {closure.verdict} ({closure.reason})"
     # numpy's min keeps a NaN, so a NaN determinant fails ``passed``

@@ -26,7 +26,7 @@ Dual-capable callable and is the oracle.  It serves a jet at a Dual
 point, a formula that does not run on lanes, and the section calculus.
 
 Array-valued formulas then differentiate without per-scalar Duals:
-``contract``, ``inv`` and ``cholesky`` carry a ``Taylor`` jet through
+``contract``, ``inv`` and ``cholesky_inv`` carry a ``Taylor`` jet through
 whole-array numpy contractions by the product rule.  The tests'
 reference for these lifts a point along one direction
 (``tests/oracles.py``: ``directional``).
@@ -266,16 +266,27 @@ def inv(a):
     return solve(a, eye.astype(object))
 
 
+def cholesky_inv(a):
+    """The lower-triangular Cholesky factor L (a = L L^T) of an SPD matrix
+    of Duals or floats, or of a ``Taylor`` jet of one, and its inverse.
+    On a jet both derivatives come from P = Phi(L^-1 da L^-T), with Phi
+    the lower triangle, diagonal halved: dL = L P and d(L^-1) = -P L^-1,
+    so each order inverts nothing and the whole jet takes one inversion,
+    of the leaf factor.  Float leaves may be a stack of matrices."""
+    if isinstance(a, Taylor):
+        L, Li = cholesky_inv(a.v)
+        P = (contract("...ij,z...jk,...lk->z...il", Li, a.d, Li)
+             * _half_lower(leaf(L).shape[-1]))
+        return (Taylor(L, contract("...ij,z...jk->z...ik", L, P)),
+                Taylor(Li, -contract("z...ij,...jk->z...ik", P, Li)))
+    L = cholesky(a)
+    return L, inv(L)
+
+
 def cholesky(a):
     """Lower-triangular Cholesky factor L (a = L L^T) of an SPD matrix of
-    Duals or floats, or of a ``Taylor`` jet of one, whose derivative is
-    dL = L Phi(L^-1 da L^-T) with Phi the lower triangle, diagonal halved.
-    Float leaves may be a stack of matrices."""
-    if isinstance(a, Taylor):
-        L = cholesky(a.v)
-        Li = inv(L)
-        X = contract("...ij,z...jk,...lk->z...il", Li, a.d, Li)
-        return Taylor(L, contract("...ij,z...jk->z...ik", L, X * _half_lower(leaf(L).shape[-1])))
+    Duals or floats (see ``cholesky_inv`` for a jet).  Float leaves may be
+    a stack of matrices."""
     a = np.asarray(a)
     if a.dtype != object:
         return np.linalg.cholesky(a)

@@ -152,8 +152,8 @@ def build_riemannian_cartan(metric: SmoothField) -> RiemannianCartanChart:
 
     def parts(G) -> _FrameParts:
         """Frame data and gamma, two orders below the metric jet G."""
-        L = dual.cholesky(G.v)
-        F1 = dual.swap(dual.inv(L))                                   # F = L^-T
+        L, Li = dual.cholesky_inv(G.v)
+        F1 = dual.swap(Li)                                            # F = L^-T
         F, dF, Finv = F1.v, F1.d, dual.swap(L.v)                      # dF[i] = d_i F
         Gam1 = christoffel_from_jet(G)
         Rt = curvature_from_christoffel(Gam1)                         # (l, b, i, j)

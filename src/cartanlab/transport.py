@@ -663,6 +663,15 @@ def monodromy_compactness_probe(maps, norm_bound: float = 1e3) -> CompactnessRep
     computation, read in scan order so the first violating word is the
     witness.  A word is kept as its parent word's index in the previous
     length and its last letter, so only the witness is spelled out.
+
+    Only distinct words are read.  Of the words of one length that share
+    their matrix, bit for bit, and their last letter, only the first in
+    scan order is kept: the others have the same extensions, each after
+    its twin's.  The scan stops at the first length whose keys all occur
+    at the length before, since every later length only repeats matrices
+    already read.  So the verdict, the witness and both maxima are those
+    of the full scan, and a finite holonomy group (identities, signs,
+    permutations) is read in a few words.
     """
     labels, mats = [], []
     for k, M in enumerate(maps):
@@ -685,6 +694,12 @@ def monodromy_compactness_probe(maps, norm_bound: float = 1e3) -> CompactnessRep
             keep = gj != (letters[-1][fi] ^ 1)
             fi, gj = fi[keep], gj[keep]
         frontier = frontier[fi] @ gens[gj]
+        if letters:
+            keys = _word_keys(frontier, gj)
+            first = np.sort(np.unique(keys, axis=0, return_index=True)[1])
+            frontier, fi, gj, keys = frontier[first], fi[first], gj[first], keys[first]
+            if len(keys) <= len(prev) and set(map(bytes, keys)) <= set(map(bytes, prev)):
+                break
         parents.append(fi)
         letters.append(gj)
         devs = np.max(np.abs(np.abs(np.linalg.eigvals(frontier)) - 1.0), axis=1)
@@ -699,4 +714,10 @@ def monodromy_compactness_probe(maps, norm_bound: float = 1e3) -> CompactnessRep
                 word.append(labels[gj[i]])
                 i = fi[i]
             return CompactnessReport("unbounded", tuple(word[::-1]), max_dev, max_norm)
+        prev = _word_keys(frontier, gj)
     return CompactnessReport("consistent-with-compact-closure", None, max_dev, max_norm)
+
+
+def _word_keys(mats: np.ndarray, last: np.ndarray) -> np.ndarray:
+    """Each word's matrix bits and last letter, one row per word."""
+    return np.concatenate([mats.reshape(len(mats), -1).view(np.int64), last[:, None]], axis=1)

@@ -9,8 +9,9 @@ and the covariant derivative and dual-pair residual pair by pair, which
 the stacked checks are compared against; the displayed component
 formulas of the TM+h chart; fixed-step RK4, which steps Dual states,
 with the parallel frames and twist fits built on it; the matrix exp,
-log, integrated twist and coset residual of one element at a time, which
-the stacked coset algebra is compared against bit for bit; curve
+log, integrated twist and coset residual of one element at a time, and
+the atlas reconstruction overlap by overlap, which the stacked coset
+algebra is compared against bit for bit; curve
 segments, whose points and velocities are read off a Dual time, the
 reference that the package's polylines are checked against; transport
 solved segment after segment from the carried matrix, development
@@ -37,7 +38,11 @@ from cartanlab.algebra import (AlgebraError, AlgebraMap, LieAlgebra, MatrixReali
 from cartanlab.algebroid import (ActionAlgebroid, AlgebroidChart, Overlap,
                                  make_action_algebroid)
 from cartanlab.cartan import curvature_conn_tensor, fiber_bracket_at
-from cartanlab.development import DevelopmentError, HomogeneousModel
+from cartanlab.development import (_ATLAS_SAMPLES, AtlasReport, Coset, CoverSpec,
+                                   DevelopmentError, HomogeneousModel, TransitionRecord,
+                                   _coset_coords, _fit_affine, _frame_jacobian,
+                                   coset_residual, develop_ends, induced_affine_map,
+                                   reconstruct_ends)
 from cartanlab.dual import Dual, lift, value
 from cartanlab.geometry import (Chart, SmoothField, TMConnection, as_point,
                                 christoffel_from_jet, curvature_from_christoffel,
@@ -154,6 +159,36 @@ def coset_residual_at(H: HomogeneousModel, g1, g2) -> float:
     if coords is None:
         return math.inf
     return float(np.linalg.norm(H.h0_projector @ coords) + off)
+
+
+def reconstruct_atlas_by_overlap(H: HomogeneousModel, spec: CoverSpec) -> AtlasReport:
+    """The atlas of ``development.reconstruct_atlas`` past its refusals,
+    overlap by overlap: each overlap reads its induced map, twisted images,
+    transition residuals and coordinates in calls of its own."""
+    A = spec.cover
+    patch_pts = spec.patch_samples
+    frames = develop_ends(A, H, spec.m0, reconstruct_ends(spec))
+    gs, Qs = frames.g, frames.Q
+    npatch = sum(len(pts) for pts in patch_pts)
+    gs, devs = gs[:npatch], gs[npatch:]
+    firsts = np.cumsum([0] + [len(pts) for pts in patch_pts[:-1]])
+    dets = [abs(np.linalg.det(_frame_jacobian(A, H, pts[0], gs[k], Qs[k])))
+            for pts, k in zip(patch_pts, firsts)]
+    samples = Coset(gs, H)
+    chart_samples = np.split(_coset_coords(H, samples.g), firsts[1:])
+    transitions = []
+    k = _ATLAS_SAMPLES
+    for ov, dev in zip(spec.overlaps,
+                       devs.reshape(len(spec.overlaps), 1 + 2 * k, *devs.shape[1:])):
+        q, psi = dev[0], dev[1:]
+        aff = induced_affine_map(ov.deck, H, Coset(q, H))
+        psi_i, psi_j = Coset(psi[:k], H), Coset(psi[k:], H)
+        res = worst(coset_residual(psi_j, aff(psi_i)))
+        X, Y = np.split(_coset_coords(H, psi), 2)
+        Amat, b, fit = _fit_affine(X, Y)
+        transitions.append(TransitionRecord(ov.i, ov.j, res, ov.deck.twist.matrix,
+                                            Amat, b, fit))
+    return AtlasReport(chart_samples, float(np.min(dets, initial=np.inf)), transitions)
 
 
 # -- derivatives by definition ------------------------------------------------

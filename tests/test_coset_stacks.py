@@ -5,12 +5,15 @@ alone, whatever shares its stack."""
 import math
 
 import numpy as np
+import pytest
 import scipy.linalg
 
 from cartanlab import algebra
 from cartanlab.algebra import AlgebraMap, MatrixRealization
-from cartanlab.development import (AffineCosetMap, Coset, EquivariantMap, _coset_coords,
-                                   coset_residual, induced_affine_map, integrated_twist)
+from cartanlab.development import (AffineCosetMap, Coset, CoverSpec, DevelopmentError,
+                                   EquivariantMap, Frames, _coset_coords, coset_residual,
+                                   develop_ends, induced_affine_map, integrated_twist,
+                                   reconstruct_atlas, reconstruct_ends)
 import oracles
 
 SCALING = MatrixRealization(algebra.abelian(1), (np.array([[1.0]]),))
@@ -172,3 +175,50 @@ def test_induced_map_consistency_reads_one_stack(sphere):
         H, mu, oracles.exp_matrix_at(H.realization, t * b)) @ q.g)
         for b in H.h0.basis_vectors for t in (0.05, -0.08)]
     assert res == algebra.worst(want)
+
+
+def test_a_twist_per_stack_entry_matches_each_element(sphere):
+    # the k-th twist acts on the elements g[k] only
+    rng = np.random.default_rng(8)
+    H = sphere.homog
+    twists = [AlgebraMap(H.algebra, H.algebra, algebra.exp_matrix(
+        oracles.so3_realization(), [0.0, 0.0, a])) for a in (0.4, -1.1, 0.0)]
+    g = _elements(H, rng, 12).reshape(3, 4, 3, 3)
+    got = integrated_twist(H, twists, g)
+    assert got.shape == g.shape
+    assert all(_same(t, oracles.integrated_twist_at(H, mu, e))
+               for mu, ts, es in zip(twists, got, g) for t, e in zip(ts, es))
+
+
+def _assert_atlases_match(got, want):
+    assert len(got.chart_samples) == len(want.chart_samples)
+    assert all(_same(a, b) for a, b in zip(got.chart_samples, want.chart_samples))
+    assert _same(got.jacobian_min_abs_det, want.jacobian_min_abs_det)
+    assert len(got.transitions) == len(want.transitions)
+    for a, b in zip(got.transitions, want.transitions):
+        assert (a.i, a.j) == (b.i, b.j) and _same(a.residual, b.residual)
+        assert _same(a.twist_matrix, b.twist_matrix)
+        assert _same(a.affine_matrix, b.affine_matrix) and _same(a.affine_offset, b.affine_offset)
+        assert a.fit_residual == b.fit_residual
+
+
+def test_the_stacked_atlas_matches_the_overlap_by_overlap_reference(circle, torus):
+    one_overlap = CoverSpec(torus.cover, np.zeros(2), torus.atlas_spec.patches[:2],
+                            torus.atlas_spec.overlaps[1:2])
+    for model, spec in [(torus, torus.atlas_spec), (circle, circle.atlas_spec),
+                        (torus, one_overlap)]:
+        got = reconstruct_atlas(model.glued, model.homog, spec)
+        _assert_atlases_match(got, oracles.reconstruct_atlas_by_overlap(model.homog, spec))
+
+
+def test_a_sample_whose_log_leaves_the_algebra_refuses_the_stacked_twist(circle):
+    # diag(2, 1) is invertible, but its log diag(log 2, 0) is no translation
+    spec = circle.atlas_spec
+    frames = develop_ends(spec.cover, circle.homog, spec.m0, reconstruct_ends(spec))
+    g = frames.g.copy()
+    npatch = sum(len(pts) for pts in spec.patch_samples)
+    # an overlap's lanes are its q, 6 samples and their 6 images: this is
+    # the second overlap's first sample
+    g[npatch + 13 + 1] = np.diag([2.0, 1.0])
+    with pytest.raises(DevelopmentError, match="no principal log in the algebra"):
+        reconstruct_atlas(circle.glued, circle.homog, spec, lanes=lambda: Frames(g, frames.Q))

@@ -3,6 +3,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cartanlab import algebra, geometry
 from cartanlab.algebroid import AlgebroidChart, GluedAlgebroid
@@ -391,6 +393,13 @@ def test_geodesic_counterexample_escape_closed_form(circle):
     # footprint follows theta(t) = log(1 + t)
     for t, m in zip(res.path.times[1:40], res.path.base[1:40]):
         assert abs(m[0] - math.log(1.0 + t)) < 1e-7
+
+
+def test_geodesic_counterexample_escape_keeps_its_footprint_everywhere(circle):
+    # theta(t) = log(1 + t) at every kept point, read as e^theta = 1 + t
+    res = geodesic(circle.cover.chart, [0.0], [1.0], span=(0.0, -2.0))
+    foot = np.exp(np.asarray(res.path.base)[:, 0]) - (1.0 + np.asarray(res.path.times))
+    assert len(foot) > 40 and np.max(np.abs(foot)) <= 1e-8
 
 
 def test_geodesic_counterexample_forward_reaches_horizon(circle):
@@ -804,6 +813,19 @@ def _compactness_probe_by_word(maps, word_length=6, modulus_tol=1e-9, norm_bound
     return "consistent-with-compact-closure", None, max_dev, max_norm
 
 
+def _assert_probe_matches_word_by_word_scan(maps, bound=1e3):
+    rep = monodromy_compactness_probe(maps, norm_bound=bound)
+    verdict, word, dev, nrm = _compactness_probe_by_word(maps, norm_bound=bound)
+    assert (rep.verdict, rep.witness_word) == (verdict, word)
+    # the deviation is |lambda| - 1, so its roundoff scales with |lambda|
+    assert abs(rep.max_modulus_deviation - dev) <= 1e-12 * (1.0 + dev)
+    assert abs(rep.max_word_norm - nrm) <= 1e-12 * nrm
+
+
+SWAP = np.array([[0.0, 1.0], [1.0, 0.0]])
+CYCLE = np.eye(3)[[1, 2, 0]]
+
+
 def test_compactness_probe_matches_word_by_word_scan(rng):
     th = math.sqrt(2.0)
     rot = np.array([[math.cos(th), -math.sin(th)], [math.sin(th), math.cos(th)]])
@@ -815,14 +837,47 @@ def test_compactness_probe_matches_word_by_word_scan(rng):
              ([np.diag([1.0, 1.0 + 3.5e-10]), np.diag([1.0, 1.0 + 3.9e-10])], 1e3),
              (unipotent, 4.5),
              ([np.array([[1.0, 300.0], [0.0, 1.0]]), rot], 1e3),
-             ([np.array([[math.exp(2 * math.pi)]])], 1e3), ([rng.normal(size=(3, 3))], 1e3)]
+             ([np.array([[math.exp(2 * math.pi)]])], 1e3), ([rng.normal(size=(3, 3))], 1e3),
+             # finite holonomy, whose words repeat few matrices: permutations,
+             # signs, identities and a glide-like pair (a reflection and a swap)
+             ([CYCLE, np.eye(3)[[1, 0, 2]]], 1e3), ([np.diag([-1.0, -1.0, 1.0]), CYCLE], 1e3),
+             ([np.eye(1), -np.eye(1)], 1e3), ([np.eye(3)], 1e3),
+             ([np.diag([1.0, -1.0]), SWAP], 1e3),
+             # a finite part whose words repeat, beside one that grows late
+             ([SWAP, unipotent[0]], 4.5), ([np.diag([1.0, -1.0]), SWAP, unipotent[1]], 4.5)]
     for maps, bound in cases:
-        rep = monodromy_compactness_probe(maps, norm_bound=bound)
-        verdict, word, dev, nrm = _compactness_probe_by_word(maps, norm_bound=bound)
-        assert (rep.verdict, rep.witness_word) == (verdict, word)
-        # the deviation is |lambda| - 1, so its roundoff scales with |lambda|
-        assert abs(rep.max_modulus_deviation - dev) <= 1e-12 * (1.0 + dev)
-        assert abs(rep.max_word_norm - nrm) <= 1e-12 * nrm
+        _assert_probe_matches_word_by_word_scan(maps, bound)
+
+
+def _probe_generator(family: str, n: int, rng) -> np.ndarray:
+    """A permutation, a sign diagonal, the identity, a signed permutation
+    (at n = 2 the glide-like pair diag(1, -1) and the swap are two of them)
+    or a dense matrix."""
+    perm, signs = np.eye(n)[rng.permutation(n)], rng.choice([-1.0, 1.0], n)
+    return {"permutation": perm, "signs": np.diag(signs), "identity": np.eye(n),
+            "glide": perm * signs, "dense": rng.normal(size=(n, n))}[family]
+
+
+@settings(max_examples=12, deadline=None)
+@given(st.integers(1, 3),
+       st.lists(st.sampled_from(["permutation", "signs", "identity", "glide", "dense"]),
+                min_size=1, max_size=3),
+       st.integers(0, 2**32 - 1))
+def test_compactness_probe_matches_word_by_word_scan_on_drawn_generators(n, families, seed):
+    rng = np.random.default_rng(seed)
+    _assert_probe_matches_word_by_word_scan([_probe_generator(f, n, rng) for f in families])
+
+
+def test_compactness_probe_reads_few_words_of_the_torus(torus, monkeypatch):
+    # the torus monodromies are I: its words repeat four keys from length 2
+    real, read = np.linalg.eigvals, []
+
+    def counted(a):
+        read.append(len(a))
+        return real(a)
+    monkeypatch.setattr(np.linalg, "eigvals", counted)
+    rep = monodromy_compactness_probe(torus.monodromies)
+    assert rep.passed and sum(read) <= 16          # the full scan reads 1,456
 
 
 def test_invariant_metric_reports_a_nan_at_the_second_sample(translations2):
