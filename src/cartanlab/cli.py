@@ -251,10 +251,13 @@ _eigenvalues = _numbers(lambda model: len(model.loops) * model.chart.rank,
 
 
 def _point(x, model):
+    """A geodesic start: more than the chart-exit margin inside the chart,
+    as ``transport.geodesic`` asks, or its exit event could never fire."""
     base = model.chart.base
-    if _numeric_shape(x) != (base.dim,) or not base.contains(x):
-        return (f"a list of {base.dim} numbers inside the model's chart, from "
-                f"{np.asarray(base.lower).tolist()} to {np.asarray(base.upper).tolist()}")
+    if _numeric_shape(x) != (base.dim,) or not base.boundary_distance(x) > transport.EXIT_MARGIN:
+        return (f"a list of {base.dim} numbers more than {transport.EXIT_MARGIN:g} inside the "
+                f"model's chart, from {np.asarray(base.lower).tolist()} to "
+                f"{np.asarray(base.upper).tolist()}")
 
 
 def _seeds(x, model):

@@ -47,7 +47,7 @@ from .algebra import (AlgebraMap, LieAlgebra, MatrixRealization,
                       vector_norms, worst)
 from .algebroid import ActionAlgebroid
 from .geometry import INTERIOR_MARGIN, Chart, as_point, sample_stack
-from .ode import RTOL_FLOOR, _commutators, _magnus_tables, _nan_guarded, lie_solve
+from .ode import RTOL_FLOOR, _commutators, _nan_guarded, lie_solve, magnus
 from .transport import BasePath, line_path, segment_batch
 
 
@@ -263,18 +263,13 @@ def _magnus_step(sign, gens, Y, F, h):
     """One fourth-order Magnus step over h (k,) of the pair
     dQ/dt = Q Gamma(v), dG/dt = Xi G, Y = (Q, G), from the fields
     F = (Gamma(v) (k, s, r, r), lifts (k, s, r)) at the _STEP_NODES nodes
-    of each lane's step.  Q at the nodes comes from the series of its own
-    equation to each node (a right product, so the commutator term
-    changes sign)."""
+    of each lane's step (``ode.magnus``).  Q at the nodes is a right
+    product, Q exp(-Omega) with Omega the series of -Gamma(v) to each
+    node, so its commutator term changes sign."""
     (Q, G), (gv, X) = Y, F
-    W, K = _magnus_tables()
-    hc = h[:, None, None, None]
-    Qc = Q[:, None] @ expm(np.einsum("cs,bsij->bcij", W, gv) * hc
-                           - np.einsum("ckl,bklij->bcij", K, _commutators(gv)) * hc ** 2)
+    Qc = Q[:, None] @ expm(-magnus(-gv, h))
     Xi = np.einsum("bki,iac->bkac", sign * (Qc[:, :-1] @ X[..., None])[..., 0], gens)
-    OmG = (np.einsum("s,bsij->bij", W[-1], Xi) * hc[:, 0]
-           + np.einsum("kl,bklij->bij", K[-1], _commutators(Xi)) * hc[:, 0] ** 2)
-    return Qc[:, -1], expm(OmG) @ G
+    return Qc[:, -1], expm(magnus(Xi, h)[:, -1]) @ G
 
 
 def _develop_frames(A, H: HomogeneousModel, paths,

@@ -71,14 +71,10 @@ class Chart:
             raise GeometryError(f"point {value(np.asarray(m, dtype=object))} outside chart interior")
 
     def boundary_distance(self, m) -> float:
+        """The least of m - lower and upper - m over the axes: inf on a box
+        with no finite edge, NaN at a point with a NaN coordinate."""
         m = value(np.asarray(m, dtype=object))
-        d = np.inf
-        for x, lo, hi in zip(m, self.lower, self.upper):
-            if np.isfinite(lo):
-                d = min(d, x - lo)
-            if np.isfinite(hi):
-                d = min(d, hi - x)
-        return float(d)
+        return float(np.min(np.minimum(m - np.array(self.lower), np.array(self.upper) - m)))
 
     def sample_box(self) -> tuple[np.ndarray, np.ndarray]:
         """Bounded box used for sampling: finite bounds as they are, infinite

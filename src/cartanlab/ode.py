@@ -528,6 +528,17 @@ def _commutators(V: np.ndarray) -> np.ndarray:
     return V[:, :, None] @ V[:, None] - V[:, None] @ V[:, :, None]
 
 
+def magnus(V: np.ndarray, h: np.ndarray) -> np.ndarray:
+    """Omega (B, s + 1, m, m) of the fourth-order Magnus series of Y' = V Y
+    over a step h (B,) of each lane, from V (B, s, m, m) at the
+    s = _STEP_NODES Gauss-Legendre nodes of the step: Y(c) = exp(Omega(c))
+    Y(0) at each node c and, last, at the step's end (``_magnus_tables``)."""
+    W, K = _magnus_tables()
+    hc = h[:, None, None, None]
+    return (np.einsum("cs,bsij->bcij", W, V) * hc
+            + np.einsum("ckl,bklij->bcij", K, _commutators(V)) * hc ** 2)
+
+
 def _error(Y1, Y2, rtol, atol) -> np.ndarray:
     """Per lane, the RMS norm of Y1 - Y2, two tuples of state stacks
     (B, ...), each entry scaled by atol + rtol max(|y1|, |y2|), as

@@ -13,11 +13,12 @@ event and start check reads the anchor and gamma as floats through
 ``SmoothField.values`` (the closed-form batch where a field has one),
 and the path's points and velocities through ``segment_batch``, so a
 geodesic and its blow-up event see the same anchor.  Geodesics run as
-the lanes of one lane solve per round (``_geodesic_runs``): a
+the lanes of one lane solve per chart and round (``_geodesic_runs``): a
 completeness probe integrates all its seeds in both directions
 together, ``geodesic`` a stack of starts (the CLI's one run per
 scenario), each lane bit for bit as it runs alone, and a lane that
-leaves its chart switches chart and runs on in the next round.
+leaves its chart switches chart and runs on in the next round's solve
+of its new chart.
 
 Completeness verdicts are one-sided: numerical integration can certify
 incompleteness (the fiber norm or the base speed reaching the blow-up
@@ -37,8 +38,8 @@ from .dual import value
 from .algebra import AlgebraMap, Subalgebra, TensorReport, expm, vector_norms, worst
 from .algebroid import AlgebroidChart, GluedAlgebroid
 from .cartan import bar_tm_tensor, fiber_bracket_at, per_point_max
-from .geometry import SmoothField, as_point, sample_stack
-from .ode import _commutators, _magnus_tables, _nan_guarded, integrate, lie_solve
+from .geometry import GeometryError, SmoothField, as_point, sample_stack
+from .ode import _nan_guarded, integrate, lie_solve, magnus
 
 BLOWUP_NORM = 1e6
 # tolerances of each segment transport's Magnus steps
@@ -186,11 +187,12 @@ def _segment_transports(G: GluedAlgebroid, segs) -> np.ndarray:
     """Transport matrices (B, r, r) from the identity along segments, each
     a lane of one ``lie_solve``: a lane whose Gamma(v) vanishes at its
     nodes keeps P = I, any other takes Magnus steps of dP/dt = -Gamma(v) P,
-    exp(Omega) P with Omega = -h sum_k W_k Gamma_k + h^2 sum_kl
-    K_kl [Gamma_k, Gamma_l] from Gamma(v) at the nodes of the step."""
+    exp(Omega) P with Omega the series (``ode.magnus``) of -Gamma(v) at
+    the nodes of the step.  A node set reads gamma once per chart label
+    among its segments."""
     r = G.rank
     read = segment_batch(segs)
-    groups = _chart_groups([G.charts[s.chart] for s in segs])
+    label = np.array([s.chart for s in segs])
     P = np.tile(np.eye(r), (len(segs), 1, 1))
 
     def gamma_v(lanes, tau):
@@ -198,8 +200,10 @@ def _segment_transports(G: GluedAlgebroid, segs) -> np.ndarray:
         at = np.repeat(lanes, s)
         ms, vs = read(tau.reshape(-1), at)
         gv = np.empty((k * s, r, r))
-        for C, sel in groups(at):
-            gv[sel] = np.einsum("biac,bi->bac", C.gamma.values(ms[sel]), vs[sel])
+        lab = label[at]
+        for c in dict.fromkeys(lab.tolist()):
+            sel = lab == c
+            gv[sel] = np.einsum("biac,bi->bac", G.charts[c].gamma.values(ms[sel]), vs[sel])
         return (gv.reshape(k, s, r, r),)
 
     def one_step(lanes, F, w):
@@ -207,11 +211,7 @@ def _segment_transports(G: GluedAlgebroid, segs) -> np.ndarray:
         return one, (P[lanes[one]],)
 
     def step(Y, F, h):
-        gv, W, K = F[0], *_magnus_tables()
-        hc = h[:, None, None]
-        Om = (np.einsum("kl,bklij->bij", K[-1], _commutators(gv)) * hc ** 2
-              - np.einsum("s,bsij->bij", W[-1], gv) * hc)
-        return (expm(Om) @ Y[0],)
+        return (expm(magnus(-F[0], h)[:, -1]) @ Y[0],)
 
     status = lie_solve(_nan_guarded(gamma_v, [(r, r)]), one_step, step, (P,), TRANSPORT_RTOL,
                        TRANSPORT_ATOL)
@@ -280,56 +280,28 @@ class GeodesicResult:
         return self.status == "blowup"
 
 
-def _chart_groups(Cs):
-    """lanes -> [(C, sel)]: for lane indices into Cs, each chart among
-    their charts and the positions of its lanes among them."""
-    if all(C is Cs[0] for C in Cs):
-        return lambda lanes: [(Cs[0], slice(None))]
-    first = {}
-    code = np.array([first.setdefault(id(C), k) for k, C in enumerate(Cs)])
-    # a lane solve passes the same lanes to every stage while they run
-    last = [None, None]
-
-    def groups(lanes):
-        if lanes is not last[0]:
-            c = code[lanes]
-            last[:] = lanes, [(Cs[k], np.nonzero(c == k)[0]) for k in dict.fromkeys(c.tolist())]
-        return last[1]
-    return groups
-
-
-def _geodesic_events(Cs, t1: np.ndarray, direction: np.ndarray, blowup_norm: float):
+def _geodesic_events(C: AlgebroidChart, t1: np.ndarray, direction: np.ndarray,
+                     blowup_norm: float):
     """Terminal lane events on the rescaled states z = (t, m, X) of lanes
-    in the charts Cs, each with its own end time t1 and direction: t
-    reaches t1, the larger of the fiber norm and the base speed |a(m) X|
-    (max-norms) reaches ``blowup_norm`` (one anchor read per chart), m
-    comes within EXIT_MARGIN of its chart's edge.  Each takes times (k,),
-    states (k, dim) and lane indices (k,)."""
-    n = Cs[0].base.dim
-    groups = _chart_groups(Cs)
-    lower = np.array([C.base.lower for C in Cs], dtype=float)
-    upper = np.array([C.base.upper for C in Cs], dtype=float)
+    in the chart C, each with its own end time t1 and direction: t reaches
+    t1, the larger of the fiber norm and the base speed |a(m) X|
+    (max-norms) reaches ``blowup_norm`` (one anchor read), m comes within
+    EXIT_MARGIN of the chart's edge.  Each takes times (k,), states
+    (k, dim) and lane indices (k,)."""
+    n = C.base.dim
+    lower, upper = np.array(C.base.lower, dtype=float), np.array(C.base.upper, dtype=float)
 
     def end_fn(s, z, lanes):
         return direction[lanes] * (t1[lanes] - z[:, 0])
 
-    def blow(C, z):
+    def blow_fn(s, z, lanes):
         x = z[:, n + 1:]
         v = np.einsum("bir,br->bi", C.anchor.values(z[:, 1:n + 1]), x)
         return blowup_norm - np.maximum(abs(x).max(axis=1), abs(v).max(axis=1))
 
-    def blow_fn(s, z, lanes):
-        parts = groups(lanes)
-        if len(parts) == 1:
-            return blow(parts[0][0], z)
-        g = np.empty(len(z))
-        for C, sel in parts:
-            g[sel] = blow(C, z[sel])
-        return g
-
     def exit_fn(s, z, lanes):
         m = z[:, 1:n + 1]
-        return np.min(np.minimum(m - lower[lanes], upper[lanes] - m), axis=-1) - EXIT_MARGIN
+        return np.min(np.minimum(m - lower, upper - m), axis=-1) - EXIT_MARGIN
 
     events = [("end", end_fn), ("blowup", blow_fn)]
     if np.any(np.isfinite(lower)) or np.any(np.isfinite(upper)):
@@ -378,22 +350,6 @@ def _rescaled(w, top, d):
     return w * (d / (w[:, 0] + speed / RESCALE_SPEED))[:, None]
 
 
-def _lanes_rhs(Cs, direction: np.ndarray):
-    """``_geodesic_rhs`` over lanes in the charts Cs, each with its own
-    direction: one call per chart among the lanes it is given."""
-    groups = _chart_groups(Cs)
-    fields = {id(C): _geodesic_rhs(C, direction) for C in Cs}
-    if len(fields) == 1:
-        return fields[id(Cs[0])]
-
-    def rhs(s, z, lanes):
-        out = np.empty_like(z)
-        for C, sel in groups(lanes):
-            out[sel] = fields[id(C)](s, z[sel], lanes[sel])
-        return out
-    return rhs
-
-
 def geodesic(C: AlgebroidChart, m0, X0, span=(0.0, 1.0),
              blowup_norm: float = BLOWUP_NORM):
     """Integrate dm/dt = a(m) X, nabla_{dm/dt} X = 0 from (m0, X0) in the
@@ -408,19 +364,19 @@ def geodesic(C: AlgebroidChart, m0, X0, span=(0.0, 1.0),
     spans = np.broadcast_to(np.asarray(span, dtype=float), (len(ms), 2))
     runs = _geodesic_runs(GluedAlgebroid((C,), ()),
                           [(0, m, x, s) for m, x, s in zip(ms, np.atleast_2d(X0), spans)],
-                          blowup_norm, max_switches=0, exit_status="escaped_chart")
+                          blowup_norm)
     return runs if m0.ndim == 2 else runs[0]
 
 
 def geodesic_glued(G, chart: int, m0, X0, span=(0.0, 1.0)) -> GeodesicResult:
     """Geodesic integration across chart switches of a glued algebroid,
-    stopped with status "switch_limit" after MAX_SWITCHES switches."""
-    return _geodesic_runs(_as_glued(G), [(chart, m0, X0, span)], BLOWUP_NORM,
-                          MAX_SWITCHES, exit_status="escaped_atlas")[0]
+    stopped with status "switch_limit" after MAX_SWITCHES switches.  A
+    geodesic that leaves its chart with no chart to switch to reports
+    "escaped_atlas", or "escaped_chart" on an algebroid of one chart."""
+    return _geodesic_runs(_as_glued(G), [(chart, m0, X0, span)], BLOWUP_NORM)[0]
 
 
-def _geodesic_runs(G: GluedAlgebroid, starts, blowup_norm: float, max_switches: int,
-                   exit_status: str) -> list[GeodesicResult]:
+def _geodesic_runs(G: GluedAlgebroid, starts, blowup_norm: float) -> list[GeodesicResult]:
     """The integration loop behind both public geodesic functions, which
     must not call each other (each is traced as one geodesic), and behind
     ``completeness_probe``: B geodesics from ``starts``, each (chart, m0,
@@ -428,90 +384,90 @@ def _geodesic_runs(G: GluedAlgebroid, starts, blowup_norm: float, max_switches: 
 
     Each leg of a geodesic, one chart between switches, is a lane of a
     solve in the rescaled time s of ``_geodesic_rhs`` with terminal events
-    (``_geodesic_events``); each round of the run is one lane solve over
-    the geodesics still running, whose right-hand side and events read
-    the anchor and gamma once per chart among its lanes.  A leg's s-span
+    (``_geodesic_events``); each round of the run makes one lane solve per
+    chart among the geodesics still running.  A leg's s-span
     (1 + blowup_norm/K) |t1 - t| is only an upper bound, so its first step
     is the s-length the leg would take at its start speed.  A lane that
     leaves its chart switches chart and runs its next leg in the next
-    round.  Every geodesic is bit for bit what it is alone.
+    round; one that finds no chart to switch to reports "escaped_chart" on
+    an algebroid of one chart and "escaped_atlas" on an atlas.  Every
+    geodesic is bit for bit what it is alone.
 
     Blow-up is certified when the fiber norm or the base speed reaches
     ``blowup_norm``.  A leg that stops short of t1 otherwise, by a
     collapsed step or by spending its whole s-span (|f| above
     ``blowup_norm`` on average), reports "step_collapse"; a run past
-    ``max_switches`` chart switches reports "switch_limit".  Neither
+    MAX_SWITCHES chart switches reports "switch_limit".  Neither
     certifies anything.  A start whose chart label names no chart of G,
-    or whose point is not inside its chart, is refused before any
-    solve."""
+    or whose point is not more than EXIT_MARGIN inside its chart (where
+    the exit event could never fire), is refused before any solve."""
     B = len(starts)
     chart = [int(c) for c, _, _, _ in starts]
     for c, (_, m0, _, _) in zip(chart, starts):
-        _chart(G, c).base.require_interior(m0)
+        if not _chart(G, c).base.boundary_distance(m0) > EXIT_MARGIN:
+            raise GeometryError(f"point {np.asarray(m0, dtype=float)} outside chart interior: "
+                                f"a geodesic starts more than {EXIT_MARGIN:g} inside its chart")
     m = [np.asarray(m0, dtype=float) for _, m0, _, _ in starts]
     x = [np.asarray(X0, dtype=float) for _, _, X0, _ in starts]
     t = [float(span[0]) for *_, span in starts]
     t_final = np.array([float(span[1]) for *_, span in starts])
     direction = np.where(t_final >= np.array(t), 1.0, -1.0)
+    exit_status = "escaped_chart" if len(G.charts) == 1 else "escaped_atlas"
     times, bases, fibers, charts = ([[] for _ in range(B)] for _ in range(4))
     switches, steps, nfev, status = [0] * B, [0] * B, [0] * B, [None] * B
     run = list(range(B))
     while run:
-        Cs = [G.charts[chart[b]] for b in run]
-        ms, xs = np.array([m[b] for b in run]), np.array([x[b] for b in run])
-        v = np.empty_like(ms)
-        for C, sel in _chart_groups(Cs)(slice(None)):
-            v[sel] = (C.anchor.values(ms[sel]) @ xs[sel][:, :, None])[:, :, 0]
-        big = np.abs(np.concatenate((xs, v), axis=1)).max(axis=1)
-        stopped = np.nonzero(~(big < blowup_norm))[0]
-        for j in stopped:
-            if not times[run[j]]:
-                raise ValueError(f"start fiber {xs[j].tolist()} or its base speed "
-                                 f"{v[j].tolist()} is not below the blow-up norm "
-                                 f"{blowup_norm:g}, so its blow-up event could never fire")
-            status[run[j]] = "blowup"
-        if len(stopped):
-            legs = [j for j, b in enumerate(run) if status[b] is None]
-            if not legs:
-                break
-            run, Cs, ms, xs, v = [run[j] for j in legs], [Cs[j] for j in legs], ms[legs], \
-                xs[legs], v[legs]
-        t0 = np.array([t[b] for b in run])
-        dt = np.abs(t_final[run] - t0)
-        # a margin past the start speed's s-length, so that a constant
-        # field's first step ends beyond t1 and not a rounding short of it
-        first = (1 + 1e-6) * (1 + vector_norms(v) / RESCALE_SPEED) * dt
-        out = integrate(_lanes_rhs(Cs, direction[run]),
-                        (0.0, (1 + blowup_norm / RESCALE_SPEED) * dt),
-                        np.column_stack((t0, ms, xs)),
-                        events=_geodesic_events(Cs, t_final[run], direction[run], blowup_norm),
-                        first_step=first)
-        for b, C, o, dtb in zip(run, Cs, out.lanes, dt):
-            n = C.base.dim
-            z = o.states
-            times[b].extend(z[:, 0].tolist())
-            bases[b].extend(z[:, 1:n + 1].tolist())
-            fibers[b].extend(z[:, n + 1:].tolist())
-            charts[b].extend([C] * len(z))
-            steps[b], nfev[b] = steps[b] + o.steps, nfev[b] + o.nfev
-            t[b], m[b], x[b] = z[-1, 0], z[-1, 1:n + 1], z[-1, n + 1:]
-            if o.status == "event:end" or dtb == 0:
-                status[b], t[b] = "completed", t_final[b]
-                times[b][-1] = t[b]
-            elif o.status == "event:blowup":
-                status[b] = "blowup"
-            elif o.status != "event:escaped_chart":
-                status[b] = "step_collapse"
-            else:
-                # chart exit: look for a continuation chart
-                nxt = _find_switch(G, chart[b], m[b])
-                if nxt is None:
-                    status[b] = exit_status
+        legs = {}
+        for b in run:
+            legs.setdefault(chart[b], []).append(b)
+        for c, lanes in legs.items():
+            C, n = G.charts[c], G.charts[c].base.dim
+            ms, xs = np.array([m[b] for b in lanes]), np.array([x[b] for b in lanes])
+            v = (C.anchor.values(ms) @ xs[:, :, None])[:, :, 0]
+            go = np.abs(np.concatenate((xs, v), axis=1)).max(axis=1) < blowup_norm
+            for j in np.nonzero(~go)[0]:
+                if not times[lanes[j]]:
+                    raise ValueError(f"start fiber {xs[j].tolist()} or its base speed "
+                                     f"{v[j].tolist()} is not below the blow-up norm "
+                                     f"{blowup_norm:g}, so its blow-up event could never fire")
+                status[lanes[j]] = "blowup"
+            if not go.all():
+                lanes, ms, xs, v = [b for b, g in zip(lanes, go) if g], ms[go], xs[go], v[go]
+                if not lanes:
                     continue
-                chart[b], m[b], x[b] = nxt[0], nxt[1], nxt[2] @ x[b]
-                switches[b] += 1
-                if switches[b] > max_switches:
-                    status[b] = "switch_limit"
+            t0 = np.array([t[b] for b in lanes])
+            dt = np.abs(t_final[lanes] - t0)
+            # a margin past the start speed's s-length, so that a constant
+            # field's first step ends beyond t1 and not a rounding short of it
+            first = (1 + 1e-6) * (1 + vector_norms(v) / RESCALE_SPEED) * dt
+            out = integrate(_geodesic_rhs(C, direction[lanes]),
+                            (0.0, (1 + blowup_norm / RESCALE_SPEED) * dt),
+                            np.column_stack((t0, ms, xs)),
+                            events=_geodesic_events(C, t_final[lanes], direction[lanes],
+                                                    blowup_norm),
+                            first_step=first)
+            for b, o, dtb in zip(lanes, out.lanes, dt):
+                z = o.states
+                times[b].extend(z[:, 0].tolist())
+                bases[b].extend(z[:, 1:n + 1].tolist())
+                fibers[b].extend(z[:, n + 1:].tolist())
+                charts[b].extend([C] * len(z))
+                steps[b], nfev[b] = steps[b] + o.steps, nfev[b] + o.nfev
+                t[b], m[b], x[b] = z[-1, 0], z[-1, 1:n + 1], z[-1, n + 1:]
+                if o.status == "event:end" or dtb == 0:
+                    status[b], t[b] = "completed", t_final[b]
+                    times[b][-1] = t[b]
+                elif o.status == "event:blowup":
+                    status[b] = "blowup"
+                elif o.status != "event:escaped_chart":
+                    status[b] = "step_collapse"
+                elif (nxt := _find_switch(G, c, m[b])) is None:
+                    status[b] = exit_status
+                else:
+                    chart[b], m[b], x[b] = nxt[0], nxt[1], nxt[2] @ x[b]
+                    switches[b] += 1
+                    if switches[b] > MAX_SWITCHES:
+                        status[b] = "switch_limit"
         run = [b for b in run if status[b] is None]
     return [GeodesicResult(GPath(np.asarray(times[b]), np.asarray(bases[b]), np.asarray(fibers[b]),
                                  tuple(charts[b])), status[b], float(t[b]), chart[b],
@@ -550,10 +506,10 @@ def completeness_probe(obj, seeds, horizon: float = 100.0) -> list[SeedVerdict]:
     Seeds are (m0, X0) for a single chart or (chart, m0, X0) for a glued
     algebroid.  Both time directions are probed, all seeds in both
     directions as the lanes of one geodesic run (``_geodesic_runs``), so
-    a probe whose geodesics switch no chart is one solve, and each seed's
-    verdict is read off its two runs by ``seed_verdicts``.  An empty seed
-    list is refused: a probe of no geodesic finds no blow-up and shows
-    nothing.
+    a probe whose geodesics switch no chart is one solve per chart among
+    its seeds, and each seed's verdict is read off its two runs by
+    ``seed_verdicts``.  An empty seed list is refused: a probe of no
+    geodesic finds no blow-up and shows nothing.
     """
     seeds = list(seeds)
     if not seeds:
@@ -562,7 +518,7 @@ def completeness_probe(obj, seeds, horizon: float = 100.0) -> list[SeedVerdict]:
     starts = [seed if len(seed) == 3 else (0, *seed) for seed in seeds]
     runs = _geodesic_runs(G, [(chart, m0, X0, (0.0, sign * horizon))
                               for chart, m0, X0 in starts for sign in (1.0, -1.0)],
-                          BLOWUP_NORM, MAX_SWITCHES, exit_status="escaped_atlas")
+                          BLOWUP_NORM)
     return seed_verdicts([(m0, X0) for _, m0, X0 in starts], runs)
 
 
@@ -571,8 +527,8 @@ def seed_verdicts(seeds, runs) -> list[SeedVerdict]:
     -horizon, runs[2k] and runs[2k + 1].  The + direction is read first:
     the first blow-up certifies incompleteness, else the note of the last
     direction that stopped early.  A geodesic that leaves its chart with
-    no chart to switch to ("escaped_chart" from one chart's ``geodesic``,
-    "escaped_atlas" from a glued run) has left the atlas."""
+    no chart to switch to ("escaped_chart" from an algebroid of one chart,
+    "escaped_atlas" from an atlas) has left the atlas."""
     verdicts = []
     for k, (m0, X0) in enumerate(seeds):
         worst: tuple[str, float | None, str] = ("no-blowup-within-horizon", None, "")

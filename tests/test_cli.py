@@ -329,6 +329,12 @@ CIRCLE_GEODESIC = {"op": "geodesic_escape", "point": [0.0], "fiber": [1.0]}
                  "metric", id="metric-of-negative-dimension"),
     pytest.param("sphere2", {"op": "geodesic_escape", "point": [0.0, 1.0],
                              "fiber": [1.0, 0.0, 0.0]}, "point", id="point-off-the-chart"),
+    pytest.param("sphere2", {"op": "geodesic_escape", "point": [0.2000005, 0.0],
+                             "fiber": [-1.0, 0.0, 0.0], "span": [0.0, 0.5]}, "point",
+                 id="point-within-the-exit-margin"),
+    pytest.param("sphere2", {"op": "completeness", "seeds": [
+        {"point": [0.2000005, 0.0], "fiber": [-1.0, 0.0, 0.0]}]}, "point",
+                 id="seed-within-the-exit-margin"),
     pytest.param("sphere2", {"op": "geodesic_escape", "point": [1.0, 1.0],
                              "fiber": [2.0e6, 0.0, 0.0]}, "1e+06", id="fiber-at-the-blowup-norm"),
     pytest.param("flat_torus", {"op": "completeness",

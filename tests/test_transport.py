@@ -11,8 +11,9 @@ from cartanlab.algebroid import AlgebroidChart, GluedAlgebroid
 from cartanlab.cartan import bar_tm_tensor
 from cartanlab.dual import Dual, value
 from cartanlab.geometry import Chart, GeometryError, SmoothField, as_point
-from cartanlab.transport import (BLOWUP_NORM, MAX_SWITCHES, BasePath, GeodesicResult,
-                                 TransportError, _geodesic_runs, completeness_probe,
+from cartanlab.transport import (BLOWUP_NORM, EXIT_MARGIN, MAX_SWITCHES, BasePath,
+                                 GeodesicResult, TransportError, _geodesic_runs,
+                                 completeness_probe,
                                  geodesic, geodesic_glued,
                                  invariant_metric_check, isotropy_subalgebra, line_path,
                                  line_segment, monodromies, monodromy,
@@ -522,6 +523,27 @@ def test_glued_geodesic_refuses_a_start_outside_its_chart(torus):
         geodesic_glued(torus.glued, 0, [0.5, 0.5], [1.0, 0.0], span=(0.0, 1.0))
 
 
+def test_a_geodesic_start_within_the_exit_margin_is_refused(sphere, circle):
+    # the exit event, the distance to the chart's edge less EXIT_MARGIN, is
+    # not positive at such a start and could never change sign: from
+    # 5e-7 inside, the geodesic used to cross the pole theta = 0 and
+    # report "completed"
+    C = sphere.rc.chart
+    with pytest.raises(GeometryError, match="outside chart interior"):
+        geodesic(C, [0.2 + 5e-7, 0.0], [-1.0, 0.0, 0.0], span=(0.0, 0.5))
+    with pytest.raises(GeometryError, match="outside chart interior"):
+        completeness_probe(C, [([0.2 + 5e-7, 0.0], [-1.0, 0.0, 0.0])], horizon=1.0)
+    res = geodesic(C, [0.2 + 2e-6, 0.0], [-1.0, 0.0, 0.0], span=(0.0, 0.5))
+    assert res.status == "escaped_chart" and np.all(res.path.base[:, 0] > 0.2)
+    # on the box (0, 1) a start at exactly EXIT_MARGIN has an exit event of
+    # exactly 0, and the next float up one that fires
+    line = dataclasses.replace(circle.cover.chart, base=Chart((0.0,), (1.0,)))
+    with pytest.raises(GeometryError, match="outside chart interior"):
+        geodesic(line, [EXIT_MARGIN], [-1.0], span=(0.0, 1.0))
+    res = geodesic(line, [np.nextafter(EXIT_MARGIN, 1.0)], [-1.0], span=(0.0, 1.0))
+    assert res.status == "escaped_chart" and np.all(res.path.base > 0.0)
+
+
 def test_completeness_probe_refuses_a_seed_chart_label_past_the_last_chart(torus):
     with pytest.raises(TransportError, match="chart 9 is not a chart"):
         completeness_probe(torus.glued, [(9, [0.0, 0.0], [1.0, 0.0])], horizon=1.0)
@@ -612,10 +634,10 @@ def test_a_lane_runs_as_it_runs_alone(case, circle, torus, sphere):
                   (0, [1.5, -1.0], [0.2, 0.4, -0.5], (0.0, -0.8))]
         want = {"escaped_chart", "completed"}
     if glued:
-        batch = _geodesic_runs(G, starts, BLOWUP_NORM, MAX_SWITCHES, "escaped_atlas")
+        batch = _geodesic_runs(G, starts, BLOWUP_NORM)
         alone = [geodesic_glued(G, *start) for start in starts]
     else:
-        batch = _geodesic_runs(G, starts, BLOWUP_NORM, 0, "escaped_chart")
+        batch = _geodesic_runs(G, starts, BLOWUP_NORM)
         alone = [geodesic(G.charts[0], m0, x0, span) for _, m0, x0, span in starts]
     assert {r.status for r in batch} >= want
     if case == "glued circle":
@@ -661,6 +683,22 @@ def test_a_probe_is_one_solve_when_no_lane_switches_chart(circle, monkeypatch):
     for (m0, x0), v in zip(seeds, verdicts):
         t_star = -math.exp(m0[0]) / x0[0]
         assert v.verdict == "certified-incomplete" and abs(v.t_star - t_star) < 1e-3
+
+
+def test_a_glued_round_makes_one_solve_per_chart(circle, monkeypatch):
+    # seeds in charts 0 and 1: the first round solves each chart's lanes,
+    # both directions of its seeds, in a call of their own
+    from cartanlab import transport
+    starts = []
+
+    def recording(rhs, span, y0, **kwargs):
+        starts.append(y0[:, 1].tolist())
+        return integrate(rhs, span, y0, **kwargs)
+    integrate = transport.integrate
+    monkeypatch.setattr(transport, "integrate", recording)
+    seeds = [(0, [0.5], [1.0]), (1, [4.0], [-0.5]), (0, [1.5], [-0.3]), (1, [5.0], [0.8])]
+    completeness_probe(circle.glued, seeds, horizon=50.0)
+    assert starts[:2] == [[0.5, 0.5, 1.5, 1.5], [4.0, 4.0, 5.0, 5.0]]
 
 
 def test_a_probe_reads_the_plus_direction_first():
