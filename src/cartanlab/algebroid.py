@@ -320,9 +320,9 @@ def check_overlap_compatibility(G: GluedAlgebroid, tol: float = 1e-7) -> TensorR
         repeat = sum((o.i, o.j) == (ov.i, ov.j) for o in G.overlaps[:k])
         key = f"overlap_{ov.i}_{ov.j}" + (f"_{repeat}" if repeat else "")
         pts = ov.region_i.halton_points(17, shrink=0.05)
-        pts = pts[[ov.region_i.contains(m) and Ci.base.contains(m) for m in pts]]
+        pts = pts[ov.region_i.contains(pts) & Ci.base.contains(pts)]
         if len(pts):
-            pts = pts[[Cj.base.contains(p) for p in dual.taylor_stack(ov.base_map, pts, 0)]]
+            pts = pts[Cj.base.contains(dual.taylor_stack(ov.base_map, pts, 0))]
         per.append(worst(np.concatenate(intertwining_residuals(
             Ci, Cj, ov.base_map, ov.fiber_map, pts))) if len(pts) else np.inf)
         details[key], details[f"{key}_points"] = per[-1], len(pts)

@@ -126,8 +126,7 @@ def _max_over_samples(name, C, tensor_at, samples, tol, seed) -> TensorReport:
     """The residual tensor over the whole sample set, from ``tensor_at`` of
     the stacked points, reduced to its max |.| at each point."""
     pts = sample_stack(sample_set(C, samples, seed))
-    for m in pts:
-        C.base.require_interior(m)
+    C.base.require_interior(pts)
     per = per_point_max(tensor_at(pts))
     return TensorReport(name, worst(per), tol, per, tuple(map(tuple, pts)))
 
@@ -145,18 +144,16 @@ def is_flat(C: AlgebroidChart, samples=None, tol: float = 1e-7, seed: int = 42) 
                              samples, tol, seed)
 
 
-def fiber_bracket_at(C: AlgebroidChart, m0, jacobi_tol: float = 1e-6,
-                     from_jets: bool = False) -> LieAlgebra:
+def fiber_bracket_at(C: AlgebroidChart, m0, jacobi_tol: float = 1e-6) -> LieAlgebra:
     """Lie algebra read off the torsion at a point of a flat Cartan chart.
 
-    The torsion is its value read (``SmoothField.values``), or with
-    ``from_jets`` the value of its order-1 jet (``first_jet``), which a
+    The torsion is the value of its order-1 jet (``first_jet``), which a
     chart that keeps its jets (``AlgebroidChart.jets``) reads from what it
     kept.  Raises if the extracted table fails the Jacobi identity, which
     signals a violated flatness/Cartan precondition.
     """
     m0 = as_point(m0)
     C.base.require_interior(m0)
-    t = (C.torsion.first_jet(m0[None]).v if from_jets else C.torsion.values(m0[None]))[0]
+    t = C.torsion.first_jet(m0[None]).v[0]
     c = np.einsum("cab->abc", t)
     return LieAlgebra(c, tol=jacobi_tol)

@@ -46,8 +46,8 @@ from .algebra import (AlgebraMap, LieAlgebra, MatrixRealization,
                       Subalgebra, TensorReport, exp_matrix, expm, log_matrix,
                       vector_norms, worst)
 from .algebroid import ActionAlgebroid
-from .geometry import INTERIOR_MARGIN, Chart, as_point, sample_stack
-from .ode import RTOL_FLOOR, _commutators, _nan_guarded, lie_solve, magnus
+from .geometry import Chart, as_point, sample_stack
+from .ode import _commutators, _nan_guarded, lie_solve, magnus
 from .transport import BasePath, line_path, segment_batch
 
 
@@ -151,7 +151,7 @@ def check_equivariant_twist(A: ActionAlgebroid, E: EquivariantMap,
         samples = A.chart.base.sample_points(np.random.default_rng(42), 10)
     ms = sample_stack(samples)
     Phi = dual.taylor_stack(E.base_map, ms, 1)
-    if not all(A.chart.base.contains(p) for p in Phi.v):
+    if not A.chart.base.contains(Phi.v).all():
         raise DevelopmentError("equivariant map image escapes the chart")
     lhs = np.moveaxis(Phi.d, 0, -1) @ A.chart.anchor.values(ms)
     rhs = A.chart.anchor.values(Phi.v) @ E.twist.matrix
@@ -296,19 +296,17 @@ def _develop_frames(A, H: HomogeneousModel, paths,
     if any(s.chart != 0 for s in segs):
         raise DevelopmentError("a development runs in chart 0; a segment names another chart")
     ends = np.array([e for s in segs for e in (s.a, s.b)]).reshape(-1, chart.base.dim)
-    lo, hi = np.array(chart.base.lower), np.array(chart.base.upper)
-    if not np.all((lo + INTERIOR_MARGIN <= ends) & (ends <= hi - INTERIOR_MARGIN)):
+    if not chart.base.contains(ends).all():
         raise DevelopmentError("path leaves its chart")
     sign = -float(bracket_orientation(chart))
     gens = np.stack(H.realization.generators)
-    rtol, atol = max(rtol, RTOL_FLOOR), 1e-13
     Q, G = np.tile(np.eye(r), (B, 1, 1)), np.tile(np.eye(d), (B, 1, 1))
     one = partial(_one_step, Q, G, sign, gens)
     step = partial(_magnus_step, sign, gens)
     for k in range(count):
         read = segment_batch([p.segments[k] for p in paths])
         fields = _nan_guarded(partial(_node_fields, chart, read), [(r, r), (r,)])
-        if lie_solve(fields, one, step, (Q, G), rtol, atol) != "completed":
+        if lie_solve(fields, one, step, (Q, G), rtol, 1e-13) != "completed":
             raise DevelopmentError("development ODE failed: step_collapse")
     return G, Q
 

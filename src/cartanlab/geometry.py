@@ -10,7 +10,9 @@ so their values and jets of any order at a stack come from one formula
 call; a field with neither a closed form nor a lane formula falls back
 to ``dual.taylor`` point by point inside those two reads, a reference
 path that no bundled model takes.  Every check reads its sample set as
-one stack (``sample_stack``), never one point at a time.
+one stack (``sample_stack``), never one point at a time; point tests
+(``Chart.contains``, ``require_interior``, ``boundary_distance``), the
+only code that compares points with a chart's bounds, take it too.
 
 Curvature convention used throughout:
 
@@ -54,27 +56,35 @@ class Chart:
             raise GeometryError("lower/upper must have equal length")
         if not all(a < b for a, b in zip(lo, hi)):
             raise GeometryError("need lower < upper on every axis")
-        object.__setattr__(self, "lower", lo)
-        object.__setattr__(self, "upper", hi)
+        for name, bound in (("lower", lo), ("upper", hi)):
+            object.__setattr__(self, name, bound)
+            object.__setattr__(self, "_" + name, np.array(bound))    # for the box tests
 
     @property
     def dim(self) -> int:
         return len(self.lower)
 
-    def contains(self, m, margin: float = INTERIOR_MARGIN) -> bool:
-        m = value(np.asarray(m, dtype=object))
-        return all(lo + margin <= x <= hi - margin
-                   for x, lo, hi in zip(m, self.lower, self.upper))
+    def contains(self, m, margin: float = INTERIOR_MARGIN):
+        """Whether x is finite and lower + margin <= x <= upper - margin on
+        every axis at the point m (n,), or at each point of a stack (B, n)."""
+        x = value(np.asarray(m))
+        inside = np.isfinite(x) & (self._lower + margin <= x) & (x <= self._upper - margin)
+        return inside.all(axis=-1)
 
     def require_interior(self, m):
-        if not self.contains(m):
-            raise GeometryError(f"point {value(np.asarray(m, dtype=object))} outside chart interior")
+        """Refuse the point m (n,), or the stack m (B, n), unless every point
+        lies in the box (``contains``), naming the first that does not."""
+        x = value(np.asarray(m))
+        inside = self.contains(x)
+        if not inside.all():
+            first = np.atleast_2d(x)[np.argmin(inside)].astype(float)
+            raise GeometryError(f"point {first} outside chart interior")
 
-    def boundary_distance(self, m) -> float:
-        """The least of m - lower and upper - m over the axes: inf on a box
-        with no finite edge, NaN at a point with a NaN coordinate."""
-        m = value(np.asarray(m, dtype=object))
-        return float(np.min(np.minimum(m - np.array(self.lower), np.array(self.upper) - m)))
+    def boundary_distance(self, m):
+        """The least of x - lower and upper - x over the axes, at m as ``contains``
+        reads it: inf on a box with no finite edge, NaN or -inf at a non-finite x."""
+        x = value(np.asarray(m))
+        return np.min(np.minimum(x - self._lower, self._upper - x), axis=-1)
 
     def sample_box(self) -> tuple[np.ndarray, np.ndarray]:
         """Bounded box used for sampling: finite bounds as they are, infinite
@@ -318,8 +328,7 @@ def scalar_form_fit(metric: SmoothField, ms) -> ScalarFormFit:
     each point of the stack ms (B, n).  One metric 2-jet over the stack
     gives both: R from its Christoffel symbols, sigma from its value."""
     ms = sample_stack(ms)
-    for m in ms:
-        metric.chart.require_interior(m)
+    metric.chart.require_interior(ms)
     G = metric_jet(metric, ms, 2)
     R = curvature_from_christoffel(christoffel_from_jet(G))
     g, eye = dual.leaf(G), np.eye(metric.chart.dim)

@@ -284,7 +284,7 @@ def classify_constant_curvature(R: RiemannianCartanChart, m0,
             "curvature is not constant")
     fit = scalar_form_fit(R.metric, [m0])
     s, fit_residual = float(fit.s[0]), float(fit.residual[0])
-    extracted = fiber_bracket_at(R.chart, m0, from_jets=True).structure_constants
+    extracted = fiber_bracket_at(R.chart, m0).structure_constants
     model = model_structure_constants(s, R.n)
     resid = float(np.max(np.abs(extracted - model)))
     if not (resid <= tol and fit_residual <= tol):
@@ -346,8 +346,7 @@ def _tm_flatness(conn: TMConnection, samples) -> float:
     """Max |R| of the connection over the stack of samples, from one
     Christoffel jet."""
     samples = sample_stack(samples)
-    for m in samples:
-        conn.chart.require_interior(m)
+    conn.chart.require_interior(samples)
     return worst(np.abs(curvature_from_christoffel(conn.christoffel.first_jet(samples))))
 
 
@@ -384,8 +383,7 @@ def local_lie_group_check(P: DualPair, tol: float = 1e-7,
     one Christoffel jet per point."""
     samples = P.chart.sample_points(np.random.default_rng(seed), 5)
     flat_a = _tm_flatness(P.nabla, samples)
-    for m in samples:
-        P.nabla_bar.chart.require_interior(m)
+    P.nabla_bar.chart.require_interior(samples)
     Gam, T = _torsion_jet(P, samples)
     flat_b = worst(np.abs(curvature_from_christoffel(Gam)))
     G = Gam.v

@@ -641,7 +641,8 @@ def lie_solve(fields, one_step, step, Y, rtol: float, atol: float) -> str:
     ``step(Y, F, h)``, a fourth-order Magnus step over h (k,) from the
     fields at the _STEP_NODES nodes of each lane's step, under their own
     step control (``_magnus_steps``).  Returns "completed" or
-    "step_collapse"."""
+    "step_collapse".  rtol is at least RTOL_FLOOR, as in ``solve_ivp``."""
+    rtol = max(rtol, RTOL_FLOOR)
     # a trial read can overflow; its lane then reads NaN and is rejected
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         left = _one_steps(fields, one_step, Y, rtol, atol)

@@ -171,8 +171,7 @@ def transport_matrices(G, paths) -> list[np.ndarray]:
     G = _as_glued(G)
     segs = [s for p in paths for s in p.segments]
     for s in segs:
-        base = _chart(G, s.chart).base
-        if not base.contains(s.a) or not base.contains(s.b):
+        if not _chart(G, s.chart).base.contains([s.a, s.b]).all():
             raise TransportError("path leaves its declared chart")
     T, out = iter(_segment_transports(G, segs) if segs else ()), []
     for p in paths:
@@ -285,11 +284,10 @@ def _geodesic_events(C: AlgebroidChart, t1: np.ndarray, direction: np.ndarray,
     """Terminal lane events on the rescaled states z = (t, m, X) of lanes
     in the chart C, each with its own end time t1 and direction: t reaches
     t1, the larger of the fiber norm and the base speed |a(m) X|
-    (max-norms) reaches ``blowup_norm`` (one anchor read), m comes within
-    EXIT_MARGIN of the chart's edge.  Each takes times (k,), states
-    (k, dim) and lane indices (k,)."""
+    (max-norms) reaches ``blowup_norm`` (one anchor read), and on a box
+    with a finite edge the chart's ``boundary_distance`` of m falls to
+    EXIT_MARGIN.  Each takes times (k,), states (k, dim) and lane indices (k,)."""
     n = C.base.dim
-    lower, upper = np.array(C.base.lower, dtype=float), np.array(C.base.upper, dtype=float)
 
     def end_fn(s, z, lanes):
         return direction[lanes] * (t1[lanes] - z[:, 0])
@@ -300,11 +298,10 @@ def _geodesic_events(C: AlgebroidChart, t1: np.ndarray, direction: np.ndarray,
         return blowup_norm - np.maximum(abs(x).max(axis=1), abs(v).max(axis=1))
 
     def exit_fn(s, z, lanes):
-        m = z[:, 1:n + 1]
-        return np.min(np.minimum(m - lower, upper - m), axis=-1) - EXIT_MARGIN
+        return C.base.boundary_distance(z[:, 1:n + 1]) - EXIT_MARGIN
 
     events = [("end", end_fn), ("blowup", blow_fn)]
-    if np.any(np.isfinite(lower)) or np.any(np.isfinite(upper)):
+    if np.isfinite(C.base.lower + C.base.upper).any():
         events.append(("escaped_chart", exit_fn))
     return events
 

@@ -414,3 +414,16 @@ def test_a_check_over_no_sample_point_is_refused(check, sphere, torus):
     for model in (sphere, torus):
         with pytest.raises(ValueError, match="no sample points"):
             _OVER_NO_POINT[check](model)
+
+
+@pytest.mark.parametrize("check", [is_flat, is_cartan])
+def test_no_certificate_at_a_point_at_infinity(check, circle):
+    # the cover chart is all of R, but inf is no point of it, and a residual
+    # read there (0.0 on this flat chart) certifies nothing
+    with pytest.raises(geometry.GeometryError, match=r"point \[inf\] outside chart interior"):
+        check(circle.cover.chart, samples=np.array([[np.inf]]))
+
+
+def test_no_fiber_bracket_at_a_point_at_infinity(circle):
+    with pytest.raises(geometry.GeometryError, match="outside chart interior"):
+        fiber_bracket_at(circle.cover.chart, [np.inf])

@@ -2,10 +2,12 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cartanlab import dual
-from cartanlab.dual import value
-from cartanlab.geometry import (Chart, GeometryError, SmoothField, as_point,
+from cartanlab.dual import Dual, value
+from cartanlab.geometry import (INTERIOR_MARGIN, Chart, GeometryError, SmoothField, as_point,
                                 curvature_from_christoffel, euclidean_metric,
                                 hyperbolic_metric, lie_bracket_vf, metric_by_name,
                                 scalar_form_fit, sphere_metric)
@@ -26,6 +28,75 @@ def test_chart_validation():
     assert c.dim == 2
     assert c.contains([0.0, 5.0])
     assert not c.contains([2.0, 1.0])
+
+
+def test_a_point_at_infinity_is_never_inside_a_chart(circle):
+    cover = circle.cover.chart.base
+    assert cover.lower == (-np.inf,) and cover.upper == (np.inf,)
+    for x in (np.inf, -np.inf, np.nan):
+        assert not cover.contains([x])
+        assert not cover.contains([x], margin=-1.0)
+        with pytest.raises(GeometryError, match="outside chart interior"):
+            cover.require_interior([x])
+    assert cover.contains([1e300])
+    half = Chart((-1.0, 0.0), (1.0, np.inf))
+    assert list(half.contains([[0.0, 5.0], [0.0, np.inf], [np.nan, 1.0], [0.0, 0.0]])) == [
+        True, False, False, False]
+
+
+@st.composite
+def _boxes_and_stacks(draw):
+    """A box with some infinite ends, a margin, and a stack whose
+    coordinates include each axis's exact ends lower + margin and
+    upper - margin, points just past them, NaN and +-inf."""
+    n = draw(st.integers(1, 3))
+    lower, upper = [], []
+    for _ in range(n):
+        a, b = sorted(draw(st.lists(st.floats(-4, 4), min_size=2, max_size=2, unique=True)))
+        lower.append(-np.inf if draw(st.booleans()) else a)
+        upper.append(np.inf if draw(st.booleans()) else b)
+    margin = draw(st.sampled_from([INTERIOR_MARGIN, 0.0, 0.25, -1e-3]))
+    axes = [[lo + margin, hi - margin, np.nextafter(lo + margin, -np.inf),
+             np.nextafter(hi - margin, np.inf), np.nan, np.inf, -np.inf,
+             draw(st.floats(-6, 6))] for lo, hi in zip(lower, upper)]
+    stack = np.array([[draw(st.sampled_from(c)) for c in axes]
+                      for _ in range(draw(st.integers(1, 8)))])
+    return Chart(tuple(lower), tuple(upper)), margin, stack
+
+
+@settings(max_examples=200, deadline=None)
+@given(case=_boxes_and_stacks())
+def test_stacked_box_tests_equal_the_per_point_reading(case):
+    chart, margin, stack = case
+    with np.errstate(invalid="ignore"):     # inf - inf reads NaN
+        inside = chart.contains(stack, margin)
+        dist = chart.boundary_distance(stack)
+        assert inside.shape == dist.shape == (len(stack),)
+        for i, p in enumerate(stack):
+            assert inside[i] == chart.contains(p, margin)
+            np.testing.assert_array_equal(dist[i], chart.boundary_distance(p))
+            if np.all(np.isfinite(p)):
+                # the per-coordinate rule, as it reads on finite points
+                assert inside[i] == all(lo + margin <= x <= hi - margin
+                                        for x, lo, hi in zip(p, chart.lower, chart.upper))
+            else:
+                assert not inside[i] and not dist[i] > -np.inf
+    default = chart.contains(stack)
+    if default.all():
+        chart.require_interior(stack)
+    else:
+        first = stack[np.argmin(default)]
+        with pytest.raises(GeometryError) as err:
+            chart.require_interior(stack)
+        assert str(err.value) == f"point {first} outside chart interior"
+
+
+def test_box_tests_read_dual_points_by_their_values():
+    c = Chart((-1.0, 0.0), (1.0, np.inf))
+    m = np.array([[Dual(0.5, 1.0), Dual(2.0, 0.0)], [Dual(1.0, 1.0), Dual(2.0, 0.0)]])
+    assert list(c.contains(m)) == [True, False]
+    assert list(c.boundary_distance(m)) == [0.5, 0.0]
+    assert c.contains(m[0]) and c.boundary_distance(m[0]) == 0.5
 
 
 @pytest.mark.parametrize("lower,upper", [

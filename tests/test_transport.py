@@ -121,6 +121,13 @@ def test_transport_refuses_a_chart_label_past_the_last_chart(torus):
         transport_matrix(torus.glued, BasePath((line_segment(7, [0.0, 0.0], [0.1, 0.0]),)))
 
 
+def test_a_path_to_a_point_at_infinity_leaves_its_chart(translations2):
+    # the chart is all of R^2, but inf is no point of it: the path is
+    # refused before any solve, not left to collapse in one
+    with pytest.raises(TransportError, match="path leaves its declared chart"):
+        transport_matrix(translations2.chart, line_path([0.0, 0.0], [np.inf, 0.0]))
+
+
 def test_monodromy_multiplicative_and_inverse(circle):
     loop = circle.loops[0]
     M1 = monodromy(circle.glued, loop).matrix
