@@ -5,9 +5,9 @@ probes, development into homogeneous models and atlas reconstruction."""
 
 from .algebra import (AlgebraMap, LieAlgebra, MatrixRealization, Subalgebra,
                       TensorReport, bracket, exp_matrix, is_automorphism, log_matrix)
-from .algebroid import (ActionAlgebroid, AlgebroidChart, GluedAlgebroid,
-                        Overlap, check_anchor_homomorphism, check_cocycle,
-                        infinitesimalize, make_action_algebroid)
+from .algebroid import (ActionAlgebroid, AffineCocycleEntry, AlgebroidChart,
+                        GluedAlgebroid, Overlap, check_anchor_homomorphism,
+                        check_cocycle, infinitesimalize, make_action_algebroid)
 from .cartan import (cocurvature, curvature_conn, fiber_bracket_at, is_cartan,
                      is_flat)
 from .development import (Coset, CoverSpec, EquivariantMap, HomogeneousModel,

@@ -19,8 +19,9 @@ points and at their images.  Both checks return an
 ``algebra.TensorReport``.
 
 Action algebroids carry gamma = 0 and T equal to the fiberwise algebra
-bracket; their anchors run on lane points.  Glued algebroids add
-transition data on overlaps.
+bracket; their anchors run on lane points.  Glued algebroids join charts
+along overlaps, each an ``AffineCocycleEntry`` on a region, read in
+closed form; an overlap's inverse is built on first read and kept.
 """
 
 from __future__ import annotations
@@ -194,32 +195,28 @@ def check_anchor_homomorphism(C: AlgebroidChart, tol: float = 1e-8,
 
 # -- glued algebroids ---------------------------------------------------------
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Overlap:
-    """Transition data from chart i to chart j on a region of chart i.  The
-    maps run on the lane points of ``dual.taylor_stack``, which reads them
-    with their first derivatives (``check_overlap_compatibility``)."""
+    """The transition from chart i to chart j on a region of chart i: its
+    affine cocycle entry, x -> A x + b with the constant fiber twist M."""
 
     i: int
     j: int
-    base_map: Callable
-    base_map_inv: Callable
-    fiber_map: Callable  # m (chart-i coords) -> (r, r) matrix
+    entry: AffineCocycleEntry
     region_i: Chart
 
-    @staticmethod
-    def affine(i, j, A, b, M, region_i) -> "Overlap":
-        A = np.asarray(A, dtype=float)
-        b = np.asarray(b, dtype=float)
-        M = np.asarray(M, dtype=float)
-        Ainv = np.linalg.inv(A)
-        return Overlap(
-            i, j,
-            base_map=lambda m: A.astype(object) @ as_point(m) + b,
-            base_map_inv=lambda m: Ainv.astype(object) @ (as_point(m) - b),
-            fiber_map=lambda m: M,
-            region_i=region_i,
-        )
+    def base_map(self, m):
+        """A m + b at a float point, a float stack or a lane point."""
+        return m @ self.entry.A.T + self.entry.b
+
+    def fiber_map(self, m):
+        """The fiber twist M (r, r), the same at every point m."""
+        return self.entry.M
+
+    @cached_property
+    def inverse(self) -> "Overlap":
+        """The transition j -> i on the image box of the region, kept."""
+        return Overlap(self.j, self.i, self.entry.inverse(), _map_box(self.entry, self.region_i))
 
 
 @dataclass(frozen=True)
@@ -231,47 +228,17 @@ class GluedAlgebroid:
     def rank(self) -> int:
         return self.charts[0].rank
 
-    @cached_property
-    def _inverses(self) -> tuple:
-        """Every overlap read the other way, built once, so that each
-        inverted region is too."""
-        return tuple(map(_Inverse, self.overlaps))
-
     def overlaps_between(self, i: int, j: int) -> list:
-        """All transitions i -> j: the direct entries, then the inverted ones."""
-        return ([ov for ov in self.overlaps if ov.i == i and ov.j == j]
-                + [inv for inv in self._inverses if inv.i == i and inv.j == j])
+        """All transitions i -> j: the direct entries, then the inverses of
+        the entries j -> i."""
+        return ([ov for ov in self.overlaps if (ov.i, ov.j) == (i, j)]
+                + [ov.inverse for ov in self.overlaps if (ov.j, ov.i) == (i, j)])
 
 
-class _Inverse:
-    """The transition j -> i of an overlap ``ov`` from i to j, read as an
-    ``Overlap``.  Its region, the bounding box of the image of ov's
-    region, is built on first read: a path's chart switch reads only the
-    maps."""
-
-    def __init__(self, ov: Overlap):
-        self.i, self.j, self.ov = ov.j, ov.i, ov
-        self.base_map, self.base_map_inv = ov.base_map_inv, ov.base_map
-
-    def fiber_map(self, m):
-        mi = self.ov.base_map_inv(as_point(m))
-        return np.linalg.inv(value(np.asarray(self.ov.fiber_map(mi), dtype=object)))
-
-    @cached_property
-    def region_i(self) -> Chart:
-        return _map_box(self.ov.base_map, self.ov.region_i)
-
-
-def _map_box(f, box: Chart) -> Chart:
-    """Bounding box of the image of a box under a map (corners sampled)."""
-    lo = np.asarray(box.lower)
-    hi = np.asarray(box.upper)
-    n = box.dim
-    corners = []
-    for mask in range(2 ** n):
-        c = np.where([(mask >> k) & 1 for k in range(n)], hi, lo)
-        corners.append(value(np.asarray(f(as_point(c)), dtype=object)))
-    corners = np.stack(corners)
+def _map_box(e: AffineCocycleEntry, box: Chart) -> Chart:
+    """Bounding box of the image of a box under e, from its stacked corners."""
+    up = (np.arange(2 ** box.dim)[:, None] >> np.arange(box.dim)) & 1
+    corners = np.where(up == 1, box.upper, box.lower) @ e.A.T + e.b
     return Chart(tuple(corners.min(axis=0)), tuple(corners.max(axis=0)))
 
 
@@ -344,6 +311,11 @@ class AffineCocycleEntry:
         return AffineCocycleEntry(self.A @ other.A, self.A @ other.b + self.b,
                                   self.M @ other.M)
 
+    def inverse(self) -> "AffineCocycleEntry":
+        # x -> A^-1 (x - b) = A^-1 x - A^-1 b, with twist M^-1
+        Ainv = np.linalg.inv(self.A)
+        return AffineCocycleEntry(Ainv, -(Ainv @ self.b), np.linalg.inv(self.M))
+
     @staticmethod
     def identity(n: int, r: int) -> "AffineCocycleEntry":
         return AffineCocycleEntry(np.eye(n), np.zeros(n), np.eye(r))
@@ -361,6 +333,11 @@ class CocycleReport:
         return worst([self.identity_residual, self.composition_residual]) <= self.tol
 
 
+def _entry_gap(e: AffineCocycleEntry, f: AffineCocycleEntry) -> float:
+    """The largest |e - f| over the entries of A, b and M."""
+    return worst([np.max(np.abs(e.A - f.A)), np.max(np.abs(e.b - f.b)), np.max(np.abs(e.M - f.M))])
+
+
 def check_cocycle(entries: dict, tol: float = 1e-9) -> CocycleReport:
     """Verify the cocycle laws on a family of chart transitions.
 
@@ -374,10 +351,7 @@ def check_cocycle(entries: dict, tol: float = 1e-9) -> CocycleReport:
     failures = []
     for (i, j), e in entries.items():
         if i == j:
-            n, r = len(e.b), e.M.shape[0]
-            ident = AffineCocycleEntry.identity(n, r)
-            d = worst([np.max(np.abs(e.A - ident.A)), np.max(np.abs(e.b)),
-                       np.max(np.abs(e.M - ident.M))])
+            d = _entry_gap(e, AffineCocycleEntry.identity(len(e.b), e.M.shape[0]))
             id_res.append(d)
             if not d <= tol:
                 failures.append(f"transition {i}->{i} is not the identity")
@@ -387,10 +361,7 @@ def check_cocycle(entries: dict, tol: float = 1e-9) -> CocycleReport:
         for (j2, k), e_jk in entries.items():
             if j2 != j or j == k or (i, k) not in entries:
                 continue
-            e_ik = entries[(i, k)]
-            comp = e_jk.compose(e_ij)
-            d = worst([np.max(np.abs(comp.A - e_ik.A)), np.max(np.abs(comp.b - e_ik.b)),
-                       np.max(np.abs(comp.M - e_ik.M))])
+            d = _entry_gap(e_jk.compose(e_ij), entries[(i, k)])
             comp_res.append(d)
             if not d <= tol:
                 failures.append(
@@ -407,21 +378,15 @@ def infinitesimalize(g0: LieAlgebra, action: Callable, charts: list[Chart],
     coordinates; the entry (i, j) sends chart-i coordinates to chart-j
     coordinates by x -> A x + b and fibers by the twist matrix M.
     """
-    rep = check_cocycle({k: v for k, v in cocycle.items()}, tol=1e-9)
+    rep = check_cocycle(cocycle, tol=1e-9)
     if not rep.passed:
         raise AlgebroidError(f"cocycle violation: {rep.failures}")
-    pieces = [make_action_algebroid(g0, action, c).chart for c in charts]
-    overlaps = []
-    for (i, j), e in cocycle.items():
-        if i == j:
-            continue
-        Ainv = np.linalg.inv(e.A)
-        pre = _map_box(lambda x: Ainv.astype(object) @ (as_point(x) - e.b), charts[j])
-        region = charts[i].intersect(pre)
-        if region is None:
-            continue
-        overlaps.append(Overlap.affine(i, j, e.A, e.b, e.M, region))
-    G = GluedAlgebroid(tuple(pieces), tuple(overlaps))
+    pieces = tuple(make_action_algebroid(g0, action, c).chart for c in charts)
+    # the region of chart i that the entry sends into chart j
+    regions = {(i, j): charts[i].intersect(_map_box(e.inverse(), charts[j]))
+               for (i, j), e in cocycle.items() if i != j}
+    G = GluedAlgebroid(pieces, tuple(Overlap(i, j, cocycle[i, j], R)
+                                     for (i, j), R in regions.items() if R is not None))
     compat = check_overlap_compatibility(G)
     if not compat.passed:
         raise AlgebroidError(

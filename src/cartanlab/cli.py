@@ -236,15 +236,8 @@ def _numbers(size, what):
                              else f"a list of {size(model)} numbers ({what})")
 
 
-def _fiber(x, model):
-    """A list of rank numbers below the geodesic blow-up norm: from a start
-    at the norm the blow-up event could never fire."""
-    rank = model.chart.rank
-    if _numeric_shape(x) != (rank,) or not np.max(np.abs(x)) < transport.BLOWUP_NORM:
-        return (f"a list of {rank} numbers (the model's rank), each of absolute value "
-                f"below the blow-up norm {transport.BLOWUP_NORM:g}")
-
-
+# a start's fiber and base speed must also lie below the blow-up norm (_starts)
+_fiber = _numbers(lambda model: model.chart.rank, "the model's rank")
 _span = _numbers(lambda model: 2, "start and end time")
 _eigenvalues = _numbers(lambda model: len(model.loops) * model.chart.rank,
                         "the model's rank per loop")
@@ -376,7 +369,27 @@ def parse_check(item, model, tol_scale: float) -> tuple[str, dict]:
                 raise ScenarioError(f"{key} of check {op!r} times --tol-scale must be "
                                     f"{wrong}, not {val!r}")
         params[key] = val
+    if op in ("geodesic_escape", "completeness"):
+        _starts(op, model, params)
     return op, params
+
+
+def _starts(op, model, params):
+    """Refuse a geodesic check with a start whose fiber or base speed is not
+    below the blow-up norm by the geodesic run's own test
+    (``transport.below_blowup``), or cannot be read (an anchor overflows)."""
+    (chart,), starts = WORK[op][1](model, params, None)
+    ms, xs = (np.array([s[k] for s in starts], dtype=float) for k in (0, 1))
+    try:
+        v, go = transport.below_blowup(chart, ms, xs, transport.BLOWUP_NORM)
+    except (ArithmeticError, ValueError) as e:
+        raise ScenarioError(f"check {op!r} starts where its base speed cannot be read "
+                            f"({type(e).__name__}: {e})") from None
+    if not go.all():
+        k = int(np.argmin(go))
+        raise ScenarioError(f"check {op!r} starts at point {ms[k].tolist()} with fiber "
+                            f"{xs[k].tolist()} and base speed {v[k].tolist()}, not below the "
+                            f"blow-up norm {transport.BLOWUP_NORM:g}")
 
 
 def parse_scenario(doc, seed: int | None, tol_scale: float) -> tuple[str, int, object, list]:

@@ -48,7 +48,7 @@ from .algebra import (AlgebraMap, LieAlgebra, MatrixRealization,
 from .algebroid import ActionAlgebroid
 from .geometry import Chart, as_point, sample_stack
 from .ode import _commutators, _nan_guarded, lie_solve, magnus
-from .transport import BasePath, line_path, segment_batch
+from .transport import CONTINUITY_TOL, BasePath, line_path, segment_batch
 
 
 # relative rank test of the anchor lift (see _lift_fibers)
@@ -277,7 +277,8 @@ def _develop_frames(A, H: HomogeneousModel, paths,
     """Group elements (B, d, d) and inverse parallel frames (B, r, r) at
     the ends of a batch of paths; see ``develop_paths``.  Every segment
     must lie in chart 0, the action's one chart: it does when both its
-    ends do, as it is straight.  Segment by segment, every lane first
+    ends do, as it is straight.  Each segment must start where the one
+    before it ends, as in transport.  Segment by segment, every lane first
     tries one step over the segment (``_one_step``), and the lanes that
     cannot take one take Magnus steps (``_magnus_step``), in one
     ``ode.lie_solve``; each node set of either reads the points off one
@@ -298,6 +299,9 @@ def _develop_frames(A, H: HomogeneousModel, paths,
     ends = np.array([e for s in segs for e in (s.a, s.b)]).reshape(-1, chart.base.dim)
     if not chart.base.contains(ends).all():
         raise DevelopmentError("path leaves its chart")
+    seams = ends.reshape(B, count, 2, chart.base.dim)
+    if np.max(np.abs(seams[:, 1:, 0] - seams[:, :-1, 1]), initial=0.0) > CONTINUITY_TOL:
+        raise DevelopmentError("path segments are discontinuous")
     sign = -float(bracket_orientation(chart))
     gens = np.stack(H.realization.generators)
     Q, G = np.tile(np.eye(r), (B, 1, 1)), np.tile(np.eye(d), (B, 1, 1))
@@ -315,8 +319,9 @@ def develop_paths(A, H: HomogeneousModel, paths, rtol: float = 1e-12) -> list[Co
     """Develop a batch of paths as the lanes of one pass.
 
     The paths must have the same number of segments, and every segment
-    must lie in the chart of A, named chart 0; a path that leaves it is
-    refused, as ``transport_matrices`` refuses one.  Each path is a lane
+    must lie in the chart of A, named chart 0; a path that leaves it, or
+    whose segments do not join, is refused, as ``transport_matrices``
+    refuses one.  Each path is a lane
     that meets rtol and atol = 1e-13 on its own, segment by segment: in
     one step over the segment where its Gamma(v) vanishes and its algebra
     elements commute at the nodes, as on every action algebroid with an

@@ -12,7 +12,8 @@ to ``dual.taylor`` point by point inside those two reads, a reference
 path that no bundled model takes.  Every check reads its sample set as
 one stack (``sample_stack``), never one point at a time; point tests
 (``Chart.contains``, ``require_interior``, ``boundary_distance``), the
-only code that compares points with a chart's bounds, take it too.
+only code that compares points with a chart's bounds, take it too, and
+refuse a point or stack whose last axis is not the chart's dimension.
 
 Curvature convention used throughout:
 
@@ -64,17 +65,25 @@ class Chart:
     def dim(self) -> int:
         return len(self.lower)
 
+    def _coords(self, m) -> np.ndarray:
+        """The float coordinates of a point (n,) or a stack (B, n) of the box."""
+        x = value(np.asarray(m))
+        if x.shape[-1:] != (self.dim,):
+            raise GeometryError(f"a point of this chart has {self.dim} coordinates, "
+                                f"not {x.shape[-1] if x.ndim else 0}")
+        return x
+
     def contains(self, m, margin: float = INTERIOR_MARGIN):
         """Whether x is finite and lower + margin <= x <= upper - margin on
         every axis at the point m (n,), or at each point of a stack (B, n)."""
-        x = value(np.asarray(m))
+        x = self._coords(m)
         inside = np.isfinite(x) & (self._lower + margin <= x) & (x <= self._upper - margin)
         return inside.all(axis=-1)
 
     def require_interior(self, m):
         """Refuse the point m (n,), or the stack m (B, n), unless every point
         lies in the box (``contains``), naming the first that does not."""
-        x = value(np.asarray(m))
+        x = self._coords(m)
         inside = self.contains(x)
         if not inside.all():
             first = np.atleast_2d(x)[np.argmin(inside)].astype(float)
@@ -83,7 +92,7 @@ class Chart:
     def boundary_distance(self, m):
         """The least of x - lower and upper - x over the axes, at m as ``contains``
         reads it: inf on a box with no finite edge, NaN or -inf at a non-finite x."""
-        x = value(np.asarray(m))
+        x = self._coords(m)
         return np.min(np.minimum(x - self._lower, self._upper - x), axis=-1)
 
     def sample_box(self) -> tuple[np.ndarray, np.ndarray]:

@@ -34,8 +34,8 @@ import numpy as np
 from . import dual
 from .algebra import (AlgebraMap, Subalgebra, TensorReport, abelian,
                       adjoint_realization, translation_realization, worst)
-from .algebroid import (ActionAlgebroid, AlgebroidChart, GluedAlgebroid,
-                        Overlap, make_action_algebroid)
+from .algebroid import (ActionAlgebroid, AffineCocycleEntry, AlgebroidChart,
+                        GluedAlgebroid, Overlap, make_action_algebroid)
 from .cartan import fiber_bracket_at
 from .development import (CoverSpec, EquivariantMap, HomogeneousModel,
                           OverlapSpec)
@@ -482,10 +482,10 @@ def counterexample_s1() -> GluedModel:
     arc_a = make_action_algebroid(g0, scaling_action, chart_a).chart
     arc_b = make_action_algebroid(g0, scaling_action, chart_b).chart
     overlaps = (
-        Overlap.affine(0, 1, np.eye(1), np.zeros(1), np.eye(1),
-                       Chart((math.pi - 0.5,), (math.pi + 0.5,))),
-        Overlap.affine(0, 1, np.eye(1), np.array([two_pi]), np.array([[mu]]),
-                       Chart((-0.5,), (0.5,))),
+        Overlap(0, 1, AffineCocycleEntry.identity(1, 1),
+                Chart((math.pi - 0.5,), (math.pi + 0.5,))),
+        Overlap(0, 1, AffineCocycleEntry(np.eye(1), np.array([two_pi]), np.array([[mu]])),
+                Chart((-0.5,), (0.5,))),
     )
     glued = GluedAlgebroid((arc_a, arc_b), overlaps)
     # oriented so that transport around it scales by e^{2 pi}
@@ -528,8 +528,8 @@ def flat_torus() -> GluedModel:
                         if j > i or shifts[s].any()]).T
     lo = np.maximum(lower[I], lower[J] - shifts[S])
     hi = np.minimum(upper[I], upper[J] - shifts[S])
-    overlaps = [Overlap.affine(int(i), int(j), np.eye(2), shifts[s], np.eye(2),
-                               Chart(tuple(a), tuple(b)))
+    overlaps = [Overlap(int(i), int(j), AffineCocycleEntry(np.eye(2), shifts[s], np.eye(2)),
+                        Chart(tuple(a), tuple(b)))
                 for i, j, s, a, b, ok in zip(I, J, S, lo, hi, np.all(lo < hi, axis=1)) if ok]
     glued = GluedAlgebroid(pieces, tuple(overlaps))
     loop_x = BasePath((

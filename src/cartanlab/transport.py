@@ -2,23 +2,26 @@
 
 Transport solves dX^a/dt + Gamma^a_{ib} dm^i/dt X^b = 0 along a base
 path, a polyline of straight segments in chart coordinates, applying
-fiber transition matrices at chart switches of a glued algebroid.  The
-equation is linear, so a path's transport is the product of its
-segments' transports and its transitions: every segment of a batch of
-paths is transported from the identity as a lane of one solve on the
-group (``transport_matrices``), and each path composes its segment
-matrices.  Geodesics couple that equation with dm/dt = a(m) X and are
-integrated by the Runge-Kutta driver.  Every right-hand side, node read,
-event and start check reads the anchor and gamma as floats through
-``SmoothField.values`` (the closed-form batch where a field has one),
-and the path's points and velocities through ``segment_batch``, so a
-geodesic and its blow-up event see the same anchor.  Geodesics run as
-the lanes of one lane solve per chart and round (``_geodesic_runs``): a
-completeness probe integrates all its seeds in both directions
-together, ``geodesic`` a stack of starts (the CLI's one run per
-scenario), each lane bit for bit as it runs alone, and a lane that
-leaves its chart switches chart and runs on in the next round's solve
-of its new chart.
+fiber transition matrices at chart switches of a glued algebroid, read
+in closed form off an overlap's cocycle entry, or off its inverse (built
+when a switch first asks for it, and kept).  The equation is linear, so
+a path's transport is the product of its segments' transports and its
+transitions: every segment of a batch of paths is transported from the
+identity as a lane of one solve on the group (``transport_matrices``),
+and each path composes its segment matrices.  Geodesics couple that
+equation with dm/dt = a(m) X and are integrated by the Runge-Kutta
+driver.  Every right-hand side, node read, event and start check reads
+the anchor and gamma as floats through ``SmoothField.values`` (the
+closed-form batch where a field has one), and the path's points and
+velocities through ``segment_batch``, so a geodesic and its blow-up
+event see the same anchor.  Geodesics run as the lanes of one lane solve
+per chart and round (``_geodesic_runs``): a completeness probe
+integrates all its seeds in both directions together, ``geodesic`` a
+stack of starts (the CLI's one run per scenario), each lane bit for bit
+as it runs alone, and a lane that leaves its chart switches chart and
+runs on in the next round's solve of its new chart.  A start at or
+above the blow-up norm is refused by one test (``below_blowup``), which
+the scenario parse pass makes too.
 
 Completeness verdicts are one-sided: numerical integration can certify
 incompleteness (the fiber norm or the base speed reaching the blow-up
@@ -34,11 +37,10 @@ from typing import Callable
 
 import numpy as np
 
-from .dual import value
 from .algebra import AlgebraMap, Subalgebra, TensorReport, expm, vector_norms, worst
 from .algebroid import AlgebroidChart, GluedAlgebroid
 from .cartan import bar_tm_tensor, fiber_bracket_at, per_point_max
-from .geometry import GeometryError, SmoothField, as_point, sample_stack
+from .geometry import GeometryError, SmoothField, sample_stack
 from .ode import _nan_guarded, integrate, lie_solve, magnus
 
 BLOWUP_NORM = 1e6
@@ -233,9 +235,8 @@ def _apply_switch(G: GluedAlgebroid, i: int, j: int, m_end, m_next) -> np.ndarra
     if not candidates:
         raise TransportError(f"no overlap between charts {i} and {j}")
     for ov in candidates:
-        image = value(np.asarray(ov.base_map(as_point(m_end)), dtype=object))
-        if np.max(np.abs(image - m_next)) <= CONTINUITY_TOL:
-            return value(np.asarray(ov.fiber_map(as_point(m_end)), dtype=object))
+        if np.max(np.abs(ov.base_map(m_end) - m_next)) <= CONTINUITY_TOL:
+            return ov.fiber_map(m_end)
     raise TransportError("chart switch does not match any overlap base map")
 
 
@@ -347,6 +348,16 @@ def _rescaled(w, top, d):
     return w * (d / (w[:, 0] + speed / RESCALE_SPEED))[:, None]
 
 
+def below_blowup(C: AlgebroidChart, ms, xs, blowup_norm: float):
+    """The base speeds a(m) X (B, n) of the states m (B, n), X (B, r) in
+    C, from one anchor read, and whether each has its fiber and base speed
+    (max-norms) below ``blowup_norm``: from a start that has not, the
+    blow-up event could never fire, so geodesics and the parse pass
+    refuse it."""
+    v = (C.anchor.values(ms) @ xs[:, :, None])[:, :, 0]
+    return v, np.abs(np.concatenate((xs, v), axis=1)).max(axis=1) < blowup_norm
+
+
 def geodesic(C: AlgebroidChart, m0, X0, span=(0.0, 1.0),
              blowup_norm: float = BLOWUP_NORM):
     """Integrate dm/dt = a(m) X, nabla_{dm/dt} X = 0 from (m0, X0) in the
@@ -420,8 +431,7 @@ def _geodesic_runs(G: GluedAlgebroid, starts, blowup_norm: float) -> list[Geodes
         for c, lanes in legs.items():
             C, n = G.charts[c], G.charts[c].base.dim
             ms, xs = np.array([m[b] for b in lanes]), np.array([x[b] for b in lanes])
-            v = (C.anchor.values(ms) @ xs[:, :, None])[:, :, 0]
-            go = np.abs(np.concatenate((xs, v), axis=1)).max(axis=1) < blowup_norm
+            v, go = below_blowup(C, ms, xs, blowup_norm)
             for j in np.nonzero(~go)[0]:
                 if not times[lanes[j]]:
                     raise ValueError(f"start fiber {xs[j].tolist()} or its base speed "
@@ -479,11 +489,10 @@ def _find_switch(G: GluedAlgebroid, chart: int, m):
         for ov in G.overlaps_between(chart, j):
             if not ov.region_i.contains(m, margin=-10 * EXIT_MARGIN):
                 continue
-            image = value(np.asarray(ov.base_map(as_point(m)), dtype=object))
+            image = ov.base_map(m)
             dist = G.charts[j].base.boundary_distance(image)
             if dist > 50 * EXIT_MARGIN and (best is None or dist > best[3]):
-                mu = value(np.asarray(ov.fiber_map(as_point(m)), dtype=object))
-                best = (j, image, mu, dist)
+                best = (j, image, ov.fiber_map(m), dist)
     return best[:3] if best else None
 
 

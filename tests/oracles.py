@@ -17,8 +17,9 @@ reference that the package's polylines are checked against; transport
 solved segment after segment from the carried matrix, development
 carrying the parallel frame P rather than its inverse, both reading each
 segment as a curve and solved by scipy's DOP853 rather than the package's
-own steppers, and the flat torus overlaps found by trial
-intersection of every shifted box.  The fixtures are polylines, reversed
+own steppers, the flat torus overlaps found by trial
+intersection of every shifted box, and an overlap's transition read
+through object-array maps point by point.  The fixtures are polylines, reversed
 and concatenated polylines, the catalog loops written as curve lambdas,
 and the stock algebras and models that no catalog entry or scenario
 names.
@@ -35,8 +36,8 @@ import numpy as np
 from cartanlab import algebra, development, dual, transport
 from cartanlab.algebra import (AlgebraError, AlgebraMap, LieAlgebra, MatrixRealization,
                                TensorReport, worst)
-from cartanlab.algebroid import (ActionAlgebroid, AlgebroidChart, Overlap,
-                                 make_action_algebroid)
+from cartanlab.algebroid import (ActionAlgebroid, AffineCocycleEntry, AlgebroidChart,
+                                 Overlap, make_action_algebroid)
 from cartanlab.cartan import curvature_conn_tensor, fiber_bracket_at
 from cartanlab.development import (_ATLAS_SAMPLES, AtlasReport, Coset, CoverSpec,
                                    DevelopmentError, HomogeneousModel, TransitionRecord,
@@ -647,9 +648,42 @@ def torus_overlaps(boxes) -> list[Overlap]:
                     region = boxes[i].intersect(target)
                     if region is None:
                         continue
-                    overlaps.append(Overlap.affine(i, j, np.eye(2), shift,
-                                                   np.eye(2), region))
+                    overlaps.append(Overlap(i, j, AffineCocycleEntry(np.eye(2), shift, np.eye(2)),
+                                            region))
     return overlaps
+
+
+@dataclass(frozen=True)
+class ObjectTransition:
+    """An overlap's transition read as object-array maps of one point at a
+    time, as overlaps were read before they held their cocycle entry: the
+    base map A m + b and its inverse A^-1 (m - b) on ``as_point``, the
+    inverse fiber twist inverted at every read, and the image box of a
+    region from its corners mapped one by one.  The closed-form reads of
+    ``Overlap`` are checked against it bit for bit."""
+
+    entry: AffineCocycleEntry
+
+    def base_map(self, m):
+        return self.entry.A.astype(object) @ as_point(m) + self.entry.b
+
+    def base_map_inv(self, m):
+        return np.linalg.inv(self.entry.A).astype(object) @ (as_point(m) - self.entry.b)
+
+    def fiber_map(self, m):
+        return value(np.asarray(self.entry.M, dtype=object))
+
+    def fiber_map_inv(self, m):
+        return np.linalg.inv(value(np.asarray(self.fiber_map(self.base_map_inv(m)),
+                                              dtype=object)))
+
+    def image_box(self, box: Chart) -> Chart:
+        corners = []
+        for mask in range(2 ** box.dim):
+            c = np.where([(mask >> k) & 1 for k in range(box.dim)], box.upper, box.lower)
+            corners.append(value(np.asarray(self.base_map(as_point(c)), dtype=object)))
+        corners = np.stack(corners)
+        return Chart(tuple(corners.min(axis=0)), tuple(corners.max(axis=0)))
 
 
 # -- the TM+h chart against its displayed formulas, and fixture models --------

@@ -1,8 +1,10 @@
-import dataclasses
 import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from cartanlab import algebra, algebroid, dual, models
 from cartanlab.algebroid import (AffineCocycleEntry, AlgebroidError,
@@ -286,8 +288,8 @@ def test_an_overlap_with_no_evaluated_point_fails():
     g0 = algebra.abelian(1)
     C = make_action_algebroid(g0, lambda xi, m: np.asarray(xi, dtype=object),
                               Chart((0.0,), (1.0,))).chart
-    ov = algebroid.Overlap.affine(0, 0, np.eye(1), [100.0], 7 * np.eye(1),
-                                  Chart((0.2,), (0.8,)))
+    ov = algebroid.Overlap(0, 0, AffineCocycleEntry(np.eye(1), np.array([100.0]), 7 * np.eye(1)),
+                           Chart((0.2,), (0.8,)))
     rep = check_overlap_compatibility(algebroid.GluedAlgebroid((C,), (ov,)))
     assert not rep.passed and rep.max_residual == np.inf
     assert rep.details == {"overlap_0_0": np.inf, "overlap_0_0_points": 0}
@@ -326,17 +328,32 @@ def test_a_nan_action_at_the_second_sample_fails_the_homomorphism(translations2,
 
 
 def test_a_nan_fiber_map_past_the_first_point_fails_overlap_compatibility(
-        nan_after_first_point):
+        nan_after_first_point, monkeypatch):
     charts = [Chart((-0.3,), (0.8,)), Chart((0.2,), (1.3,))]
     entries = {(0, 1): AffineCocycleEntry(np.eye(1), np.array([0.0]), np.eye(1)),
                (1, 0): AffineCocycleEntry(np.eye(1), np.array([-1.0]), np.eye(1))}
     G = infinitesimalize(algebra.abelian(1), lambda xi, m: np.asarray(xi, dtype=object),
                          charts, entries)
     ov = G.overlaps[-1]
-    bad = dataclasses.replace(ov, fiber_map=nan_after_first_point(ov.fiber_map))
-    rep = check_overlap_compatibility(algebroid.GluedAlgebroid(G.charts, G.overlaps[:-1] + (bad,)))
+    # the last overlap's fiber map turns NaN past the first of its points
+    # as the intertwining residuals read it
+    read = algebroid.intertwining_residuals
+    monkeypatch.setattr(algebroid, "intertwining_residuals", lambda Ci, Cj, phi, mu, ms: read(
+        Ci, Cj, phi, nan_after_first_point(mu) if phi.__self__ is ov else mu, ms))
+    rep = check_overlap_compatibility(G)
     assert not rep.passed and math.isnan(rep.max_residual)
     assert math.isnan(rep.details[f"overlap_{ov.i}_{ov.j}"])
+    assert rep.details[f"overlap_{G.overlaps[0].i}_{G.overlaps[0].j}"] <= 1e-7
+
+
+def test_a_nan_twist_fails_overlap_compatibility(translations2):
+    C = translations2.chart
+    ov = algebroid.Overlap(0, 0, AffineCocycleEntry(np.eye(2), np.zeros(2),
+                                                   np.array([[1.0, 0.0], [0.0, math.nan]])),
+                           Chart((-0.5, -0.5), (0.5, 0.5)))
+    rep = check_overlap_compatibility(algebroid.GluedAlgebroid((C,), (ov,)))
+    assert not rep.passed and math.isnan(rep.max_residual)
+    assert math.isnan(rep.details["overlap_0_0"]) and rep.details["overlap_0_0_points"] == 17
 
 
 def test_a_nan_offset_in_the_second_identity_entry_fails_the_cocycle():
@@ -363,3 +380,51 @@ def test_each_inverted_overlap_is_built_once_per_glued_algebroid(torus):
     assert first[0] in G.overlaps and not any(ov in G.overlaps for ov in first[1:])
     assert all(a is b for a, b in zip(first, again))
     assert first[1].region_i is again[1].region_i
+
+
+def _floats(lo, hi):
+    return st.floats(lo, hi, allow_nan=False, allow_infinity=False)
+
+
+@st.composite
+def _transitions(draw):
+    """An invertible affine entry (A diagonal or dense, 1 to 3 dims) with an
+    invertible twist M, and a region box."""
+    n, r = draw(st.integers(1, 3)), draw(st.integers(1, 3))
+    if draw(st.booleans()):
+        scale = draw(arrays(float, n, elements=_floats(0.25, 4.0)))
+        A = np.diag(scale * draw(arrays(float, n, elements=st.sampled_from([-1.0, 1.0]))))
+    else:
+        A = draw(arrays(float, (n, n), elements=_floats(-2.0, 2.0)))
+    M = draw(arrays(float, (r, r), elements=_floats(-2.0, 2.0)))
+    # singular values in [1/4, 4]: well conditioned and of moderate scale
+    assume(all(0.25 <= s <= 4.0 for X in (A, M) for s in np.linalg.svd(X, compute_uv=False)))
+    b = draw(arrays(float, n, elements=_floats(-5.0, 5.0)))
+    lower = draw(arrays(float, n, elements=_floats(-3.0, 3.0)))
+    width = draw(arrays(float, n, elements=_floats(0.1, 3.0)))
+    return AffineCocycleEntry(A, b, M), Chart(tuple(lower), tuple(lower + width))
+
+
+@settings(max_examples=100, deadline=None)
+@given(case=_transitions())
+def test_an_overlap_inverse_undoes_its_transition(case):
+    e, region = case
+    ov = algebroid.Overlap(0, 1, e, region)
+    inv = ov.inverse
+    assert inv is ov.inverse and (inv.i, inv.j) == (1, 0)
+    n, r = len(e.b), len(e.M)
+    corners = np.array([np.where([(k >> a) & 1 for a in range(n)], region.upper, region.lower)
+                        for k in range(2 ** n)])
+    ms = np.vstack([corners, region.halton_points(5)])
+    scale = max(1.0, np.abs(ms).max(), np.abs(e.b).max())
+    assert np.all(np.abs(inv.base_map(ov.base_map(ms)) - ms) <= 1e-12 * scale)
+    ident = e.inverse().compose(e)
+    assert np.max(np.abs(ident.A - np.eye(n))) <= 1e-12
+    assert np.max(np.abs(ident.b)) <= 1e-12 * scale
+    assert np.max(np.abs(ident.M - np.eye(r))) <= 1e-12
+    assert np.max(np.abs(inv.fiber_map(ms[0]) @ ov.fiber_map(ms[0]) - np.eye(r))) <= 1e-12
+    # the inverse's region is the bounding box of the corner images, up to rounding
+    images = ov.base_map(corners)
+    assert inv.region_i.contains(images, margin=-1e-12 * scale).all()
+    assert np.allclose(images.min(axis=0), inv.region_i.lower, rtol=0, atol=1e-12 * scale)
+    assert np.allclose(images.max(axis=0), inv.region_i.upper, rtol=0, atol=1e-12 * scale)

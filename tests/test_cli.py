@@ -340,6 +340,17 @@ CIRCLE_GEODESIC = {"op": "geodesic_escape", "point": [0.0], "fiber": [1.0]}
     pytest.param("flat_torus", {"op": "completeness",
                                 "seeds": [{"point": [0.0, 0.0], "fiber": [2.0e6, 0.0]}]},
                  "1e+06", id="seed-fiber-at-the-blowup-norm"),
+    # fibers below the norm whose base speed e^5 * 1e4 = 1.48e6 is not
+    pytest.param("counterexample_s1", {"op": "geodesic_escape", "point": [-5.0],
+                                       "fiber": [10000.0]}, "1484131.59",
+                 id="speed-at-the-blowup-norm"),
+    pytest.param("counterexample_s1", {"op": "completeness", "seeds": [
+        {"point": [0.0], "fiber": [1.0]}, {"point": [-5.0], "fiber": [10000.0]}]}, "1484131.59",
+                 id="seed-speed-at-the-blowup-norm"),
+    # e^800 overflows the scaling anchor: no speed to test against the norm
+    pytest.param("counterexample_s1", {"op": "geodesic_escape", "point": [-800.0],
+                                       "fiber": [1.0]}, "cannot be read",
+                 id="speed-that-overflows"),
 ])
 def test_malformed_check_exits_2_before_any_check(model, check, key, monkeypatch, tmp_path,
                                                   capsys):
@@ -856,23 +867,26 @@ REFUSED_START = {"point": [-2.5], "fiber": [500000.0]}   # base speed 6.09e6
     pytest.param({"op": "completeness", "seeds": [{"point": [0.2], "fiber": [1.0]},
                                                  REFUSED_START]}, id="completeness-seed"),
 ])
-def test_a_refused_start_stops_the_run_at_the_check_that_owns_it(refused, tmp_path, capsys):
+def test_a_refused_start_stops_the_run_at_the_check_that_owns_it(refused, circle, monkeypatch,
+                                                                 tmp_path, capsys):
+    # the parse pass refuses the start by the geodesic run's own test, so
+    # the run stops before any check, with the same error wherever it stands
     valid_escape = _circle_escape(0.31, 1.2)
     valid_probe = {"op": "completeness", "horizon": 5.0, "expect": "certified-incomplete",
                    "seeds": [{"point": [0.3], "fiber": [1.0]}]}
     errors = []
+    words = (refused["op"], "[-2.5]", "[500000.0]", "[6091246.98", "1e+06")
     for checks in ([valid_escape, refused, valid_probe], [refused]):
-        path = tmp_path / "refused.yaml"
-        path.write_text(yaml.safe_dump({"name": "refused", "model": "counterexample_s1",
-                                        "checks": checks}))
-        assert cli.main(["run", str(path)]) == 3
-        out, err = capsys.readouterr()
-        assert out == "" and "Traceback" not in err
-        errors.append(err)
+        doc = {"name": "refused", "model": "counterexample_s1", "checks": checks}
+        _exits_2_before_any_check(doc, words, monkeypatch, tmp_path, capsys)
+        with pytest.raises(ScenarioError) as info:
+            run_scenario(doc)
+        errors.append(str(info.value))
     together, alone = errors
-    assert together.startswith(f"error: check 2 ({refused['op']}) could not run: ValueError: "
-                               f"start fiber [500000.0] or its base speed [6091246.98")
-    assert together == alone.replace("check 1", "check 2")
+    assert together == alone
+    # and the geodesic itself refuses it as it did when the check ran it
+    with pytest.raises(ValueError, match="start fiber \\[500000.0\\] or its base speed"):
+        transport.geodesic(circle.chart, REFUSED_START["point"], REFUSED_START["fiber"])
 
 
 def test_one_parser_serves_every_call_of_main(tmp_path, capsys):

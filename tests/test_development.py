@@ -225,6 +225,21 @@ def test_develop_paths_refuses_a_path_that_leaves_its_chart(sphere):
         develop_paths(sphere.rc.chart, sphere.homog, [line_path(m0, m0 + [0.1, 0.0]), path])
 
 
+def test_develop_paths_refuses_a_discontinuous_path(circle):
+    # as transport refuses it; the gap (0.5 to 3.0) is no segment of the path
+    gap = BasePath((line_segment(0, [0.0], [0.5]), line_segment(0, [3.0], [3.5])))
+    with pytest.raises(TransportError, match="discontinuous"):
+        transport_matrix(circle.cover, gap)
+    with pytest.raises(DevelopmentError, match="discontinuous"):
+        develop_point(circle.cover, circle.homog, gap)
+    # a seam within the continuity tolerance still develops, in a batch too
+    near = BasePath((line_segment(0, [0.0], [0.5]), line_segment(0, [0.5 + 1e-7], [3.5])))
+    joined = polyline_path([[0.0], [0.5], [3.5]])
+    assert develop_paths(circle.cover, circle.homog, [near, joined])[0].g.shape == (2, 2)
+    with pytest.raises(DevelopmentError, match="discontinuous"):
+        develop_paths(circle.cover, circle.homog, [joined, gap])
+
+
 def test_develop_paths_refuses_a_segment_in_another_chart(torus):
     # the cover has one chart; a segment labelled chart 3 names no chart of it
     other = BasePath((line_segment(3, [0.0, 0.0], [0.2, 0.1]),))

@@ -44,6 +44,17 @@ def test_a_point_at_infinity_is_never_inside_a_chart(circle):
         True, False, False, False]
 
 
+@pytest.mark.parametrize("m", [[0.5], [0.0, 1.0, 2.0], [[0.5], [0.2]], [[0.0, 1.0, 2.0]], 0.5],
+                         ids=["short-point", "long-point", "short-stack", "long-stack", "scalar"])
+def test_box_tests_refuse_a_point_of_another_length(m):
+    box = Chart((-1.0, 0.0), (1.0, 3.0))
+    got = np.shape(m)[-1] if np.ndim(m) else 0
+    for read in (box.contains, box.require_interior, box.boundary_distance):
+        with pytest.raises(GeometryError, match=f"has 2 coordinates, not {got}"):
+            read(m)
+    assert box.contains([0.5, 1.0]) and box.boundary_distance([[0.5, 1.0]]).shape == (1,)
+
+
 @st.composite
 def _boxes_and_stacks(draw):
     """A box with some infinite ends, a margin, and a stack whose

@@ -222,7 +222,7 @@ def _reglued_sphere(sphere):
     (theta, psi), psi = 0.5 - 2 phi, metric diag(1, sin^2 theta / 4).  The
     fibers are orthonormal frames, so the transition flips the frame's
     second vector and the rotation: fiber map diag(1, -1, -1)."""
-    from cartanlab.algebroid import Overlap, check_overlap_compatibility
+    from cartanlab.algebroid import AffineCocycleEntry, Overlap, check_overlap_compatibility
     from cartanlab.models import build_riemannian_cartan
 
     def metric(m):
@@ -235,10 +235,40 @@ def _reglued_sphere(sphere):
     C1 = build_riemannian_cartan(SmoothField(Chart((0.2, -6.0), (math.pi - 0.2, 6.0)),
                                              (2, 2), metric, name="sphere_metric_psi")).chart
     A, b = np.diag([1.0, -2.0]), np.array([0.0, 0.5])
-    G = GluedAlgebroid((sphere.rc.chart, C1), (Overlap.affine(
-        0, 1, A, b, np.diag([1.0, -1.0, -1.0]), Chart((0.3, -2.0), (2.8, 2.0))),))
+    G = GluedAlgebroid((sphere.rc.chart, C1), (Overlap(
+        0, 1, AffineCocycleEntry(A, b, np.diag([1.0, -1.0, -1.0])),
+        Chart((0.3, -2.0), (2.8, 2.0))),))
     assert check_overlap_compatibility(G).max_residual <= 1e-12
     return G, lambda m: A @ m + b
+
+
+def _bits(x) -> bytes:
+    return np.asarray(value(np.asarray(x, dtype=object)), dtype=float).tobytes()
+
+
+def test_overlap_reads_are_the_object_array_reads_bit_for_bit(circle, torus, sphere):
+    # every catalog overlap and the reglued sphere's (A = diag(1, -2)), and
+    # each one's inverse: the closed-form reads at float points, stacks and
+    # lane points, and the inverse's region, against the object-array maps
+    from cartanlab import dual
+    overlaps = [*circle.glued.overlaps, *torus.glued.overlaps,
+                *_reglued_sphere(sphere)[0].overlaps]
+    for ov in overlaps:
+        ref = oracles.ObjectTransition(ov.entry)
+        inv = ov.inverse
+        assert _bits(inv.region_i.lower + inv.region_i.upper) == _bits(
+            ref.image_box(ov.region_i).lower + ref.image_box(ov.region_i).upper)
+        for got, base, fiber, box in ((ov, ref.base_map, ref.fiber_map, ov.region_i),
+                                      (inv, ref.base_map_inv, ref.fiber_map_inv, inv.region_i)):
+            pts = box.halton_points(6)
+            for m in pts:
+                assert _bits(got.base_map(m)) == _bits(base(m))
+                assert _bits(got.fiber_map(m)) == _bits(fiber(m))
+            assert _bits(got.base_map(pts)) == _bits([base(m) for m in pts])
+            for f, want in ((got.base_map, base), (got.fiber_map, fiber)):
+                lanes, ref_lanes = (dual.taylor_stack(g, pts, 1) for g in (f, want))
+                assert _bits(lanes.v) == _bits(ref_lanes.v)
+                assert _bits(lanes.d) == _bits(ref_lanes.d)
 
 
 def test_stacked_transport_matches_the_carried_solves_across_a_transition(sphere,
