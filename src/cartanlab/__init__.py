@@ -10,7 +10,7 @@ from .algebroid import (ActionAlgebroid, AffineCocycleEntry, AlgebroidChart,
                         check_cocycle, infinitesimalize, make_action_algebroid)
 from .cartan import (cocurvature, curvature_conn, fiber_bracket_at, is_cartan,
                      is_flat)
-from .development import (Coset, CoverSpec, EquivariantMap, HomogeneousModel,
+from .development import (Coset, CoverSpec, HomogeneousModel,
                           check_equivariant_twist, develop_point,
                           equivariance_diagram_check, geometric_closure_probe,
                           induced_affine_map, path_independence_check,

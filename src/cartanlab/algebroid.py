@@ -207,7 +207,7 @@ class Overlap:
 
     def base_map(self, m):
         """A m + b at a float point, a float stack or a lane point."""
-        return m @ self.entry.A.T + self.entry.b
+        return self.entry(m)
 
     def fiber_map(self, m):
         """The fiber twist M (r, r), the same at every point m."""
@@ -228,17 +228,18 @@ class GluedAlgebroid:
     def rank(self) -> int:
         return self.charts[0].rank
 
-    def overlaps_between(self, i: int, j: int) -> list:
-        """All transitions i -> j: the direct entries, then the inverses of
-        the entries j -> i."""
-        return ([ov for ov in self.overlaps if (ov.i, ov.j) == (i, j)]
-                + [ov.inverse for ov in self.overlaps if (ov.j, ov.i) == (i, j)])
+    def overlaps_between(self, i: int, j: int):
+        """All transitions i -> j, one at a time: the direct entries, then
+        the inverses of the entries j -> i, each inverse built when it is
+        reached."""
+        yield from (ov for ov in self.overlaps if (ov.i, ov.j) == (i, j))
+        yield from (ov.inverse for ov in self.overlaps if (ov.j, ov.i) == (i, j))
 
 
 def _map_box(e: AffineCocycleEntry, box: Chart) -> Chart:
     """Bounding box of the image of a box under e, from its stacked corners."""
     up = (np.arange(2 ** box.dim)[:, None] >> np.arange(box.dim)) & 1
-    corners = np.where(up == 1, box.upper, box.lower) @ e.A.T + e.b
+    corners = e(np.where(up == 1, box.upper, box.lower))
     return Chart(tuple(corners.min(axis=0)), tuple(corners.max(axis=0)))
 
 
@@ -300,11 +301,17 @@ def check_overlap_compatibility(G: GluedAlgebroid, tol: float = 1e-7) -> TensorR
 
 @dataclass(frozen=True)
 class AffineCocycleEntry:
-    """Transition of model coordinates x -> A x + b with fiber twist M."""
+    """Transition of model coordinates x -> A x + b with fiber twist M: an
+    overlap's transition (``Overlap``) or a deck transformation
+    (``models.GluedModel.decks``)."""
 
     A: np.ndarray
     b: np.ndarray
     M: np.ndarray
+
+    def __call__(self, m):
+        """A m + b at a float point, a float stack or a lane point."""
+        return m @ self.A.T + self.b
 
     def compose(self, other: "AffineCocycleEntry") -> "AffineCocycleEntry":
         # self after other: x -> A_self (A_other x + b_other) + b_self

@@ -626,8 +626,7 @@ def check_reconstruct(model, params, seed, lanes):
     atlas = development.reconstruct_atlas(model.glued, model.homog, model.atlas_spec,
                                           lanes=lanes)
     # each loop's transport must equal its deck twist
-    mono = algebra.worst([np.max(np.abs(M.matrix - d.twist.matrix))
-                         / max(1.0, float(np.max(np.abs(d.twist.matrix))))
+    mono = algebra.worst([np.max(np.abs(M.matrix - d.M)) / max(1.0, float(np.max(np.abs(d.M))))
                          for M, d in zip(model.monodromies, model.decks)])
     worst = algebra.worst([t.residual for t in atlas.transitions])
     verdict = atlas.passed and mono <= params["monodromy_rtol"]

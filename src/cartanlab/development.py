@@ -25,9 +25,13 @@ reconstruction name their ends (``equivariance_ends``,
 ``reconstruct_ends``) apart from the residuals they read off the
 developed lanes, so a scenario develops the ends of both as the lanes of
 one ``develop_ends`` call.
-Equivariant base maps with an algebra twist induce affine maps of the
-coset space, and the reconstruction of a locally homogeneous atlas
-composes developments with patch lifts and verifies the transitions.
+A deck transformation is an affine cocycle entry x -> A x + b with the
+constant algebra twist M (``algebroid.AffineCocycleEntry``), so its
+images come from one stacked product and its derivative is A.  It
+induces an affine map of the coset space, and the reconstruction of a
+locally homogeneous atlas composes developments with patch lifts and
+verifies the transitions, each overlap of its cover spec an
+``algebroid.Overlap``.
 """
 
 from __future__ import annotations
@@ -36,17 +40,14 @@ import weakref
 from dataclasses import dataclass
 from functools import cached_property, partial
 from fractions import Fraction
-from typing import Callable
 
 import numpy as np
 
-from . import dual
-from .dual import value
 from .algebra import (AlgebraMap, LieAlgebra, MatrixRealization,
                       Subalgebra, TensorReport, exp_matrix, expm, log_matrix,
                       vector_norms, worst)
-from .algebroid import ActionAlgebroid
-from .geometry import Chart, as_point, sample_stack
+from .algebroid import ActionAlgebroid, AffineCocycleEntry, Overlap
+from .geometry import Chart, sample_stack
 from .ode import _commutators, _nan_guarded, lie_solve, magnus
 from .transport import CONTINUITY_TOL, BasePath, line_path, segment_batch
 
@@ -122,39 +123,22 @@ def coset_residual(c1: Coset, c2: Coset):
     return np.where(off == np.inf, np.inf, norm + off)[()]
 
 
-@dataclass(frozen=True)
-class EquivariantMap:
-    """Base map together with its algebra twist.  The base map runs on the
-    lane points of ``dual.taylor_stack`` (``check_equivariant_twist``)."""
-
-    base_map: Callable
-    twist: AlgebraMap
-
-    def compose(self, other: "EquivariantMap") -> "EquivariantMap":
-        return EquivariantMap(
-            base_map=lambda m: self.base_map(other.base_map(m)),
-            twist=self.twist.compose(other.twist),
-        )
-
-    @staticmethod
-    def identity(g0: LieAlgebra) -> "EquivariantMap":
-        return EquivariantMap(lambda m: m, AlgebraMap(g0, g0, np.eye(g0.dim)))
-
-
-def check_equivariant_twist(A: ActionAlgebroid, E: EquivariantMap,
+def check_equivariant_twist(A: ActionAlgebroid, E: AffineCocycleEntry,
                             samples=None) -> TensorReport:
-    """Residual of the pushforward identity Dphi(m) xi'(m) = (mu xi)'(phi m),
-    read on the basis fields as Dphi(m) a(m) = a(phi m) mu, to tolerance 1e-8
-    (by default at 10 points drawn with seed 42).  phi and Dphi come from
-    one lane call of the base map and the anchors from ``values``."""
+    """Residual of the pushforward identity Dphi(m) xi'(m) = (mu xi)'(phi m)
+    of the deck phi = E, m -> A m + b with twist mu = M, read on the basis
+    fields as A a(m) = a(phi m) M, to tolerance 1e-8 (by default at 10
+    points drawn with seed 42).  The images come from one stacked product
+    and the anchors from ``values``; an image outside the chart is
+    refused."""
     if samples is None:
         samples = A.chart.base.sample_points(np.random.default_rng(42), 10)
     ms = sample_stack(samples)
-    Phi = dual.taylor_stack(E.base_map, ms, 1)
-    if not A.chart.base.contains(Phi.v).all():
+    phi = E(ms)
+    if not A.chart.base.contains(phi).all():
         raise DevelopmentError("equivariant map image escapes the chart")
-    lhs = np.moveaxis(Phi.d, 0, -1) @ A.chart.anchor.values(ms)
-    rhs = A.chart.anchor.values(Phi.v) @ E.twist.matrix
+    lhs = E.A @ A.chart.anchor.values(ms)
+    rhs = A.chart.anchor.values(phi) @ E.M
     per = np.max(np.abs(lhs - rhs), axis=(1, 2))
     return TensorReport("check_equivariant_twist", worst(per), 1e-8, tuple(per.tolist()))
 
@@ -407,24 +391,26 @@ def development_jacobian(A, H: HomogeneousModel, m0, m,
     """
     m = np.asarray(m, dtype=float)
     g, Q = _develop_frames(A, H, [line_path(m0, m)], rtol=rtol)
-    return _frame_jacobian(A, H, m, g[0], Q[0])
+    return _frame_jacobian(A, H, m[None], g, Q)[0]
 
 
-def _frame_jacobian(A, H: HomogeneousModel, m, g: np.ndarray,
+def _frame_jacobian(A, H: HomogeneousModel, ms: np.ndarray, g: np.ndarray,
                     Q: np.ndarray) -> np.ndarray:
-    """``development_jacobian`` at m from the developed element g and the
-    inverse parallel frame Q there."""
+    """``development_jacobian`` (B, n, n) at each of the points ms (B, n)
+    from the developed elements g (B, d, d) and the inverse parallel
+    frames Q (B, r, r) there: one anchor read, one lift of every axis at
+    every point, one solve and one least-squares fit for the stack."""
     chart = _chart_of(A)
-    n = len(m)
-    a = chart.anchor.values([m])[0]
-    lifts = _lift_fibers(np.broadcast_to(a, (n, *a.shape)), np.eye(n))
-    xi = -bracket_orientation(chart) * (Q @ lifts.T)
+    B, n = ms.shape
+    a = chart.anchor.values(ms)
+    lifts = _lift_fibers(np.repeat(a, n, axis=0), np.tile(np.eye(n), (B, 1)))
+    xi = -bracket_orientation(chart) * (Q @ np.swapaxes(lifts.reshape(B, n, -1), 1, 2))
     gens = np.stack(H.realization.generators)
-    ad = np.linalg.solve(g, np.einsum("ik,iac->kac", xi, gens) @ g)
+    ad = np.linalg.solve(g[:, None], np.einsum("bik,iac->bkac", xi, gens) @ g[:, None])
     coords, *_ = np.linalg.lstsq(gens.reshape(len(gens), -1).T,
-                                 ad.reshape(n, -1).T, rcond=None)
-    J = _complement_coords(H, coords.T).T
-    if J.shape[0] != n:
+                                 ad.reshape(B * n, -1).T, rcond=None)
+    J = np.swapaxes(_complement_coords(H, coords.T).reshape(B, n, -1), 1, 2)
+    if J.shape[1] != n:
         # transitive case: coset dimension equals base dimension
         raise DevelopmentError("coset coordinate count does not match base dimension")
     return J
@@ -456,7 +442,7 @@ def integrated_twist(H: HomogeneousModel, mu: AlgebraMap | list[AlgebraMap],
 
 @dataclass(frozen=True)
 class AffineCosetMap:
-    """Coset map g H0 -> mu_hat(g) q H0 induced by an equivariant map."""
+    """Coset map g H0 -> mu_hat(g) q H0 induced by a deck transformation."""
 
     model: HomogeneousModel
     twist: AlgebraMap
@@ -474,37 +460,36 @@ class AffineCosetMap:
                               worst([self.consistency_residual, other.consistency_residual]))
 
 
-def induced_affine_map(E: EquivariantMap, H: HomogeneousModel,
+def induced_affine_map(E: AffineCocycleEntry, H: HomogeneousModel,
                        q_coset: Coset) -> AffineCosetMap:
-    """Build the induced coset map and verify its subgroup consistency:
+    """Build the coset map induced by the deck E, its twist M read as an
+    automorphism of H's algebra, and verify its subgroup consistency:
     the twist must carry H0 onto q H0 q^-1 (checked on h0 generators at
     two steps each, all in one stack, to tolerance 1e-6).  A trivial H0
     has nothing to check."""
+    twist = AlgebraMap(H.algebra, H.algebra, E.M)
     if not H.h0.basis_vectors:
-        return AffineCosetMap(H, E.twist, q_coset.g, 0.0)
+        return AffineCosetMap(H, twist, q_coset.g, 0.0)
     steps = np.array([t * b for b in H.h0.basis_vectors for t in (0.05, -0.08)])
-    im = integrated_twist(H, E.twist, exp_matrix(H.realization, steps))
+    im = integrated_twist(H, twist, exp_matrix(H.realization, steps))
     res = worst(coset_residual(q_coset, Coset(im @ q_coset.g, H)))
     if not res <= 1e-6:
         raise DevelopmentError(
             f"twist does not normalize the subgroup through q (residual {res:.3e})")
-    return AffineCosetMap(H, E.twist, q_coset.g, res)
+    return AffineCosetMap(H, twist, q_coset.g, res)
 
 
-def _image(E: EquivariantMap, m) -> np.ndarray:
-    return value(np.asarray(E.base_map(as_point(np.asarray(m, dtype=float))), dtype=object))
-
-
-def equivariance_ends(E: EquivariantMap, m0, sample_points) -> list[np.ndarray]:
+def equivariance_ends(E: AffineCocycleEntry, m0, sample_points) -> list[np.ndarray]:
     """The ends that ``equivariance_diagram_check`` develops from m0, in
-    lane order: phi(m0), then phi(m) for each sample m, then the samples.
-    An empty sample set is refused (``sample_stack``)."""
+    lane order: phi(m0), then phi(m) for each sample m, then the samples;
+    the images of the deck phi = E are one stacked product.  An empty
+    sample set is refused (``sample_stack``)."""
     ms = sample_stack(sample_points)
-    return [_image(E, m0), *(_image(E, m) for m in ms), *ms]
+    return [*E(np.vstack([np.asarray(m0, dtype=float), ms])), *ms]
 
 
 def equivariance_diagram_check(A: ActionAlgebroid, H: HomogeneousModel,
-                               E: EquivariantMap, m0, sample_points,
+                               E: AffineCocycleEntry, m0, sample_points,
                                tol: float = 1e-5, lanes=None) -> TensorReport:
     """Coset residual of D(phi(m)) against the induced map of D(m), over a
     nonempty set of samples m.  ``lanes()`` is the ``Frames`` of the ends
@@ -570,23 +555,16 @@ def geometric_closure_probe(H: HomogeneousModel) -> ClosureReport:
 # -- atlas reconstruction -----------------------------------------------------
 
 @dataclass(frozen=True)
-class OverlapSpec:
-    """One overlap component between patches i and j, described in the
-    cover coordinates of patch i's lift, with the deck map relating the
-    two lifts there."""
-
-    i: int
-    j: int
-    region: Chart
-    deck: EquivariantMap
-
-
-@dataclass(frozen=True)
 class CoverSpec:
+    """Patches of the cover and the overlaps between them.  Each overlap is
+    an ``Overlap(i, j, deck, region)``: a component of the overlap of
+    patches i and j, its region in the cover coordinates of patch i's
+    lift, and the deck that relates the two lifts there."""
+
     cover: ActionAlgebroid
     m0: np.ndarray
     patches: tuple[Chart, ...]
-    overlaps: tuple[OverlapSpec, ...]
+    overlaps: tuple[Overlap, ...]
 
     @cached_property
     def patch_samples(self) -> list[np.ndarray]:
@@ -639,11 +617,13 @@ def _coset_coords(H: HomogeneousModel, gs: np.ndarray) -> np.ndarray:
 def reconstruct_ends(spec: CoverSpec) -> list[np.ndarray]:
     """The ends that ``reconstruct_atlas`` develops from spec.m0, in lane
     order: every patch's samples, then for each overlap the deck image q
-    of m0, the overlap's samples p and their deck images."""
+    of m0, the overlap's samples p and their deck images, the images one
+    stacked product."""
     ends = [p for pts in spec.patch_samples for p in pts]
     for ov in spec.overlaps:
-        pts = ov.region.halton_points(_ATLAS_SAMPLES, shrink=0.1)
-        ends += [_image(ov.deck, spec.m0), *pts, *(_image(ov.deck, p) for p in pts)]
+        pts = ov.region_i.halton_points(_ATLAS_SAMPLES, shrink=0.1)
+        q, *images = ov.base_map(np.vstack([spec.m0, pts]))
+        ends += [q, *pts, *images]
     return ends
 
 
@@ -659,12 +639,13 @@ def reconstruct_atlas(glued, H: HomogeneousModel, spec: CoverSpec,
     checked first.  Then the patch samples and every overlap's endpoints
     (``reconstruct_ends``) are developed in one batch, or read from
     ``lanes()``, their ``Frames`` in order (``develop_ends``).  Each
-    overlap builds its induced map, and each patch reads its Jacobian at
-    its first sample.  Then all overlaps at once read their samples'
-    twisted images (one stacked ``integrated_twist``, each overlap's twist
-    on its own lanes) and transition residuals, and the coordinates of
-    every patch and overlap sample come from one log; only the affine fit
-    runs overlap by overlap.
+    overlap builds its induced map, and the patches read their Jacobians
+    at their first samples in one stacked call.  Then all overlaps at
+    once read their samples' twisted images (one stacked
+    ``integrated_twist``, each overlap's twist on its own lanes) and
+    transition residuals, and the coordinates of every patch and overlap
+    sample come from one log; only the affine fit runs overlap by
+    overlap.
     """
     from .cartan import fiber_bracket_at
     if not (spec.patches or spec.overlaps):
@@ -683,7 +664,7 @@ def reconstruct_atlas(glued, H: HomogeneousModel, spec: CoverSpec,
     fb = fiber_bracket_at(probe_chart, probe_pt)
     from .algebra import is_automorphism
     for ov in spec.overlaps:
-        rep = is_automorphism(fb, AlgebraMap(fb, fb, ov.deck.twist.matrix), tol=1e-6)
+        rep = is_automorphism(fb, AlgebraMap(fb, fb, ov.entry.M), tol=1e-6)
         if not rep.passed:
             raise DevelopmentError(
                 f"deck twist for patches {ov.i}/{ov.j} is not an automorphism "
@@ -698,8 +679,11 @@ def reconstruct_atlas(glued, H: HomogeneousModel, spec: CoverSpec,
     gs, devs = gs[:npatch], gs[npatch:]
     firsts = np.cumsum([0] + [len(pts) for pts in patch_pts[:-1]])
     # the Jacobian at each patch's first sample, read off its development
-    dets = [abs(np.linalg.det(_frame_jacobian(A, H, pts[0], gs[k], Qs[k])))
-            for pts, k in zip(patch_pts, firsts)]
+    dets = []
+    if patch_pts:
+        J = _frame_jacobian(A, H, np.array([pts[0] for pts in patch_pts]), gs[firsts],
+                            Qs[firsts])
+        dets = np.abs(np.linalg.det(J))
     samples = Coset(gs, H)      # every representative must be invertible
     # each overlap's lanes: its q = D(deck(m0)), its samples p and their images
     k = _ATLAS_SAMPLES
@@ -707,13 +691,13 @@ def reconstruct_atlas(glued, H: HomogeneousModel, spec: CoverSpec,
     for ov, dev in zip(spec.overlaps, devs):
         # refuses a twist that does not carry H0 onto q H0 q^-1; the map
         # is g H0 -> mu_hat(g) q H0, read below for all overlaps at once
-        induced_affine_map(ov.deck, H, Coset(dev[0], H))
+        induced_affine_map(ov.entry, H, Coset(dev[0], H))
     psi = devs[:, 1:]
     res = []
     if spec.overlaps:
         # the samples' developments, then their images'
         psi_i, psi_j = Coset(psi[:, :k], H), Coset(psi[:, k:], H)
-        twists = [ov.deck.twist for ov in spec.overlaps]
+        twists = [AlgebraMap(H.algebra, H.algebra, ov.entry.M) for ov in spec.overlaps]
         images = integrated_twist(H, twists, psi_i.g) @ devs[:, :1]
         res = coset_residual(psi_j, Coset(images, H))
     coords = _coset_coords(H, np.concatenate([samples.g, psi.reshape(-1, *gs.shape[1:])]))
@@ -722,8 +706,7 @@ def reconstruct_atlas(glued, H: HomogeneousModel, spec: CoverSpec,
     xy = coords[npatch:].reshape(len(spec.overlaps), 2, k, coords.shape[-1])
     for ov, r, (X, Y) in zip(spec.overlaps, res, xy):
         Amat, b, fit = _fit_affine(X, Y)
-        transitions.append(TransitionRecord(ov.i, ov.j, worst(r), ov.deck.twist.matrix,
-                                            Amat, b, fit))
+        transitions.append(TransitionRecord(ov.i, ov.j, worst(r), ov.entry.M, Amat, b, fit))
     note = f"closure probe: {closure.verdict} ({closure.reason})"
     # numpy's min keeps a NaN, so a NaN determinant fails ``passed``
     return AtlasReport(chart_samples, float(np.min(dets, initial=np.inf)), transitions, note)

@@ -37,8 +37,7 @@ from .algebra import (AlgebraMap, Subalgebra, TensorReport, abelian,
 from .algebroid import (ActionAlgebroid, AffineCocycleEntry, AlgebroidChart,
                         GluedAlgebroid, Overlap, make_action_algebroid)
 from .cartan import fiber_bracket_at
-from .development import (CoverSpec, EquivariantMap, HomogeneousModel,
-                          OverlapSpec)
+from .development import CoverSpec, HomogeneousModel
 from .geometry import (Chart, GeometryError, SmoothField, TMConnection, as_point,
                        christoffel_from_jet, curvature_from_christoffel,
                        frame_connection, hyperbolic_metric, metric_jet,
@@ -434,14 +433,15 @@ class GluedModel:
     """A glued atlas over a quotient of its universal cover.
 
     ``loops[k]`` generates the fundamental group and ``decks[k]`` is the
-    deck transformation it closes up under; ``sample_box`` is the box of
-    the cover that equivariance checks draw base points from.
+    deck transformation it closes up under, the affine cocycle entry
+    m -> A m + b of the cover with its algebra twist M; ``sample_box`` is
+    the box of the cover that equivariance checks draw base points from.
     """
 
     cover: ActionAlgebroid
     glued: GluedAlgebroid
     loops: tuple[BasePath, ...]
-    decks: tuple[EquivariantMap, ...]
+    decks: tuple[AffineCocycleEntry, ...]
     homog: HomogeneousModel
     atlas_spec: CoverSpec
     sample_box: Chart
@@ -481,11 +481,11 @@ def counterexample_s1() -> GluedModel:
     chart_b = Chart((math.pi - 0.5,), (two_pi + 0.5,))
     arc_a = make_action_algebroid(g0, scaling_action, chart_a).chart
     arc_b = make_action_algebroid(g0, scaling_action, chart_b).chart
+    deck = AffineCocycleEntry(np.eye(1), np.array([two_pi]), np.array([[mu]]))
     overlaps = (
         Overlap(0, 1, AffineCocycleEntry.identity(1, 1),
                 Chart((math.pi - 0.5,), (math.pi + 0.5,))),
-        Overlap(0, 1, AffineCocycleEntry(np.eye(1), np.array([two_pi]), np.array([[mu]])),
-                Chart((-0.5,), (0.5,))),
+        Overlap(0, 1, deck, Chart((-0.5,), (0.5,))),
     )
     glued = GluedAlgebroid((arc_a, arc_b), overlaps)
     # oriented so that transport around it scales by e^{2 pi}
@@ -494,9 +494,6 @@ def counterexample_s1() -> GluedModel:
         line_segment(0, [math.pi], [0.0]),
         line_segment(1, [two_pi], [1.5 * math.pi]),
     ))
-    deck = EquivariantMap(
-        base_map=lambda m: np.asarray(m, dtype=object) + np.array([two_pi]),
-        twist=AlgebraMap(g0, g0, np.array([[mu]])))
     homog = HomogeneousModel(g0, translation_realization(1),
                              Subalgebra(g0, ()), closure="asserted-closed")
     patches = (Chart((-0.45,), (math.pi + 0.45,)),
@@ -504,9 +501,9 @@ def counterexample_s1() -> GluedModel:
     spec = CoverSpec(
         cover=cover, m0=np.zeros(1), patches=patches,
         overlaps=(
-            OverlapSpec(0, 1, Chart((math.pi - 0.45,), (math.pi + 0.45,)),
-                        EquivariantMap.identity(g0)),
-            OverlapSpec(0, 1, Chart((-0.45,), (0.45,)), deck),
+            Overlap(0, 1, AffineCocycleEntry.identity(1, 1),
+                    Chart((math.pi - 0.45,), (math.pi + 0.45,))),
+            Overlap(0, 1, deck, Chart((-0.45,), (0.45,))),
         ))
     return GluedModel(cover, glued, (loop,), (deck,), homog, spec,
                       Chart((-0.5,), (1.5,)))
@@ -542,18 +539,17 @@ def flat_torus() -> GluedModel:
         line_segment(2, [0.0, 0.3], [0.0, 0.8]),
         line_segment(0, [0.0, -0.2], [0.0, 0.0]),
     ))
-    deck_x = EquivariantMap(lambda m: np.asarray(m, dtype=object) + np.array([1.0, 0.0]),
-                            AlgebraMap(g0, g0, np.eye(2)))
-    deck_y = EquivariantMap(lambda m: np.asarray(m, dtype=object) + np.array([0.0, 1.0]),
-                            AlgebraMap(g0, g0, np.eye(2)))
+    deck_x, deck_y = (AffineCocycleEntry(np.eye(2), np.array(b), np.eye(2))
+                      for b in ((1.0, 0.0), (0.0, 1.0)))
+    identity = AffineCocycleEntry.identity(2, 2)
     homog = HomogeneousModel(g0, translation_realization(2),
                              Subalgebra(g0, ()), closure="asserted-closed")
     patches = tuple(Chart(tuple(c - 0.33), tuple(c + 0.33)) for c in centers)
     spec_overlaps = (
-        OverlapSpec(0, 1, Chart((0.17, -0.3), (0.3, 0.3)), EquivariantMap.identity(g0)),
-        OverlapSpec(1, 0, Chart((0.67, -0.3), (0.8, 0.3)), deck_x),
-        OverlapSpec(0, 2, Chart((-0.3, 0.17), (0.3, 0.3)), EquivariantMap.identity(g0)),
-        OverlapSpec(2, 0, Chart((-0.3, 0.67), (0.3, 0.8)), deck_y),
+        Overlap(0, 1, identity, Chart((0.17, -0.3), (0.3, 0.3))),
+        Overlap(1, 0, deck_x, Chart((0.67, -0.3), (0.8, 0.3))),
+        Overlap(0, 2, identity, Chart((-0.3, 0.17), (0.3, 0.3))),
+        Overlap(2, 0, deck_y, Chart((-0.3, 0.67), (0.3, 0.8))),
     )
     spec = CoverSpec(cover, np.zeros(2), patches, spec_overlaps)
     return GluedModel(cover, glued, (loop_x, loop_y), (deck_x, deck_y), homog, spec,

@@ -231,12 +231,14 @@ def _apply_switch(G: GluedAlgebroid, i: int, j: int, m_end, m_next) -> np.ndarra
         if np.max(np.abs(m_end - m_next)) > CONTINUITY_TOL:
             raise TransportError("path segments are discontinuous")
         return np.eye(G.rank)
-    candidates = G.overlaps_between(i, j)
-    if not candidates:
-        raise TransportError(f"no overlap between charts {i} and {j}")
-    for ov in candidates:
+    # the direct entries are tried first, so an inverse is built only
+    # where none of them matches
+    ov = None
+    for ov in G.overlaps_between(i, j):
         if np.max(np.abs(ov.base_map(m_end) - m_next)) <= CONTINUITY_TOL:
             return ov.fiber_map(m_end)
+    if ov is None:
+        raise TransportError(f"no overlap between charts {i} and {j}")
     raise TransportError("chart switch does not match any overlap base map")
 
 

@@ -18,8 +18,9 @@ solved segment after segment from the carried matrix, development
 carrying the parallel frame P rather than its inverse, both reading each
 segment as a curve and solved by scipy's DOP853 rather than the package's
 own steppers, the flat torus overlaps found by trial
-intersection of every shifted box, and an overlap's transition read
-through object-array maps point by point.  The fixtures are polylines, reversed
+intersection of every shifted box, an overlap's transition and a deck's
+images read through object-array maps point by point, and the twist
+check of a deck whose derivative comes from one lane call.  The fixtures are polylines, reversed
 and concatenated polylines, the catalog loops written as curve lambdas,
 and the stock algebras and models that no catalog entry or scenario
 names.
@@ -173,7 +174,7 @@ def reconstruct_atlas_by_overlap(H: HomogeneousModel, spec: CoverSpec) -> AtlasR
     npatch = sum(len(pts) for pts in patch_pts)
     gs, devs = gs[:npatch], gs[npatch:]
     firsts = np.cumsum([0] + [len(pts) for pts in patch_pts[:-1]])
-    dets = [abs(np.linalg.det(_frame_jacobian(A, H, pts[0], gs[k], Qs[k])))
+    dets = [abs(np.linalg.det(_frame_jacobian(A, H, pts[:1], gs[k:k + 1], Qs[k:k + 1])[0]))
             for pts, k in zip(patch_pts, firsts)]
     samples = Coset(gs, H)
     chart_samples = np.split(_coset_coords(H, samples.g), firsts[1:])
@@ -182,13 +183,12 @@ def reconstruct_atlas_by_overlap(H: HomogeneousModel, spec: CoverSpec) -> AtlasR
     for ov, dev in zip(spec.overlaps,
                        devs.reshape(len(spec.overlaps), 1 + 2 * k, *devs.shape[1:])):
         q, psi = dev[0], dev[1:]
-        aff = induced_affine_map(ov.deck, H, Coset(q, H))
+        aff = induced_affine_map(ov.entry, H, Coset(q, H))
         psi_i, psi_j = Coset(psi[:k], H), Coset(psi[k:], H)
         res = worst(coset_residual(psi_j, aff(psi_i)))
         X, Y = np.split(_coset_coords(H, psi), 2)
         Amat, b, fit = _fit_affine(X, Y)
-        transitions.append(TransitionRecord(ov.i, ov.j, res, ov.deck.twist.matrix,
-                                            Amat, b, fit))
+        transitions.append(TransitionRecord(ov.i, ov.j, res, ov.entry.M, Amat, b, fit))
     return AtlasReport(chart_samples, float(np.min(dets, initial=np.inf)), transitions)
 
 
@@ -684,6 +684,28 @@ class ObjectTransition:
             corners.append(value(np.asarray(self.base_map(as_point(c)), dtype=object)))
         corners = np.stack(corners)
         return Chart(tuple(corners.min(axis=0)), tuple(corners.max(axis=0)))
+
+
+def deck_image_at(deck: AffineCocycleEntry, m) -> np.ndarray:
+    """A deck's image of one point, read as decks were read before they
+    were cocycle entries: the object-array base map at ``as_point(m)``,
+    its values taken back to floats.  The stacked images of
+    ``development`` are checked against it bit for bit."""
+    m = as_point(np.asarray(m, dtype=float))
+    return value(np.asarray(ObjectTransition(deck).base_map(m), dtype=object))
+
+
+def equivariant_twist_by_lanes(A: ActionAlgebroid, deck: AffineCocycleEntry,
+                               samples) -> TensorReport:
+    """``development.check_equivariant_twist`` with phi and Dphi from one
+    lane call of the deck's object-array base map (``dual.taylor_stack``)
+    rather than read off the entry."""
+    ms = np.asarray(samples, dtype=float)
+    Phi = dual.taylor_stack(ObjectTransition(deck).base_map, ms, 1)
+    lhs = np.moveaxis(Phi.d, 0, -1) @ A.chart.anchor.values(ms)
+    rhs = A.chart.anchor.values(Phi.v) @ deck.M
+    per = np.max(np.abs(lhs - rhs), axis=(1, 2))
+    return TensorReport("check_equivariant_twist", worst(per), 1e-8, tuple(per.tolist()))
 
 
 # -- the TM+h chart against its displayed formulas, and fixture models --------

@@ -374,7 +374,7 @@ def test_a_nan_composition_after_the_first_fails_the_cocycle():
 
 def test_each_inverted_overlap_is_built_once_per_glued_algebroid(torus):
     G = torus.glued
-    first, again = G.overlaps_between(1, 0), G.overlaps_between(1, 0)
+    first, again = list(G.overlaps_between(1, 0)), list(G.overlaps_between(1, 0))
     # the direct entry 1 -> 0, then the two entries 0 -> 1 read backwards
     assert [(ov.i, ov.j) for ov in first] == [(1, 0)] * 3
     assert first[0] in G.overlaps and not any(ov in G.overlaps for ov in first[1:])

@@ -10,8 +10,9 @@ import scipy.linalg
 
 from cartanlab import algebra
 from cartanlab.algebra import AlgebraMap, MatrixRealization
+from cartanlab.algebroid import AffineCocycleEntry
 from cartanlab.development import (AffineCosetMap, Coset, CoverSpec, DevelopmentError,
-                                   EquivariantMap, Frames, _coset_coords, coset_residual,
+                                   Frames, _coset_coords, coset_residual,
                                    develop_ends, induced_affine_map, integrated_twist,
                                    reconstruct_atlas, reconstruct_ends)
 import oracles
@@ -132,7 +133,7 @@ def test_empty_stacks_give_empty_results(circle):
     assert algebra.expm(np.zeros((0, 2, 2))).shape == (0, 2, 2)
     lr = algebra.log_matrix(H.realization, np.zeros((0, 2, 2)))
     assert lr.coords.shape == (0, 1) and lr.off_span_residual.shape == (0,)
-    mu = circle.decks[0].twist
+    mu = AlgebraMap(H.algebra, H.algebra, circle.decks[0].M)
     assert integrated_twist(H, mu, np.zeros((0, 2, 2))).shape == (0, 2, 2)
 
 
@@ -144,7 +145,10 @@ def test_stacked_twists_residuals_and_coordinates_match_each_element(circle, tor
     rng = np.random.default_rng(6)
     sphere_twist = AlgebraMap(sphere.homog.algebra, sphere.homog.algebra,
                               algebra.exp_matrix(oracles.so3_realization(), [0.0, 0.0, 0.4]))
-    for H, mu in [(circle.homog, circle.decks[0].twist), (torus.homog, torus.decks[1].twist),
+    for H, mu in [(circle.homog, AlgebraMap(circle.homog.algebra, circle.homog.algebra,
+                                            circle.decks[0].M)),
+                  (torus.homog, AlgebraMap(torus.homog.algebra, torus.homog.algebra,
+                                           torus.decks[1].M)),
                   (sphere.homog, sphere_twist)]:
         g1, g2 = _elements(H, rng, 9), _elements(H, rng, 9)
         twisted = integrated_twist(H, mu, g1)
@@ -168,8 +172,8 @@ def test_induced_map_consistency_reads_one_stack(sphere):
     # sphere2's isotropy is one rotation generator: two steps in one stack
     H = sphere.homog
     q = Coset(algebra.exp_matrix(H.realization, [0.0, 0.0, 0.3]), H)
-    identity = EquivariantMap.identity(H.algebra)
-    mu = identity.twist
+    identity = AffineCocycleEntry.identity(2, H.algebra.dim)
+    mu = AlgebraMap(H.algebra, H.algebra, identity.M)
     res = induced_affine_map(identity, H, q).consistency_residual
     want = [oracles.coset_residual_at(H, q.g, oracles.integrated_twist_at(
         H, mu, oracles.exp_matrix_at(H.realization, t * b)) @ q.g)

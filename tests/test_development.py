@@ -5,20 +5,24 @@ import warnings
 import numpy as np
 import pytest
 import scipy.integrate
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 from scipy.integrate import quad
 
 from cartanlab import algebra, development, ode
 from cartanlab.algebra import AlgebraMap, MatrixRealization, Subalgebra
-from cartanlab.algebroid import ActionAlgebroid, AlgebroidChart, make_action_algebroid
-from cartanlab.development import (Coset, DevelopmentError, EquivariantMap,
-                                   HomogeneousModel, check_equivariant_twist,
-                                   coset_residual, develop_paths, develop_point,
-                                   development_jacobian,
-                                   equivariance_diagram_check,
+from cartanlab.algebroid import (ActionAlgebroid, AffineCocycleEntry, AlgebroidChart,
+                                 make_action_algebroid)
+from cartanlab.development import (Coset, DevelopmentError, HomogeneousModel,
+                                   check_equivariant_twist, coset_residual,
+                                   develop_paths, develop_point, development_jacobian,
+                                   equivariance_diagram_check, equivariance_ends,
                                    geometric_closure_probe,
                                    induced_affine_map, integrated_twist,
-                                   path_independence_check, reconstruct_atlas)
-from cartanlab.dual import cos, sin, value
+                                   path_independence_check, reconstruct_atlas,
+                                   reconstruct_ends)
+from cartanlab.dual import cos, sin
 from cartanlab.geometry import Chart, GeometryError, as_point
 from cartanlab.transport import (BasePath, TransportError, line_path, line_segment,
                                  transport_matrix)
@@ -28,8 +32,18 @@ from oracles import fit_twist, polyline_path, reverse
 E2PI = math.exp(2 * math.pi)
 
 
+def _identity(A: ActionAlgebroid) -> AffineCocycleEntry:
+    """The identity deck of an action algebroid's chart."""
+    return AffineCocycleEntry.identity(A.chart.base.dim, A.algebra.dim)
+
+
+def _twist(H: HomogeneousModel, deck: AffineCocycleEntry) -> AlgebraMap:
+    """A deck's twist as an automorphism of the model's algebra."""
+    return AlgebraMap(H.algebra, H.algebra, deck.M)
+
+
 def test_equivariant_twist_identity(circle):
-    E = EquivariantMap.identity(circle.cover.algebra)
+    E = _identity(circle.cover)
     rep = check_equivariant_twist(circle.cover, E)
     assert rep.passed and rep.max_residual < 1e-12
 
@@ -42,14 +56,70 @@ def test_equivariant_twist_deck_map(circle, rng):
 
 def test_equivariant_twist_rotation_needs_adjoint(so3_action, rng):
     R = algebra.exp_matrix(oracles.so3_realization(), [0, 0, 1], 0.8)
-    good = EquivariantMap(lambda m: R.astype(object) @ as_point(m),
-                          AlgebraMap(so3_action.algebra, so3_action.algebra, R))
+    good = AffineCocycleEntry(R, np.zeros(3), R)
     rep = check_equivariant_twist(so3_action, good, samples=rng.uniform(-1, 1, (6, 3)))
     assert rep.passed
-    bad = EquivariantMap(lambda m: R.astype(object) @ as_point(m),
-                         AlgebraMap(so3_action.algebra, so3_action.algebra, np.eye(3)))
+    bad = AffineCocycleEntry(R, np.zeros(3), np.eye(3))
     rep2 = check_equivariant_twist(so3_action, bad, samples=rng.uniform(-1, 1, (6, 3)))
     assert not rep2.passed
+
+
+def _axis_scaling(xi, m):
+    """abelian(n) scaling each axis of R^n: the field of xi at m is xi * m."""
+    return np.asarray(xi, dtype=object) * np.asarray(m, dtype=object)
+
+
+def _floats(lo, hi):
+    return st.floats(lo, hi, allow_nan=False, allow_infinity=False)
+
+
+@st.composite
+def _decks(draw):
+    """An affine deck of 1 to 3 dimensions (A diagonal or dense) with a
+    twist M of the same size, and four sample points."""
+    n = draw(st.integers(1, 3))
+    if draw(st.booleans()):
+        A = np.diag(draw(arrays(float, n, elements=_floats(-2.0, 2.0))))
+    else:
+        A = draw(arrays(float, (n, n), elements=_floats(-2.0, 2.0)))
+    b = draw(arrays(float, n, elements=_floats(-2.0, 2.0)))
+    M = draw(arrays(float, (n, n), elements=_floats(-2.0, 2.0)))
+    return AffineCocycleEntry(A, b, M), draw(arrays(float, (4, n), elements=_floats(-1.0, 1.0)))
+
+
+@settings(max_examples=60, deadline=None)
+@given(case=_decks())
+def test_the_twist_check_reads_dphi_off_the_entry_as_a_lane_call_reads_it(case):
+    deck, ms = case
+    n = len(deck.b)
+    A = make_action_algebroid(algebra.abelian(n), _axis_scaling,
+                              Chart((-math.inf,) * n, (math.inf,) * n))
+    got = check_equivariant_twist(A, deck, samples=ms)
+    want = oracles.equivariant_twist_by_lanes(A, deck, ms)
+    assert np.max(np.abs(np.subtract(got.per_point, want.per_point))) <= 1e-12
+    assert abs(got.max_residual - want.max_residual) <= 1e-12
+
+
+def _bytes(points) -> bytes:
+    return np.asarray(points, dtype=float).tobytes()
+
+
+def test_deck_images_are_the_object_array_reads_bit_for_bit(circle, torus):
+    # the glued models' decks and every deck of their cover specs, at m0
+    # and at the spec's samples, in the ends the two development checks read
+    k = development._ATLAS_SAMPLES
+    for model in (circle, torus):
+        spec = model.atlas_spec
+        m0, samples = spec.m0, np.vstack(spec.patch_samples)
+        for deck in model.decks:
+            ends = equivariance_ends(deck, m0, samples)
+            images = [oracles.deck_image_at(deck, m) for m in (m0, *samples)]
+            assert _bytes(ends[:len(images)]) == _bytes(images)
+        ends = reconstruct_ends(spec)[len(samples):]
+        for ov, lanes in zip(spec.overlaps, np.reshape(ends, (len(spec.overlaps), 1 + 2 * k, -1))):
+            pts = lanes[1:k + 1]
+            images = [oracles.deck_image_at(ov.entry, m) for m in (m0, *pts)]
+            assert _bytes([lanes[0], *lanes[k + 1:]]) == _bytes(images)
 
 
 def test_develop_translations_gives_translation_part(torus):
@@ -506,7 +576,7 @@ def test_development_jacobian_counterexample(circle):
 
 def test_integrated_twist_matches_exp_conjugation(circle):
     H = circle.homog
-    mu = circle.decks[0].twist
+    mu = _twist(H, circle.decks[0])
     g = algebra.exp_matrix(H.realization, [0.3])
     out = integrated_twist(H, mu, g)
     want = algebra.exp_matrix(H.realization, mu([0.3]))
@@ -546,7 +616,7 @@ def test_sphere_coset_residual_beyond_a_third_of_a_turn(sphere):
 
 def test_induced_affine_map_identity(circle):
     H = circle.homog
-    E = EquivariantMap.identity(circle.cover.algebra)
+    E = _identity(circle.cover)
     q = develop_point(circle.cover, H, line_path([0.0], [0.0]))
     aff = induced_affine_map(E, H, q)
     c = develop_point(circle.cover, H, line_path([0.0], [0.9]))
@@ -571,11 +641,9 @@ def test_induced_affine_map_composition_law(circle):
     A = circle.cover
     deck = circle.decks[0]
     deck2 = deck.compose(deck)
-    q1 = develop_point(A, H, line_path([0.0], value(np.asarray(deck.base_map([0.0]),
-                                                                dtype=object))))
+    q1 = develop_point(A, H, line_path([0.0], deck(np.zeros(1))))
     aff1 = induced_affine_map(deck, H, q1)
-    q2 = develop_point(A, H, line_path([0.0], value(np.asarray(deck2.base_map([0.0]),
-                                                                dtype=object))))
+    q2 = develop_point(A, H, line_path([0.0], deck2(np.zeros(1))))
     aff2 = induced_affine_map(deck2, H, q2)
     composed = aff1.compose(aff1)
     for x in (-0.2, 0.5):
@@ -593,17 +661,15 @@ def test_induced_affine_map_group_equivariance(circle):
         x = develop_point(circle.cover, H, line_path([0.0], [0.4]))
         lhs = aff(development.Coset(g @ x.g, H))
         rhs = development.Coset(
-            integrated_twist(H, circle.decks[0].twist, g) @ aff(x).g, H)
+            integrated_twist(H, _twist(H, circle.decks[0]), g) @ aff(x).g, H)
         assert coset_residual(lhs, rhs) < 1e-8
 
 
 def test_lemma_b_guard_rejects_inconsistent_inputs(sphere):
     # a twist that does not normalize the isotropy through q must be refused
     H = sphere.homog
-    bad_twist = AlgebraMap(H.algebra, H.algebra,
-                           np.array([[1.0, 0.2, 0.0], [0.0, 1.0, 0.0],
-                                     [0.0, 0.0, 1.0]]))
-    E = EquivariantMap(lambda m: m, bad_twist)
+    bad_twist = np.array([[1.0, 0.2, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]])
+    E = AffineCocycleEntry(np.eye(2), np.zeros(2), bad_twist)
     q = development.Coset(algebra.exp_matrix(H.realization, [0.9, 0.0, 0.0]), H)
     with pytest.raises(DevelopmentError):
         induced_affine_map(E, H, q)
@@ -613,11 +679,11 @@ def _lemma_diagram(model, deck, a, b):
     """Matrix residual of: developing the deck image of the segment a -> b
     equals applying the integrated twist to its development.  The decks
     are translations, so the image is the segment phi(a) -> phi(b)."""
-    def phi(m):
-        return value(np.asarray(deck.base_map(as_point(m)), dtype=object))
+    a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
     g, g_img = develop_paths(model.cover, model.homog,
-                             [line_path(a, b), line_path(phi(a), phi(b))])
-    return np.max(np.abs(g_img.g - integrated_twist(model.homog, deck.twist, g.g)))
+                             [line_path(a, b), line_path(deck(a), deck(b))])
+    return np.max(np.abs(g_img.g - integrated_twist(model.homog, _twist(model.homog, deck),
+                                                    g.g)))
 
 
 def test_lemma_diagram_counterexample_matrix_level(circle):
@@ -644,7 +710,7 @@ def test_equivariance_diagram_torus(torus, rng):
 
 
 def test_equivariance_diagram_identity_map(torus, rng):
-    E = EquivariantMap.identity(torus.cover.algebra)
+    E = _identity(torus.cover)
     rep = equivariance_diagram_check(torus.cover, torus.homog, E, [0.0, 0.0],
                                      rng.uniform(-0.4, 0.4, (4, 2)))
     assert rep.max_residual < 1e-12
@@ -652,11 +718,12 @@ def test_equivariance_diagram_identity_map(torus, rng):
 
 def test_equivariance_diagram_sphere_rotation(sphere):
     C, H, m0 = sphere.rc.chart, sphere.homog, sphere.m0
-    rot = lambda m: np.array([m[0], m[1] + 0.25], dtype=object)
+    shift = np.array([0.0, 0.25])
     samples = np.stack([m0 + [0.1, -0.1], m0 + [-0.12, 0.08]])
-    tw = fit_twist(C, rot, m0, samples)
+    tw = fit_twist(C, lambda m: np.asarray(m, dtype=object) + shift, m0, samples)
     assert algebra.is_automorphism(tw.source, tw, tol=1e-8).passed
-    rep = equivariance_diagram_check(C, H, EquivariantMap(rot, tw), m0, samples)
+    rep = equivariance_diagram_check(C, H, AffineCocycleEntry(np.eye(2), shift, tw.matrix),
+                                     m0, samples)
     assert rep.passed and rep.max_residual < 1e-5
 
 
@@ -758,7 +825,7 @@ def test_a_nan_action_after_the_first_point_fails_the_equivariant_twist(
     A = ActionAlgebroid(circle.cover.algebra,
                         AlgebroidChart(C.base, C.rank, nan_after_first_point(C.anchor),
                                        C.gamma, C.torsion))
-    rep = check_equivariant_twist(A, EquivariantMap.identity(A.algebra),
+    rep = check_equivariant_twist(A, _identity(A),
                                   samples=[[0.1], [0.4], [0.7]])
     assert rep.per_point[0] == 0.0 and math.isnan(rep.per_point[1])
     assert math.isnan(rep.max_residual) and not rep.passed
@@ -794,7 +861,7 @@ def test_a_nan_residual_after_the_first_generator_refuses_the_induced_map(monkey
     gens = (np.array([[1.0, 0.0], [0.0, 0.0]]), np.array([[0.0, 1.0], [0.0, 0.0]]))
     H = HomogeneousModel(aff, MatrixRealization(aff, gens),
                          Subalgebra(aff, (np.array([1.0, 0.0]),)))
-    E, q = EquivariantMap.identity(aff), Coset(np.eye(2), H)
+    E, q = AffineCocycleEntry.identity(1, 2), Coset(np.eye(2), H)
     assert induced_affine_map(E, H, q).consistency_residual < 1e-12
     calls = _nan_after_the_first_lane(monkeypatch)
     with pytest.raises(DevelopmentError, match="residual nan"):
@@ -808,12 +875,15 @@ def test_a_nan_residual_after_the_first_generator_refuses_the_induced_map(monkey
 def test_a_nan_jacobian_after_the_first_patch_fails_reconstruct(torus, monkeypatch):
     real, calls = development._frame_jacobian, []
 
-    def nan_after_first(*args):
-        calls.append(args)
-        return real(*args) * (1.0 if len(calls) == 1 else math.nan)
-    monkeypatch.setattr(development, "_frame_jacobian", nan_after_first)
+    def nan_second_patch(*args):
+        J = real(*args)
+        calls.append(len(J))
+        J[1] = math.nan
+        return J
+    monkeypatch.setattr(development, "_frame_jacobian", nan_second_patch)
     atlas = reconstruct_atlas(torus.glued, torus.homog, torus.atlas_spec)
-    assert len(calls) == 4
+    # one stacked call reads the four patches' Jacobians
+    assert calls == [4]
     assert math.isnan(atlas.jacobian_min_abs_det) and not atlas.passed
 
 

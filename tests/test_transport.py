@@ -271,6 +271,25 @@ def test_overlap_reads_are_the_object_array_reads_bit_for_bit(circle, torus, sph
                 assert _bits(lanes.d) == _bits(ref_lanes.d)
 
 
+def test_forward_loops_build_only_the_inverses_their_switches_need():
+    # a switch tries the direct entries before any inverse: the torus loops
+    # switch along direct entries alone, and the circle's one switch 1 -> 0,
+    # which only 0 -> 1 entries serve, builds the first inverse it tries
+    from cartanlab import models
+    for make, built in ((models.flat_torus, []), (models.counterexample_s1, [0])):
+        fresh, warm = make(), make()
+        for ov in warm.glued.overlaps:
+            ov.inverse
+        forward = transport_matrices(fresh.glued, fresh.loops)
+        assert [k for k, ov in enumerate(fresh.glued.overlaps)
+                if "inverse" in vars(ov)] == built
+        back = [reverse(p) for p in fresh.loops]
+        for paths, got in ((fresh.loops, forward),
+                           (back, transport_matrices(fresh.glued, back))):
+            want = transport_matrices(warm.glued, paths)
+            assert all(_bits(M) == _bits(W) for M, W in zip(got, want))
+
+
 def test_stacked_transport_matches_the_carried_solves_across_a_transition(sphere,
                                                                           monkeypatch):
     from cartanlab import ode, transport
